@@ -55,7 +55,6 @@ fn mapping_sweep(h: &mut Harness) {
             mapping,
             model: ModelKind::PacketFlow { packet_bytes: 8192 },
             compute_scale: 1.0,
-            eager_packets: false,
             sim_threads: 1,
             route_arena_cap_bytes: u64::MAX,
         };

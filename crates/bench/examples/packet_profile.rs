@@ -8,7 +8,7 @@
 
 use masim_bench::bench_entries;
 use masim_obs::MetricSet;
-use masim_sim::{simulate_limited_observed, ModelKind, SimConfig, SimLimits};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::Machine;
 use std::hint::black_box;
 use std::time::Instant;
@@ -22,7 +22,7 @@ fn main() {
     // Warm up.
     for _ in 0..3 {
         let ms = MetricSet::new();
-        black_box(simulate_limited_observed(&trace, &cfg, SimLimits::unlimited(), &ms).unwrap());
+        black_box(masim_sim::run(&trace, &cfg, SimLimits::unlimited(), Some(&ms)).unwrap());
     }
     let mut best = f64::MAX;
     let mut events = 0u64;
@@ -30,7 +30,7 @@ fn main() {
     for _ in 0..1500 {
         let ms = MetricSet::new();
         let t0 = Instant::now();
-        let res = simulate_limited_observed(&trace, &cfg, SimLimits::unlimited(), &ms).unwrap();
+        let res = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), Some(&ms)).unwrap();
         let dt = t0.elapsed().as_secs_f64();
         best = best.min(dt);
         events = ms.snapshot().counters["des.engine.processed"];

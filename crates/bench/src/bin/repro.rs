@@ -272,7 +272,8 @@ fn parse_args() -> Result<Options, String> {
         if !ALL.contains(&a.as_str()) && !EXTRA.contains(&a.as_str()) {
             return Err(format!(
                 "unknown report '{a}'; available: {ALL:?}, {EXTRA:?}, 'all', 'bench-summary', \
-                 'bench-gate', or 'bench-pdes'"
+                 'bench-gate', 'bench-pdes', or the subcommands 'serve', 'submit', 'ctl', 'scale' \
+                 (first argument)"
             ));
         }
     }
@@ -331,9 +332,9 @@ fn run() -> Result<(), String> {
     let needs_model =
         opts.reports.iter().any(|a| matches!(a.as_str(), "table4" | "predict" | "stability"));
 
-    // Runner telemetry (worker/steal/backlog metrics) for the parallel
-    // paths. Kept off the per-tool sidecars, which must stay
-    // bit-identical to the sequential runner's.
+    // Runner telemetry (worker/steal/backlog metrics). Kept off the
+    // per-tool sidecars, which must stay bit-identical at any thread
+    // count.
     let study_ms = MetricSet::new();
     if opts.threads > 1 && opts.reports.iter().any(|a| matches!(a.as_str(), "fig1" | "table2")) {
         eprintln!(
@@ -344,54 +345,23 @@ fn run() -> Result<(), String> {
         );
     }
 
-    // Study config with the PDES knob applied; everything else stays at
-    // the defaults, so predictions match the committed baselines.
-    let study_cfg = StudyConfig { sim_threads: opts.sim_threads, ..StudyConfig::default() };
-
+    // Every study this invocation runs — the corpus study up front, the
+    // Table II heavyweights inside the report loop — is this one call.
     let mut sidecar_count = 0usize;
+    let mut run_study = |kind: StudyKind| -> Result<Study, String> {
+        let spec = SessionSpec { kind, seed: StudyConfig::default().seed };
+        let (study, written) = run_session(spec, &opts, &study_ms)?;
+        sidecar_count += written;
+        Ok(study)
+    };
+
     let study: Option<Study> = if needs_study {
         eprintln!(
             "running the full 235-trace study ({} thread(s); several minutes)...",
             opts.threads
         );
         let t0 = Instant::now();
-        let s = if let Some(ckdir) = &opts.checkpoint {
-            let spec = SessionSpec {
-                kind: StudyKind::Corpus { indices: None },
-                seed: StudyConfig::default().seed,
-            };
-            let (s, n) = run_with_checkpoint(
-                spec,
-                ckdir,
-                opts.resume,
-                opts.fail_after,
-                opts.threads,
-                opts.sim_threads,
-                &study_ms,
-                metrics_dir.as_deref(),
-            )?;
-            sidecar_count += n;
-            s
-        } else if let Some(dir) = &metrics_dir {
-            let (s, sidecars) = if opts.threads > 1 {
-                Study::run_filtered_observed_parallel(
-                    study_cfg.clone(),
-                    |_| true,
-                    opts.threads,
-                    &study_ms,
-                )
-            } else {
-                Study::run_filtered_observed(study_cfg.clone(), |_| true)
-            };
-            for (idx, runs) in &sidecars {
-                sidecar_count += write_sidecars(dir, &format!("trace{idx:03}"), runs)?;
-            }
-            s
-        } else if opts.threads > 1 {
-            Study::run_parallel(study_cfg.clone(), opts.threads)
-        } else {
-            Study::run(study_cfg.clone())
-        };
+        let s = run_study(StudyKind::Corpus { indices: None })?;
         eprintln!("study completed in {:?}", t0.elapsed());
         Some(s)
     } else {
@@ -415,41 +385,7 @@ fn run() -> Result<(), String> {
             "fig1" => report::fig1(need(&study, "study", a)?),
             "table2" => {
                 eprintln!("running the Table II heavyweights (unbudgeted)...");
-                let entries =
-                    if opts.tiny { tiny_table2_entries(7) } else { report::table2_entries(7) };
-                if let Some(ckdir) = &opts.checkpoint {
-                    let spec = SessionSpec { kind: StudyKind::Table2 { tiny: opts.tiny }, seed: 7 };
-                    let (s, n) = run_with_checkpoint(
-                        spec,
-                        ckdir,
-                        opts.resume,
-                        opts.fail_after,
-                        opts.threads,
-                        opts.sim_threads,
-                        &study_ms,
-                        metrics_dir.as_deref(),
-                    )?;
-                    sidecar_count += n;
-                    report::table2_text(&s.traces)
-                } else {
-                    let (text, sidecars) = if opts.threads > 1 {
-                        report::table2_observed_threads(
-                            &entries,
-                            7,
-                            opts.threads,
-                            opts.sim_threads,
-                            &study_ms,
-                        )
-                    } else {
-                        report::table2_observed(&entries, 7, opts.sim_threads)
-                    };
-                    if let Some(dir) = &metrics_dir {
-                        for (stem, runs) in &sidecars {
-                            sidecar_count += write_sidecars(dir, &format!("table2_{stem}"), runs)?;
-                        }
-                    }
-                    text
-                }
+                report::table2_text(&run_study(StudyKind::Table2 { tiny: opts.tiny })?.traces)
             }
             "fig2" => report::fig2(need(&study, "study", a)?),
             "fig3" => report::fig3(need(&study, "study", a)?),
@@ -481,9 +417,10 @@ fn run() -> Result<(), String> {
     }
 
     if let Some(dir) = &metrics_dir {
-        // One extra sidecar for the parallel runner itself (tool =
+        // One extra sidecar for the study runner itself (tool =
         // "runner": workers, steals, writer backlog, wall span) so the
-        // fold can report the parallel speedup next to the tools.
+        // fold can report the pool next to the tools. Absent only when
+        // no study ran (`repro table3`).
         if study_ms.snapshot().gauges.get(PARALLEL_WORKERS_GAUGE).copied().unwrap_or(0) > 0 {
             let rm = RunMetrics::with_set(study_ms.clone())
                 .label("tool", "runner")
@@ -515,9 +452,7 @@ fn run() -> Result<(), String> {
 /// events/s budget binds; multi-core hosts pass `--sim-threads auto`
 /// to record the real speedup.
 fn bench_pdes_cmd(metrics_dir: Option<&Path>, sim_threads: usize) -> Result<(), String> {
-    use masim_sim::{
-        simulate_limited_observed, simulate_partitioned_observed, ModelKind, SimConfig, SimLimits,
-    };
+    use masim_sim::{simulate_partitioned_observed, ModelKind, SimConfig, SimLimits};
     // bench_entries()[1] is the CG(64) cielito entry: communication-
     // heavy enough that the packet model dominates, the regime the
     // intra-trace parallelism targets.
@@ -530,7 +465,7 @@ fn bench_pdes_cmd(metrics_dir: Option<&Path>, sim_threads: usize) -> Result<(), 
     let seq_ms = MetricSet::new();
     let seq_cfg = SimConfig::new(machine.clone(), model, &trace);
     let t0 = Instant::now();
-    let seq = simulate_limited_observed(&trace, &seq_cfg, SimLimits::unlimited(), &seq_ms)
+    let seq = masim_sim::run(&trace, &seq_cfg, SimLimits::unlimited(), Some(&seq_ms))
         .map_err(|e| format!("bench-pdes: sequential reference failed: {e}"))?;
     let seq_wall = t0.elapsed();
 
@@ -606,9 +541,7 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 /// `route_arena_bytes` accounting.
 fn scale_cmd(args: &[String]) -> Result<(), String> {
     use masim_core::ToolFailure;
-    use masim_sim::{
-        simulate_streamed_observed, ModelKind, SimConfig, SimLimits, DEFAULT_PACKET_BYTES,
-    };
+    use masim_sim::{ModelKind, SimConfig, SimLimits, DEFAULT_PACKET_BYTES};
     use masim_trace::StreamedTrace;
 
     let mut machine_name = "frontier".to_string();
@@ -704,7 +637,7 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
     );
     let limits = SimLimits::unlimited().with_memory_budget(mem_budget);
     let span = ms.span(TOOL_WALL_SPAN);
-    let res = simulate_streamed_observed(&stream, &cfg, limits, &ms);
+    let res = masim_sim::run(&stream, &cfg, limits, Some(&ms));
     let wall = span.stop();
 
     let failure = res.as_ref().err().map(|e| ToolFailure::from_sim(e.clone()));
@@ -1036,43 +969,40 @@ fn write_profile(dir: &Path, report: &SpanStats) -> Result<(), String> {
     Ok(())
 }
 
-/// Drive a journaled, resumable session. Sidecars are written only for
-/// entries that ran *in this invocation* (recovered entries wrote
-/// theirs before the interruption, so a resumed `--metrics` directory
-/// ends up with exactly one sidecar set per entry). On a deliberate
-/// `--fail-after` interruption, prints resume guidance and exits with
-/// [`EXIT_INTERRUPTED`]. This is the same [`Session`] object the
-/// `repro serve` daemon runs; the CLI just points its trace callback at
-/// sidecar files instead of socket frames.
-#[allow(clippy::too_many_arguments)] // run-control knobs, each a distinct caller concern
-fn run_with_checkpoint(
+/// Run one study to completion through [`Session::run`] — the same
+/// object the `repro serve` daemon runs; the CLI just points its trace
+/// callback at sidecar files instead of socket frames. `--checkpoint`
+/// only decides whether the session journals. Returns the study and the
+/// number of sidecar files written.
+///
+/// Sidecars are written only for entries that ran *in this invocation*
+/// (recovered entries wrote theirs before the interruption, so a resumed
+/// `--metrics` directory ends up with exactly one sidecar set per
+/// entry). On a deliberate `--fail-after` interruption, prints resume
+/// guidance and exits with [`EXIT_INTERRUPTED`].
+fn run_session(
     spec: SessionSpec,
-    ckdir: &Path,
-    resume: bool,
-    fail_after: Option<usize>,
-    threads: usize,
-    sim_threads: usize,
+    opts: &Options,
     study_ms: &MetricSet,
-    metrics_dir: Option<&Path>,
 ) -> Result<(Study, usize), String> {
-    let mut session = Session::with_checkpoint(spec, ckdir, resume).map_err(|e| e.to_string())?;
-    session.set_sim_threads(sim_threads);
-    let recovered = session.done();
-    if recovered > 0 {
-        let path = session
-            .checkpoint_path()
-            .map_or_else(|| ckdir.display().to_string(), |p| p.display().to_string());
-        eprintln!("checkpoint: recovered {recovered} completed trace(s) from {path}");
+    let mut session = match &opts.checkpoint {
+        Some(ckdir) => Session::with_checkpoint(spec, ckdir, opts.resume),
+        None => Session::new(spec),
     }
-    let label = format!("{}(resumable)", session.spec().label());
+    .map_err(|e| e.to_string())?;
+    session.set_sim_threads(opts.sim_threads);
+    if let (recovered @ 1.., Some(path)) = (session.done(), session.checkpoint_path()) {
+        eprintln!("checkpoint: recovered {recovered} completed trace(s) from {}", path.display());
+    }
+    let label = session.spec().label();
     let mut written = 0usize;
     let mut werr: Option<String> = None;
     let outcome = session
-        .run(threads, fail_after, None, study_ms, &label, None, |_, stem, observed| {
+        .run(opts.threads, opts.fail_after, None, study_ms, label, None, |_, stem, observed| {
             if werr.is_some() {
                 return;
             }
-            if let Some(dir) = metrics_dir {
+            if let Some(dir) = &opts.metrics {
                 match write_sidecars(dir, stem, &observed.sidecars) {
                     Ok(n) => written += n,
                     Err(e) => werr = Some(e),
@@ -1093,12 +1023,6 @@ fn run_with_checkpoint(
             std::process::exit(EXIT_INTERRUPTED);
         }
     }
-}
-
-/// The Table II applications shrunk to seconds-scale for CI smoke runs
-/// (shared with the equivalence suite via `masim-core`).
-fn tiny_table2_entries(seed: u64) -> Vec<masim_workloads::CorpusEntry> {
-    report::table2_tiny_entries(seed)
 }
 
 /// Write one JSON + one CSV sidecar per tool run; returns how many

@@ -26,12 +26,9 @@
 //!   and entry count must match on resume; mixing configurations in one
 //!   journal would merge incomparable results.
 
-use crate::study::{
-    run_entries_parallel, run_one_observed, Study, StudyConfig, ToolFailure, ToolRun, TraceStudy,
-};
+use crate::study::{StudyConfig, ToolFailure, ToolRun, TraceStudy};
 use masim_mfact::{AppClass, Classification, Counters};
 use masim_obs::json::{parse, Value};
-use masim_obs::{MetricSet, Progress, RunMetrics};
 use masim_trace::{Features, Time, NUM_FEATURES};
 use masim_workloads::CorpusEntry;
 use std::collections::BTreeMap;
@@ -190,122 +187,6 @@ impl Checkpoint {
     /// Journal location on disk.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// Outcome of a resumable study run.
-pub enum ResumableRun {
-    /// Every requested entry has a result (fresh or recovered).
-    Complete {
-        /// The assembled study, in `indices` order.
-        study: Study,
-        /// Per-tool sidecars for the entries that ran *in this
-        /// invocation* (recovered entries wrote theirs when they
-        /// originally ran).
-        new_sidecars: Vec<(usize, Vec<RunMetrics>)>,
-    },
-    /// The run stopped early (deliberate `abort_after`); the journal
-    /// holds everything completed so far.
-    Interrupted {
-        /// Entries with results in the journal.
-        completed: usize,
-        /// Entries requested in total.
-        total: usize,
-        /// Sidecars for the entries that ran in this invocation.
-        new_sidecars: Vec<(usize, Vec<RunMetrics>)>,
-    },
-}
-
-impl Study {
-    /// Run the study over `entries[i]` for each `i` in `indices`,
-    /// skipping entries already in the journal and recording each newly
-    /// completed one. With `abort_after = Some(n)` the run stops after
-    /// `n` *newly executed* entries if work remains — the deterministic
-    /// interruption hook the interrupt/resume tests and `repro
-    /// --fail-after` use.
-    pub fn run_resumable(
-        cfg: StudyConfig,
-        entries: &[CorpusEntry],
-        indices: &[usize],
-        ckpt: &mut Checkpoint,
-        abort_after: Option<usize>,
-    ) -> Result<ResumableRun, CheckpointError> {
-        let todo = indices.iter().filter(|i| !ckpt.completed().contains_key(i)).count();
-        let progress = Progress::new("study(resumable)", todo as u64);
-        let mut new_sidecars = Vec::new();
-        let mut newly_run = 0usize;
-        for &i in indices {
-            if ckpt.completed().contains_key(&i) {
-                continue;
-            }
-            if abort_after.is_some_and(|n| newly_run >= n) {
-                progress.finish();
-                return Ok(ResumableRun::Interrupted {
-                    completed: ckpt.completed().len(),
-                    total: indices.len(),
-                    new_sidecars,
-                });
-            }
-            let observed = run_one_observed(&entries[i], &cfg);
-            ckpt.record(i, &observed.study)?;
-            new_sidecars.push((i, observed.sidecars));
-            newly_run += 1;
-            progress.tick(1);
-        }
-        progress.finish();
-        let traces = indices.iter().map(|i| ckpt.completed()[i].clone()).collect();
-        Ok(ResumableRun::Complete { study: Study { traces, config: cfg }, new_sidecars })
-    }
-
-    /// Parallel twin of [`Study::run_resumable`]: pending entries spread
-    /// over up to `threads` work-stealing workers while one writer
-    /// appends journal lines (and collects sidecars) strictly in
-    /// `indices` order — so the journal, the sidecar set, and every
-    /// derived report are bit-identical (modulo host wall-clock fields)
-    /// to the sequential runner's at any thread count.
-    ///
-    /// `abort_after = Some(n)` dispatches only the first `n` pending
-    /// entries before reporting [`ResumableRun::Interrupted`] — exactly
-    /// the entries the sequential runner would have journaled before
-    /// stopping, which is what keeps interrupt + resume equivalent on
-    /// both paths. Runner telemetry lands on `study_ms`.
-    pub fn run_resumable_parallel(
-        cfg: StudyConfig,
-        entries: &[CorpusEntry],
-        indices: &[usize],
-        ckpt: &mut Checkpoint,
-        abort_after: Option<usize>,
-        threads: usize,
-        study_ms: &MetricSet,
-    ) -> Result<ResumableRun, CheckpointError> {
-        let todo: Vec<usize> =
-            indices.iter().copied().filter(|i| !ckpt.completed().contains_key(i)).collect();
-        let interrupted = abort_after.is_some_and(|n| n < todo.len());
-        let dispatch = if interrupted { &todo[..abort_after.unwrap_or(0)] } else { &todo[..] };
-        let mut new_sidecars = Vec::new();
-        run_entries_parallel(
-            &cfg,
-            entries,
-            dispatch,
-            threads,
-            study_ms,
-            "study(resumable)",
-            None,
-            |i, observed| -> Result<(), CheckpointError> {
-                ckpt.record(i, &observed.study)?;
-                new_sidecars.push((i, observed.sidecars));
-                Ok(())
-            },
-        )?;
-        if interrupted {
-            return Ok(ResumableRun::Interrupted {
-                completed: ckpt.completed().len(),
-                total: indices.len(),
-                new_sidecars,
-            });
-        }
-        let traces = indices.iter().map(|i| ckpt.completed()[i].clone()).collect();
-        Ok(ResumableRun::Complete { study: Study { traces, config: cfg }, new_sidecars })
     }
 }
 
@@ -742,55 +623,6 @@ mod tests {
         let bad_budget = StudyConfig { packet_budget: 1, ..cfg };
         let err = Checkpoint::resume(&dir, &bad_budget, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interrupted_then_resumed_run_matches_uninterrupted() {
-        let dir = scratch("resume-equiv");
-        let cfg = StudyConfig::default();
-        let entries = build_corpus(cfg.seed);
-        let indices = [3usize, 40];
-        // Uninterrupted reference.
-        let reference = Study::run_filtered(cfg.clone(), |i| indices.contains(&i));
-
-        // Interrupt after one newly run entry...
-        let mut ck = Checkpoint::create(&dir, &cfg, entries.len()).unwrap();
-        let first =
-            Study::run_resumable(cfg.clone(), &entries, &indices, &mut ck, Some(1)).unwrap();
-        let ResumableRun::Interrupted { completed, total, new_sidecars } = first else {
-            panic!("expected an interruption");
-        };
-        assert_eq!((completed, total), (1, 2));
-        assert_eq!(new_sidecars.len(), 1);
-        drop(ck);
-
-        // ...then resume from the journal and finish.
-        let mut ck = Checkpoint::resume(&dir, &cfg, &entries).unwrap();
-        assert_eq!(ck.completed().len(), 1);
-        let second = Study::run_resumable(cfg.clone(), &entries, &indices, &mut ck, None).unwrap();
-        let ResumableRun::Complete { study, new_sidecars } = second else {
-            panic!("expected completion");
-        };
-        assert_eq!(new_sidecars.len(), 1, "only the remaining entry ran");
-        assert_eq!(study.traces.len(), reference.traces.len());
-        for (a, b) in reference.traces.iter().zip(&study.traces) {
-            // Wall clocks are re-measured vs recovered; everything the
-            // study *derives* must be bit-identical.
-            assert_eq!(a.mfact.total, b.mfact.total);
-            assert_eq!(a.packet.total, b.packet.total);
-            assert_eq!(a.flow.total, b.flow.total);
-            assert_eq!(a.pflow.total, b.pflow.total);
-            assert_eq!(a.mfact.comm, b.mfact.comm);
-            assert_eq!(a.measured_total, b.measured_total);
-            assert_eq!(a.features, b.features);
-            assert_eq!(a.classification.class, b.classification.class);
-            assert_eq!(
-                a.mfact.failure.as_ref().map(ToolFailure::code),
-                b.mfact.failure.as_ref().map(ToolFailure::code)
-            );
-        }
-        assert_eq!(reference.failure_census(), study.failure_census());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -4,13 +4,16 @@
 //! model that predicts, per application, whether detailed simulation is
 //! worth its cost.
 //!
-//! * [`study`] — run every tool over the 235-trace corpus; DIFFtotal,
-//!   timing ratios, completion accounting;
+//! * [`study`] — run every tool over one corpus entry
+//!   ([`run_one_observed`]); DIFFtotal, timing ratios, completion
+//!   accounting; the plain sequential reference loop ([`Study::run`]);
 //! * [`enhanced`] — the Section VI predictor: Table III candidates + CL,
 //!   step-wise logistic selection under Monte Carlo cross-validation;
 //! * [`report`] — one generator per table/figure in the paper;
 //! * [`session`] — studies as resumable, cancelable, fingerprinted
-//!   session objects (the library API behind `repro serve`).
+//!   session objects. [`Session::run`] is the one study executor: the
+//!   `repro` CLI and the `repro serve` daemon both run every study
+//!   through it, at any thread count, with or without a journal.
 
 #![warn(missing_docs)]
 
@@ -20,14 +23,13 @@ pub mod report;
 pub mod session;
 pub mod study;
 
-pub use checkpoint::{Checkpoint, CheckpointError, ResumableRun, CHECKPOINT_FILE};
+pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_FILE};
 pub use enhanced::{Dataset, Enhanced, ErrorRates, DIFF_THRESHOLD};
 pub use session::{Session, SessionError, SessionOutcome, SessionSpec, StudyKind};
 pub use study::{
-    contained, effective_sim_threads, fraction_within, run_one, run_one_observed, ObservedTrace,
-    Study, StudyConfig, ToolFailure, ToolRun, TraceStudy, AUTO_PDES_MIN_RANKS,
-    PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN, PARALLEL_WORKERS_GAUGE,
-    TOOL_WALL_SPAN,
+    contained, effective_sim_threads, fraction_within, run_one_observed, ObservedTrace, Study,
+    StudyConfig, ToolFailure, ToolRun, TraceStudy, AUTO_PDES_MIN_RANKS, PARALLEL_BACKLOG_GAUGE,
+    PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN, PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
 };
 
 #[cfg(test)]

@@ -6,9 +6,8 @@
 //! `reports/`; EXPERIMENTS.md records paper-vs-measured values.
 
 use crate::enhanced::{Dataset, Enhanced};
-use crate::study::{fraction_within, run_one_observed, Study, StudyConfig, ToolRun, TraceStudy};
+use crate::study::{fraction_within, Study, StudyConfig, ToolRun, TraceStudy};
 use masim_mfact::AppClass;
-use masim_obs::{MetricSet, RunMetrics};
 use masim_trace::Time;
 use masim_workloads::{App, CorpusEntry, GenConfig, RANK_BUCKETS};
 use std::fmt::Write as _;
@@ -183,11 +182,6 @@ pub fn table2_tiny_entries(seed: u64) -> Vec<CorpusEntry> {
     entries
 }
 
-/// Table II: wall-clock seconds of each tool on the three named runs.
-pub fn table2(seed: u64) -> String {
-    table2_observed(&table2_entries(seed), seed, 1).0
-}
-
 /// The per-entry study configuration Table II uses: unbudgeted, so
 /// every tool runs the heavyweights to completion.
 pub fn table2_config(seed: u64) -> StudyConfig {
@@ -205,10 +199,11 @@ pub fn table2_stem(e: &CorpusEntry) -> String {
     format!("{}{}", e.cfg.app.name(), e.cfg.ranks)
 }
 
-/// Format Table II from already-computed per-entry results — split out
-/// from [`table2_observed`] so checkpoint/resume runs (`repro table2
-/// --checkpoint`) can format recovered results without re-running the
-/// tools. Failed tool runs are annotated with their typed cause.
+/// Table II: wall-clock seconds of each tool on the three named runs,
+/// formatted from already-computed per-entry results (a
+/// [`StudyKind::Table2`](crate::StudyKind::Table2) session's, fresh or
+/// recovered from a journal). Failed tool runs are annotated with their
+/// typed cause.
 pub fn table2_text(studies: &[TraceStudy]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -240,60 +235,6 @@ pub fn table2_text(studies: &[TraceStudy]) -> String {
         }
     }
     out
-}
-
-/// [`table2`] over caller-supplied entries, also returning each run's
-/// per-tool metric sidecars tagged with a stable `app<ranks>` stem so
-/// `repro --metrics` can write them to disk.
-pub fn table2_observed(
-    entries: &[CorpusEntry],
-    seed: u64,
-    sim_threads: usize,
-) -> (String, Vec<(String, Vec<RunMetrics>)>) {
-    let mut big = table2_config(seed);
-    big.sim_threads = sim_threads;
-    let mut studies = Vec::new();
-    let mut sidecars = Vec::new();
-    for e in entries {
-        let obs = run_one_observed(e, &big);
-        sidecars.push((table2_stem(e), obs.sidecars));
-        studies.push(obs.study);
-    }
-    (table2_text(&studies), sidecars)
-}
-
-/// [`table2_observed`] spread over up to `threads` work-stealing
-/// workers. Per-tool predictions and sidecars are bit-identical to the
-/// sequential path (only host wall-clock fields differ run to run);
-/// runner telemetry (worker/steal/backlog metrics) lands on `study_ms`.
-pub fn table2_observed_threads(
-    entries: &[CorpusEntry],
-    seed: u64,
-    threads: usize,
-    sim_threads: usize,
-    study_ms: &MetricSet,
-) -> (String, Vec<(String, Vec<RunMetrics>)>) {
-    let mut big = table2_config(seed);
-    big.sim_threads = sim_threads;
-    let todo: Vec<usize> = (0..entries.len()).collect();
-    let mut studies: Vec<TraceStudy> = Vec::with_capacity(entries.len());
-    let mut sidecars = Vec::with_capacity(entries.len());
-    let res: Result<(), std::convert::Infallible> = crate::study::run_entries_parallel(
-        &big,
-        entries,
-        &todo,
-        threads,
-        study_ms,
-        "table2",
-        None,
-        |i, obs| {
-            sidecars.push((table2_stem(&entries[i]), obs.sidecars));
-            studies.push(obs.study);
-            Ok(())
-        },
-    );
-    let Ok(()) = res;
-    (table2_text(&studies), sidecars)
 }
 
 /// Figure 2: CDFs of the relative difference between each simulator and

@@ -15,14 +15,14 @@
 //! ([`Study::failure_census`]) and as a `failure` label on the per-tool
 //! metric sidecars.
 //!
-//! Tool wall-clock times are measured through `masim-obs` spans; the
-//! observed runner additionally returns one labeled [`RunMetrics`]
-//! sidecar per tool per trace (`tool` ∈ {corpus, mfact, packet, flow,
-//! packet-flow}) carrying the instrumented engines' counters.
+//! Tool wall-clock times are measured through `masim-obs` spans, and
+//! every run returns one labeled [`RunMetrics`] sidecar per tool per
+//! trace (`tool` ∈ {corpus, mfact, packet, flow, packet-flow}) carrying
+//! the instrumented engines' counters.
 
-use masim_mfact::{try_classify, try_replay_observed, Classification, ModelConfig, ReplayError};
+use masim_mfact::{try_classify, try_replay, Classification, ModelConfig, ReplayError};
 use masim_obs::{MetricSet, Progress, RunMetrics};
-use masim_sim::{simulate_limited_observed, ModelKind, SimConfig, SimError, SimLimits};
+use masim_sim::{ModelKind, SimConfig, SimError, SimLimits};
 use masim_topo::Machine;
 use masim_trace::{Features, Time, Trace};
 use masim_workloads::{build_corpus, CorpusEntry};
@@ -247,26 +247,6 @@ pub struct TraceStudy {
 }
 
 impl TraceStudy {
-    /// The all-tools-failed placeholder recorded when a worker could not
-    /// even produce a trace (e.g. a panic escaped a tool boundary in a
-    /// parallel worker): zero measurements, neutral classification, and
-    /// the same cause on all four tools.
-    pub fn poisoned(entry: &CorpusEntry, cause: ToolFailure) -> TraceStudy {
-        let failed = |c: &ToolFailure| ToolRun::failed(c.clone(), Duration::ZERO);
-        TraceStudy {
-            entry: entry.clone(),
-            measured_total: Time::ZERO,
-            measured_comm: Time::ZERO,
-            events: 0,
-            features: Features::default(),
-            classification: Classification::unavailable(),
-            mfact: failed(&cause),
-            packet: failed(&cause),
-            flow: failed(&cause),
-            pflow: failed(&cause),
-        }
-    }
-
     /// `DIFFtotal` against a simulator's prediction:
     /// `|sim_total / mfact_total − 1|`; `None` if that simulator failed.
     pub fn diff_total(&self, sim: &ToolRun) -> Option<f64> {
@@ -393,7 +373,7 @@ pub struct Study {
 
 /// One trace's study outcome plus its per-tool metric sidecars.
 pub struct ObservedTrace {
-    /// The measurements (identical to [`run_one`]'s output).
+    /// The measurements.
     pub study: TraceStudy,
     /// One labeled sidecar per stage, in order: trace generation
     /// (`tool=corpus`), then `mfact`, `packet`, `flow`, `packet-flow`.
@@ -422,11 +402,6 @@ pub const PARALLEL_BACKLOG_GAUGE: &str = "core.study.parallel.writer_backlog_max
 
 /// Span: wall clock of one whole parallel study run (workers + writer).
 pub const PARALLEL_WALL_SPAN: &str = "core.study.parallel.wall";
-
-/// Run one tool set over one corpus entry.
-pub fn run_one(entry: &CorpusEntry, cfg: &StudyConfig) -> TraceStudy {
-    run_one_observed(entry, cfg).study
-}
 
 /// Label a tool sidecar, attaching the failure cause when there is one.
 fn label_sidecar(
@@ -494,7 +469,7 @@ fn stalled_trace(
 }
 
 /// Run one tool set over one corpus entry, collecting per-tool metric
-/// sidecars. Predictions are bit-identical to [`run_one`]'s: every
+/// sidecars. Predictions do not depend on the telemetry: every
 /// instrumented engine keeps its hot loop free of instrumentation and
 /// exports counters after the run.
 ///
@@ -531,7 +506,7 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
     let mres = {
         let _ts = masim_obs::trace_span!("study.tool/mfact");
         contained(|| {
-            try_replay_observed(&trace, &configs, &mfact_ms).map_err(ToolFailure::from_replay)
+            try_replay(&trace, &configs, Some(&mfact_ms)).map_err(ToolFailure::from_replay)
         })
     };
     let mfact_wall = span.stop();
@@ -565,7 +540,7 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
             contained(|| {
                 let mut scfg = SimConfig::new(machine.clone(), model, &trace);
                 scfg.sim_threads = effective_sim_threads(cfg.sim_threads, trace.num_ranks());
-                simulate_limited_observed(&trace, &scfg, limits, &ms).map_err(ToolFailure::from_sim)
+                masim_sim::run(&trace, &scfg, limits, Some(&ms)).map_err(ToolFailure::from_sim)
             })
         };
         let wall = span.stop();
@@ -609,17 +584,17 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
     }
 }
 
-/// The all-tools-failed [`ObservedTrace`] recorded when a parallel
-/// worker panicked outside every per-tool containment boundary (a bug
-/// in the study glue itself): the same shape [`TraceStudy::poisoned`]
-/// gives the plain runner, with the uniform five-sidecar layout.
+/// The all-tools-failed [`ObservedTrace`] recorded when a pool worker
+/// panicked outside every per-tool containment boundary (a bug in the
+/// study glue itself): zero measurements, neutral classification, the
+/// same cause on all four tools, and the uniform five-sidecar layout.
 fn poisoned_observed(entry: &CorpusEntry, cause: ToolFailure) -> ObservedTrace {
     stalled_trace(entry, MetricSet::new(), None, cause)
 }
 
-/// Work-stealing parallel executor at the heart of every parallel study
-/// path ([`Study::run_parallel`], [`Study::run_filtered_observed_parallel`],
-/// [`Study::run_resumable_parallel`], and the Table II runner).
+/// The study executor: the work-stealing pool behind
+/// [`Session::run`](crate::Session::run), which is how the CLI and the
+/// daemon run every study at every thread count.
 ///
 /// `todo` lists the corpus indices to execute, in the order results must
 /// be *emitted*. Up to `threads` scoped workers (clamped to
@@ -637,9 +612,9 @@ fn poisoned_observed(entry: &CorpusEntry, cause: ToolFailure) -> ObservedTrace {
 /// `core.study.parallel.{claimed,worker}/wNN` counters and spans.
 /// Progress aggregates across workers through one rate-limited reporter.
 ///
-/// Workers are panic-isolated exactly like [`Study::run_parallel`]'s
-/// original contract: a panic escaping the per-tool boundaries records a
-/// poisoned result for that entry and the rest of the corpus still runs.
+/// Workers are panic-isolated: a panic escaping the per-tool boundaries
+/// records a poisoned result for that entry and the rest of the corpus
+/// still runs — one bad trace cannot take down the pool.
 /// An `emit` error (e.g. a failed journal append) halts the cursor so
 /// workers wind down early, and is returned after they drain.
 #[allow(clippy::too_many_arguments)] // internal plumbing; callers go through Session::run
@@ -740,96 +715,25 @@ pub(crate) fn run_entries_parallel<E>(
 }
 
 impl Study {
-    /// Run the full 235-trace study.
+    /// Run the full 235-trace study, sequentially on the calling thread.
     pub fn run(cfg: StudyConfig) -> Study {
         Study::run_filtered(cfg, |_| true)
     }
 
-    /// Run the study on the corpus subset passing `keep` (for tests and
-    /// examples; the keep predicate sees the corpus index).
+    /// Run the study on the corpus subset passing `keep` (the predicate
+    /// sees the corpus index). This plain loop over [`run_one_observed`]
+    /// is the *reference* the equivalence suites compare the pool
+    /// against, and what tests and examples use; the CLI and the daemon
+    /// go through [`Session::run`](crate::Session::run).
     pub fn run_filtered(cfg: StudyConfig, keep: impl Fn(usize) -> bool) -> Study {
         let entries = build_corpus(cfg.seed);
         let traces = entries
             .iter()
             .enumerate()
             .filter(|(i, _)| keep(*i))
-            .map(|(_, e)| run_one(e, &cfg))
+            .map(|(_, e)| run_one_observed(e, &cfg).study)
             .collect();
         Study { traces, config: cfg }
-    }
-
-    /// Observed variant of [`Study::run_filtered`]: also returns, per
-    /// kept trace, its corpus index and per-tool sidecars, and reports
-    /// rate-limited progress to stderr while the corpus grinds.
-    pub fn run_filtered_observed(
-        cfg: StudyConfig,
-        keep: impl Fn(usize) -> bool,
-    ) -> (Study, Vec<(usize, Vec<RunMetrics>)>) {
-        let entries = build_corpus(cfg.seed);
-        let kept: Vec<(usize, &CorpusEntry)> =
-            entries.iter().enumerate().filter(|(i, _)| keep(*i)).collect();
-        let progress = Progress::new("study", kept.len() as u64);
-        let mut traces = Vec::with_capacity(kept.len());
-        let mut sidecars = Vec::with_capacity(kept.len());
-        for (i, e) in kept {
-            let observed = run_one_observed(e, &cfg);
-            traces.push(observed.study);
-            sidecars.push((i, observed.sidecars));
-            progress.tick(1);
-        }
-        progress.finish();
-        (Study { traces, config: cfg }, sidecars)
-    }
-
-    /// Run the full study across `threads` worker threads (the paper's
-    /// Jungla host ran both tools on 64 cores; per-trace work is
-    /// embarrassingly parallel). Results are returned in corpus order
-    /// and are identical to the sequential run's — note, though, that
-    /// per-tool *wall-clock* measurements degrade under co-scheduling,
-    /// so timing studies (Figure 1 / Table II) should use `--threads 1`.
-    ///
-    /// Workers are panic-isolated: if a worker panics outside the
-    /// per-tool containment (a bug in the study glue itself), that
-    /// entry records a poisoned result with the panic message and the
-    /// remaining entries still run — one bad trace cannot take down the
-    /// pool. The worker count is clamped to the corpus size.
-    pub fn run_parallel(cfg: StudyConfig, threads: usize) -> Study {
-        let (study, _sidecars) =
-            Study::run_filtered_observed_parallel(cfg, |_| true, threads, &MetricSet::new());
-        study
-    }
-
-    /// Parallel variant of [`Study::run_filtered_observed`]: per-trace
-    /// work spreads over up to `threads` work-stealing workers, while
-    /// per-tool sidecars stay bit-identical to a sequential run and are
-    /// returned in corpus order. Runner telemetry
-    /// (`core.study.parallel.*`) lands on `study_ms`.
-    pub fn run_filtered_observed_parallel(
-        cfg: StudyConfig,
-        keep: impl Fn(usize) -> bool,
-        threads: usize,
-        study_ms: &MetricSet,
-    ) -> (Study, Vec<(usize, Vec<RunMetrics>)>) {
-        let entries = build_corpus(cfg.seed);
-        let kept: Vec<usize> = (0..entries.len()).filter(|&i| keep(i)).collect();
-        let mut traces = Vec::with_capacity(kept.len());
-        let mut sidecars = Vec::with_capacity(kept.len());
-        let res: Result<(), std::convert::Infallible> = run_entries_parallel(
-            &cfg,
-            &entries,
-            &kept,
-            threads,
-            study_ms,
-            "study",
-            None,
-            |i, o| {
-                traces.push(o.study);
-                sidecars.push((i, o.sidecars));
-                Ok(())
-            },
-        );
-        let Ok(()) = res;
-        (Study { traces, config: cfg }, sidecars)
     }
 
     /// Completion counts per tool: (mfact, packet, flow, packet-flow).
@@ -934,22 +838,34 @@ mod tests {
         assert!(within10 > 0.5, "only {within10} within 10%: {diffs:?}");
     }
 
+    /// Corpus entries 3 and 40 (two cheap ones) through the pool,
+    /// collected in emit order.
+    fn pool_run(threads: usize, ms: &MetricSet) -> Vec<(usize, ObservedTrace)> {
+        let cfg = StudyConfig::default();
+        let entries = build_corpus(cfg.seed);
+        let mut out = Vec::new();
+        let res: Result<(), std::convert::Infallible> =
+            run_entries_parallel(&cfg, &entries, &[3, 40], threads, ms, "pool", None, |i, o| {
+                out.push((i, o));
+                Ok(())
+            });
+        let Ok(()) = res;
+        out
+    }
+
     #[test]
     fn parallel_run_matches_sequential() {
-        // Two cheap corpus entries through the real work-stealing
-        // engine: results must be identical (modulo wall-clock) and in
-        // corpus order.
-        let cfg = StudyConfig::default();
-        let keep = |i: usize| i == 3 || i == 40;
-        let seq = Study::run_filtered(cfg.clone(), keep);
+        // Results must be identical to the reference loop (modulo
+        // wall-clock) and emitted in corpus order.
+        let seq = Study::run_filtered(StudyConfig::default(), |i| i == 3 || i == 40);
         let ms = MetricSet::new();
-        let (par, sidecars) = Study::run_filtered_observed_parallel(cfg, keep, 2, &ms);
-        assert_eq!(seq.traces.len(), par.traces.len());
-        assert_eq!(sidecars.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![3, 40]);
-        for (a, b) in seq.traces.iter().zip(&par.traces) {
-            assert_eq!(a.mfact.total, b.mfact.total);
-            assert_eq!(a.pflow.total, b.pflow.total);
-            assert_eq!(a.measured_total, b.measured_total);
+        let par = pool_run(2, &ms);
+        assert_eq!(par.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![3, 40]);
+        assert_eq!(seq.traces.len(), par.len());
+        for (a, (_, b)) in seq.traces.iter().zip(&par) {
+            assert_eq!(a.mfact.total, b.study.mfact.total);
+            assert_eq!(a.pflow.total, b.study.pflow.total);
+            assert_eq!(a.measured_total, b.study.measured_total);
         }
         let snap = ms.snapshot();
         assert_eq!(snap.gauges.get(PARALLEL_WORKERS_GAUGE), Some(&2), "{:?}", snap.gauges);
@@ -959,12 +875,8 @@ mod tests {
     fn parallel_worker_count_clamps_to_todo_len() {
         // threads=64 over a 2-entry corpus: at most 2 workers spawn and
         // every slot is still filled exactly once.
-        let cfg = StudyConfig::default();
         let ms = MetricSet::new();
-        let (par, sidecars) =
-            Study::run_filtered_observed_parallel(cfg, |i| i == 3 || i == 40, 64, &ms);
-        assert_eq!(par.traces.len(), 2);
-        assert_eq!(sidecars.len(), 2);
+        assert_eq!(pool_run(64, &ms).len(), 2);
         let snap = ms.snapshot();
         assert_eq!(snap.gauges.get(PARALLEL_WORKERS_GAUGE), Some(&2), "{:?}", snap.gauges);
         let claim_counters: Vec<(&String, &u64)> = snap
@@ -996,16 +908,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_matches_plain_and_labels_sidecars() {
+    fn run_labels_one_sidecar_per_stage() {
         let cfg = StudyConfig::default();
         let entries = masim_workloads::build_corpus(cfg.seed);
-        let entry = &entries[3];
-        let plain = run_one(entry, &cfg);
-        let observed = run_one_observed(entry, &cfg);
-        assert_eq!(plain.mfact.total, observed.study.mfact.total);
-        assert_eq!(plain.packet.total, observed.study.packet.total);
-        assert_eq!(plain.flow.total, observed.study.flow.total);
-        assert_eq!(plain.pflow.total, observed.study.pflow.total);
+        let observed = run_one_observed(&entries[3], &cfg);
         assert_eq!(observed.sidecars.len(), 5);
         let tools: Vec<&str> =
             observed.sidecars.iter().map(|s| s.labels()["tool"].as_str()).collect();
@@ -1060,7 +966,7 @@ mod tests {
     fn zero_deadline_fails_sims_with_typed_cause() {
         let cfg = StudyConfig { sim_deadline: Some(Duration::ZERO), ..StudyConfig::default() };
         let entries = masim_workloads::build_corpus(cfg.seed);
-        let t = run_one(&entries[3], &cfg);
+        let t = run_one_observed(&entries[3], &cfg).study;
         // MFACT has no deadline; the simulators all miss a zero deadline.
         assert!(t.mfact.completed());
         for run in [&t.packet, &t.flow, &t.pflow] {

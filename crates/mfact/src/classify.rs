@@ -129,7 +129,7 @@ pub fn try_classify(trace: &Trace, net: NetworkConfig) -> Result<Classification,
         ModelConfig::base(net.scaled(0.125, 1.0)), // bandwidth ÷ 8
         ModelConfig::base(net.scaled(1.0, 8.0)),   // latency × 8
     ];
-    let res = try_replay(trace, &configs)?;
+    let res = try_replay(trace, &configs, None)?;
     let base = res[0].total.as_secs_f64();
     let bw_sensitivity = if base > 0.0 { res[1].total.as_secs_f64() / base - 1.0 } else { 0.0 };
     let lat_sensitivity = if base > 0.0 { res[2].total.as_secs_f64() / base - 1.0 } else { 0.0 };

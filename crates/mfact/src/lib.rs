@@ -55,7 +55,4 @@ pub use advisor::{advise, Advice, WhatIf};
 pub use classify::{classify, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD};
 pub use cost::{collective, p2p, CommCost};
 pub use error::ReplayError;
-pub use replay::{
-    replay, replay_observed, try_replay, try_replay_observed, try_replay_streamed, ConfigResult,
-    Counters, ModelConfig,
-};
+pub use replay::{replay, try_replay, try_replay_streamed, ConfigResult, Counters, ModelConfig};

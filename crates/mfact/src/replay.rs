@@ -162,17 +162,39 @@ impl EvSrc for StreamSrc<'_> {
 /// reported first — run it on untrusted traces). [`try_replay`] is the
 /// typed-error path for untrusted input.
 pub fn replay(trace: &Trace, configs: &[ModelConfig]) -> Vec<ConfigResult> {
-    try_replay(trace, configs).unwrap_or_else(|e| panic!("{e}"))
+    try_replay(trace, configs, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible replay: malformed traces (deadlocks, dangling request ids)
 /// surface as a [`ReplayError`] instead of a panic, so the study runner
 /// can record *why* MFACT failed on a trace.
+///
+/// With `obs`, the same bit-identical results plus `mfact.replay.*`
+/// telemetry: events replayed, configurations swept, a wall-clock span,
+/// and a log₂-bucketed histogram of per-rank logical-clock advance under
+/// the first (baseline) configuration. On failure the span is still
+/// closed and a `mfact.replay.failed` counter records the attempt.
 pub fn try_replay(
     trace: &Trace,
     configs: &[ModelConfig],
+    obs: Option<&MetricSet>,
 ) -> Result<Vec<ConfigResult>, ReplayError> {
-    replay_core(trace.num_ranks(), &mut MemSrc(trace), configs)
+    let span = obs.map(|ms| ms.span("mfact.replay.replay"));
+    let results = replay_core(trace.num_ranks(), &mut MemSrc(trace), configs);
+    drop(span); // records the wall time
+    let Some(ms) = obs else { return results };
+    let results = results.inspect_err(|_| ms.add("mfact.replay.failed", 1))?;
+    ms.add("mfact.replay.events", trace.num_events() as u64);
+    ms.add("mfact.replay.configs", configs.len() as u64);
+    if let Some(base) = results.first() {
+        // Per-rank final logical clock under the baseline configuration,
+        // in nanoseconds.
+        let h = ms.hist("mfact.replay.clock_advance_ns");
+        for &t in &base.per_rank {
+            h.record(t.as_ps() / Time::PS_PER_NS);
+        }
+    }
+    Ok(results)
 }
 
 /// Replay a [`StreamedTrace`] without materializing per-rank event
@@ -479,51 +501,6 @@ fn replay_core<S: EvSrc>(
         .collect())
 }
 
-/// Instrumented wrapper around [`replay`]: bit-identical results, plus
-/// `mfact.replay.*` telemetry on `ms` — events replayed, configurations
-/// swept, a wall-clock span, and a log₂-bucketed histogram of per-rank
-/// logical-clock advance under the first (baseline) configuration.
-pub fn replay_observed(
-    trace: &Trace,
-    configs: &[ModelConfig],
-    ms: &MetricSet,
-) -> Vec<ConfigResult> {
-    try_replay_observed(trace, configs, ms).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Observed variant of [`try_replay`]: same telemetry as
-/// [`replay_observed`] on success; on failure the span is still closed
-/// and a `mfact.replay.failed` counter records the aborted attempt.
-pub fn try_replay_observed(
-    trace: &Trace,
-    configs: &[ModelConfig],
-    ms: &MetricSet,
-) -> Result<Vec<ConfigResult>, ReplayError> {
-    let span = ms.span("mfact.replay.replay");
-    let results = match try_replay(trace, configs) {
-        Ok(r) => r,
-        Err(e) => {
-            span.stop();
-            ms.add("mfact.replay.failed", 1);
-            return Err(e);
-        }
-    };
-    span.stop();
-    ms.add("mfact.replay.events", trace.num_events() as u64);
-    ms.add("mfact.replay.configs", configs.len() as u64);
-    if let Some(base) = results.first() {
-        // Per-rank final logical clock under the baseline configuration,
-        // in nanoseconds. This used to be a family of per-bucket counter
-        // names; the typed histogram carries the same log₂ buckets plus
-        // exact sum/min/max and percentile queries.
-        let h = ms.hist("mfact.replay.clock_advance_ns");
-        for &t in &base.per_rank {
-            h.record(t.as_ps() / Time::PS_PER_NS);
-        }
-    }
-    Ok(results)
-}
-
 /// Deliver a send's availability vector: hand it to the oldest waiting
 /// receive if one exists (waking its rank), otherwise queue it.
 fn deliver_send(
@@ -714,7 +691,7 @@ mod tests {
         for t in traces.drain(..) {
             let encoded = masim_trace::encode_stream(&t);
             let stream = StreamedTrace::from_bytes(encoded).expect("round-trip");
-            let mem = try_replay(&t, &cfgs).expect("memory replay");
+            let mem = try_replay(&t, &cfgs, None).expect("memory replay");
             let strm = try_replay_streamed(&stream, &cfgs).expect("streamed replay");
             assert_eq!(mem.len(), strm.len());
             for (m, s) in mem.iter().zip(&strm) {
@@ -772,7 +749,7 @@ mod tests {
         let cfgs = ModelConfig::standard_sweep(net());
         let plain = replay(&t, &cfgs);
         let ms = MetricSet::new();
-        let observed = replay_observed(&t, &cfgs, &ms);
+        let observed = try_replay(&t, &cfgs, Some(&ms)).unwrap();
         for (p, o) in plain.iter().zip(&observed) {
             assert_eq!(p.total, o.total);
             assert_eq!(p.per_rank, o.per_rank);
@@ -814,14 +791,14 @@ mod tests {
             vec![Event::new(EventKind::Recv { peer: Rank(1), bytes: 8, tag: 0 }, Time::ZERO)];
         t.events[1] =
             vec![Event::new(EventKind::Recv { peer: Rank(0), bytes: 8, tag: 0 }, Time::ZERO)];
-        let err = try_replay(&t, &[ModelConfig::base(net())]).unwrap_err();
+        let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
         assert_eq!(err, ReplayError::Deadlock { finished: 0, total: 2 });
     }
 
     #[test]
     fn empty_config_list_is_typed_error() {
         let t = send_recv_trace();
-        assert_eq!(try_replay(&t, &[]).unwrap_err(), ReplayError::NoConfigs);
+        assert_eq!(try_replay(&t, &[], None).unwrap_err(), ReplayError::NoConfigs);
     }
 
     #[test]
@@ -829,7 +806,7 @@ mod tests {
         use masim_trace::ReqId;
         let mut t = Trace::empty(meta(1));
         t.events[0] = vec![Event::new(EventKind::Wait { req: ReqId(42) }, Time::ZERO)];
-        let err = try_replay(&t, &[ModelConfig::base(net())]).unwrap_err();
+        let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
         assert_eq!(err, ReplayError::UnknownRequest { rank: 0, req: 42 });
     }
 }

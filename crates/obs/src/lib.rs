@@ -19,7 +19,7 @@
 //! Metric names follow `crate.subsystem.metric`
 //! (e.g. `des.engine.processed`, `sim.flow.resolves`); span names use the
 //! same scheme and compose hierarchy into the name
-//! (e.g. `core.study.run_one/packet`).
+//! (e.g. `core.study.parallel.worker/w00`).
 //!
 //! Instrumentation compiles out: building this crate with
 //! `--no-default-features` turns every registry operation into an inlined

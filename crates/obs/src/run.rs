@@ -12,7 +12,7 @@
 //!  "hists":{"sim.msg.bytes":
 //!           {"count":4,"sum":96,"min":8,"max":64,
 //!            "p50":16,"p90":64,"p99":64,"buckets":{"b03":1,"b04":2,"b06":1}}},
-//!  "spans":{"core.study.run_one/mfact":
+//!  "spans":{"core.study.parallel.worker/w00":
 //!           {"count":1,"sum_ns":52000,"min_ns":52000,"max_ns":52000}}}
 //! ```
 //!

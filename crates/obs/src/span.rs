@@ -4,7 +4,7 @@
 //! [`MetricSet::span`](crate::MetricSet::span), and when it drops (or is
 //! [`SpanGuard::stop`]ped) the elapsed time folds into that name's
 //! [`SpanStats`]. Names are deterministic strings chosen by the caller;
-//! hierarchy is spelled into the name (`core.study.run_one/mfact`) so two
+//! hierarchy is spelled into the name (`core.study.parallel.worker/w00`) so two
 //! runs of the same code produce the same key set.
 
 use std::time::{Duration, Instant};

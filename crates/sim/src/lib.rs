@@ -13,6 +13,10 @@
 //! disagreement the study measures is contention — the effect the paper
 //! quantifies.
 //!
+//! [`run`] is the one entry point: source (in-memory or streamed
+//! trace), limits, and an optional telemetry sink are its arguments.
+//! [`simulate`] is the panicking convenience for examples.
+//!
 //! # Example
 //!
 //! ```
@@ -44,9 +48,8 @@ pub mod util_report;
 pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
-    link_bytes_of, simulate, simulate_budgeted, simulate_limited, simulate_limited_observed,
-    simulate_observed, simulate_partitioned_observed, simulate_streamed_limited,
-    simulate_streamed_observed, SimConfig, SimLimits, SimResult,
+    run, simulate, simulate_budgeted, simulate_partitioned_observed, simulate_streamed_limited,
+    SimConfig, SimLimits, SimResult, TraceSource,
 };
 pub use util_report::UtilReport;
 

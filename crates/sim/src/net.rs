@@ -383,7 +383,6 @@ impl NetState {
                 // Clamped so a single packet's byte count always fits
                 // the u32 field of the Copy event payload.
                 packet_bytes: packet_bytes.clamp(64, 1 << 30),
-                eager: false,
                 free_at: vec![Time::ZERO; links],
                 link_bytes: vec![0; links],
                 packets: 0,
@@ -415,17 +414,6 @@ impl NetState {
         }
     }
 
-    /// Test shim: schedule every packet of a message at injection time,
-    /// exactly as the pre-lazy-injection code did. Reservation math is
-    /// identical either way; the equivalence suite runs both paths and
-    /// asserts bit-identical results.
-    #[doc(hidden)]
-    pub fn set_eager_packets(&mut self) {
-        if let NetState::Packet(p) = self {
-            p.eager = true;
-        }
-    }
-
     /// Total bytes charged to each directed link (for utilization
     /// reports).
     pub fn link_bytes(&self) -> &[u64] {
@@ -433,6 +421,16 @@ impl NetState {
             NetState::Packet(p) => &p.link_bytes,
             NetState::Flow(f) => &f.link_bytes,
             NetState::PFlow(p) => &p.link_bytes,
+        }
+    }
+
+    /// [`NetState::link_bytes`] by value, for the finished run's
+    /// [`SimResult`](crate::SimResult).
+    pub(crate) fn into_link_bytes(self) -> Vec<u64> {
+        match self {
+            NetState::Packet(p) => p.link_bytes,
+            NetState::Flow(f) => f.link_bytes,
+            NetState::PFlow(p) => p.link_bytes,
         }
     }
 
@@ -587,9 +585,6 @@ pub(crate) fn packet_size(bytes: u64, packet_bytes: u64, i: u64) -> u64 {
 /// Exclusive-reservation packet network.
 pub struct PacketNet {
     packet_bytes: u64,
-    /// Test shim: schedule all packets at injection (the pre-rework
-    /// behaviour) instead of lazily chaining them.
-    eager: bool,
     /// Earliest time each directed link is free.
     free_at: Vec<Time>,
     link_bytes: Vec<u64>,
@@ -671,22 +666,13 @@ impl PacketNet {
         // injection (see `inject`), so the sequence counter fits.
         debug_assert!(n <= u32::MAX as u64);
         self.packets += n;
-        if self.eager {
-            // Pre-rework behaviour, kept for the equivalence suite: all
-            // packets present at the NIC now; the injection link's FIFO
-            // serializes them.
-            for i in 0..n {
-                let pkt = self.packet(id, msg.bytes, route, i);
-                cx.sched_hop(cx.now(), pkt, first_link, &msg);
-            }
-        } else {
-            // Lazy injection: only the head packet is scheduled; each
-            // packet schedules its successor at its own injection-link
-            // departure (see `packet_hop`). Identical reservation math,
-            // peak queue occupancy O(in-flight messages).
-            let pkt = self.packet(id, msg.bytes, route, 0);
-            cx.sched_hop(cx.now(), pkt, first_link, &msg);
-        }
+        // Lazy injection: only the head packet is scheduled; each packet
+        // schedules its successor at its own injection-link departure
+        // (see `packet_hop`), which is when the NIC's FIFO would have
+        // let it start serializing anyway. Peak queue occupancy is
+        // O(in-flight messages).
+        let pkt = self.packet(id, msg.bytes, route, 0);
+        cx.sched_hop(cx.now(), pkt, first_link, &msg);
     }
 }
 
@@ -709,7 +695,7 @@ pub(crate) fn packet_hop<C: SimCx>(cx: &mut C, st: &mut SimState, mut pkt: Packe
             // Sender may reuse its buffer once the last packet clears
             // the NIC.
             cx.sched_at(depart, SimEvent::Release { src: m.src, msg: pkt.msg });
-        } else if !net.eager {
+        } else {
             // Chain the successor: it could not have begun serializing
             // before this packet departs the injection link anyway.
             let next = net.packet(pkt.msg, m.bytes, pkt.route, pkt.seq as u64 + 1);

@@ -47,9 +47,8 @@ const MAX_PARTS: u32 = 8;
 
 /// Whether this configuration runs on the partitioned executor.
 /// Requires: the caller asked for parallelism, the packet model (the
-/// flow models' rate re-solves are global state with no lookahead), the
-/// lazy injection path, and a positive hop latency to serve as
-/// conservative lookahead.
+/// flow models' rate re-solves are global state with no lookahead) and a
+/// positive hop latency to serve as conservative lookahead.
 pub(crate) fn wants_partitioned(cfg: &SimConfig) -> bool {
     cfg.sim_threads > 1 && can_partition(cfg)
 }
@@ -58,9 +57,7 @@ pub(crate) fn wants_partitioned(cfg: &SimConfig) -> bool {
 /// requested worker count (`simulate_partitioned_observed` uses this to
 /// run the windowed executor inline at one worker for benchmarking).
 pub(crate) fn can_partition(cfg: &SimConfig) -> bool {
-    matches!(cfg.model, ModelKind::Packet { .. })
-        && !cfg.eager_packets
-        && cfg.machine.hop_latency() > Time::ZERO
+    matches!(cfg.model, ModelKind::Packet { .. }) && cfg.machine.hop_latency() > Time::ZERO
 }
 
 /// Owner tables resolved once per run and shared read-only by every LP:
@@ -356,5 +353,6 @@ pub(crate) fn sim_partitioned(
         messages,
         work_units,
         max_link_bytes: link_bytes.iter().copied().max().unwrap_or(0),
+        link_bytes,
     })
 }

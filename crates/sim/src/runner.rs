@@ -26,13 +26,6 @@ pub struct SimConfig {
     pub model: ModelKind,
     /// Computation-time multiplier.
     pub compute_scale: f64,
-    /// Test shim: schedule every packet of a message at injection time
-    /// (the pre-lazy-injection behaviour) instead of chaining packets
-    /// at their injection-link departures. Reservation math is
-    /// identical; the equivalence suite runs both paths and asserts
-    /// bit-identical predictions.
-    #[doc(hidden)]
-    pub eager_packets: bool,
     /// Worker threads for intra-trace parallel simulation. `1` (the
     /// default) runs the sequential engine exactly as before; `N > 1`
     /// partitions the packet model into logical processes on the
@@ -69,7 +62,6 @@ impl SimConfig {
             mapping: Mapping::block(ranks, per_node),
             model,
             compute_scale: 1.0,
-            eager_packets: false,
             sim_threads: 1,
             route_arena_cap_bytes: u64::MAX,
         }
@@ -134,6 +126,10 @@ pub struct SimResult {
     pub work_units: u64,
     /// Busiest directed link's total bytes (contention indicator).
     pub max_link_bytes: u64,
+    /// Total bytes charged to every directed link, in link-table order
+    /// (fabric links, then one injection and one ejection link per
+    /// rank) — the input of [`UtilReport`](crate::UtilReport).
+    pub link_bytes: Vec<u64>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -375,15 +371,27 @@ pub(crate) fn dispatch<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, ev: SimE
 /// decoded per rank through a small sliding window (the mega-scale
 /// path, which never builds the per-rank `Vec<Event>`s).
 #[derive(Clone, Copy)]
-pub(crate) enum TraceSource<'a> {
+pub enum TraceSource<'a> {
     /// In-memory trace.
     Memory(&'a Trace),
     /// Compact on-disk trace, decoded incrementally.
     Streamed(&'a StreamedTrace),
 }
 
+impl<'a> From<&'a Trace> for TraceSource<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        TraceSource::Memory(trace)
+    }
+}
+
+impl<'a> From<&'a StreamedTrace> for TraceSource<'a> {
+    fn from(stream: &'a StreamedTrace) -> Self {
+        TraceSource::Streamed(stream)
+    }
+}
+
 impl<'a> TraceSource<'a> {
-    pub(crate) fn num_ranks(&self) -> u32 {
+    fn num_ranks(&self) -> u32 {
         match self {
             TraceSource::Memory(t) => t.num_ranks(),
             TraceSource::Streamed(s) => s.num_ranks(),
@@ -501,10 +509,7 @@ impl<'a> SimState<'a> {
             });
         }
         let links = LinkTable::new(&cfg.machine, ranks);
-        let mut net = NetState::new(cfg.model, links.len());
-        if cfg.eager_packets {
-            net.set_eager_packets();
-        }
+        let net = NetState::new(cfg.model, links.len());
         let mut routes = RouteArena::new(ranks);
         routes.set_cap_bytes(cfg.route_arena_cap_bytes);
         let cursors = match trace {
@@ -902,113 +907,69 @@ fn try_finish_wait<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
     }
 }
 
-/// Run a simulation and return the full per-link byte counters (for
-/// utilization reports; `SimResult` itself carries only the maximum).
+/// Run one simulation: the single `Result`-returning entry point. The
+/// `simulate*` functions below are one-line wrappers over it.
 ///
-/// Panics on an invalid configuration (reporting paths run on
-/// already-validated configurations).
-pub fn link_bytes_of(trace: &Trace, cfg: &SimConfig) -> Vec<u64> {
-    let mut eng: Engine<SimState<'_>> = Engine::new();
-    let mut st = SimState::new(TraceSource::Memory(trace), cfg).unwrap_or_else(|e| panic!("{e}"));
-    for r in 0..trace.num_ranks() {
-        eng.schedule_at(Time::ZERO, SimEvent::Advance(Rank(r)));
-    }
-    eng.run(&mut st);
-    st.net.link_bytes().to_vec()
+/// What varies is all in the arguments: `src` is an in-memory
+/// [`Trace`] or an on-disk [`StreamedTrace`] (decoded through per-rank
+/// sliding windows, so the per-rank `Vec<Event>`s are never
+/// materialized; predictions are bit-identical either way), `limits`
+/// is the work budget / wall deadline / memory budget checked every
+/// 1024 events, and `obs`, when given, receives the `sim.*` and
+/// `des.*` telemetry once after the run — the hot loop itself carries
+/// no instrumentation, so results do not depend on it.
+/// `cfg.sim_threads > 1` moves an in-memory packet-model run onto the
+/// partitioned executor; a streamed source always runs sequentially.
+///
+/// An exhausted budget is the analogue of the paper's tool failures
+/// (SST/Macro's packet and flow models completed 216 and 162 of the 235
+/// traces); it, a deadlock, a clock overflow and every malformed-input
+/// cause come back as a typed [`SimError`], never a panic.
+pub fn run<'a>(
+    src: impl Into<TraceSource<'a>>,
+    cfg: &SimConfig,
+    limits: SimLimits,
+    obs: Option<&MetricSet>,
+) -> Result<SimResult, SimError> {
+    sim_core(src.into(), cfg, limits, obs)
 }
 
-/// Run the simulation to completion and collect results.
+/// [`run`] without limits or telemetry, for examples and benches.
 ///
 /// Panics if the replay deadlocks (validate traces first), the mapping
-/// does not fit the machine, or the simulated clock overflows. Use
-/// [`simulate_budgeted`] / [`simulate_limited`] for the `Result` path.
+/// does not fit the machine, or the simulated clock overflows.
 pub fn simulate(trace: &Trace, cfg: &SimConfig) -> SimResult {
-    simulate_budgeted(trace, cfg, u64::MAX).unwrap_or_else(|e| panic!("simulation failed: {e}"))
+    run(trace, cfg, SimLimits::unlimited(), None)
+        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
-/// Run the simulation with a work budget (DES events plus model work
-/// units). Returns an error when the budget is exhausted — the analogue
-/// of the paper's tool failures, where SST/Macro's packet and flow
-/// models completed only 216 and 162 of the 235 traces — or when the
-/// simulated clock overflows or the trace deadlocks; either way the
-/// trace is reported incomplete instead of panicking the study's thread
-/// pool.
+/// [`run`] on an in-memory trace under a pure work budget. Kept, with
+/// this signature, because `benchmark/src/adapter.rs` binds it.
 pub fn simulate_budgeted(
     trace: &Trace,
     cfg: &SimConfig,
     max_work: u64,
 ) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Memory(trace), cfg, SimLimits::budget(max_work), None)
+    run(trace, cfg, SimLimits::budget(max_work), None)
 }
 
-/// Run the simulation under full [`SimLimits`]: the deterministic work
-/// budget plus an optional wall-clock deadline, both checked every 1024
-/// events.
-pub fn simulate_limited(
-    trace: &Trace,
-    cfg: &SimConfig,
-    limits: SimLimits,
-) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Memory(trace), cfg, limits, None)
-}
-
-/// [`simulate_limited`] over an on-disk streamed trace: events decode
-/// through per-rank sliding windows, so the full per-rank `Vec<Event>`s
-/// are never materialized — resident cost is the compact encoded buffer
-/// plus O(1) decode state per rank. Predictions are bit-identical to
-/// running [`simulate_limited`] on the decoded trace (the equivalence
-/// suite asserts this per generator). Always sequential: the streamed
-/// path does not partition.
+/// [`run`] on a streamed trace. Kept, with this signature, because
+/// `benchmark/src/adapter.rs` binds it.
 pub fn simulate_streamed_limited(
     stream: &StreamedTrace,
     cfg: &SimConfig,
     limits: SimLimits,
 ) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Streamed(stream), cfg, limits, None)
-}
-
-/// Observed variant of [`simulate_streamed_limited`].
-pub fn simulate_streamed_observed(
-    stream: &StreamedTrace,
-    cfg: &SimConfig,
-    limits: SimLimits,
-    ms: &MetricSet,
-) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Streamed(stream), cfg, limits, Some(ms))
-}
-
-/// Budgeted simulation with `sim.*` telemetry on `ms`: the engine's
-/// event counts, injected messages, network-model work (packets, hops,
-/// ripple re-solves), per-link utilization aggregates, budget consumed,
-/// and a wall-clock span. Results are bit-identical to
-/// [`simulate_budgeted`] — the hot loop carries no instrumentation, the
-/// sink is filled once after the run.
-pub fn simulate_observed(
-    trace: &Trace,
-    cfg: &SimConfig,
-    max_work: u64,
-    ms: &MetricSet,
-) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Memory(trace), cfg, SimLimits::budget(max_work), Some(ms))
-}
-
-/// Observed variant of [`simulate_limited`].
-pub fn simulate_limited_observed(
-    trace: &Trace,
-    cfg: &SimConfig,
-    limits: SimLimits,
-    ms: &MetricSet,
-) -> Result<SimResult, SimError> {
-    sim_core(TraceSource::Memory(trace), cfg, limits, Some(ms))
+    run(stream, cfg, limits, None)
 }
 
 /// Force the partitioned (windowed-PDES) executor regardless of
 /// `cfg.sim_threads` — with `sim_threads = 1` this runs the windowed
 /// executor inline on the calling thread, which is how the bench gate
 /// measures the PDES machinery's overhead honestly on a single-core
-/// runner. Falls back to the sequential engine when the config cannot
-/// partition (non-packet model, eager injection, or zero hop latency),
-/// so results are always defined and bit-identical to [`simulate`].
+/// runner. Falls back to [`run`] when the config cannot partition
+/// (non-packet model or zero hop latency), so results are always
+/// defined and bit-identical to [`simulate`].
 pub fn simulate_partitioned_observed(
     trace: &Trace,
     cfg: &SimConfig,
@@ -1018,10 +979,78 @@ pub fn simulate_partitioned_observed(
     if crate::pdes_run::can_partition(cfg) {
         crate::pdes_run::sim_partitioned(trace, cfg, limits, Some(ms))
     } else {
-        sim_core(TraceSource::Memory(trace), cfg, limits, Some(ms))
+        run(trace, cfg, limits, Some(ms))
     }
 }
 
+/// What the drain loop does per event beyond stepping the engine. The
+/// plain run instantiates the loop with the zero-sized [`NoDetail`],
+/// whose empty hooks monomorphize away — no per-event branch, `Option`
+/// test or indirect call — so attaching the timeline costs nothing when
+/// it is not attached.
+trait DrainDetail {
+    /// After every event, with the engine's clock.
+    fn event(&mut self, now: Time);
+    /// At the 1024-event limit-check cadence.
+    fn cadence(&mut self, eng: &Engine<SimState<'_>>);
+}
+
+struct NoDetail;
+
+impl DrainDetail for NoDetail {
+    #[inline(always)]
+    fn event(&mut self, _now: Time) {}
+    #[inline(always)]
+    fn cadence(&mut self, _eng: &Engine<SimState<'_>>) {}
+}
+
+/// Simulated-time-per-event histogram plus periodic queue telemetry
+/// into the installed trace log.
+struct TimelineDetail {
+    tl: &'static masim_obs::tracelog::TraceLog,
+    dt_hist: masim_obs::Histogram,
+    last_ps: u64,
+}
+
+impl DrainDetail for TimelineDetail {
+    fn event(&mut self, now: Time) {
+        let now_ps = now.as_ps();
+        self.dt_hist.record(now_ps.saturating_sub(self.last_ps));
+        self.last_ps = now_ps;
+    }
+
+    fn cadence(&mut self, eng: &Engine<SimState<'_>>) {
+        self.tl.counter("des.queue.depth", eng.pending() as u64);
+        self.tl.counter("des.queue.migrations", eng.queue_overflow_migrations());
+    }
+}
+
+/// Step the engine dry, checking the limits every 1024 events (work
+/// counters are monotone).
+fn drain<'a, D: DrainDetail>(
+    eng: &mut Engine<SimState<'a>>,
+    st: &mut SimState<'a>,
+    limits: &SimLimits,
+    started: Option<Instant>,
+    obs: Option<&MetricSet>,
+    mut detail: D,
+) -> Result<(), SimError> {
+    let mut check = 0u32;
+    while eng.step(st) {
+        detail.event(eng.now());
+        check += 1;
+        if check == 1024 {
+            check = 0;
+            detail.cadence(eng);
+            let consumed = eng.processed().saturating_add(st.net.work_units());
+            check_limits(consumed, st.resident_bytes(), limits, started, obs)?;
+        }
+    }
+    Ok(())
+}
+
+/// The body of [`run`], non-generic so it is compiled once whatever the
+/// caller passed as a source.
 fn sim_core(
     src: TraceSource<'_>,
     cfg: &SimConfig,
@@ -1052,44 +1081,18 @@ fn sim_core(
     if let Err(err) = check_limits(0, st.resident_bytes(), &limits, started, obs) {
         return Err(observe_fail(obs, span, err));
     }
-    let mut check = 0u32;
-    if let (Some(ms), Some(tl)) = (obs, masim_obs::tracelog::current()) {
-        // Detail drain: identical control flow to the plain loop below,
-        // plus a simulated-time-per-event histogram and periodic queue
-        // telemetry into the installed trace log. Selected up front so
-        // the default path stays free of per-event instrumentation.
-        let dt_hist = ms.hist("sim.engine.dt_ps");
-        let _drain = tl.span("des.engine.drain");
-        let mut last_ps = 0u64;
-        while eng.step(&mut st) {
-            let now_ps = eng.now().as_ps();
-            dt_hist.record(now_ps.saturating_sub(last_ps));
-            last_ps = now_ps;
-            check += 1;
-            if check == 1024 {
-                check = 0;
-                tl.counter("des.queue.depth", eng.pending() as u64);
-                tl.counter("des.queue.migrations", eng.queue_overflow_migrations());
-                let consumed = eng.processed().saturating_add(st.net.work_units());
-                if let Err(err) = check_limits(consumed, st.resident_bytes(), &limits, started, obs)
-                {
-                    return Err(observe_fail(obs, span, err));
-                }
-            }
+    // The per-event detail is selected up front, only for an observed
+    // run with a trace log installed.
+    let drained = match (obs, masim_obs::tracelog::current()) {
+        (Some(ms), Some(tl)) => {
+            let _drain = tl.span("des.engine.drain");
+            let detail = TimelineDetail { tl, dt_hist: ms.hist("sim.engine.dt_ps"), last_ps: 0 };
+            drain(&mut eng, &mut st, &limits, started, obs, detail)
         }
-    } else {
-        while eng.step(&mut st) {
-            check += 1;
-            // Limit checks every 1024 events (work counters are monotone).
-            if check == 1024 {
-                check = 0;
-                let consumed = eng.processed().saturating_add(st.net.work_units());
-                if let Err(err) = check_limits(consumed, st.resident_bytes(), &limits, started, obs)
-                {
-                    return Err(observe_fail(obs, span, err));
-                }
-            }
-        }
+        _ => drain(&mut eng, &mut st, &limits, started, obs, NoDetail),
+    };
+    if let Err(err) = drained {
+        return Err(observe_fail(obs, span, err));
     }
     if let Some(err) = st.error.take() {
         // A malformed-trace cause latched mid-run outranks the generic
@@ -1147,6 +1150,8 @@ fn sim_core(
         eng.export_metrics(ms);
         st.net.export_metrics(ms);
     }
+    let work_units = st.net.work_units();
+    let link_bytes = st.net.into_link_bytes();
     Ok(SimResult {
         model: cfg.model,
         total,
@@ -1154,12 +1159,13 @@ fn sim_core(
         comm_time,
         events: eng.processed(),
         messages: st.messages,
-        work_units: st.net.work_units(),
-        max_link_bytes: st.net.link_bytes().iter().copied().max().unwrap_or(0),
+        work_units,
+        max_link_bytes: link_bytes.iter().copied().max().unwrap_or(0),
+        link_bytes,
     })
 }
 
-/// The 1024-event-cadence limit check shared by both drain loops:
+/// The 1024-event-cadence limit check of the drain loop:
 /// deterministic work budget first, then the memory budget, then the
 /// optional wall deadline.
 fn check_limits(

@@ -5,7 +5,7 @@
 use masim_obs::MetricSet;
 use masim_rng::Rng;
 use masim_sim::lower::{lower, Schedule};
-use masim_sim::{simulate, simulate_observed, ModelKind, SimConfig};
+use masim_sim::{simulate, ModelKind, SimConfig, SimLimits};
 use masim_topo::{Machine, NetworkConfig, Torus3d};
 use masim_trace::{CollKind, Rank, RankBuilder, Time, Trace, TraceMeta};
 use std::collections::HashMap;
@@ -95,7 +95,6 @@ fn simulation_respects_hockney_lower_bound() {
                 mapping: masim_topo::Mapping::block(ranks, 1),
                 model,
                 compute_scale: 1.0,
-                eager_packets: false,
                 sim_threads: 1,
                 route_arena_cap_bytes: u64::MAX,
             };
@@ -125,7 +124,8 @@ fn observed_simulation_is_bit_identical() {
         let sc = SimConfig::new(machine.clone(), model, &trace);
         let plain = simulate(&trace, &sc);
         let ms = MetricSet::new();
-        let observed = simulate_observed(&trace, &sc, u64::MAX, &ms).expect("unbudgeted");
+        let observed =
+            masim_sim::run(&trace, &sc, SimLimits::unlimited(), Some(&ms)).expect("unbudgeted");
         assert_eq!(plain.total, observed.total, "{}", model.name());
         assert_eq!(plain.per_rank, observed.per_rank, "{}", model.name());
         assert_eq!(plain.events, observed.events, "{}", model.name());
@@ -146,7 +146,7 @@ fn exhausted_budget_reports_consumption() {
     let trace = masim_workloads::generate(&cfg);
     let sc = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
     let ms = MetricSet::new();
-    assert!(simulate_observed(&trace, &sc, 2_000, &ms).is_err());
+    assert!(masim_sim::run(&trace, &sc, SimLimits::budget(2_000), Some(&ms)).is_err());
     let snap = ms.snapshot();
     assert_eq!(snap.counters["sim.budget.exhausted"], 1);
     assert!(snap.counters["sim.budget.consumed"] > 2_000);

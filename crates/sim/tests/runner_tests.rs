@@ -286,7 +286,6 @@ fn all_apps_simulate_on_cielito() {
                 mapping: Mapping::block(t.num_ranks(), t.meta.ranks_per_node),
                 model,
                 compute_scale: 1.0,
-                eager_packets: false,
                 sim_threads: 1,
                 route_arena_cap_bytes: u64::MAX,
             };
@@ -300,43 +299,6 @@ fn all_apps_simulate_on_cielito() {
     }
 }
 
-/// Lazy packet injection (packet i+1's first hop scheduled at packet
-/// i's injection-link departure) is an event-count-preserving
-/// reordering: the NIC's FIFO serializes the packets either way, so
-/// every observable — per-rank finishes, communication time, event and
-/// packet counts, per-link bytes — must be bit-identical to the eager
-/// all-at-injection schedule it replaced.
-#[test]
-fn lazy_and_eager_packet_injection_are_bit_identical() {
-    use masim_workloads::{generate, App, GenConfig};
-    let machine = Machine::cielito();
-    for app in App::ALL {
-        let mut gcfg = GenConfig::test_default(app, 16);
-        gcfg.machine = "cielito".into();
-        gcfg.ranks_per_node = 16;
-        let t = generate(&gcfg);
-        let lazy = SimConfig {
-            machine: machine.clone(),
-            mapping: Mapping::block(t.num_ranks(), t.meta.ranks_per_node),
-            model: ModelKind::Packet { packet_bytes: 1024 },
-            compute_scale: 1.0,
-            eager_packets: false,
-            sim_threads: 1,
-            route_arena_cap_bytes: u64::MAX,
-        };
-        let eager = SimConfig { eager_packets: true, ..lazy.clone() };
-        let a = simulate(&t, &lazy);
-        let b = simulate(&t, &eager);
-        assert_eq!(a.total, b.total, "{app}: total");
-        assert_eq!(a.per_rank, b.per_rank, "{app}: per-rank finishes");
-        assert_eq!(a.comm_time, b.comm_time, "{app}: comm time");
-        assert_eq!(a.events, b.events, "{app}: event count");
-        assert_eq!(a.messages, b.messages, "{app}: messages");
-        assert_eq!(a.work_units, b.work_units, "{app}: packets routed");
-        assert_eq!(a.max_link_bytes, b.max_link_bytes, "{app}: link bytes");
-    }
-}
-
 /// Streaming a trace from its compact on-disk encoding must be an
 /// implementation detail: every generator, every model, bit-identical
 /// predictions to the fully materialized replay. The streamed path
@@ -345,7 +307,7 @@ fn lazy_and_eager_packet_injection_are_bit_identical() {
 /// pattern.
 #[test]
 fn streamed_replay_is_bit_identical_to_in_memory() {
-    use masim_sim::{simulate_limited, simulate_streamed_limited, SimLimits};
+    use masim_sim::{simulate_streamed_limited, SimLimits};
     use masim_trace::StreamedTrace;
     use masim_workloads::{generate, App, GenConfig};
     let machine = Machine::cielito();
@@ -357,7 +319,7 @@ fn streamed_replay_is_bit_identical_to_in_memory() {
         let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&t)).unwrap();
         for model in all_models() {
             let cfg = SimConfig::new(machine.clone(), model, &t);
-            let a = simulate_limited(&t, &cfg, SimLimits::unlimited()).unwrap();
+            let a = masim_sim::run(&t, &cfg, SimLimits::unlimited(), None).unwrap();
             let scfg = SimConfig::for_streamed(machine.clone(), model, &stream);
             let b = simulate_streamed_limited(&stream, &scfg, SimLimits::unlimited()).unwrap();
             assert_eq!(a.total, b.total, "{app}/{}: total", model.name());
@@ -366,7 +328,9 @@ fn streamed_replay_is_bit_identical_to_in_memory() {
             assert_eq!(a.events, b.events, "{app}/{}: events", model.name());
             assert_eq!(a.messages, b.messages, "{app}/{}: messages", model.name());
             assert_eq!(a.work_units, b.work_units, "{app}/{}: work", model.name());
+            assert_eq!(a.link_bytes, b.link_bytes, "{app}/{}: per-link bytes", model.name());
             assert_eq!(a.max_link_bytes, b.max_link_bytes, "{app}/{}: bytes", model.name());
+            assert_eq!(b.link_bytes.iter().copied().max(), Some(b.max_link_bytes));
         }
     }
 }
@@ -386,8 +350,7 @@ fn sparse_route_mode_simulates_deterministically() {
     let t = generate(&gcfg);
     let cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
     let ms = masim_obs::MetricSet::new();
-    let a = masim_sim::simulate_limited_observed(&t, &cfg, masim_sim::SimLimits::unlimited(), &ms)
-        .unwrap();
+    let a = masim_sim::run(&t, &cfg, masim_sim::SimLimits::unlimited(), Some(&ms)).unwrap();
     let b = simulate(&t, &cfg);
     assert_eq!(a.total, b.total);
     assert_eq!(a.per_rank, b.per_rank);
@@ -403,7 +366,7 @@ fn sparse_route_mode_simulates_deterministically() {
 /// typed error, not an allocator abort.
 #[test]
 fn memory_budget_is_a_typed_error() {
-    use masim_sim::{simulate_limited, SimError, SimLimits};
+    use masim_sim::{SimError, SimLimits};
     use masim_workloads::{generate, App, GenConfig};
     let mut gcfg = GenConfig::test_default(App::Cns, 16);
     gcfg.machine = "cielito".into();
@@ -411,7 +374,7 @@ fn memory_budget_is_a_typed_error() {
     let t = generate(&gcfg);
     let cfg = SimConfig::new(Machine::cielito(), ModelKind::Flow, &t);
     let limits = SimLimits::unlimited().with_memory_budget(1024);
-    match simulate_limited(&t, &cfg, limits) {
+    match masim_sim::run(&t, &cfg, limits, None) {
         Err(SimError::MemoryBudget { resident, budget }) => {
             assert_eq!(budget, 1024);
             assert!(resident > budget);

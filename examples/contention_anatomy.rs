@@ -43,7 +43,6 @@ fn run(app: App, mapping_name: &str, machine: &Machine) {
         mapping,
         model: ModelKind::PacketFlow { packet_bytes: 8192 },
         compute_scale: 1.0,
-        eager_packets: false,
         sim_threads: 1,
         route_arena_cap_bytes: u64::MAX,
     };

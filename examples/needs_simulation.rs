@@ -8,7 +8,7 @@
 //! ```
 
 use masim_core::report;
-use masim_core::{run_one, Dataset, Enhanced, Study, StudyConfig, DIFF_THRESHOLD};
+use masim_core::{run_one_observed, Dataset, Enhanced, Study, StudyConfig, DIFF_THRESHOLD};
 use masim_trace::{Features, Time};
 use masim_workloads::{App, CorpusEntry, GenConfig};
 
@@ -57,7 +57,7 @@ fn main() {
             seed: 20_260_707, // unseen by training
         };
         let entry = CorpusEntry { cfg, rank_bucket: 0, comm_bucket: 0 };
-        let t = run_one(&entry, &StudyConfig::default());
+        let t = run_one_observed(&entry, &StudyConfig::default()).study;
 
         // The enhanced MFACT sees only what MFACT produces: trace
         // features + the classification — not the simulation.

@@ -26,7 +26,9 @@ deliberately NOT stripped. Stripped series, by prefix:
   `sim.engine.dt_ps` — sequential-engine internals;
 * `des.pdes.*` — windowed-executor internals;
 * `sim.route.arena_bytes` — per-LP route arenas re-intern shared routes,
-  so the summed footprint legitimately exceeds the sequential arena.
+  so the summed footprint legitimately exceeds the sequential arena;
+  `sim.route.lp_arena_bytes` — the largest single LP's arena, which only
+  the partitioned executor has.
 
 Strip mode re-serializes JSON canonically (both sides of a diff must be
 normalized with the same flags) and drops matching CSV rows.
@@ -50,6 +52,7 @@ ENGINE_PREFIXES = (
     "des.pdes.",
     "sim.queue.peak_occupancy",
     "sim.route.arena_bytes",
+    "sim.route.lp_arena_bytes",
     "sim.engine.dt_ps",
 )
 

@@ -11,9 +11,7 @@ use std::time::Duration;
 use masim_core::{contained, ToolFailure};
 use masim_mfact::{replay, try_replay, ModelConfig, ReplayError};
 use masim_rng::Rng;
-use masim_sim::{
-    simulate, simulate_budgeted, simulate_limited, ModelKind, SimConfig, SimError, SimLimits,
-};
+use masim_sim::{simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits};
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::{io, Event, EventKind, Rank, Time, Trace, TraceError, TraceMeta};
 use masim_workloads::{
@@ -141,7 +139,6 @@ fn oversubscribed_mapping_rejected() {
         mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
         model: ModelKind::Flow,
         compute_scale: 1.0,
-        eager_packets: false,
         sim_threads: 1,
         route_arena_cap_bytes: u64::MAX,
     };
@@ -179,7 +176,7 @@ fn deadline_exceeded_is_explicit() {
     let cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
     let limits =
         SimLimits { max_work: u64::MAX, deadline: Some(Duration::ZERO), max_bytes: u64::MAX };
-    let err = simulate_limited(&t, &cfg, limits).expect_err("zero deadline must fail");
+    let err = masim_sim::run(&t, &cfg, limits, None).expect_err("zero deadline must fail");
     match err {
         SimError::DeadlineExceeded { elapsed: _, deadline } => {
             assert_eq!(deadline, Duration::ZERO)
@@ -187,7 +184,7 @@ fn deadline_exceeded_is_explicit() {
         other => panic!("expected DeadlineExceeded, got {other}"),
     }
     // No deadline at all still completes.
-    assert!(simulate_limited(&t, &cfg, SimLimits::unlimited()).is_ok());
+    assert!(masim_sim::run(&t, &cfg, SimLimits::unlimited(), None).is_ok());
 }
 
 /// A route-arena cap trips as `SimError::RouteArenaExhausted` — the
@@ -251,7 +248,7 @@ fn memory_budget_is_explicit() {
     let machine = Machine::cielito();
     let cfg = SimConfig::new(machine, ModelKind::Flow, &t);
     let limits = SimLimits::unlimited().with_memory_budget(4096);
-    let err = simulate_limited(&t, &cfg, limits).expect_err("4 KiB budget must fail");
+    let err = masim_sim::run(&t, &cfg, limits, None).expect_err("4 KiB budget must fail");
     match err {
         SimError::MemoryBudget { resident, budget } => {
             assert_eq!(budget, 4096);
@@ -270,7 +267,7 @@ fn memory_budget_is_explicit() {
 #[test]
 fn mfact_detects_deadlock() {
     let t = deadlock_trace();
-    let err = try_replay(&t, &[ModelConfig::base(Machine::cielito().net)])
+    let err = try_replay(&t, &[ModelConfig::base(Machine::cielito().net)], None)
         .expect_err("deadlock must be detected");
     assert_eq!(err, ReplayError::Deadlock { finished: 0, total: 2 });
 }
@@ -373,7 +370,7 @@ fn chaos_trace_faults_land_in_typed_errors() {
             // debug-panic — `contained` must turn that into a typed
             // failure rather than an unwind.
             let mfact = contained(|| {
-                try_replay(&bad, &configs).map(|_| ()).map_err(ToolFailure::from_replay)
+                try_replay(&bad, &configs, None).map(|_| ()).map_err(ToolFailure::from_replay)
             });
             match fault {
                 TraceFault::RecvRecvDeadlock => assert!(
@@ -433,7 +430,7 @@ fn chaos_mixed_failure_study_renders_all_reports() {
     let healthy = generate(&GenConfig::test_default(App::Cg, 8));
     let bad = corrupt_trace(&healthy, TraceFault::RecvRecvDeadlock, &mut Rng::seed_from_u64(3));
     let chaos_failure = contained(|| {
-        try_replay(&bad, &[ModelConfig::base(Machine::cielito().net)])
+        try_replay(&bad, &[ModelConfig::base(Machine::cielito().net)], None)
             .map(|_| ())
             .map_err(ToolFailure::from_replay)
     })

@@ -1,17 +1,42 @@
-//! The parallel study runner's determinism contract: at any thread
-//! count, per-trace predictions, per-tool sidecars, and the checkpoint
-//! journal are bit-identical to the sequential runner's — the only
-//! fields allowed to differ are host wall-clock measurements (span
-//! nanoseconds, `wall_ns`), which are nondeterministic between *any*
-//! two runs, sequential or not.
+//! The study executor's determinism contract: `Session::run` — the one
+//! path every study takes — produces, at any thread count, per-trace
+//! predictions, per-tool sidecars, and a checkpoint journal that are
+//! bit-identical to the plain sequential `Study::run_filtered`
+//! reference loop. The only fields allowed to differ are host
+//! wall-clock measurements (span nanoseconds, `wall_ns`), which are
+//! nondeterministic between *any* two runs.
 
 use masim_core::{
-    Checkpoint, ResumableRun, Study, StudyConfig, TraceStudy, PARALLEL_WORKERS_GAUGE,
+    run_one_observed, Checkpoint, Session, SessionOutcome, SessionSpec, Study, StudyConfig,
+    StudyKind, TraceStudy, PARALLEL_WORKERS_GAUGE,
 };
 use masim_obs::{MetricSet, RunMetrics, Snapshot};
 use masim_workloads::build_corpus;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+const THREADS: [usize; 2] = [1, 4];
+
+fn subset_spec(indices: &[usize]) -> SessionSpec {
+    SessionSpec { kind: StudyKind::Corpus { indices: Some(indices.to_vec()) }, seed: 7 }
+}
+
+/// One `Session::run` call, collecting each emitted entry's index and
+/// sidecars in emit order.
+fn run(
+    session: &mut Session,
+    threads: usize,
+    abort_after: Option<usize>,
+    ms: &MetricSet,
+) -> (SessionOutcome, Vec<(usize, Vec<RunMetrics>)>) {
+    let mut emitted = Vec::new();
+    let outcome = session
+        .run(threads, abort_after, None, ms, "study", None, |i, _, o| {
+            emitted.push((i, o.sidecars.clone()));
+        })
+        .unwrap();
+    (outcome, emitted)
+}
 
 /// A unique, clean scratch directory per test (std-only; no tempdir
 /// crate).
@@ -84,100 +109,95 @@ fn normalize_journal(text: &str) -> String {
     out
 }
 
-/// `--threads 4` equivalent of the observed study path produces the
-/// same traces and sidecars as the sequential runner, in the same
-/// order.
+/// At 1 and at 4 threads the session produces the reference loop's
+/// traces and sidecars, in the same order.
 #[test]
-fn parallel_observed_bitwise_matches_sequential() {
-    let keep = |i: usize| i % 47 == 3; // 5 of the 235 corpus entries
-    let (seq, seq_sc) = Study::run_filtered_observed(StudyConfig::default(), keep);
-    let ms = MetricSet::new();
-    let (par, par_sc) = Study::run_filtered_observed_parallel(StudyConfig::default(), keep, 4, &ms);
+fn session_bitwise_matches_reference_at_any_thread_count() {
+    let cfg = StudyConfig::default();
+    let entries = build_corpus(cfg.seed);
+    let indices: Vec<usize> = (0..entries.len()).filter(|i| i % 47 == 3).collect(); // 5 entries
+    let reference = Study::run_filtered(cfg.clone(), |i| indices.contains(&i));
+    // `run_filtered` keeps only the measurements; its loop body yields
+    // the reference sidecars.
+    let reference_sc: Vec<Vec<RunMetrics>> =
+        indices.iter().map(|&i| run_one_observed(&entries[i], &cfg).sidecars).collect();
 
-    assert_eq!(seq.traces.len(), par.traces.len());
-    for (a, b) in seq.traces.iter().zip(&par.traces) {
-        assert_same_predictions(a, b);
+    for threads in THREADS {
+        let ms = MetricSet::new();
+        let mut session = Session::new(subset_spec(&indices)).unwrap();
+        let (outcome, emitted) = run(&mut session, threads, None, &ms);
+        assert_eq!(outcome, SessionOutcome::Complete);
+
+        let study = session.study();
+        assert_eq!(reference.traces.len(), study.traces.len());
+        for (a, b) in reference.traces.iter().zip(&study.traces) {
+            assert_same_predictions(a, b);
+        }
+        // Sidecars arrive keyed by the same corpus indices, in the same
+        // order, with identical non-timing content.
+        assert_eq!(emitted.iter().map(|(i, _)| *i).collect::<Vec<_>>(), indices);
+        for (a, (_, b)) in reference_sc.iter().zip(&emitted) {
+            assert_same_sidecars(a, b);
+        }
+        // Runner telemetry landed on the study metric set, not the sidecars.
+        let snap = ms.snapshot();
+        assert_eq!(snap.gauges.get(PARALLEL_WORKERS_GAUGE), Some(&(threads as u64)));
+        assert!(emitted.iter().flat_map(|(_, runs)| runs).all(|rm| !rm
+            .set()
+            .snapshot()
+            .gauges
+            .contains_key(PARALLEL_WORKERS_GAUGE)));
     }
-    // Sidecars arrive keyed by the same corpus indices, in the same
-    // order, with identical non-timing content.
-    let idx = |sc: &[(usize, Vec<RunMetrics>)]| sc.iter().map(|(i, _)| *i).collect::<Vec<_>>();
-    assert_eq!(idx(&seq_sc), idx(&par_sc));
-    for ((_, a), (_, b)) in seq_sc.iter().zip(&par_sc) {
-        assert_same_sidecars(a, b);
-    }
-    // Runner telemetry landed on the study metric set, not the sidecars.
-    let snap = ms.snapshot();
-    assert_eq!(snap.gauges.get(PARALLEL_WORKERS_GAUGE), Some(&4), "{:?}", snap.gauges);
-    assert!(seq_sc.iter().flat_map(|(_, runs)| runs).all(|rm| !rm
-        .set()
-        .snapshot()
-        .gauges
-        .contains_key(PARALLEL_WORKERS_GAUGE)));
 }
 
-/// Parallel interrupt + resume writes a checkpoint journal identical
-/// (modulo wall-clock fields) to the sequential runner's, and the
-/// resumed studies agree on every prediction.
+/// Interrupt after 2 entries + resume, at 1 and at 4 threads, writes a
+/// checkpoint journal identical (modulo wall-clock fields) to the one
+/// the reference loop's results produce, and the resumed studies agree
+/// with the reference on every prediction.
 #[test]
-fn parallel_interrupt_resume_matches_sequential_journal() {
+fn interrupt_resume_matches_reference_journal() {
     let cfg = StudyConfig::default();
     let entries = build_corpus(cfg.seed);
     let indices: Vec<usize> = (0..entries.len()).filter(|i| i % 59 == 2).collect(); // 4 entries
     assert!(indices.len() >= 3, "need enough entries to interrupt mid-run");
-
-    let run = |dir: &PathBuf, threads: usize| -> Study {
-        let ms = MetricSet::new();
-        let mut ck = Checkpoint::create(dir, &cfg, entries.len()).unwrap();
-        let resumable = |ck: &mut Checkpoint, abort| {
-            if threads > 1 {
-                Study::run_resumable_parallel(
-                    cfg.clone(),
-                    &entries,
-                    &indices,
-                    ck,
-                    abort,
-                    threads,
-                    &ms,
-                )
-            } else {
-                Study::run_resumable(cfg.clone(), &entries, &indices, ck, abort)
-            }
-        };
-        // Interrupt after 2 fresh entries...
-        match resumable(&mut ck, Some(2)).unwrap() {
-            ResumableRun::Interrupted { completed, total, new_sidecars } => {
-                assert_eq!((completed, total), (2, indices.len()));
-                assert_eq!(new_sidecars.len(), 2);
-            }
-            ResumableRun::Complete { .. } => panic!("abort_after=2 must interrupt"),
-        }
-        drop(ck);
-        // ...then resume to completion; only the remainder re-runs.
-        let mut ck = Checkpoint::resume(dir, &cfg, &entries).unwrap();
-        match resumable(&mut ck, None).unwrap() {
-            ResumableRun::Complete { study, new_sidecars } => {
-                assert_eq!(new_sidecars.len(), indices.len() - 2);
-                study
-            }
-            ResumableRun::Interrupted { .. } => panic!("resume must complete"),
-        }
+    let reference = Study::run_filtered(cfg.clone(), |i| indices.contains(&i));
+    let journal = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join(masim_core::CHECKPOINT_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+        normalize_journal(&text)
     };
 
-    let seq_dir = scratch("seq");
-    let par_dir = scratch("par");
-    let seq = run(&seq_dir, 1);
-    let par = run(&par_dir, 4);
-
-    for (a, b) in seq.traces.iter().zip(&par.traces) {
-        assert_same_predictions(a, b);
+    let ref_dir = scratch("ref");
+    let mut ck = Checkpoint::create(&ref_dir, &cfg, entries.len()).unwrap();
+    for (&i, t) in indices.iter().zip(&reference.traces) {
+        ck.record(i, t).unwrap();
     }
-    let journal =
-        |dir: &PathBuf| std::fs::read_to_string(dir.join(masim_core::CHECKPOINT_FILE)).unwrap();
-    assert_eq!(
-        normalize_journal(&journal(&seq_dir)),
-        normalize_journal(&journal(&par_dir)),
-        "journals must be identical outside wall-clock fields"
-    );
-    let _ = std::fs::remove_dir_all(&seq_dir);
-    let _ = std::fs::remove_dir_all(&par_dir);
+    drop(ck);
+    let ref_journal = journal(&ref_dir);
+
+    for threads in THREADS {
+        let dir = scratch(&format!("t{threads}"));
+        let ms = MetricSet::new();
+        // Interrupt after 2 fresh entries...
+        let mut first = Session::with_checkpoint(subset_spec(&indices), &dir, false).unwrap();
+        let (outcome, emitted) = run(&mut first, threads, Some(2), &ms);
+        assert_eq!(outcome, SessionOutcome::Interrupted { done: 2, total: indices.len() });
+        assert_eq!(emitted.len(), 2);
+        drop(first);
+        // ...then resume to completion; only the remainder re-runs.
+        let mut second = Session::with_checkpoint(subset_spec(&indices), &dir, true).unwrap();
+        let (outcome, emitted) = run(&mut second, threads, None, &ms);
+        assert_eq!(outcome, SessionOutcome::Complete);
+        assert_eq!(emitted.len(), indices.len() - 2);
+
+        for (a, b) in reference.traces.iter().zip(&second.study().traces) {
+            assert_same_predictions(a, b);
+        }
+        drop(second);
+        assert_eq!(
+            ref_journal,
+            journal(&dir),
+            "threads={threads}: journals must be identical outside wall-clock fields"
+        );
+    }
 }

@@ -9,11 +9,11 @@
 
 use masim_obs::MetricSet;
 use masim_sim::{
-    simulate, simulate_budgeted, simulate_limited_observed, ModelKind, SimConfig, SimLimits,
-    SimResult,
+    simulate, simulate_budgeted, simulate_partitioned_observed, simulate_streamed_limited,
+    ModelKind, SimConfig, SimLimits, SimResult,
 };
 use masim_topo::Machine;
-use masim_trace::Trace;
+use masim_trace::{StreamedTrace, Trace};
 use masim_workloads::{generate, App, GenConfig};
 
 const SEEDS: [u64; 3] = [7, 41, 99];
@@ -45,7 +45,9 @@ fn assert_identical(a: &SimResult, b: &SimResult, tag: &str) {
     assert_eq!(a.events, b.events, "{tag}: events");
     assert_eq!(a.messages, b.messages, "{tag}: messages");
     assert_eq!(a.work_units, b.work_units, "{tag}: work_units");
+    assert_eq!(a.link_bytes, b.link_bytes, "{tag}: link_bytes");
     assert_eq!(a.max_link_bytes, b.max_link_bytes, "{tag}: max_link_bytes");
+    assert_eq!(b.link_bytes.iter().copied().max(), Some(b.max_link_bytes), "{tag}: max of vector");
 }
 
 /// The core contract: for every app, seed, and thread count, the
@@ -74,7 +76,9 @@ fn partitioned_packet_model_is_bit_identical() {
 }
 
 /// The bench workload (packet/CG(64) on cielito, the PR's speedup
-/// gate): larger trace, more partitions crossing, same bit-identity.
+/// gate): larger trace, more partitions crossing, same bit-identity —
+/// across the sequential engine, the partitioned executor at 1 (inline,
+/// the `bench-pdes` hook), 2, 4 and 8 workers, and the streamed source.
 #[test]
 fn cg64_bench_shape_is_bit_identical() {
     let trace = cg_trace(99);
@@ -83,6 +87,19 @@ fn cg64_bench_shape_is_bit_identical() {
         let par = simulate(&trace, &packet_cfg(&trace, threads));
         assert_identical(&seq, &par, &format!("cg64/t{threads}"));
     }
+    let inline = simulate_partitioned_observed(
+        &trace,
+        &packet_cfg(&trace, 1),
+        SimLimits::unlimited(),
+        &MetricSet::new(),
+    )
+    .expect("run completes");
+    assert_identical(&seq, &inline, "cg64/partitioned-inline");
+    let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
+    let streamed =
+        simulate_streamed_limited(&stream, &packet_cfg(&trace, 1), SimLimits::unlimited())
+            .expect("run completes");
+    assert_identical(&seq, &streamed, "cg64/streamed");
 }
 
 /// The telemetry both paths share must agree exactly: engine event
@@ -105,13 +122,8 @@ fn shared_metrics_schema_agrees() {
     let trace = cg_trace(41);
     let run = |threads: usize| {
         let ms = MetricSet::new();
-        simulate_limited_observed(
-            &trace,
-            &packet_cfg(&trace, threads),
-            SimLimits::unlimited(),
-            &ms,
-        )
-        .expect("run completes");
+        masim_sim::run(&trace, &packet_cfg(&trace, threads), SimLimits::unlimited(), Some(&ms))
+            .expect("run completes");
         ms.snapshot()
     };
     let seq = run(1);
@@ -195,23 +207,28 @@ fn mask_floats(text: &str) -> String {
 /// thread count anyway to pin that assumption.
 #[test]
 fn table_reports_are_byte_identical_across_sim_threads() {
-    let entries = masim_core::report::table2_tiny_entries(7);
-    let (seq_text, _) = masim_core::report::table2_observed(&entries, 7, 1);
-    let seq_masked = mask_floats(&seq_text);
+    use masim_core::{Session, SessionSpec, StudyKind};
+    let table2 = |sim_threads: usize| {
+        let spec = SessionSpec { kind: StudyKind::Table2 { tiny: true }, seed: 7 };
+        let mut session = Session::new(spec).unwrap();
+        session.set_sim_threads(sim_threads);
+        session.run(1, None, None, &MetricSet::new(), "table2", None, |_, _, _| {}).unwrap();
+        session.report()
+    };
+    let seq_masked = mask_floats(&table2(1));
     let seq_table3 = masim_core::report::table3();
     for threads in [2usize, 4] {
-        let (par_text, _) = masim_core::report::table2_observed(&entries, 7, threads);
         assert_eq!(
             seq_masked,
-            mask_floats(&par_text),
+            mask_floats(&table2(threads)),
             "Table II bytes diverged at sim_threads={threads}"
         );
         assert_eq!(seq_table3, masim_core::report::table3());
     }
 }
 
-/// Non-packet models and eager-packet runs ignore `sim_threads` and
-/// stay on the sequential engine: same results with the knob set.
+/// Non-packet models ignore `sim_threads` and stay on the sequential
+/// engine: same results with the knob set.
 #[test]
 fn non_packet_models_stay_sequential() {
     let trace = cg_trace(7);

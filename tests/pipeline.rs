@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning all crates: generator → trace
 //! I/O → MFACT → simulators → study → enhanced model.
 
-use masim_core::{run_one, Dataset, Enhanced, Study, StudyConfig};
+use masim_core::{run_one_observed, Dataset, Enhanced, Study, StudyConfig};
 use masim_mfact::{classify, replay, AppClass, ModelConfig};
 use masim_sim::{simulate, ModelKind, SimConfig};
 use masim_topo::Machine;
@@ -28,7 +28,7 @@ fn serialization_preserves_predictions() {
 #[test]
 fn one_trace_full_pipeline() {
     let entries = build_corpus(7);
-    let t = run_one(&entries[40], &StudyConfig::default());
+    let t = run_one_observed(&entries[40], &StudyConfig::default()).study;
     assert!(t.mfact.completed());
     assert!(t.pflow.completed());
     let total = t.mfact.total.unwrap();
