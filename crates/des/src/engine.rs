@@ -4,7 +4,7 @@
 //! models describe their events as plain values (an enum, in practice)
 //! and implement [`Handler`] to interpret them. Payloads live in an
 //! event arena — a generation-tagged slab — and the pending set is a
-//! two-tier ladder queue ([`crate::queue`]), so the common
+//! ladder queue ([`crate::queue`]), so the common
 //! schedule/pop cycle allocates nothing and compares plain integers
 //! instead of chasing comparators through boxed closures.
 //!
@@ -139,6 +139,8 @@ impl<S: Handler> Engine<S> {
         ms.gauge_max("des.engine.pending_hwm", self.max_pending as u64);
         ms.add("des.queue.window_advances", self.queue.window_advances());
         ms.add("des.queue.overflow_migrations", self.queue.overflow_migrations());
+        ms.add("des.queue.late_pushes", self.queue.late_pushes());
+        ms.gauge_max("des.queue.bucket_len_max", self.queue.bucket_len_max() as u64);
     }
 
     /// Schedule `event` at absolute time `at`.

@@ -6,7 +6,7 @@
 //!   network models in `masim-sim` run on: typed events interpreted by a
 //!   [`engine::Handler`] over a shared state, payloads slab-allocated in
 //!   a generation-tagged arena ([`arena`]), pending set kept in a
-//!   two-tier ladder queue ([`queue`]); deterministic (time, sequence)
+//!   ladder queue ([`queue`]); deterministic (time, sequence)
 //!   ordering, O(1) cancellation.
 //! * [`pdes::WindowedPdes`] — a conservative window-synchronized
 //!   parallel executor (the PDES style SST/Macro uses), for models

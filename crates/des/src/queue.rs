@@ -1,24 +1,47 @@
-//! The two-tier ladder (calendar) queue behind the pending-event set.
+//! The ladder (calendar) queue behind the pending-event set.
 //!
 //! The pending set used to be one `BinaryHeap` whose every operation
 //! chased a comparator through boxed fat pointers. This queue exploits
-//! the time structure a discrete-event simulation actually has:
+//! the time structure a discrete-event simulation actually has.
+//! Nearest first:
 //!
 //! * **immediate lane** — events scheduled at exactly the current time
 //!   (zero-delay cascades: packet bursts entering a NIC, same-instant
 //!   releases). A plain FIFO: insertion order *is* `(time, seq)` order,
 //!   because the global sequence counter is monotone. O(1) push/pop.
+//! * **active window** — the bucket the clock is in. Its entries are
+//!   sorted once, when the clock enters the window, and popped off the
+//!   back of that sorted buffer in O(1). An event that arrives *after*
+//!   the sort — scheduled into the window being drained, or behind it
+//!   after an idle clock jump — is appended to the sorted buffer if it
+//!   precedes everything there (appending keeps the order; a chain of
+//!   one event in flight never does anything else) and otherwise goes
+//!   to the **late lane**, a small min-heap beside the sorted buffer;
+//!   the pop takes whichever of the two heads is earlier. A late
+//!   arrival therefore costs O(log late) at worst, never a shift of
+//!   the sorted buffer.
 //! * **near-future ring** — a calendar of [`NUM_BUCKETS`] unsorted
 //!   buckets, each [`BUCKET_WIDTH_PS`] wide (65.5 ns; the ring spans
 //!   ~67 µs — sized to the per-hop latency/serialization scale of the
 //!   packet model, the measured throughput optimum). Pushing is a
-//!   `Vec::push` into the bucket the timestamp hashes to; a bucket is
-//!   sorted once, when the clock enters its window. With the per-link latencies and serialization delays of
-//!   this study almost every event lands here.
+//!   `Vec::push` into the bucket the timestamp hashes to. With the
+//!   per-link latencies and serialization delays of this study almost
+//!   every event lands here.
 //! * **sorted overflow** — events beyond the ring horizon (compute
 //!   phases, far-future completions) sit in a plain binary heap of
 //!   `(time, seq, payload)` triples and migrate into the ring as its
 //!   window slides forward.
+//!
+//! Two measured regimes bracket the design. Over the 235-trace study
+//! the largest active bucket of a run holds 65 entries at the median
+//! (1 680 at most) and late arrivals are 5 % of a run's pushes at the
+//! median (42 % at most, Nekbone under packet-flow). At 64 000 ranks
+//! in lock-step (`repro scale`, CNS on frontier)
+//! the whole 210 µs run is 811 non-empty buckets of ≈ 7 800 entries
+//! each, one push in ten is a late arrival, and the overflow heap is
+//! never touched — the ring and the late lane carry everything.
+//! `des.queue.bucket_len_max` and `des.queue.late_pushes` report which
+//! regime a run was in.
 //!
 //! Pops come out in exactly `(time, seq)` order — bit-identical to the
 //! heap it replaced (the equivalence suite in `tests/equivalence.rs`
@@ -57,28 +80,36 @@ struct Entry<T> {
     payload: T,
 }
 
-/// Overflow-heap wrapper: min-heap on `(at, seq)`, payload ignored.
-struct OverflowEntry<T>(Entry<T>);
-
-impl<T> PartialEq for OverflowEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+impl<T> Entry<T> {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
     }
 }
-impl<T> Eq for OverflowEntry<T> {}
-impl<T> PartialOrd for OverflowEntry<T> {
+
+/// Heap wrapper (late lane and overflow): min-heap on `(at, seq)`,
+/// payload ignored.
+struct HeapEntry<T>(Entry<T>);
+
+impl<T> PartialEq for HeapEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+impl<T> Eq for HeapEntry<T> {}
+impl<T> PartialOrd for HeapEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for OverflowEntry<T> {
+impl<T> Ord for HeapEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed so BinaryHeap pops the earliest.
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
+        other.0.key().cmp(&self.0.key())
     }
 }
 
-/// A deterministic two-tier calendar queue over payloads `T`.
+/// A deterministic ladder (calendar) queue over payloads `T`.
 pub struct LadderQueue<T> {
     /// FIFO of events at exactly `imm_at` (the hot zero-delay lane).
     imm: VecDeque<(u64, T)>,
@@ -91,8 +122,14 @@ pub struct LadderQueue<T> {
     /// Timestamp of the most recent pop.
     last_ps: u64,
     /// Drain buffer for the active bucket, sorted descending by
-    /// `(at, seq)` so popping from the back yields ascending order.
+    /// `(at, seq)` when the window opens so popping from the back yields
+    /// ascending order. Afterwards it only grows at the back, by entries
+    /// earlier than its last.
     current: Vec<Entry<T>>,
+    /// Entries pushed into (or behind) the active window after
+    /// `current` was sorted that do not precede its head; drained
+    /// interleaved with it by key.
+    late: BinaryHeap<HeapEntry<T>>,
     /// Absolute bucket number whose window `current` covers.
     cur_bucket: u64,
     /// Ring of unsorted buckets covering `(cur_bucket, cur_bucket + NUM_BUCKETS]`.
@@ -100,7 +137,7 @@ pub struct LadderQueue<T> {
     /// Total entries across all ring buckets.
     ring_len: usize,
     /// Events beyond the ring horizon.
-    overflow: BinaryHeap<OverflowEntry<T>>,
+    overflow: BinaryHeap<HeapEntry<T>>,
     /// Monotone per-queue sequence counter (one per push).
     seq: u64,
     len: usize,
@@ -111,6 +148,10 @@ pub struct LadderQueue<T> {
     /// Entries that migrated overflow-heap → ring/current as the window
     /// slid (tier-3 → tier-2 traffic).
     overflow_migrations: u64,
+    /// Pushes into (or behind) the active window after it was sorted.
+    late_pushes: u64,
+    /// Largest bucket that became the active window.
+    bucket_len_max: usize,
 }
 
 impl<T> Default for LadderQueue<T> {
@@ -133,6 +174,7 @@ impl<T> LadderQueue<T> {
             imm_at: 0,
             last_ps: 0,
             current: Vec::with_capacity(BUCKET_RESERVE),
+            late: BinaryHeap::with_capacity(BUCKET_RESERVE),
             cur_bucket: 0,
             ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             ring_len: 0,
@@ -141,6 +183,8 @@ impl<T> LadderQueue<T> {
             len: 0,
             window_advances: 0,
             overflow_migrations: 0,
+            late_pushes: 0,
+            bucket_len_max: 0,
         }
     }
 
@@ -176,11 +220,25 @@ impl<T> LadderQueue<T> {
         self.overflow_migrations
     }
 
+    /// Pushes that arrived in (or behind) the active window after it was
+    /// sorted.
+    #[inline]
+    pub fn late_pushes(&self) -> u64 {
+        self.late_pushes
+    }
+
+    /// Entries in the largest bucket that became the active window.
+    #[inline]
+    pub fn bucket_len_max(&self) -> usize {
+        self.bucket_len_max
+    }
+
     /// Insert `payload` at `at`. Returns the entry's sequence number.
     ///
     /// `at` may precede the last popped timestamp (the embedding engine
-    /// is responsible for causality); such entries binary-insert into
-    /// the active drain buffer.
+    /// is responsible for causality); such entries join the active
+    /// window as late arrivals.
+    #[inline]
     pub fn push(&mut self, at: Time, payload: T) -> u64 {
         let at = at.as_ps();
         let seq = self.seq;
@@ -196,50 +254,48 @@ impl<T> LadderQueue<T> {
         let b = bucket_of(at);
         let entry = Entry { at, seq, payload };
         if b <= self.cur_bucket {
-            // Active window (or, after an idle clock jump, behind it):
-            // keep `current` sorted descending with a binary insert.
-            let key = (at, seq);
-            let idx = self.current.partition_point(|e| (e.at, e.seq) > key);
-            self.current.insert(idx, entry);
+            // Active window (or, after an idle clock jump, behind it).
+            // Earlier than everything sorted: appending keeps `current`
+            // descending. Anything else must not disturb the sort.
+            self.late_pushes += 1;
+            if self.current.last().is_none_or(|head| entry.key() < head.key()) {
+                self.current.push(entry);
+            } else {
+                self.late.push(HeapEntry(entry));
+            }
         } else if b <= self.cur_bucket + NUM_BUCKETS {
             self.ring_push(b, entry);
         } else {
-            self.overflow.push(OverflowEntry(entry));
+            self.overflow.push(HeapEntry(entry));
         }
         seq
     }
 
     /// Pop the earliest `(time, seq)` entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        match self.select_head()? {
+        let e = match self.select_head()? {
             Head::Immediate => {
                 let (seq, payload) = self.imm.pop_front().expect("head says imm");
-                self.last_ps = self.imm_at;
-                self.len -= 1;
-                Some((Time::from_ps(self.imm_at), seq, payload))
+                Entry { at: self.imm_at, seq, payload }
             }
-            Head::Current => {
-                let e = self.current.pop().expect("head says current");
-                self.last_ps = e.at;
-                self.len -= 1;
-                Some((Time::from_ps(e.at), e.seq, e.payload))
-            }
-        }
+            Head::Current => self.current.pop().expect("head says current"),
+            Head::Late => self.late.pop().expect("head says late").0,
+        };
+        self.last_ps = e.at;
+        self.len -= 1;
+        Some((Time::from_ps(e.at), e.seq, e.payload))
     }
 
     /// Key of the earliest entry without removing it. `&mut` because it
     /// may slide the ring window forward to materialize the head.
     pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        match self.select_head()? {
-            Head::Immediate => {
-                let (seq, _) = self.imm.front().expect("head says imm");
-                Some((Time::from_ps(self.imm_at), *seq))
-            }
-            Head::Current => {
-                let e = self.current.last().expect("head says current");
-                Some((Time::from_ps(e.at), e.seq))
-            }
-        }
+        let (at, seq) = match self.select_head()? {
+            Head::Immediate => (self.imm_at, self.imm.front().expect("head says imm").0),
+            Head::Current => self.current.last().expect("head says current").key(),
+            Head::Late => self.late.peek().expect("head says late").0.key(),
+        };
+        Some((Time::from_ps(at), seq))
     }
 
     /// Payload of the earliest entry without removing it.
@@ -247,37 +303,45 @@ impl<T> LadderQueue<T> {
         match self.select_head()? {
             Head::Immediate => self.imm.front().map(|(_, p)| p),
             Head::Current => self.current.last().map(|e| &e.payload),
+            Head::Late => self.late.peek().map(|e| &e.0.payload),
         }
     }
 
     /// Identify where the head entry lives, advancing the ring window
-    /// if both drain lanes are empty.
+    /// if every drain lane is empty.
     fn select_head(&mut self) -> Option<Head> {
         if self.len == 0 {
             return None;
         }
-        if self.imm.is_empty() && self.current.is_empty() {
-            self.advance_window();
+        if self.imm.is_empty() && self.late.is_empty() {
+            // Only the sorted buffer can hold the head.
+            if self.current.is_empty() {
+                self.advance_window();
+            }
+            return Some(Head::Current);
         }
-        match (self.imm.front(), self.current.last()) {
-            (None, None) => unreachable!("len > 0 but no head materialized"),
-            (Some(_), None) => Some(Head::Immediate),
-            (None, Some(_)) => Some(Head::Current),
-            (Some((iseq, _)), Some(c)) => {
-                // Compare by (time, seq); on a time tie the smaller seq
-                // goes first.
-                if (self.imm_at, *iseq) <= (c.at, c.seq) {
-                    Some(Head::Immediate)
-                } else {
-                    Some(Head::Current)
-                }
+        // Earliest `(time, seq)` of the three lane heads. Keys are
+        // unique; the immediate lane's `<=` only spells out that, on a
+        // time tie, the smaller seq goes first.
+        let mut head = Head::Current;
+        let mut best = self.current.last().map(Entry::key);
+        if let Some(l) = self.late.peek() {
+            if best.is_none_or(|b| l.0.key() < b) {
+                head = Head::Late;
+                best = Some(l.0.key());
             }
         }
+        if let Some((iseq, _)) = self.imm.front() {
+            if best.is_none_or(|b| (self.imm_at, *iseq) <= b) {
+                head = Head::Immediate;
+            }
+        }
+        Some(head)
     }
 
     /// Slide the window forward until `current` holds the next bucket's
     /// entries, migrating overflow entries that enter the ring horizon.
-    /// Precondition: `imm` and `current` are empty, `len > 0`.
+    /// Precondition: `imm`, `current` and `late` are empty, `len > 0`.
     fn advance_window(&mut self) {
         self.window_advances += 1;
         loop {
@@ -298,7 +362,8 @@ impl<T> LadderQueue<T> {
                 self.migrate_overflow();
             }
             if !self.current.is_empty() {
-                self.current.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                self.bucket_len_max = self.bucket_len_max.max(self.current.len());
                 return;
             }
         }
@@ -312,7 +377,7 @@ impl<T> LadderQueue<T> {
             if b > self.cur_bucket + NUM_BUCKETS {
                 break;
             }
-            let OverflowEntry(e) = self.overflow.pop().expect("peeked");
+            let HeapEntry(e) = self.overflow.pop().expect("peeked");
             self.overflow_migrations += 1;
             if b <= self.cur_bucket {
                 self.current.push(e);
@@ -338,6 +403,7 @@ impl<T> LadderQueue<T> {
 enum Head {
     Immediate,
     Current,
+    Late,
 }
 
 #[cfg(test)]
@@ -430,6 +496,25 @@ mod tests {
         drain(&mut q);
         assert!(q.window_advances() >= 2, "draining slid the window");
         assert_eq!(q.overflow_migrations(), 2, "both far events migrated");
+    }
+
+    #[test]
+    fn late_lane_counters_track() {
+        let mut q = LadderQueue::new();
+        // Three entries in bucket 1, one in bucket 2.
+        for (i, ps) in [10, 30, 20, BUCKET_WIDTH_PS + 5].into_iter().enumerate() {
+            q.push(Time::from_ps(BUCKET_WIDTH_PS + ps), i as u32);
+        }
+        assert_eq!(q.late_pushes(), 0, "ring pushes are not late");
+        assert_eq!(q.pop().unwrap().2, 0); // opens bucket 1
+        assert_eq!(q.bucket_len_max(), 3);
+        // Into the open window: before the sorted head, and after its tail.
+        q.push(Time::from_ps(BUCKET_WIDTH_PS + 15), 10);
+        q.push(Time::from_ps(BUCKET_WIDTH_PS + 40), 11);
+        assert_eq!(q.late_pushes(), 2);
+        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(order, vec![10, 2, 1, 11, 3]);
+        assert_eq!(q.bucket_len_max(), 3, "bucket 2 held one entry");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! trace, across delay profiles chosen to exercise every queue tier
 //! (immediate lane, current bucket, ring, overflow, and idle-jumps).
 
-use masim_des::{Engine, EventId, Handler};
+use masim_des::{Engine, EventId, Handler, LadderQueue};
 use masim_rng::Rng;
 use masim_trace::Time;
 use std::cmp::Reverse;
@@ -179,4 +179,123 @@ fn cancelled_events_never_execute_and_counts_match() {
     assert_eq!(got, expect);
     assert_eq!(eng.cancelled() as usize, 1_000 - expect.len());
     assert_eq!(eng.processed() as usize, expect.len());
+}
+
+/// Raw-queue reference: a plain min-heap of `(at ps, seq, payload)`.
+#[derive(Default)]
+struct RefQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    seq: u64,
+}
+
+/// Both queues under one driver, compared after every operation.
+struct Pair {
+    q: LadderQueue<u64>,
+    r: RefQueue,
+    /// Timestamp of the last pop: pushes stay at or after it, as the
+    /// engine's causality assert guarantees.
+    now: u64,
+    /// Cancelled payloads. The engine leaves a cancelled entry queued
+    /// and skips it at the head (peek, then pop); [`Pair::execute`]
+    /// drives the queue the same way. Payloads are never reused, so an
+    /// id cancelled after it popped is inert.
+    cancelled: HashSet<u64>,
+}
+
+impl Pair {
+    fn push(&mut self, at: u64) {
+        let payload = self.r.seq;
+        let seq = self.q.push(Time::from_ps(at), payload);
+        assert_eq!(seq, self.r.seq, "queue numbers pushes itself, one per push");
+        self.r.heap.push(Reverse((at, seq, payload)));
+        self.r.seq += 1;
+        self.check();
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        let got = self.q.pop().map(|(t, s, p)| (t.as_ps(), s, p));
+        let want = self.r.heap.pop().map(|Reverse(e)| e);
+        assert_eq!(got, want, "pop diverged from the reference heap");
+        self.check();
+        got.map(|(at, _, payload)| {
+            self.now = at;
+            payload
+        })
+    }
+
+    /// Skip cancelled heads the way `Engine::run_until` does, then pop
+    /// one live entry.
+    fn execute(&mut self) {
+        while self.q.peek_payload().is_some_and(|p| self.cancelled.contains(p)) {
+            self.pop();
+        }
+        self.pop();
+    }
+
+    fn head(&self) -> Option<(u64, u64, u64)> {
+        self.r.heap.peek().map(|&Reverse(e)| e)
+    }
+
+    fn check(&mut self) {
+        let want = self.head();
+        assert_eq!(self.q.len(), self.r.heap.len());
+        assert_eq!(self.q.peek_key().map(|(t, s)| (t.as_ps(), s)), want.map(|(at, s, _)| (at, s)));
+        assert_eq!(self.q.peek_payload().copied(), want.map(|(_, _, p)| p));
+    }
+}
+
+#[test]
+fn dense_window_with_late_arrivals_matches_reference_heap() {
+    const WIDTH: u64 = masim_des::queue::BUCKET_WIDTH_PS;
+    const RING: u64 = masim_des::queue::NUM_BUCKETS;
+    let mut rng = Rng::seed_from_u64(0xD15E_BCC7);
+    let mut p =
+        Pair { q: LadderQueue::new(), r: RefQueue::default(), now: 0, cancelled: HashSet::new() };
+
+    // 20 000 entries in one 65 ns bucket, 4 096 distinct timestamps, so
+    // most share theirs with a few others.
+    let base = 5 * WIDTH;
+    for _ in 0..20_000 {
+        p.push(base + (rng.next_u64() % 4096) * 16);
+    }
+
+    // Drain it under a stream of arrivals into the window being drained.
+    for _ in 0..40_000 {
+        let Some((head_at, _, _)) = p.head() else { break };
+        let bucket_end = (head_at / WIDTH + 1) * WIDTH;
+        match rng.next_u64() % 10 {
+            0..=3 => p.execute(),
+            4..=7 => {
+                let at = match rng.next_u64() % 5 {
+                    0 => head_at,                                           // ties with the head
+                    1 => p.now + rng.next_u64() % (head_at - p.now + 1),    // at or before it
+                    2 => bucket_end - 1 - rng.next_u64() % 8,               // after the tail
+                    3 => head_at + rng.next_u64() % (bucket_end - head_at), // anywhere in between
+                    _ => bucket_end + rng.next_u64() % (3 * WIDTH),         // the ring
+                };
+                p.push(at);
+            }
+            _ => {
+                p.cancelled.insert(rng.next_u64() % p.r.seq);
+            }
+        }
+    }
+    while p.pop().is_some() {}
+
+    // Idle jump: materializing a far head slides the window past the
+    // ring; everything pushed afterwards lands *behind* the window.
+    let far = p.now + (RING + 100) * WIDTH + 17;
+    p.push(far);
+    assert_eq!(p.q.peek_key().map(|(t, _)| t.as_ps()), Some(far));
+    for i in 0..2_000u64 {
+        // A few distinct buckets, plenty of same-timestamp ties.
+        let at = p.now + (rng.next_u64() % 7) * WIDTH + (i % 5) * 1000;
+        assert!(at < far, "stays behind the window");
+        p.push(at);
+        if i % 3 == 0 {
+            p.pop();
+        }
+    }
+    while p.pop().is_some() {}
+    assert!(p.q.is_empty());
 }

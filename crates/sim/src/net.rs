@@ -342,25 +342,42 @@ impl LinkTable {
         LinkId(self.topo_links + self.ranks + r.0)
     }
 
-    /// Build the simulated route for a message: per-rank injection, the
-    /// topology's fabric hops, per-rank ejection. Cold path — called
-    /// once per rank pair, then interned in the [`RouteArena`].
-    pub fn route_vec(
+    /// Build the simulated route for a message into `route` (cleared
+    /// first): per-rank injection, the topology's fabric hops, per-rank
+    /// ejection. Cold path — called once per rank pair, then interned
+    /// in the [`RouteArena`].
+    pub fn route_into(
         &self,
         machine: &Machine,
         src: Rank,
         dst: Rank,
         src_node: masim_trace::NodeId,
         dst_node: masim_trace::NodeId,
-    ) -> Vec<LinkId> {
-        let topo_route = machine.topology.route_vec(src_node, dst_node);
-        debug_assert!(topo_route.len() >= 2);
-        let mut route = Vec::with_capacity(topo_route.len());
-        route.push(self.injection(src));
-        route.extend_from_slice(&topo_route[1..topo_route.len() - 1]);
-        route.push(self.ejection(dst));
-        route
+        route: &mut Vec<LinkId>,
+    ) {
+        route.clear();
+        machine.topology.route(src_node, dst_node, route);
+        debug_assert!(route.len() >= 2);
+        // The topology's node-level injection/ejection links become the
+        // per-rank virtual ones.
+        if let [first, .., last] = route.as_mut_slice() {
+            *first = self.injection(src);
+            *last = self.ejection(dst);
+        }
     }
+}
+
+/// The interned route for a rank pair on distinct nodes, built through
+/// the state's scratch buffer and interned on first use — routes are
+/// deterministic per pair, so repeated traffic (iterative stencils,
+/// collective rounds) is an index load with no per-message allocation.
+fn route_of(st: &mut SimState, src: Rank, dst: Rank) -> Result<RouteRef, SimError> {
+    if let Some(r) = st.routes.get(src, dst) {
+        return Ok(r);
+    }
+    let (src_node, dst_node) = (st.mapping.node_of(src), st.mapping.node_of(dst));
+    st.links.route_into(&st.machine, src, dst, src_node, dst_node, &mut st.route_scratch);
+    st.routes.try_intern(src, dst, &st.route_scratch)
 }
 
 /// Model state (one variant active per simulation).
@@ -525,22 +542,13 @@ pub(crate) fn inject<C: SimCx>(cx: &mut C, st: &mut SimState, id: u32) {
         }
     }
 
-    // Routes are deterministic per rank pair; intern them so repeated
-    // traffic (iterative stencils, collective rounds) is a dense-table
-    // load with no per-message allocation.
-    let route = match st.routes.get(msg.src, msg.dst) {
-        Some(r) => r,
-        None => {
-            let links = st.links.route_vec(&st.machine, msg.src, msg.dst, src_node, dst_node);
-            match st.routes.try_intern(msg.src, msg.dst, &links) {
-                Ok(r) => r,
-                Err(e) => {
-                    // The sender stays blocked; the latched error
-                    // outranks the deadlock this would otherwise report.
-                    st.latch_error(e);
-                    return;
-                }
-            }
+    let route = match route_of(st, msg.src, msg.dst) {
+        Ok(r) => r,
+        Err(e) => {
+            // The sender stays blocked; the latched error outranks the
+            // deadlock this would otherwise report.
+            st.latch_error(e);
+            return;
         }
     };
     match &mut st.net {
@@ -757,21 +765,13 @@ impl Packet {
 /// mid-route and delivery logic exists here.
 pub(crate) fn foreign_hop<C: SimCx>(cx: &mut C, st: &mut SimState, mut fp: ForeignPacket) {
     debug_assert!(fp.hop >= 1, "a packet's injection hop is always partition-local");
-    let route = match st.routes.get(fp.src, fp.dst) {
-        Some(r) => r,
-        None => {
-            let src_node = st.mapping.node_of(fp.src);
-            let dst_node = st.mapping.node_of(fp.dst);
-            let links = st.links.route_vec(&st.machine, fp.src, fp.dst, src_node, dst_node);
-            match st.routes.try_intern(fp.src, fp.dst, &links) {
-                Ok(r) => r,
-                Err(e) => {
-                    // Drop the packet; its message never delivers and the
-                    // latched error outranks the resulting deadlock.
-                    st.latch_error(e);
-                    return;
-                }
-            }
+    let route = match route_of(st, fp.src, fp.dst) {
+        Ok(r) => r,
+        Err(e) => {
+            // Drop the packet; its message never delivers and the
+            // latched error outranks the resulting deadlock.
+            st.latch_error(e);
+            return;
         }
     };
     let (link, next_link) = {

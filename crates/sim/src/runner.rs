@@ -413,13 +413,13 @@ impl<'a> TraceSource<'a> {
 }
 
 /// A fetched trace event: borrowed straight from an in-memory trace, or
-/// cloned out of a streamed rank's decode window (the window is `&mut`,
-/// so the borrow cannot be held across the replay's re-entrant match
+/// moved out of a streamed rank's decode window (the window is `&mut`,
+/// so a borrow cannot be held across the replay's re-entrant match
 /// arms). `Deref`s to [`Event`] so the replay reads both identically.
 pub(crate) enum Ev<'e> {
     /// Borrowed from an in-memory trace.
     Ref(&'e Event),
-    /// Cloned from a streamed decode window.
+    /// Taken from a streamed decode window.
     Owned(Event),
 }
 
@@ -443,6 +443,9 @@ pub struct SimState<'a> {
     /// Interned (src rank, dst rank) → virtual-link routes; in-flight
     /// packets and flows hold `RouteRef`s into this arena.
     pub(crate) routes: RouteArena,
+    /// Where a rank pair's route is built before it is interned, so a
+    /// cold intern allocates nothing of its own.
+    pub(crate) route_scratch: Vec<LinkId>,
     /// Id-indexed message table; event payloads carry `u32` ids into it.
     pub(crate) msgs: MsgSlab,
     trace: TraceSource<'a>,
@@ -522,6 +525,7 @@ impl<'a> SimState<'a> {
             net,
             links,
             routes,
+            route_scratch: Vec::new(),
             msgs: MsgSlab::default(),
             trace_bytes: trace.resident_bytes(),
             trace,
@@ -608,13 +612,13 @@ impl<'a> SimState<'a> {
     }
 
     /// Event `k` of rank `r`'s trace, if it exists. Borrowed directly
-    /// from a memory trace; cloned out of the rank's streaming decode
-    /// window otherwise (the replay only ever reads the current event or
-    /// re-reads it after a wake, which the window supports).
+    /// from a memory trace; taken out of the rank's streaming decode
+    /// window otherwise — [`advance`] bumps the rank's cursor right
+    /// after the fetch and never asks for index `k` again.
     fn fetch_event(&mut self, r: Rank, k: usize) -> Option<Ev<'a>> {
         match self.trace {
             TraceSource::Memory(t) => t.events[r.idx()].get(k).map(Ev::Ref),
-            TraceSource::Streamed(_) => self.cursors[r.idx()].get(k).map(|e| Ev::Owned(e.clone())),
+            TraceSource::Streamed(_) => self.cursors[r.idx()].take(k).map(Ev::Owned),
         }
     }
 

@@ -516,6 +516,19 @@ impl RankCursor<'_> {
         self.decoded += 1;
         self.cur.as_ref()
     }
+
+    /// [`RankCursor::get`] by value: moves event `k` out of the window
+    /// instead of lending it, for a consumer that reads each event once
+    /// and keeps it across calls that need the cursor's owner mutably.
+    /// A taken event is gone — asking for `k` again returns `None`.
+    pub fn take(&mut self, k: usize) -> Option<Event> {
+        self.get(k)?;
+        if k + 1 == self.decoded {
+            self.cur.take()
+        } else {
+            self.prev.take()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +625,20 @@ mod tests {
                 }
             }
             assert_eq!(c.get(c.len()), None);
+        }
+    }
+
+    #[test]
+    fn cursor_take_walks_the_stream_by_value() {
+        let t = sample();
+        let st = StreamedTrace::from_bytes(encode_stream(&t)).expect("open");
+        for r in 0..2u32 {
+            let mut c = st.cursor(Rank(r));
+            for (k, want) in t.events[r as usize].iter().enumerate() {
+                assert_eq!(c.take(k).as_ref(), Some(want));
+                assert_eq!(c.get(k), None, "a taken event is gone");
+            }
+            assert_eq!(c.take(c.len()), None);
         }
     }
 

@@ -248,6 +248,45 @@ impl TraceSynth {
 
     // ----- finish ---------------------------------------------------------
 
+    /// Per-round skew deficits that actually reach an absorber, as
+    /// `(rank, absorber event index, deficit weight)` in slot order.
+    ///
+    /// A slot's absorber is the first one its rank registered in the
+    /// round. `absorber_of` indexes those by rank — filled from the
+    /// round's absorbers, cleared through the same list — so the pass is
+    /// linear in slots + absorbers at any rank count.
+    fn skew_deficits(&self) -> Vec<(usize, usize, f64)> {
+        const NONE: usize = usize::MAX;
+        let mut absorber_of = vec![NONE; self.streams.len()];
+        let mut deficits = Vec::new();
+        for round in &self.rounds {
+            if round.slots.is_empty() {
+                continue;
+            }
+            for &(rank, abs_idx) in &round.absorbers {
+                let first = &mut absorber_of[rank as usize];
+                if *first == NONE {
+                    *first = abs_idx;
+                }
+            }
+            let maxw = round.slots.iter().map(|&(_, _, w)| w).fold(0.0, f64::max);
+            for &(rank, _slot_idx, wgt) in &round.slots {
+                let deficit = maxw - wgt;
+                if deficit <= 0.0 {
+                    continue;
+                }
+                let abs_idx = absorber_of[rank as usize];
+                if abs_idx != NONE {
+                    deficits.push((rank as usize, abs_idx, deficit));
+                }
+            }
+            for &(rank, _) in &round.absorbers {
+                absorber_of[rank as usize] = NONE;
+            }
+        }
+        deficits
+    }
+
     /// Calibrate compute gaps and skew waits, then build the trace.
     ///
     /// Solves for the per-weight-unit gap duration `u` such that the
@@ -262,7 +301,13 @@ impl TraceSynth {
     /// total skew deficit reaching an absorber, and `κ ≤ 1` a damping
     /// factor chosen to keep the solution positive when `f` is very low
     /// but imbalance very high.
-    pub fn finish(mut self) -> Trace {
+    pub fn finish(self) -> Trace {
+        let deficits = self.skew_deficits();
+        self.calibrate(deficits)
+    }
+
+    /// [`TraceSynth::finish`] over already-collected skew `deficits`.
+    fn calibrate(mut self, deficits: Vec<(usize, usize, f64)>) -> Trace {
         for (r, open) in self.open_reqs.iter().enumerate() {
             assert!(open.is_empty(), "rank {r} finished with {} open requests", open.len());
         }
@@ -278,23 +323,6 @@ impl TraceSynth {
 
         let w: f64 = self.rounds.iter().flat_map(|r| r.slots.iter()).map(|&(_, _, w)| w).sum();
 
-        // Per-round skew deficits that actually reach an absorber.
-        let mut deficits: Vec<(usize, usize, f64)> = Vec::new(); // (rank, ev idx, deficit weight)
-        for round in &self.rounds {
-            if round.slots.is_empty() {
-                continue;
-            }
-            let maxw = round.slots.iter().map(|&(_, _, w)| w).fold(0.0, f64::max);
-            for &(rank, _slot_idx, wgt) in &round.slots {
-                let deficit = maxw - wgt;
-                if deficit <= 0.0 {
-                    continue;
-                }
-                if let Some(&(_, abs_idx)) = round.absorbers.iter().find(|&&(ar, _)| ar == rank) {
-                    deficits.push((rank as usize, abs_idx, deficit));
-                }
-            }
-        }
         let d: f64 = deficits.iter().map(|&(_, _, x)| x).sum();
 
         let f = self.cfg.comm_fraction;
@@ -425,6 +453,108 @@ mod tests {
         };
         assert_eq!(make(7), make(7));
         assert_ne!(make(7), make(8));
+    }
+
+    /// The absorber lookup as a linear `find` per slot — quadratic in
+    /// ranks, kept only as the reference [`TraceSynth::skew_deficits`]
+    /// must match element for element.
+    fn naive_deficits(s: &TraceSynth) -> Vec<(usize, usize, f64)> {
+        let mut deficits = Vec::new();
+        for round in s.rounds.iter().filter(|r| !r.slots.is_empty()) {
+            let maxw = round.slots.iter().map(|&(_, _, w)| w).fold(0.0, f64::max);
+            for &(rank, _, wgt) in &round.slots {
+                let deficit = maxw - wgt;
+                if deficit <= 0.0 {
+                    continue;
+                }
+                if let Some(&(_, abs_idx)) = round.absorbers.iter().find(|&&(ar, _)| ar == rank) {
+                    deficits.push((rank as usize, abs_idx, deficit));
+                }
+            }
+        }
+        deficits
+    }
+
+    /// Three rounds over 8 ranks hitting every lookup outcome: slots
+    /// with no absorber (ranks 6, 7 in round 1), a zero-deficit maximum
+    /// (rank 0), an absorber from a rank with no slot in its round
+    /// (rank 7 in round 2, still armed from round 1), and a rank that
+    /// registers twice in one round (rank 1 in round 3: first wins).
+    fn awkward_rounds() -> TraceSynth {
+        let mut s = TraceSynth::new(cfg(0.3, 0.0), 1.0);
+        let pair = |s: &mut TraceSynth, a: u32, b: u32| {
+            s.send(Rank(a), Rank(b), 512, 1);
+            s.recv(Rank(b), Rank(a), 512, 1);
+        };
+        s.begin_round();
+        s.compute(Rank(0), 3.0);
+        for r in 1..8 {
+            s.compute(Rank(r), 1.0 + 0.125 * r as f64);
+        }
+        for a in [0, 2, 4] {
+            pair(&mut s, a, a + 1);
+        }
+        s.begin_round();
+        for r in 0..6 {
+            s.compute(Rank(r), 2.0 - 0.25 * r as f64);
+        }
+        pair(&mut s, 6, 7);
+        for a in [0, 2, 4] {
+            pair(&mut s, a + 1, a);
+        }
+        s.begin_round();
+        s.compute(Rank(1), 1.0);
+        s.compute(Rank(2), 4.0);
+        pair(&mut s, 2, 1);
+        s.compute(Rank(1), 0.5);
+        pair(&mut s, 1, 2);
+        s.barrier_all();
+        s
+    }
+
+    #[test]
+    fn indexed_absorber_lookup_matches_naive_find() {
+        let s = awkward_rounds();
+        // The construction really contains the cases it claims.
+        let has_absorber = |round: &Round, rank: u32| round.absorbers.iter().any(|a| a.0 == rank);
+        let has_slot = |round: &Round, rank: u32| round.slots.iter().any(|sl| sl.0 == rank);
+        assert!(has_slot(&s.rounds[0], 6) && !has_absorber(&s.rounds[0], 6));
+        assert!(has_absorber(&s.rounds[0], 0), "max-weight rank has an absorber but no deficit");
+        assert!(has_absorber(&s.rounds[1], 7) && !has_slot(&s.rounds[1], 7));
+        assert_eq!(s.rounds[2].absorbers.iter().filter(|a| a.0 == 1).count(), 2);
+
+        let naive = naive_deficits(&s);
+        let bits = |d: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+            d.iter().map(|&(r, i, x)| (r, i, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&s.skew_deficits()), bits(&naive));
+        assert!(naive.iter().all(|&(r, _, _)| r != 0), "zero deficit never reaches an absorber");
+
+        // Every event duration, not only the deficit list.
+        let want = awkward_rounds().calibrate(naive);
+        assert_eq!(s.finish(), want);
+    }
+
+    /// FNV-1a 64 of each generator's canonical encoding, captured at the
+    /// commit before the indexed lookup replaced the linear `find`: the
+    /// calibration is bit-identical or these move.
+    #[test]
+    fn generator_bytes_are_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for (app, want) in [
+            (App::Cns, 0xe302_7117_5020_8e38u64),
+            (App::Lulesh, 0x93fd_c4f4_24bc_cf60),
+            (App::Mg, 0xa5b2_f63e_515d_4604),
+            (App::Cr, 0xdc42_cfc3_008c_36f7),
+        ] {
+            let cfg = GenConfig { seed: 7, ..GenConfig::test_default(app, 64) };
+            let got = fnv1a(&masim_trace::io::encode(&crate::apps::generate(&cfg)));
+            assert_eq!(got, want, "{app}(64) seed 7: {got:#018x}");
+        }
     }
 
     #[test]
