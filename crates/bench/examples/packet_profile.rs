@@ -2,8 +2,8 @@
 //! workload (the slowest tool × the heaviest tiny-corpus entry).
 //!
 //! Complements `cargo bench`: reports ns/event and events/s from the
-//! engine's own processed-event counter, which is the unit the
-//! bench-gate throughput floor is written in. Run with
+//! engine's own processed-event counter, the unit of `benchmark/`'s
+//! `sim.packet_ns_per_event` row. Run with
 //! `cargo run --release -p masim-bench --example packet_profile`.
 
 use masim_bench::bench_entries;

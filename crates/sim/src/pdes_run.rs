@@ -55,7 +55,7 @@ pub(crate) fn wants_partitioned(cfg: &SimConfig) -> bool {
 
 /// Whether the model itself is partitionable, independent of the
 /// requested worker count (`simulate_partitioned_observed` uses this to
-/// run the windowed executor inline at one worker for benchmarking).
+/// run the windowed executor inline at one worker).
 pub(crate) fn can_partition(cfg: &SimConfig) -> bool {
     matches!(cfg.model, ModelKind::Packet { .. }) && cfg.machine.hop_latency() > Time::ZERO
 }

@@ -969,9 +969,10 @@ pub fn simulate_streamed_limited(
 
 /// Force the partitioned (windowed-PDES) executor regardless of
 /// `cfg.sim_threads` — with `sim_threads = 1` this runs the windowed
-/// executor inline on the calling thread, which is how the bench gate
-/// measures the PDES machinery's overhead honestly on a single-core
-/// runner. Falls back to [`run`] when the config cannot partition
+/// executor inline on the calling thread, the loop production reaches
+/// whenever a topology yields one partition and the one
+/// `tests/pdes_equivalence.rs` pins against the sequential engine.
+/// Falls back to [`run`] when the config cannot partition
 /// (non-packet model or zero hop latency), so results are always
 /// defined and bit-identical to [`simulate`].
 pub fn simulate_partitioned_observed(
