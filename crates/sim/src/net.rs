@@ -14,7 +14,11 @@
 //!   reschedule completions (the "ripple effect"). Re-solves are batched
 //!   per timestamp and only changed rates are rescheduled. Flows live in
 //!   a `Vec`-backed slab with a free list — no hashing on the arrival,
-//!   re-solve, or completion paths.
+//!   re-solve, or completion paths. The rates come from `MaxMin`, a
+//!   water-filling solver driven by per-link flow lists and a lazy
+//!   min-heap of link shares: O(H log H) per re-solve for H = Σ route
+//!   lengths, with a fixed tie-break so rates are reproducible bit for
+//!   bit.
 //! * [`PFlowNet`] — coarse packets *sample* per-link fluid queues at
 //!   injection time and accumulate expected waiting, serialization, and
 //!   hop latency arithmetically: channel multiplexing without per-hop
@@ -53,6 +57,8 @@ use masim_des::{Engine, EventId};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine};
 use masim_trace::{Rank, Time};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Which network model to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -380,6 +386,10 @@ fn route_of(st: &mut SimState, src: Rank, dst: Rank) -> Result<RouteRef, SimErro
     st.routes.try_intern(src, dst, &st.route_scratch)
 }
 
+fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
 /// Model state (one variant active per simulation).
 pub enum NetState {
     /// Packet model state.
@@ -415,12 +425,8 @@ impl NetState {
                 link_bytes: vec![0; links],
                 recomputes: 0,
                 resolve_pending: false,
-                scr_residual: vec![0.0; links],
-                scr_count: vec![0; links],
-                scr_touched: Vec::with_capacity(links.min(1024)),
                 scr_order: Vec::new(),
-                scr_rates: Vec::new(),
-                scr_frozen: Vec::new(),
+                solver: MaxMin::new(links),
             }),
             ModelKind::PacketFlow { packet_bytes } => NetState::PFlow(PFlowNet {
                 packet_bytes: packet_bytes.max(64),
@@ -463,21 +469,14 @@ impl NetState {
     /// Estimated resident footprint of the model's per-link (and, for
     /// the flow model, per-flow) state, for the memory-budget check.
     pub fn resident_bytes(&self) -> u64 {
-        fn vec_bytes<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
         match self {
             NetState::Packet(p) => vec_bytes(&p.free_at) + vec_bytes(&p.link_bytes),
             NetState::Flow(f) => {
                 vec_bytes(&f.slots)
                     + vec_bytes(&f.free)
                     + vec_bytes(&f.link_bytes)
-                    + vec_bytes(&f.scr_residual)
-                    + vec_bytes(&f.scr_count)
-                    + vec_bytes(&f.scr_touched)
                     + vec_bytes(&f.scr_order)
-                    + vec_bytes(&f.scr_rates)
-                    + vec_bytes(&f.scr_frozen)
+                    + f.solver.resident_bytes()
             }
             NetState::PFlow(p) => vec_bytes(&p.queues) + vec_bytes(&p.link_bytes),
         }
@@ -557,7 +556,7 @@ pub(crate) fn inject<C: SimCx>(cx: &mut C, st: &mut SimState, id: u32) {
             // packet chaining always starts partition-local.
             p.inject(cx, id, msg, route, st.links.injection(msg.src))
         }
-        NetState::Flow(f) => f.inject(cx, id, msg.bytes, route, &st.routes),
+        NetState::Flow(f) => f.inject(cx, id, msg.bytes, route, &st.routes, st.links.hop_lat()),
         NetState::PFlow(p) => {
             // Split borrows: link table and route arena are read-only
             // during sampling.
@@ -827,12 +826,13 @@ struct Flow {
 /// Active flows live in `slots`, a `Vec`-backed slab with a free list:
 /// arrivals reuse freed slots, completions are O(1) removals, and the
 /// per-resolve settle pass is a dense scan instead of a hash-map walk.
-/// Re-solve ordering is still by message id (collected and sorted per
+/// Re-solve ordering is by message id (collected and sorted per
 /// resolve), so rate assignment and completion scheduling are
-/// slot-layout-independent — bit-identical to the old `HashMap` keyed
-/// implementation. All re-solve scratch (`scr_*`) is hoisted here, so
-/// the steady-state resolve path performs zero heap allocations
-/// (asserted by a counting-allocator test).
+/// slot-layout-independent. The rates themselves come from [`MaxMin`],
+/// which sees only flow indices in that order, their routes and the
+/// link capacities. All re-solve scratch (`scr_order` and the solver's
+/// buffers) lives here, so the steady-state resolve path performs zero
+/// heap allocations (asserted by a counting-allocator test).
 pub struct FlowNet {
     slots: Vec<Option<Flow>>,
     free: Vec<u32>,
@@ -844,14 +844,177 @@ pub struct FlowNet {
     recomputes: u64,
     /// A re-solve event is already queued for the current timestamp.
     resolve_pending: bool,
-    // Dense scratch buffers reused across re-solves (indexed by link).
-    scr_residual: Vec<f64>,
-    scr_count: Vec<u32>,
-    scr_touched: Vec<u32>,
-    // Per-resolve working vectors, likewise reused (indexed by flow).
+    /// Per-resolve (message id, slot) list, reused across re-solves.
     scr_order: Vec<(u32, u32)>,
-    scr_rates: Vec<f64>,
-    scr_frozen: Vec<bool>,
+    solver: MaxMin,
+}
+
+/// Per-link solver state, one 16-byte record so a hop's update touches
+/// one cache line.
+#[derive(Clone, Copy)]
+struct LinkScratch {
+    /// Capacity not yet handed to frozen flows.
+    residual: f64,
+    /// Unfrozen flows crossing the link; 0 between solves.
+    count: u32,
+    /// The link's position in `MaxMin::touched` during a solve.
+    pos: u32,
+}
+
+impl LinkScratch {
+    /// The heap entry for the link's current fair share — always the
+    /// division `residual / count`, so an entry is outdated exactly
+    /// when it no longer equals this.
+    fn entry(self) -> Reverse<(u64, u32)> {
+        Reverse(((self.residual / self.count as f64).to_bits(), self.pos))
+    }
+}
+
+/// Max-min fair rate solver (progressive water-filling) and its scratch.
+///
+/// Each level takes the link with the smallest fair share
+/// `residual / count`, freezes its unfrozen flows at that share, and
+/// charges the share to every link those flows cross. The tightest
+/// link comes from a min-heap keyed by `(share, position in touched)`
+/// with lazy invalidation, its flows from a per-link CSR list in flow
+/// order, so one solve costs O(H log H) for H = Σ route lengths,
+/// however many levels there are.
+///
+/// Tie-break rule: among links at the same share the one first touched
+/// (lowest position, i.e. first seen walking the flows in order) is
+/// frozen first — what a linear first-strict-minimum scan over
+/// `touched` picks. Together with freezing a link's flows in flow order
+/// this fixes the order of every floating-point subtraction on every
+/// link, so the rates are a pure function of the inputs, bit for bit.
+struct MaxMin {
+    /// Indexed by link id.
+    link: Vec<LinkScratch>,
+    /// Link ids crossed by some flow, in first-seen order.
+    touched: Vec<u32>,
+    /// CSR offsets into `adj`: the flows crossing `touched[p]` are
+    /// `adj[start[p]..start[p + 1]]`, ascending.
+    start: Vec<u32>,
+    adj: Vec<u32>,
+    /// Candidate `(share bits, position)` entries. A link's share only
+    /// rises during a solve, so outdated entries surface before the
+    /// current one and are dropped on pop. Shares are never negative
+    /// (`residual` starts at a capacity ≥ 0 and is clamped at
+    /// `+0.0`), so bit order is numeric order.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+}
+
+impl MaxMin {
+    fn new(links: usize) -> MaxMin {
+        MaxMin {
+            link: vec![LinkScratch { residual: 0.0, count: 0, pos: 0 }; links],
+            touched: Vec::with_capacity(links.min(1024)),
+            start: Vec::new(),
+            adj: Vec::new(),
+            heap: BinaryHeap::new(),
+            frozen: Vec::new(),
+            rates: Vec::new(),
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        let heap = self.heap.capacity() * std::mem::size_of::<Reverse<(u64, u32)>>();
+        vec_bytes(&self.link)
+            + vec_bytes(&self.touched)
+            + vec_bytes(&self.start)
+            + vec_bytes(&self.adj)
+            + heap as u64
+            + vec_bytes(&self.frozen)
+            + vec_bytes(&self.rates)
+    }
+
+    /// Max-min fair rates of flows `0..n`, flow `k` crossing the links
+    /// `route(k)`, over links of capacity `caps[link]` (bytes/second).
+    /// A flow with an empty route gets 0.0. Allocation-free once the
+    /// scratch has grown to the largest problem seen.
+    fn solve<'r>(
+        &mut self,
+        n: usize,
+        route: impl Fn(usize) -> &'r [LinkId],
+        caps: &[f64],
+    ) -> &[f64] {
+        debug_assert!(self.touched.is_empty() && self.heap.is_empty());
+        // Count flows per link; first sight fixes a link's position.
+        for k in 0..n {
+            for l in route(k) {
+                let s = &mut self.link[l.idx()];
+                if s.count == 0 {
+                    s.pos = self.touched.len() as u32;
+                    s.residual = caps[l.idx()];
+                    self.touched.push(l.0);
+                }
+                s.count += 1;
+            }
+        }
+        // CSR fill. Offsets are built one slot to the right so that
+        // `start[p + 1]` serves as link p's write cursor and ends up as
+        // its end offset.
+        let links = self.touched.len();
+        self.start.clear();
+        self.start.resize(links + 2, 0);
+        for (p, &l) in self.touched.iter().enumerate() {
+            self.start[p + 2] = self.start[p + 1] + self.link[l as usize].count;
+        }
+        let hops = self.start[links + 1] as usize;
+        self.adj.clear();
+        self.adj.resize(hops, 0);
+        for k in 0..n {
+            for l in route(k) {
+                let cursor = &mut self.start[self.link[l.idx()].pos as usize + 1];
+                self.adj[*cursor as usize] = k as u32;
+                *cursor += 1;
+            }
+        }
+        // Every entry ever pushed: one per link up front, then at most
+        // one per hop of a flow being frozen.
+        self.heap.reserve(links + hops);
+        for &l in &self.touched {
+            self.heap.push(self.link[l as usize].entry());
+        }
+        self.rates.clear();
+        self.rates.resize(n, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(n, false);
+        let mut n_frozen = 0;
+        while n_frozen < n {
+            let Some(popped) = self.heap.pop() else { break };
+            let Reverse((bits, p)) = popped;
+            let tight = self.link[self.touched[p as usize] as usize];
+            if tight.count == 0 || tight.entry() != popped {
+                continue; // outdated entry
+            }
+            let share = f64::from_bits(bits);
+            // Freeze the tightest link's unfrozen flows at its share.
+            let (lo, hi) = (self.start[p as usize], self.start[p as usize + 1]);
+            for &k in &self.adj[lo as usize..hi as usize] {
+                if std::mem::replace(&mut self.frozen[k as usize], true) {
+                    continue;
+                }
+                self.rates[k as usize] = share;
+                n_frozen += 1;
+                for l in route(k as usize) {
+                    let s = &mut self.link[l.idx()];
+                    s.residual = (s.residual - share).max(0.0);
+                    s.count -= 1;
+                    if s.count > 0 {
+                        self.heap.push(s.entry());
+                    }
+                }
+            }
+        }
+        // Every link with flows left has a current heap entry, so both
+        // ways out of the loop leave every count at 0 for the next solve.
+        debug_assert!(self.touched.iter().all(|&l| self.link[l as usize].count == 0));
+        self.touched.clear();
+        self.heap.clear();
+        &self.rates
+    }
 }
 
 impl FlowNet {
@@ -862,6 +1025,7 @@ impl FlowNet {
         bytes: u64,
         route: RouteRef,
         routes: &RouteArena,
+        hop_lat: Time,
     ) {
         for l in routes.resolve(route) {
             self.link_bytes[l.idx()] += bytes;
@@ -873,7 +1037,7 @@ impl FlowNet {
             rate: 0.0,
             last_update: cx.now(),
             completion: None,
-            tail_latency: Time::ZERO, // patched in the resolve, which has the link table
+            tail_latency: hop_lat * route.len() as u64,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -918,8 +1082,8 @@ pub(crate) fn on_flow_resolve(eng: &mut Engine<SimState>, st: &mut SimState) {
 /// Settle elapsed transfer progress, re-solve max-min rates, and
 /// reschedule completions whose rate changed (the ripple).
 ///
-/// Allocation-free on the steady-state path: the order/rates/frozen
-/// working vectors are owned by [`FlowNet`] and only grow while the
+/// Allocation-free on the steady-state path: the order list and the
+/// solver's buffers are owned by [`FlowNet`] and only grow while the
 /// live-flow high-water mark is still rising.
 fn flow_resolve(
     eng: &mut Engine<SimState>,
@@ -931,83 +1095,24 @@ fn flow_resolve(
     let allocs_at_entry = crate::alloc_counter::count();
     net.recomputes += net.live as u64; // every active flow updates
     let now = eng.now();
+    let FlowNet { slots, scr_order: order, solver, .. } = net;
     // 1. Settle progress at old rates; collect the deterministic
     // (message id, slot) order — by id, not slot, so slab layout never
-    // affects scheduling order. The vectors are detached from `net`
-    // while it is mutably walked and reattached at the end.
-    let mut order = std::mem::take(&mut net.scr_order);
+    // affects scheduling order.
     order.clear();
-    for (slot, s) in net.slots.iter_mut().enumerate() {
+    for (slot, s) in slots.iter_mut().enumerate() {
         let Some(f) = s else { continue };
         let dt = (now - f.last_update).as_secs_f64();
         f.remaining = (f.remaining - f.rate * dt).max(0.0);
         f.last_update = now;
-        if f.tail_latency == Time::ZERO {
-            f.tail_latency = links.hop_lat() * f.route.len() as u64;
-        }
         order.push((f.msg, slot as u32));
     }
     order.sort_unstable();
 
-    // 2. Water-filling max-min allocation over the active links, using
-    // dense scratch buffers (no per-resolve hashing).
-    debug_assert!(net.scr_touched.is_empty());
-    for &(_, slot) in &order {
-        let route = net.slots[slot as usize].as_ref().expect("flow exists").route;
-        for l in routes.resolve(route) {
-            let i = l.idx();
-            if net.scr_count[i] == 0 {
-                net.scr_touched.push(l.0);
-                net.scr_residual[i] = links.cap(*l);
-            }
-            net.scr_count[i] += 1;
-        }
-    }
-    let mut rates = std::mem::take(&mut net.scr_rates);
-    rates.clear();
-    rates.resize(order.len(), 0.0);
-    let mut frozen = std::mem::take(&mut net.scr_frozen);
-    frozen.clear();
-    frozen.resize(order.len(), false);
-    let mut n_frozen = 0usize;
-    while n_frozen < order.len() {
-        // Tightest link.
-        let mut best: Option<(usize, f64)> = None;
-        for &l in &net.scr_touched {
-            let i = l as usize;
-            if net.scr_count[i] == 0 {
-                continue;
-            }
-            let share = net.scr_residual[i] / net.scr_count[i] as f64;
-            if best.is_none_or(|(_, s)| share < s) {
-                best = Some((i, share));
-            }
-        }
-        let Some((tight, share)) = best else { break };
-        // Freeze that link's unfrozen flows at the fair share.
-        for (k, &(_, slot)) in order.iter().enumerate() {
-            if frozen[k] {
-                continue;
-            }
-            let route = net.slots[slot as usize].as_ref().expect("flow exists").route;
-            if !routes.resolve(route).iter().any(|l| l.idx() == tight) {
-                continue;
-            }
-            frozen[k] = true;
-            rates[k] = share;
-            n_frozen += 1;
-            for l in routes.resolve(route) {
-                let i = l.idx();
-                net.scr_residual[i] = (net.scr_residual[i] - share).max(0.0);
-                net.scr_count[i] -= 1;
-            }
-        }
-    }
-    // Reset scratch for the next resolve.
-    for &l in &net.scr_touched {
-        net.scr_count[l as usize] = 0;
-    }
-    net.scr_touched.clear();
+    // 2. Max-min allocation over the flows in that order.
+    let route_of =
+        |k: usize| routes.resolve(slots[order[k].1 as usize].as_ref().expect("flow exists").route);
+    let rates = solver.solve(order.len(), route_of, &links.caps);
 
     // The solver proper ends here: settle, water-fill, and rate
     // assignment above must be allocation-free in steady state (step 3
@@ -1021,7 +1126,7 @@ fn flow_resolve(
     // batch into a single ripple re-solve.
     const QUANTUM_PS: u64 = FLOW_QUANTUM_PS;
     for (k, &(id, slot)) in order.iter().enumerate() {
-        let f = net.slots[slot as usize].as_mut().expect("flow exists");
+        let f = slots[slot as usize].as_mut().expect("flow exists");
         let rate = rates[k].max(1.0);
         let rate_changed = (rate - f.rate).abs() > f.rate * 1e-12 + 1e-6;
         f.rate = rate;
@@ -1037,9 +1142,6 @@ fn flow_resolve(
         let ev = eng.schedule_at(at, SimEvent::FlowComplete { slot, msg: id });
         f.completion = Some(ev);
     }
-    net.scr_order = order;
-    net.scr_rates = rates;
-    net.scr_frozen = frozen;
 }
 
 /// A flow drained: remove it, ripple the rates, and fire callbacks. The
@@ -1314,6 +1416,166 @@ mod tests {
             "steady-state flow re-solves allocated: {:?}",
             tail.iter().filter(|&&d| d > 0).collect::<Vec<_>>()
         );
+    }
+
+    /// The water-filling level loop this solver replaced, kept verbatim
+    /// as the reference: every level rescans all touched links for the
+    /// first strict minimum share, then every flow's whole route for
+    /// membership of that link.
+    fn max_min_rates_naive(routes: &[Vec<LinkId>], caps: &[f64]) -> Vec<f64> {
+        let mut scr_residual = vec![0.0; caps.len()];
+        let mut scr_count = vec![0u32; caps.len()];
+        let mut scr_touched: Vec<u32> = Vec::new();
+        for route in routes {
+            for l in route {
+                let i = l.idx();
+                if scr_count[i] == 0 {
+                    scr_touched.push(l.0);
+                    scr_residual[i] = caps[i];
+                }
+                scr_count[i] += 1;
+            }
+        }
+        let mut rates = vec![0.0; routes.len()];
+        let mut frozen = vec![false; routes.len()];
+        let mut n_frozen = 0usize;
+        while n_frozen < routes.len() {
+            // Tightest link.
+            let mut best: Option<(usize, f64)> = None;
+            for &l in &scr_touched {
+                let i = l as usize;
+                if scr_count[i] == 0 {
+                    continue;
+                }
+                let share = scr_residual[i] / scr_count[i] as f64;
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((i, share));
+                }
+            }
+            let Some((tight, share)) = best else { break };
+            // Freeze that link's unfrozen flows at the fair share.
+            for (k, route) in routes.iter().enumerate() {
+                if frozen[k] {
+                    continue;
+                }
+                if !route.iter().any(|l| l.idx() == tight) {
+                    continue;
+                }
+                frozen[k] = true;
+                rates[k] = share;
+                n_frozen += 1;
+                for l in route {
+                    let i = l.idx();
+                    scr_residual[i] = (scr_residual[i] - share).max(0.0);
+                    scr_count[i] -= 1;
+                }
+            }
+        }
+        rates
+    }
+
+    /// Solver inputs for the reference-equivalence and invariant tests:
+    /// 2 000 seeded random problems (1–400 flows of 2–12 hops drawn
+    /// with repetition from 4–600 links, so small link sets put a link
+    /// on one route more than once; two capacity classes, fabric =
+    /// edge × cores per node, as [`LinkTable::new`] builds) followed by
+    /// the hostile shapes.
+    fn for_each_max_min_case(mut f: impl FnMut(&str, &[Vec<LinkId>], &[f64])) {
+        let mut rng = masim_rng::Rng::seed_from_u64(0x16_f10e);
+        for case in 0..2000 {
+            let links = rng.gen_range_usize(4, 601);
+            let fabric = rng.gen_range_usize(0, links + 1);
+            let edge_cap = *rng.choose(&[1.0e9, 4.375e9, 5.2e9, 1.25e10]);
+            let cores = *rng.choose(&[16.0, 24.0, 32.0]);
+            let caps: Vec<f64> =
+                (0..links).map(|l| if l < fabric { edge_cap * cores } else { edge_cap }).collect();
+            // Squared so most problems are small and the naive
+            // reference stays affordable in a debug build.
+            let flows = 1 + (399.0 * rng.next_f64().powi(2)) as usize;
+            let routes: Vec<Vec<LinkId>> = (0..flows)
+                .map(|_| {
+                    let hops = rng.gen_range_usize(2, 13);
+                    (0..hops).map(|_| LinkId(rng.gen_range_usize(0, links) as u32)).collect()
+                })
+                .collect();
+            f(&format!("random #{case}"), &routes, &caps);
+        }
+
+        let on = |ls: &[u32]| -> Vec<LinkId> { ls.iter().map(|&l| LinkId(l)).collect() };
+        // Every flow on the same single bottleneck.
+        let routes: Vec<_> = (0..300).map(|k| on(&[7, 100 + k, 7 + k % 3])).collect();
+        f("all flows on one link", &routes, &vec![5.2e9; 400]);
+        // No two flows share a link: one level per flow.
+        let routes: Vec<_> = (0..200).map(|k| on(&[2 * k, 2 * k + 1])).collect();
+        f("disjoint flows", &routes, &vec![1.0e9; 400]);
+        // Many links tied at the same share — k flows on each of 50
+        // links of equal capacity, chained through shared neighbours so
+        // freezing one link moves the next one's share by ulps only.
+        let routes: Vec<_> = (0..150).map(|k| on(&[k / 3, (k / 3 + 1) % 50, 50 + k])).collect();
+        f("links tied at one share", &routes, &vec![3.0e9; 200]);
+        // The same tie with thirds that do not divide exactly.
+        let routes: Vec<_> = (0..150).map(|k| on(&[k % 50, 50 + k % 7])).collect();
+        f("tied thirds", &routes, &vec![1.0; 57]);
+        // Flows all of whose links have nothing to give: the share is
+        // 0.0 and the resolve's `rates.max(1.0)` floor is what applies.
+        let mut caps = vec![2.0e9; 20];
+        caps[..6].fill(0.0);
+        let routes = vec![on(&[0, 1]), on(&[2, 3, 4]), on(&[5, 10]), on(&[10, 11]), on(&[1, 2])];
+        f("exhausted links", &routes, &caps);
+        // Empty problem and empty routes.
+        f("no flows", &[], &[1.0; 4]);
+        f("empty routes", &[vec![], on(&[1, 2]), vec![]], &[1.0; 4]);
+    }
+
+    /// The CSR + heap solver returns the reference loop's rates bit for
+    /// bit — same first-minimum tie-break, same per-link subtraction
+    /// order — with its scratch reused from one problem to the next as
+    /// in a run. CI runs this by name in release.
+    #[test]
+    fn max_min_matches_reference_bit_for_bit() {
+        let mut solver = MaxMin::new(600);
+        let mut cases = 0;
+        for_each_max_min_case(|name, routes, caps| {
+            let want = max_min_rates_naive(routes, caps);
+            let got = solver.solve(routes.len(), |k| &routes[k], caps);
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{name}: flow {k}: {g} vs {w}");
+            }
+            cases += 1;
+        });
+        assert!(cases >= 2000);
+    }
+
+    /// Max-min fairness of the solver's answer: no link carries more
+    /// than its capacity, and every flow is bottlenecked — it crosses a
+    /// saturated link on which no other flow has a higher rate. (A
+    /// route naming a link twice loads it twice, as the solver counts.)
+    #[test]
+    fn max_min_rates_saturate_a_bottleneck_per_flow() {
+        const TOL: f64 = 1e-9;
+        let mut solver = MaxMin::new(600);
+        for_each_max_min_case(|name, routes, caps| {
+            let rates = solver.solve(routes.len(), |k| &routes[k], caps);
+            let mut load = vec![0.0f64; caps.len()];
+            let mut top = vec![0.0f64; caps.len()];
+            for (route, &rate) in routes.iter().zip(rates) {
+                for l in route {
+                    load[l.idx()] += rate;
+                    top[l.idx()] = top[l.idx()].max(rate);
+                }
+            }
+            for (l, (&sum, &cap)) in load.iter().zip(caps).enumerate() {
+                assert!(sum <= cap * (1.0 + TOL), "{name}: link {l} carries {sum} of {cap}");
+            }
+            for (k, (route, &rate)) in routes.iter().zip(rates).enumerate() {
+                let bottlenecked = route.iter().any(|l| {
+                    let i = l.idx();
+                    load[i] >= caps[i] * (1.0 - TOL) && rate >= top[i] * (1.0 - TOL)
+                });
+                assert!(bottlenecked || route.is_empty(), "{name}: flow {k} at {rate} is free");
+            }
+        });
     }
 
     /// The event payload must stay small, `Copy`, and `Drop`-free: the

@@ -268,6 +268,45 @@ fn simulation_is_deterministic() {
     }
 }
 
+/// The flow model at Table II scale, pinned to the picosecond: the tiny
+/// golden corpus has at most 62 re-solves per trace, these have 900 and
+/// 2 700, each 26–86 bottleneck levels deep, so they are what notices a
+/// solver edit that moves a rate by one ulp. Inputs are
+/// `masim_core::report::table2_entries(7)` spelled out (that crate sits
+/// above this one); values captured at commit `5f43170`.
+#[test]
+fn flow_model_predictions_at_table2_scale_are_pinned() {
+    use masim_workloads::{generate, App, GenConfig};
+    let entry = |app, ranks, comm_fraction, imbalance| GenConfig {
+        app,
+        ranks,
+        ranks_per_node: 24,
+        machine: "hopper".into(),
+        gbps: 35.0,
+        latency: Time::from_ns(2_575),
+        size: 3,
+        iters: 6,
+        comm_fraction,
+        imbalance,
+        seed: 7,
+    };
+    // (config, total ps, comm ps, events, work units)
+    let pins = [
+        (entry(App::Cmc, 1024, 0.08, 0.5), 13_401_340_910, 2_900_997_899_848, 198_460, 44_317),
+        (entry(App::Lulesh, 512, 0.12, 0.1), 6_604_872_728, 305_486_599_363, 164_834, 184_864),
+    ];
+    for (gcfg, total_ps, comm_ps, events, work_units) in pins {
+        let trace = generate(&gcfg);
+        let cfg = SimConfig::new(Machine::hopper(), ModelKind::study_models()[1], &trace);
+        let r = simulate(&trace, &cfg);
+        let app = gcfg.app;
+        assert_eq!(r.total.as_ps(), total_ps, "{app}: total");
+        assert_eq!(r.comm_time.as_ps(), comm_ps, "{app}: comm");
+        assert_eq!(r.events, events, "{app}: events");
+        assert_eq!(r.work_units, work_units, "{app}: work units");
+    }
+}
+
 /// Every generated application runs to completion under every model on a
 /// study machine, and predictions stay within sane bounds of MFACT.
 #[test]

@@ -78,7 +78,8 @@ fn partitioned_packet_model_is_bit_identical() {
 /// The bench workload (packet/CG(64) on cielito, the PR's speedup
 /// gate): larger trace, more partitions crossing, same bit-identity —
 /// across the sequential engine, the partitioned executor at 1 (inline,
-/// the `bench-pdes` hook), 2, 4 and 8 workers, and the streamed source.
+/// `WindowedPdes`'s one-worker loop), 2, 4 and 8 workers, and the
+/// streamed source.
 #[test]
 fn cg64_bench_shape_is_bit_identical() {
     let trace = cg_trace(99);
