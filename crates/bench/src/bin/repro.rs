@@ -25,16 +25,16 @@
 //! `BENCH_obs.json` of per-tool wall-clock and throughput aggregates.
 //! `bench-summary` re-folds an existing sidecar directory without
 //! re-running anything. `--tiny` shrinks the Table II heavyweights to
-//! smoke-test scale (CI uses `table2 --tiny --metrics`).
+//! smoke-test scale (`tests/cli.rs` runs `table2 --tiny --metrics`).
 //!
 //! Measurement has one authority per question. Exact event counts and
 //! predictions: `tests/golden/tiny_corpus.txt` in `cargo test`. Timing:
 //! `benchmark/`, one line per PR in `BENCH_history.jsonl`. Executor and
-//! thread-count determinism: CI's byte-diffs and
-//! `tests/pdes_equivalence.rs`. What a run says about itself: the
-//! sidecars and `BENCH_obs.json`, which gate nothing. PDES speed-up is
-//! read from `repro table2 --sim-threads 1` vs `auto` (the benchmark's
-//! heavy3 input) or `cargo bench --bench engines -- pdes`.
+//! thread-count determinism: `cargo test` — the root equivalence suites
+//! and this crate's `tests/cli.rs`, all judged by `masim_obs::run`. What
+//! a run says about itself: the sidecars and `BENCH_obs.json`, which gate
+//! nothing. PDES cost is read from `repro table2 --sim-threads 1` vs `2`
+//! (the benchmark's heavy3 input) or `cargo bench --bench engines -- pdes`.
 
 use masim_core::report;
 use masim_core::{

@@ -1,19 +1,65 @@
-//! Exit codes of the `repro` binary, which only a child process shows.
+//! What only a child `repro` process shows: exit codes, the files a run
+//! leaves on disk, and — judged by `masim_obs::run`'s determinism
+//! contract — that those files agree across `--threads`, across
+//! `--sim-threads`, and across an interrupt + `--resume`.
 
-use std::path::PathBuf;
+use masim_obs::json::{self, Value};
+use masim_obs::run::{mask_floats, parse_csv, parse_json, RunMetricsData};
+use masim_sim::EXECUTOR_SERIES;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+fn repro_in(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn repro")
+}
 
 /// Run `repro <args>` with a fresh, test-owned directory as its cwd.
 fn repro(test: &str, args: &[&str]) -> (PathBuf, Output) {
     let cwd = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test);
     let _ = std::fs::remove_dir_all(&cwd);
     std::fs::create_dir_all(&cwd).expect("create the test's working directory");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .current_dir(&cwd)
-        .output()
-        .expect("spawn repro");
+    let out = repro_in(&cwd, args);
     (cwd, out)
+}
+
+/// `repro table2 --tiny <args>` in a fresh cwd; must exit 0.
+fn tiny_table2(test: &str, args: &[&str]) -> PathBuf {
+    let (cwd, out) = repro(test, &[&["table2", "--tiny"], args].concat());
+    assert!(out.status.success(), "{test}: {}", String::from_utf8_lossy(&out.stderr));
+    cwd
+}
+
+/// Every sidecar under `dir`, JSON and CSV, keyed by file name and
+/// reduced to what two runs must agree on. `study_runner.*` is the
+/// pool's telemetry of one invocation (workers, steals, entries run).
+fn sidecars(dir: &Path, drop_prefixes: &[&str]) -> BTreeMap<String, RunMetricsData> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("sidecar dir") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.starts_with("study_runner.") {
+            continue;
+        }
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let parsed = if name.ends_with(".csv") { parse_csv(&text) } else { parse_json(&text) };
+        let data = parsed.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let snapshot = data.snapshot.deterministic(drop_prefixes);
+        out.insert(name, RunMetricsData { labels: data.labels, snapshot });
+    }
+    out
+}
+
+fn masked_table2(cwd: &Path) -> String {
+    mask_floats(&std::fs::read_to_string(cwd.join("reports/table2.txt")).expect("table2.txt"))
+}
+
+fn bench_obs(cwd: &Path) -> Value {
+    let text = std::fs::read_to_string(cwd.join("BENCH_obs.json")).expect("BENCH_obs.json");
+    json::parse(&text).expect("the fold is valid JSON")
 }
 
 /// `table3` runs no study, so `--metrics` has nothing to write and the
@@ -44,5 +90,130 @@ fn deleted_subcommands_and_flags_exit_1_as_unknown_reports() {
         assert_eq!(out.status.code(), Some(1), "{gone}: {stderr}");
         assert!(stderr.starts_with(&format!("repro: unknown report '{gone}'; ")), "{stderr}");
         assert_eq!(stderr.matches(gone).count(), 1, "still listed as available: {stderr}");
+    }
+}
+
+/// The same tiny Table II study writes the same sidecar files and the
+/// same table at `--threads 1` and `4` (host wall clock excepted), and
+/// on the sequential engine and two PDES workers (the executors' own
+/// telemetry excepted as well).
+#[test]
+fn sidecars_and_table_agree_across_threads_and_executors() {
+    let t1 = tiny_table2("det_t1", &["--metrics", "d", "--threads", "1", "--sim-threads", "1"]);
+    let t4 = tiny_table2("det_t4", &["--metrics", "d", "--threads", "4"]);
+    let s2 = tiny_table2("det_s2", &["--metrics", "d", "--threads", "1", "--sim-threads", "2"]);
+
+    let reference = sidecars(&t1.join("d"), &[]);
+    // 3 apps × (4 tools + the corpus stage) × (json + csv).
+    assert!(reference.len() >= 30, "{:?}", reference.keys());
+    assert_eq!(reference, sidecars(&t4.join("d"), &[]));
+    assert_eq!(
+        sidecars(&t1.join("d"), &EXECUTOR_SERIES),
+        sidecars(&s2.join("d"), &EXECUTOR_SERIES)
+    );
+    assert_eq!(masked_table2(&t1), masked_table2(&t4));
+    assert_eq!(masked_table2(&t1), masked_table2(&s2));
+    bench_obs(&t1); // the end-of-run fold parses
+}
+
+/// `--fail-after` exits 3 leaving a journal; `--resume` finishes the
+/// study, and what it leaves behind equals an uninterrupted run's.
+#[test]
+fn interrupt_exits_3_and_resume_matches_an_uninterrupted_run() {
+    let run = ["table2", "--tiny", "--metrics", "d", "--threads", "1", "--checkpoint", "c"];
+    let (cwd, out) = repro("ckpt", &[&run[..], &["--fail-after", "1"]].concat());
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let journal = std::fs::metadata(cwd.join("c/study.ckpt.jsonl")).expect("checkpoint journal");
+    assert!(journal.len() > 0);
+
+    let out = repro_in(&cwd, &[&run[..], &["--resume"]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let whole = tiny_table2("ckpt_whole", &["--metrics", "d", "--threads", "1"]);
+    assert_eq!(sidecars(&cwd.join("d"), &[]), sidecars(&whole.join("d"), &[]));
+    assert_eq!(masked_table2(&cwd), masked_table2(&whole));
+}
+
+/// Event names of a `--trace` Chrome export, after checking its shape:
+/// on every tid B/E nest and close and `ts` never decreases, and at
+/// least two tids carry spans (one per worker).
+fn trace_names(path: &Path) -> BTreeSet<String> {
+    let doc = json::parse(&std::fs::read_to_string(path).expect("trace.json")).expect("trace JSON");
+    let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+        panic!("{}: no traceEvents array", path.display());
+    };
+    let mut depth: BTreeMap<u64, i64> = BTreeMap::new();
+    let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut names = BTreeSet::new();
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev.get("ph").and_then(Value::as_str).unwrap_or_else(|| panic!("event {i}: no ph"));
+        if ph == "M" {
+            continue; // thread-name metadata carries no timestamp
+        }
+        let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or_else(|| panic!("event {i}: tid"));
+        let ts = ev.get("ts").and_then(Value::as_f64).unwrap_or_else(|| panic!("event {i}: ts"));
+        let last = last_ts.insert(tid, ts).unwrap_or(f64::MIN);
+        assert!(ts >= last, "event {i}: ts {ts} decreases on tid {tid} (last {last})");
+        match ph {
+            "B" => *depth.entry(tid).or_default() += 1,
+            "E" => {
+                let d = depth.entry(tid).or_default();
+                *d -= 1;
+                assert!(*d >= 0, "event {i}: E without matching B on tid {tid}");
+                continue; // an E repeats its B's name
+            }
+            _ => {}
+        }
+        names.insert(ev.get("name").and_then(Value::as_str).expect("event name").to_string());
+    }
+    assert!(depth.values().all(|d| *d == 0), "spans left open at end of trace: {depth:?}");
+    assert!(depth.len() >= 2, "only {} span-carrying track(s)", depth.len());
+    names
+}
+
+/// A traced partitioned run exports a well-formed timeline with the
+/// study phases and the PDES worker lanes, and folds the distribution
+/// percentiles. Beside a traced sequential run it also pins
+/// `EXECUTOR_SERIES` from the other side: with the whole list the two
+/// runs agree, and without any one entry they do not — so an entry no
+/// executor emits any more cannot stay in the list.
+#[test]
+fn traced_run_exports_a_valid_timeline_and_every_executor_prefix_is_live() {
+    let traced = |test, sim_threads| {
+        let args =
+            ["--metrics", "m", "--trace", "t", "--threads", "2", "--sim-threads", sim_threads];
+        tiny_table2(test, &args)
+    };
+    let (par, seq) = (traced("trace_s2", "2"), traced("trace_s1", "1"));
+
+    let names = trace_names(&par.join("t/trace.json"));
+    let phases = ["generate", "tool/mfact", "tool/packet", "tool/flow", "tool/packet-flow"];
+    let seen = phases.iter().filter(|p| names.contains(&format!("study.{p}"))).count();
+    assert!(seen >= 4, "only {seen} of the study phases in {names:?}");
+    for required in [
+        "des.pdes.worker",
+        "des.pdes.windows",
+        "des.pdes.crossings",
+        "des.pdes.window_events_max",
+        "des.pdes.barrier_wait",
+    ] {
+        assert!(names.contains(required), "{required} missing from {names:?}");
+    }
+    assert!(std::fs::metadata(par.join("t/trace.folded")).expect("trace.folded").len() > 0);
+
+    let obs = bench_obs(&par).to_json();
+    for key in ["\"dist\"", "\"sim_dt_ps\"", "\"msg_bytes\"", "\"p99\""] {
+        assert!(obs.contains(key), "BENCH_obs.json carries no {key}");
+    }
+
+    let both = |prefixes: &[&str]| {
+        (sidecars(&seq.join("m"), prefixes), sidecars(&par.join("m"), prefixes))
+    };
+    let (a, b) = both(&EXECUTOR_SERIES);
+    assert_eq!(a, b);
+    for stale in EXECUTOR_SERIES {
+        let rest: Vec<&str> = EXECUTOR_SERIES.into_iter().filter(|p| *p != stale).collect();
+        let (a, b) = both(&rest);
+        assert!(a != b, "no sidecar differs in a series starting with {stale:?}");
     }
 }

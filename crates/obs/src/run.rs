@@ -16,11 +16,14 @@
 //!           {"count":1,"sum_ns":52000,"min_ns":52000,"max_ns":52000}}}
 //! ```
 //!
-//! Histogram `sum`/`min`/`max` fields deliberately avoid the `_ns`
-//! suffix: `scripts/normalize_timing.py` zeroes `_ns` fields before
-//! determinism diffs, and every histogram a sidecar carries is
-//! simulation-deterministic (message bytes, simulated-time deltas) —
-//! host wall-clock distributions live only in `BENCH_obs.json`.
+//! This module also owns the determinism contract — what may differ
+//! between two runs of the same study: [`Snapshot::deterministic`] for
+//! parsed sidecars, [`mask_floats`] for report text. Only a span's
+//! three `_ns` fields are host wall clock. Histogram `sum`/`min`/`max`
+//! deliberately avoid that suffix and are compared as they are: every
+//! histogram a sidecar carries is simulation-deterministic (message
+//! bytes, simulated-time deltas) — host wall-clock distributions live
+//! only in `BENCH_obs.json`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -360,6 +363,56 @@ fn csv_rows(text: &str) -> Vec<Vec<String>> {
     rows
 }
 
+impl Snapshot {
+    /// What two runs of the same study must agree on: every span keeps
+    /// its `count` and loses its host wall-clock `sum_ns`/`min_ns`/
+    /// `max_ns`; counters, gauges and histograms stay whole. Series
+    /// whose name starts with one of `drop_prefixes` are left out —
+    /// `&[]` between runs on one executor, `masim_sim::EXECUTOR_SERIES`
+    /// between the sequential engine and the partitioned one.
+    // `#[inline]` (and on `mask_floats`): only tests call these, so they
+    // are compiled there and `repro`'s object code stays as it was.
+    #[inline]
+    pub fn deterministic(&self, drop_prefixes: &[&str]) -> Snapshot {
+        let keep = |name: &String| !drop_prefixes.iter().any(|p| name.starts_with(p));
+        let mut out = self.clone();
+        out.counters.retain(|name, _| keep(name));
+        out.gauges.retain(|name, _| keep(name));
+        out.hists.retain(|name, _| keep(name));
+        out.spans.retain(|name, _| keep(name));
+        for s in out.spans.values_mut() {
+            *s = SpanStats { count: s.count, sum_ns: 0, min_ns: 0, max_ns: 0 };
+        }
+        out
+    }
+}
+
+/// Report text with every run of digits and dots that contains a dot
+/// replaced by `#.#`: wall seconds are the only floating-point output
+/// that varies run to run, and masking all of them needs no per-report
+/// column knowledge. Integers (counts, rank numbers, failure
+/// annotations) stay exact.
+#[inline]
+pub fn mask_floats(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut run = String::new();
+    for c in text.chars().chain(std::iter::once('\n')) {
+        if c.is_ascii_digit() || c == '.' {
+            run.push(c);
+        } else {
+            if run.contains('.') {
+                out.push_str("#.#");
+            } else {
+                out.push_str(&run);
+            }
+            run.clear();
+            out.push(c);
+        }
+    }
+    out.pop(); // the sentinel '\n'
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +493,57 @@ mod tests {
         assert_eq!(h.sum, 309);
         assert_eq!(h.min, 9);
         assert_eq!(h.max, 300);
+    }
+
+    #[cfg(feature = "enabled")] // asserts recorded state
+    #[test]
+    fn deterministic_zeroes_span_ns_only_and_drops_by_prefix_in_every_map() {
+        let rm = RunMetrics::new().label("tool", "packet");
+        let ms = rm.set();
+        ms.add("sim.shared", 3);
+        ms.add("des.queue.late_pushes", 1);
+        ms.gauge_max("sim.link.bytes_max", 9);
+        ms.gauge_max("des.queue.bucket_len_max", 4);
+        ms.record_span("sim.runner.simulate", 1234);
+        ms.record_span("sim.runner.simulate", 2000);
+        ms.record_span("des.queue.scan", 5);
+        for v in [8u64, 16, 16, 64] {
+            ms.hist_record("sim.msg.bytes", v);
+        }
+        ms.hist_record("des.queue.depth", 2);
+        let snap = ms.snapshot();
+
+        // Nothing is dropped by `&[]`; spans lose their three `_ns`
+        // fields and keep `count`; a histogram's sum/min/max stay.
+        let all = snap.deterministic(&[]);
+        assert_eq!(all.counters, snap.counters);
+        assert_eq!(all.gauges, snap.gauges);
+        assert_eq!(all.hists, snap.hists);
+        assert_eq!(all.spans.keys().collect::<Vec<_>>(), snap.spans.keys().collect::<Vec<_>>());
+        assert_eq!(
+            all.spans["sim.runner.simulate"],
+            SpanStats { count: 2, sum_ns: 0, min_ns: 0, max_ns: 0 }
+        );
+
+        let shared = snap.deterministic(&["des.queue."]);
+        assert_eq!(shared.counters.keys().collect::<Vec<_>>(), ["sim.shared"]);
+        assert_eq!(shared.gauges.keys().collect::<Vec<_>>(), ["sim.link.bytes_max"]);
+        assert_eq!(shared.hists.keys().collect::<Vec<_>>(), ["sim.msg.bytes"]);
+        assert_eq!(shared.spans.keys().collect::<Vec<_>>(), ["sim.runner.simulate"]);
+
+        // Both sidecar formats parse to the same deterministic value.
+        let (json, csv) = (parse_json(&rm.to_json()).unwrap(), parse_csv(&rm.to_csv()).unwrap());
+        assert_eq!(json.labels, csv.labels);
+        assert_eq!(json.snapshot.deterministic(&[]), all);
+        assert_eq!(csv.snapshot.deterministic(&[]), all);
+    }
+
+    #[test]
+    fn mask_floats_masks_decimals_and_keeps_integers() {
+        assert_eq!(mask_floats("CMC(16)  0.438  12 rows"), "CMC(16)  #.#  12 rows");
+        assert_eq!(mask_floats("wall 1.5"), "wall #.#");
+        assert_eq!(mask_floats("ranks 1024"), "ranks 1024");
+        assert_eq!(mask_floats(""), "");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
     run, simulate, simulate_budgeted, simulate_partitioned_observed, simulate_streamed_limited,
-    SimConfig, SimLimits, SimResult, TraceSource,
+    SimConfig, SimLimits, SimResult, TraceSource, EXECUTOR_SERIES,
 };
 pub use util_report::UtilReport;
 

@@ -1054,6 +1054,22 @@ fn drain<'a, D: DrainDetail>(
     Ok(())
 }
 
+/// Name prefixes of the series one executor emits about itself — the
+/// sequential engine's queue and arena telemetry from [`run`]'s result
+/// tail and `Engine::export_metrics`, the partitioned executor's window
+/// statistics and per-LP arenas from `pdes_run`. A sequential and a
+/// partitioned run of one trace agree on every other series exactly:
+/// `Snapshot::deterministic(&EXECUTOR_SERIES)` of the two are equal.
+pub const EXECUTOR_SERIES: [&str; 7] = [
+    "des.engine.pending_hwm",
+    "des.queue.",
+    "des.pdes.",
+    "sim.queue.peak_occupancy",
+    "sim.route.arena_bytes",
+    "sim.route.lp_arena_bytes",
+    "sim.engine.dt_ps",
+];
+
 /// The body of [`run`], non-generic so it is compiled once whatever the
 /// caller passed as a source.
 fn sim_core(

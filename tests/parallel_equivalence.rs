@@ -10,7 +10,7 @@ use masim_core::{
     run_one_observed, Checkpoint, Session, SessionOutcome, SessionSpec, Study, StudyConfig,
     StudyKind, TraceStudy, PARALLEL_WORKERS_GAUGE,
 };
-use masim_obs::{MetricSet, RunMetrics, Snapshot};
+use masim_obs::{MetricSet, RunMetrics};
 use masim_workloads::build_corpus;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,20 +71,19 @@ fn assert_same_predictions(a: &TraceStudy, b: &TraceStudy) {
     }
 }
 
-/// Sidecar equality modulo timing: labels, counters, and gauges are
-/// exact; spans may differ only in recorded nanoseconds, never in which
-/// spans exist or how often they fired.
+/// Sidecar equality modulo timing: labels are exact and so is every
+/// counter, gauge, histogram and span count — `Snapshot::deterministic`
+/// leaves out only the nanoseconds a span recorded.
 fn assert_same_sidecars(a: &[RunMetrics], b: &[RunMetrics]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.labels(), y.labels());
-        let (sx, sy) = (x.set().snapshot(), y.set().snapshot());
-        assert_eq!(sx.counters, sy.counters, "tool {:?}", x.labels().get("tool"));
-        assert_eq!(sx.gauges, sy.gauges, "tool {:?}", x.labels().get("tool"));
-        let span_shape = |s: &Snapshot| {
-            s.spans.iter().map(|(name, st)| (name.clone(), st.count)).collect::<Vec<_>>()
-        };
-        assert_eq!(span_shape(&sx), span_shape(&sy), "tool {:?}", x.labels().get("tool"));
+        assert_eq!(
+            x.set().snapshot().deterministic(&[]),
+            y.set().snapshot().deterministic(&[]),
+            "tool {:?}",
+            x.labels().get("tool")
+        );
     }
 }
 

@@ -7,10 +7,11 @@
 //! `SimResult` fields, the shared telemetry schema, and typed failure
 //! behaviour.
 
+use masim_obs::run::mask_floats;
 use masim_obs::MetricSet;
 use masim_sim::{
     simulate, simulate_budgeted, simulate_partitioned_observed, simulate_streamed_limited,
-    ModelKind, SimConfig, SimLimits, SimResult,
+    ModelKind, SimConfig, SimLimits, SimResult, EXECUTOR_SERIES,
 };
 use masim_topo::Machine;
 use masim_trace::{StreamedTrace, Trace};
@@ -103,23 +104,13 @@ fn cg64_bench_shape_is_bit_identical() {
     assert_identical(&seq, &streamed, "cg64/streamed");
 }
 
-/// The telemetry both paths share must agree exactly: engine event
-/// counts, replay counters, packet-model work, link aggregates, and the
-/// message-size histogram. Executor-specific series (`des.pdes.*`,
-/// queue occupancy, arena footprint) are allowed to exist on one side
-/// only — CI's normalize step strips them before byte-diffing reports.
+/// The telemetry both paths share must agree exactly — every counter,
+/// gauge and histogram, and every span's count. Only the series an
+/// executor emits about itself (`EXECUTOR_SERIES`: `des.pdes.*`, queue
+/// occupancy, arena footprint) may exist on one side or differ, so a
+/// series added to one result tail only fails here.
 #[test]
 fn shared_metrics_schema_agrees() {
-    const SHARED_COUNTERS: [&str; 8] = [
-        "des.engine.processed",
-        "des.engine.scheduled",
-        "des.engine.cancelled",
-        "sim.runner.messages",
-        "sim.budget.consumed",
-        "sim.packet.packets",
-        "sim.packet.hops",
-        "sim.link.bytes_total",
-    ];
     let trace = cg_trace(41);
     let run = |threads: usize| {
         let ms = MetricSet::new();
@@ -129,28 +120,7 @@ fn shared_metrics_schema_agrees() {
     };
     let seq = run(1);
     let par = run(4);
-    for name in SHARED_COUNTERS {
-        assert_eq!(
-            seq.counters.get(name),
-            par.counters.get(name),
-            "counter {name} diverged between sequential and partitioned runs"
-        );
-    }
-    assert_eq!(
-        seq.counters.get("sim.link.links_used"),
-        par.counters.get("sim.link.links_used"),
-        "disjoint per-LP link sets must cover the same links"
-    );
-    assert_eq!(
-        seq.gauges.get("sim.link.bytes_max"),
-        par.gauges.get("sim.link.bytes_max"),
-        "busiest-link bytes diverged"
-    );
-    assert_eq!(
-        seq.hists.get("sim.msg.bytes"),
-        par.hists.get("sim.msg.bytes"),
-        "message-size distribution diverged"
-    );
+    assert_eq!(seq.deterministic(&EXECUTOR_SERIES), par.deterministic(&EXECUTOR_SERIES));
     // The partitioned run must additionally surface its executor stats.
     assert!(par.counters.get("des.pdes.windows").copied().unwrap_or(0) > 0);
     assert!(par.counters.get("des.pdes.crossings").copied().unwrap_or(0) > 0);
@@ -175,29 +145,6 @@ fn budget_trips_as_typed_error_at_any_thread_count() {
         }
     }
     assert_eq!(trips[0], trips[1], "budget trip point must be worker-count independent");
-}
-
-/// Mask floating-point wall-clock seconds (the only live measurement a
-/// report prints) so report bytes can be compared across runs — the
-/// same contract CI's normalize_timing.py applies before its diffs.
-fn mask_floats(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut run = String::new();
-    for c in text.chars().chain(std::iter::once('\n')) {
-        if c.is_ascii_digit() || c == '.' {
-            run.push(c);
-        } else {
-            if run.contains('.') {
-                out.push_str("#.#");
-            } else {
-                out.push_str(&run);
-            }
-            run.clear();
-            out.push(c);
-        }
-    }
-    out.pop(); // the sentinel '\n'
-    out
 }
 
 /// Table II rendered from a partitioned run is byte-identical to the

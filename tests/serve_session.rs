@@ -10,8 +10,11 @@
 
 use masim_core::{Session, SessionSpec, StudyKind};
 use masim_obs::json::Value;
+use masim_obs::run::parse_json;
 use masim_obs::MetricSet;
 use masim_serve::{client, Bind, Server, ServerOptions, Target};
+use masim_sim::EXECUTOR_SERIES;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,23 +27,21 @@ fn spec() -> SessionSpec {
     SessionSpec { kind: StudyKind::Corpus { indices: Some(INDICES.to_vec()) }, seed: 7 }
 }
 
-/// Zero the host wall-clock columns (`mfact_wall_s`..`pflow_wall_s`,
-/// fields 13-16) of a `study.csv` body; everything else is part of the
+/// Zero the host wall-clock columns of a `study.csv` body — the ones
+/// whose header ends in `_wall_s`; everything else is part of the
 /// determinism contract and must match exactly.
 fn normalize_study_csv(text: &str) -> String {
-    let mut out = String::new();
-    for (row, line) in text.lines().enumerate() {
-        if row == 0 {
-            out.push_str(line);
-        } else {
-            let fields: Vec<&str> = line.split(',').collect();
-            for (i, f) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(if (13..=16).contains(&i) { "0" } else { f });
-            }
+    let header = text.lines().next().unwrap_or_default();
+    let wall: Vec<bool> = header.split(',').map(|h| h.ends_with("_wall_s")).collect();
+    assert_eq!(wall.iter().filter(|w| **w).count(), 4, "one wall column per tool: {header}");
+    let mut out = format!("{header}\n");
+    for line in text.lines().skip(1) {
+        let mut fields: Vec<&str> = line.split(',').collect();
+        assert_eq!(fields.len(), wall.len(), "ragged row: {line}");
+        for (f, _) in fields.iter_mut().zip(&wall).filter(|(_, w)| **w) {
+            *f = "0";
         }
+        out.push_str(&fields.join(","));
         out.push('\n');
     }
     out
@@ -57,9 +58,11 @@ fn scratch(tag: &str) -> PathBuf {
 fn socket_submission_matches_in_process_run_and_caches() {
     let root = scratch("session");
     let sock = root.join("repro.sock");
+    // Two PDES workers in the daemon against the sequential in-process
+    // reference below: served ≡ one-shot holds across executors too.
     let server = Arc::new(Server::new(ServerOptions {
         threads: 2,
-        sim_threads: 1,
+        sim_threads: 2,
         cache_dir: Some(root.join("cache")),
     }));
     let daemon = {
@@ -85,12 +88,20 @@ fn socket_submission_matches_in_process_run_and_caches() {
     // The streamed report carries the same derived values as running
     // the session in-process (wall columns are host timing, excepted).
     let mut reference = Session::new(spec()).expect("reference session");
-    reference.run(1, None, None, &MetricSet::new(), "reference", None, |_, _, _| {}).unwrap();
+    let mut reference_sc = BTreeMap::new();
+    reference
+        .run(1, None, None, &MetricSet::new(), "reference", None, |_, stem, observed| {
+            for rm in &observed.sidecars {
+                reference_sc.insert(format!("{stem}_{}.json", rm.labels()["tool"]), rm.clone());
+            }
+        })
+        .unwrap();
     let served = std::fs::read_to_string(out1.join("study.csv")).expect("served report");
     assert_eq!(normalize_study_csv(&served), normalize_study_csv(&reference.report()));
 
     // One JSON + one CSV sidecar per tool stage per entry, named by the
-    // CLI's stems.
+    // CLI's stems; each served JSON carries the reference's labels and,
+    // outside the executors' own telemetry, its exact metrics.
     let names: Vec<String> = std::fs::read_dir(out1.join("metrics"))
         .expect("metrics dir")
         .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -98,6 +109,17 @@ fn socket_submission_matches_in_process_run_and_caches() {
     assert_eq!(names.len(), INDICES.len() * 5 * 2, "sidecar files: {names:?}");
     assert!(names.iter().any(|n| n == "trace003_packet.json"), "{names:?}");
     assert!(names.iter().any(|n| n == "trace040_flow.csv"), "{names:?}");
+    for (name, rm) in &reference_sc {
+        let text = std::fs::read_to_string(out1.join("metrics").join(name)).expect(name);
+        let served = parse_json(&text).expect(name);
+        assert_eq!(&served.labels, rm.labels(), "{name}");
+        assert_eq!(
+            served.snapshot.deterministic(&EXECUTOR_SERIES),
+            rm.set().snapshot().deterministic(&EXECUTOR_SERIES),
+            "{name}"
+        );
+    }
+    assert_eq!(reference_sc.len() * 2, names.len());
 
     // --- second submission: identical spec, served from the cache ---
     let out2 = root.join("out2");
