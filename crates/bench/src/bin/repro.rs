@@ -95,7 +95,8 @@ struct Options {
     /// `--sim-threads <n|auto>`: intra-trace PDES workers per simulator
     /// run. `1` (the default) is the sequential engine, `N > 1` partitions
     /// the packet model onto N workers, `auto` (stored as 0) does so for
-    /// big traces only. Bit-identical at any value (CI diffs them).
+    /// big traces only. Bit-identical at any value
+    /// (`tests/pdes_equivalence.rs`; through this binary, `cli.rs`).
     sim_threads: usize,
 }
 
@@ -452,7 +453,7 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
     );
 
     // Stage 2: replay the streamed trace through the packet model under
-    // the memory budget. Streamed replay is sequential by construction.
+    // the memory budget, on the sequential engine (no `--sim-threads`).
     let ms = MetricSet::new();
     let cfg = SimConfig::for_streamed(
         machine,
@@ -654,12 +655,7 @@ fn ctl_cmd(args: &[String]) -> Result<(), String> {
 /// Trace Event Format, one Perfetto track per study worker) and
 /// `trace.folded` (flamegraph folded stacks).
 fn write_trace(dir: &Path) -> Result<(), String> {
-    let Some(tl) = masim_obs::tracelog::current() else {
-        // Tracing compiled out (obs built without its default feature):
-        // the flag is accepted but there is nothing to export.
-        eprintln!("trace: instrumentation compiled out; no timeline captured");
-        return Ok(());
-    };
+    let tl = masim_obs::tracelog::current().expect("install_trace ran when --trace was parsed");
     let json_path = dir.join("trace.json");
     fs::write(&json_path, tl.to_chrome_json())
         .map_err(|e| format!("write {}: {e}", json_path.display()))?;
@@ -864,8 +860,8 @@ fn fold_sidecars(dir: &Path) -> Result<(), String> {
         obj.push((tool, Value::Obj(fields)));
     }
     // Host-side measurements live only here, never in the per-tool
-    // sidecars: the sidecars are diffed byte-for-byte in CI, and RSS
-    // varies run to run.
+    // sidecars: `cli.rs` compares those between runs, and RSS varies
+    // run to run.
     obj.push((
         "host".into(),
         Value::Obj(vec![("peak_rss_bytes".into(), Value::UInt(masim_obs::peak_rss_bytes()))]),

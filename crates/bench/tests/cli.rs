@@ -217,3 +217,31 @@ fn traced_run_exports_a_valid_timeline_and_every_executor_prefix_is_live() {
         assert!(a != b, "no sidecar differs in a series starting with {stale:?}");
     }
 }
+
+/// Mega-scale smoke (`--ignored`: ~10 s, ~450 MB): a 64k-rank stencil
+/// (CNS rounds to the nearest cube, 64000 = 40³) generated to disk in
+/// the streamed format and replayed through the packet model without
+/// materializing per-rank event vectors, under a memory budget. The
+/// result line's deterministic part pins the generator and the queue's
+/// pop order at ~7.8k-entry buckets; the fold must carry the simulator's
+/// own route-arena accounting and the process's peak RSS.
+#[test]
+#[ignore = "64k ranks: run by CI's scale-smoke job"]
+fn scale_64k_streamed_stencil_result_and_fold() {
+    let args = "scale --machine frontier --app CNS --ranks 64000 \
+                --trace-dir traces --mem-budget 8g --metrics metrics";
+    let (cwd, out) = repro("scale_64k", &args.split_whitespace().collect::<Vec<_>>());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let pinned = "predicted 210.651us, 8438152 events, 1219200 packets";
+    assert!(stdout.contains(pinned), "{stdout}");
+    assert!(std::fs::metadata(cwd.join("traces/CNS_64000.mass")).expect("stream file").len() > 0);
+
+    let obs = bench_obs(&cwd);
+    let positive = |path: [&str; 2]| {
+        let v = obs.get(path[0]).and_then(|o| o.get(path[1])).and_then(Value::as_u64);
+        assert!(v > Some(0), "BENCH_obs.json {path:?}: {v:?}");
+    };
+    positive(["scale", "route_arena_bytes"]);
+    positive(["host", "peak_rss_bytes"]);
+}

@@ -20,7 +20,7 @@
 //! trace (`tool` ∈ {corpus, mfact, packet, flow, packet-flow}) carrying
 //! the instrumented engines' counters.
 
-use masim_mfact::{try_classify, try_replay, Classification, ModelConfig, ReplayError};
+use masim_mfact::{probe_configs, try_replay, Classification, ReplayError};
 use masim_obs::{MetricSet, Progress, RunMetrics};
 use masim_sim::{ModelKind, SimConfig, SimError, SimLimits};
 use masim_topo::Machine;
@@ -495,29 +495,23 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
 
     // MFACT: single multi-config replay (baseline + the classifier's two
     // probes), exactly the tool's one-replay-many-configs trick. The
-    // wall time measured is that single replay.
+    // wall time measured is that single replay; the prediction and the
+    // class are both read from its results.
     let mfact_ms = MetricSet::new();
     let span = mfact_ms.span(TOOL_WALL_SPAN);
-    let configs = [
-        ModelConfig::base(machine.net),
-        ModelConfig::base(machine.net.scaled(0.125, 1.0)),
-        ModelConfig::base(machine.net.scaled(1.0, 8.0)),
-    ];
     let mres = {
         let _ts = masim_obs::trace_span!("study.tool/mfact");
         contained(|| {
-            try_replay(&trace, &configs, Some(&mfact_ms)).map_err(ToolFailure::from_replay)
+            try_replay(&trace, &probe_configs(machine.net), Some(&mfact_ms))
+                .map_err(ToolFailure::from_replay)
         })
     };
     let mfact_wall = span.stop();
     let (mfact, classification) = match mres {
-        Ok(res) => {
-            // Classification reuses the same replay semantics (re-run is
-            // cheap and keeps the classifier API self-contained).
-            let class =
-                try_classify(&trace, machine.net).unwrap_or_else(|_| Classification::unavailable());
-            (ToolRun::ok(res[0].total, res[0].comm_time, mfact_wall), class)
-        }
+        Ok(res) => (
+            ToolRun::ok(res[0].total, res[0].comm_time, mfact_wall),
+            Classification::from_replay(&res),
+        ),
         Err(cause) => (ToolRun::failed(cause, mfact_wall), Classification::unavailable()),
     };
 
@@ -530,8 +524,8 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
         let span = ms.span(TOOL_WALL_SPAN);
         let res = {
             // Static names keep the timeline span free of per-run
-            // allocation; the set matches the CI trace validator's
-            // expected study phases.
+            // allocation; the set is the `phases` list `cli.rs`'s
+            // `traced_run_exports_a_valid_timeline…` test looks for.
             let _ts = masim_obs::trace_span!(match model.name() {
                 "packet" => "study.tool/packet",
                 "flow" => "study.tool/flow",

@@ -308,7 +308,8 @@ impl<P: LogicalProcess> WindowedPdes<P> {
             }
         }
         // Final totals, unconditionally: short runs never reach the
-        // periodic cadence, and the CI trace validator pins these names.
+        // periodic cadence, and the traced-run test of masim-bench's
+        // `cli.rs` requires these names in the export.
         if let Some(tl) = tl {
             tl.counter("des.pdes.windows", self.windows);
             tl.counter("des.pdes.crossings", self.crossings);
@@ -679,7 +680,7 @@ fn worker_loop<P: LogicalProcess>(ctx: WorkerCtx<'_, P>) {
 
     // Leader publishes the final totals once the pool stops — same
     // reason as the sequential path: short runs never hit the periodic
-    // cadence, and the validator requires the counter names.
+    // cadence, and the same `cli.rs` test requires the counter names.
     if leader {
         if let Some(tl) = tl {
             tl.counter("des.pdes.windows", lead.windows);

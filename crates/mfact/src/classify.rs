@@ -12,7 +12,7 @@
 //! classes roll up into "ncs".
 
 use crate::error::ReplayError;
-use crate::replay::{try_replay, Counters, ModelConfig};
+use crate::replay::{try_replay, ConfigResult, Counters, ModelConfig};
 use masim_topo::NetworkConfig;
 use masim_trace::Trace;
 
@@ -121,25 +121,45 @@ pub fn classify(trace: &Trace, net: NetworkConfig) -> Classification {
     try_classify(trace, net).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The classifier's probe list, in the order
+/// [`Classification::from_replay`] reads it: the baseline, bandwidth ÷ 8,
+/// latency × 8. One [`try_replay`] over these is everything MFACT needs
+/// for both its prediction (`[0]`) and its class.
+pub fn probe_configs(net: NetworkConfig) -> [ModelConfig; 3] {
+    [
+        ModelConfig::base(net),
+        ModelConfig::base(net.scaled(0.125, 1.0)),
+        ModelConfig::base(net.scaled(1.0, 8.0)),
+    ]
+}
+
 /// Fallible classification: a malformed trace (deadlock, dangling
 /// request) surfaces as a [`ReplayError`] instead of a panic.
 pub fn try_classify(trace: &Trace, net: NetworkConfig) -> Result<Classification, ReplayError> {
-    let configs = [
-        ModelConfig::base(net),
-        ModelConfig::base(net.scaled(0.125, 1.0)), // bandwidth ÷ 8
-        ModelConfig::base(net.scaled(1.0, 8.0)),   // latency × 8
-    ];
-    let res = try_replay(trace, &configs, None)?;
-    let base = res[0].total.as_secs_f64();
-    let bw_sensitivity = if base > 0.0 { res[1].total.as_secs_f64() / base - 1.0 } else { 0.0 };
-    let lat_sensitivity = if base > 0.0 { res[2].total.as_secs_f64() / base - 1.0 } else { 0.0 };
-
-    let c = res[0].counters;
-    let class = decide(bw_sensitivity, lat_sensitivity, c);
-    Ok(Classification { class, bw_sensitivity, lat_sensitivity, baseline: c, base_total: base })
+    Ok(Classification::from_replay(&try_replay(trace, &probe_configs(net), None)?))
 }
 
 impl Classification {
+    /// The decision, from the results of one replay under
+    /// [`probe_configs`] (panics on any other result count).
+    pub fn from_replay(res: &[ConfigResult]) -> Classification {
+        let [base, bw, lat] = res else {
+            panic!("from_replay needs the 3 probe_configs results, got {}", res.len())
+        };
+        let base_total = base.total.as_secs_f64();
+        let growth = |probe: &ConfigResult| {
+            if base_total > 0.0 {
+                probe.total.as_secs_f64() / base_total - 1.0
+            } else {
+                0.0
+            }
+        };
+        let (bw_sensitivity, lat_sensitivity) = (growth(bw), growth(lat));
+        let baseline = base.counters;
+        let class = decide(bw_sensitivity, lat_sensitivity, baseline);
+        Classification { class, bw_sensitivity, lat_sensitivity, baseline, base_total }
+    }
+
     /// A neutral placeholder used when classification could not run at
     /// all (unknown machine, malformed trace): computation-bound with
     /// zero sensitivities and zero counters. Paired with a recorded

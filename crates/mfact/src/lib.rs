@@ -52,7 +52,9 @@ pub mod error;
 pub mod replay;
 
 pub use advisor::{advise, Advice, WhatIf};
-pub use classify::{classify, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD};
+pub use classify::{
+    classify, probe_configs, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD,
+};
 pub use cost::{collective, p2p, CommCost};
 pub use error::ReplayError;
 pub use replay::{replay, try_replay, try_replay_streamed, ConfigResult, Counters, ModelConfig};

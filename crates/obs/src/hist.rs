@@ -70,12 +70,6 @@ impl Default for HistCells {
 pub struct Histogram(pub(crate) Arc<HistCells>);
 
 impl Histogram {
-    /// A histogram registered nowhere (instrumentation compiled out or
-    /// detail collection off); records are absorbed and never observable.
-    pub fn detached() -> Self {
-        Histogram(Arc::default())
-    }
-
     /// Record one observation. Lock-free: three relaxed RMWs plus two
     /// bounded CAS-free `fetch_min`/`fetch_max`.
     #[inline]
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn exact_cells_track() {
-        let h = Histogram::detached();
+        let h = Histogram(Arc::default());
         for v in [5u64, 0, 17, 3] {
             h.record(v);
         }
@@ -247,7 +241,7 @@ mod tests {
         };
         for round in 0..20 {
             let n = 100 + round * 37;
-            let h = Histogram::detached();
+            let h = Histogram(Arc::default());
             let mut vals: Vec<u64> = (0..n)
                 .map(|_| {
                     // Mix magnitudes: spread across many buckets.

@@ -20,12 +20,6 @@
 //! (e.g. `des.engine.processed`, `sim.flow.resolves`); span names use the
 //! same scheme and compose hierarchy into the name
 //! (e.g. `core.study.parallel.worker/w00`).
-//!
-//! Instrumentation compiles out: building this crate with
-//! `--no-default-features` turns every registry operation into an inlined
-//! no-op, so `obs::count!`/`obs::span!` call sites in other crates cost
-//! nothing. The gating lives in *this* crate's method bodies — not in the
-//! macro expansion — so callers never need the feature themselves.
 
 pub mod hist;
 pub mod host;
@@ -48,8 +42,6 @@ pub use tracelog::{TraceEvent, TraceKind, TraceLog, TraceSpan};
 ///
 /// `count!(ms, "sim.packet.packets")` adds 1;
 /// `count!(ms, "sim.packet.hops", n)` adds `n`.
-/// Compiles to nothing when masim-obs is built without the `enabled`
-/// feature.
 #[macro_export]
 macro_rules! count {
     ($ms:expr, $name:expr) => {
@@ -73,8 +65,7 @@ macro_rules! span {
 /// Open a timeline span on the process-global [`TraceLog`] (see
 /// [`tracelog::install`]). Evaluates to an `Option` guard — bind it
 /// (`let _t = obs::trace_span!("phase");`) so it closes at scope exit.
-/// Costs one `OnceLock` load when no log is installed; compiles to
-/// `None` with the `enabled` feature off.
+/// Costs one `OnceLock` load when no log is installed.
 #[macro_export]
 macro_rules! trace_span {
     ($name:expr) => {

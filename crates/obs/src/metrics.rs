@@ -98,104 +98,50 @@ impl MetricSet {
     }
 
     /// Fetch (registering on first use) the log2-bucketed histogram
-    /// `name`. With instrumentation compiled out, returns a detached
-    /// handle — records land nowhere.
+    /// `name`.
     pub fn hist(&self, name: &str) -> Histogram {
-        #[cfg(feature = "enabled")]
-        {
-            let mut map = self.inner.hists.lock().expect("obs hists poisoned");
-            let cell = map.entry(name.to_string()).or_default().clone();
-            Histogram(cell)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Histogram::detached()
-        }
+        let mut map = self.inner.hists.lock().expect("obs hists poisoned");
+        let cell = map.entry(name.to_string()).or_default().clone();
+        Histogram(cell)
     }
 
     /// Record one observation into histogram `name`; registry lookup per
     /// call, so prefer a pre-registered [`Histogram`] in tight loops.
     #[inline]
     pub fn hist_record(&self, name: &str, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.hist(name).record(v);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, v);
-        }
+        self.hist(name).record(v);
     }
 
     /// Add `n` to counter `name`; registry lookup per call, so prefer a
     /// pre-registered [`Counter`] in tight loops.
     #[inline]
     pub fn add(&self, name: &str, n: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.counter(name).add(n);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, n);
-        }
+        self.counter(name).add(n);
     }
 
     /// Raise gauge `name` to `v` if larger.
     #[inline]
     pub fn gauge_max(&self, name: &str, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.gauge(name).record_max(v);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, v);
-        }
+        self.gauge(name).record_max(v);
     }
 
     /// Set gauge `name` to `v`.
     #[inline]
     pub fn gauge_set(&self, name: &str, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.gauge(name).set(v);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, v);
-        }
+        self.gauge(name).set(v);
     }
 
     /// Open a wall-clock span; it records into this set when dropped or
-    /// stopped. With instrumentation compiled out the guard still measures
-    /// (so [`SpanGuard::stop`] returns real elapsed time) but records
-    /// nothing.
+    /// stopped ([`SpanGuard::stop`] also returns the elapsed time).
     pub fn span(&self, name: &str) -> SpanGuard {
-        #[cfg(feature = "enabled")]
-        {
-            SpanGuard::started(self.clone(), name)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            SpanGuard::detached()
-        }
+        SpanGuard::started(self.clone(), name)
     }
 
     /// Merge one finished span observation into the registry.
     /// Exposed for [`SpanGuard`] and for folding external measurements in.
     pub fn record_span(&self, name: &str, elapsed_ns: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let mut map = self.inner.spans.lock().expect("obs spans poisoned");
-            map.entry(name.to_string()).or_default().record(elapsed_ns);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, elapsed_ns);
-        }
+        let mut map = self.inner.spans.lock().expect("obs spans poisoned");
+        map.entry(name.to_string()).or_default().record(elapsed_ns);
     }
 
     /// Copy out every metric, ordered by name.
@@ -238,7 +184,6 @@ impl MetricSet {
         for (k, v) in &other.gauges {
             self.gauge_max(k, *v);
         }
-        #[cfg(feature = "enabled")]
         {
             let mut map = self.inner.spans.lock().expect("obs spans poisoned");
             for (k, s) in &other.spans {
@@ -247,21 +192,14 @@ impl MetricSet {
         }
         for (k, h) in &other.hists {
             let handle = self.hist(k);
-            #[cfg(feature = "enabled")]
-            {
-                // Bucket-sum through the atomic cells so concurrent
-                // absorbs compose.
-                for (b, n) in h.buckets.iter().enumerate() {
-                    if *n > 0 {
-                        handle.add_bucket(b, *n);
-                    }
+            // Bucket-sum through the atomic cells so concurrent absorbs
+            // compose.
+            for (b, n) in h.buckets.iter().enumerate() {
+                if *n > 0 {
+                    handle.add_bucket(b, *n);
                 }
-                handle.fold_exact(h.sum, h.min, h.max);
             }
-            #[cfg(not(feature = "enabled"))]
-            {
-                let _ = (k, h, handle);
-            }
+            handle.fold_exact(h.sum, h.min, h.max);
         }
     }
 }
@@ -286,7 +224,6 @@ mod tests {
         assert_eq!(ms.snapshot().counters["x.y.z"], 5);
     }
 
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn gauge_high_water() {
         let ms = MetricSet::new();
@@ -298,7 +235,6 @@ mod tests {
 
     /// Satellite: absorb's merge semantics pinned — counters add, gauges
     /// max, spans merge, histogram buckets sum.
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn absorb_sums_counters() {
         let a = MetricSet::new();
@@ -324,7 +260,6 @@ mod tests {
         assert_eq!(h.max, 1000);
     }
 
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn hist_shared_across_handles() {
         let ms = MetricSet::new();

@@ -432,7 +432,6 @@ mod tests {
         assert_eq!(data.snapshot, rm.set().snapshot());
     }
 
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn csv_has_all_rows() {
         let rm = RunMetrics::new().label("tool", "flow");
@@ -452,7 +451,6 @@ mod tests {
         assert!(parse_json("not json").is_err());
     }
 
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn hist_json_round_trip() {
         let rm = RunMetrics::new().label("tool", "packet");
@@ -469,7 +467,6 @@ mod tests {
 
     /// Satellite: labels and metric names containing separators, quotes,
     /// CRs, and newlines survive a CSV write → parse round trip.
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn csv_round_trip_with_hostile_fields() {
         let rm = RunMetrics::new()
@@ -495,7 +492,6 @@ mod tests {
         assert_eq!(h.max, 300);
     }
 
-    #[cfg(feature = "enabled")] // asserts recorded state
     #[test]
     fn deterministic_zeroes_span_ns_only_and_drops_by_prefix_in_every_map() {
         let rm = RunMetrics::new().label("tool", "packet");

@@ -12,9 +12,7 @@
 //! Recording goes through the `trace_span!` / `trace_instant!` macros,
 //! which consult the process-global log installed by [`install`]. When no
 //! log is installed (`repro` without `--trace`) the macros cost one
-//! atomic load and a predicted branch; with masim-obs built
-//! `--no-default-features` they compile out entirely, mirroring
-//! `count!`/`span!`.
+//! atomic load and a predicted branch.
 //!
 //! Exports:
 //! * [`TraceLog::to_chrome_json`] — Chrome Trace Event Format (the JSON
@@ -69,14 +67,12 @@ struct Lane {
     worker: u16,
     buf: Vec<TraceEvent>,
     /// Next overwrite slot once the ring is full.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     next: usize,
     dropped: u64,
 }
 
 struct Inner {
     epoch: Instant,
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     lane_capacity: usize,
     names: Mutex<Names>,
     lanes: Mutex<Vec<Arc<Mutex<Lane>>>>,
@@ -169,37 +165,22 @@ impl TraceLog {
     /// Append one record to the calling thread's lane (drop-oldest on
     /// overflow). Low-level: the macros and guards call this.
     pub fn record(&self, kind: TraceKind, name: u16, start_ns: u64, dur_ns: u64, value: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let lane = self.lane();
-            let mut lane = lane.lock().expect("trace lane poisoned");
-            let ev = TraceEvent { start_ns, dur_ns, value, name, worker: lane.worker, kind };
-            if lane.buf.len() < self.inner.lane_capacity {
-                lane.buf.push(ev);
-            } else {
-                let slot = lane.next;
-                lane.buf[slot] = ev;
-                lane.next = (slot + 1) % self.inner.lane_capacity;
-                lane.dropped += 1;
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (kind, name, start_ns, dur_ns, value);
+        let lane = self.lane();
+        let mut lane = lane.lock().expect("trace lane poisoned");
+        let ev = TraceEvent { start_ns, dur_ns, value, name, worker: lane.worker, kind };
+        if lane.buf.len() < self.inner.lane_capacity {
+            lane.buf.push(ev);
+        } else {
+            let slot = lane.next;
+            lane.buf[slot] = ev;
+            lane.next = (slot + 1) % self.inner.lane_capacity;
+            lane.dropped += 1;
         }
     }
 
     /// Open a span; records one [`TraceKind::Span`] event when dropped.
     pub fn span(&self, name: &str) -> TraceSpan {
-        #[cfg(feature = "enabled")]
-        {
-            TraceSpan { sink: Some((self.clone(), self.intern(name))), start_ns: self.now_ns() }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            TraceSpan { sink: None, start_ns: 0 }
-        }
+        TraceSpan { sink: Some((self.clone(), self.intern(name))), start_ns: self.now_ns() }
     }
 
     /// Record a point-in-time marker.
@@ -459,14 +440,7 @@ pub fn install(lane_capacity: usize) -> &'static TraceLog {
 /// The installed global log, if any. One `OnceLock` load — the whole
 /// disabled cost of a `trace_span!` call site.
 pub fn current() -> Option<&'static TraceLog> {
-    #[cfg(feature = "enabled")]
-    {
-        GLOBAL.get()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        None
-    }
+    GLOBAL.get()
 }
 
 #[cfg(test)]
@@ -485,7 +459,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
         let tl = TraceLog::new(16);
@@ -501,7 +474,6 @@ mod tests {
 
     /// Satellite: exported trace JSON parses via `obs::json::parse`,
     /// B/E pairs balance, and per-track timestamps never decrease.
-    #[cfg(feature = "enabled")]
     #[test]
     fn chrome_export_is_balanced_and_ordered() {
         let tl = TraceLog::new(1024);
@@ -554,7 +526,6 @@ mod tests {
         assert_eq!(ends, 3);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn folded_stacks_attribute_self_time() {
         let tl = TraceLog::new(1024);
@@ -569,7 +540,6 @@ mod tests {
         assert!(lines.contains(&"worker0;outer;inner 30"), "folded: {folded}");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn span_guard_records_once() {
         let tl = TraceLog::new(64);

@@ -181,4 +181,161 @@ mod tests {
         assert_eq!(mb.deliver(Rank(1), 5, Time::from_us(1)), Some(10));
         assert!(!mb.is_empty(), "two unexpected messages remain");
     }
+
+    /// What is still waiting in a [`LinearMailbox`].
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Pending {
+        Post(u64),
+        Delivery(Time),
+    }
+
+    /// Reference twin of [`Mailbox`]: every unmatched post and delivery
+    /// in one list in arrival order, the first entry of the other kind on
+    /// the same `(src, tag)` wins. No maps, no queues, no buffer pool.
+    #[derive(Default)]
+    struct LinearMailbox {
+        pending: Vec<(Rank, u32, Pending)>,
+    }
+
+    impl LinearMailbox {
+        /// Remove and return the first pending entry on `(src, tag)` that
+        /// `pick` accepts.
+        fn take<T>(&mut self, src: Rank, tag: u32, pick: fn(Pending) -> Option<T>) -> Option<T> {
+            let (i, hit) = self.pending.iter().enumerate().find_map(|(i, &(s, t, p))| {
+                if (s, t) == (src, tag) {
+                    pick(p).map(|hit| (i, hit))
+                } else {
+                    None
+                }
+            })?;
+            self.pending.remove(i);
+            Some(hit)
+        }
+
+        fn deliver(&mut self, src: Rank, tag: u32, at: Time) -> Option<u64> {
+            let token = self.take(src, tag, |p| match p {
+                Pending::Post(token) => Some(token),
+                Pending::Delivery(_) => None,
+            });
+            if token.is_none() {
+                self.pending.push((src, tag, Pending::Delivery(at)));
+            }
+            token
+        }
+
+        fn post(&mut self, src: Rank, tag: u32, token: u64) -> Option<Time> {
+            let at = self.take(src, tag, |p| match p {
+                Pending::Delivery(at) => Some(at),
+                Pending::Post(_) => None,
+            });
+            if at.is_none() {
+                self.pending.push((src, tag, Pending::Post(token)));
+            }
+            at
+        }
+
+        fn is_empty(&self) -> bool {
+            self.pending.is_empty()
+        }
+    }
+
+    /// Both matchers side by side; every call asserts they answer alike.
+    #[derive(Default)]
+    struct Twins {
+        fast: Mailbox,
+        slow: LinearMailbox,
+        calls: u64,
+    }
+
+    impl Twins {
+        fn post(&mut self, src: u32, tag: u32) -> Option<Time> {
+            self.calls += 1;
+            let got = self.fast.post(Rank(src), tag, self.calls);
+            assert_eq!(got, self.slow.post(Rank(src), tag, self.calls), "post #{}", self.calls);
+            got
+        }
+
+        fn deliver(&mut self, src: u32, tag: u32) -> Option<u64> {
+            self.calls += 1;
+            let at = Time::from_ps(self.calls);
+            let got = self.fast.deliver(Rank(src), tag, at);
+            assert_eq!(got, self.slow.deliver(Rank(src), tag, at), "deliver #{}", self.calls);
+            got
+        }
+
+        fn assert_same_emptiness(&self) {
+            assert_eq!(self.fast.is_empty(), self.slow.is_empty(), "after {} calls", self.calls);
+        }
+    }
+
+    /// Seeded fuzz: few channels so queues build up on both sides,
+    /// interleaved posts and deliveries with a drifting bias so channels
+    /// fill, drain (parking their buffers) and are reused.
+    #[test]
+    fn mailbox_matches_linear_scan_twin() {
+        for seed in 0..2_000u64 {
+            let mut rng = masim_rng::Rng::seed_from_u64(seed);
+            let mut tw = Twins::default();
+            let (srcs, tags) = (rng.gen_range_usize(1, 4) as u32, rng.gen_range_usize(1, 4) as u32);
+            for _ in 0..rng.gen_range_usize(1, 120) {
+                let post_bias = rng.next_f64();
+                for _ in 0..rng.gen_range_usize(1, 12) {
+                    let (src, tag) = (rng.next_u32() % srcs, rng.next_u32() % tags);
+                    if rng.next_f64() < post_bias {
+                        tw.post(src, tag);
+                    } else {
+                        tw.deliver(src, tag);
+                    }
+                }
+            }
+            tw.assert_same_emptiness();
+        }
+    }
+
+    #[test]
+    fn mailbox_matches_twin_on_hostile_shapes() {
+        // Same tag from two sources: matching is per source, FIFO each.
+        let mut tw = Twins::default();
+        for src in [1, 2, 1, 2] {
+            tw.deliver(src, 7);
+        }
+        assert_eq!(tw.post(2, 7), Some(Time::from_ps(2)));
+        assert_eq!(tw.post(1, 7), Some(Time::from_ps(1)));
+        assert_eq!(tw.post(1, 7), Some(Time::from_ps(3)));
+        assert_eq!(tw.post(2, 7), Some(Time::from_ps(4)));
+        tw.assert_same_emptiness();
+        assert!(tw.fast.is_empty());
+
+        // 100 deliveries before the first post drain in arrival order.
+        let mut tw = Twins::default();
+        for _ in 0..100 {
+            tw.deliver(3, 0);
+        }
+        for k in 1..=100 {
+            assert_eq!(tw.post(3, 0), Some(Time::from_ps(k)));
+        }
+        assert_eq!(tw.post(3, 0), None, "the 101st receive waits");
+        tw.assert_same_emptiness();
+
+        // A channel drained and reused, in both directions and across
+        // channels, so every queue comes out of the buffer pool.
+        let mut tw = Twins::default();
+        for round in 0..50u32 {
+            let (src, tag) = (round % 3, round % 2);
+            let first = tw.calls + 1;
+            if round % 2 == 0 {
+                tw.post(src, tag);
+                tw.post(src, tag);
+                assert_eq!(tw.deliver(src, tag), Some(first));
+                assert_eq!(tw.deliver(src, tag), Some(first + 1));
+            } else {
+                tw.deliver(src, tag);
+                tw.deliver(src, tag);
+                assert_eq!(tw.post(src, tag), Some(Time::from_ps(first)));
+                assert_eq!(tw.post(src, tag), Some(Time::from_ps(first + 1)));
+            }
+            assert!(tw.fast.is_empty() && tw.slow.is_empty(), "round {round}");
+        }
+        assert!(!tw.fast.pool_at.is_empty() && !tw.fast.pool_tok.is_empty(), "pool exercised");
+    }
 }

@@ -28,16 +28,17 @@
 //! execution, pinned against the sequential engine by
 //! `tests/pdes_equivalence.rs`.
 
-use crate::error::{SimError, DEADLOCK_RANK_SAMPLE};
+use crate::error::SimError;
 use crate::msg::Message;
 use crate::net::{foreign_hop, ForeignPacket, ModelKind, Packet};
 use crate::runner::{
-    dispatch, observe_fail, SimConfig, SimCx, SimEvent, SimLimits, SimResult, SimState, TraceSource,
+    dispatch, finish, observe_fail, Leftover, SimConfig, SimCx, SimEvent, SimLimits, SimResult,
+    SimState, TraceSource,
 };
 use masim_des::{LogicalProcess, Outbox, PdesError, PdesLimits, WindowedPdes};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping, Partition};
-use masim_trace::{Rank, Time, Trace};
+use masim_trace::{Rank, Time};
 use std::sync::Arc;
 
 /// Upper bound on logical processes. More partitions mean more barrier
@@ -180,11 +181,13 @@ fn check_memory(states: &[SimState<'_>], limits: &SimLimits) -> Result<(), SimEr
     Ok(())
 }
 
-/// The partitioned analogue of `sim_core`: same validation, limits, and
-/// telemetry contract, with the event loop replaced by the windowed
-/// executor and the result assembled from the rank-owning LPs.
+/// The partitioned executor behind [`run`](crate::run): partitioning,
+/// seeding, the `PdesError` → `SimError` mapping and the two memory
+/// barriers. Validation is [`SimState::new`]'s and the result, error
+/// precedence and shared telemetry are [`finish`]'s, exactly as for the
+/// sequential engine.
 pub(crate) fn sim_partitioned(
-    trace: &Trace,
+    src: TraceSource<'_>,
     cfg: &SimConfig,
     limits: SimLimits,
     obs: Option<&MetricSet>,
@@ -192,7 +195,7 @@ pub(crate) fn sim_partitioned(
     let span = obs.map(|ms| ms.span("sim.runner.simulate"));
     // The first state build performs the mapping/machine validation the
     // partitioner relies on (it indexes node_of for every rank).
-    let first = match SimState::new(TraceSource::Memory(trace), cfg) {
+    let first = match SimState::new(src, cfg, obs.is_some()) {
         Ok(st) => st,
         Err(e) => return Err(observe_fail(obs, span, e)),
     };
@@ -205,8 +208,7 @@ pub(crate) fn sim_partitioned(
     let mut states = vec![first];
     for _ in 1..parts {
         states.push(
-            SimState::new(TraceSource::Memory(trace), cfg)
-                .expect("config validated by the first build"),
+            SimState::new(src, cfg, obs.is_some()).expect("config validated by the first build"),
         );
     }
     // The partitioned executor cannot interrupt LPs mid-window, so the
@@ -219,27 +221,22 @@ pub(crate) fn sim_partitioned(
     let lps: Vec<PacketLp> = states
         .into_iter()
         .enumerate()
-        .map(|(i, mut st)| {
-            st.set_profile_lower(obs.is_some());
-            PacketLp { lp: i, own: Arc::clone(&own), st }
-        })
+        .map(|(i, st)| PacketLp { lp: i, own: Arc::clone(&own), st })
         .collect();
 
     let mut pdes = WindowedPdes::new(lps, lookahead, cfg.sim_threads);
     if let Some(ms) = obs {
         pdes.observe_into(ms);
     }
-    let n = trace.num_ranks();
-    for r in 0..n {
-        let lp = own.rank_owner[r as usize] as usize;
-        pdes.seed(Time::ZERO, lp, LpEvent::Sim(SimEvent::Advance(Rank(r))));
+    for (r, &lp) in own.rank_owner.iter().enumerate() {
+        pdes.seed(Time::ZERO, lp as usize, LpEvent::Sim(SimEvent::Advance(Rank(r as u32))));
     }
     let run = pdes.run_limited(PdesLimits { max_work: limits.max_work, deadline: limits.deadline });
     let processed = pdes.processed();
     if let Some(ms) = obs {
         pdes.export_metrics(ms);
     }
-    let mut states: Vec<SimState> = pdes.into_lps().into_iter().map(|lp| lp.st).collect();
+    let states: Vec<SimState> = pdes.into_lps().into_iter().map(|lp| lp.st).collect();
 
     if let Err(e) = run {
         let err = match e {
@@ -258,101 +255,27 @@ pub(crate) fn sim_partitioned(
         };
         return Err(observe_fail(obs, span, err));
     }
-    // A malformed-trace cause latched inside any LP outranks the
-    // deadlock its stalled rank would otherwise report as (same
-    // precedence as the sequential path; LP order is deterministic).
-    for st in &mut states {
-        if let Some(err) = st.take_error() {
-            return Err(observe_fail(obs, span, err));
-        }
-    }
     // Post-run memory check: a run that ballooned past the budget is
     // reported as such even though it was only caught at the barrier.
-    if let Err(err) = check_memory(&states, &limits) {
-        return Err(observe_fail(obs, span, err));
-    }
-    // Each rank runs (and finishes) only on its owner LP, so the owner
-    // counts are disjoint and sum to the global completion count.
-    let done: usize = states.iter().map(|s| s.done_count()).sum();
-    if done != n as usize {
-        let waiting_ranks: Vec<u32> = (0..n)
-            .filter(|&r| !states[own.rank_owner[r as usize] as usize].rank_done(Rank(r)))
-            .take(DEADLOCK_RANK_SAMPLE)
-            .collect();
-        let err = SimError::Deadlock {
-            model: cfg.model.name(),
-            finished: done as u32,
-            total: n,
-            waiting_ranks,
-        };
-        return Err(observe_fail(obs, span, err));
-    }
-
-    let owner_of = |r: u32| &states[own.rank_owner[r as usize] as usize];
-    let per_rank: Vec<Time> = (0..n).map(|r| owner_of(r).finish_of(Rank(r))).collect();
-    let total = per_rank.iter().copied().max().unwrap_or(Time::ZERO);
-    let comm_time = (0..n).map(|r| owner_of(r).comm_of(Rank(r))).sum();
-    let messages: u64 = states.iter().map(|s| s.messages()).sum();
-    let work_units: u64 = states.iter().map(|s| s.net.work_units()).sum();
-    // Per-LP link byte vectors are disjoint (an LP reserves only links
-    // it owns), so the global per-link counters are the element-wise
-    // sum.
-    let mut link_bytes = vec![0u64; states[0].net.link_bytes().len()];
-    for s in &states {
-        for (acc, b) in link_bytes.iter_mut().zip(s.net.link_bytes()) {
-            *acc += b;
-        }
-    }
-    if let Some(ms) = obs {
-        if let Some(s) = span {
-            s.stop();
-        }
-        ms.add("sim.runner.messages", messages);
-        ms.add("sim.budget.consumed", processed.saturating_add(work_units));
-        ms.gauge_max("sim.route.arena_bytes", states.iter().map(|s| s.routes.bytes()).sum());
-        // Largest single LP's arena: how unevenly the route working set
-        // partitions (each LP interns only routes it injects or relays).
-        ms.gauge_max(
-            "sim.route.lp_arena_bytes",
-            states.iter().map(|s| s.routes.bytes()).max().unwrap_or(0),
-        );
-        let lower: u64 = states.iter().map(|s| s.lower_ns()).sum();
-        if lower > 0 {
-            ms.record_span("sim.runner.lower", lower);
-        }
-        // Message-size distribution: the per-LP slabs partition the
-        // sequential slab by sender, so their union is the same
-        // multiset.
-        if states.iter().any(|s| !s.msgs.is_empty()) {
-            let mh = ms.hist("sim.msg.bytes");
-            for s in &states {
-                for i in 0..s.msgs.len() {
-                    mh.record(s.msgs.get(i as u32).bytes);
-                }
-            }
-        }
-        // Engine-equivalent counters under the sequential names, so
-        // downstream consumers (bench events, report tables) read one
-        // schema. Complete packet runs pop every push and cancel
-        // nothing, so scheduled == processed and cancelled == 0.
-        ms.add("des.engine.processed", processed);
-        ms.add("des.engine.scheduled", processed);
-        ms.add("des.engine.cancelled", 0);
-        for s in &states {
-            // add/gauge_max accumulate correctly over the disjoint
-            // per-LP link sets.
-            s.net.export_metrics(ms);
-        }
-    }
-    Ok(SimResult {
-        model: cfg.model,
-        total,
-        per_rank,
-        comm_time,
-        events: processed,
-        messages,
-        work_units,
-        max_link_bytes: link_bytes.iter().copied().max().unwrap_or(0),
-        link_bytes,
-    })
+    let fault = check_memory(&states, &limits).err();
+    // Largest single LP's arena: how unevenly the route working set
+    // partitions (each LP interns only routes it injects or relays).
+    let lp_arena_max = states.iter().map(|s| s.routes.bytes()).max().unwrap_or(0);
+    let left = Leftover {
+        states,
+        owner: &|r| own.rank_owner[r] as usize,
+        processed,
+        fault,
+        executor_series: &|ms| {
+            ms.gauge_max("sim.route.lp_arena_bytes", lp_arena_max);
+            // Engine-equivalent counters under the sequential names, so
+            // downstream consumers (bench events, report tables) read one
+            // schema. Complete packet runs pop every push and cancel
+            // nothing, so scheduled == processed and cancelled == 0.
+            ms.add("des.engine.processed", processed);
+            ms.add("des.engine.scheduled", processed);
+            ms.add("des.engine.cancelled", 0);
+        },
+    };
+    finish(cfg, left, obs, span)
 }

@@ -481,7 +481,7 @@ pub struct SimState<'a> {
     /// Gate for the lowering profile above.
     profile_lower: bool,
     /// First typed error latched mid-run (e.g. a wait on an unknown
-    /// request); reported by `sim_core` once the queue drains.
+    /// request); reported by [`finish`] once the executor stops.
     error: Option<SimError>,
 }
 
@@ -494,7 +494,13 @@ fn token(rank: Rank, code: u32) -> u64 {
 }
 
 impl<'a> SimState<'a> {
-    pub(crate) fn new(trace: TraceSource<'a>, cfg: &SimConfig) -> Result<SimState<'a>, SimError> {
+    /// Validate `cfg` against the trace and build the empty state;
+    /// `profile_lower` (an observed run) times collective lowering.
+    pub(crate) fn new(
+        trace: TraceSource<'a>,
+        cfg: &SimConfig,
+        profile_lower: bool,
+    ) -> Result<SimState<'a>, SimError> {
         let ranks = trace.num_ranks();
         let n = ranks as usize;
         if cfg.mapping.ranks() != ranks {
@@ -541,7 +547,7 @@ impl<'a> SimState<'a> {
             scr_recvs: Vec::new(),
             scr_sends: Vec::new(),
             lower_ns: 0,
-            profile_lower: false,
+            profile_lower,
             error: None,
         })
     }
@@ -564,51 +570,13 @@ impl<'a> SimState<'a> {
         id
     }
 
-    // Accessors for the partitioned runner (`crate::pdes_run`), which
-    // owns one `SimState` per logical process and assembles the final
-    // `SimResult` from the rank-owning slices.
-
-    pub(crate) fn set_profile_lower(&mut self, on: bool) {
-        self.profile_lower = on;
-    }
-
-    pub(crate) fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    pub(crate) fn done_count(&self) -> usize {
-        self.done
-    }
-
-    pub(crate) fn rank_done(&self, r: Rank) -> bool {
-        self.procs[r.idx()].status == PStatus::Done
-    }
-
-    pub(crate) fn finish_of(&self, r: Rank) -> Time {
-        self.procs[r.idx()].finish
-    }
-
-    /// Rank `r`'s communication time: finish minus scaled compute.
-    pub(crate) fn comm_of(&self, r: Rank) -> Time {
-        let p = &self.procs[r.idx()];
-        p.finish.saturating_sub(p.compute_total)
-    }
-
-    pub(crate) fn take_error(&mut self) -> Option<SimError> {
-        self.error.take()
-    }
-
-    /// Latch the first typed mid-run error; `sim_core` reports it with
+    /// Latch the first typed mid-run error; [`finish`] reports it with
     /// priority over the deadlock the stalled rank would otherwise
     /// surface as. Later errors are dropped — the first cause wins.
     pub(crate) fn latch_error(&mut self, e: SimError) {
         if self.error.is_none() {
             self.error = Some(e);
         }
-    }
-
-    pub(crate) fn lower_ns(&self) -> u64 {
-        self.lower_ns
     }
 
     /// Event `k` of rank `r`'s trace, if it exists. Borrowed directly
@@ -700,7 +668,7 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
                 if st.procs[r.idx()].reqs.get(req.0).is_none() {
                     // Malformed trace: the request was never issued.
                     // Latch the typed cause and let the rank block on a
-                    // request that can never complete; sim_core reports
+                    // request that can never complete; `finish` reports
                     // the latched error instead of a bare deadlock.
                     st.procs[r.idx()].reqs.insert(req.0, false);
                     if st.error.is_none() {
@@ -922,8 +890,8 @@ fn try_finish_wait<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
 /// 1024 events, and `obs`, when given, receives the `sim.*` and
 /// `des.*` telemetry once after the run — the hot loop itself carries
 /// no instrumentation, so results do not depend on it.
-/// `cfg.sim_threads > 1` moves an in-memory packet-model run onto the
-/// partitioned executor; a streamed source always runs sequentially.
+/// `cfg.sim_threads > 1` moves a packet-model run, from either kind of
+/// source, onto the partitioned executor.
 ///
 /// An exhausted budget is the analogue of the paper's tool failures
 /// (SST/Macro's packet and flow models completed 216 and 162 of the 235
@@ -982,7 +950,7 @@ pub fn simulate_partitioned_observed(
     ms: &MetricSet,
 ) -> Result<SimResult, SimError> {
     if crate::pdes_run::can_partition(cfg) {
-        crate::pdes_run::sim_partitioned(trace, cfg, limits, Some(ms))
+        crate::pdes_run::sim_partitioned(trace.into(), cfg, limits, Some(ms))
     } else {
         run(trace, cfg, limits, Some(ms))
     }
@@ -1055,9 +1023,10 @@ fn drain<'a, D: DrainDetail>(
 }
 
 /// Name prefixes of the series one executor emits about itself — the
-/// sequential engine's queue and arena telemetry from [`run`]'s result
-/// tail and `Engine::export_metrics`, the partitioned executor's window
-/// statistics and per-LP arenas from `pdes_run`. A sequential and a
+/// sequential engine's queue telemetry and `Engine::export_metrics`, the
+/// partitioned executor's window statistics and largest per-LP arena
+/// from `pdes_run`, and the route-arena footprint [`finish`] sums over
+/// however many states the executor kept. A sequential and a
 /// partitioned run of one trace agree on every other series exactly:
 /// `Snapshot::deterministic(&EXECUTOR_SERIES)` of the two are equal.
 pub const EXECUTOR_SERIES: [&str; 7] = [
@@ -1078,20 +1047,16 @@ fn sim_core(
     limits: SimLimits,
     obs: Option<&MetricSet>,
 ) -> Result<SimResult, SimError> {
-    if let TraceSource::Memory(trace) = src {
-        if crate::pdes_run::wants_partitioned(cfg) {
-            return crate::pdes_run::sim_partitioned(trace, cfg, limits, obs);
-        }
+    if crate::pdes_run::wants_partitioned(cfg) {
+        return crate::pdes_run::sim_partitioned(src, cfg, limits, obs);
     }
     let span = obs.map(|ms| ms.span("sim.runner.simulate"));
     let mut eng: Engine<SimState<'_>> = Engine::new();
-    let mut st = match SimState::new(src, cfg) {
+    let mut st = match SimState::new(src, cfg, obs.is_some()) {
         Ok(st) => st,
         Err(e) => return Err(observe_fail(obs, span, e)),
     };
-    st.profile_lower = obs.is_some();
-    let n = src.num_ranks();
-    for r in 0..n {
+    for r in 0..src.num_ranks() {
         eng.schedule_at(Time::ZERO, SimEvent::Advance(Rank(r)));
     }
     // Wall clock is only consulted when a deadline is armed, so the
@@ -1115,71 +1080,134 @@ fn sim_core(
     if let Err(err) = drained {
         return Err(observe_fail(obs, span, err));
     }
-    if let Some(err) = st.error.take() {
-        // A malformed-trace cause latched mid-run outranks the generic
-        // deadlock the stalled rank would otherwise be reported as.
-        return Err(observe_fail(obs, span, err));
-    }
-    if let Some(overflow) = eng.error() {
+    let left = Leftover {
+        states: vec![st],
+        owner: &|_| 0,
+        processed: eng.processed(),
         // The engine latched a clock overflow and stopped; the trace
         // prediction is incomplete.
-        let err = SimError::ClockOverflow { model: cfg.model.name(), overflow };
+        fault: eng
+            .error()
+            .map(|overflow| SimError::ClockOverflow { model: cfg.model.name(), overflow }),
+        executor_series: &|ms| {
+            // Peak pending-event occupancy: the quantity lazy packet
+            // injection bounds to O(in-flight messages).
+            ms.gauge_max("sim.queue.peak_occupancy", eng.max_pending() as u64);
+            eng.export_metrics(ms);
+        },
+    };
+    finish(cfg, left, obs, span)
+}
+
+/// What an executor leaves behind once its event loop has stopped
+/// without tripping a limit: the input of [`finish`].
+pub(crate) struct Leftover<'a, 's> {
+    /// One state for the engine, one per LP for the windowed executor.
+    pub(crate) states: Vec<SimState<'s>>,
+    /// Rank index → index of the state that replayed it.
+    pub(crate) owner: &'a dyn Fn(usize) -> usize,
+    /// DES events executed.
+    pub(crate) processed: u64,
+    /// The executor's own end-of-run fault (the engine's clock overflow,
+    /// the partitioned run's post-run memory check). Reported after a
+    /// latched trace cause and before the deadlock check.
+    pub(crate) fault: Option<SimError>,
+    /// On a completed run, emits what only the executor knows: its
+    /// [`EXECUTOR_SERIES`] and the `des.engine.*` counters.
+    pub(crate) executor_series: &'a dyn Fn(&MetricSet),
+}
+
+/// The one tail of every simulation, whichever executor ran it: error
+/// precedence (latched trace cause, executor fault, deadlock), result
+/// assembly from the rank-owning states, and every `sim.*` series the
+/// executors share.
+pub(crate) fn finish(
+    cfg: &SimConfig,
+    left: Leftover<'_, '_>,
+    obs: Option<&MetricSet>,
+    span: Option<masim_obs::SpanGuard>,
+) -> Result<SimResult, SimError> {
+    let Leftover { mut states, owner, processed, fault, executor_series } = left;
+    // A malformed-trace cause latched mid-run outranks the generic
+    // deadlock the stalled rank would otherwise be reported as (state
+    // order is deterministic, so the first cause is too).
+    let latched = states.iter_mut().find_map(|st| st.error.take());
+    if let Some(err) = latched.or(fault) {
         return Err(observe_fail(obs, span, err));
     }
-    if st.done != n as usize {
-        let waiting_ranks: Vec<u32> = st
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status != PStatus::Done)
-            .map(|(r, _)| r as u32)
+    let n = states[0].procs.len();
+    let proc_of = |r: usize| &states[owner(r)].procs[r];
+    // Each rank runs (and finishes) only in its owner state, so the
+    // per-state counts are disjoint and sum to the global count.
+    let done: usize = states.iter().map(|st| st.done).sum();
+    if done != n {
+        let waiting_ranks: Vec<u32> = (0..n)
+            .filter(|&r| proc_of(r).status != PStatus::Done)
+            .map(|r| r as u32)
             .take(crate::error::DEADLOCK_RANK_SAMPLE)
             .collect();
         let err = SimError::Deadlock {
             model: cfg.model.name(),
-            finished: st.done as u32,
-            total: n,
+            finished: done as u32,
+            total: n as u32,
             waiting_ranks,
         };
         return Err(observe_fail(obs, span, err));
     }
-    let per_rank: Vec<Time> = st.procs.iter().map(|p| p.finish).collect();
+    let per_rank: Vec<Time> = (0..n).map(|r| proc_of(r).finish).collect();
     let total = per_rank.iter().copied().max().unwrap_or(Time::ZERO);
-    let comm_time = st.procs.iter().map(|p| p.finish.saturating_sub(p.compute_total)).sum();
+    let comm_time = (0..n).map(proc_of).map(|p| p.finish.saturating_sub(p.compute_total)).sum();
+    let messages: u64 = states.iter().map(|st| st.messages).sum();
+    let work_units: u64 = states.iter().map(|st| st.net.work_units()).sum();
     if let Some(ms) = obs {
         if let Some(s) = span {
             s.stop();
         }
-        ms.add("sim.runner.messages", st.messages);
-        ms.add("sim.budget.consumed", eng.processed().saturating_add(st.net.work_units()));
-        // Peak pending-event occupancy: the quantity lazy packet
-        // injection bounds to O(in-flight messages).
-        ms.gauge_max("sim.queue.peak_occupancy", eng.max_pending() as u64);
+        ms.add("sim.runner.messages", messages);
+        ms.add("sim.budget.consumed", processed.saturating_add(work_units));
         // Resident interned-route footprint (flat storage + index).
-        ms.gauge_max("sim.route.arena_bytes", st.routes.bytes());
-        if st.lower_ns > 0 {
-            ms.record_span("sim.runner.lower", st.lower_ns);
+        ms.gauge_max("sim.route.arena_bytes", states.iter().map(|st| st.routes.bytes()).sum());
+        // With the schedule cache this times unique lowerings only.
+        let lower_ns: u64 = states.iter().map(|st| st.lower_ns).sum();
+        if lower_ns > 0 {
+            ms.record_span("sim.runner.lower", lower_ns);
         }
-        // Message-size distribution, filled once from the slab after the
-        // run — O(messages) here, nothing on the injection path.
-        if !st.msgs.is_empty() {
+        // Message-size distribution, filled once from the slabs after
+        // the run — O(messages) here, nothing on the injection path. Per
+        // LP slabs partition the sequential slab by sender, so their
+        // union is the same multiset.
+        if states.iter().any(|st| !st.msgs.is_empty()) {
             let mh = ms.hist("sim.msg.bytes");
-            for i in 0..st.msgs.len() {
-                mh.record(st.msgs.get(i as u32).bytes);
+            for st in &states {
+                for i in 0..st.msgs.len() {
+                    mh.record(st.msgs.get(i as u32).bytes);
+                }
             }
         }
-        eng.export_metrics(ms);
-        st.net.export_metrics(ms);
+        executor_series(ms);
+        for st in &states {
+            // add/gauge_max accumulate correctly over the disjoint
+            // per-LP link sets.
+            st.net.export_metrics(ms);
+        }
     }
-    let work_units = st.net.work_units();
-    let link_bytes = st.net.into_link_bytes();
+    // A state charges only links it owns, so the per-state vectors are
+    // disjoint and the global counters are their element-wise sum (the
+    // engine's single vector is moved out, not copied).
+    let mut states = states.into_iter();
+    let mut link_bytes = states.next().expect("an executor has a state").net.into_link_bytes();
+    for st in states {
+        for (acc, b) in link_bytes.iter_mut().zip(st.net.link_bytes()) {
+            *acc += b;
+        }
+    }
     Ok(SimResult {
         model: cfg.model,
         total,
         per_rank,
         comm_time,
-        events: eng.processed(),
-        messages: st.messages,
+        events: processed,
+        messages,
         work_units,
         max_link_bytes: link_bytes.iter().copied().max().unwrap_or(0),
         link_bytes,

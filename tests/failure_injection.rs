@@ -10,8 +10,12 @@ use std::time::Duration;
 
 use masim_core::{contained, ToolFailure};
 use masim_mfact::{replay, try_replay, ModelConfig, ReplayError};
+use masim_obs::{MetricSet, Snapshot};
 use masim_rng::Rng;
-use masim_sim::{simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits};
+use masim_sim::{
+    simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult,
+    EXECUTOR_SERIES,
+};
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::{io, Event, EventKind, Rank, Time, Trace, TraceError, TraceMeta};
 use masim_workloads::{
@@ -45,6 +49,37 @@ fn ft64_trace() -> Trace {
     gcfg.size = 3;
     gcfg.comm_fraction = 0.6;
     generate(&gcfg)
+}
+
+const PACKET: ModelKind = ModelKind::Packet { packet_bytes: 1024 };
+
+/// `cfg` run observed on each executor: the sequential engine
+/// (`sim_threads: 1`), then the partitioned one (`2`; takes effect for the
+/// packet model only), each with the telemetry it left behind.
+fn on_both_executors(
+    t: &Trace,
+    cfg: &SimConfig,
+    limits: SimLimits,
+) -> [(Result<SimResult, SimError>, Snapshot); 2] {
+    [1, 2].map(|sim_threads| {
+        let ms = MetricSet::new();
+        let res = masim_sim::run(t, &SimConfig { sim_threads, ..cfg.clone() }, limits, Some(&ms));
+        (res, ms.snapshot())
+    })
+}
+
+/// The failure both executors must report identically: the same
+/// `SimError`, field for field, and — `EXECUTOR_SERIES` aside — the same
+/// telemetry, in which `counter` is the one failure bumped, once.
+fn same_failure(runs: [(Result<SimResult, SimError>, Snapshot); 2], counter: &str) -> SimError {
+    let [(seq, seq_ms), (par, par_ms)] = runs;
+    let seq = seq.expect_err("the sequential engine must fail");
+    assert_eq!(par.as_ref().err(), Some(&seq), "executors disagree on the failure");
+    let shared = seq_ms.deterministic(&EXECUTOR_SERIES);
+    assert_eq!(shared, par_ms.deterministic(&EXECUTOR_SERIES), "{seq}: telemetry diverged");
+    let bumped: Vec<_> = shared.counters.iter().filter(|(_, &v)| v > 0).collect();
+    assert_eq!(bumped, [(&counter.to_string(), &1)], "{seq}");
+    seq
 }
 
 /// A truncated binary trace is rejected at every cut point.
@@ -134,20 +169,22 @@ fn oversubscribed_mapping_rejected() {
     for r in 0..34 {
         t.events[r] = vec![Event::compute(Time::from_us(1))];
     }
-    let cfg = SimConfig {
-        machine: machine.clone(),
-        mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
-        model: ModelKind::Flow,
-        compute_scale: 1.0,
-        sim_threads: 1,
-        route_arena_cap_bytes: u64::MAX,
-    };
-    let err = simulate_budgeted(&t, &cfg, u64::MAX).expect_err("oversubscription must fail");
-    match err {
-        SimError::InvalidConfig { reason } => {
-            assert!(reason.contains("mapping does not fit"), "reason: {reason}")
+    for model in [ModelKind::Flow, PACKET] {
+        let cfg = SimConfig {
+            machine: machine.clone(),
+            mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
+            model,
+            compute_scale: 1.0,
+            sim_threads: 1,
+            route_arena_cap_bytes: u64::MAX,
+        };
+        let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
+        match same_failure(runs, "sim.config.invalid") {
+            SimError::InvalidConfig { reason } => {
+                assert!(reason.contains("mapping does not fit"), "reason: {reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other}"),
         }
-        other => panic!("expected InvalidConfig, got {other}"),
     }
 }
 
@@ -210,6 +247,9 @@ fn route_arena_cap_is_explicit() {
         }
         ref other => panic!("expected RouteArenaExhausted, got {other}"),
     }
+    // The partitioned executor caps each LP's own arena: typed too.
+    let [_, (par, _)] = on_both_executors(&t, &cfg, SimLimits::unlimited());
+    assert!(matches!(par, Ok(_) | Err(SimError::RouteArenaExhausted { .. })), "{par:?}");
     // An uncapped run of the same trace completes.
     cfg.route_arena_cap_bytes = u64::MAX;
     assert!(simulate_budgeted(&t, &cfg, u64::MAX).is_ok());
@@ -229,8 +269,8 @@ fn oversized_message_is_explicit() {
         vec![Event::new(EventKind::Recv { peer: Rank(0), bytes: huge, tag: 0 }, Time::ZERO)];
     let mut cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
     cfg.mapping = Mapping::block(2, 1); // inter-node: the message hits the wire
-    let err = simulate_budgeted(&t, &cfg, u64::MAX).expect_err("oversized message must fail");
-    match err {
+    let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
+    match same_failure(runs, "sim.msg.oversized") {
         SimError::OversizedMessage { bytes, packets } => {
             assert_eq!(bytes, huge);
             assert!(packets > u64::from(u32::MAX), "packets: {packets}");
@@ -256,6 +296,12 @@ fn memory_budget_is_explicit() {
         }
         ref other => panic!("expected MemoryBudget, got {other}"),
     }
+    // The packet model on either executor (the partitioned one meters
+    // the sum of its LP states at its two barriers): typed too.
+    let cfg = SimConfig::new(cfg.machine, PACKET, &t);
+    for (res, _) in on_both_executors(&t, &cfg, limits) {
+        assert!(matches!(res, Ok(_) | Err(SimError::MemoryBudget { budget: 4096, .. })), "{res:?}");
+    }
     // The same failure normalizes to the study-level "memory" code.
     let failure = ToolFailure::from_sim(err);
     assert_eq!(failure.code(), "memory");
@@ -278,14 +324,16 @@ fn mfact_detects_deadlock() {
 fn simulator_detects_deadlock() {
     let t = deadlock_trace();
     let machine = Machine::cielito();
-    let cfg = SimConfig::new(machine, ModelKind::Flow, &t);
-    let err = simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected");
-    match err {
-        SimError::Deadlock { finished, total, ref waiting_ranks, .. } => {
-            assert_eq!((finished, total), (0, 2));
-            assert!(!waiting_ranks.is_empty(), "blocked ranks must be reported");
+    for model in [ModelKind::Flow, PACKET] {
+        let cfg = SimConfig::new(machine.clone(), model, &t);
+        let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
+        match same_failure(runs, "sim.deadlock.detected") {
+            SimError::Deadlock { finished, total, ref waiting_ranks, .. } => {
+                assert_eq!((finished, total), (0, 2));
+                assert_eq!(waiting_ranks, &[0, 1], "blocked ranks must be reported");
+            }
+            ref other => panic!("expected Deadlock, got {other}"),
         }
-        ref other => panic!("expected Deadlock, got {other}"),
     }
 }
 
@@ -348,7 +396,7 @@ fn chaos_trace_faults_land_in_typed_errors() {
     // Derive the sim config from the healthy twin (same meta and rank
     // count): deriving it from the corrupted trace would overflow in
     // debug builds before the containment boundary is even reached.
-    let cfg = SimConfig::new(machine.clone(), ModelKind::Packet { packet_bytes: 1024 }, &healthy);
+    let cfg = SimConfig::new(machine.clone(), PACKET, &healthy);
     for fault in TRACE_FAULTS {
         for seed in 0..6u64 {
             let bad = corrupt_trace(&healthy, fault, &mut Rng::seed_from_u64(seed));
@@ -381,25 +429,27 @@ fn chaos_trace_faults_land_in_typed_errors() {
                 _ => assert!(mfact.is_err(), "{fault:?}/{seed}: replay must fail: {mfact:?}"),
             }
 
-            // Stage 3: the discrete-event simulator, same boundary. Its
-            // clock arithmetic is checked, so even the overflow fault
-            // must surface as a typed SimError.
-            let sim = contained(|| {
-                simulate_budgeted(&bad, &cfg, u64::MAX).map(|_| ()).map_err(ToolFailure::from_sim)
-            });
-            match fault {
-                TraceFault::HugeCompute => assert!(
-                    matches!(sim, Err(ToolFailure::ClockOverflow { .. })),
-                    "{fault:?}/{seed}: expected typed overflow, got {sim:?}"
-                ),
-                TraceFault::RecvRecvDeadlock => assert!(
-                    matches!(sim, Err(ToolFailure::Deadlock { .. })),
-                    "{fault:?}/{seed}: expected typed deadlock, got {sim:?}"
-                ),
-                _ => assert!(
-                    !matches!(sim, Err(ToolFailure::Panicked { .. })),
-                    "{fault:?}/{seed}: simulator panicked: {sim:?}"
-                ),
+            // Stage 3: the discrete-event simulator on both executors,
+            // same boundary. Its clock arithmetic is checked, so even the
+            // overflow fault must surface as a typed SimError.
+            let runs = contained(|| Ok(on_both_executors(&bad, &cfg, SimLimits::unlimited())))
+                .unwrap_or_else(|e| panic!("{fault:?}/{seed}: simulator panicked: {e:?}"));
+            for (res, _) in &runs {
+                match fault {
+                    TraceFault::HugeCompute => assert!(
+                        matches!(res, Err(SimError::ClockOverflow { .. })),
+                        "{fault:?}/{seed}: expected typed overflow, got {res:?}"
+                    ),
+                    TraceFault::RecvRecvDeadlock => assert!(
+                        matches!(res, Err(SimError::Deadlock { .. })),
+                        "{fault:?}/{seed}: expected typed deadlock, got {res:?}"
+                    ),
+                    _ => { /* any typed outcome: a panic was caught above */ }
+                }
+            }
+            if fault == TraceFault::WildWaitRequest {
+                let err = same_failure(runs, "sim.trace.unknown-request");
+                assert!(matches!(err, SimError::UnknownRequest { .. }), "{fault:?}/{seed}: {err}");
             }
         }
     }

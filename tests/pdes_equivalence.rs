@@ -80,7 +80,7 @@ fn partitioned_packet_model_is_bit_identical() {
 /// gate): larger trace, more partitions crossing, same bit-identity —
 /// across the sequential engine, the partitioned executor at 1 (inline,
 /// `WindowedPdes`'s one-worker loop), 2, 4 and 8 workers, and the
-/// streamed source.
+/// streamed source on either executor.
 #[test]
 fn cg64_bench_shape_is_bit_identical() {
     let trace = cg_trace(99);
@@ -98,10 +98,15 @@ fn cg64_bench_shape_is_bit_identical() {
     .expect("run completes");
     assert_identical(&seq, &inline, "cg64/partitioned-inline");
     let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
-    let streamed =
-        simulate_streamed_limited(&stream, &packet_cfg(&trace, 1), SimLimits::unlimited())
-            .expect("run completes");
-    assert_identical(&seq, &streamed, "cg64/streamed");
+    for threads in [1, 2, 4] {
+        let streamed = simulate_streamed_limited(
+            &stream,
+            &packet_cfg(&trace, threads),
+            SimLimits::unlimited(),
+        )
+        .expect("run completes");
+        assert_identical(&seq, &streamed, &format!("cg64/streamed/t{threads}"));
+    }
 }
 
 /// The telemetry both paths share must agree exactly — every counter,
@@ -128,14 +133,17 @@ fn shared_metrics_schema_agrees() {
 
 /// Typed failures survive partitioning: a budget too small for the
 /// trace trips `BudgetExhausted` (window-aligned, so the trip point is
-/// thread-count independent), never a panic.
+/// thread-count and source independent), never a panic.
 #[test]
 fn budget_trips_as_typed_error_at_any_thread_count() {
     let trace = cg_trace(7);
+    let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
     let mut trips = Vec::new();
     for threads in [2, 4] {
-        let err = simulate_budgeted(&trace, &packet_cfg(&trace, threads), 10_000)
-            .expect_err("tiny budget must trip");
+        let cfg = packet_cfg(&trace, threads);
+        let err = simulate_budgeted(&trace, &cfg, 10_000).expect_err("tiny budget must trip");
+        let streamed = simulate_streamed_limited(&stream, &cfg, SimLimits::budget(10_000));
+        assert_eq!(streamed.err().as_ref(), Some(&err), "streamed source at t{threads}");
         match err {
             masim_sim::SimError::BudgetExhausted { consumed, budget } => {
                 assert_eq!(budget, 10_000);

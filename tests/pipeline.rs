@@ -2,7 +2,10 @@
 //! I/O → MFACT → simulators → study → enhanced model.
 
 use masim_core::{run_one_observed, Dataset, Enhanced, Study, StudyConfig};
-use masim_mfact::{classify, replay, AppClass, ModelConfig};
+use masim_mfact::{
+    classify, probe_configs, replay, try_classify, try_replay, AppClass, Classification,
+    ModelConfig,
+};
 use masim_sim::{simulate, ModelKind, SimConfig};
 use masim_topo::Machine;
 use masim_trace::{io, Features, Time};
@@ -39,6 +42,42 @@ fn one_trace_full_pipeline() {
     // DIFF is defined and small-ish for a mid-corpus entry.
     let diff = t.diff_total_pflow().unwrap();
     assert!(diff < 1.0, "diff {diff}");
+}
+
+/// The classifier's replay and the study's replay are one replay: the
+/// decision taken from a caller's own run of `probe_configs` equals
+/// `try_classify`, and so does the class a study records — bit for bit.
+#[test]
+fn study_classifies_from_the_replay_it_ran() {
+    fn assert_same(a: &Classification, b: &Classification, tag: &str) {
+        let bits = |c: &Classification| {
+            [c.bw_sensitivity.to_bits(), c.lat_sensitivity.to_bits(), c.base_total.to_bits()]
+        };
+        assert_eq!((a.class, a.baseline, bits(a)), (b.class, b.baseline, bits(b)), "{tag}");
+    }
+    let net = Machine::cielito().net;
+    // The four apps `classify.rs` pins a class for.
+    for (app, ranks, comm_fraction, imbalance) in [
+        (App::Ep, 16, 0.02, None),
+        (App::Ft, 64, 0.6, None),
+        (App::Lu, 64, 0.5, None),
+        (App::Cmc, 16, 0.08, Some(0.9)),
+    ] {
+        let mut gcfg = GenConfig::test_default(app, ranks);
+        gcfg.comm_fraction = comm_fraction;
+        gcfg.imbalance = imbalance.unwrap_or(gcfg.imbalance);
+        let t = generate(&gcfg);
+        let res = try_replay(&t, &probe_configs(net), None).expect("healthy trace");
+        let whole = try_classify(&t, net).expect("healthy trace");
+        assert_same(&Classification::from_replay(&res), &whole, app.name());
+    }
+    let entries = build_corpus(7);
+    for entry in [&entries[30], &entries[40]] {
+        let studied = run_one_observed(entry, &StudyConfig::default()).study.classification;
+        let net = Machine::by_name(&entry.cfg.machine).expect("corpus machine").net;
+        let whole = try_classify(&entry.generate(), net).expect("healthy trace");
+        assert_same(&studied, &whole, entry.cfg.app.name());
+    }
 }
 
 /// Corpus-wide structural invariant: every generated trace validates
