@@ -53,9 +53,9 @@ fn ft64_trace() -> Trace {
 
 const PACKET: ModelKind = ModelKind::Packet { packet_bytes: 1024 };
 
-/// `cfg` run observed on each executor: the sequential engine
-/// (`sim_threads: 1`), then the partitioned one (`2`; takes effect for the
-/// packet model only), each with the telemetry it left behind.
+/// A packet-model `cfg` run observed on each executor: the sequential
+/// engine (`sim_threads: 1`), then the partitioned one (`2`), each with
+/// the telemetry it left behind.
 fn on_both_executors(
     t: &Trace,
     cfg: &SimConfig,
@@ -169,23 +169,23 @@ fn oversubscribed_mapping_rejected() {
     for r in 0..34 {
         t.events[r] = vec![Event::compute(Time::from_us(1))];
     }
-    for model in [ModelKind::Flow, PACKET] {
-        let cfg = SimConfig {
-            machine: machine.clone(),
-            mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
-            model,
-            compute_scale: 1.0,
-            sim_threads: 1,
-            route_arena_cap_bytes: u64::MAX,
-        };
-        let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
-        match same_failure(runs, "sim.config.invalid") {
-            SimError::InvalidConfig { reason } => {
-                assert!(reason.contains("mapping does not fit"), "reason: {reason}")
-            }
-            other => panic!("expected InvalidConfig, got {other}"),
+    let mut cfg = SimConfig {
+        machine: machine.clone(),
+        mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
+        model: ModelKind::Flow,
+        compute_scale: 1.0,
+        sim_threads: 1,
+        route_arena_cap_bytes: u64::MAX,
+    };
+    let check = |err: SimError| match err {
+        SimError::InvalidConfig { reason } => {
+            assert!(reason.contains("mapping does not fit"), "reason: {reason}")
         }
-    }
+        other => panic!("expected InvalidConfig, got {other}"),
+    };
+    check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("oversubscription must fail"));
+    cfg.model = PACKET;
+    check(same_failure(on_both_executors(&t, &cfg, SimLimits::unlimited()), "sim.config.invalid"));
 }
 
 /// Budget exhaustion returns a contextual error rather than a bogus
@@ -324,17 +324,20 @@ fn mfact_detects_deadlock() {
 fn simulator_detects_deadlock() {
     let t = deadlock_trace();
     let machine = Machine::cielito();
-    for model in [ModelKind::Flow, PACKET] {
-        let cfg = SimConfig::new(machine.clone(), model, &t);
-        let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
-        match same_failure(runs, "sim.deadlock.detected") {
-            SimError::Deadlock { finished, total, ref waiting_ranks, .. } => {
-                assert_eq!((finished, total), (0, 2));
-                assert_eq!(waiting_ranks, &[0, 1], "blocked ranks must be reported");
-            }
-            ref other => panic!("expected Deadlock, got {other}"),
+    let check = |err: SimError| match err {
+        SimError::Deadlock { finished, total, ref waiting_ranks, .. } => {
+            assert_eq!((finished, total), (0, 2));
+            assert_eq!(waiting_ranks, &[0, 1], "blocked ranks must be reported");
         }
-    }
+        ref other => panic!("expected Deadlock, got {other}"),
+    };
+    let cfg = SimConfig::new(machine.clone(), ModelKind::Flow, &t);
+    check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected"));
+    let cfg = SimConfig::new(machine, PACKET, &t);
+    check(same_failure(
+        on_both_executors(&t, &cfg, SimLimits::unlimited()),
+        "sim.deadlock.detected",
+    ));
 }
 
 /// Text parsing rejects hostile input with a parse error — it neither
@@ -435,14 +438,18 @@ fn chaos_trace_faults_land_in_typed_errors() {
             let runs = contained(|| Ok(on_both_executors(&bad, &cfg, SimLimits::unlimited())))
                 .unwrap_or_else(|e| panic!("{fault:?}/{seed}: simulator panicked: {e:?}"));
             for (res, _) in &runs {
+                // The study-level code each executor's outcome normalizes to.
+                let failure = res.as_ref().map_err(|e| ToolFailure::from_sim(e.clone()));
                 match fault {
                     TraceFault::HugeCompute => assert!(
-                        matches!(res, Err(SimError::ClockOverflow { .. })),
-                        "{fault:?}/{seed}: expected typed overflow, got {res:?}"
+                        matches!(res, Err(SimError::ClockOverflow { .. }))
+                            && matches!(failure, Err(ToolFailure::ClockOverflow { .. })),
+                        "{fault:?}/{seed}: expected typed overflow, got {res:?} -> {failure:?}"
                     ),
                     TraceFault::RecvRecvDeadlock => assert!(
-                        matches!(res, Err(SimError::Deadlock { .. })),
-                        "{fault:?}/{seed}: expected typed deadlock, got {res:?}"
+                        matches!(res, Err(SimError::Deadlock { .. }))
+                            && matches!(failure, Err(ToolFailure::Deadlock { .. })),
+                        "{fault:?}/{seed}: expected typed deadlock, got {res:?} -> {failure:?}"
                     ),
                     _ => { /* any typed outcome: a panic was caught above */ }
                 }

@@ -56,20 +56,26 @@ fn study_classifies_from_the_replay_it_ran() {
         assert_eq!((a.class, a.baseline, bits(a)), (b.class, b.baseline, bits(b)), "{tag}");
     }
     let net = Machine::cielito().net;
-    // The four apps `classify.rs` pins a class for.
-    for (app, ranks, comm_fraction, imbalance) in [
-        (App::Ep, 16, 0.02, None),
-        (App::Ft, 64, 0.6, None),
-        (App::Lu, 64, 0.5, None),
-        (App::Cmc, 16, 0.08, Some(0.9)),
+    // The four apps `classify.rs` pins a class for, with that class: the
+    // decision and its evidence must come from the caller's own results.
+    for (app, ranks, comm_fraction, imbalance, class) in [
+        (App::Ep, 16, 0.02, None, AppClass::ComputationBound),
+        (App::Ft, 64, 0.6, None, AppClass::CommunicationBound),
+        (App::Lu, 64, 0.5, None, AppClass::CommunicationBound),
+        (App::Cmc, 16, 0.08, Some(0.9), AppClass::LoadImbalanceBound),
     ] {
         let mut gcfg = GenConfig::test_default(app, ranks);
         gcfg.comm_fraction = comm_fraction;
         gcfg.imbalance = imbalance.unwrap_or(gcfg.imbalance);
         let t = generate(&gcfg);
         let res = try_replay(&t, &probe_configs(net), None).expect("healthy trace");
-        let whole = try_classify(&t, net).expect("healthy trace");
-        assert_same(&Classification::from_replay(&res), &whole, app.name());
+        let mine = Classification::from_replay(&res);
+        let secs = |i: usize| res[i].total.as_secs_f64();
+        assert_eq!(mine.class, class, "{}: {mine:?}", app.name());
+        assert_eq!((mine.base_total, mine.baseline), (secs(0), res[0].counters), "{}", app.name());
+        assert_eq!(mine.bw_sensitivity, secs(1) / secs(0) - 1.0, "{}", app.name());
+        assert_eq!(mine.lat_sensitivity, secs(2) / secs(0) - 1.0, "{}", app.name());
+        assert_same(&mine, &try_classify(&t, net).expect("healthy trace"), app.name());
     }
     let entries = build_corpus(7);
     for entry in [&entries[30], &entries[40]] {
