@@ -1,9 +1,6 @@
 //! Messages and per-rank mailboxes (MPI matching semantics).
 
-use crate::hash::IntMap;
 use masim_trace::{Rank, Time};
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 
 /// A point-to-point message in flight (application or lowered-collective
 /// traffic). Plain `Copy` data: a message's identity is its index in the
@@ -59,87 +56,70 @@ impl MsgSlab {
 }
 
 /// Matching state per destination rank: MPI's posted-receive queue and
-/// unexpected-message queue, keyed by (source, tag). No wildcard
-/// receives — DUMPI traces record fully-resolved matches.
+/// unexpected-message queue in one list, keyed by (source, tag). No
+/// wildcard receives — DUMPI traces record fully-resolved matches.
 ///
-/// Channels are transient (lowered collectives tag every instance
-/// uniquely), so drained channels are removed to keep the maps small —
-/// but their queue buffers park in a free pool instead of dropping, so
-/// steady-state matching recycles capacity instead of calling the
-/// allocator once per message.
+/// One vector of 24-byte slots sorted by channel key, FIFO inside a key.
+/// A channel never holds both kinds at once (a delivery takes a waiting
+/// receive instead of queueing behind it, and vice versa), so one
+/// binary search serves both directions: no hashing, no per-channel
+/// allocation. Pending depth per rank stays ≤ 31 on every corpus and
+/// Table II trace; the stated worst case is O(log n) + an O(n) slot
+/// memmove per match for a rank with n pending entries.
 #[derive(Default, Debug)]
 pub struct Mailbox {
-    /// Delivered messages with no posted receive yet: packed (src, tag)
-    /// → FIFO of delivery times.
-    unexpected: IntMap<u64, VecDeque<Time>>,
-    /// Posted receives with no delivered message yet: packed (src, tag)
-    /// → FIFO of receive tokens.
-    posted: IntMap<u64, VecDeque<u64>>,
-    /// Parked buffers of drained `unexpected` channels.
-    pool_at: Vec<VecDeque<Time>>,
-    /// Parked buffers of drained `posted` channels.
-    pool_tok: Vec<VecDeque<u64>>,
+    slots: Vec<Slot>,
 }
 
-/// Channel key: one map word (hashes in a single round) instead of a
-/// `(u32, u32)` pair.
+/// One unmatched receive or delivery.
+#[derive(Debug)]
+struct Slot {
+    /// Packed (src, tag), see [`chan`].
+    key: u64,
+    /// Receive token when `posted`, else the arrival time in ps.
+    val: u64,
+    posted: bool,
+}
+
+/// Channel key: source in the high word so one `u64` compare orders
+/// slots by (src, tag).
 #[inline]
 fn chan(src: Rank, tag: u32) -> u64 {
     (src.0 as u64) << 32 | tag as u64
 }
 
 impl Mailbox {
+    /// Take the oldest pending entry on `key` if it is of the other
+    /// kind; otherwise queue `val` behind the key's own entries.
+    #[inline]
+    fn match_or_queue(&mut self, key: u64, val: u64, posted: bool) -> Option<u64> {
+        let lo = self.slots.partition_point(|s| s.key < key);
+        match self.slots.get(lo) {
+            Some(s) if s.key == key && s.posted != posted => Some(self.slots.remove(lo).val),
+            _ => {
+                let hi = lo + self.slots[lo..].partition_point(|s| s.key == key);
+                self.slots.insert(hi, Slot { key, val, posted });
+                None
+            }
+        }
+    }
+
     /// A message arrived at `at`. Returns the matching posted-receive
     /// token if one was waiting.
     pub fn deliver(&mut self, src: Rank, tag: u32, at: Time) -> Option<u64> {
-        let key = chan(src, tag);
-        if let Some(q) = self.posted.get_mut(&key) {
-            if let Some(token) = q.pop_front() {
-                if q.is_empty() {
-                    let q = self.posted.remove(&key).expect("just matched");
-                    self.pool_tok.push(q);
-                }
-                return Some(token);
-            }
-        }
-        match self.unexpected.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().push_back(at),
-            Entry::Vacant(v) => {
-                let mut q = self.pool_at.pop().unwrap_or_default();
-                q.push_back(at);
-                v.insert(q);
-            }
-        }
-        None
+        self.match_or_queue(chan(src, tag), at.as_ps(), false)
     }
 
     /// A receive was posted. Returns the delivery time if a matching
     /// message already arrived (the receive completes immediately).
     pub fn post(&mut self, src: Rank, tag: u32, token: u64) -> Option<Time> {
-        let key = chan(src, tag);
-        if let Some(q) = self.unexpected.get_mut(&key) {
-            if let Some(at) = q.pop_front() {
-                if q.is_empty() {
-                    let q = self.unexpected.remove(&key).expect("just matched");
-                    self.pool_at.push(q);
-                }
-                return Some(at);
-            }
-        }
-        match self.posted.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().push_back(token),
-            Entry::Vacant(v) => {
-                let mut q = self.pool_tok.pop().unwrap_or_default();
-                q.push_back(token);
-                v.insert(q);
-            }
-        }
-        None
+        self.match_or_queue(chan(src, tag), token, true).map(Time::from_ps)
     }
 
-    /// True when no state is left (used by leak checks in tests).
-    pub fn is_empty(&self) -> bool {
-        self.unexpected.is_empty() && self.posted.is_empty()
+    /// True when no state is left.
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
     }
 }
 
@@ -263,33 +243,53 @@ mod tests {
             got
         }
 
+        /// A post or a delivery on `chan`; true if it matched.
+        fn call(&mut self, post: bool, (src, tag): (u32, u32)) -> bool {
+            if post {
+                self.post(src, tag).is_some()
+            } else {
+                self.deliver(src, tag).is_some()
+            }
+        }
+
         fn assert_same_emptiness(&self) {
             assert_eq!(self.fast.is_empty(), self.slow.is_empty(), "after {} calls", self.calls);
         }
     }
 
-    /// Seeded fuzz: few channels so queues build up on both sides,
-    /// interleaved posts and deliveries with a drifting bias so channels
-    /// fill, drain (parking their buffers) and are reused.
+    /// One seeded run: bursts of interleaved posts and deliveries, each
+    /// burst with its own bias so lists fill, drain and are reused.
+    /// Narrow: ≤ 3 sources × ≤ 3 tags, so single keys queue deep on both
+    /// sides. Wide: up to 64 sources × 8 tags in bursts long enough that
+    /// the sorted list passes 4 096 slots before the bias turns and
+    /// drains it. Returns the list's high-water mark.
+    fn fuzz(seed: u64, wide: bool) -> usize {
+        let mut rng = masim_rng::Rng::seed_from_u64(seed);
+        let (max_srcs, max_tags, max_rounds, burst) =
+            if wide { (64, 8, 6, 4_096..8_192) } else { (3, 3, 119, 1..12) };
+        let srcs = rng.gen_range_usize(1, max_srcs + 1) as u32;
+        let tags = rng.gen_range_usize(1, max_tags + 1) as u32;
+        let mut tw = Twins::default();
+        let mut high_water = 0;
+        for _ in 0..rng.gen_range_usize(1, max_rounds + 1) {
+            let post_bias = rng.next_f64();
+            for _ in 0..rng.gen_range_usize(burst.start, burst.end) {
+                let chan = (rng.next_u32() % srcs, rng.next_u32() % tags);
+                tw.call(rng.next_f64() < post_bias, chan);
+                high_water = high_water.max(tw.fast.slots.len());
+            }
+        }
+        tw.assert_same_emptiness();
+        high_water
+    }
+
     #[test]
     fn mailbox_matches_linear_scan_twin() {
-        for seed in 0..2_000u64 {
-            let mut rng = masim_rng::Rng::seed_from_u64(seed);
-            let mut tw = Twins::default();
-            let (srcs, tags) = (rng.gen_range_usize(1, 4) as u32, rng.gen_range_usize(1, 4) as u32);
-            for _ in 0..rng.gen_range_usize(1, 120) {
-                let post_bias = rng.next_f64();
-                for _ in 0..rng.gen_range_usize(1, 12) {
-                    let (src, tag) = (rng.next_u32() % srcs, rng.next_u32() % tags);
-                    if rng.next_f64() < post_bias {
-                        tw.post(src, tag);
-                    } else {
-                        tw.deliver(src, tag);
-                    }
-                }
-            }
-            tw.assert_same_emptiness();
+        for seed in 0..2_000 {
+            fuzz(seed, false);
         }
+        let deepest = (0..12).map(|seed| fuzz(seed, true)).max().unwrap();
+        assert!(deepest > 4_096, "wide regime only reached {deepest} slots");
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
         tw.assert_same_emptiness();
 
         // A channel drained and reused, in both directions and across
-        // channels, so every queue comes out of the buffer pool.
+        // channels.
         let mut tw = Twins::default();
         for round in 0..50u32 {
             let (src, tag) = (round % 3, round % 2);
@@ -336,6 +336,89 @@ mod tests {
             }
             assert!(tw.fast.is_empty() && tw.slow.is_empty(), "round {round}");
         }
-        assert!(!tw.fast.pool_at.is_empty() && !tw.fast.pool_tok.is_empty(), "pool exercised");
+
+        // 4 096 distinct sources, answered in reverse key order: every
+        // removal is at the tail of what is left.
+        let mut tw = Twins::default();
+        for src in 0..4_096 {
+            tw.deliver(src, 1);
+        }
+        for src in (0..4_096).rev() {
+            assert_eq!(tw.post(src, 1), Some(Time::from_ps(src as u64 + 1)));
+        }
+        assert!(tw.fast.is_empty() && tw.slow.is_empty());
+
+        // One key 4 096 deep drained FIFO while a smaller and a larger
+        // key come and go around it, as either kind.
+        let mut tw = Twins::default();
+        for _ in 0..4_096 {
+            tw.post(5, 5);
+        }
+        for k in 1..=4_096u64 {
+            let (below, above) = if k % 2 == 0 { ((5, 4), (5, 6)) } else { ((4, 5), (6, 5)) };
+            let post_below = k % 3 == 0;
+            assert!(!tw.call(post_below, below));
+            assert!(!tw.call(!post_below, above));
+            assert_eq!(tw.deliver(5, 5), Some(k));
+            assert!(tw.call(!post_below, below));
+            assert!(tw.call(post_below, above));
+        }
+        assert!(tw.fast.is_empty() && tw.slow.is_empty());
+
+        // `chan` packs (src, tag) into one word: the extremes and the
+        // pairs that are neighbours only after packing stay distinct.
+        const M: u32 = u32::MAX;
+        let edge = [(0, 0), (0, M), (1, 0), (M - 1, M), (M, 0), (M, 1), (M, M - 1), (M, M)];
+        let mut tw = Twins::default();
+        for (i, &chan) in edge.iter().enumerate() {
+            assert!(!tw.call(i % 2 == 0, chan) && !tw.call(i % 2 == 0, chan));
+        }
+        assert!(tw.fast.slots.windows(2).all(|w| w[0].key <= w[1].key), "list stays sorted");
+        // Interleaved kinds on adjacent keys: each second call on a
+        // channel queues behind its own kind, never matches next door.
+        for (i, &(src, tag)) in edge.iter().enumerate().rev() {
+            let first = 2 * i as u64 + 1;
+            if i % 2 == 0 {
+                assert_eq!(tw.deliver(src, tag), Some(first));
+                assert_eq!(tw.deliver(src, tag), Some(first + 1));
+                assert_eq!(tw.deliver(src, tag), None);
+            } else {
+                assert_eq!(tw.post(src, tag), Some(Time::from_ps(first)));
+                assert_eq!(tw.post(src, tag), Some(Time::from_ps(first + 1)));
+                assert_eq!(tw.post(src, tag), None);
+            }
+        }
+        for (i, &chan) in edge.iter().enumerate() {
+            assert!(tw.call(i % 2 == 0, chan));
+        }
+        assert!(tw.fast.is_empty() && tw.slow.is_empty());
+
+        // The whole state is one vector, and once it has reached its
+        // high-water mark matching never calls the allocator again.
+        assert_eq!(std::mem::size_of::<Mailbox>(), std::mem::size_of::<Vec<u8>>());
+        let mut mb = Mailbox::default();
+        for k in 0..64 {
+            mb.post(Rank(k % 16), k % 4, k as u64);
+        }
+        for k in 0..64 {
+            assert_eq!(mb.deliver(Rank(k % 16), k % 4, Time::ZERO), Some(k as u64));
+        }
+        let allocs = crate::alloc_counter::count();
+        for k in 0..10_000u32 {
+            let (src, tag) = (Rank(k % 61), k % 7);
+            if k % 2 == 0 {
+                for d in 0..(k % 64) as u64 {
+                    assert_eq!(mb.post(src, tag ^ d as u32, d), None);
+                }
+                for d in 0..(k % 64) as u64 {
+                    assert_eq!(mb.deliver(src, tag ^ d as u32, Time::ZERO), Some(d));
+                }
+            } else {
+                assert_eq!(mb.deliver(src, tag, Time::from_ps(k as u64)), None);
+                assert_eq!(mb.post(src, tag, 0), Some(Time::from_ps(k as u64)));
+            }
+        }
+        assert!(mb.is_empty());
+        assert_eq!(crate::alloc_counter::count() - allocs, 0, "steady-state matching allocated");
     }
 }

@@ -1173,16 +1173,24 @@ pub(crate) fn finish(
             ms.record_span("sim.runner.lower", lower_ns);
         }
         // Message-size distribution, filled once from the slabs after
-        // the run — O(messages) here, nothing on the injection path. Per
-        // LP slabs partition the sequential slab by sender, so their
-        // union is the same multiset.
+        // the run — O(messages) plain integer updates here, nothing on
+        // the injection path — and folded into the shared atomic cells
+        // once per bucket. Per LP slabs partition the sequential slab by
+        // sender, so their union is the same multiset.
         if states.iter().any(|st| !st.msgs.is_empty()) {
-            let mh = ms.hist("sim.msg.bytes");
+            let mut sizes = masim_obs::HistData::default();
             for st in &states {
                 for i in 0..st.msgs.len() {
-                    mh.record(st.msgs.get(i as u32).bytes);
+                    sizes.record(st.msgs.get(i as u32).bytes);
                 }
             }
+            let mh = ms.hist("sim.msg.bytes");
+            for (b, n) in sizes.buckets.iter().enumerate() {
+                if *n > 0 {
+                    mh.add_bucket(b, *n);
+                }
+            }
+            mh.fold_exact(sizes.sum, sizes.min, sizes.max);
         }
         executor_series(ms);
         for st in &states {

@@ -195,3 +195,67 @@ fn end_to_end_determinism() {
     };
     assert_eq!(run(), run());
 }
+
+/// MPI matching through the public run path: the k-th receive posted on
+/// a `(src, tag)` channel completes at the k-th arrival on it, whether
+/// the receive or the message came first — pinned per model, equal on
+/// every source and executor.
+#[test]
+fn matching_order_is_pinned_on_every_run_path() {
+    use masim_sim::{run, SimLimits};
+    use masim_trace::{encode_stream, Rank, RankBuilder, StreamedTrace, Trace, TraceMeta};
+    let us = Time::from_us;
+    let meta = TraceMeta {
+        app: "match".into(),
+        machine: "cielito".into(),
+        ranks: 2,
+        // One rank per node: every message crosses the network.
+        ranks_per_node: 1,
+        problem_size: 1,
+        seed: 0,
+    };
+    let mut trace = Trace::empty(meta);
+    let mut tx = RankBuilder::new(Rank(0));
+    tx.compute(us(100));
+    tx.isend(Rank(1), 4 << 10, 9, Time::ZERO);
+    for bytes in [1 << 20, 8, 64 << 10] {
+        tx.isend(Rank(1), bytes, 7, Time::ZERO);
+    }
+    tx.wait_all(Time::ZERO);
+    trace.events[0] = tx.finish();
+    // Two receives wait for their messages; the tag-9 message (every
+    // model) waits for its receive. The first wait is on the *second*
+    // receive posted and the long gap after it hides every later
+    // completion, so the finish time is that receive's completion — the
+    // second arrival on the channel — plus constants.
+    let mut rx = RankBuilder::new(Rank(1));
+    let r1 = rx.irecv(Rank(0), 1 << 20, 7, Time::ZERO);
+    let r2 = rx.irecv(Rank(0), 8, 7, Time::ZERO);
+    rx.compute(us(150));
+    let r3 = rx.irecv(Rank(0), 64 << 10, 7, Time::ZERO);
+    let r4 = rx.irecv(Rank(0), 4 << 10, 9, Time::ZERO);
+    rx.wait(r2, Time::ZERO).compute(us(2_000));
+    for req in [r1, r3, r4] {
+        rx.wait(req, Time::ZERO).compute(us(10));
+    }
+    trace.events[1] = rx.finish();
+    trace.validate().expect("hand-built trace is well formed");
+    let stream = StreamedTrace::from_bytes(encode_stream(&trace)).unwrap();
+
+    // Picoseconds, [rank 0, rank 1], from the two-hash-map mailbox at 81ae6e2.
+    let pinned: [[u64; 2]; 3] =
+        [[994_572_800, 2_240_078_882], [998_000_000, 2_242_118_882], [994_572_800, 2_979_810_082]];
+    for (model, want) in ModelKind::study_models().into_iter().zip(pinned) {
+        let threads: &[usize] =
+            if matches!(model, ModelKind::Packet { .. }) { &[1, 2] } else { &[1] };
+        for &sim_threads in threads {
+            let mut cfg = SimConfig::new(Machine::cielito(), model, &trace);
+            cfg.sim_threads = sim_threads;
+            let tag = format!("{} t{sim_threads}", model.name());
+            let mem = run(&trace, &cfg, SimLimits::unlimited(), None).expect("in-memory run");
+            let streamed = run(&stream, &cfg, SimLimits::unlimited(), None).expect("streamed run");
+            assert_eq!(mem.per_rank.iter().map(|t| t.as_ps()).collect::<Vec<_>>(), want, "{tag}");
+            assert_eq!(streamed.per_rank, mem.per_rank, "{tag} streamed");
+        }
+    }
+}
