@@ -57,4 +57,4 @@ pub use classify::{
 };
 pub use cost::{collective, p2p, CommCost};
 pub use error::ReplayError;
-pub use replay::{replay, try_replay, try_replay_streamed, ConfigResult, Counters, ModelConfig};
+pub use replay::{replay, try_replay, ConfigResult, Counters, ModelConfig};

@@ -14,7 +14,7 @@ use crate::cost::{collective, p2p};
 use crate::error::ReplayError;
 use masim_obs::MetricSet;
 use masim_topo::NetworkConfig;
-use masim_trace::{Event, EventKind, Rank, RankCursor, StreamedTrace, Time, Trace};
+use masim_trace::{Event, EventKind, Rank, RankCursor, Time, Trace, TraceSource};
 use std::collections::{HashMap, VecDeque};
 
 /// One target configuration for the replay.
@@ -169,22 +169,49 @@ pub fn replay(trace: &Trace, configs: &[ModelConfig]) -> Vec<ConfigResult> {
 /// surface as a [`ReplayError`] instead of a panic, so the study runner
 /// can record *why* MFACT failed on a trace.
 ///
+/// `src` is an in-memory [`Trace`] or a
+/// [`StreamedTrace`](masim_trace::StreamedTrace); the latter is
+/// replayed without materializing per-rank event vectors — each rank
+/// decodes through a [`RankCursor`], so the resident footprint stays at
+/// the encoded (MASS v1) size plus one decode window per rank — and the
+/// results are bit-identical either way.
+///
 /// With `obs`, the same bit-identical results plus `mfact.replay.*`
 /// telemetry: events replayed, configurations swept, a wall-clock span,
 /// and a log₂-bucketed histogram of per-rank logical-clock advance under
 /// the first (baseline) configuration. On failure the span is still
 /// closed and a `mfact.replay.failed` counter records the attempt.
-pub fn try_replay(
-    trace: &Trace,
+pub fn try_replay<'a>(
+    src: impl Into<TraceSource<'a>>,
+    configs: &[ModelConfig],
+    obs: Option<&MetricSet>,
+) -> Result<Vec<ConfigResult>, ReplayError> {
+    replay_source(src.into(), configs, obs)
+}
+
+/// The body of [`try_replay`], non-generic so it is compiled once
+/// whatever the caller passed as a source.
+fn replay_source(
+    src: TraceSource<'_>,
     configs: &[ModelConfig],
     obs: Option<&MetricSet>,
 ) -> Result<Vec<ConfigResult>, ReplayError> {
     let span = obs.map(|ms| ms.span("mfact.replay.replay"));
-    let results = replay_core(trace.num_ranks(), &mut MemSrc(trace), configs);
+    let n = src.num_ranks();
+    let results = match src {
+        TraceSource::Memory(trace) => replay_core(n, MemSrc(trace), configs),
+        TraceSource::Streamed(stream) => {
+            let cursors = StreamSrc {
+                cursors: (0..n).map(|r| stream.cursor(Rank(r))).collect(),
+                lens: (0..n).map(|r| stream.rank_len(Rank(r))).collect(),
+            };
+            replay_core(n, cursors, configs)
+        }
+    };
     drop(span); // records the wall time
     let Some(ms) = obs else { return results };
     let results = results.inspect_err(|_| ms.add("mfact.replay.failed", 1))?;
-    ms.add("mfact.replay.events", trace.num_events() as u64);
+    ms.add("mfact.replay.events", src.num_events());
     ms.add("mfact.replay.configs", configs.len() as u64);
     if let Some(base) = results.first() {
         // Per-rank final logical clock under the baseline configuration,
@@ -197,26 +224,9 @@ pub fn try_replay(
     Ok(results)
 }
 
-/// Replay a [`StreamedTrace`] without materializing per-rank event
-/// vectors: each rank decodes through a [`RankCursor`], so the resident
-/// footprint stays at the encoded (MASS v1) size plus one decode window
-/// per rank. Results are bit-identical to [`try_replay`] on the decoded
-/// trace.
-pub fn try_replay_streamed(
-    stream: &StreamedTrace,
-    configs: &[ModelConfig],
-) -> Result<Vec<ConfigResult>, ReplayError> {
-    let n = stream.num_ranks();
-    let mut src = StreamSrc {
-        cursors: (0..n).map(|r| stream.cursor(Rank(r))).collect(),
-        lens: (0..n).map(|r| stream.rank_len(Rank(r))).collect(),
-    };
-    replay_core(n, &mut src, configs)
-}
-
 fn replay_core<S: EvSrc>(
     num_ranks: u32,
-    src: &mut S,
+    mut src: S,
     configs: &[ModelConfig],
 ) -> Result<Vec<ConfigResult>, ReplayError> {
     if configs.is_empty() {
@@ -528,7 +538,7 @@ fn deliver_send(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masim_trace::{CollKind, Event, Rank, RankBuilder, TraceMeta};
+    use masim_trace::{CollKind, Event, Rank, RankBuilder, StreamedTrace, TraceMeta};
 
     fn meta(ranks: u32) -> TraceMeta {
         TraceMeta {
@@ -674,7 +684,8 @@ mod tests {
 
     /// The streamed replay is bit-identical to the in-memory replay
     /// across the full sensitivity sweep, on traces that exercise every
-    /// blocking path (channels, collectives, waitall).
+    /// blocking path (channels, collectives, waitall), and reports the
+    /// same telemetry.
     #[test]
     fn streamed_replay_matches_in_memory() {
         let gen = masim_workloads::GenConfig::test_default(masim_workloads::App::Cg, 8);
@@ -691,8 +702,11 @@ mod tests {
         for t in traces.drain(..) {
             let encoded = masim_trace::encode_stream(&t);
             let stream = StreamedTrace::from_bytes(encoded).expect("round-trip");
-            let mem = try_replay(&t, &cfgs, None).expect("memory replay");
-            let strm = try_replay_streamed(&stream, &cfgs).expect("streamed replay");
+            let (mem_ms, strm_ms) = (MetricSet::new(), MetricSet::new());
+            let mem = try_replay(&t, &cfgs, Some(&mem_ms)).expect("memory replay");
+            let strm = try_replay(&stream, &cfgs, Some(&strm_ms)).expect("streamed replay");
+            let (m, s) = (mem_ms.snapshot(), strm_ms.snapshot());
+            assert_eq!((&m.counters, &m.hists), (&s.counters, &s.hists));
             assert_eq!(mem.len(), strm.len());
             for (m, s) in mem.iter().zip(&strm) {
                 assert_eq!(m.total, s.total);
@@ -712,7 +726,7 @@ mod tests {
         b1.recv(Rank(0), 64, 0, Time::ZERO); // no matching send
         t.events[1] = b1.finish();
         let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&t)).unwrap();
-        let err = try_replay_streamed(&stream, &[ModelConfig::base(net())]).unwrap_err();
+        let err = try_replay(&stream, &[ModelConfig::base(net())], None).unwrap_err();
         assert!(matches!(err, ReplayError::Deadlock { finished: 1, total: 2 }));
     }
 

@@ -48,8 +48,8 @@ pub mod util_report;
 pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
-    run, simulate, simulate_budgeted, simulate_partitioned_observed, simulate_streamed_limited,
-    SimConfig, SimLimits, SimResult, TraceSource, EXECUTOR_SERIES,
+    run, simulate, simulate_budgeted, simulate_streamed_limited, SimConfig, SimLimits, SimResult,
+    EXECUTOR_SERIES,
 };
 pub use util_report::UtilReport;
 

@@ -33,12 +33,12 @@ use crate::msg::Message;
 use crate::net::{foreign_hop, ForeignPacket, ModelKind, Packet};
 use crate::runner::{
     dispatch, finish, observe_fail, Leftover, SimConfig, SimCx, SimEvent, SimLimits, SimResult,
-    SimState, TraceSource,
+    SimState,
 };
 use masim_des::{LogicalProcess, Outbox, PdesError, PdesLimits, WindowedPdes};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping, Partition};
-use masim_trace::{Rank, Time};
+use masim_trace::{Rank, Time, TraceSource};
 use std::sync::Arc;
 
 /// Upper bound on logical processes. More partitions mean more barrier
@@ -51,14 +51,9 @@ const MAX_PARTS: u32 = 8;
 /// flow models' rate re-solves are global state with no lookahead) and a
 /// positive hop latency to serve as conservative lookahead.
 pub(crate) fn wants_partitioned(cfg: &SimConfig) -> bool {
-    cfg.sim_threads > 1 && can_partition(cfg)
-}
-
-/// Whether the model itself is partitionable, independent of the
-/// requested worker count (`simulate_partitioned_observed` uses this to
-/// run the windowed executor inline at one worker).
-pub(crate) fn can_partition(cfg: &SimConfig) -> bool {
-    matches!(cfg.model, ModelKind::Packet { .. }) && cfg.machine.hop_latency() > Time::ZERO
+    cfg.sim_threads > 1
+        && matches!(cfg.model, ModelKind::Packet { .. })
+        && cfg.machine.hop_latency() > Time::ZERO
 }
 
 /// Owner tables resolved once per run and shared read-only by every LP:
@@ -278,4 +273,52 @@ pub(crate) fn sim_partitioned(
         },
     };
     finish(cfg, left, obs, span)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masim_workloads::{generate, App, GenConfig};
+
+    /// The windowed executor at one worker — the inline loop production
+    /// reaches whenever a topology yields one partition — against the
+    /// sequential engine on `tests/pdes_equivalence.rs`'s bench-shape
+    /// trace: CG(64) at two ranks per node on cielito, so the 8-way
+    /// partition sees real crossings. Every `SimResult` field must match.
+    #[test]
+    fn inline_windowed_executor_matches_sequential_engine() {
+        let mut gcfg = GenConfig::test_default(App::Cg, 64);
+        gcfg.machine = "cielito".into();
+        gcfg.ranks_per_node = 2;
+        gcfg.seed = 99;
+        let trace = generate(&gcfg);
+        let packet = ModelKind::Packet { packet_bytes: 1024 };
+        let mut cfg = SimConfig::new(Machine::cielito(), packet, &trace);
+        cfg.sim_threads = 1;
+        let seq = crate::simulate(&trace, &cfg);
+        let obs = MetricSet::new();
+        let inline = sim_partitioned((&trace).into(), &cfg, SimLimits::unlimited(), Some(&obs))
+            .expect("run completes");
+        assert!(obs.snapshot().counters["des.pdes.crossings"] > 0, "no cross-LP traffic");
+        let SimResult {
+            model,
+            total,
+            per_rank,
+            comm_time,
+            events,
+            messages,
+            work_units,
+            max_link_bytes,
+            link_bytes,
+        } = inline;
+        assert_eq!(model, seq.model);
+        assert_eq!(total, seq.total);
+        assert_eq!(per_rank, seq.per_rank);
+        assert_eq!(comm_time, seq.comm_time);
+        assert_eq!(events, seq.events);
+        assert_eq!(messages, seq.messages);
+        assert_eq!(work_units, seq.work_units);
+        assert_eq!(max_link_bytes, seq.max_link_bytes);
+        assert_eq!(link_bytes, seq.link_bytes);
+    }
 }

@@ -12,7 +12,7 @@ use crate::net::{
 use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
-use masim_trace::{Event, EventKind, Rank, RankCursor, StreamedTrace, Time, Trace};
+use masim_trace::{Event, EventKind, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource};
 use std::time::{Duration, Instant};
 
 /// Simulation configuration.
@@ -362,52 +362,6 @@ pub(crate) fn dispatch<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, ev: SimE
         SimEvent::PacketHop(pkt) => packet_hop(cx, st, pkt),
         SimEvent::FlowResolve | SimEvent::FlowComplete { .. } => {
             unreachable!("flow models run on the sequential engine only")
-        }
-    }
-}
-
-/// Where the replay reads its events from: a fully materialized
-/// [`Trace`] (the study corpus path) or an on-disk [`StreamedTrace`]
-/// decoded per rank through a small sliding window (the mega-scale
-/// path, which never builds the per-rank `Vec<Event>`s).
-#[derive(Clone, Copy)]
-pub enum TraceSource<'a> {
-    /// In-memory trace.
-    Memory(&'a Trace),
-    /// Compact on-disk trace, decoded incrementally.
-    Streamed(&'a StreamedTrace),
-}
-
-impl<'a> From<&'a Trace> for TraceSource<'a> {
-    fn from(trace: &'a Trace) -> Self {
-        TraceSource::Memory(trace)
-    }
-}
-
-impl<'a> From<&'a StreamedTrace> for TraceSource<'a> {
-    fn from(stream: &'a StreamedTrace) -> Self {
-        TraceSource::Streamed(stream)
-    }
-}
-
-impl<'a> TraceSource<'a> {
-    fn num_ranks(&self) -> u32 {
-        match self {
-            TraceSource::Memory(t) => t.num_ranks(),
-            TraceSource::Streamed(s) => s.num_ranks(),
-        }
-    }
-
-    /// Estimated resident bytes of the event data itself: decoded
-    /// vectors for a memory trace, the compact encoded buffer for a
-    /// streamed one (its per-rank decode windows are O(1)).
-    fn resident_bytes(&self) -> u64 {
-        match self {
-            TraceSource::Memory(t) => {
-                t.events.iter().map(|v| v.capacity() * std::mem::size_of::<Event>()).sum::<usize>()
-                    as u64
-            }
-            TraceSource::Streamed(s) => s.resident_bytes(),
         }
     }
 }
@@ -933,27 +887,6 @@ pub fn simulate_streamed_limited(
     limits: SimLimits,
 ) -> Result<SimResult, SimError> {
     run(stream, cfg, limits, None)
-}
-
-/// Force the partitioned (windowed-PDES) executor regardless of
-/// `cfg.sim_threads` — with `sim_threads = 1` this runs the windowed
-/// executor inline on the calling thread, the loop production reaches
-/// whenever a topology yields one partition and the one
-/// `tests/pdes_equivalence.rs` pins against the sequential engine.
-/// Falls back to [`run`] when the config cannot partition
-/// (non-packet model or zero hop latency), so results are always
-/// defined and bit-identical to [`simulate`].
-pub fn simulate_partitioned_observed(
-    trace: &Trace,
-    cfg: &SimConfig,
-    limits: SimLimits,
-    ms: &MetricSet,
-) -> Result<SimResult, SimError> {
-    if crate::pdes_run::can_partition(cfg) {
-        crate::pdes_run::sim_partitioned(trace.into(), cfg, limits, Some(ms))
-    } else {
-        run(trace, cfg, limits, Some(ms))
-    }
 }
 
 /// What the drain loop does per event beyond stepping the engine. The

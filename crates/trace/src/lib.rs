@@ -64,7 +64,9 @@ pub mod units;
 pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
-pub use stream::{encode_stream, write_stream, RankCursor, StreamError, StreamedTrace};
+pub use stream::{
+    encode_stream, write_stream, RankCursor, StreamError, StreamedTrace, TraceSource,
+};
 pub use text::from_text;
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};

@@ -462,6 +462,63 @@ impl fmt::Debug for StreamedTrace {
     }
 }
 
+/// Where a tool reads its events from: a fully materialized [`Trace`]
+/// (the study corpus path) or a [`StreamedTrace`] decoded per rank
+/// through a small sliding window (the mega-scale path, which never
+/// builds the per-rank `Vec<Event>`s). Both tools' single entry points,
+/// `masim_sim::run` and `masim_mfact::try_replay`, take
+/// `impl Into<TraceSource>`.
+#[derive(Clone, Copy)]
+pub enum TraceSource<'a> {
+    /// In-memory trace.
+    Memory(&'a Trace),
+    /// Compact on-disk trace, decoded incrementally.
+    Streamed(&'a StreamedTrace),
+}
+
+impl<'a> From<&'a Trace> for TraceSource<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        TraceSource::Memory(trace)
+    }
+}
+
+impl<'a> From<&'a StreamedTrace> for TraceSource<'a> {
+    fn from(stream: &'a StreamedTrace) -> Self {
+        TraceSource::Streamed(stream)
+    }
+}
+
+impl TraceSource<'_> {
+    /// World size.
+    pub fn num_ranks(&self) -> u32 {
+        match self {
+            TraceSource::Memory(t) => t.num_ranks(),
+            TraceSource::Streamed(s) => s.num_ranks(),
+        }
+    }
+
+    /// Total events across all ranks.
+    pub fn num_events(&self) -> u64 {
+        match self {
+            TraceSource::Memory(t) => t.num_events() as u64,
+            TraceSource::Streamed(s) => s.num_events(),
+        }
+    }
+
+    /// Estimated resident bytes of the event data itself: decoded
+    /// vectors for a memory trace, the compact encoded buffer for a
+    /// streamed one (its per-rank decode windows are O(1)).
+    pub fn resident_bytes(&self) -> u64 {
+        match self {
+            TraceSource::Memory(t) => {
+                t.events.iter().map(|v| v.capacity() * std::mem::size_of::<Event>()).sum::<usize>()
+                    as u64
+            }
+            TraceSource::Streamed(s) => s.resident_bytes(),
+        }
+    }
+}
+
 /// A one-event-at-a-time decoder over a rank's segment.
 ///
 /// Consumers walk a rank's stream with a non-decreasing index, re-reading
