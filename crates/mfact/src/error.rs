@@ -1,9 +1,9 @@
 //! Typed replay failures.
 //!
-//! MFACT's logical-clock replay used to panic on malformed traces
-//! (deadlocks, dangling request ids). Under the fault-contained study
-//! runner those are data — the study records the trace as failed with a
-//! cause — so the replay core returns a [`ReplayError`] through
+//! Malformed traces (deadlocks, dangling or reused request ids,
+//! out-of-range peers) are data under the fault-contained study runner —
+//! the study records the trace as failed with a cause — so the replay
+//! core returns a [`ReplayError`] through
 //! [`crate::try_replay`] and the panicking [`crate::replay`] wrapper is
 //! kept for call sites that only ever see validated traces.
 
@@ -29,6 +29,21 @@ pub enum ReplayError {
         /// The dangling request id.
         req: u32,
     },
+    /// An `Isend`/`Irecv` reused a request id that is still outstanding
+    /// (or `u32::MAX`, which the replay reserves for blocking receives).
+    RequestReuse {
+        /// The issuing rank.
+        rank: u32,
+        /// The reused request id.
+        req: u32,
+    },
+    /// A point-to-point event names a peer outside the trace's ranks.
+    PeerOutOfRange {
+        /// The rank that sends or receives.
+        rank: u32,
+        /// The out-of-range peer.
+        peer: u32,
+    },
     /// The replay was invoked with an empty configuration list.
     NoConfigs,
 }
@@ -41,6 +56,12 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::UnknownRequest { rank, req } => {
                 write!(f, "rank {rank} waits on unknown request {req}")
+            }
+            ReplayError::RequestReuse { rank, req } => {
+                write!(f, "rank {rank} reuses outstanding request {req}")
+            }
+            ReplayError::PeerOutOfRange { rank, peer } => {
+                write!(f, "rank {rank} addresses out-of-range peer {peer}")
             }
             ReplayError::NoConfigs => write!(f, "need at least one configuration"),
         }

@@ -58,3 +58,45 @@ pub use classify::{
 pub use cost::{collective, p2p, CommCost};
 pub use error::ReplayError;
 pub use replay::{replay, try_replay, ConfigResult, Counters, ModelConfig};
+
+/// Unit-test-only counting allocator: counts allocation events per
+/// thread, so the replay can assert its allocations do not grow with the
+/// number of messages.
+#[cfg(test)]
+mod alloc_counter {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: defers all allocation to `System`; the per-thread counter
+    // bump is allocation-free and panic-free (`try_with` tolerates TLS
+    // teardown).
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: Counting = Counting;
+
+    /// Allocation events on this thread so far.
+    pub(crate) fn count() -> u64 {
+        ALLOCS.with(|c| c.get())
+    }
+}

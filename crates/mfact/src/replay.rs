@@ -10,12 +10,12 @@
 //! bandwidth, computation); their response to network speedups and
 //! slowdowns drives the classifier in [`crate::classify`].
 
-use crate::cost::{collective, p2p};
+use crate::cost::{collective, p2p, CommCost};
 use crate::error::ReplayError;
 use masim_obs::MetricSet;
 use masim_topo::NetworkConfig;
-use masim_trace::{Event, EventKind, Rank, RankCursor, Time, Trace, TraceSource};
-use std::collections::{HashMap, VecDeque};
+use masim_trace::{Event, EventKind, Mailbox, Rank, RankCursor, ReqId, Time, Trace, TraceSource};
+use std::collections::VecDeque;
 
 /// One target configuration for the replay.
 #[derive(Clone, Copy, Debug)]
@@ -77,44 +77,100 @@ pub struct ConfigResult {
     pub counters: Counters,
 }
 
-/// Why a rank cannot currently advance.
-enum Block {
-    /// Waiting for a send on this channel (blocking recv or wait).
-    Channel,
-    /// Waiting at collective ordinal `usize`.
-    Collective,
-}
+/// Request id of a blocking receive: it has no request object, so it
+/// runs as an implicit irecv + wait under this reserved id.
+const BLOCKING: u32 = u32::MAX;
 
-struct PendingRecv {
-    avail: Option<Box<[Time]>>,
-    /// Channel the receive is posted on (diagnostic: shown when a
-    /// deadlocked replay is debugged; the wake path does not read it).
-    #[allow(dead_code)]
-    channel: (u32, u32, u32),
-}
-
+/// One outstanding request on a rank.
+#[derive(Clone, Copy)]
 enum ReqState {
     /// Send requests complete locally (buffered semantics).
     SendDone,
-    Recv(PendingRecv),
+    /// A receive: the availability row of its matched send, once matched.
+    Recv(Option<u32>),
 }
 
-#[derive(Default)]
-struct Channel {
-    /// Message availability vectors, FIFO.
-    sends: VecDeque<Box<[Time]>>,
-    /// Ranks that posted a receive before the send arrived: (rank, req).
-    /// `req == u32::MAX` marks a blocking receive (no request object).
-    waiting: VecDeque<(u32, u32)>,
+/// Index of request `req` in a rank's outstanding requests (unsorted;
+/// a rank holds a few dozen at most, so a scan beats hashing).
+fn find(reqs: &[(u32, ReqState)], req: u32) -> Option<usize> {
+    reqs.iter().position(|&(id, _)| id == req)
 }
 
+/// Availability vectors of sends not yet consumed by their receive: the
+/// k-wide rows of one vector, recycled through a free list, so the
+/// steady state allocates nothing per message.
+struct Slab {
+    k: usize,
+    rows: Vec<Time>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let row = self.rows.len() / self.k;
+            self.rows.resize(self.rows.len() + self.k, Time::ZERO);
+            row as u32
+        })
+    }
+
+    fn row_mut(&mut self, row: u32) -> &mut [Time] {
+        let at = row as usize * self.k;
+        &mut self.rows[at..at + self.k]
+    }
+
+    /// A receive consumes `row`: each configuration's clock advances to
+    /// the message's availability, the gap counted as wait, and the row
+    /// is freed.
+    fn consume(&mut self, row: u32, clocks: &mut [Time], counters: &mut [Counters]) {
+        let at = row as usize * self.k;
+        for (i, &a) in self.rows[at..at + self.k].iter().enumerate() {
+            if a > clocks[i] {
+                counters[i].wait += a - clocks[i];
+                clocks[i] = a;
+            }
+        }
+        self.free.push(row);
+    }
+}
+
+/// Queue a send's availability row on its channel, or hand it to the
+/// oldest receive waiting there. True if that receive's rank `dst` is to
+/// be woken.
+fn deliver(
+    mailboxes: &mut [Mailbox],
+    reqs: &mut [Vec<(u32, ReqState)>],
+    src: u32,
+    dst: u32,
+    tag: u32,
+    row: u32,
+) -> bool {
+    let dst = dst as usize;
+    let Some(req) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
+        return false;
+    };
+    // Request ids are unique while outstanding, and a waiting receive
+    // keeps its record until it matches.
+    let (_, state) = reqs[dst]
+        .iter_mut()
+        .find(|(id, _)| *id == req as u32)
+        .expect("a waiting receive keeps its request record");
+    *state = ReqState::Recv(Some(row));
+    true
+}
+
+/// One collective ordinal in progress. Its buffers are reused by later
+/// ordinals once it completes.
 struct CollGroup {
+    ord: usize,
     arrived: u32,
     /// Per-rank arrival clocks (rank-major, config-minor), filled as
     /// ranks arrive.
     arrivals: Vec<Time>,
     /// Per-rank payload (differs for Alltoallv).
     bytes: Vec<u64>,
+    /// Ranks that arrived before the last one.
+    blocked: Vec<u32>,
 }
 
 /// Event source the replay loop runs over: either the fully
@@ -238,12 +294,17 @@ fn replay_core<S: EvSrc>(
     let mut clocks = vec![Time::ZERO; n * k];
     let mut comp = vec![Time::ZERO; n * k];
     let mut counters = vec![Counters::default(); k];
-    let mut channels: HashMap<(u32, u32, u32), Channel> = HashMap::new();
-    let mut reqs: Vec<HashMap<u32, ReqState>> = (0..n).map(|_| HashMap::new()).collect();
+    // Per destination rank: queued sends (payload: availability row) and
+    // waiting receives (token: request id) by (source, tag).
+    let mut mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::default()).collect();
+    let mut reqs: Vec<Vec<(u32, ReqState)>> = vec![Vec::new(); n];
+    let mut slab = Slab { k, rows: Vec::new(), free: Vec::new() };
     let mut cursors = vec![0usize; n];
     let mut coll_seen = vec![0usize; n];
-    let mut coll_groups: Vec<Option<CollGroup>> = Vec::new();
-    let mut blocked_on_coll: Vec<Vec<u32>> = Vec::new();
+    // Collectives in progress (one, unless a rank was woken past an
+    // unfinished one) and completed groups kept for their buffers.
+    let mut colls: Vec<CollGroup> = Vec::new();
+    let mut spare: Vec<CollGroup> = Vec::new();
 
     let mut ready: VecDeque<u32> = (0..n as u32).collect();
     let mut in_ready = vec![true; n];
@@ -251,22 +312,37 @@ fn replay_core<S: EvSrc>(
 
     // Wake a rank blocked on a channel or collective.
     macro_rules! wake {
-        ($ready:ident, $in_ready:ident, $r:expr) => {
-            if !$in_ready[$r as usize] {
-                $in_ready[$r as usize] = true;
-                $ready.push_back($r);
+        ($r:expr) => {
+            if !in_ready[$r as usize] {
+                in_ready[$r as usize] = true;
+                ready.push_back($r);
             }
         };
     }
+    let check_peer = |rank: u32, peer: Rank| {
+        if peer.0 < num_ranks {
+            Ok(())
+        } else {
+            Err(ReplayError::PeerOutOfRange { rank, peer: peer.0 })
+        }
+    };
+    let check_fresh = |reqs: &[(u32, ReqState)], rank: u32, req: u32| {
+        if req == BLOCKING || find(reqs, req).is_some() {
+            Err(ReplayError::RequestReuse { rank, req })
+        } else {
+            Ok(())
+        }
+    };
 
     while let Some(r) = ready.pop_front() {
         in_ready[r as usize] = false;
         let len = src.len_of(r);
-        let mut blocked: Option<Block> = None;
+        let mut blocked = false;
 
         'advance: while cursors[r as usize] < len {
             let ev = src.get(r, cursors[r as usize]);
             let base = r as usize * k;
+            let rank_reqs = &mut reqs[r as usize];
             match &ev.kind {
                 EventKind::Compute => {
                     for (i, cfg) in configs.iter().enumerate() {
@@ -277,24 +353,25 @@ fn replay_core<S: EvSrc>(
                     }
                 }
                 EventKind::Send { peer, bytes, tag } => {
-                    let mut avail = Vec::with_capacity(k);
+                    check_peer(r, *peer)?;
+                    let row = slab.alloc();
+                    let avail = slab.row_mut(row);
                     for (i, cfg) in configs.iter().enumerate() {
                         let c = p2p(&cfg.net, *bytes);
                         counters[i].latency += c.latency;
                         counters[i].bandwidth += c.bandwidth;
                         clocks[base + i] += c.total();
-                        avail.push(clocks[base + i]);
+                        avail[i] = clocks[base + i];
                     }
-                    deliver_send(
-                        &mut channels,
-                        (r, peer.0, *tag),
-                        avail.into_boxed_slice(),
-                        &mut reqs,
-                        |wr| wake!(ready, in_ready, wr),
-                    );
+                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) {
+                        wake!(peer.0);
+                    }
                 }
                 EventKind::Isend { peer, bytes, tag, req } => {
-                    let mut avail = Vec::with_capacity(k);
+                    check_peer(r, *peer)?;
+                    check_fresh(rank_reqs, r, req.0)?;
+                    let row = slab.alloc();
+                    let avail = slab.row_mut(row);
                     for (i, cfg) in configs.iter().enumerate() {
                         let c = p2p(&cfg.net, *bytes);
                         counters[i].latency += c.latency;
@@ -306,192 +383,156 @@ fn replay_core<S: EvSrc>(
                         // message is available at the receiver.
                         let start = clocks[base + i];
                         clocks[base + i] = start + c.latency / 4;
-                        avail.push(start + c.latency + c.bandwidth);
+                        avail[i] = start + c.latency + c.bandwidth;
                     }
-                    reqs[r as usize].insert(req.0, ReqState::SendDone);
-                    deliver_send(
-                        &mut channels,
-                        (r, peer.0, *tag),
-                        avail.into_boxed_slice(),
-                        &mut reqs,
-                        |wr| wake!(ready, in_ready, wr),
-                    );
+                    rank_reqs.push((req.0, ReqState::SendDone));
+                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) {
+                        wake!(peer.0);
+                    }
                 }
                 EventKind::Recv { peer, tag, .. } => {
-                    // A blocking receive is an implicit irecv+wait using
-                    // the reserved pseudo-request id `u32::MAX`. On first
-                    // execution it either matches a queued send or
-                    // registers in the channel's waiting list; when the
-                    // send later arrives, `deliver_send` fills the
-                    // pseudo-request and this event is retried.
-                    let key = (peer.0, r, *tag);
-                    if let Some(ReqState::Recv(p)) = reqs[r as usize].get(&u32::MAX) {
+                    // A blocking receive is an implicit irecv+wait under
+                    // the reserved request id `BLOCKING`. On first
+                    // execution it either matches a queued send or waits
+                    // in the mailbox; when the send later arrives it
+                    // fills the request and this event is retried.
+                    check_peer(r, *peer)?;
+                    let row = match find(rank_reqs, BLOCKING) {
                         // Retry after a wake-up.
-                        match &p.avail {
-                            Some(avail) => {
-                                for i in 0..k {
-                                    let a = avail[i];
-                                    if a > clocks[base + i] {
-                                        counters[i].wait += a - clocks[base + i];
-                                        clocks[base + i] = a;
-                                    }
-                                }
-                                reqs[r as usize].remove(&u32::MAX);
+                        Some(j) => match rank_reqs[j].1 {
+                            ReqState::Recv(Some(row)) => {
+                                rank_reqs.swap_remove(j);
+                                row
                             }
-                            None => {
-                                // Spurious wake; still registered in the
-                                // waiting queue — just block again.
-                                blocked = Some(Block::Channel);
+                            // Spurious wake; still waiting in the
+                            // mailbox — just block again.
+                            _ => {
+                                blocked = true;
                                 break 'advance;
                             }
-                        }
-                    } else {
-                        let ch = channels.entry(key).or_default();
-                        match ch.sends.pop_front() {
-                            Some(avail) => {
-                                for i in 0..k {
-                                    let a = avail[i];
-                                    let now = clocks[base + i];
-                                    if a > now {
-                                        counters[i].wait += a - now;
-                                        clocks[base + i] = a;
-                                    }
-                                }
-                            }
+                        },
+                        None => match mailboxes[r as usize].post(*peer, *tag, BLOCKING as u64) {
+                            Some(row) => row as u32,
                             None => {
-                                ch.waiting.push_back((r, u32::MAX));
-                                reqs[r as usize].insert(
-                                    u32::MAX,
-                                    ReqState::Recv(PendingRecv { avail: None, channel: key }),
-                                );
-                                blocked = Some(Block::Channel);
+                                rank_reqs.push((BLOCKING, ReqState::Recv(None)));
+                                blocked = true;
                                 break 'advance;
                             }
-                        }
-                    }
+                        },
+                    };
+                    slab.consume(row, &mut clocks[base..base + k], &mut counters);
                 }
                 EventKind::Irecv { peer, tag, req, .. } => {
-                    let key = (peer.0, r, *tag);
-                    let ch = channels.entry(key).or_default();
-                    let avail = ch.sends.pop_front();
-                    if avail.is_none() {
-                        ch.waiting.push_back((r, req.0));
-                    }
-                    reqs[r as usize]
-                        .insert(req.0, ReqState::Recv(PendingRecv { avail, channel: key }));
+                    check_peer(r, *peer)?;
+                    check_fresh(rank_reqs, r, req.0)?;
+                    let row = mailboxes[r as usize].post(*peer, *tag, req.0 as u64);
+                    rank_reqs.push((req.0, ReqState::Recv(row.map(|row| row as u32))));
                 }
-                EventKind::Wait { req } => match reqs[r as usize].get(&req.0) {
-                    Some(ReqState::SendDone) => {
-                        reqs[r as usize].remove(&req.0);
-                    }
-                    Some(ReqState::Recv(p)) => match &p.avail {
-                        Some(avail) => {
-                            for i in 0..k {
-                                let a = avail[i];
-                                if a > clocks[base + i] {
-                                    counters[i].wait += a - clocks[base + i];
-                                    clocks[base + i] = a;
-                                }
-                            }
-                            reqs[r as usize].remove(&req.0);
+                EventKind::Wait { req } => {
+                    let Some(j) = find(rank_reqs, req.0) else {
+                        return Err(ReplayError::UnknownRequest { rank: r, req: req.0 });
+                    };
+                    match rank_reqs[j].1 {
+                        ReqState::SendDone => {}
+                        ReqState::Recv(Some(row)) => {
+                            slab.consume(row, &mut clocks[base..base + k], &mut counters);
                         }
-                        None => {
-                            blocked = Some(Block::Channel);
+                        ReqState::Recv(None) => {
+                            blocked = true;
                             break 'advance;
                         }
-                    },
-                    None => return Err(ReplayError::UnknownRequest { rank: r, req: req.0 }),
-                },
+                    }
+                    rank_reqs.swap_remove(j);
+                }
                 EventKind::WaitAll { reqs: ids } => {
                     // All receive requests must have matched sends.
-                    for id in ids {
-                        if let Some(ReqState::Recv(p)) = reqs[r as usize].get(&id.0) {
-                            if p.avail.is_none() {
-                                blocked = Some(Block::Channel);
-                                break 'advance;
-                            }
-                        }
+                    let unmatched = |id: &ReqId| {
+                        find(rank_reqs, id.0)
+                            .is_some_and(|j| matches!(rank_reqs[j].1, ReqState::Recv(None)))
+                    };
+                    if ids.iter().any(unmatched) {
+                        blocked = true;
+                        break 'advance;
                     }
                     for id in ids {
-                        match reqs[r as usize].remove(&id.0) {
-                            Some(ReqState::SendDone) => {}
-                            Some(ReqState::Recv(p)) => {
-                                let avail = p.avail.expect("checked above");
-                                for i in 0..k {
-                                    if avail[i] > clocks[base + i] {
-                                        counters[i].wait += avail[i] - clocks[base + i];
-                                        clocks[base + i] = avail[i];
-                                    }
-                                }
-                            }
-                            None => return Err(ReplayError::UnknownRequest { rank: r, req: id.0 }),
+                        let Some(j) = find(rank_reqs, id.0) else {
+                            return Err(ReplayError::UnknownRequest { rank: r, req: id.0 });
+                        };
+                        if let (_, ReqState::Recv(Some(row))) = rank_reqs.swap_remove(j) {
+                            slab.consume(row, &mut clocks[base..base + k], &mut counters);
                         }
                     }
                 }
-                EventKind::Coll { bytes, .. } => {
+                EventKind::Coll { kind, bytes, .. } => {
                     let ord = coll_seen[r as usize];
                     coll_seen[r as usize] += 1;
-                    if coll_groups.len() <= ord {
-                        coll_groups.resize_with(ord + 1, || None);
-                        blocked_on_coll.resize_with(ord + 1, Vec::new);
-                    }
-                    let group = coll_groups[ord].get_or_insert_with(|| CollGroup {
-                        arrived: 0,
-                        arrivals: vec![Time::ZERO; n * k],
-                        bytes: vec![0; n],
-                    });
+                    let g = match colls.iter().position(|g| g.ord == ord) {
+                        Some(g) => g,
+                        None => {
+                            let mut group = spare.pop().unwrap_or_else(|| CollGroup {
+                                ord,
+                                arrived: 0,
+                                arrivals: vec![Time::ZERO; n * k],
+                                bytes: vec![0; n],
+                                blocked: Vec::new(),
+                            });
+                            // Every rank overwrites its arrival and
+                            // payload before the group completes.
+                            group.ord = ord;
+                            group.arrived = 0;
+                            colls.push(group);
+                            colls.len() - 1
+                        }
+                    };
+                    let group = &mut colls[g];
                     group.arrived += 1;
                     group.bytes[r as usize] = *bytes;
                     group.arrivals[base..base + k].copy_from_slice(&clocks[base..base + k]);
-                    if group.arrived == n as u32 {
-                        // Everyone is here: complete the collective.
-                        let group = coll_groups[ord].take().expect("group exists");
-                        let kind = match &ev.kind {
-                            EventKind::Coll { kind, .. } => *kind,
-                            _ => unreachable!(),
-                        };
-                        for i in 0..k {
-                            let max_arrival = (0..n)
-                                .map(|rr| group.arrivals[rr * k + i])
-                                .max()
-                                .unwrap_or(Time::ZERO);
-                            for rr in 0..n {
-                                let arr = group.arrivals[rr * k + i];
-                                counters[i].wait += max_arrival - arr;
-                                let cost =
-                                    collective(&configs[i].net, kind, group.bytes[rr], n as u32);
-                                clocks[rr * k + i] = max_arrival + cost.total();
-                                // Latency/bandwidth charged per rank.
-                                counters[i].latency += cost.latency;
-                                counters[i].bandwidth += cost.bandwidth;
-                            }
-                        }
-                        // Wake the other n-1 participants.
-                        for wr in blocked_on_coll[ord].drain(..) {
-                            wake!(ready, in_ready, wr);
-                        }
-                        // This rank continues past the collective.
-                    } else {
-                        blocked_on_coll[ord].push(r);
+                    if group.arrived < n as u32 {
+                        group.blocked.push(r);
                         cursors[r as usize] += 1; // resume *after* the collective
-                        blocked = Some(Block::Collective);
+                        blocked = true;
                         break 'advance;
                     }
+                    // Everyone is here: complete the collective.
+                    let mut group = colls.swap_remove(g);
+                    for (i, cfg) in configs.iter().enumerate() {
+                        let max_arrival =
+                            (0..n).map(|rr| group.arrivals[rr * k + i]).max().unwrap_or(Time::ZERO);
+                        // The cost is pure in the payload: a run of equal
+                        // payloads reuses the last one.
+                        let mut last: Option<(u64, CommCost)> = None;
+                        for rr in 0..n {
+                            let arr = group.arrivals[rr * k + i];
+                            counters[i].wait += max_arrival - arr;
+                            let b = group.bytes[rr];
+                            let cost = match last {
+                                Some((lb, cost)) if lb == b => cost,
+                                _ => collective(&cfg.net, *kind, b, n as u32),
+                            };
+                            last = Some((b, cost));
+                            clocks[rr * k + i] = max_arrival + cost.total();
+                            // Latency/bandwidth charged per rank.
+                            counters[i].latency += cost.latency;
+                            counters[i].bandwidth += cost.bandwidth;
+                        }
+                    }
+                    // Wake the other n-1 participants.
+                    for wr in group.blocked.drain(..) {
+                        wake!(wr);
+                    }
+                    spare.push(group);
+                    // This rank continues past the collective.
                 }
             }
             cursors[r as usize] += 1;
         }
 
-        match blocked {
-            None => {
-                if cursors[r as usize] >= len {
-                    finished[r as usize] = true;
-                }
-            }
-            Some(Block::Channel) | Some(Block::Collective) => {
-                // Wake-up is registered with the channel/collective.
-            }
+        if !blocked && cursors[r as usize] >= len {
+            finished[r as usize] = true;
         }
+        // A blocked rank's wake-up is registered with its mailbox entry
+        // or collective.
     }
 
     let done = finished.iter().filter(|&&f| f).count();
@@ -509,30 +550,6 @@ fn replay_core<S: EvSrc>(
             ConfigResult { config: *cfg, total, per_rank, comm_time, counters: counters[i] }
         })
         .collect())
-}
-
-/// Deliver a send's availability vector: hand it to the oldest waiting
-/// receive if one exists (waking its rank), otherwise queue it.
-fn deliver_send(
-    channels: &mut HashMap<(u32, u32, u32), Channel>,
-    key: (u32, u32, u32),
-    avail: Box<[Time]>,
-    reqs: &mut [HashMap<u32, ReqState>],
-    mut wake: impl FnMut(u32),
-) {
-    let ch = channels.entry(key).or_default();
-    if let Some((wr, wreq)) = ch.waiting.pop_front() {
-        // Both real irecvs and blocking receives (pseudo-request
-        // u32::MAX) have a PendingRecv record to fill.
-        if let Some(ReqState::Recv(p)) = reqs[wr as usize].get_mut(&wreq) {
-            p.avail = Some(avail);
-        } else {
-            unreachable!("waiting receive lost its request record");
-        }
-        wake(wr);
-    } else {
-        ch.sends.push_back(avail);
-    }
 }
 
 #[cfg(test)]
@@ -813,6 +830,81 @@ mod tests {
     fn empty_config_list_is_typed_error() {
         let t = send_recv_trace();
         assert_eq!(try_replay(&t, &[], None).unwrap_err(), ReplayError::NoConfigs);
+    }
+
+    /// Replay state is recycled: a trace with twice the iterations (twice
+    /// the messages, requests and collective ordinals) allocates no more
+    /// than the original, so allocations are O(ranks + channels), not
+    /// O(messages).
+    #[test]
+    fn replay_allocations_do_not_grow_with_iterations() {
+        use masim_workloads::{generate, App, GenConfig};
+        // DT's and FB's senders run whole iterations ahead of their
+        // receivers, and AMG's irregular neighbour sets deepen with more
+        // iterations: their pending depth grows, so their buffers may
+        // double once or twice more — a few allocations, not one per
+        // message.
+        const DEEPENING: [App; 3] = [App::Dt, App::FillBoundary, App::Amg];
+        let cfgs = ModelConfig::standard_sweep(net());
+        for app in App::ALL {
+            let allocs = |iters: u32| {
+                let trace = generate(&GenConfig { iters, ..GenConfig::test_default(app, 16) });
+                let before = crate::alloc_counter::count();
+                let res = try_replay(&trace, &cfgs, None).expect("generated traces replay");
+                let allocs = crate::alloc_counter::count() - before;
+                drop(res);
+                allocs
+            };
+            let (once, twice) = (allocs(1), allocs(2));
+            let slack = if DEEPENING.contains(&app) { 4 } else { 0 };
+            assert!(
+                twice <= once + slack,
+                "{}: {once} allocations at 1 iteration, {twice} at 2",
+                app.name()
+            );
+        }
+    }
+
+    /// Replay `t` from memory and from its MASS bytes; both must fail
+    /// alike.
+    fn replay_error_both_ways(t: &Trace) -> ReplayError {
+        let cfgs = [ModelConfig::base(net())];
+        let err = try_replay(t, &cfgs, None).unwrap_err();
+        let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(t)).unwrap();
+        assert_eq!(try_replay(&stream, &cfgs, None).unwrap_err(), err);
+        err
+    }
+
+    #[test]
+    fn reused_outstanding_request_is_typed_error() {
+        use masim_trace::ReqId;
+        let ev = |kind| Event::new(kind, Time::ZERO);
+        let irecv = |req| ev(EventKind::Irecv { peer: Rank(1), bytes: 8, tag: 0, req: ReqId(req) });
+        let send = |peer, tag| ev(EventKind::Send { peer: Rank(peer), bytes: 8, tag });
+        let recv = |peer, tag| ev(EventKind::Recv { peer: Rank(peer), bytes: 8, tag });
+        let mut t = Trace::empty(meta(2));
+        // Request 1 is posted twice; the first send completes it and the
+        // second arrives after its `Wait` retired the id.
+        t.events[0] = vec![irecv(1), irecv(1), ev(EventKind::Wait { req: ReqId(1) }), send(1, 0)];
+        t.events[0].push(recv(1, 1));
+        t.events[1] = vec![send(0, 0), recv(0, 0), send(0, 0), send(0, 1)];
+        assert_eq!(replay_error_both_ways(&t), ReplayError::RequestReuse { rank: 0, req: 1 });
+        // The id blocking receives run under is reserved.
+        t.events[0] = vec![irecv(u32::MAX)];
+        t.events[1] = vec![send(0, 0)];
+        let err = replay_error_both_ways(&t);
+        assert_eq!(err, ReplayError::RequestReuse { rank: 0, req: u32::MAX });
+    }
+
+    #[test]
+    fn out_of_range_peer_is_typed_error() {
+        let mut t = Trace::empty(meta(2));
+        t.events[0] =
+            vec![Event::new(EventKind::Send { peer: Rank(5), bytes: 8, tag: 0 }, Time::ZERO)];
+        assert_eq!(replay_error_both_ways(&t), ReplayError::PeerOutOfRange { rank: 0, peer: 5 });
+        t.events[0] =
+            vec![Event::new(EventKind::Recv { peer: Rank(2), bytes: 8, tag: 0 }, Time::ZERO)];
+        assert_eq!(replay_error_both_ways(&t), ReplayError::PeerOutOfRange { rank: 0, peer: 2 });
     }
 
     #[test]

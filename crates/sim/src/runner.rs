@@ -4,7 +4,7 @@
 use crate::error::SimError;
 use crate::hash::IntMap;
 use crate::lower::{coll_tag, lower, Schedule};
-use crate::msg::{Mailbox, Message, MsgSlab};
+use crate::msg::{Message, MsgSlab};
 use crate::net::{
     flow_complete, inject, on_flow_resolve, packet_hop, ForeignPacket, LinkTable, ModelKind,
     NetState, Packet, RouteArena,
@@ -12,7 +12,9 @@ use crate::net::{
 use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
-use masim_trace::{Event, EventKind, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource};
+use masim_trace::{
+    Event, EventKind, Mailbox, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource,
+};
 use std::time::{Duration, Instant};
 
 /// Simulation configuration.
@@ -756,7 +758,7 @@ pub(crate) fn on_deliver<'a, C: SimCx>(
     tag: u32,
     _msg_id: u32,
 ) {
-    let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, cx.now()) else {
+    let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, cx.now().as_ps()) else {
         return; // queued as unexpected
     };
     recv_complete(cx, st, tok);

@@ -15,7 +15,9 @@
 //!   agreement);
 //! * [`io`] — compact binary serialization plus a text dump (parsed
 //!   back by [`text::from_text`]);
-//! * [`features`] — the 34 measurable Table III features.
+//! * [`features`] — the 34 measurable Table III features;
+//! * [`mailbox`] — per-rank (source, tag) matching, shared by the
+//!   simulator and MFACT.
 //!
 //! # Example
 //!
@@ -55,6 +57,7 @@ pub mod event;
 pub mod features;
 pub mod ids;
 pub mod io;
+pub mod mailbox;
 pub mod stream;
 pub mod text;
 pub mod time;
@@ -64,6 +67,7 @@ pub mod units;
 pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
+pub use mailbox::Mailbox;
 pub use stream::{
     encode_stream, write_stream, RankCursor, StreamError, StreamedTrace, TraceSource,
 };
@@ -71,3 +75,45 @@ pub use text::from_text;
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};
 pub use units::Bandwidth;
+
+/// Unit-test-only counting allocator: counts allocation events per
+/// thread, so [`Mailbox`] can assert steady-state matching allocates
+/// nothing.
+#[cfg(test)]
+mod alloc_counter {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: defers all allocation to `System`; the per-thread counter
+    // bump is allocation-free and panic-free (`try_with` tolerates TLS
+    // teardown).
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: Counting = Counting;
+
+    /// Allocation events on this thread so far.
+    pub(crate) fn count() -> u64 {
+        ALLOCS.with(|c| c.get())
+    }
+}

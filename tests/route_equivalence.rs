@@ -13,6 +13,10 @@
 //! masked form (numbers blanked, layout and `^ incomplete` annotations
 //! kept); Table III is static text and included verbatim.
 //!
+//! `tests/golden/mfact_sweep.txt` pins MFACT alone: every result field
+//! of its baseline, sweep and probe replays on the tiny corpus and on a
+//! few seed-7 corpus traces, from memory and streamed.
+//!
 //! Regenerate with `GOLDEN_WRITE=1 cargo test --test route_equivalence`
 //! — but only when a PR *intends* to change predictions; this suite
 //! exists to prove perf PRs are bit-identical.
@@ -22,6 +26,7 @@ use masim_core::study::run_one_observed;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = "tests/golden/tiny_corpus.txt";
+const MFACT_GOLDEN: &str = "tests/golden/mfact_sweep.txt";
 
 /// Counters that must be bit-identical across perf refactors. Spans
 /// (wall-clock) and `des.engine.pending_hwm` (peak occupancy, lowered on
@@ -102,21 +107,21 @@ fn render_snapshot() -> String {
     out
 }
 
-#[test]
-fn tiny_corpus_matches_pre_refactor_golden() {
-    let rendered = render_snapshot();
+/// Compare `rendered` with the golden file at `path`, or rewrite the file
+/// when `GOLDEN_WRITE` is set.
+fn check_golden(path: &str, rendered: &str) {
     if std::env::var_os("GOLDEN_WRITE").is_some() {
         std::fs::create_dir_all("tests/golden").expect("mkdir golden");
-        std::fs::write(GOLDEN, &rendered).expect("write golden");
-        eprintln!("wrote {GOLDEN}");
+        std::fs::write(path, rendered).expect("write golden");
+        eprintln!("wrote {path}");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN)
+    let golden = std::fs::read_to_string(path)
         .expect("missing golden; regenerate with GOLDEN_WRITE=1 on a known-good build");
     if rendered != golden {
         // Line-level diff beats a 10k-char assert_eq dump.
         for (i, (g, r)) in golden.lines().zip(rendered.lines()).enumerate() {
-            assert_eq!(g, r, "first divergence at golden line {}", i + 1);
+            assert_eq!(g, r, "first divergence at {path} line {}", i + 1);
         }
         assert_eq!(
             golden.lines().count(),
@@ -124,4 +129,86 @@ fn tiny_corpus_matches_pre_refactor_golden() {
             "snapshot gained/lost lines vs golden"
         );
     }
+}
+
+#[test]
+fn tiny_corpus_matches_pre_refactor_golden() {
+    check_golden(GOLDEN, &render_snapshot());
+}
+
+/// Seed-7 corpus entries small enough for a debug build, one per shape
+/// the replay's matching state must handle: LU(64) and DT(64) post
+/// blocking `Recv`s (LU from 96 channels into one rank), AMG(107) holds
+/// 34 requests outstanding on one rank, BigFFT(64) waits on deep
+/// request sets, IS(64) runs `Alltoallv` with per-rank payloads.
+const MFACT_CORPUS_ENTRIES: [usize; 5] = [62, 132, 149, 172, 220];
+
+/// FNV-1a over the per-rank final clocks.
+fn digest(per_rank: &[masim_trace::Time]) -> u64 {
+    per_rank
+        .iter()
+        .flat_map(|t| t.as_ps().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every `ConfigResult` field of MFACT's three replays (baseline, the
+/// 7-point sweep, the classifier's probes) of `src`, one line per
+/// configuration.
+fn render_mfact<'a>(
+    stem: &str,
+    src: impl Into<masim_trace::TraceSource<'a>> + Copy,
+    net: masim_topo::NetworkConfig,
+) -> String {
+    use masim_mfact::{probe_configs, try_replay, ModelConfig};
+    let mut out = String::new();
+    let sets = [
+        ("base", vec![ModelConfig::base(net)]),
+        ("sweep", ModelConfig::standard_sweep(net)),
+        ("probe", probe_configs(net).to_vec()),
+    ];
+    for (set, configs) in sets {
+        let results = try_replay(src, &configs, None).expect("corpus traces replay");
+        for (i, r) in results.iter().enumerate() {
+            let c = r.counters;
+            let _ = writeln!(
+                out,
+                "[{stem}] {set}{i} total_ps={} comm_ps={} wait={} latency={} bandwidth={} \
+                 computation={} per_rank={:016x}",
+                r.total.as_ps(),
+                r.comm_time.as_ps(),
+                c.wait.as_ps(),
+                c.latency.as_ps(),
+                c.bandwidth.as_ps(),
+                c.computation.as_ps(),
+                digest(&r.per_rank),
+            );
+        }
+    }
+    out
+}
+
+/// MFACT's predictions, counters and per-rank clocks stay bit-identical
+/// across replay refactors, and a streamed replay of the same trace
+/// reads the same.
+#[test]
+fn mfact_sweep_matches_golden() {
+    let corpus = masim_workloads::build_corpus(7);
+    let entries = report::table2_tiny_entries(7)
+        .into_iter()
+        .map(|e| (report::table2_stem(&e), e))
+        .chain(MFACT_CORPUS_ENTRIES.iter().map(|&i| {
+            let e = corpus[i].clone();
+            (format!("c{i}-{}{}", e.cfg.app.name(), e.cfg.ranks), e)
+        }));
+    let mut rendered = String::new();
+    for (stem, e) in entries {
+        let trace = e.generate();
+        let net = masim_topo::Machine::by_name(&e.cfg.machine).expect("known machine").net;
+        let memory = render_mfact(&stem, &trace, net);
+        let bytes = masim_trace::encode_stream(&trace);
+        let stream = masim_trace::StreamedTrace::from_bytes(bytes).expect("round-trip");
+        assert_eq!(memory, render_mfact(&stem, &stream, net), "{stem}: streamed ≠ in-memory");
+        rendered.push_str(&memory);
+    }
+    check_golden(MFACT_GOLDEN, &rendered);
 }
