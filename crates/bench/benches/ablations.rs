@@ -55,7 +55,6 @@ fn mapping_sweep(h: &mut Harness) {
             mapping,
             model: ModelKind::PacketFlow { packet_bytes: 8192 },
             compute_scale: 1.0,
-            sim_threads: 1,
             route_arena_cap_bytes: u64::MAX,
         };
         h.bench(&format!("ablation/mapping/{name}"), DEFAULT_SAMPLES, || {

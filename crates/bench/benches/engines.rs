@@ -1,9 +1,8 @@
-//! Engine micro-benchmarks: the DES event loop, the PDES windowed
-//! executor, trace generation/serialization, and the statistical kernel
-//! behind Table IV.
+//! Engine micro-benchmarks: the DES event loop, trace
+//! generation/serialization, and the statistical kernel behind Table IV.
 
 use masim_bench::harness::{Harness, DEFAULT_SAMPLES};
-use masim_des::{Engine, Handler, LogicalProcess, Outbox, WindowedPdes};
+use masim_des::{Engine, Handler};
 use masim_stats::{fit, monte_carlo_cv};
 use masim_trace::{io, Time};
 use masim_workloads::{generate, App, GenConfig};
@@ -52,36 +51,6 @@ fn des_throughput(h: &mut Harness) {
     });
 }
 
-struct RingLp {
-    index: usize,
-    n: usize,
-    hops: u32,
-}
-
-impl LogicalProcess for RingLp {
-    type Event = u32;
-    fn handle(&mut self, _now: Time, v: u32, out: &mut Outbox<u32>) {
-        if v < self.hops {
-            out.send(Time::from_us(1), (self.index + 1) % self.n, v + 1);
-        }
-    }
-}
-
-/// Conservative PDES: token rings at 1 and 4 worker threads (this host
-/// has one core, so this measures the coordination overhead envelope).
-fn pdes_window(h: &mut Harness) {
-    for threads in [1usize, 4] {
-        h.bench(&format!("pdes/ring_16lp_20k_hops/{threads}"), DEFAULT_SAMPLES, || {
-            let lps: Vec<RingLp> =
-                (0..16).map(|i| RingLp { index: i, n: 16, hops: 20_000 }).collect();
-            let mut pdes = WindowedPdes::new(lps, Time::from_us(1), threads);
-            pdes.seed(Time::ZERO, 0, 0);
-            pdes.run().expect("ring fits the clock");
-            black_box(pdes.processed());
-        });
-    }
-}
-
 /// Corpus-generation and serialization throughput (Table I substrate).
 fn trace_generation(h: &mut Harness) {
     let cfg = GenConfig::test_default(App::Lulesh, 64);
@@ -122,7 +91,6 @@ fn train_model(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("engines");
     des_throughput(&mut h);
-    pdes_window(&mut h);
     trace_generation(&mut h);
     train_model(&mut h);
     h.finish();

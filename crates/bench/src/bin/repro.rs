@@ -29,12 +29,15 @@
 //!
 //! Measurement has one authority per question. Exact event counts and
 //! predictions: `tests/golden/tiny_corpus.txt` in `cargo test`. Timing:
-//! `benchmark/`, one line per PR in `BENCH_history.jsonl`. Executor and
-//! thread-count determinism: `cargo test` — the root equivalence suites
-//! and this crate's `tests/cli.rs`, all judged by `masim_obs::run`. What
-//! a run says about itself: the sidecars and `BENCH_obs.json`, which gate
-//! nothing. PDES cost is read from `repro table2 --sim-threads 1` vs `2`
-//! (the benchmark's heavy3 input) or `cargo bench --bench engines -- pdes`.
+//! `benchmark/`, one line per PR in `BENCH_history.jsonl`. Thread-count
+//! determinism: `cargo test` — the root equivalence suites and this
+//! crate's `tests/cli.rs`, all judged by `masim_obs::run`. What a run
+//! says about itself: the sidecars and `BENCH_obs.json`, which gate
+//! nothing.
+//!
+//! `--sim-threads 1` is still accepted, as a no-op, by the report
+//! commands and `serve`; any other value is a usage error, because the
+//! intra-trace PDES it selected has been removed.
 
 use masim_core::report;
 use masim_core::{
@@ -92,12 +95,6 @@ struct Options {
     /// `--trace <dir>`: install the process-global timeline tracer and
     /// end the run by exporting it there (see [`write_trace`]).
     trace: Option<PathBuf>,
-    /// `--sim-threads <n|auto>`: intra-trace PDES workers per simulator
-    /// run. `1` (the default) is the sequential engine, `N > 1` partitions
-    /// the packet model onto N workers, `auto` (stored as 0) does so for
-    /// big traces only. Bit-identical at any value
-    /// (`tests/pdes_equivalence.rs`; through this binary, `cli.rs`).
-    sim_threads: usize,
 }
 
 /// Exit code for a deliberate `--fail-after` interruption, so scripts
@@ -115,10 +112,13 @@ fn parse_threads(n: &str, flag: &str) -> Result<usize, String> {
     count.ok_or_else(|| format!("{flag} '{n}' is not a positive count"))
 }
 
-/// A `--sim-threads` value: a positive count, or `auto` (stored as 0).
-fn parse_sim_threads(n: &str, flag: &str) -> Result<usize, String> {
-    let count = if n == "auto" { Some(0) } else { n.parse::<usize>().ok().filter(|&n| n > 0) };
-    count.ok_or_else(|| format!("{flag} '{n}' is not a count or 'auto'"))
+/// A `--sim-threads` value: only `1`, a no-op kept so existing command
+/// lines still run. `flag` opens the error text.
+fn check_sim_threads(n: &str, flag: &str) -> Result<(), String> {
+    if n == "1" {
+        return Ok(());
+    }
+    Err(format!("{flag} '{n}': the intra-trace PDES was removed; only 1 is accepted"))
 }
 
 /// The daemon endpoint `cmd`'s `--socket <path>` or `--tcp <addr>` names.
@@ -155,7 +155,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         fail_after: None,
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         trace: None,
-        sim_threads: 1,
     };
     let dir = |it: &mut Iter<String>, flag: &str| {
         path_arg(it, &format!("{flag} requires a directory argument"))
@@ -177,8 +176,8 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
                 opts.fail_after = Some(count);
             }
             "--sim-threads" => {
-                let n = it.next().ok_or("--sim-threads requires a count or 'auto'")?;
-                opts.sim_threads = parse_sim_threads(n, "--sim-threads:")?;
+                let n = it.next().ok_or("--sim-threads requires a count")?;
+                check_sim_threads(n, "--sim-threads:")?;
             }
             "--tiny" => opts.tiny = true,
             "bench-summary" => opts.summarize = true,
@@ -453,7 +452,7 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
     );
 
     // Stage 2: replay the streamed trace through the packet model under
-    // the memory budget, on the sequential engine (no `--sim-threads`).
+    // the memory budget.
     let ms = MetricSet::new();
     let cfg = SimConfig::for_streamed(
         machine,
@@ -514,7 +513,6 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     let (mut socket, mut tcp) = (None, None);
     let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sim_threads = 1usize;
     let mut cache_dir: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -529,8 +527,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                 threads = parse_threads(n, "serve: --threads")?;
             }
             "--sim-threads" => {
-                let n = it.next().ok_or("serve: --sim-threads requires a count or 'auto'")?;
-                sim_threads = parse_sim_threads(n, "serve: --sim-threads")?;
+                let n = it.next().ok_or("serve: --sim-threads requires a count")?;
+                check_sim_threads(n, "serve: --sim-threads")?;
             }
             "--cache-dir" => {
                 cache_dir = Some(path_arg(&mut it, "serve: --cache-dir requires a path")?);
@@ -546,7 +544,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     if let Some(dir) = &trace {
         install_trace(dir)?;
     }
-    let server = Server::new(ServerOptions { threads, sim_threads, cache_dir });
+    let server = Server::new(ServerOptions { threads, cache_dir });
     let descr: Vec<String> = binds
         .iter()
         .map(|b| match b {
@@ -693,7 +691,6 @@ fn run_session(
         None => Session::new(spec),
     }
     .map_err(|e| e.to_string())?;
-    session.set_sim_threads(opts.sim_threads);
     if let (recovered @ 1.., Some(path)) = (session.done(), session.checkpoint_path()) {
         eprintln!("checkpoint: recovered {recovered} completed trace(s) from {}", path.display());
     }
@@ -915,14 +912,25 @@ mod tests {
         for (args, why) in [
             (&["--threads", "0"][..], "--threads: '0' is not a positive count"),
             (&["--threads", "auto"], "--threads: 'auto' is not a positive count"),
-            (&["--sim-threads", "0"], "--sim-threads: '0' is not a count or 'auto'"),
             (&["--resume"], "--resume requires --checkpoint <dir>"),
             (&["--fail-after", "1"], "--fail-after requires --checkpoint <dir>"),
+            (
+                &["--sim-threads", "0"],
+                "--sim-threads: '0': the intra-trace PDES was removed; only 1 is accepted",
+            ),
+            (
+                &["--sim-threads", "2"],
+                "--sim-threads: '2': the intra-trace PDES was removed; only 1 is accepted",
+            ),
+            (
+                &["--sim-threads", "auto"],
+                "--sim-threads: 'auto': the intra-trace PDES was removed; only 1 is accepted",
+            ),
         ] {
             assert_eq!(parse(args).err().as_deref(), Some(why));
         }
-        let opts = parse(&["--sim-threads", "auto", "--checkpoint", "d", "--resume"]).unwrap();
-        assert_eq!((opts.sim_threads, opts.resume), (0, true));
+        let opts = parse(&["--sim-threads", "1", "--checkpoint", "d", "--resume"]).unwrap();
+        assert!(opts.resume);
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_FILE};
 pub use enhanced::{Dataset, Enhanced, ErrorRates, DIFF_THRESHOLD};
 pub use session::{Session, SessionError, SessionOutcome, SessionSpec, StudyKind};
 pub use study::{
-    contained, effective_sim_threads, fraction_within, run_one_observed, ObservedTrace, Study,
-    StudyConfig, ToolFailure, ToolRun, TraceStudy, AUTO_PDES_MIN_RANKS, PARALLEL_BACKLOG_GAUGE,
-    PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN, PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
+    contained, fraction_within, run_one_observed, ObservedTrace, Study, StudyConfig, ToolFailure,
+    ToolRun, TraceStudy, PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN,
+    PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
 };
 
 #[cfg(test)]

@@ -249,14 +249,6 @@ impl Session {
         &self.config
     }
 
-    /// Set the intra-trace PDES worker count for this session's
-    /// simulator runs. An execution knob, not a study identity: it is
-    /// excluded from [`Session::fingerprint`] and the checkpoint
-    /// header, because predictions are bit-identical at every value.
-    pub fn set_sim_threads(&mut self, n: usize) {
-        self.config.sim_threads = n;
-    }
-
     /// Number of entries this session will run in total.
     pub fn total(&self) -> usize {
         self.todo.len()
@@ -423,9 +415,6 @@ fn write_entry(h: &mut Fnv, e: &CorpusEntry) {
 }
 
 fn write_config(h: &mut Fnv, cfg: &StudyConfig) {
-    // `sim_threads` is deliberately excluded: the intra-trace PDES is
-    // bit-identical to the sequential engine at every thread count, so
-    // it is an execution knob, not a study identity.
     h.write_u64(cfg.seed);
     h.write_u64(cfg.packet_budget);
     h.write_u64(cfg.flow_budget);

@@ -315,37 +315,12 @@ pub struct StudyConfig {
     /// host-independent; deadlines are an operational guard for
     /// unattended runs.
     pub sim_deadline: Option<Duration>,
-    /// Worker threads *inside* each packet-model simulation (the
-    /// intra-trace PDES). `1` (the default) runs the sequential engine
-    /// exactly as before; `N > 1` partitions the packet model onto
-    /// `N` workers; `0` means auto — use the host's available
-    /// parallelism for traces of at least [`AUTO_PDES_MIN_RANKS`]
-    /// ranks and stay sequential below that, where window overhead
-    /// outweighs the win. Predictions are bit-identical at every
-    /// setting, so this knob is deliberately *not* part of the session
-    /// fingerprint or checkpoint identity.
-    pub sim_threads: usize,
     /// Resident-memory ceiling (bytes) per simulator run, charged
     /// against the simulator's own accounting (trace + routes + links +
     /// in-flight messages + model state). `u64::MAX` (the default)
     /// disables the check. An exceeded budget is a typed
     /// [`ToolFailure::MemoryBudget`] row, not an allocator abort.
     pub mem_budget: u64,
-}
-
-/// Rank-count floor for `sim_threads = 0` (auto): smaller traces stay
-/// on the sequential engine.
-pub const AUTO_PDES_MIN_RANKS: u32 = 32;
-
-/// Resolve a requested `sim_threads` against a concrete trace size.
-pub fn effective_sim_threads(requested: usize, ranks: u32) -> usize {
-    match requested {
-        0 if ranks >= AUTO_PDES_MIN_RANKS => {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
-        0 => 1,
-        n => n,
-    }
 }
 
 impl Default for StudyConfig {
@@ -356,7 +331,6 @@ impl Default for StudyConfig {
             flow_budget: 211_200,
             pflow_budget: u64::MAX,
             sim_deadline: None,
-            sim_threads: 1,
             mem_budget: u64::MAX,
         }
     }
@@ -532,8 +506,7 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
                 _ => "study.tool/packet-flow",
             });
             contained(|| {
-                let mut scfg = SimConfig::new(machine.clone(), model, &trace);
-                scfg.sim_threads = effective_sim_threads(cfg.sim_threads, trace.num_ranks());
+                let scfg = SimConfig::new(machine.clone(), model, &trace);
                 masim_sim::run(&trace, &scfg, limits, Some(&ms)).map_err(ToolFailure::from_sim)
             })
         };

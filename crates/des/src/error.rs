@@ -10,7 +10,6 @@
 
 use masim_trace::Time;
 use std::fmt;
-use std::time::Duration;
 
 /// The simulation clock overflowed while computing `now + delay`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,55 +31,3 @@ impl fmt::Display for ClockOverflow {
 }
 
 impl std::error::Error for ClockOverflow {}
-
-/// Why a windowed PDES run stopped early.
-///
-/// The windowed executor runs whole simulations (not single steps), so
-/// unlike the sequential engine — whose embedder polls `Engine::error`
-/// between steps and applies its own budget/deadline checks — the
-/// executor enforces limits itself and surfaces every abnormal stop as
-/// a typed value. Chaos-injected faults land here instead of panicking
-/// the worker pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PdesError {
-    /// The simulation clock overflowed (window horizon or follow-up).
-    Clock(ClockOverflow),
-    /// The work budget was exhausted.
-    Budget {
-        /// Work consumed when the check tripped (events + model work
-        /// units; checked at window granularity, so it may overshoot
-        /// the budget by up to one window's worth).
-        consumed: u64,
-        /// The configured budget.
-        budget: u64,
-    },
-    /// The wall-clock deadline passed.
-    Deadline {
-        /// Elapsed wall-clock when the check tripped.
-        elapsed: Duration,
-        /// The configured deadline.
-        deadline: Duration,
-    },
-}
-
-impl From<ClockOverflow> for PdesError {
-    fn from(e: ClockOverflow) -> PdesError {
-        PdesError::Clock(e)
-    }
-}
-
-impl fmt::Display for PdesError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PdesError::Clock(e) => e.fmt(f),
-            PdesError::Budget { consumed, budget } => {
-                write!(f, "PDES work budget exhausted: {consumed} of {budget}")
-            }
-            PdesError::Deadline { elapsed, deadline } => {
-                write!(f, "PDES deadline exceeded: {elapsed:?} of {deadline:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PdesError {}

@@ -3,7 +3,7 @@
 //! These numbers vary run to run (they depend on the allocator, the
 //! kernel, and co-tenants), so they must **never** land in the
 //! deterministic per-tool metric sidecars, which `cli.rs`'s
-//! `sidecars_and_table_agree_across_threads_and_executors` compares
+//! `sidecars_and_table_agree_across_threads` compares
 //! gauge for gauge. They belong in `BENCH_obs.json`-style host reports,
 //! next to wall-clock timings.
 

@@ -366,20 +366,12 @@ fn csv_rows(text: &str) -> Vec<Vec<String>> {
 impl Snapshot {
     /// What two runs of the same study must agree on: every span keeps
     /// its `count` and loses its host wall-clock `sum_ns`/`min_ns`/
-    /// `max_ns`; counters, gauges and histograms stay whole. Series
-    /// whose name starts with one of `drop_prefixes` are left out —
-    /// `&[]` between runs on one executor, `masim_sim::EXECUTOR_SERIES`
-    /// between the sequential engine and the partitioned one.
+    /// `max_ns`; counters, gauges and histograms stay whole.
     // `#[inline]` (and on `mask_floats`): only tests call these, so they
     // are compiled there and `repro`'s object code stays as it was.
     #[inline]
-    pub fn deterministic(&self, drop_prefixes: &[&str]) -> Snapshot {
-        let keep = |name: &String| !drop_prefixes.iter().any(|p| name.starts_with(p));
+    pub fn deterministic(&self) -> Snapshot {
         let mut out = self.clone();
-        out.counters.retain(|name, _| keep(name));
-        out.gauges.retain(|name, _| keep(name));
-        out.hists.retain(|name, _| keep(name));
-        out.spans.retain(|name, _| keep(name));
         for s in out.spans.values_mut() {
             *s = SpanStats { count: s.count, sum_ns: 0, min_ns: 0, max_ns: 0 };
         }
@@ -493,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_zeroes_span_ns_only_and_drops_by_prefix_in_every_map() {
+    fn deterministic_zeroes_span_ns_only_and_keeps_every_series() {
         let rm = RunMetrics::new().label("tool", "packet");
         let ms = rm.set();
         ms.add("sim.shared", 3);
@@ -509,9 +501,9 @@ mod tests {
         ms.hist_record("des.queue.depth", 2);
         let snap = ms.snapshot();
 
-        // Nothing is dropped by `&[]`; spans lose their three `_ns`
-        // fields and keep `count`; a histogram's sum/min/max stay.
-        let all = snap.deterministic(&[]);
+        // Nothing is dropped; spans lose their three `_ns` fields and
+        // keep `count`; a histogram's sum/min/max stay.
+        let all = snap.deterministic();
         assert_eq!(all.counters, snap.counters);
         assert_eq!(all.gauges, snap.gauges);
         assert_eq!(all.hists, snap.hists);
@@ -520,18 +512,16 @@ mod tests {
             all.spans["sim.runner.simulate"],
             SpanStats { count: 2, sum_ns: 0, min_ns: 0, max_ns: 0 }
         );
-
-        let shared = snap.deterministic(&["des.queue."]);
-        assert_eq!(shared.counters.keys().collect::<Vec<_>>(), ["sim.shared"]);
-        assert_eq!(shared.gauges.keys().collect::<Vec<_>>(), ["sim.link.bytes_max"]);
-        assert_eq!(shared.hists.keys().collect::<Vec<_>>(), ["sim.msg.bytes"]);
-        assert_eq!(shared.spans.keys().collect::<Vec<_>>(), ["sim.runner.simulate"]);
+        assert_eq!(
+            all.spans["des.queue.scan"],
+            SpanStats { count: 1, sum_ns: 0, min_ns: 0, max_ns: 0 }
+        );
 
         // Both sidecar formats parse to the same deterministic value.
         let (json, csv) = (parse_json(&rm.to_json()).unwrap(), parse_csv(&rm.to_csv()).unwrap());
         assert_eq!(json.labels, csv.labels);
-        assert_eq!(json.snapshot.deterministic(&[]), all);
-        assert_eq!(csv.snapshot.deterministic(&[]), all);
+        assert_eq!(json.snapshot.deterministic(), all);
+        assert_eq!(csv.snapshot.deterministic(), all);
     }
 
     #[test]

@@ -49,11 +49,6 @@ pub enum Bind {
 pub struct ServerOptions {
     /// Worker threads per running study.
     pub threads: usize,
-    /// Intra-trace PDES workers per simulator run (`0` = auto,
-    /// `1` = sequential engine). Not part of the cache key: results
-    /// are bit-identical at every value, so a cache entry written at
-    /// one setting replays for every other.
-    pub sim_threads: usize,
     /// Disk mirror for the result cache (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
 }
@@ -75,7 +70,6 @@ struct SessionEntry {
 /// across handler threads behind an [`Arc`].
 pub struct Server {
     threads: usize,
-    sim_threads: usize,
     cache: ResultCache,
     ms: MetricSet,
     sessions: Mutex<Vec<Arc<SessionEntry>>>,
@@ -88,7 +82,6 @@ impl Server {
     pub fn new(opts: ServerOptions) -> Server {
         Server {
             threads: opts.threads.max(1),
-            sim_threads: opts.sim_threads,
             cache: ResultCache::new(opts.cache_dir),
             ms: MetricSet::new(),
             sessions: Mutex::new(Vec::new()),
@@ -241,7 +234,6 @@ impl Server {
                 )
             }
         };
-        session.set_sim_threads(self.sim_threads);
         let (corpus_fp, config_fp) = session.fingerprint();
         let key = CacheKey::new(corpus_fp, config_fp);
         let cached = self.cache.get(&key);
@@ -556,7 +548,7 @@ mod tests {
     /// and shutdown.
     #[test]
     fn control_plane_over_socketpair() {
-        let server = Server::new(ServerOptions { threads: 1, sim_threads: 1, cache_dir: None });
+        let server = Server::new(ServerOptions { threads: 1, cache_dir: None });
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         let t = std::thread::spawn(move || {
             let server = server;
@@ -594,7 +586,7 @@ mod tests {
     /// hung or dropped connection.
     #[test]
     fn invalid_submit_is_answered() {
-        let server = Server::new(ServerOptions { threads: 1, sim_threads: 1, cache_dir: None });
+        let server = Server::new(ServerOptions { threads: 1, cache_dir: None });
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         let t = std::thread::spawn(move || {
             server.handle_conn(&mut b);

@@ -41,7 +41,6 @@ pub(crate) mod hash;
 pub mod lower;
 pub mod msg;
 pub mod net;
-pub(crate) mod pdes_run;
 pub mod runner;
 pub mod util_report;
 
@@ -49,7 +48,6 @@ pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
     run, simulate, simulate_budgeted, simulate_streamed_limited, SimConfig, SimLimits, SimResult,
-    EXECUTOR_SERIES,
 };
 pub use util_report::UtilReport;
 

@@ -52,7 +52,7 @@
 use crate::error::SimError;
 use crate::hash::IntMap;
 use crate::msg::Message;
-use crate::runner::{SimCx, SimEvent, SimState};
+use crate::runner::{SimEvent, SimState};
 use masim_des::{Engine, EventId};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine};
@@ -506,7 +506,7 @@ impl NetState {
 /// [`MsgSlab`](crate::msg::MsgSlab)); the model schedules
 /// [`SimEvent::Release`] (sender may reuse its buffer) and
 /// [`SimEvent::Deliver`] (payload at destination) events.
-pub(crate) fn inject<C: SimCx>(cx: &mut C, st: &mut SimState, id: u32) {
+pub(crate) fn inject(eng: &mut Engine<SimState>, st: &mut SimState, id: u32) {
     let msg = *st.msgs.get(id);
     let src_node = st.mapping.node_of(msg.src);
     let dst_node = st.mapping.node_of(msg.dst);
@@ -515,10 +515,10 @@ pub(crate) fn inject<C: SimCx>(cx: &mut C, st: &mut SimState, id: u32) {
         // Intra-node: uncontended Hockney transfer, same cost model as
         // MFACT so the tools agree on local traffic.
         let ser = st.machine.net.bandwidth.transfer_time(msg.bytes);
-        let release = cx.now() + ser;
-        let deliver = cx.now() + st.machine.net.latency + ser;
-        cx.sched_at(release, SimEvent::Release { src: msg.src, msg: id });
-        cx.sched_at(
+        let release = eng.now() + ser;
+        let deliver = eng.now() + st.machine.net.latency + ser;
+        eng.schedule_at(release, SimEvent::Release { src: msg.src, msg: id });
+        eng.schedule_at(
             deliver,
             SimEvent::Deliver { dst: msg.dst, src: msg.src, tag: msg.tag, msg: id },
         );
@@ -551,16 +551,12 @@ pub(crate) fn inject<C: SimCx>(cx: &mut C, st: &mut SimState, id: u32) {
         }
     };
     match &mut st.net {
-        NetState::Packet(p) => {
-            // The first hop is the sender's injection link, so lazy
-            // packet chaining always starts partition-local.
-            p.inject(cx, id, msg, route, st.links.injection(msg.src))
-        }
-        NetState::Flow(f) => f.inject(cx, id, msg.bytes, route, &st.routes, st.links.hop_lat()),
+        NetState::Packet(p) => p.inject(eng, id, msg.bytes, route),
+        NetState::Flow(f) => f.inject(eng, id, msg.bytes, route, &st.routes, st.links.hop_lat()),
         NetState::PFlow(p) => {
             // Split borrows: link table and route arena are read-only
             // during sampling.
-            p.inject(cx, id, msg, st.routes.resolve(route), &st.links)
+            p.inject(eng, id, msg, st.routes.resolve(route), &st.links)
         }
     }
 }
@@ -660,15 +656,8 @@ impl PacketNet {
         (depart, depart + links.hop_lat())
     }
 
-    fn inject<C: SimCx>(
-        &mut self,
-        cx: &mut C,
-        id: u32,
-        msg: Message,
-        route: RouteRef,
-        first_link: LinkId,
-    ) {
-        let n = n_packets(msg.bytes, self.packet_bytes);
+    fn inject(&mut self, eng: &mut Engine<SimState>, id: u32, bytes: u64, route: RouteRef) {
+        let n = n_packets(bytes, self.packet_bytes);
         // Oversized messages were rejected with a typed error at
         // injection (see `inject`), so the sequence counter fits.
         debug_assert!(n <= u32::MAX as u64);
@@ -678,124 +667,46 @@ impl PacketNet {
         // (see `packet_hop`), which is when the NIC's FIFO would have
         // let it start serializing anyway. Peak queue occupancy is
         // O(in-flight messages).
-        let pkt = self.packet(id, msg.bytes, route, 0);
-        cx.sched_hop(cx.now(), pkt, first_link, &msg);
+        let pkt = self.packet(id, bytes, route, 0);
+        eng.schedule_at(eng.now(), SimEvent::PacketHop(pkt));
     }
 }
 
 /// One packet crossing one link: reserve it, then either hop onward or
 /// deliver.
-pub(crate) fn packet_hop<C: SimCx>(cx: &mut C, st: &mut SimState, mut pkt: Packet) {
-    let (link, next_link) = {
+pub(crate) fn packet_hop(eng: &mut Engine<SimState>, st: &mut SimState, mut pkt: Packet) {
+    let (link, has_next) = {
         let route = st.routes.resolve(pkt.route);
         let h = pkt.hop as usize;
-        (route[h], route.get(h + 1).copied())
+        (route[h], h + 1 < route.len())
     };
     let m = *st.msgs.get(pkt.msg);
     let NetState::Packet(net) = &mut st.net else {
         unreachable!("packet event in non-packet model")
     };
-    let (depart, arrive_next) = net.reserve(&st.links, cx.now(), link, pkt.bytes);
+    let (depart, arrive_next) = net.reserve(&st.links, eng.now(), link, pkt.bytes);
 
     if pkt.hop == 0 {
         if pkt.is_last {
             // Sender may reuse its buffer once the last packet clears
             // the NIC.
-            cx.sched_at(depart, SimEvent::Release { src: m.src, msg: pkt.msg });
+            eng.schedule_at(depart, SimEvent::Release { src: m.src, msg: pkt.msg });
         } else {
             // Chain the successor: it could not have begun serializing
             // before this packet departs the injection link anyway.
             let next = net.packet(pkt.msg, m.bytes, pkt.route, pkt.seq as u64 + 1);
-            cx.sched_hop(depart, next, link, &m);
+            eng.schedule_at(depart, SimEvent::PacketHop(next));
         }
     }
 
     pkt.hop += 1;
-    match next_link {
-        Some(nl) => cx.sched_hop(arrive_next, pkt, nl, &m),
-        None => {
-            if pkt.is_last {
-                cx.sched_at(
-                    arrive_next,
-                    SimEvent::Deliver { dst: m.dst, src: m.src, tag: m.tag, msg: pkt.msg },
-                );
-            }
-        }
-    }
-}
-
-/// A packet that crossed a partition boundary, re-keyed by the fields
-/// that stay valid outside its home logical process: message ids index
-/// the sender's LP-private [`MsgSlab`](crate::msg::MsgSlab) and
-/// [`RouteRef`]s its private [`RouteArena`], so neither crosses. Routing
-/// is deterministic per rank pair, so `(src, dst)` re-derives the same
-/// link sequence in the destination LP's arena; byte size and last-ness
-/// travel with the packet. Once foreign, a packet stays foreign for the
-/// rest of its route.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ForeignPacket {
-    pub(crate) src: Rank,
-    pub(crate) dst: Rank,
-    pub(crate) tag: u32,
-    pub(crate) hop: u16,
-    pub(crate) bytes: u32,
-    pub(crate) is_last: bool,
-}
-
-impl Packet {
-    /// Demote this packet to its partition-independent form (`m` must be
-    /// the packet's message, resolved in its home LP).
-    pub(crate) fn to_foreign(self, m: &Message) -> ForeignPacket {
-        ForeignPacket {
-            src: m.src,
-            dst: m.dst,
-            tag: m.tag,
-            hop: self.hop,
-            bytes: self.bytes,
-            is_last: self.is_last,
-        }
-    }
-}
-
-/// [`packet_hop`] for a packet visiting from another partition: resolve
-/// the route locally (intern on first contact), reserve the link, and
-/// forward or deliver. Hop 0 — injection, release scheduling, successor
-/// chaining — always runs in the packet's home LP, so only the
-/// mid-route and delivery logic exists here.
-pub(crate) fn foreign_hop<C: SimCx>(cx: &mut C, st: &mut SimState, mut fp: ForeignPacket) {
-    debug_assert!(fp.hop >= 1, "a packet's injection hop is always partition-local");
-    let route = match route_of(st, fp.src, fp.dst) {
-        Ok(r) => r,
-        Err(e) => {
-            // Drop the packet; its message never delivers and the
-            // latched error outranks the resulting deadlock.
-            st.latch_error(e);
-            return;
-        }
-    };
-    let (link, next_link) = {
-        let route = st.routes.resolve(route);
-        let h = fp.hop as usize;
-        (route[h], route.get(h + 1).copied())
-    };
-    let NetState::Packet(net) = &mut st.net else {
-        unreachable!("packet event in non-packet model")
-    };
-    let (_, arrive_next) = net.reserve(&st.links, cx.now(), link, fp.bytes);
-    fp.hop += 1;
-    match next_link {
-        Some(nl) => cx.sched_foreign(arrive_next, fp, nl),
-        None => {
-            if fp.is_last {
-                // The destination's matching logic ignores the message
-                // id (delivery is keyed by (src, tag)); the sentinel
-                // marks "no local slab entry".
-                cx.sched_at(
-                    arrive_next,
-                    SimEvent::Deliver { dst: fp.dst, src: fp.src, tag: fp.tag, msg: u32::MAX },
-                );
-            }
-        }
+    if has_next {
+        eng.schedule_at(arrive_next, SimEvent::PacketHop(pkt));
+    } else if pkt.is_last {
+        eng.schedule_at(
+            arrive_next,
+            SimEvent::Deliver { dst: m.dst, src: m.src, tag: m.tag, msg: pkt.msg },
+        );
     }
 }
 
@@ -1018,9 +929,9 @@ impl MaxMin {
 }
 
 impl FlowNet {
-    fn inject<C: SimCx>(
+    fn inject(
         &mut self,
-        cx: &mut C,
+        eng: &mut Engine<SimState>,
         id: u32,
         bytes: u64,
         route: RouteRef,
@@ -1035,7 +946,7 @@ impl FlowNet {
             route,
             remaining: bytes as f64,
             rate: 0.0,
-            last_update: cx.now(),
+            last_update: eng.now(),
             completion: None,
             tail_latency: hop_lat * route.len() as u64,
         };
@@ -1050,7 +961,7 @@ impl FlowNet {
             }
         }
         self.live += 1;
-        self.schedule_resolve(cx);
+        self.schedule_resolve(eng);
     }
 
     /// Queue one re-solve at the next quantum boundary, batching all
@@ -1059,13 +970,13 @@ impl FlowNet {
     /// round, say) into a single ripple re-solve instead of P of them —
     /// this is why the flow model is cheaper than per-packet simulation,
     /// as the paper's Figure 1 measures.
-    fn schedule_resolve<C: SimCx>(&mut self, cx: &mut C) {
+    fn schedule_resolve(&mut self, eng: &mut Engine<SimState>) {
         if self.resolve_pending {
             return;
         }
         self.resolve_pending = true;
-        let at = Time::from_ps((cx.now().as_ps() / FLOW_QUANTUM_PS + 1) * FLOW_QUANTUM_PS);
-        cx.sched_at(at, SimEvent::FlowResolve);
+        let at = Time::from_ps((eng.now().as_ps() / FLOW_QUANTUM_PS + 1) * FLOW_QUANTUM_PS);
+        eng.schedule_at(at, SimEvent::FlowResolve);
     }
 }
 
@@ -1198,9 +1109,9 @@ pub struct PFlowNet {
 }
 
 impl PFlowNet {
-    fn inject<C: SimCx>(
+    fn inject(
         &mut self,
-        cx: &mut C,
+        eng: &mut Engine<SimState>,
         id: u32,
         msg: Message,
         route: &[LinkId],
@@ -1209,8 +1120,8 @@ impl PFlowNet {
         let n = n_packets(msg.bytes, self.packet_bytes);
         self.packets += n;
         let hop_lat = links.hop_lat();
-        let mut release_at = cx.now();
-        let mut deliver_at = cx.now();
+        let mut release_at = eng.now();
+        let mut deliver_at = eng.now();
         for i in 0..n {
             let bytes = packet_size(msg.bytes, self.packet_bytes, i);
             // Walk the route, sampling each link's expected queueing
@@ -1220,7 +1131,7 @@ impl PFlowNet {
             // sampled queueing wait plus hop latency, so back-to-back
             // packets pipeline instead of re-serializing per hop (the
             // packet model's documented overestimate).
-            let mut t = cx.now();
+            let mut t = eng.now();
             for (h, l) in route.iter().enumerate() {
                 let cap = links.cap(*l);
                 let q = &mut self.queues[l.idx()];
@@ -1239,9 +1150,9 @@ impl PFlowNet {
             deliver_at = t;
         }
         let m = msg;
-        cx.sched_at(release_at.max(cx.now()), SimEvent::Release { src: m.src, msg: id });
-        cx.sched_at(
-            deliver_at.max(cx.now()),
+        eng.schedule_at(release_at.max(eng.now()), SimEvent::Release { src: m.src, msg: id });
+        eng.schedule_at(
+            deliver_at.max(eng.now()),
             SimEvent::Deliver { dst: m.dst, src: m.src, tag: m.tag, msg: id },
         );
     }

@@ -6,8 +6,8 @@ use crate::hash::IntMap;
 use crate::lower::{coll_tag, lower, Schedule};
 use crate::msg::{Message, MsgSlab};
 use crate::net::{
-    flow_complete, inject, on_flow_resolve, packet_hop, ForeignPacket, LinkTable, ModelKind,
-    NetState, Packet, RouteArena,
+    flow_complete, inject, on_flow_resolve, packet_hop, LinkTable, ModelKind, NetState, Packet,
+    RouteArena,
 };
 use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
@@ -28,15 +28,6 @@ pub struct SimConfig {
     pub model: ModelKind,
     /// Computation-time multiplier.
     pub compute_scale: f64,
-    /// Worker threads for intra-trace parallel simulation. `1` (the
-    /// default) runs the sequential engine exactly as before; `N > 1`
-    /// partitions the packet model into logical processes on the
-    /// conservative windowed executor (`crates/des`'s `WindowedPdes`)
-    /// with up to `N` workers. The partition count is fixed by the
-    /// topology, not by this knob, so any `N > 1` produces bit-identical
-    /// predictions. Models other than `Packet` (and machines without a
-    /// positive hop latency) always run sequentially.
-    pub sim_threads: usize,
     /// Resident-byte cap on the interned-route arena; interning past it
     /// is a typed [`SimError::RouteArenaExhausted`]. `u64::MAX` (the
     /// default) leaves only the arena's structural limits (u32 route
@@ -64,7 +55,6 @@ impl SimConfig {
             mapping: Mapping::block(ranks, per_node),
             model,
             compute_scale: 1.0,
-            sim_threads: 1,
             route_arena_cap_bytes: u64::MAX,
         }
     }
@@ -84,9 +74,8 @@ pub struct SimLimits {
     pub deadline: Option<Duration>,
     /// Memory budget: estimated resident bytes of the simulation state
     /// (trace, route arena, link tables, message slab, model state),
-    /// checked at the same cadence as the work budget on the sequential
-    /// engine and before/after the run on the partitioned executor.
-    /// Exceeding it is a typed [`SimError::MemoryBudget`] instead of an
+    /// checked before the run and then at the same cadence as the work
+    /// budget. Exceeding it is a typed [`SimError::MemoryBudget`] instead of an
     /// allocator abort. `u64::MAX` for unlimited.
     pub max_bytes: u64,
 }
@@ -282,88 +271,16 @@ impl<'a> Handler for SimState<'a> {
 
     fn handle(eng: &mut Engine<Self>, st: &mut Self, ev: SimEvent) {
         match ev {
+            SimEvent::Advance(r) => advance(eng, st, r),
+            SimEvent::ComputeDone(r) => {
+                st.procs[r.idx()].status = PStatus::Idle;
+                advance(eng, st, r);
+            }
+            SimEvent::Release { src, msg } => on_release(eng, st, src, msg),
+            SimEvent::Deliver { dst, src, tag, msg } => on_deliver(eng, st, dst, src, tag, msg),
+            SimEvent::PacketHop(pkt) => packet_hop(eng, st, pkt),
             SimEvent::FlowResolve => on_flow_resolve(eng, st),
             SimEvent::FlowComplete { slot, msg } => flow_complete(eng, st, slot, msg),
-            ev => dispatch(eng, st, ev),
-        }
-    }
-}
-
-/// Scheduling context the replay logic runs against: either the
-/// sequential [`Engine`] or one logical process of the partitioned
-/// executor ([`crate::pdes_run`]). The replay functions — `advance`,
-/// collective rounds, matching, the packet model — are generic over
-/// this trait, so both execution paths interpret trace events through
-/// the same monomorphized code; the partitioned path differs only in
-/// where follow-up events are routed.
-pub(crate) trait SimCx {
-    /// Current simulated time (the executing event's timestamp).
-    fn now(&self) -> Time;
-
-    /// Schedule a rank-addressed event at absolute time `at`. Every
-    /// plain `SimEvent` is local to the partition of the rank it names
-    /// (ranks own their NIC links, mailboxes, and process state); only
-    /// packet hops ever cross partitions, via [`SimCx::sched_hop`].
-    fn sched_at(&mut self, at: Time, ev: SimEvent);
-
-    /// Schedule after `delay` from now, latching a typed clock-overflow
-    /// error (instead of panicking) if `now + delay` wraps.
-    fn sched_in(&mut self, delay: Time, ev: SimEvent);
-
-    /// Schedule packet `pkt`'s traversal of `next_link` at `at`. The
-    /// partitioned context routes this to the link owner's LP, demoting
-    /// the packet to its partition-independent representation when it
-    /// leaves home; the sequential engine just enqueues the hop.
-    fn sched_hop(&mut self, at: Time, pkt: Packet, next_link: LinkId, m: &Message);
-
-    /// Forward an already-foreign packet to `next_link`'s owner.
-    /// Unreachable under sequential execution — a packet only becomes
-    /// foreign by crossing a partition boundary.
-    fn sched_foreign(&mut self, at: Time, fp: ForeignPacket, next_link: LinkId);
-}
-
-impl<'a> SimCx for Engine<SimState<'a>> {
-    #[inline]
-    fn now(&self) -> Time {
-        Engine::now(self)
-    }
-
-    #[inline]
-    fn sched_at(&mut self, at: Time, ev: SimEvent) {
-        self.schedule_at(at, ev);
-    }
-
-    #[inline]
-    fn sched_in(&mut self, delay: Time, ev: SimEvent) {
-        self.schedule_in(delay, ev);
-    }
-
-    #[inline]
-    fn sched_hop(&mut self, at: Time, pkt: Packet, _next_link: LinkId, _m: &Message) {
-        self.schedule_at(at, SimEvent::PacketHop(pkt));
-    }
-
-    fn sched_foreign(&mut self, _at: Time, _fp: ForeignPacket, _next_link: LinkId) {
-        unreachable!("foreign packets exist only under partitioned execution")
-    }
-}
-
-/// Interpret one replay event against a generic scheduling context.
-/// The flow models stay engine-only (their resolver cancels pending
-/// events, which the windowed executor does not support), so the
-/// partitioned path dispatches the packet-model vocabulary only.
-pub(crate) fn dispatch<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, ev: SimEvent) {
-    match ev {
-        SimEvent::Advance(r) => advance(cx, st, r),
-        SimEvent::ComputeDone(r) => {
-            st.procs[r.idx()].status = PStatus::Idle;
-            advance(cx, st, r);
-        }
-        SimEvent::Release { src, msg } => on_release(cx, st, src, msg),
-        SimEvent::Deliver { dst, src, tag, msg } => on_deliver(cx, st, dst, src, tag, msg),
-        SimEvent::PacketHop(pkt) => packet_hop(cx, st, pkt),
-        SimEvent::FlowResolve | SimEvent::FlowComplete { .. } => {
-            unreachable!("flow models run on the sequential engine only")
         }
     }
 }
@@ -437,7 +354,7 @@ pub struct SimState<'a> {
     /// Gate for the lowering profile above.
     profile_lower: bool,
     /// First typed error latched mid-run (e.g. a wait on an unknown
-    /// request); reported by [`finish`] once the executor stops.
+    /// request); reported by [`run`] once the engine stops.
     error: Option<SimError>,
 }
 
@@ -508,9 +425,9 @@ impl<'a> SimState<'a> {
         })
     }
 
-    fn send_message<C: SimCx>(
+    fn send_message(
         &mut self,
-        cx: &mut C,
+        eng: &mut Engine<SimState<'a>>,
         src: Rank,
         dst: Rank,
         bytes: u64,
@@ -522,11 +439,11 @@ impl<'a> SimState<'a> {
         let id = self.msgs.push(Message { src, dst, bytes: bytes.max(1), tag });
         debug_assert_eq!(id as usize, self.releases.len());
         self.releases.push(Some(purpose));
-        inject(cx, self, id);
+        inject(eng, self, id);
         id
     }
 
-    /// Latch the first typed mid-run error; [`finish`] reports it with
+    /// Latch the first typed mid-run error; [`run`] reports it with
     /// priority over the deadlock the stalled rank would otherwise
     /// surface as. Later errors are dropped — the first cause wins.
     pub(crate) fn latch_error(&mut self, e: SimError) {
@@ -557,22 +474,15 @@ impl<'a> SimState<'a> {
             + (self.msgs.len() * std::mem::size_of::<Message>()) as u64
             + self.net.resident_bytes()
     }
-
-    /// The trace-data share of [`SimState::resident_bytes`]. The
-    /// partitioned runner's LPs borrow the *same* trace, so its summed
-    /// accounting must count this part once, not per LP.
-    pub(crate) fn trace_resident_bytes(&self) -> u64 {
-        self.trace_bytes
-    }
 }
 
 /// Advance rank `r` until it blocks or finishes.
-pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
+fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
     loop {
         debug_assert_eq!(st.procs[r.idx()].status, PStatus::Idle);
 
         // Inside a collective: run its rounds first.
-        if st.procs[r.idx()].coll.is_some() && enter_coll_rounds(cx, st, r) {
+        if st.procs[r.idx()].coll.is_some() && enter_coll_rounds(eng, st, r) {
             return; // blocked inside the collective
         }
         // Collective finished; fall through to trace events.
@@ -581,7 +491,7 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
         let Some(ev) = st.fetch_event(r, cursor) else {
             let p = &mut st.procs[r.idx()];
             p.status = PStatus::Done;
-            p.finish = cx.now();
+            p.finish = eng.now();
             st.done += 1;
             return;
         };
@@ -595,11 +505,11 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
                 // engine's typed clock overflow, not an accounting abort.
                 p.compute_total = p.compute_total.saturating_add(d);
                 p.status = PStatus::Computing;
-                cx.sched_in(d, SimEvent::ComputeDone(r));
+                eng.schedule_in(d, SimEvent::ComputeDone(r));
                 return;
             }
             EventKind::Send { peer, bytes, tag } => {
-                let id = st.send_message(cx, r, *peer, *bytes, *tag, RelPurpose::BlockingSend(r));
+                let id = st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::BlockingSend(r));
                 let p = &mut st.procs[r.idx()];
                 p.status = PStatus::BlockedSend;
                 p.blocked_send_msg = id;
@@ -607,7 +517,7 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
             }
             EventKind::Isend { peer, bytes, tag, req } => {
                 st.procs[r.idx()].reqs.insert(req.0, false);
-                st.send_message(cx, r, *peer, *bytes, *tag, RelPurpose::AppReq(r, req.0));
+                st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::AppReq(r, req.0));
             }
             EventKind::Recv { peer, tag, .. } => {
                 let tok = token(r, TOKEN_BLOCKING);
@@ -624,7 +534,7 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
                 if st.procs[r.idx()].reqs.get(req.0).is_none() {
                     // Malformed trace: the request was never issued.
                     // Latch the typed cause and let the rank block on a
-                    // request that can never complete; `finish` reports
+                    // request that can never complete; `run` reports
                     // the latched error instead of a bare deadlock.
                     st.procs[r.idx()].reqs.insert(req.0, false);
                     if st.error.is_none() {
@@ -702,7 +612,7 @@ pub(crate) fn advance<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) 
 }
 
 /// Execute collective rounds until blocked (true) or done (false).
-fn enter_coll_rounds<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) -> bool {
+fn enter_coll_rounds<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) -> bool {
     loop {
         let (round_idx, ordinal, sched_idx) = {
             let p = &st.procs[r.idx()];
@@ -733,7 +643,7 @@ fn enter_coll_rounds<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) -
         }
         // Issue sends.
         for &(peer, bytes) in &sends {
-            st.send_message(cx, r, peer, bytes, tag, RelPurpose::CollRound(r));
+            st.send_message(eng, r, peer, bytes, tag, RelPurpose::CollRound(r));
             pending += 1;
         }
         st.scr_recvs = recvs;
@@ -750,45 +660,45 @@ fn enter_coll_rounds<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) -
 }
 
 /// A message reached its destination rank.
-pub(crate) fn on_deliver<'a, C: SimCx>(
-    cx: &mut C,
+fn on_deliver<'a>(
+    eng: &mut Engine<SimState<'a>>,
     st: &mut SimState<'a>,
     dst: Rank,
     src: Rank,
     tag: u32,
     _msg_id: u32,
 ) {
-    let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, cx.now().as_ps()) else {
+    let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) else {
         return; // queued as unexpected
     };
-    recv_complete(cx, st, tok);
+    recv_complete(eng, st, tok);
 }
 
 /// A posted receive just matched.
-fn recv_complete<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, tok: u64) {
+fn recv_complete<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, tok: u64) {
     let r = Rank((tok >> 32) as u32);
     let code = (tok & 0xFFFF_FFFF) as u32;
     let p = &mut st.procs[r.idx()];
     if code == TOKEN_BLOCKING {
         debug_assert_eq!(p.status, PStatus::BlockedRecv);
         p.status = PStatus::Idle;
-        advance(cx, st, r);
+        advance(eng, st, r);
     } else if code == TOKEN_COLL {
         debug_assert!(p.round_pending > 0);
         p.round_pending -= 1;
         if p.round_pending == 0 && p.status == PStatus::CollRound {
             p.status = PStatus::Idle;
-            advance(cx, st, r);
+            advance(eng, st, r);
         }
     } else {
         // Application request completion.
         p.reqs.set_done(code);
-        try_finish_wait(cx, st, r);
+        try_finish_wait(eng, st, r);
     }
 }
 
 /// A sender may reuse its buffer (message fully injected / drained).
-pub(crate) fn on_release<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, _src: Rank, msg_id: u32) {
+fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, _src: Rank, msg_id: u32) {
     let Some(purpose) = st.releases.get_mut(msg_id as usize).and_then(Option::take) else {
         return;
     };
@@ -798,11 +708,11 @@ pub(crate) fn on_release<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, _src: 
             debug_assert_eq!(p.status, PStatus::BlockedSend);
             debug_assert_eq!(p.blocked_send_msg, msg_id);
             p.status = PStatus::Idle;
-            advance(cx, st, r);
+            advance(eng, st, r);
         }
         RelPurpose::AppReq(r, req) => {
             st.procs[r.idx()].reqs.set_done(req);
-            try_finish_wait(cx, st, r);
+            try_finish_wait(eng, st, r);
         }
         RelPurpose::CollRound(r) => {
             let p = &mut st.procs[r.idx()];
@@ -810,7 +720,7 @@ pub(crate) fn on_release<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, _src: 
             p.round_pending -= 1;
             if p.round_pending == 0 && p.status == PStatus::CollRound {
                 p.status = PStatus::Idle;
-                advance(cx, st, r);
+                advance(eng, st, r);
             }
         }
     }
@@ -818,7 +728,7 @@ pub(crate) fn on_release<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, _src: 
 
 /// If rank `r` is blocked in `Wait`/`WaitAll` and everything it waits on
 /// completed, resume it.
-fn try_finish_wait<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
+fn try_finish_wait<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
     let p = &mut st.procs[r.idx()];
     if p.status != PStatus::Waiting {
         return;
@@ -831,7 +741,7 @@ fn try_finish_wait<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
         }
         p.wait_set.clear();
         p.status = PStatus::Idle;
-        advance(cx, st, r);
+        advance(eng, st, r);
     }
 }
 
@@ -846,8 +756,6 @@ fn try_finish_wait<'a, C: SimCx>(cx: &mut C, st: &mut SimState<'a>, r: Rank) {
 /// 1024 events, and `obs`, when given, receives the `sim.*` and
 /// `des.*` telemetry once after the run — the hot loop itself carries
 /// no instrumentation, so results do not depend on it.
-/// `cfg.sim_threads > 1` moves a packet-model run, from either kind of
-/// source, onto the partitioned executor.
 ///
 /// An exhausted budget is the analogue of the paper's tool failures
 /// (SST/Macro's packet and flow models completed 216 and 162 of the 235
@@ -957,23 +865,6 @@ fn drain<'a, D: DrainDetail>(
     Ok(())
 }
 
-/// Name prefixes of the series one executor emits about itself — the
-/// sequential engine's queue telemetry and `Engine::export_metrics`, the
-/// partitioned executor's window statistics and largest per-LP arena
-/// from `pdes_run`, and the route-arena footprint [`finish`] sums over
-/// however many states the executor kept. A sequential and a
-/// partitioned run of one trace agree on every other series exactly:
-/// `Snapshot::deterministic(&EXECUTOR_SERIES)` of the two are equal.
-pub const EXECUTOR_SERIES: [&str; 7] = [
-    "des.engine.pending_hwm",
-    "des.queue.",
-    "des.pdes.",
-    "sim.queue.peak_occupancy",
-    "sim.route.arena_bytes",
-    "sim.route.lp_arena_bytes",
-    "sim.engine.dt_ps",
-];
-
 /// The body of [`run`], non-generic so it is compiled once whatever the
 /// caller passed as a source.
 fn sim_core(
@@ -982,9 +873,6 @@ fn sim_core(
     limits: SimLimits,
     obs: Option<&MetricSet>,
 ) -> Result<SimResult, SimError> {
-    if crate::pdes_run::wants_partitioned(cfg) {
-        return crate::pdes_run::sim_partitioned(src, cfg, limits, obs);
-    }
     let span = obs.map(|ms| ms.span("sim.runner.simulate"));
     let mut eng: Engine<SimState<'_>> = Engine::new();
     let mut st = match SimState::new(src, cfg, obs.is_some()) {
@@ -1015,109 +903,55 @@ fn sim_core(
     if let Err(err) = drained {
         return Err(observe_fail(obs, span, err));
     }
-    let left = Leftover {
-        states: vec![st],
-        owner: &|_| 0,
-        processed: eng.processed(),
-        // The engine latched a clock overflow and stopped; the trace
-        // prediction is incomplete.
-        fault: eng
-            .error()
-            .map(|overflow| SimError::ClockOverflow { model: cfg.model.name(), overflow }),
-        executor_series: &|ms| {
-            // Peak pending-event occupancy: the quantity lazy packet
-            // injection bounds to O(in-flight messages).
-            ms.gauge_max("sim.queue.peak_occupancy", eng.max_pending() as u64);
-            eng.export_metrics(ms);
-        },
-    };
-    finish(cfg, left, obs, span)
-}
-
-/// What an executor leaves behind once its event loop has stopped
-/// without tripping a limit: the input of [`finish`].
-pub(crate) struct Leftover<'a, 's> {
-    /// One state for the engine, one per LP for the windowed executor.
-    pub(crate) states: Vec<SimState<'s>>,
-    /// Rank index → index of the state that replayed it.
-    pub(crate) owner: &'a dyn Fn(usize) -> usize,
-    /// DES events executed.
-    pub(crate) processed: u64,
-    /// The executor's own end-of-run fault (the engine's clock overflow,
-    /// the partitioned run's post-run memory check). Reported after a
-    /// latched trace cause and before the deadlock check.
-    pub(crate) fault: Option<SimError>,
-    /// On a completed run, emits what only the executor knows: its
-    /// [`EXECUTOR_SERIES`] and the `des.engine.*` counters.
-    pub(crate) executor_series: &'a dyn Fn(&MetricSet),
-}
-
-/// The one tail of every simulation, whichever executor ran it: error
-/// precedence (latched trace cause, executor fault, deadlock), result
-/// assembly from the rank-owning states, and every `sim.*` series the
-/// executors share.
-pub(crate) fn finish(
-    cfg: &SimConfig,
-    left: Leftover<'_, '_>,
-    obs: Option<&MetricSet>,
-    span: Option<masim_obs::SpanGuard>,
-) -> Result<SimResult, SimError> {
-    let Leftover { mut states, owner, processed, fault, executor_series } = left;
-    // A malformed-trace cause latched mid-run outranks the generic
-    // deadlock the stalled rank would otherwise be reported as (state
-    // order is deterministic, so the first cause is too).
-    let latched = states.iter_mut().find_map(|st| st.error.take());
-    if let Some(err) = latched.or(fault) {
+    // A malformed-trace cause latched mid-run outranks the engine's clock
+    // overflow (which stopped the run with the prediction incomplete),
+    // and both outrank the generic deadlock the stalled rank would
+    // otherwise be reported as.
+    let overflow =
+        eng.error().map(|overflow| SimError::ClockOverflow { model: cfg.model.name(), overflow });
+    if let Some(err) = st.error.take().or(overflow) {
         return Err(observe_fail(obs, span, err));
     }
-    let n = states[0].procs.len();
-    let proc_of = |r: usize| &states[owner(r)].procs[r];
-    // Each rank runs (and finishes) only in its owner state, so the
-    // per-state counts are disjoint and sum to the global count.
-    let done: usize = states.iter().map(|st| st.done).sum();
-    if done != n {
+    let n = st.procs.len();
+    if st.done != n {
         let waiting_ranks: Vec<u32> = (0..n)
-            .filter(|&r| proc_of(r).status != PStatus::Done)
+            .filter(|&r| st.procs[r].status != PStatus::Done)
             .map(|r| r as u32)
             .take(crate::error::DEADLOCK_RANK_SAMPLE)
             .collect();
         let err = SimError::Deadlock {
             model: cfg.model.name(),
-            finished: done as u32,
+            finished: st.done as u32,
             total: n as u32,
             waiting_ranks,
         };
         return Err(observe_fail(obs, span, err));
     }
-    let per_rank: Vec<Time> = (0..n).map(|r| proc_of(r).finish).collect();
+    let per_rank: Vec<Time> = st.procs.iter().map(|p| p.finish).collect();
     let total = per_rank.iter().copied().max().unwrap_or(Time::ZERO);
-    let comm_time = (0..n).map(proc_of).map(|p| p.finish.saturating_sub(p.compute_total)).sum();
-    let messages: u64 = states.iter().map(|st| st.messages).sum();
-    let work_units: u64 = states.iter().map(|st| st.net.work_units()).sum();
+    let comm_time = st.procs.iter().map(|p| p.finish.saturating_sub(p.compute_total)).sum();
+    let processed = eng.processed();
+    let work_units = st.net.work_units();
     if let Some(ms) = obs {
         if let Some(s) = span {
             s.stop();
         }
-        ms.add("sim.runner.messages", messages);
+        ms.add("sim.runner.messages", st.messages);
         ms.add("sim.budget.consumed", processed.saturating_add(work_units));
         // Resident interned-route footprint (flat storage + index).
-        ms.gauge_max("sim.route.arena_bytes", states.iter().map(|st| st.routes.bytes()).sum());
+        ms.gauge_max("sim.route.arena_bytes", st.routes.bytes());
         // With the schedule cache this times unique lowerings only.
-        let lower_ns: u64 = states.iter().map(|st| st.lower_ns).sum();
-        if lower_ns > 0 {
-            ms.record_span("sim.runner.lower", lower_ns);
+        if st.lower_ns > 0 {
+            ms.record_span("sim.runner.lower", st.lower_ns);
         }
-        // Message-size distribution, filled once from the slabs after
-        // the run — O(messages) plain integer updates here, nothing on
-        // the injection path — and folded into the shared atomic cells
-        // once per bucket. Per LP slabs partition the sequential slab by
-        // sender, so their union is the same multiset.
-        if states.iter().any(|st| !st.msgs.is_empty()) {
+        // Message-size distribution, filled once from the slab after the
+        // run — O(messages) plain integer updates here, nothing on the
+        // injection path — and folded into the shared atomic cells once
+        // per bucket.
+        if !st.msgs.is_empty() {
             let mut sizes = masim_obs::HistData::default();
-            for st in &states {
-                for i in 0..st.msgs.len() {
-                    sizes.record(st.msgs.get(i as u32).bytes);
-                }
+            for i in 0..st.msgs.len() {
+                sizes.record(st.msgs.get(i as u32).bytes);
             }
             let mh = ms.hist("sim.msg.bytes");
             for (b, n) in sizes.buckets.iter().enumerate() {
@@ -1127,30 +961,20 @@ pub(crate) fn finish(
             }
             mh.fold_exact(sizes.sum, sizes.min, sizes.max);
         }
-        executor_series(ms);
-        for st in &states {
-            // add/gauge_max accumulate correctly over the disjoint
-            // per-LP link sets.
-            st.net.export_metrics(ms);
-        }
+        // Peak pending-event occupancy: the quantity lazy packet
+        // injection bounds to O(in-flight messages).
+        ms.gauge_max("sim.queue.peak_occupancy", eng.max_pending() as u64);
+        eng.export_metrics(ms);
+        st.net.export_metrics(ms);
     }
-    // A state charges only links it owns, so the per-state vectors are
-    // disjoint and the global counters are their element-wise sum (the
-    // engine's single vector is moved out, not copied).
-    let mut states = states.into_iter();
-    let mut link_bytes = states.next().expect("an executor has a state").net.into_link_bytes();
-    for st in states {
-        for (acc, b) in link_bytes.iter_mut().zip(st.net.link_bytes()) {
-            *acc += b;
-        }
-    }
+    let link_bytes = st.net.into_link_bytes();
     Ok(SimResult {
         model: cfg.model,
         total,
         per_rank,
         comm_time,
         events: processed,
-        messages,
+        messages: st.messages,
         work_units,
         max_link_bytes: link_bytes.iter().copied().max().unwrap_or(0),
         link_bytes,
@@ -1187,7 +1011,7 @@ fn check_limits(
 
 /// Close out telemetry on a failing run: stop the wall span and bump the
 /// per-cause failure counter. Returns the error unchanged.
-pub(crate) fn observe_fail(
+fn observe_fail(
     obs: Option<&MetricSet>,
     span: Option<masim_obs::SpanGuard>,
     err: SimError,

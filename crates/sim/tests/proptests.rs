@@ -95,7 +95,6 @@ fn simulation_respects_hockney_lower_bound() {
                 mapping: masim_topo::Mapping::block(ranks, 1),
                 model,
                 compute_scale: 1.0,
-                sim_threads: 1,
                 route_arena_cap_bytes: u64::MAX,
             };
             let r = simulate(&trace, &cfg);

@@ -325,7 +325,6 @@ fn all_apps_simulate_on_cielito() {
                 mapping: Mapping::block(t.num_ranks(), t.meta.ranks_per_node),
                 model,
                 compute_scale: 1.0,
-                sim_threads: 1,
                 route_arena_cap_bytes: u64::MAX,
             };
             let r = simulate(&t, &cfg);

@@ -232,20 +232,6 @@ impl Topology for Dragonfly {
         }
     }
 
-    fn link_switch(&self, link: LinkId) -> Option<SwitchId> {
-        // Local links: (a-1) consecutive ids per router; global links:
-        // global_per_router consecutive ids per router after them.
-        let a = self.routers_per_group;
-        let global_base = self.router_count() * (a - 1);
-        if link.0 < global_base {
-            Some(SwitchId(link.0 / (a - 1)))
-        } else if link.0 < self.injection_base() {
-            Some(SwitchId((link.0 - global_base) / self.global_per_router))
-        } else {
-            None
-        }
-    }
-
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         if src == dst {
             return;

@@ -124,18 +124,6 @@ impl Topology for FatTree {
         }
     }
 
-    fn link_switch(&self, link: LinkId) -> Option<SwitchId> {
-        // Up links transmit from leaves, down links from spines.
-        let up = self.leaves * self.spines;
-        if link.0 < up {
-            Some(SwitchId(link.0 / self.spines))
-        } else if link.0 < 2 * up {
-            Some(self.spine((link.0 - up) / self.leaves))
-        } else {
-            None
-        }
-    }
-
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         if src == dst {
             return;

@@ -14,7 +14,6 @@ pub mod error;
 pub mod fattree;
 pub mod machine;
 pub mod mapping;
-pub mod partition;
 pub mod topology;
 pub mod torus;
 
@@ -23,6 +22,5 @@ pub use error::TopoError;
 pub use fattree::FatTree;
 pub use machine::{Machine, NetworkConfig};
 pub use mapping::Mapping;
-pub use partition::Partition;
 pub use topology::{check_route_shape, LinkId, LinkKind, SwitchId, Topology};
 pub use torus::Torus3d;

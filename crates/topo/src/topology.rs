@@ -81,15 +81,6 @@ pub trait Topology: Send + Sync {
     /// Role of a link.
     fn link_kind(&self, link: LinkId) -> LinkKind;
 
-    /// The switch that *transmits* on a fabric link (the side whose
-    /// output port serializes packets onto it), or `None` for
-    /// injection/ejection links and topologies that do not expose the
-    /// association. Partitioners use this to co-locate a link's
-    /// contention state with its owning switch's logical process.
-    fn link_switch(&self, _link: LinkId) -> Option<SwitchId> {
-        None
-    }
-
     /// Append the directed-link route from `src` to `dst` onto `path`.
     ///
     /// An empty route means the endpoints share a node. Routes between

@@ -158,15 +158,6 @@ impl Topology for Torus3d {
         }
     }
 
-    fn link_switch(&self, link: LinkId) -> Option<SwitchId> {
-        // Fabric links are laid out as DIRS consecutive ids per switch.
-        if link.0 < self.switch_count() * DIRS as u32 {
-            Some(SwitchId(link.0 / DIRS as u32))
-        } else {
-            None
-        }
-    }
-
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         if src == dst {
             return;

@@ -43,7 +43,6 @@ fn run(app: App, mapping_name: &str, machine: &Machine) {
         mapping,
         model: ModelKind::PacketFlow { packet_bytes: 8192 },
         compute_scale: 1.0,
-        sim_threads: 1,
         route_arena_cap_bytes: u64::MAX,
     };
     let sim = simulate(&trace, &sim_cfg);

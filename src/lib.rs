@@ -8,7 +8,7 @@
 //!   features);
 //! * [`topo`] — interconnect topologies and the Cielito/Hopper/Edison
 //!   machine presets;
-//! * [`des`] — discrete-event engines (sequential + conservative PDES);
+//! * [`des`] — the sequential discrete-event engine;
 //! * [`workloads`] — synthetic generators for the 18 studied
 //!   applications and the 235-trace Table I corpus;
 //! * [`mfact`] — the modeling tool (multi-configuration logical-clock

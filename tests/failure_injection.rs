@@ -14,7 +14,6 @@ use masim_obs::{MetricSet, Snapshot};
 use masim_rng::Rng;
 use masim_sim::{
     simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult,
-    EXECUTOR_SERIES,
 };
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::{io, Event, EventKind, Rank, Time, Trace, TraceError, TraceMeta};
@@ -53,33 +52,25 @@ fn ft64_trace() -> Trace {
 
 const PACKET: ModelKind = ModelKind::Packet { packet_bytes: 1024 };
 
-/// A packet-model `cfg` run observed on each executor: the sequential
-/// engine (`sim_threads: 1`), then the partitioned one (`2`), each with
-/// the telemetry it left behind.
-fn on_both_executors(
+/// A `cfg` run observed: its outcome and the telemetry it left behind.
+fn observed(
     t: &Trace,
     cfg: &SimConfig,
     limits: SimLimits,
-) -> [(Result<SimResult, SimError>, Snapshot); 2] {
-    [1, 2].map(|sim_threads| {
-        let ms = MetricSet::new();
-        let res = masim_sim::run(t, &SimConfig { sim_threads, ..cfg.clone() }, limits, Some(&ms));
-        (res, ms.snapshot())
-    })
+) -> (Result<SimResult, SimError>, Snapshot) {
+    let ms = MetricSet::new();
+    let res = masim_sim::run(t, cfg, limits, Some(&ms));
+    (res, ms.snapshot())
 }
 
-/// The failure both executors must report identically: the same
-/// `SimError`, field for field, and — `EXECUTOR_SERIES` aside — the same
-/// telemetry, in which `counter` is the one failure bumped, once.
-fn same_failure(runs: [(Result<SimResult, SimError>, Snapshot); 2], counter: &str) -> SimError {
-    let [(seq, seq_ms), (par, par_ms)] = runs;
-    let seq = seq.expect_err("the sequential engine must fail");
-    assert_eq!(par.as_ref().err(), Some(&seq), "executors disagree on the failure");
-    let shared = seq_ms.deterministic(&EXECUTOR_SERIES);
-    assert_eq!(shared, par_ms.deterministic(&EXECUTOR_SERIES), "{seq}: telemetry diverged");
-    let bumped: Vec<_> = shared.counters.iter().filter(|(_, &v)| v > 0).collect();
-    assert_eq!(bumped, [(&counter.to_string(), &1)], "{seq}");
-    seq
+/// The failure an observed run must report: a `SimError`, with telemetry
+/// in which `counter` is the one failure bumped, once.
+fn one_failure(run: (Result<SimResult, SimError>, Snapshot), counter: &str) -> SimError {
+    let (res, ms) = run;
+    let err = res.expect_err("the run must fail");
+    let bumped: Vec<_> = ms.counters.iter().filter(|(_, &v)| v > 0).collect();
+    assert_eq!(bumped, [(&counter.to_string(), &1)], "{err}");
+    err
 }
 
 /// A truncated binary trace is rejected at every cut point.
@@ -174,7 +165,6 @@ fn oversubscribed_mapping_rejected() {
         mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
         model: ModelKind::Flow,
         compute_scale: 1.0,
-        sim_threads: 1,
         route_arena_cap_bytes: u64::MAX,
     };
     let check = |err: SimError| match err {
@@ -185,7 +175,7 @@ fn oversubscribed_mapping_rejected() {
     };
     check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("oversubscription must fail"));
     cfg.model = PACKET;
-    check(same_failure(on_both_executors(&t, &cfg, SimLimits::unlimited()), "sim.config.invalid"));
+    check(one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.config.invalid"));
 }
 
 /// Budget exhaustion returns a contextual error rather than a bogus
@@ -247,9 +237,6 @@ fn route_arena_cap_is_explicit() {
         }
         ref other => panic!("expected RouteArenaExhausted, got {other}"),
     }
-    // The partitioned executor caps each LP's own arena: typed too.
-    let [_, (par, _)] = on_both_executors(&t, &cfg, SimLimits::unlimited());
-    assert!(matches!(par, Ok(_) | Err(SimError::RouteArenaExhausted { .. })), "{par:?}");
     // An uncapped run of the same trace completes.
     cfg.route_arena_cap_bytes = u64::MAX;
     assert!(simulate_budgeted(&t, &cfg, u64::MAX).is_ok());
@@ -269,8 +256,7 @@ fn oversized_message_is_explicit() {
         vec![Event::new(EventKind::Recv { peer: Rank(0), bytes: huge, tag: 0 }, Time::ZERO)];
     let mut cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
     cfg.mapping = Mapping::block(2, 1); // inter-node: the message hits the wire
-    let runs = on_both_executors(&t, &cfg, SimLimits::unlimited());
-    match same_failure(runs, "sim.msg.oversized") {
+    match one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.msg.oversized") {
         SimError::OversizedMessage { bytes, packets } => {
             assert_eq!(bytes, huge);
             assert!(packets > u64::from(u32::MAX), "packets: {packets}");
@@ -296,12 +282,10 @@ fn memory_budget_is_explicit() {
         }
         ref other => panic!("expected MemoryBudget, got {other}"),
     }
-    // The packet model on either executor (the partitioned one meters
-    // the sum of its LP states at its two barriers): typed too.
+    // The packet model trips the same budget before any event runs.
     let cfg = SimConfig::new(cfg.machine, PACKET, &t);
-    for (res, _) in on_both_executors(&t, &cfg, limits) {
-        assert!(matches!(res, Ok(_) | Err(SimError::MemoryBudget { budget: 4096, .. })), "{res:?}");
-    }
+    let res = masim_sim::run(&t, &cfg, limits, None);
+    assert!(matches!(res, Err(SimError::MemoryBudget { budget: 4096, .. })), "{res:?}");
     // The same failure normalizes to the study-level "memory" code.
     let failure = ToolFailure::from_sim(err);
     assert_eq!(failure.code(), "memory");
@@ -334,10 +318,7 @@ fn simulator_detects_deadlock() {
     let cfg = SimConfig::new(machine.clone(), ModelKind::Flow, &t);
     check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected"));
     let cfg = SimConfig::new(machine, PACKET, &t);
-    check(same_failure(
-        on_both_executors(&t, &cfg, SimLimits::unlimited()),
-        "sim.deadlock.detected",
-    ));
+    check(one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.deadlock.detected"));
 }
 
 /// Text parsing rejects hostile input with a parse error — it neither
@@ -432,30 +413,29 @@ fn chaos_trace_faults_land_in_typed_errors() {
                 _ => assert!(mfact.is_err(), "{fault:?}/{seed}: replay must fail: {mfact:?}"),
             }
 
-            // Stage 3: the discrete-event simulator on both executors,
-            // same boundary. Its clock arithmetic is checked, so even the
-            // overflow fault must surface as a typed SimError.
-            let runs = contained(|| Ok(on_both_executors(&bad, &cfg, SimLimits::unlimited())))
+            // Stage 3: the discrete-event simulator, same boundary. Its
+            // clock arithmetic is checked, so even the overflow fault must
+            // surface as a typed SimError.
+            let run = contained(|| Ok(observed(&bad, &cfg, SimLimits::unlimited())))
                 .unwrap_or_else(|e| panic!("{fault:?}/{seed}: simulator panicked: {e:?}"));
-            for (res, _) in &runs {
-                // The study-level code each executor's outcome normalizes to.
-                let failure = res.as_ref().map_err(|e| ToolFailure::from_sim(e.clone()));
-                match fault {
-                    TraceFault::HugeCompute => assert!(
-                        matches!(res, Err(SimError::ClockOverflow { .. }))
-                            && matches!(failure, Err(ToolFailure::ClockOverflow { .. })),
-                        "{fault:?}/{seed}: expected typed overflow, got {res:?} -> {failure:?}"
-                    ),
-                    TraceFault::RecvRecvDeadlock => assert!(
-                        matches!(res, Err(SimError::Deadlock { .. }))
-                            && matches!(failure, Err(ToolFailure::Deadlock { .. })),
-                        "{fault:?}/{seed}: expected typed deadlock, got {res:?} -> {failure:?}"
-                    ),
-                    _ => { /* any typed outcome: a panic was caught above */ }
-                }
+            let res = &run.0;
+            // The study-level code the outcome normalizes to.
+            let failure = res.as_ref().map_err(|e| ToolFailure::from_sim(e.clone()));
+            match fault {
+                TraceFault::HugeCompute => assert!(
+                    matches!(res, Err(SimError::ClockOverflow { .. }))
+                        && matches!(failure, Err(ToolFailure::ClockOverflow { .. })),
+                    "{fault:?}/{seed}: expected typed overflow, got {res:?} -> {failure:?}"
+                ),
+                TraceFault::RecvRecvDeadlock => assert!(
+                    matches!(res, Err(SimError::Deadlock { .. }))
+                        && matches!(failure, Err(ToolFailure::Deadlock { .. })),
+                    "{fault:?}/{seed}: expected typed deadlock, got {res:?} -> {failure:?}"
+                ),
+                _ => { /* any typed outcome: a panic was caught above */ }
             }
             if fault == TraceFault::WildWaitRequest {
-                let err = same_failure(runs, "sim.trace.unknown-request");
+                let err = one_failure(run, "sim.trace.unknown-request");
                 assert!(matches!(err, SimError::UnknownRequest { .. }), "{fault:?}/{seed}: {err}");
             }
         }

@@ -79,8 +79,8 @@ fn assert_same_sidecars(a: &[RunMetrics], b: &[RunMetrics]) {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.labels(), y.labels());
         assert_eq!(
-            x.set().snapshot().deterministic(&[]),
-            y.set().snapshot().deterministic(&[]),
+            x.set().snapshot().deterministic(),
+            y.set().snapshot().deterministic(),
             "tool {:?}",
             x.labels().get("tool")
         );

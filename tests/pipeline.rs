@@ -198,8 +198,8 @@ fn end_to_end_determinism() {
 
 /// MPI matching through the public run path: the k-th receive posted on
 /// a `(src, tag)` channel completes at the k-th arrival on it, whether
-/// the receive or the message came first — pinned per model, equal on
-/// every source and executor.
+/// the receive or the message came first — pinned per model, equal from
+/// memory and from the stream.
 #[test]
 fn matching_order_is_pinned_on_every_run_path() {
     use masim_sim::{run, SimLimits};
@@ -246,16 +246,76 @@ fn matching_order_is_pinned_on_every_run_path() {
     let pinned: [[u64; 2]; 3] =
         [[994_572_800, 2_240_078_882], [998_000_000, 2_242_118_882], [994_572_800, 2_979_810_082]];
     for (model, want) in ModelKind::study_models().into_iter().zip(pinned) {
-        let threads: &[usize] =
-            if matches!(model, ModelKind::Packet { .. }) { &[1, 2] } else { &[1] };
-        for &sim_threads in threads {
-            let mut cfg = SimConfig::new(Machine::cielito(), model, &trace);
-            cfg.sim_threads = sim_threads;
-            let tag = format!("{} t{sim_threads}", model.name());
-            let mem = run(&trace, &cfg, SimLimits::unlimited(), None).expect("in-memory run");
-            let streamed = run(&stream, &cfg, SimLimits::unlimited(), None).expect("streamed run");
-            assert_eq!(mem.per_rank.iter().map(|t| t.as_ps()).collect::<Vec<_>>(), want, "{tag}");
-            assert_eq!(streamed.per_rank, mem.per_rank, "{tag} streamed");
-        }
+        let cfg = SimConfig::new(Machine::cielito(), model, &trace);
+        let tag = model.name();
+        let mem = run(&trace, &cfg, SimLimits::unlimited(), None).expect("in-memory run");
+        let streamed = run(&stream, &cfg, SimLimits::unlimited(), None).expect("streamed run");
+        assert_eq!(mem.per_rank.iter().map(|t| t.as_ps()).collect::<Vec<_>>(), want, "{tag}");
+        assert_eq!(streamed.per_rank, mem.per_rank, "{tag} streamed");
     }
+}
+
+/// CG(64) spread two ranks per node over cielito: 32 nodes, so the packet
+/// model carries real inter-node traffic (at the generator's default
+/// density the trace fits on a few nodes and does little packet work).
+fn cg64_two_per_node(seed: u64) -> masim_trace::Trace {
+    let mut gcfg = GenConfig::test_default(App::Cg, 64);
+    gcfg.machine = "cielito".into();
+    gcfg.ranks_per_node = 2;
+    gcfg.seed = seed;
+    generate(&gcfg)
+}
+
+/// The packet model replays a streamed trace exactly as it replays the
+/// same trace from memory: every `SimResult` field, on a trace with real
+/// packet traffic.
+#[test]
+fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
+    use masim_sim::{run, SimLimits, SimResult};
+    let trace = cg64_two_per_node(99);
+    let stream =
+        masim_trace::StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
+    let cfg = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
+    let mem = simulate(&trace, &cfg);
+    assert!(mem.events > 0 && mem.work_units > 0, "no packet work");
+    // Destructured, so a new result field fails to compile here until it
+    // is compared too.
+    let SimResult {
+        model,
+        total,
+        per_rank,
+        comm_time,
+        events,
+        messages,
+        work_units,
+        max_link_bytes,
+        link_bytes,
+    } = run(&stream, &cfg, SimLimits::unlimited(), None).expect("streamed run");
+    assert_eq!(model, mem.model);
+    assert_eq!(total, mem.total);
+    assert_eq!(per_rank, mem.per_rank);
+    assert_eq!(comm_time, mem.comm_time);
+    assert_eq!(events, mem.events);
+    assert_eq!(messages, mem.messages);
+    assert_eq!(work_units, mem.work_units);
+    assert_eq!(max_link_bytes, mem.max_link_bytes);
+    assert_eq!(link_bytes, mem.link_bytes);
+}
+
+/// A work budget too small for the trace trips as a typed
+/// `BudgetExhausted`, at the same point from memory and from the stream.
+#[test]
+fn budget_trips_identically_from_memory_and_stream() {
+    use masim_sim::{run, SimError, SimLimits};
+    let trace = cg64_two_per_node(7);
+    let stream =
+        masim_trace::StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
+    let cfg = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
+    let err =
+        run(&trace, &cfg, SimLimits::budget(10_000), None).expect_err("tiny budget must trip");
+    assert!(
+        matches!(err, SimError::BudgetExhausted { consumed, budget: 10_000 } if consumed > 10_000),
+        "expected BudgetExhausted, got {err}"
+    );
+    assert_eq!(run(&stream, &cfg, SimLimits::budget(10_000), None).err(), Some(err));
 }

@@ -13,7 +13,6 @@ use masim_obs::json::Value;
 use masim_obs::run::parse_json;
 use masim_obs::MetricSet;
 use masim_serve::{client, Bind, Server, ServerOptions, Target};
-use masim_sim::EXECUTOR_SERIES;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -58,13 +57,10 @@ fn scratch(tag: &str) -> PathBuf {
 fn socket_submission_matches_in_process_run_and_caches() {
     let root = scratch("session");
     let sock = root.join("repro.sock");
-    // Two PDES workers in the daemon against the sequential in-process
-    // reference below: served ≡ one-shot holds across executors too.
-    let server = Arc::new(Server::new(ServerOptions {
-        threads: 2,
-        sim_threads: 2,
-        cache_dir: Some(root.join("cache")),
-    }));
+    // Two study workers in the daemon against the one-worker in-process
+    // reference below: served ≡ one-shot holds across thread counts too.
+    let server =
+        Arc::new(Server::new(ServerOptions { threads: 2, cache_dir: Some(root.join("cache")) }));
     let daemon = {
         let server = server.clone();
         let sock = sock.clone();
@@ -100,8 +96,8 @@ fn socket_submission_matches_in_process_run_and_caches() {
     assert_eq!(normalize_study_csv(&served), normalize_study_csv(&reference.report()));
 
     // One JSON + one CSV sidecar per tool stage per entry, named by the
-    // CLI's stems; each served JSON carries the reference's labels and,
-    // outside the executors' own telemetry, its exact metrics.
+    // CLI's stems; each served JSON carries the reference's labels and
+    // its exact metrics.
     let names: Vec<String> = std::fs::read_dir(out1.join("metrics"))
         .expect("metrics dir")
         .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -113,11 +109,7 @@ fn socket_submission_matches_in_process_run_and_caches() {
         let text = std::fs::read_to_string(out1.join("metrics").join(name)).expect(name);
         let served = parse_json(&text).expect(name);
         assert_eq!(&served.labels, rm.labels(), "{name}");
-        assert_eq!(
-            served.snapshot.deterministic(&EXECUTOR_SERIES),
-            rm.set().snapshot().deterministic(&EXECUTOR_SERIES),
-            "{name}"
-        );
+        assert_eq!(served.snapshot.deterministic(), rm.set().snapshot().deterministic(), "{name}");
     }
     assert_eq!(reference_sc.len() * 2, names.len());
 
