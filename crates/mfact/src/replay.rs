@@ -717,7 +717,7 @@ mod tests {
         traces.push(coll);
         let cfgs = ModelConfig::standard_sweep(net());
         for t in traces.drain(..) {
-            let encoded = masim_trace::encode_stream(&t);
+            let encoded = masim_trace::io::encode(&t);
             let stream = StreamedTrace::from_bytes(encoded).expect("round-trip");
             let (mem_ms, strm_ms) = (MetricSet::new(), MetricSet::new());
             let mem = try_replay(&t, &cfgs, Some(&mem_ms)).expect("memory replay");
@@ -742,7 +742,7 @@ mod tests {
         let mut b1 = RankBuilder::new(Rank(1));
         b1.recv(Rank(0), 64, 0, Time::ZERO); // no matching send
         t.events[1] = b1.finish();
-        let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&t)).unwrap();
+        let stream = StreamedTrace::from_bytes(masim_trace::io::encode(&t)).unwrap();
         let err = try_replay(&stream, &[ModelConfig::base(net())], None).unwrap_err();
         assert!(matches!(err, ReplayError::Deadlock { finished: 1, total: 2 }));
     }
@@ -870,7 +870,7 @@ mod tests {
     fn replay_error_both_ways(t: &Trace) -> ReplayError {
         let cfgs = [ModelConfig::base(net())];
         let err = try_replay(t, &cfgs, None).unwrap_err();
-        let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(t)).unwrap();
+        let stream = StreamedTrace::from_bytes(masim_trace::io::encode(t)).unwrap();
         assert_eq!(try_replay(&stream, &cfgs, None).unwrap_err(), err);
         err
     }
@@ -896,15 +896,22 @@ mod tests {
         assert_eq!(err, ReplayError::RequestReuse { rank: 0, req: u32::MAX });
     }
 
+    /// From memory the replay rejects the peer; its MASS bytes never open.
     #[test]
     fn out_of_range_peer_is_typed_error() {
+        use masim_trace::{io::DecodeError, StreamError};
         let mut t = Trace::empty(meta(2));
-        t.events[0] =
-            vec![Event::new(EventKind::Send { peer: Rank(5), bytes: 8, tag: 0 }, Time::ZERO)];
-        assert_eq!(replay_error_both_ways(&t), ReplayError::PeerOutOfRange { rank: 0, peer: 5 });
-        t.events[0] =
-            vec![Event::new(EventKind::Recv { peer: Rank(2), bytes: 8, tag: 0 }, Time::ZERO)];
-        assert_eq!(replay_error_both_ways(&t), ReplayError::PeerOutOfRange { rank: 0, peer: 2 });
+        for (kind, peer) in [
+            (EventKind::Send { peer: Rank(5), bytes: 8, tag: 0 }, 5),
+            (EventKind::Recv { peer: Rank(2), bytes: 8, tag: 0 }, 2),
+        ] {
+            t.events[0] = vec![Event::new(kind, Time::ZERO)];
+            let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
+            assert_eq!(err, ReplayError::PeerOutOfRange { rank: 0, peer });
+            let opened = StreamedTrace::from_bytes(masim_trace::io::encode(&t));
+            let field = DecodeError::OutOfRange { field: "peer", value: peer.into() };
+            assert_eq!(opened.unwrap_err(), StreamError::Decode(field));
+        }
     }
 
     #[test]

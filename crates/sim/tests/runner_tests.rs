@@ -354,7 +354,7 @@ fn streamed_replay_is_bit_identical_to_in_memory() {
         gcfg.machine = "cielito".into();
         gcfg.ranks_per_node = 16;
         let t = generate(&gcfg);
-        let stream = StreamedTrace::from_bytes(masim_trace::encode_stream(&t)).unwrap();
+        let stream = StreamedTrace::from_bytes(masim_trace::io::encode(&t)).unwrap();
         for model in all_models() {
             let cfg = SimConfig::new(machine.clone(), model, &t);
             let a = masim_sim::run(&t, &cfg, SimLimits::unlimited(), None).unwrap();

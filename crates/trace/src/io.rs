@@ -1,21 +1,31 @@
-//! Trace serialization: a compact binary format plus a line-oriented text
-//! format for inspection.
-//!
-//! The binary layout is little-endian and length-prefixed throughout:
+//! The binary trace format, MASS v1: a compact varint-delta encoding with
+//! a per-rank segment index, so consumers can decode one event at a time
+//! per rank ([`crate::stream::StreamedTrace`]) instead of materializing
+//! `Vec<Vec<Event>>` — the memory floor that kept the corpus off
+//! Edison/Frontier-class rank counts — or the whole trace at once
+//! ([`decode`]).
 //!
 //! ```text
-//! magic   b"MASM"            4 bytes
-//! version u32                format revision (currently 1)
-//! meta    app, machine       (u32 len + utf8) × 2
-//!         ranks, rpn, size   u32 × 3
-//!         seed               u64
-//! streams per rank: u64 event count, then events
-//! event   tag u8, dur u64, payload per kind
+//! magic    b"MASS"             4 bytes
+//! version  u32                 format revision (currently 1)
+//! meta     app, machine        (u32 len + utf8) × 2
+//!          ranks, rpn, size    u32 × 3
+//!          seed                u64
+//! index    per rank: payload offset u64, byte length u64, event count u64
+//! payload  per-rank segments, contiguous and in index order
 //! ```
 //!
-//! The format deliberately has no backward-compat shims: the version is
-//! checked and a mismatch is an error, which is the honest behaviour for
-//! an internal research format.
+//! Fixed-width fields are little-endian. Within a rank's segment every
+//! event is `tag u8` + LEB128 varints. Durations are varint picoseconds;
+//! peers are zigzag deltas from the owning rank; request ids are zigzag
+//! deltas from the previously mentioned request (generators issue them
+//! sequentially, so deltas are tiny); collective roots are plain varints.
+//!
+//! Every buffer is validated once, when it is opened (a decode-and-discard
+//! pass): segments must tile the payload, decode exactly their event
+//! counts, and name only ranks of the trace, so the per-event cursor path
+//! is panic-free without re-checking. The version is checked and a
+//! mismatch is an error; there are no backward-compat shims.
 
 use crate::event::{CollKind, Event, EventKind};
 use crate::ids::{Rank, ReqId};
@@ -23,14 +33,24 @@ use crate::time::Time;
 use crate::trace::{Trace, TraceMeta};
 use std::fmt;
 
-/// Current binary format revision.
-pub const FORMAT_VERSION: u32 = 1;
-const MAGIC: &[u8; 4] = b"MASM";
+/// Current format revision.
+const VERSION: u32 = 1;
+const MAGIC: &[u8; 4] = b"MASS";
+
+// Event tag bytes.
+const TAG_COMPUTE: u8 = 0;
+const TAG_SEND: u8 = 1;
+const TAG_ISEND: u8 = 2;
+const TAG_RECV: u8 = 3;
+const TAG_IRECV: u8 = 4;
+const TAG_WAIT: u8 = 5;
+const TAG_WAITALL: u8 = 6;
+const TAG_COLL: u8 = 7;
 
 /// Decoding failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DecodeError {
-    /// Buffer does not start with the `MASM` magic.
+    /// Buffer does not start with the `MASS` magic.
     BadMagic,
     /// Format revision not understood.
     BadVersion(u32),
@@ -45,6 +65,14 @@ pub enum DecodeError {
     BadTag(u8),
     /// Trailing garbage after the last stream.
     TrailingBytes(usize),
+    /// A field whose value the trace cannot hold: a `u32` field encoded
+    /// wider, a peer or root outside the world, zero ranks per node.
+    OutOfRange {
+        /// Which field.
+        field: &'static str,
+        /// The value found.
+        value: u64,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -58,142 +86,33 @@ impl fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "non-UTF-8 string field"),
             DecodeError::BadTag(t) => write!(f, "unknown record tag {t}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after trace"),
+            DecodeError::OutOfRange { field, value } => write!(f, "{field} {value} out of range"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-// Event tag bytes.
-const TAG_COMPUTE: u8 = 0;
-const TAG_SEND: u8 = 1;
-const TAG_ISEND: u8 = 2;
-const TAG_RECV: u8 = 3;
-const TAG_IRECV: u8 = 4;
-const TAG_WAIT: u8 = 5;
-const TAG_WAITALL: u8 = 6;
-const TAG_COLL: u8 = 7;
+// ---- fixed-width and varint primitives ---------------------------------
 
-// Little-endian writer helpers over a plain Vec<u8>. Shared with the
-// streamed format in `crate::stream`.
-#[inline]
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-#[inline]
-pub(crate) fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-#[inline]
-pub(crate) fn put_u64_le(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-// Reader helpers over `&mut &[u8]`. Callers bounds-check with
-// `buf.len()` before calling; these panic only on internal logic errors.
-#[inline]
-fn get_u8(buf: &mut &[u8]) -> u8 {
-    let (head, rest) = buf.split_at(1);
-    *buf = rest;
-    head[0]
-}
-#[inline]
-pub(crate) fn get_u32_le(buf: &mut &[u8]) -> u32 {
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    u32::from_le_bytes(head.try_into().expect("4-byte slice"))
-}
-#[inline]
-pub(crate) fn get_u64_le(buf: &mut &[u8]) -> u64 {
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    u64::from_le_bytes(head.try_into().expect("8-byte slice"))
-}
-
-/// Serialize a trace to its binary form.
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    // Rough pre-size: 16 bytes/event average avoids most reallocation.
-    let mut buf = Vec::with_capacity(64 + trace.num_events() * 16);
-    buf.extend_from_slice(MAGIC);
-    put_u32_le(&mut buf, FORMAT_VERSION);
-    put_string(&mut buf, &trace.meta.app);
-    put_string(&mut buf, &trace.meta.machine);
-    put_u32_le(&mut buf, trace.meta.ranks);
-    put_u32_le(&mut buf, trace.meta.ranks_per_node);
-    put_u32_le(&mut buf, trace.meta.problem_size);
-    put_u64_le(&mut buf, trace.meta.seed);
-    for stream in &trace.events {
-        put_u64_le(&mut buf, stream.len() as u64);
-        for e in stream {
-            put_event(&mut buf, e);
-        }
-    }
-    buf
-}
-
-/// Deserialize a trace from its binary form.
-pub fn decode(mut buf: &[u8]) -> Result<Trace, DecodeError> {
-    if buf.len() < 8 {
-        return Err(DecodeError::Truncated { context: "header" });
-    }
-    let (magic, rest) = buf.split_at(4);
-    buf = rest;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = get_u32_le(&mut buf);
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let app = get_string(&mut buf)?;
-    let machine = get_string(&mut buf)?;
-    if buf.len() < 4 * 3 + 8 {
-        return Err(DecodeError::Truncated { context: "meta" });
-    }
-    let ranks = get_u32_le(&mut buf);
-    let ranks_per_node = get_u32_le(&mut buf);
-    let problem_size = get_u32_le(&mut buf);
-    let seed = get_u64_le(&mut buf);
-    let meta = TraceMeta { app, machine, ranks, ranks_per_node, problem_size, seed };
-
-    // Capacity checks before the allocations: a corrupt count field must
-    // become a typed error, not an allocator abort. Every stream costs at
-    // least its 8-byte length field and every event at least a 9-byte
-    // header, so counts the remaining buffer cannot hold are truncations.
-    if ranks as usize > buf.len() / 8 {
-        return Err(DecodeError::Truncated { context: "rank streams" });
-    }
-    let mut events = Vec::with_capacity(ranks as usize);
-    for _ in 0..ranks {
-        if buf.len() < 8 {
-            return Err(DecodeError::Truncated { context: "stream length" });
-        }
-        let n = get_u64_le(&mut buf) as usize;
-        if n > buf.len() / 9 {
-            return Err(DecodeError::Truncated { context: "event stream" });
-        }
-        let mut stream = Vec::with_capacity(n);
-        for _ in 0..n {
-            stream.push(get_event(&mut buf)?);
-        }
-        events.push(stream);
-    }
-    if !buf.is_empty() {
-        return Err(DecodeError::TrailingBytes(buf.len()));
-    }
-    Ok(Trace { meta, events })
-}
-
-pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_u32_le(buf, s.len() as u32);
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
+// Fixed-width reader: callers bounds-check with `buf.len()` first; this
+// panics only on internal logic errors.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    head.try_into().expect("N-byte slice")
+}
+
+fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
     if buf.len() < 4 {
         return Err(DecodeError::Truncated { context: "string length" });
     }
-    let len = get_u32_le(buf) as usize;
+    let len = u32::from_le_bytes(take(buf)) as usize;
     if buf.len() < len {
         return Err(DecodeError::Truncated { context: "string body" });
     }
@@ -202,126 +121,197 @@ pub(crate) fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
     String::from_utf8(body.to_vec()).map_err(|_| DecodeError::BadUtf8)
 }
 
-fn put_event(buf: &mut Vec<u8>, e: &Event) {
-    match &e.kind {
-        EventKind::Compute => {
-            put_u8(buf, TAG_COMPUTE);
-            put_u64_le(buf, e.dur.as_ps());
-        }
-        EventKind::Send { peer, bytes, tag } => {
-            put_u8(buf, TAG_SEND);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, peer.0);
-            put_u64_le(buf, *bytes);
-            put_u32_le(buf, *tag);
-        }
-        EventKind::Isend { peer, bytes, tag, req } => {
-            put_u8(buf, TAG_ISEND);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, peer.0);
-            put_u64_le(buf, *bytes);
-            put_u32_le(buf, *tag);
-            put_u32_le(buf, req.0);
-        }
-        EventKind::Recv { peer, bytes, tag } => {
-            put_u8(buf, TAG_RECV);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, peer.0);
-            put_u64_le(buf, *bytes);
-            put_u32_le(buf, *tag);
-        }
-        EventKind::Irecv { peer, bytes, tag, req } => {
-            put_u8(buf, TAG_IRECV);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, peer.0);
-            put_u64_le(buf, *bytes);
-            put_u32_le(buf, *tag);
-            put_u32_le(buf, req.0);
-        }
-        EventKind::Wait { req } => {
-            put_u8(buf, TAG_WAIT);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, req.0);
-        }
-        EventKind::WaitAll { reqs } => {
-            put_u8(buf, TAG_WAITALL);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u32_le(buf, reqs.len() as u32);
-            for r in reqs {
-                put_u32_le(buf, r.0);
-            }
-        }
-        EventKind::Coll { kind, bytes, root } => {
-            put_u8(buf, TAG_COLL);
-            put_u64_le(buf, e.dur.as_ps());
-            put_u8(buf, kind.code());
-            put_u64_le(buf, *bytes);
-            put_u32_le(buf, root.0);
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v != 0 {
+            buf.push(byte | 0x80);
+        } else {
+            buf.push(byte);
+            return;
         }
     }
 }
 
-fn get_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
-    if buf.len() < 9 {
-        return Err(DecodeError::Truncated { context: "event header" });
-    }
-    let tag = get_u8(buf);
-    let dur = Time::from_ps(get_u64_le(buf));
-    let need = |buf: &&[u8], n: usize, ctx: &'static str| {
-        if buf.len() < n {
-            Err(DecodeError::Truncated { context: ctx })
-        } else {
-            Ok(())
+#[inline]
+fn put_signed(buf: &mut Vec<u8>, v: i64) {
+    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+#[inline]
+fn get_varint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let (&byte, rest) =
+            buf.split_first().ok_or(DecodeError::Truncated { context: "varint" })?;
+        *buf = rest;
+        if shift >= 64 || (shift == 63 && byte > 1) {
+            return Err(DecodeError::BadTag(byte));
         }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+#[inline]
+fn get_signed(buf: &mut &[u8]) -> Result<i64, DecodeError> {
+    let z = get_varint(buf)?;
+    Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+}
+
+/// A varint that must fit the `u32` field it encodes.
+#[inline]
+fn get_u32_varint(buf: &mut &[u8], field: &'static str) -> Result<u32, DecodeError> {
+    let v = get_varint(buf)?;
+    u32::try_from(v).map_err(|_| DecodeError::OutOfRange { field, value: v })
+}
+
+// ---- encoding ----------------------------------------------------------
+
+/// Encode one rank's event stream as a payload segment: per event the
+/// tag, the duration, then the kind's fields.
+fn encode_segment(rank: u32, events: &[Event], out: &mut Vec<u8>) {
+    let mut prev_req = 0u32;
+    let mut req_delta = |buf: &mut Vec<u8>, req: ReqId| {
+        put_signed(buf, i64::from(req.0) - i64::from(prev_req));
+        prev_req = req.0;
+    };
+    for e in events {
+        let (code, p2p) = match &e.kind {
+            EventKind::Compute => (TAG_COMPUTE, None),
+            EventKind::Send { peer, bytes, tag } => (TAG_SEND, Some((peer, bytes, tag))),
+            EventKind::Isend { peer, bytes, tag, .. } => (TAG_ISEND, Some((peer, bytes, tag))),
+            EventKind::Recv { peer, bytes, tag } => (TAG_RECV, Some((peer, bytes, tag))),
+            EventKind::Irecv { peer, bytes, tag, .. } => (TAG_IRECV, Some((peer, bytes, tag))),
+            EventKind::Wait { .. } => (TAG_WAIT, None),
+            EventKind::WaitAll { .. } => (TAG_WAITALL, None),
+            EventKind::Coll { .. } => (TAG_COLL, None),
+        };
+        out.push(code);
+        put_varint(out, e.dur.as_ps());
+        if let Some((peer, bytes, tag)) = p2p {
+            put_signed(out, i64::from(peer.0) - i64::from(rank));
+            put_varint(out, *bytes);
+            put_varint(out, u64::from(*tag));
+        }
+        match &e.kind {
+            EventKind::Isend { req, .. }
+            | EventKind::Irecv { req, .. }
+            | EventKind::Wait { req } => req_delta(out, *req),
+            EventKind::WaitAll { reqs } => {
+                put_varint(out, reqs.len() as u64);
+                for r in reqs {
+                    req_delta(out, *r);
+                }
+            }
+            EventKind::Coll { kind, bytes, root } => {
+                out.push(kind.code());
+                put_varint(out, *bytes);
+                put_varint(out, u64::from(root.0));
+            }
+            EventKind::Compute | EventKind::Send { .. } | EventKind::Recv { .. } => {}
+        }
+    }
+}
+
+/// Serialize a trace to its binary form.
+pub fn encode(trace: &Trace) -> Vec<u8> {
+    let m = &trace.meta;
+    let mut buf = Vec::with_capacity(64 + trace.events.len() * 24 + trace.num_events() * 6);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_string(&mut buf, &m.app);
+    put_string(&mut buf, &m.machine);
+    for v in [m.ranks, m.ranks_per_node, m.problem_size] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    buf.extend_from_slice(&m.seed.to_le_bytes());
+
+    // Index placeholder, each entry patched once its segment is laid down.
+    let index_at = buf.len();
+    buf.resize(index_at + trace.events.len() * 24, 0);
+    let payload_at = buf.len();
+    for (r, events) in trace.events.iter().enumerate() {
+        let start = buf.len();
+        encode_segment(r as u32, events, &mut buf);
+        let entry = [start - payload_at, buf.len() - start, events.len()];
+        for (k, v) in entry.into_iter().enumerate() {
+            let at = index_at + 24 * r + 8 * k;
+            buf[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
+        }
+    }
+    buf
+}
+
+// ---- decoding ----------------------------------------------------------
+
+/// Decode one event; `rank` and `prev_req` carry the delta bases.
+pub(crate) fn decode_event(
+    buf: &mut &[u8],
+    rank: u32,
+    prev_req: &mut u32,
+) -> Result<Event, DecodeError> {
+    let (&tag, rest) = buf.split_first().ok_or(DecodeError::Truncated { context: "event tag" })?;
+    *buf = rest;
+    let dur = Time::from_ps(get_varint(buf)?);
+    let peer = |buf: &mut &[u8]| -> Result<Rank, DecodeError> {
+        let p = i64::from(rank) + get_signed(buf)?;
+        u32::try_from(p).map(Rank).map_err(|_| DecodeError::BadTag(tag))
+    };
+    let req = |buf: &mut &[u8], prev: &mut u32| -> Result<ReqId, DecodeError> {
+        let r = i64::from(*prev) + get_signed(buf)?;
+        let r = u32::try_from(r).map_err(|_| DecodeError::BadTag(tag))?;
+        *prev = r;
+        Ok(ReqId(r))
     };
     let kind = match tag {
         TAG_COMPUTE => EventKind::Compute,
         TAG_SEND => {
-            need(buf, 16, "send")?;
-            let peer = Rank(get_u32_le(buf));
-            let bytes = get_u64_le(buf);
-            let tag = get_u32_le(buf);
-            EventKind::Send { peer, bytes, tag }
+            let peer = peer(buf)?;
+            EventKind::Send { peer, bytes: get_varint(buf)?, tag: get_u32_varint(buf, "tag")? }
         }
         TAG_ISEND => {
-            need(buf, 20, "isend")?;
-            let peer = Rank(get_u32_le(buf));
-            let bytes = get_u64_le(buf);
-            let tag = get_u32_le(buf);
-            let req = ReqId(get_u32_le(buf));
-            EventKind::Isend { peer, bytes, tag, req }
+            let peer = peer(buf)?;
+            let bytes = get_varint(buf)?;
+            let tag = get_u32_varint(buf, "tag")?;
+            EventKind::Isend { peer, bytes, tag, req: req(buf, prev_req)? }
         }
         TAG_RECV => {
-            need(buf, 16, "recv")?;
-            let peer = Rank(get_u32_le(buf));
-            let bytes = get_u64_le(buf);
-            let tag = get_u32_le(buf);
-            EventKind::Recv { peer, bytes, tag }
+            let peer = peer(buf)?;
+            EventKind::Recv { peer, bytes: get_varint(buf)?, tag: get_u32_varint(buf, "tag")? }
         }
         TAG_IRECV => {
-            need(buf, 20, "irecv")?;
-            let peer = Rank(get_u32_le(buf));
-            let bytes = get_u64_le(buf);
-            let tag = get_u32_le(buf);
-            let req = ReqId(get_u32_le(buf));
-            EventKind::Irecv { peer, bytes, tag, req }
+            let peer = peer(buf)?;
+            let bytes = get_varint(buf)?;
+            let tag = get_u32_varint(buf, "tag")?;
+            EventKind::Irecv { peer, bytes, tag, req: req(buf, prev_req)? }
         }
-        TAG_WAIT => {
-            need(buf, 4, "wait")?;
-            EventKind::Wait { req: ReqId(get_u32_le(buf)) }
-        }
+        TAG_WAIT => EventKind::Wait { req: req(buf, prev_req)? },
         TAG_WAITALL => {
-            need(buf, 4, "waitall count")?;
-            let n = get_u32_le(buf) as usize;
-            need(buf, n * 4, "waitall reqs")?;
-            let reqs = (0..n).map(|_| ReqId(get_u32_le(buf))).collect();
+            let n = get_varint(buf)? as usize;
+            // Each request delta costs at least one byte.
+            if n > buf.len() {
+                return Err(DecodeError::Truncated { context: "waitall reqs" });
+            }
+            let mut reqs = Vec::with_capacity(n);
+            for _ in 0..n {
+                reqs.push(req(buf, prev_req)?);
+            }
             EventKind::WaitAll { reqs }
         }
         TAG_COLL => {
-            need(buf, 13, "collective")?;
-            let kind = CollKind::from_code(get_u8(buf)).ok_or(DecodeError::BadTag(255))?;
-            let bytes = get_u64_le(buf);
-            let root = Rank(get_u32_le(buf));
+            let (&code, rest) =
+                buf.split_first().ok_or(DecodeError::Truncated { context: "coll kind" })?;
+            *buf = rest;
+            let kind = CollKind::from_code(code).ok_or(DecodeError::BadTag(code))?;
+            let bytes = get_varint(buf)?;
+            let root = Rank(get_u32_varint(buf, "root")?);
             EventKind::Coll { kind, bytes, root }
         }
         other => return Err(DecodeError::BadTag(other)),
@@ -329,153 +319,159 @@ fn get_event(buf: &mut &[u8]) -> Result<Event, DecodeError> {
     Ok(Event { kind, dur })
 }
 
-/// Render a trace in the line-oriented text form (one event per line),
-/// mirroring `dumpi2ascii` output. Intended for debugging and examples,
-/// not as an interchange format.
-pub fn to_text(trace: &Trace) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let m = &trace.meta;
-    let _ = writeln!(
-        out,
-        "# masim trace: app={} machine={} ranks={} rpn={} size={} seed={}",
-        m.app, m.machine, m.ranks, m.ranks_per_node, m.problem_size, m.seed
-    );
-    for (r, stream) in trace.events.iter().enumerate() {
-        for e in stream {
-            let _ = write!(out, "r{r} {} ", e.dur);
-            let _ = match &e.kind {
-                EventKind::Compute => writeln!(out, "compute"),
-                EventKind::Send { peer, bytes, tag } => {
-                    writeln!(out, "send -> {peer} {bytes}B tag={tag}")
-                }
-                EventKind::Isend { peer, bytes, tag, req } => {
-                    writeln!(out, "isend -> {peer} {bytes}B tag={tag} {req}")
-                }
-                EventKind::Recv { peer, bytes, tag } => {
-                    writeln!(out, "recv <- {peer} {bytes}B tag={tag}")
-                }
-                EventKind::Irecv { peer, bytes, tag, req } => {
-                    writeln!(out, "irecv <- {peer} {bytes}B tag={tag} {req}")
-                }
-                EventKind::Wait { req } => writeln!(out, "wait {req}"),
-                EventKind::WaitAll { reqs } => writeln!(out, "waitall x{}", reqs.len()),
-                EventKind::Coll { kind, bytes, root } => {
-                    writeln!(out, "coll {kind} {bytes}B root={root}")
-                }
-            };
+/// One rank's entry in the segment index.
+#[derive(Clone, Copy)]
+pub(crate) struct Segment {
+    /// Byte offset into the payload region.
+    off: u64,
+    /// Segment length in bytes.
+    len: u64,
+    /// Number of events encoded in the segment.
+    pub(crate) count: u64,
+}
+
+/// What opening a buffer learns about it: metadata, the segment index and
+/// where the payload starts. Only [`Layout::open`] builds one, so holding
+/// one means its buffer passed validation.
+pub(crate) struct Layout {
+    pub(crate) meta: TraceMeta,
+    pub(crate) index: Vec<Segment>,
+    payload_at: usize,
+}
+
+impl Layout {
+    /// Parse and fully validate a buffer. Every segment is decoded once
+    /// (and discarded) so later reads of `data` cannot fail.
+    pub(crate) fn open(data: &[u8]) -> Result<Layout, DecodeError> {
+        let mut buf = data;
+        if buf.len() < 8 {
+            return Err(DecodeError::Truncated { context: "header" });
         }
+        let (magic, rest) = buf.split_at(4);
+        buf = rest;
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        let version = u32::from_le_bytes(take(&mut buf));
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let app = get_string(&mut buf)?;
+        let machine = get_string(&mut buf)?;
+        if buf.len() < 4 * 3 + 8 {
+            return Err(DecodeError::Truncated { context: "meta" });
+        }
+        let ranks = u32::from_le_bytes(take(&mut buf));
+        let ranks_per_node = u32::from_le_bytes(take(&mut buf));
+        let problem_size = u32::from_le_bytes(take(&mut buf));
+        let seed = u64::from_le_bytes(take(&mut buf));
+        if ranks_per_node == 0 {
+            return Err(DecodeError::OutOfRange { field: "ranks_per_node", value: 0 });
+        }
+        let meta = TraceMeta { app, machine, ranks, ranks_per_node, problem_size, seed };
+
+        // Allocation guard: the index must physically fit before we size
+        // a Vec from an untrusted count.
+        if (ranks as usize).checked_mul(24).is_none_or(|need| need > buf.len()) {
+            return Err(DecodeError::Truncated { context: "segment index" });
+        }
+        let mut index = Vec::with_capacity(ranks as usize);
+        let mut expect_off = 0u64;
+        for _ in 0..ranks {
+            let off = u64::from_le_bytes(take(&mut buf));
+            let len = u64::from_le_bytes(take(&mut buf));
+            let count = u64::from_le_bytes(take(&mut buf));
+            if off != expect_off {
+                return Err(DecodeError::Truncated { context: "segment order" });
+            }
+            expect_off =
+                off.checked_add(len).ok_or(DecodeError::Truncated { context: "segment span" })?;
+            index.push(Segment { off, len, count });
+        }
+        let payload = buf;
+        let payload_len = payload.len() as u64;
+        if expect_off > payload_len {
+            return Err(DecodeError::Truncated { context: "segment payload" });
+        }
+        if expect_off < payload_len {
+            return Err(DecodeError::TrailingBytes((payload_len - expect_off) as usize));
+        }
+        let layout = Layout { meta, index, payload_at: data.len() - payload.len() };
+
+        // Validation pass: each segment must decode exactly `count`
+        // events from exactly `len` bytes, naming only ranks that exist.
+        for r in 0..ranks {
+            let mut seg_buf = layout.segment(data, Rank(r));
+            let mut prev_req = 0u32;
+            for _ in 0..layout.index[r as usize].count {
+                let (field, Rank(v)) = match decode_event(&mut seg_buf, r, &mut prev_req)?.kind {
+                    EventKind::Send { peer, .. }
+                    | EventKind::Isend { peer, .. }
+                    | EventKind::Recv { peer, .. }
+                    | EventKind::Irecv { peer, .. } => ("peer", peer),
+                    EventKind::Coll { root, .. } => ("root", root),
+                    _ => continue,
+                };
+                if v >= ranks {
+                    return Err(DecodeError::OutOfRange { field, value: v.into() });
+                }
+            }
+            if !seg_buf.is_empty() {
+                return Err(DecodeError::TrailingBytes(seg_buf.len()));
+            }
+        }
+        Ok(layout)
     }
-    out
+
+    /// `rank`'s segment within `data`, the buffer this layout was opened on.
+    pub(crate) fn segment<'a>(&self, data: &'a [u8], rank: Rank) -> &'a [u8] {
+        let seg = self.index[rank.idx()];
+        let at = self.payload_at + seg.off as usize;
+        &data[at..at + seg.len as usize]
+    }
+}
+
+/// Deserialize a trace from its binary form: the open-time validation,
+/// then every event decoded.
+pub fn decode(buf: &[u8]) -> Result<Trace, DecodeError> {
+    let layout = Layout::open(buf)?;
+    let events = (0..layout.meta.ranks)
+        .map(|r| {
+            let mut seg = layout.segment(buf, Rank(r));
+            let mut prev_req = 0u32;
+            (0..layout.index[r as usize].count)
+                .map(|_| decode_event(&mut seg, r, &mut prev_req).expect("validated at open"))
+                .collect()
+        })
+        .collect();
+    Ok(Trace { meta: layout.meta, events })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Trace {
-        let meta = TraceMeta {
-            app: "CG".into(),
-            machine: "edison".into(),
-            ranks: 2,
-            ranks_per_node: 2,
-            problem_size: 3,
-            seed: 42,
-        };
-        let mut t = Trace::empty(meta);
-        t.events[0] = vec![
-            Event::compute(Time::from_us(10)),
-            Event::new(
-                EventKind::Isend { peer: Rank(1), bytes: 4096, tag: 1, req: ReqId(0) },
-                Time::from_ns(300),
-            ),
-            Event::new(
-                EventKind::Irecv { peer: Rank(1), bytes: 4096, tag: 2, req: ReqId(1) },
-                Time::from_ns(200),
-            ),
-            Event::new(EventKind::WaitAll { reqs: vec![ReqId(0), ReqId(1)] }, Time::from_us(2)),
-            Event::new(
-                EventKind::Coll { kind: CollKind::Allreduce, bytes: 8, root: Rank(0) },
-                Time::from_us(5),
-            ),
-        ];
-        t.events[1] = vec![
-            Event::compute(Time::from_us(11)),
-            Event::new(
-                EventKind::Irecv { peer: Rank(0), bytes: 4096, tag: 1, req: ReqId(0) },
-                Time::from_ns(200),
-            ),
-            Event::new(
-                EventKind::Isend { peer: Rank(0), bytes: 4096, tag: 2, req: ReqId(1) },
-                Time::from_ns(300),
-            ),
-            Event::new(EventKind::Wait { req: ReqId(0) }, Time::from_us(1)),
-            Event::new(EventKind::Wait { req: ReqId(1) }, Time::from_us(1)),
-            Event::new(
-                EventKind::Coll { kind: CollKind::Allreduce, bytes: 8, root: Rank(0) },
-                Time::from_us(5),
-            ),
-        ];
-        t
-    }
-
     #[test]
-    fn round_trip() {
-        let t = sample();
-        let bytes = encode(&t);
-        let t2 = decode(&bytes).expect("decode");
-        assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = encode(&sample()).to_vec();
-        bytes[0] = b'X';
-        assert_eq!(decode(&bytes), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut bytes = encode(&sample()).to_vec();
-        bytes[4] = 99;
-        assert!(matches!(decode(&bytes), Err(DecodeError::BadVersion(_))));
-    }
-
-    #[test]
-    fn truncation_rejected_everywhere() {
-        let bytes = encode(&sample()).to_vec();
-        // Every proper prefix must fail cleanly, never panic.
-        for cut in 0..bytes.len() {
-            let r = decode(&bytes[..cut]);
-            assert!(r.is_err(), "prefix of {cut} bytes unexpectedly decoded");
+    fn varint_round_trip() {
+        let mut buf = Vec::new();
+        let vals = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
+        for &v in &vals {
+            put_varint(&mut buf, v);
         }
-    }
+        let mut rd: &[u8] = &buf;
+        for &v in &vals {
+            assert_eq!(get_varint(&mut rd).unwrap(), v);
+        }
+        assert!(rd.is_empty());
 
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut bytes = encode(&sample()).to_vec();
-        bytes.push(0);
-        assert_eq!(decode(&bytes), Err(DecodeError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
-        let t = sample();
-        let mut bytes = encode(&t).to_vec();
-        // First event tag byte sits right after header+meta; find it by
-        // re-encoding an empty trace of the same meta and using its length.
-        let empty = Trace::empty(t.meta.clone());
-        let off = encode(&empty).len() - 2 * 8 + 8; // after rank0's count
-        bytes[off] = 250;
-        assert!(matches!(decode(&bytes), Err(DecodeError::BadTag(250))));
-    }
-
-    #[test]
-    fn text_rendering_mentions_all_events() {
-        let txt = to_text(&sample());
-        for needle in ["compute", "isend", "irecv", "waitall", "wait", "Allreduce", "# masim trace"]
-        {
-            assert!(txt.contains(needle), "missing {needle} in text dump:\n{txt}");
+        let mut buf = Vec::new();
+        let signed = [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN];
+        for &v in &signed {
+            put_signed(&mut buf, v);
+        }
+        let mut rd: &[u8] = &buf;
+        for &v in &signed {
+            assert_eq!(get_signed(&mut rd).unwrap(), v);
         }
     }
 }

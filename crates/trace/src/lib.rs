@@ -13,8 +13,9 @@
 //! * [`trace`] — the per-rank trace container, a builder, and structural
 //!   validation (send/recv matching, request lifecycle, collective
 //!   agreement);
-//! * [`io`] — compact binary serialization plus a text dump (parsed
-//!   back by [`text::from_text`]);
+//! * [`io`] — the binary trace format (MASS v1), and [`stream`] — its
+//!   one-rank-at-a-time reader;
+//! * [`text`] — a line-oriented text dump and its parser;
 //! * [`features`] — the 34 measurable Table III features;
 //! * [`mailbox`] — per-rank (source, tag) matching, shared by the
 //!   simulator and MFACT.
@@ -68,9 +69,7 @@ pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
 pub use mailbox::Mailbox;
-pub use stream::{
-    encode_stream, write_stream, RankCursor, StreamError, StreamedTrace, TraceSource,
-};
+pub use stream::{write_stream, RankCursor, StreamError, StreamedTrace, TraceSource};
 pub use text::from_text;
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};

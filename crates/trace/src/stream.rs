@@ -1,53 +1,16 @@
-//! Streamed on-disk trace format ("MASS"): a compact varint-delta
-//! encoding with a per-rank segment index, designed so consumers decode
-//! one event at a time per rank instead of materializing `Vec<Vec<Event>>`
-//! — the memory floor that kept the corpus off Edison/Frontier-class rank
-//! counts.
-//!
-//! ```text
-//! magic    b"MASS"             4 bytes
-//! version  u32                 format revision (currently 1)
-//! meta     app, machine        (u32 len + utf8) × 2
-//!          ranks, rpn, size    u32 × 3
-//!          seed                u64
-//! index    per rank: payload offset u64, byte length u64, event count u64
-//! payload  per-rank segments, contiguous and in index order
-//! ```
-//!
-//! Within a rank's segment every event is `tag u8` + LEB128 varints.
-//! Durations are varint picoseconds; peers are zigzag deltas from the
-//! owning rank; request ids are zigzag deltas from the previously
-//! mentioned request (generators issue them sequentially, so deltas are
-//! tiny); collective roots are plain varints. A 16-rank stencil trace
-//! shrinks ~3.5× versus the fixed-width `MASM` layout, and — the point —
-//! the decoder needs only the compact bytes plus one `Event` of state per
-//! rank.
-//!
-//! Every segment is validated once at open time (a decode-and-discard
-//! pass), so the per-event cursor path is panic-free without re-checking.
+//! Streamed access to the binary trace format ([`crate::io`]): a
+//! [`StreamedTrace`] holds the compact encoded bytes and hands out
+//! per-rank [`RankCursor`]s that decode one event at a time, so consumers
+//! need only the compact bytes plus one `Event` of state per rank.
+//! [`TraceSource`] lets both tools take either this or an in-memory
+//! [`Trace`].
 
-use crate::event::{CollKind, Event, EventKind};
-use crate::ids::{Rank, ReqId};
-use crate::io::DecodeError;
-use crate::io::{get_string, get_u32_le, get_u64_le, put_string, put_u32_le, put_u64_le};
-use crate::time::Time;
+use crate::event::Event;
+use crate::ids::Rank;
+use crate::io::{decode_event, DecodeError, Layout};
 use crate::trace::{Trace, TraceMeta};
 use std::fmt;
 use std::path::Path;
-
-/// Current streamed format revision.
-pub const STREAM_VERSION: u32 = 1;
-const MAGIC: &[u8; 4] = b"MASS";
-
-// Event tag bytes (same order as the MASM codec).
-const TAG_COMPUTE: u8 = 0;
-const TAG_SEND: u8 = 1;
-const TAG_ISEND: u8 = 2;
-const TAG_RECV: u8 = 3;
-const TAG_IRECV: u8 = 4;
-const TAG_WAIT: u8 = 5;
-const TAG_WAITALL: u8 = 6;
-const TAG_COLL: u8 = 7;
 
 /// Why a streamed trace could not be opened.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -75,316 +38,26 @@ impl From<DecodeError> for StreamError {
     }
 }
 
-// ---- varint primitives -------------------------------------------------
-
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v != 0 {
-            buf.push(byte | 0x80);
-        } else {
-            buf.push(byte);
-            return;
-        }
-    }
-}
-
-#[inline]
-fn put_signed(buf: &mut Vec<u8>, v: i64) {
-    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-#[inline]
-fn get_varint(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let (&byte, rest) =
-            buf.split_first().ok_or(DecodeError::Truncated { context: "varint" })?;
-        *buf = rest;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(DecodeError::BadTag(byte));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-#[inline]
-fn get_signed(buf: &mut &[u8]) -> Result<i64, DecodeError> {
-    let z = get_varint(buf)?;
-    Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-}
-
-// ---- encoding ----------------------------------------------------------
-
-/// Encode one rank's event stream as a MASS payload segment.
-fn encode_segment(rank: u32, events: &[Event], out: &mut Vec<u8>) {
-    let mut prev_req = 0u32;
-    let mut req_delta = |buf: &mut Vec<u8>, req: ReqId| {
-        put_signed(buf, i64::from(req.0) - i64::from(prev_req));
-        prev_req = req.0;
-    };
-    for e in events {
-        match &e.kind {
-            EventKind::Compute => {
-                out.push(TAG_COMPUTE);
-                put_varint(out, e.dur.as_ps());
-            }
-            EventKind::Send { peer, bytes, tag } => {
-                out.push(TAG_SEND);
-                put_varint(out, e.dur.as_ps());
-                put_signed(out, i64::from(peer.0) - i64::from(rank));
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(*tag));
-            }
-            EventKind::Isend { peer, bytes, tag, req } => {
-                out.push(TAG_ISEND);
-                put_varint(out, e.dur.as_ps());
-                put_signed(out, i64::from(peer.0) - i64::from(rank));
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(*tag));
-                req_delta(out, *req);
-            }
-            EventKind::Recv { peer, bytes, tag } => {
-                out.push(TAG_RECV);
-                put_varint(out, e.dur.as_ps());
-                put_signed(out, i64::from(peer.0) - i64::from(rank));
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(*tag));
-            }
-            EventKind::Irecv { peer, bytes, tag, req } => {
-                out.push(TAG_IRECV);
-                put_varint(out, e.dur.as_ps());
-                put_signed(out, i64::from(peer.0) - i64::from(rank));
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(*tag));
-                req_delta(out, *req);
-            }
-            EventKind::Wait { req } => {
-                out.push(TAG_WAIT);
-                put_varint(out, e.dur.as_ps());
-                req_delta(out, *req);
-            }
-            EventKind::WaitAll { reqs } => {
-                out.push(TAG_WAITALL);
-                put_varint(out, e.dur.as_ps());
-                put_varint(out, reqs.len() as u64);
-                for r in reqs {
-                    req_delta(out, *r);
-                }
-            }
-            EventKind::Coll { kind, bytes, root } => {
-                out.push(TAG_COLL);
-                put_varint(out, e.dur.as_ps());
-                out.push(kind.code());
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(root.0));
-            }
-        }
-    }
-}
-
-/// Serialize a trace into the streamed MASS layout.
-pub fn encode_stream(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + trace.events.len() * 24 + trace.num_events() * 6);
-    buf.extend_from_slice(MAGIC);
-    put_u32_le(&mut buf, STREAM_VERSION);
-    put_string(&mut buf, &trace.meta.app);
-    put_string(&mut buf, &trace.meta.machine);
-    put_u32_le(&mut buf, trace.meta.ranks);
-    put_u32_le(&mut buf, trace.meta.ranks_per_node);
-    put_u32_le(&mut buf, trace.meta.problem_size);
-    put_u64_le(&mut buf, trace.meta.seed);
-
-    // Index placeholder, patched after the payload is laid down.
-    let index_at = buf.len();
-    buf.resize(index_at + trace.events.len() * 24, 0);
-    let payload_at = buf.len();
-
-    let mut index = Vec::with_capacity(trace.events.len());
-    for (r, events) in trace.events.iter().enumerate() {
-        let seg_start = buf.len() - payload_at;
-        encode_segment(r as u32, events, &mut buf);
-        let seg_len = (buf.len() - payload_at) - seg_start;
-        index.push((seg_start as u64, seg_len as u64, events.len() as u64));
-    }
-    for (i, (off, len, count)) in index.into_iter().enumerate() {
-        let at = index_at + i * 24;
-        buf[at..at + 8].copy_from_slice(&off.to_le_bytes());
-        buf[at + 8..at + 16].copy_from_slice(&len.to_le_bytes());
-        buf[at + 16..at + 24].copy_from_slice(&count.to_le_bytes());
-    }
-    buf
-}
-
-/// Write a trace to `path` in the streamed MASS layout.
+/// Write a trace to `path` in the binary format.
 pub fn write_stream(trace: &Trace, path: &Path) -> Result<(), StreamError> {
-    std::fs::write(path, encode_stream(trace)).map_err(|e| StreamError::Io(e.to_string()))
+    std::fs::write(path, crate::io::encode(trace)).map_err(|e| StreamError::Io(e.to_string()))
 }
 
-// ---- decoding ----------------------------------------------------------
-
-/// Decode one event; `rank` and `prev_req` carry the delta bases.
-fn decode_event(buf: &mut &[u8], rank: u32, prev_req: &mut u32) -> Result<Event, DecodeError> {
-    let (&tag, rest) = buf.split_first().ok_or(DecodeError::Truncated { context: "event tag" })?;
-    *buf = rest;
-    let dur = Time::from_ps(get_varint(buf)?);
-    let peer = |buf: &mut &[u8]| -> Result<Rank, DecodeError> {
-        let p = i64::from(rank) + get_signed(buf)?;
-        u32::try_from(p).map(Rank).map_err(|_| DecodeError::BadTag(tag))
-    };
-    let req = |buf: &mut &[u8], prev: &mut u32| -> Result<ReqId, DecodeError> {
-        let r = i64::from(*prev) + get_signed(buf)?;
-        let r = u32::try_from(r).map_err(|_| DecodeError::BadTag(tag))?;
-        *prev = r;
-        Ok(ReqId(r))
-    };
-    let kind = match tag {
-        TAG_COMPUTE => EventKind::Compute,
-        TAG_SEND => {
-            let peer = peer(buf)?;
-            EventKind::Send { peer, bytes: get_varint(buf)?, tag: get_varint(buf)? as u32 }
-        }
-        TAG_ISEND => {
-            let peer = peer(buf)?;
-            let bytes = get_varint(buf)?;
-            let tag = get_varint(buf)? as u32;
-            EventKind::Isend { peer, bytes, tag, req: req(buf, prev_req)? }
-        }
-        TAG_RECV => {
-            let peer = peer(buf)?;
-            EventKind::Recv { peer, bytes: get_varint(buf)?, tag: get_varint(buf)? as u32 }
-        }
-        TAG_IRECV => {
-            let peer = peer(buf)?;
-            let bytes = get_varint(buf)?;
-            let tag = get_varint(buf)? as u32;
-            EventKind::Irecv { peer, bytes, tag, req: req(buf, prev_req)? }
-        }
-        TAG_WAIT => EventKind::Wait { req: req(buf, prev_req)? },
-        TAG_WAITALL => {
-            let n = get_varint(buf)? as usize;
-            // Each request delta costs at least one byte.
-            if n > buf.len() {
-                return Err(DecodeError::Truncated { context: "waitall reqs" });
-            }
-            let mut reqs = Vec::with_capacity(n);
-            for _ in 0..n {
-                reqs.push(req(buf, prev_req)?);
-            }
-            EventKind::WaitAll { reqs }
-        }
-        TAG_COLL => {
-            let (&code, rest) =
-                buf.split_first().ok_or(DecodeError::Truncated { context: "coll kind" })?;
-            *buf = rest;
-            let kind = CollKind::from_code(code).ok_or(DecodeError::BadTag(code))?;
-            let bytes = get_varint(buf)?;
-            let root = Rank(get_varint(buf)? as u32);
-            EventKind::Coll { kind, bytes, root }
-        }
-        other => return Err(DecodeError::BadTag(other)),
-    };
-    Ok(Event { kind, dur })
-}
-
-/// One rank's entry in the segment index.
-#[derive(Clone, Copy, Debug)]
-struct Segment {
-    /// Byte offset into the payload region.
-    off: u64,
-    /// Segment length in bytes.
-    len: u64,
-    /// Number of events encoded in the segment.
-    count: u64,
-}
-
-/// An opened streamed trace: metadata, index, and the compact payload.
+/// An opened streamed trace: its validated layout and the compact bytes.
 ///
 /// Holds the encoded bytes — typically 5–10× smaller than the decoded
 /// `Vec<Vec<Event>>` — and hands out per-rank [`RankCursor`]s that decode
 /// one event at a time.
 pub struct StreamedTrace {
-    meta: TraceMeta,
-    index: Vec<Segment>,
+    layout: Layout,
     data: Vec<u8>,
-    payload_at: usize,
 }
 
 impl StreamedTrace {
-    /// Parse and fully validate a MASS byte buffer. Every segment is
+    /// Parse and fully validate an encoded buffer. Every segment is
     /// decoded once (and discarded) so later cursor reads cannot fail.
     pub fn from_bytes(data: Vec<u8>) -> Result<StreamedTrace, StreamError> {
-        let mut buf: &[u8] = &data;
-        if buf.len() < 8 {
-            return Err(DecodeError::Truncated { context: "header" }.into());
-        }
-        let (magic, rest) = buf.split_at(4);
-        buf = rest;
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic.into());
-        }
-        let version = get_u32_le(&mut buf);
-        if version != STREAM_VERSION {
-            return Err(DecodeError::BadVersion(version).into());
-        }
-        let app = get_string(&mut buf)?;
-        let machine = get_string(&mut buf)?;
-        if buf.len() < 4 * 3 + 8 {
-            return Err(DecodeError::Truncated { context: "meta" }.into());
-        }
-        let ranks = get_u32_le(&mut buf);
-        let ranks_per_node = get_u32_le(&mut buf);
-        let problem_size = get_u32_le(&mut buf);
-        let seed = get_u64_le(&mut buf);
-        let meta = TraceMeta { app, machine, ranks, ranks_per_node, problem_size, seed };
-
-        // Allocation guard: the index must physically fit before we size
-        // a Vec from an untrusted count.
-        if (ranks as usize).checked_mul(24).is_none_or(|need| need > buf.len()) {
-            return Err(DecodeError::Truncated { context: "segment index" }.into());
-        }
-        let mut index = Vec::with_capacity(ranks as usize);
-        let mut expect_off = 0u64;
-        for _ in 0..ranks {
-            let off = get_u64_le(&mut buf);
-            let len = get_u64_le(&mut buf);
-            let count = get_u64_le(&mut buf);
-            if off != expect_off {
-                return Err(DecodeError::Truncated { context: "segment order" }.into());
-            }
-            expect_off =
-                off.checked_add(len).ok_or(DecodeError::Truncated { context: "segment span" })?;
-            index.push(Segment { off, len, count });
-        }
-        let payload_at = data.len() - buf.len();
-        let payload = buf;
-        if expect_off != payload.len() as u64 {
-            return Err(DecodeError::TrailingBytes(
-                (payload.len() as u64).abs_diff(expect_off) as usize
-            )
-            .into());
-        }
-
-        // Validation pass: each segment must decode exactly `count`
-        // events from exactly `len` bytes.
-        for (r, seg) in index.iter().enumerate() {
-            let mut seg_buf = &payload[seg.off as usize..(seg.off + seg.len) as usize];
-            let mut prev_req = 0u32;
-            for _ in 0..seg.count {
-                decode_event(&mut seg_buf, r as u32, &mut prev_req)?;
-            }
-            if !seg_buf.is_empty() {
-                return Err(DecodeError::TrailingBytes(seg_buf.len()).into());
-            }
-        }
-        Ok(StreamedTrace { meta, index, data, payload_at })
+        Ok(StreamedTrace { layout: Layout::open(&data)?, data })
     }
 
     /// Read and validate a streamed trace from disk.
@@ -395,22 +68,22 @@ impl StreamedTrace {
 
     /// Run metadata.
     pub fn meta(&self) -> &TraceMeta {
-        &self.meta
+        &self.layout.meta
     }
 
     /// World size.
     pub fn num_ranks(&self) -> u32 {
-        self.meta.ranks
+        self.layout.meta.ranks
     }
 
     /// Total events across all ranks (from the index; nothing decoded).
     pub fn num_events(&self) -> u64 {
-        self.index.iter().map(|s| s.count).sum()
+        self.layout.index.iter().map(|s| s.count).sum()
     }
 
     /// Events in one rank's stream.
     pub fn rank_len(&self, rank: Rank) -> usize {
-        self.index[rank.idx()].count as usize
+        self.layout.index[rank.idx()].count as usize
     }
 
     /// Bytes held resident for the encoded trace (header + index +
@@ -421,41 +94,22 @@ impl StreamedTrace {
 
     /// A decoding cursor over one rank's stream.
     pub fn cursor(&self, rank: Rank) -> RankCursor<'_> {
-        let seg = self.index[rank.idx()];
-        let payload = &self.data[self.payload_at..];
         RankCursor {
-            buf: &payload[seg.off as usize..(seg.off + seg.len) as usize],
+            buf: self.layout.segment(&self.data, rank),
             rank: rank.0,
-            total: seg.count as usize,
+            total: self.rank_len(rank),
             decoded: 0,
             prev: None,
             cur: None,
             prev_req: 0,
         }
     }
-
-    /// Decode the whole trace back into the in-memory representation.
-    /// Bit-identity with the generator output is asserted by tests.
-    pub fn decode_all(&self) -> Trace {
-        let events = (0..self.meta.ranks)
-            .map(|r| {
-                let seg = self.index[r as usize];
-                let payload = &self.data[self.payload_at..];
-                let mut buf = &payload[seg.off as usize..(seg.off + seg.len) as usize];
-                let mut prev_req = 0u32;
-                (0..seg.count)
-                    .map(|_| decode_event(&mut buf, r, &mut prev_req).expect("validated at open"))
-                    .collect()
-            })
-            .collect();
-        Trace { meta: self.meta.clone(), events }
-    }
 }
 
 impl fmt::Debug for StreamedTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamedTrace")
-            .field("meta", &self.meta)
+            .field("meta", &self.layout.meta)
             .field("events", &self.num_events())
             .field("bytes", &self.data.len())
             .finish()
@@ -591,6 +245,10 @@ impl RankCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CollKind, EventKind};
+    use crate::ids::ReqId;
+    use crate::io::encode;
+    use crate::time::Time;
 
     fn sample() -> Trace {
         let meta = TraceMeta {
@@ -631,44 +289,30 @@ mod tests {
         t
     }
 
-    #[test]
-    fn varint_round_trip() {
-        let mut buf = Vec::new();
-        let vals = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
-        for &v in &vals {
-            put_varint(&mut buf, v);
-        }
-        let mut rd: &[u8] = &buf;
-        for &v in &vals {
-            assert_eq!(get_varint(&mut rd).unwrap(), v);
-        }
-        assert!(rd.is_empty());
-
-        let mut buf = Vec::new();
-        let signed = [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN];
-        for &v in &signed {
-            put_signed(&mut buf, v);
-        }
-        let mut rd: &[u8] = &buf;
-        for &v in &signed {
-            assert_eq!(get_signed(&mut rd).unwrap(), v);
-        }
+    /// Every rank's events, taken through its cursor.
+    fn walk(st: &StreamedTrace) -> Vec<Vec<Event>> {
+        let cursor = |r| {
+            let mut c = st.cursor(Rank(r));
+            (0..c.len()).map(|k| c.take(k).expect("in range")).collect()
+        };
+        (0..st.num_ranks()).map(cursor).collect()
     }
 
     #[test]
     fn stream_round_trip_is_bit_identical() {
         let t = sample();
-        let bytes = encode_stream(&t);
+        let bytes = encode(&t);
+        assert_eq!(crate::io::decode(&bytes).as_ref(), Ok(&t));
         let st = StreamedTrace::from_bytes(bytes).expect("open");
         assert_eq!(st.num_ranks(), 2);
         assert_eq!(st.num_events(), 10);
-        assert_eq!(st.decode_all(), t);
+        assert_eq!(walk(&st), t.events);
     }
 
     #[test]
     fn cursor_matches_indexed_access() {
         let t = sample();
-        let st = StreamedTrace::from_bytes(encode_stream(&t)).expect("open");
+        let st = StreamedTrace::from_bytes(encode(&t)).expect("open");
         for r in 0..2u32 {
             let mut c = st.cursor(Rank(r));
             assert_eq!(c.len(), t.events[r as usize].len());
@@ -688,7 +332,7 @@ mod tests {
     #[test]
     fn cursor_take_walks_the_stream_by_value() {
         let t = sample();
-        let st = StreamedTrace::from_bytes(encode_stream(&t)).expect("open");
+        let st = StreamedTrace::from_bytes(encode(&t)).expect("open");
         for r in 0..2u32 {
             let mut c = st.cursor(Rank(r));
             for (k, want) in t.events[r as usize].iter().enumerate() {
@@ -701,7 +345,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected_everywhere() {
-        let bytes = encode_stream(&sample());
+        let bytes = encode(&sample());
         for cut in 0..bytes.len() {
             assert!(
                 StreamedTrace::from_bytes(bytes[..cut].to_vec()).is_err(),
@@ -712,13 +356,13 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_rejected() {
-        let mut b = encode_stream(&sample());
+        let mut b = encode(&sample());
         b[0] = b'X';
         assert!(matches!(
             StreamedTrace::from_bytes(b),
             Err(StreamError::Decode(DecodeError::BadMagic))
         ));
-        let mut b = encode_stream(&sample());
+        let mut b = encode(&sample());
         b[4] = 9;
         assert!(matches!(
             StreamedTrace::from_bytes(b),
@@ -727,8 +371,30 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_rejected() {
+        let mut b = encode(&sample());
+        b.push(0);
+        assert!(matches!(
+            StreamedTrace::from_bytes(b),
+            Err(StreamError::Decode(DecodeError::TrailingBytes(1)))
+        ));
+    }
+
+    #[test]
+    fn unknown_tag_rejected() {
+        let t = sample();
+        let mut b = encode(&t);
+        // Rank 0's first tag byte opens the payload, right after the index.
+        b[encode(&Trace::empty(t.meta.clone())).len()] = 250;
+        assert!(matches!(
+            StreamedTrace::from_bytes(b),
+            Err(StreamError::Decode(DecodeError::BadTag(250)))
+        ));
+    }
+
+    #[test]
     fn corrupt_payload_rejected_at_open() {
-        let good = encode_stream(&sample());
+        let good = encode(&sample());
         // Flip every payload byte in turn; open must never panic, and
         // either rejects the buffer or yields a decodable (different)
         // trace — silent acceptance of a *shorter* segment is impossible
@@ -752,15 +418,7 @@ mod tests {
         let path = dir.join("sample.mass");
         write_stream(&t, &path).expect("write");
         let st = StreamedTrace::open(&path).expect("open");
-        assert_eq!(st.decode_all(), t);
+        assert_eq!((st.meta(), walk(&st)), (&t.meta, t.events));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compactness_beats_fixed_width() {
-        let t = sample();
-        let streamed = encode_stream(&t).len();
-        let fixed = crate::io::encode(&t).len();
-        assert!(streamed < fixed, "streamed {streamed}B >= fixed {fixed}B");
     }
 }

@@ -1,4 +1,5 @@
-//! Parser for the line-oriented text trace format ([`crate::io::to_text`]).
+//! The line-oriented text trace format: [`to_text`] renders it and
+//! [`from_text`] parses it back.
 //!
 //! The text form exists for human inspection and for small hand-written
 //! traces in docs and tests; the binary format in [`crate::io`] is the
@@ -92,7 +93,47 @@ fn parse_coll_kind(line: usize, s: &str) -> Result<CollKind, ParseError> {
         .ok_or_else(|| err(line, format!("unknown collective '{s}'")))
 }
 
-/// Parse the text format produced by [`crate::io::to_text`].
+/// Render a trace in the line-oriented text form (one event per line),
+/// mirroring `dumpi2ascii` output. Intended for debugging and examples,
+/// not as an interchange format.
+pub fn to_text(trace: &Trace) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let m = &trace.meta;
+    let _ = writeln!(
+        out,
+        "# masim trace: app={} machine={} ranks={} rpn={} size={} seed={}",
+        m.app, m.machine, m.ranks, m.ranks_per_node, m.problem_size, m.seed
+    );
+    for (r, stream) in trace.events.iter().enumerate() {
+        for e in stream {
+            let _ = write!(out, "r{r} {} ", e.dur);
+            let _ = match &e.kind {
+                EventKind::Compute => writeln!(out, "compute"),
+                EventKind::Send { peer, bytes, tag } => {
+                    writeln!(out, "send -> {peer} {bytes}B tag={tag}")
+                }
+                EventKind::Isend { peer, bytes, tag, req } => {
+                    writeln!(out, "isend -> {peer} {bytes}B tag={tag} {req}")
+                }
+                EventKind::Recv { peer, bytes, tag } => {
+                    writeln!(out, "recv <- {peer} {bytes}B tag={tag}")
+                }
+                EventKind::Irecv { peer, bytes, tag, req } => {
+                    writeln!(out, "irecv <- {peer} {bytes}B tag={tag} {req}")
+                }
+                EventKind::Wait { req } => writeln!(out, "wait {req}"),
+                EventKind::WaitAll { reqs } => writeln!(out, "waitall x{}", reqs.len()),
+                EventKind::Coll { kind, bytes, root } => {
+                    writeln!(out, "coll {kind} {bytes}B root={root}")
+                }
+            };
+        }
+    }
+    out
+}
+
+/// Parse the text format produced by [`to_text`].
 ///
 /// The per-rank `WaitAll` line records only the request *count*
 /// (`waitall x3`); the parser reconstructs the request ids as the most
@@ -220,7 +261,6 @@ pub fn from_text(text: &str) -> Result<Trace, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::to_text;
     use crate::trace::RankBuilder;
 
     fn sample() -> Trace {
@@ -256,6 +296,17 @@ mod tests {
         let text = to_text(&t);
         let back = from_text(&text).expect("parse");
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn text_rendering_mentions_all_events() {
+        let mut t = sample();
+        t.events[0].push(Event::new(EventKind::WaitAll { reqs: vec![] }, Time::ZERO));
+        let txt = to_text(&t);
+        for needle in ["compute", "isend", "irecv", "waitall", "wait", "Allreduce", "# masim trace"]
+        {
+            assert!(txt.contains(needle), "missing {needle} in text dump:\n{txt}");
+        }
     }
 
     #[test]

@@ -78,41 +78,15 @@ impl CorpusEntry {
     }
 
     /// Generate this entry's trace, recording `workloads.corpus.*`
-    /// counters (traces generated, events and encoded bytes emitted)
-    /// into `ms`.
+    /// counters (traces generated, events emitted) into `ms`.
     pub fn generate_observed(&self, ms: &MetricSet) -> Trace {
         let span = ms.span("workloads.corpus.generate");
         let trace = self.generate();
         span.stop();
         ms.add("workloads.corpus.traces", 1);
         ms.add("workloads.corpus.events", trace.num_events() as u64);
-        ms.add("workloads.corpus.bytes", encoded_size(&trace) as u64);
         trace
     }
-}
-
-/// Serialized size of a trace without materializing the encoding:
-/// mirrors the binary format's per-event layout.
-fn encoded_size(trace: &Trace) -> usize {
-    use masim_trace::EventKind;
-    let mut n = 4 + 4; // magic + version
-    n += 4 + trace.meta.app.len() + 4 + trace.meta.machine.len();
-    n += 4 * 3 + 8; // ranks, rpn, size, seed
-    for stream in &trace.events {
-        n += 8; // stream length
-        for e in stream {
-            n += 9; // tag + duration
-            n += match &e.kind {
-                EventKind::Compute => 0,
-                EventKind::Send { .. } | EventKind::Recv { .. } => 16,
-                EventKind::Isend { .. } | EventKind::Irecv { .. } => 20,
-                EventKind::Wait { .. } => 4,
-                EventKind::WaitAll { reqs } => 4 + 4 * reqs.len(),
-                EventKind::Coll { .. } => 13,
-            };
-        }
-    }
-    n
 }
 
 /// Machine scalars used when stamping measured durations (matching the
@@ -381,14 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_matches_real_encoding() {
-        let entries = build_corpus(7);
-        let e = entries.iter().find(|e| e.cfg.ranks <= 128).unwrap();
-        let t = e.generate();
-        assert_eq!(encoded_size(&t), masim_trace::io::encode(&t).len());
-    }
-
-    #[test]
     fn generate_observed_counts_match() {
         let entries = build_corpus(7);
         let e = entries.iter().find(|e| e.cfg.ranks <= 128).unwrap();
@@ -398,7 +364,6 @@ mod tests {
         let snap = ms.snapshot();
         assert_eq!(snap.counters["workloads.corpus.traces"], 1);
         assert_eq!(snap.counters["workloads.corpus.events"], t.num_events() as u64);
-        assert!(snap.counters["workloads.corpus.bytes"] > 0);
         assert_eq!(snap.spans["workloads.corpus.generate"].count, 1);
     }
 

@@ -16,7 +16,10 @@ use masim_sim::{
     simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult,
 };
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
-use masim_trace::{io, Event, EventKind, Rank, Time, Trace, TraceError, TraceMeta};
+use masim_trace::io::{self, DecodeError};
+use masim_trace::{
+    Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError, TraceMeta,
+};
 use masim_workloads::{
     corrupt_bytes, corrupt_trace, generate, App, ByteFault, GenConfig, TraceFault, TRACE_FAULTS,
 };
@@ -365,6 +368,203 @@ fn decode_fuzz_survives_byte_corruption() {
             !matches!(outcome, Err(ToolFailure::Panicked { .. })),
             "seed {seed}: decode of flipped buffer panicked"
         );
+    }
+}
+
+// ---- hostile MASS shapes -------------------------------------------------
+//
+// Each shape below must be a typed `DecodeError` from both readers of the
+// binary format, `io::decode` and `StreamedTrace::from_bytes`: no panic and
+// no allocation sized by a count the buffer cannot back. The shapes edit
+// real encoder output, so they know only the layout documented in
+// `masim_trace::io`: header, then one 24-byte (offset, length, count) index
+// entry per rank, then the per-rank segments.
+
+/// Both readers reject `bytes` with the same typed error, which is returned.
+fn mass_rejected(bytes: &[u8]) -> DecodeError {
+    let err = io::decode(bytes).expect_err("hostile bytes must not decode");
+    let opened = StreamedTrace::from_bytes(bytes.to_vec()).map(|_| ());
+    assert_eq!(opened, Err(StreamError::Decode(err.clone())));
+    err
+}
+
+/// A two-rank trace: rank 0 runs just `kind`, taking no time, so its
+/// segment starts `[tag, 0, …]`; rank 1 runs one 1 ps compute gap.
+fn mass_pair(kind: EventKind) -> Trace {
+    let mut t = Trace::empty(meta(2));
+    t.events[0] = vec![Event::new(kind, Time::ZERO)];
+    t.events[1] = vec![Event::compute(Time::from_ps(1))];
+    t
+}
+
+/// Where `t`'s segment index starts: the header is what an event-free
+/// trace of the same meta encodes to, minus that trace's index.
+fn mass_index_at(t: &Trace) -> usize {
+    io::encode(&Trace::empty(t.meta.clone())).len() - 24 * t.events.len()
+}
+
+/// `t`'s bytes with `rank`'s index field `k` (0 offset, 1 length, 2 event
+/// count) overwritten by `v`.
+fn mass_with_index(t: &Trace, rank: usize, k: usize, v: u64) -> Vec<u8> {
+    let mut bytes = io::encode(t);
+    let at = mass_index_at(t) + 24 * rank + 8 * k;
+    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    bytes
+}
+
+/// `t`'s bytes with rank 0's segment edited by `edit`, the index re-laid
+/// so the segments still tile the payload.
+fn mass_with_segment(t: &Trace, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let bytes = io::encode(t);
+    let index_at = mass_index_at(t);
+    let payload_at = index_at + 24 * t.events.len();
+    let len0 = u64::from_le_bytes(bytes[index_at + 8..index_at + 16].try_into().unwrap());
+    let mut seg0 = bytes[payload_at..payload_at + len0 as usize].to_vec();
+    edit(&mut seg0);
+    let mut out = mass_with_index(t, 0, 1, seg0.len() as u64);
+    for r in 1..t.events.len() {
+        let at = index_at + 24 * r;
+        let off = u64::from_le_bytes(out[at..at + 8].try_into().unwrap());
+        out[at..at + 8].copy_from_slice(&(off - len0 + seg0.len() as u64).to_le_bytes());
+    }
+    out.splice(payload_at..payload_at + len0 as usize, seg0);
+    out
+}
+
+#[test]
+fn mass_out_of_order_or_overlapping_segments_rejected() {
+    let t = mass_pair(EventKind::Compute);
+    let order = DecodeError::Truncated { context: "segment order" };
+    // Both segments are two bytes (tag, duration), so rank 1 starts at 2:
+    // overlap rank 0, leave a gap, or put rank 0 after rank 1.
+    for (rank, off) in [(1, 0), (1, 1), (1, 3), (0, 2)] {
+        let bytes = mass_with_index(&t, rank, 0, off);
+        assert_eq!(mass_rejected(&bytes), order, "rank {rank} at {off}");
+    }
+}
+
+#[test]
+fn mass_segment_lengths_past_the_payload_rejected() {
+    let t = mass_pair(EventKind::Compute);
+    assert_eq!(
+        mass_rejected(&mass_with_index(&t, 1, 1, 3)),
+        DecodeError::Truncated { context: "segment payload" }
+    );
+    assert_eq!(
+        mass_rejected(&mass_with_index(&t, 1, 1, u64::MAX)),
+        DecodeError::Truncated { context: "segment span" }
+    );
+}
+
+#[test]
+fn mass_huge_event_counts_rejected() {
+    let t = mass_pair(EventKind::Compute);
+    for rank in 0..2 {
+        assert_eq!(
+            mass_rejected(&mass_with_index(&t, rank, 2, u64::MAX)),
+            DecodeError::Truncated { context: "event tag" },
+            "rank {rank}"
+        );
+    }
+}
+
+#[test]
+fn mass_rank_count_the_index_cannot_back_rejected() {
+    let t = mass_pair(EventKind::Compute);
+    let mut bytes = io::encode(&t);
+    // `ranks` is the first of the three u32s that end the header, before
+    // the u64 seed.
+    let at = mass_index_at(&t) - 20;
+    for ranks in [bytes.len() as u32 / 24 + 1, u32::MAX] {
+        bytes[at..at + 4].copy_from_slice(&ranks.to_le_bytes());
+        assert_eq!(
+            mass_rejected(&bytes),
+            DecodeError::Truncated { context: "segment index" },
+            "ranks {ranks}"
+        );
+    }
+}
+
+#[test]
+fn mass_overlong_varints_rejected() {
+    // Rank 0's compute duration as a 10-byte varint carrying a 65th bit,
+    // and as an 11-byte one.
+    let ten = [[0xff; 9].as_slice(), &[0x02]].concat();
+    let eleven = [[0x80; 10].as_slice(), &[0x00]].concat();
+    for varint in [ten, eleven] {
+        let bytes = mass_with_segment(&mass_pair(EventKind::Compute), |seg| {
+            seg.splice(1.., varint.iter().copied());
+        });
+        assert!(matches!(mass_rejected(&bytes), DecodeError::BadTag(_)), "{varint:x?}");
+    }
+}
+
+#[test]
+fn mass_unknown_event_and_collective_tags_rejected() {
+    let compute = mass_pair(EventKind::Compute);
+    let coll = mass_pair(EventKind::Coll {
+        kind: masim_trace::CollKind::Barrier,
+        bytes: 0,
+        root: Rank(0),
+    });
+    for byte in 8..=u8::MAX {
+        let bytes = mass_with_segment(&compute, |seg| seg[0] = byte);
+        assert_eq!(mass_rejected(&bytes), DecodeError::BadTag(byte));
+    }
+    // The collective kind is the byte after the tag and the duration.
+    let kinds = masim_trace::CollKind::ALL.len() as u8;
+    for byte in kinds..=u8::MAX {
+        let bytes = mass_with_segment(&coll, |seg| seg[2] = byte);
+        assert_eq!(mass_rejected(&bytes), DecodeError::BadTag(byte));
+    }
+}
+
+#[test]
+fn mass_every_truncation_of_a_multi_rank_trace_rejected() {
+    let bytes = io::encode(&generate(&GenConfig::test_default(App::Mg, 8)));
+    for cut in 0..bytes.len() {
+        mass_rejected(&bytes[..cut]);
+    }
+}
+
+/// A peer or root naming no rank, or zero ranks per node, would reach the
+/// simulator's mapping as an out-of-bounds index; it is refused at open.
+#[test]
+fn mass_ranks_outside_the_world_rejected() {
+    let out = |field, value| DecodeError::OutOfRange { field, value };
+    let peer = Rank(5);
+    let (bytes, tag, req) = (8, 0, masim_trace::ReqId(0));
+    for kind in [
+        EventKind::Send { peer, bytes, tag },
+        EventKind::Isend { peer, bytes, tag, req },
+        EventKind::Recv { peer, bytes, tag },
+        EventKind::Irecv { peer, bytes, tag, req },
+    ] {
+        assert_eq!(mass_rejected(&io::encode(&mass_pair(kind))), out("peer", 5));
+    }
+    let root = EventKind::Coll { kind: masim_trace::CollKind::Bcast, bytes, root: Rank(2) };
+    assert_eq!(mass_rejected(&io::encode(&mass_pair(root))), out("root", 2));
+    let mut t = mass_pair(EventKind::Compute);
+    t.meta.ranks_per_node = 0;
+    assert_eq!(mass_rejected(&io::encode(&t)), out("ranks_per_node", 0));
+}
+
+/// A message tag or collective root varint wider than its `u32` field is
+/// refused, not truncated into a different, valid value.
+#[test]
+fn mass_u32_fields_wider_than_32_bits_rejected() {
+    let out = |field, value| DecodeError::OutOfRange { field, value };
+    // LEB128 of 2^32, whose low 32 bits are the valid value 0.
+    let wide = [0x80u8, 0x80, 0x80, 0x80, 0x10];
+    let send = mass_pair(EventKind::Send { peer: Rank(1), bytes: 0, tag: 0 });
+    let coll =
+        mass_pair(EventKind::Coll { kind: masim_trace::CollKind::Bcast, bytes: 0, root: Rank(0) });
+    // Both segments are `[tag, duration, peer delta | kind, bytes, tag | root]`.
+    for (t, field) in [(send, "tag"), (coll, "root")] {
+        let bytes = mass_with_segment(&t, |seg| {
+            seg.splice(4.., wide);
+        });
+        assert_eq!(mass_rejected(&bytes), out(field, 1 << 32));
     }
 }
 

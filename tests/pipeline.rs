@@ -203,7 +203,7 @@ fn end_to_end_determinism() {
 #[test]
 fn matching_order_is_pinned_on_every_run_path() {
     use masim_sim::{run, SimLimits};
-    use masim_trace::{encode_stream, Rank, RankBuilder, StreamedTrace, Trace, TraceMeta};
+    use masim_trace::{Rank, RankBuilder, StreamedTrace, Trace, TraceMeta};
     let us = Time::from_us;
     let meta = TraceMeta {
         app: "match".into(),
@@ -240,7 +240,7 @@ fn matching_order_is_pinned_on_every_run_path() {
     }
     trace.events[1] = rx.finish();
     trace.validate().expect("hand-built trace is well formed");
-    let stream = StreamedTrace::from_bytes(encode_stream(&trace)).unwrap();
+    let stream = StreamedTrace::from_bytes(io::encode(&trace)).unwrap();
 
     // Picoseconds, [rank 0, rank 1], from the two-hash-map mailbox at 81ae6e2.
     let pinned: [[u64; 2]; 3] =
@@ -273,8 +273,7 @@ fn cg64_two_per_node(seed: u64) -> masim_trace::Trace {
 fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
     use masim_sim::{run, SimLimits, SimResult};
     let trace = cg64_two_per_node(99);
-    let stream =
-        masim_trace::StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
+    let stream = masim_trace::StreamedTrace::from_bytes(io::encode(&trace)).unwrap();
     let cfg = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
     let mem = simulate(&trace, &cfg);
     assert!(mem.events > 0 && mem.work_units > 0, "no packet work");
@@ -308,8 +307,7 @@ fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
 fn budget_trips_identically_from_memory_and_stream() {
     use masim_sim::{run, SimError, SimLimits};
     let trace = cg64_two_per_node(7);
-    let stream =
-        masim_trace::StreamedTrace::from_bytes(masim_trace::encode_stream(&trace)).unwrap();
+    let stream = masim_trace::StreamedTrace::from_bytes(io::encode(&trace)).unwrap();
     let cfg = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
     let err =
         run(&trace, &cfg, SimLimits::budget(10_000), None).expect_err("tiny budget must trip");

@@ -205,7 +205,7 @@ fn mfact_sweep_matches_golden() {
         let trace = e.generate();
         let net = masim_topo::Machine::by_name(&e.cfg.machine).expect("known machine").net;
         let memory = render_mfact(&stem, &trace, net);
-        let bytes = masim_trace::encode_stream(&trace);
+        let bytes = masim_trace::io::encode(&trace);
         let stream = masim_trace::StreamedTrace::from_bytes(bytes).expect("round-trip");
         assert_eq!(memory, render_mfact(&stem, &stream, net), "{stem}: streamed ≠ in-memory");
         rendered.push_str(&memory);
