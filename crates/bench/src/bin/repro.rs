@@ -19,7 +19,7 @@
 //! bit-identical at any thread count, but the timing reports (Figure 1,
 //! Table II) should be measured with `--threads 1` — see DESIGN.md §9.
 //!
-//! With `--metrics <dir>`, every trace×tool run also writes a JSON+CSV
+//! With `--metrics <dir>`, every trace×tool run also writes a JSON
 //! observability sidecar (counters, gauges, wall-clock spans) under
 //! `<dir>`, and the run ends by folding them into a top-level
 //! `BENCH_obs.json` of per-tool wall-clock and throughput aggregates.
@@ -46,7 +46,7 @@ use masim_core::{
 };
 use masim_obs::json::Value;
 use masim_obs::run::parse_json;
-use masim_obs::{HistData, MetricSet, RunMetrics};
+use masim_obs::{HistData, MetricSet, RunMetrics, TraceLog};
 use masim_serve::{Bind, Server, ServerOptions, Target};
 use std::collections::BTreeMap;
 use std::fs;
@@ -138,10 +138,9 @@ fn make_dir(what: &str, dir: &Path) -> Result<(), String> {
 
 /// `--trace <dir>`: create the directory and install the timeline log,
 /// before any work runs so every layer's trace call sites see it.
-fn install_trace(dir: &Path) -> Result<(), String> {
+fn install_trace(dir: &Path) -> Result<&'static TraceLog, String> {
     make_dir("create trace dir", dir)?;
-    masim_obs::tracelog::install(masim_obs::tracelog::DEFAULT_LANE_CAPACITY);
-    Ok(())
+    Ok(masim_obs::tracelog::install(masim_obs::tracelog::DEFAULT_LANE_CAPACITY))
 }
 
 fn parse_args(argv: &[String]) -> Result<Options, String> {
@@ -228,9 +227,10 @@ fn run() -> Result<(), String> {
     if let Some(dir) = &opts.metrics {
         make_dir("create metrics dir", dir)?;
     }
-    if let Some(dir) = &opts.trace {
-        install_trace(dir)?;
-    }
+    let trace = match &opts.trace {
+        Some(dir) => Some((dir, install_trace(dir)?)),
+        None => None,
+    };
     if opts.summarize && opts.reports.is_empty() {
         return fold_sidecars(opts.metrics.as_deref().unwrap_or(Path::new("reports/metrics")));
     }
@@ -337,8 +337,8 @@ fn run() -> Result<(), String> {
     } else if opts.summarize {
         fold_sidecars(Path::new("reports/metrics"))?;
     }
-    if let Some(dir) = &opts.trace {
-        write_trace(dir)?;
+    if let Some((dir, tl)) = trace {
+        write_trace(dir, tl)?;
     }
     Ok(())
 }
@@ -541,9 +541,10 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     if binds.is_empty() {
         return Err("serve: need --socket <path> and/or --tcp <addr>".into());
     }
-    if let Some(dir) = &trace {
-        install_trace(dir)?;
-    }
+    let trace = match &trace {
+        Some(dir) => Some((dir, install_trace(dir)?)),
+        None => None,
+    };
     let server = Server::new(ServerOptions { threads, cache_dir });
     let descr: Vec<String> = binds
         .iter()
@@ -555,8 +556,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     eprintln!("serve: listening on {} ({threads} thread(s))", descr.join(", "));
     server.serve(&binds).map_err(|e| format!("serve: {e}"))?;
     eprintln!("serve: shut down");
-    if let Some(dir) = &trace {
-        write_trace(dir)?;
+    if let Some((dir, tl)) = trace {
+        write_trace(dir, tl)?;
     }
     Ok(())
 }
@@ -649,24 +650,13 @@ fn ctl_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--trace`: export the installed timeline log as `trace.json` (Chrome
-/// Trace Event Format, one Perfetto track per study worker) and
-/// `trace.folded` (flamegraph folded stacks).
-fn write_trace(dir: &Path) -> Result<(), String> {
-    let tl = masim_obs::tracelog::current().expect("install_trace ran when --trace was parsed");
-    let json_path = dir.join("trace.json");
-    fs::write(&json_path, tl.to_chrome_json())
-        .map_err(|e| format!("write {}: {e}", json_path.display()))?;
-    let folded_path = dir.join("trace.folded");
-    fs::write(&folded_path, tl.to_folded())
-        .map_err(|e| format!("write {}: {e}", folded_path.display()))?;
-    eprintln!(
-        "wrote {} ({} event(s), {} dropped) and {}",
-        json_path.display(),
-        tl.len(),
-        tl.dropped(),
-        folded_path.display()
-    );
+/// `--trace`: export the timeline log [`install_trace`] returned as
+/// `trace.json` (Chrome Trace Event Format, one Perfetto track per study
+/// worker).
+fn write_trace(dir: &Path, tl: &TraceLog) -> Result<(), String> {
+    let path = dir.join("trace.json");
+    fs::write(&path, tl.to_chrome_json()).map_err(|e| format!("write {}: {e}", path.display()))?;
+    eprintln!("wrote {} ({} event(s), {} dropped)", path.display(), tl.len(), tl.dropped());
     Ok(())
 }
 
@@ -725,19 +715,14 @@ fn run_session(
     }
 }
 
-/// Write one JSON + one CSV sidecar per tool run; returns the number of files written.
+/// Write one `<stem>_<tool>.json` sidecar per tool run; returns the number of files written.
 fn write_sidecars(dir: &Path, stem: &str, runs: &[RunMetrics]) -> Result<usize, String> {
-    let mut written = 0;
     for rm in runs {
         let tool = rm.labels().get("tool").cloned().unwrap_or_else(|| "run".into());
-        for ext in ["json", "csv"] {
-            let path = dir.join(format!("{stem}_{tool}.{ext}"));
-            let res = if ext == "json" { rm.write_json(&path) } else { rm.write_csv(&path) };
-            res.map_err(|e| format!("write sidecar {}: {e}", path.display()))?;
-            written += 1;
-        }
+        let path = dir.join(format!("{stem}_{tool}.json"));
+        rm.write_json(&path).map_err(|e| format!("write sidecar {}: {e}", path.display()))?;
     }
-    Ok(written)
+    Ok(runs.len())
 }
 
 /// `bench-summary`: fold every JSON sidecar in `dir` into

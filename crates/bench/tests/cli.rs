@@ -4,7 +4,7 @@
 //! interrupt + `--resume`.
 
 use masim_obs::json::{self, Value};
-use masim_obs::run::{mask_floats, parse_csv, parse_json, RunMetricsData};
+use masim_obs::run::{mask_floats, parse_json, RunMetricsData};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -33,19 +33,19 @@ fn tiny_table2(test: &str, args: &[&str]) -> PathBuf {
     cwd
 }
 
-/// Every sidecar under `dir`, JSON and CSV, keyed by file name and
-/// reduced to what two runs must agree on. `study_runner.*` is the
-/// pool's telemetry of one invocation (workers, steals, entries run).
+/// Every sidecar under `dir` — all JSON, one per run — keyed by file
+/// name and reduced to what two runs must agree on. `study_runner.json`
+/// is the pool's telemetry of one invocation (workers, steals, entries run).
 fn sidecars(dir: &Path) -> BTreeMap<String, RunMetricsData> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("sidecar dir") {
         let name = entry.unwrap().file_name().into_string().unwrap();
-        if name.starts_with("study_runner.") {
+        assert!(name.ends_with(".json"), "{name}: sidecars are JSON only");
+        if name == "study_runner.json" {
             continue;
         }
         let text = std::fs::read_to_string(dir.join(&name)).unwrap();
-        let parsed = if name.ends_with(".csv") { parse_csv(&text) } else { parse_json(&text) };
-        let data = parsed.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let data = parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         let snapshot = data.snapshot.deterministic();
         out.insert(name, RunMetricsData { labels: data.labels, snapshot });
     }
@@ -122,8 +122,8 @@ fn sidecars_and_table_agree_across_threads() {
     let t4 = tiny_table2("det_t4", &["--metrics", "d", "--threads", "4"]);
 
     let reference = sidecars(&t1.join("d"));
-    // 3 apps × (4 tools + the corpus stage) × (json + csv).
-    assert!(reference.len() >= 30, "{:?}", reference.keys());
+    // 3 apps × (4 tools + the corpus stage).
+    assert!(reference.len() >= 15, "{:?}", reference.keys());
     assert_eq!(reference, sidecars(&t4.join("d")));
     assert_eq!(masked_table2(&t1), masked_table2(&t4));
     bench_obs(&t1); // the end-of-run fold parses
@@ -199,7 +199,9 @@ fn traced_run_exports_a_valid_timeline_and_folds_percentiles() {
     let phases = ["generate", "tool/mfact", "tool/packet", "tool/flow", "tool/packet-flow"];
     let seen = phases.iter().filter(|p| names.contains(&format!("study.{p}"))).count();
     assert!(seen >= 4, "only {seen} of the study phases in {names:?}");
-    assert!(std::fs::metadata(run.join("t/trace.folded")).expect("trace.folded").len() > 0);
+    let exported: Vec<_> =
+        std::fs::read_dir(run.join("t")).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(exported, ["trace.json"], "trace.json is the one timeline export");
 
     let obs = bench_obs(&run).to_json();
     for key in ["\"dist\"", "\"sim_dt_ps\"", "\"msg_bytes\"", "\"p99\""] {

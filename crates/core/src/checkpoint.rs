@@ -332,6 +332,10 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
     field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' is not a u64"))
 }
 
+fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(u64_field(v, key)?).map_err(|_| format!("field '{key}' does not fit a u32"))
+}
+
 fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
     field(v, key)?.as_f64().ok_or_else(|| format!("field '{key}' is not a number"))
 }
@@ -356,8 +360,8 @@ fn failure_from(v: &Value) -> Result<ToolFailure, String> {
             deadline: Duration::from_nanos(u64_field(v, "deadline_ns")?),
         },
         "deadlock" => ToolFailure::Deadlock {
-            finished: u64_field(v, "finished")? as u32,
-            total: u64_field(v, "total")? as u32,
+            finished: u32_field(v, "finished")?,
+            total: u32_field(v, "total")?,
         },
         "overflow" => ToolFailure::ClockOverflow {
             now_ps: u64_field(v, "now_ps")?,
@@ -608,6 +612,27 @@ mod tests {
         fs::write(&path, corrupt).unwrap();
         let err = Checkpoint::resume(&dir, &cfg, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { line: 2, .. }), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A deadlock count past `u32::MAX` is corruption, not a silently
+    /// truncated number on resume.
+    #[test]
+    fn deadlock_counts_wider_than_u32_are_corrupt() {
+        let dir = scratch("u32");
+        let cfg = StudyConfig::default();
+        let entries = build_corpus(cfg.seed);
+        let t = synthetic_study(&entries[2]);
+        let good = encode_record(2, &t).to_json();
+        let wide = good.replacen("\"finished\":3", "\"finished\":4294967296", 1);
+        assert_ne!(wide, good);
+        let journal = format!("{}\n{wide}\n{good}\n", header_value(&cfg, entries.len()).to_json());
+        fs::write(dir.join(CHECKPOINT_FILE), journal).unwrap();
+        let err = Checkpoint::resume(&dir, &cfg, &entries).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Corrupt { line: 2, reason } if reason.contains("finished")),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,8 @@
 //!   count/sum/min/max per deterministic span name;
 //! * a bounded ring-buffer [`TraceLog`] of timeline records behind
 //!   `trace_span!`/`trace_instant!`, exported to Chrome Trace Event
-//!   Format (Perfetto) and folded stacks (flamegraphs);
-//! * a [`RunMetrics`] sink serialized to JSON and CSV sidecars under
+//!   Format (Perfetto);
+//! * a [`RunMetrics`] sink serialized to one JSON sidecar per run under
 //!   `reports/metrics/` (hand-rolled writer and parser, no serde);
 //! * a rate-limited [`Progress`] reporter for long corpus runs.
 //!

@@ -1,9 +1,8 @@
 //! Run-level metrics sink.
 //!
 //! A [`RunMetrics`] bundles a [`MetricSet`] with identifying labels
-//! (trace name, tool, seed, …) and serializes the whole thing to a JSON
-//! or CSV sidecar under `reports/metrics/`. The JSON schema is flat and
-//! stable:
+//! (trace name, tool, seed, …) and serializes the whole thing to one
+//! JSON sidecar under `reports/metrics/`. The schema is flat and stable:
 //!
 //! ```json
 //! {"labels":{"tool":"mfact"},
@@ -26,7 +25,6 @@
 //! only in `BENCH_obs.json`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -72,62 +70,8 @@ impl RunMetrics {
         snapshot_to_json(&self.labels, &self.set.snapshot())
     }
 
-    /// CSV with one row per metric:
-    /// `kind,name,value,count,sum_ns,min_ns,max_ns`.
-    ///
-    /// Histograms take two row shapes: a `hist` summary row (count, sum,
-    /// min, max in the span columns) plus one `histb` row per non-empty
-    /// bucket (`value` = bucket index, `count` = bucket population).
-    pub fn to_csv(&self) -> String {
-        let snap = self.set.snapshot();
-        let mut out = String::from("kind,name,value,count,sum_ns,min_ns,max_ns\n");
-        for (k, v) in &self.labels {
-            let _ = writeln!(out, "label,{},{},,,,", csv_field(k), csv_field(v));
-        }
-        for (k, v) in &snap.counters {
-            let _ = writeln!(out, "counter,{},{},,,,", csv_field(k), v);
-        }
-        for (k, v) in &snap.gauges {
-            let _ = writeln!(out, "gauge,{},{},,,,", csv_field(k), v);
-        }
-        for (k, h) in &snap.hists {
-            let _ =
-                writeln!(out, "hist,{},,{},{},{},{}", csv_field(k), h.count(), h.sum, h.min, h.max);
-            for (b, n) in h.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
-                let _ = writeln!(out, "histb,{},{},{},,,", csv_field(k), b, n);
-            }
-        }
-        for (k, s) in &snap.spans {
-            let _ = writeln!(
-                out,
-                "span,{},,{},{},{},{}",
-                csv_field(k),
-                s.count,
-                s.sum_ns,
-                s.min_ns,
-                s.max_ns
-            );
-        }
-        out
-    }
-
     pub fn write_json(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-}
-
-// A field is quoted when it contains a separator, a quote, or either
-// newline byte — '\r' matters because the reader tolerates (and strips)
-// bare CRs between fields, so an unquoted CR would not round-trip.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 
@@ -265,104 +209,6 @@ pub fn parse_json(text: &str) -> Result<RunMetricsData, ParseError> {
     Ok(data)
 }
 
-/// Parse a sidecar produced by [`RunMetrics::to_csv`] back into labels
-/// and a snapshot (quoted fields, embedded separators/newlines, and the
-/// two-row histogram shape all round-trip).
-pub fn parse_csv(text: &str) -> Result<RunMetricsData, ParseError> {
-    let bad = |message: String| ParseError { offset: 0, message };
-    let mut data = RunMetricsData::default();
-    let uint =
-        |s: &str, what: &str| s.parse::<u64>().map_err(|_| bad(format!("{what} not a u64: {s:?}")));
-    for (i, row) in csv_rows(text).into_iter().enumerate() {
-        if i == 0 {
-            continue; // header
-        }
-        if row.len() != 7 {
-            return Err(bad(format!("row {i} has {} fields, expected 7", row.len())));
-        }
-        let (kind, name, value) = (row[0].as_str(), row[1].clone(), row[2].as_str());
-        match kind {
-            "label" => {
-                data.labels.insert(name, value.to_string());
-            }
-            "counter" => {
-                data.snapshot.counters.insert(name, uint(value, "counter value")?);
-            }
-            "gauge" => {
-                data.snapshot.gauges.insert(name, uint(value, "gauge value")?);
-            }
-            "span" => {
-                data.snapshot.spans.insert(
-                    name,
-                    SpanStats {
-                        count: uint(&row[3], "span count")?,
-                        sum_ns: uint(&row[4], "span sum")?,
-                        min_ns: uint(&row[5], "span min")?,
-                        max_ns: uint(&row[6], "span max")?,
-                    },
-                );
-            }
-            "hist" => {
-                let h = data.snapshot.hists.entry(name).or_default();
-                h.sum = uint(&row[4], "hist sum")?;
-                h.min = uint(&row[5], "hist min")?;
-                h.max = uint(&row[6], "hist max")?;
-            }
-            "histb" => {
-                let idx = uint(value, "hist bucket index")? as usize;
-                if idx >= crate::hist::NUM_BUCKETS {
-                    return Err(bad(format!("hist bucket index {idx} out of range")));
-                }
-                data.snapshot.hists.entry(name).or_default().buckets[idx] =
-                    uint(&row[3], "hist bucket count")?;
-            }
-            other => return Err(bad(format!("unknown row kind {other:?}"))),
-        }
-    }
-    Ok(data)
-}
-
-/// Minimal CSV reader: comma-separated, `"`-quoted fields with doubled
-/// quotes, quoted fields may span lines. Bare CRs between fields are
-/// stripped (CRLF tolerance), which is why the writer quotes them.
-fn csv_rows(text: &str) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    field.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push(c);
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => row.push(std::mem::take(&mut field)),
-                '\n' => {
-                    row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
-                }
-                '\r' => {}
-                c => field.push(c),
-            }
-        }
-    }
-    if !field.is_empty() || !row.is_empty() {
-        row.push(field);
-        rows.push(row);
-    }
-    rows
-}
-
 impl Snapshot {
     /// What two runs of the same study must agree on: every span keeps
     /// its `count` and loses its host wall-clock `sum_ns`/`min_ns`/
@@ -422,19 +268,24 @@ mod tests {
         assert_eq!(data.labels["tool"], "mfact");
         assert_eq!(data.labels["trace"], "cg_64");
         assert_eq!(data.snapshot, rm.set().snapshot());
-    }
 
-    #[test]
-    fn csv_has_all_rows() {
-        let rm = RunMetrics::new().label("tool", "flow");
-        rm.set().add("n", 3);
-        rm.set().record_span("p", 10);
-        let csv = rm.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "kind,name,value,count,sum_ns,min_ns,max_ns");
-        assert!(lines.iter().any(|l| l.starts_with("label,tool,flow")));
-        assert!(lines.iter().any(|l| l.starts_with("counter,n,3")));
-        assert!(lines.iter().any(|l| l.starts_with("span,p,,1,10,10,10")));
+        // Hostile inputs: labels and metric names with separators,
+        // quotes, LF and CR, plus a histogram and a span.
+        let rm = RunMetrics::new()
+            .label("app", "name,with,commas")
+            .label("quote", "she said \"hi\"")
+            .label("multi", "line one\nline two")
+            .label("cr", "carriage\rreturn")
+            .label("plain", "ok");
+        rm.set().add("weird,counter", 7);
+        rm.set().record_span("span \"q\"", 42);
+        rm.set().hist_record("dist,name", 9);
+        rm.set().hist_record("dist,name", 300);
+        let data = parse_json(&rm.to_json()).unwrap();
+        assert_eq!(&data.labels, rm.labels());
+        assert_eq!(data.snapshot, rm.set().snapshot());
+        let h = &data.snapshot.hists["dist,name"];
+        assert_eq!((h.count(), h.sum, h.min, h.max), (2, 309, 9, 300));
     }
 
     #[test]
@@ -455,33 +306,6 @@ mod tests {
         let h = &data.snapshot.hists["sim.msg.bytes"];
         assert_eq!(h.count(), 4);
         assert_eq!(h.max, 64);
-    }
-
-    /// Satellite: labels and metric names containing separators, quotes,
-    /// CRs, and newlines survive a CSV write → parse round trip.
-    #[test]
-    fn csv_round_trip_with_hostile_fields() {
-        let rm = RunMetrics::new()
-            .label("app", "name,with,commas")
-            .label("quote", "she said \"hi\"")
-            .label("multi", "line one\nline two")
-            .label("cr", "carriage\rreturn")
-            .label("plain", "ok");
-        rm.set().add("weird,counter", 7);
-        rm.set().record_span("span \"q\"", 42);
-        rm.set().hist_record("dist,name", 9);
-        rm.set().hist_record("dist,name", 300);
-
-        let data = parse_csv(&rm.to_csv()).unwrap();
-        assert_eq!(&data.labels, rm.labels());
-        let snap = rm.set().snapshot();
-        assert_eq!(data.snapshot.counters, snap.counters);
-        assert_eq!(data.snapshot.spans["span \"q\""], snap.spans["span \"q\""]);
-        let h = &data.snapshot.hists["dist,name"];
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum, 309);
-        assert_eq!(h.min, 9);
-        assert_eq!(h.max, 300);
     }
 
     #[test]
@@ -517,11 +341,8 @@ mod tests {
             SpanStats { count: 1, sum_ns: 0, min_ns: 0, max_ns: 0 }
         );
 
-        // Both sidecar formats parse to the same deterministic value.
-        let (json, csv) = (parse_json(&rm.to_json()).unwrap(), parse_csv(&rm.to_csv()).unwrap());
-        assert_eq!(json.labels, csv.labels);
-        assert_eq!(json.snapshot.deterministic(), all);
-        assert_eq!(csv.snapshot.deterministic(), all);
+        // The sidecar parses back to the same deterministic value.
+        assert_eq!(parse_json(&rm.to_json()).unwrap().snapshot.deterministic(), all);
     }
 
     #[test]
@@ -530,12 +351,5 @@ mod tests {
         assert_eq!(mask_floats("wall 1.5"), "wall #.#");
         assert_eq!(mask_floats("ranks 1024"), "ranks 1024");
         assert_eq!(mask_floats(""), "");
-    }
-
-    #[test]
-    fn parse_csv_rejects_malformed() {
-        assert!(parse_csv("kind,name,value,count,sum_ns,min_ns,max_ns\nbogus,a,b,,,,").is_err());
-        assert!(parse_csv("kind,name,value,count,sum_ns,min_ns,max_ns\ncounter,x,NaN,,,,").is_err());
-        assert!(parse_csv("kind,name,value,count,sum_ns,min_ns,max_ns\nlabel,only,three").is_err());
     }
 }

@@ -14,11 +14,9 @@
 //! log is installed (`repro` without `--trace`) the macros cost one
 //! atomic load and a predicted branch.
 //!
-//! Exports:
-//! * [`TraceLog::to_chrome_json`] — Chrome Trace Event Format (the JSON
-//!   loaded by Perfetto / `chrome://tracing`), one track per worker.
-//! * [`TraceLog::to_folded`] — folded-stack lines (`a;b;c self_ns`) for
-//!   flamegraph tooling.
+//! The one export is [`TraceLog::to_chrome_json`]: Chrome Trace Event
+//! Format (the JSON loaded by Perfetto / `chrome://tracing`), one track
+//! per worker.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,34 +301,6 @@ impl TraceLog {
         ])
         .to_json()
     }
-
-    /// Export folded-stack lines (`worker0;study;tool/packet 12345`) with
-    /// self-time weights in ns, for `flamegraph.pl`-style tooling. Lines
-    /// are sorted (BTreeMap order) so output is stable.
-    pub fn to_folded(&self) -> String {
-        let events = self.collect();
-        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        let mut workers: Vec<u16> = events.iter().map(|e| e.worker).collect();
-        workers.sort_unstable();
-        workers.dedup();
-        for w in workers {
-            let spans: Vec<&TraceEvent> =
-                events.iter().filter(|e| e.worker == w && e.kind == TraceKind::Span).collect();
-            for (path, self_ns) in fold_spans(&spans) {
-                let names: Vec<String> = path.iter().map(|id| self.name(*id)).collect();
-                let key = format!("worker{w};{}", names.join(";"));
-                *folded.entry(key).or_default() += self_ns;
-            }
-        }
-        let mut out = String::new();
-        for (k, v) in folded {
-            out.push_str(&k);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Resolve span records into a properly nested (name, start, end)
@@ -364,42 +334,6 @@ fn nest_spans(spans: &[&TraceEvent]) -> Vec<(u16, u64, u64)> {
     }
     while let Some(top) = stack.pop() {
         out.push(top);
-    }
-    out
-}
-
-/// Compute (stack-path, self-time) pairs for one worker's spans.
-fn fold_spans(spans: &[&TraceEvent]) -> Vec<(Vec<u16>, u64)> {
-    let mut sorted: Vec<(u64, u64, u16)> =
-        spans.iter().map(|e| (e.start_ns, e.start_ns.saturating_add(e.dur_ns), e.name)).collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    struct Open {
-        start: u64,
-        end: u64,
-        child_ns: u64,
-        path: Vec<u16>,
-    }
-    let mut out = Vec::new();
-    let mut stack: Vec<Open> = Vec::new();
-    let pop = |stack: &mut Vec<Open>, out: &mut Vec<(Vec<u16>, u64)>| {
-        let top = stack.pop().expect("pop on empty span stack");
-        let dur = top.end.saturating_sub(top.start);
-        out.push((top.path.clone(), dur.saturating_sub(top.child_ns)));
-        if let Some(parent) = stack.last_mut() {
-            parent.child_ns += dur;
-        }
-    };
-    for (start, end, name) in sorted {
-        while stack.last().is_some_and(|t| t.end <= start) {
-            pop(&mut stack, &mut out);
-        }
-        let end = stack.last().map_or(end, |t| end.min(t.end));
-        let mut path = stack.last().map(|t| t.path.clone()).unwrap_or_default();
-        path.push(name);
-        stack.push(Open { start, end, child_ns: 0, path });
-    }
-    while !stack.is_empty() {
-        pop(&mut stack, &mut out);
     }
     out
 }
@@ -524,20 +458,6 @@ mod tests {
         assert_eq!(depth, 0, "unbalanced B/E pairs");
         assert_eq!(begins, 3);
         assert_eq!(ends, 3);
-    }
-
-    #[test]
-    fn folded_stacks_attribute_self_time() {
-        let tl = TraceLog::new(1024);
-        tl.set_worker(0);
-        let outer = tl.intern("outer");
-        let inner = tl.intern("inner");
-        tl.record(TraceKind::Span, outer, 0, 100, 0);
-        tl.record(TraceKind::Span, inner, 20, 30, 0);
-        let folded = tl.to_folded();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert!(lines.contains(&"worker0;outer 70"), "folded: {folded}");
-        assert!(lines.contains(&"worker0;outer;inner 30"), "folded: {folded}");
     }
 
     #[test]

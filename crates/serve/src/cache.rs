@@ -4,7 +4,7 @@
 //! hash, code version)` — the session's [`fingerprint`] plus a hash of
 //! the crate version and the cache format revision. Because every
 //! simulator in the workspace is deterministic in exactly those inputs,
-//! a key hit can replay the stored report and sidecar **bytes**
+//! a key hit can replay the stored report and JSON sidecar **bytes**
 //! verbatim: the response is bit-identical to re-running the study,
 //! minus the hours. Any output-affecting change must move one of the
 //! three components — specs move the first two; code changes are
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 /// Bump on any change to simulator output or to this file format: it
 /// feeds the code-version hash, so old entries stop matching.
-pub const CACHE_FORMAT: u64 = 2;
+pub const CACHE_FORMAT: u64 = 3;
 
 /// The three-part content address of one study result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,15 +64,13 @@ pub fn code_version() -> u64 {
     h
 }
 
-/// One stored sidecar: the exact JSON and CSV bytes the run produced.
+/// One stored sidecar: the exact JSON bytes the run produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedSidecar {
     /// File stem + tool (`table2_CMC16_packet`).
     pub name: String,
     /// The sidecar's JSON body, byte-exact.
     pub json: String,
-    /// The sidecar's CSV body, byte-exact.
-    pub csv: String,
 }
 
 /// A completed study's replayable response.
@@ -109,7 +107,6 @@ impl CachedStudy {
                             Value::Obj(vec![
                                 ("name".into(), Value::Str(s.name.clone())),
                                 ("json".into(), Value::Str(s.json.clone())),
-                                ("csv".into(), Value::Str(s.csv.clone())),
                             ])
                         })
                         .collect(),
@@ -148,7 +145,7 @@ impl CachedStudy {
                     .ok_or_else(|| bad(format!("cache sidecar missing string '{field}'")))?
                     .to_string())
             };
-            sidecars.push(CachedSidecar { name: f("name")?, json: f("json")?, csv: f("csv")? });
+            sidecars.push(CachedSidecar { name: f("name")?, json: f("json")? });
         }
         Ok(CachedStudy {
             report_name: s("report_name")?,
@@ -230,15 +227,10 @@ mod tests {
             report_name: "table2.txt".into(),
             report: "Table II: ...\n  CMC(16) 0.1\n".into(),
             sidecars: vec![
-                CachedSidecar {
-                    name: "table2_CMC16_packet".into(),
-                    json: "{}".into(),
-                    csv: "a,b\n\"quoted,comma\",2\n".into(),
-                },
+                CachedSidecar { name: "table2_CMC16_packet".into(), json: "{}".into() },
                 CachedSidecar {
                     name: "table2_CMC16_flow".into(),
-                    json: "{\"x\":1}".into(),
-                    csv: "".into(),
+                    json: "{\"x\":\"quoted,comma\\n\"}".into(),
                 },
             ],
             wall_ns: 123_456_789,

@@ -2,15 +2,18 @@
 //!
 //! [`submit`] drives one study over the wire and materializes the
 //! response frames as the same on-disk layout the one-shot CLI writes:
-//! `out/<report>`, `out/metrics/<name>.{json,csv}`, plus an
+//! `out/<report>`, `out/metrics/<name>.json`, plus an
 //! `out/response.json` summary (session id, cache disposition, entries
 //! executed, server wall time) for scripted callers — the CI
-//! cache-effectiveness check reads exactly that file.
+//! cache-effectiveness check reads exactly that file. Names come from
+//! the socket, so each must be one plain file-name component; anything
+//! else is a typed error and nothing is written.
 
 use crate::protocol::{read_frame, write_frame, Request, ServeError};
 use masim_core::session::SessionSpec;
 use masim_obs::json::Value;
 use masim_obs::Progress;
+use std::ffi::OsStr;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -106,6 +109,17 @@ fn str_field(v: &Value, field: &str) -> Result<String, ServeError> {
         .ok_or_else(|| remote(format!("frame missing string '{field}'")))
 }
 
+/// A file name from the socket, accepted only as exactly one plain path
+/// component: an empty name, `.`, `..`, an absolute path or anything
+/// with a separator would let `Path::join` write outside `out_dir`.
+fn name_field(v: &Value) -> Result<String, ServeError> {
+    let name = str_field(v, "name")?;
+    if Path::new(&name).file_name() != Some(OsStr::new(&name)) {
+        return Err(remote(format!("frame name {name:?} is not a plain file name")));
+    }
+    Ok(name)
+}
+
 fn u64_field(v: &Value, field: &str) -> Result<u64, ServeError> {
     v.get(field)
         .and_then(Value::as_u64)
@@ -149,12 +163,11 @@ pub fn submit(
                 }
             }
             Some("sidecar") => {
-                let name = str_field(&v, "name")?;
+                let name = name_field(&v)?;
                 std::fs::write(metrics_dir.join(format!("{name}.json")), str_field(&v, "json")?)?;
-                std::fs::write(metrics_dir.join(format!("{name}.csv")), str_field(&v, "csv")?)?;
             }
             Some("report") => {
-                report_name = str_field(&v, "name")?;
+                report_name = name_field(&v)?;
                 std::fs::write(out_dir.join(&report_name), str_field(&v, "text")?)?;
             }
             Some("done") => {
@@ -211,4 +224,108 @@ pub fn cancel(target: &Target, session: &str) -> Result<Value, ServeError> {
 /// Ask the daemon to exit; returns its acknowledgement frame.
 pub fn shutdown(target: &Target) -> Result<Value, ServeError> {
     roundtrip(target, &Request::Shutdown)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masim_core::session::StudyKind;
+    use std::os::unix::net::UnixListener;
+
+    fn frame(kind: &str, fields: Vec<(&str, Value)>) -> Value {
+        let mut all = vec![("frame".to_string(), Value::Str(kind.to_string()))];
+        all.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Value::Obj(all)
+    }
+
+    /// Every file and directory under `dir`, relative, sorted.
+    fn tree(dir: &Path) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for e in std::fs::read_dir(&d).unwrap() {
+                let p = e.unwrap().path();
+                out.push(p.strip_prefix(dir).unwrap().display().to_string());
+                if p.is_dir() {
+                    todo.push(p);
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// A fake daemon streams `accepted`, one frame whose `name` tries to
+    /// leave `out`, then `done`. The client must stop at that frame with
+    /// a typed error, having written no file anywhere.
+    #[test]
+    fn names_from_the_socket_stay_inside_out() {
+        let base = std::env::temp_dir().join(format!("masim-confine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let absolute = base.join("abs").display().to_string();
+        let cases = [
+            ("report", "../escape.txt"),
+            ("report", "sub/report.txt"),
+            ("sidecar", "../escape"),
+            ("sidecar", absolute.as_str()),
+            ("sidecar", ".."),
+            ("sidecar", ""),
+        ];
+        for (i, (kind, name)) in cases.into_iter().enumerate() {
+            let dir = base.join(format!("case{i}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let sock = dir.join("sock");
+            let listener = UnixListener::bind(&sock).unwrap();
+            let hostile = match kind {
+                "sidecar" => frame(
+                    "sidecar",
+                    vec![("name", Value::Str(name.into())), ("json", Value::Str("{}".into()))],
+                ),
+                _ => frame(
+                    "report",
+                    vec![("name", Value::Str(name.into())), ("text", Value::Str("x".into()))],
+                ),
+            };
+            let frames = vec![
+                frame(
+                    "accepted",
+                    vec![
+                        ("session", Value::Str("s1".into())),
+                        ("cache", Value::Str("miss".into())),
+                        ("total", Value::UInt(1)),
+                    ],
+                ),
+                hostile,
+                frame(
+                    "done",
+                    vec![
+                        ("cache", Value::Str("miss".into())),
+                        ("ran", Value::UInt(1)),
+                        ("wall_ns", Value::UInt(1)),
+                    ],
+                ),
+            ];
+            let daemon = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                read_frame(&mut s).unwrap();
+                for f in &frames {
+                    if write_frame(&mut s, f).is_err() {
+                        break;
+                    }
+                }
+            });
+
+            let spec = SessionSpec { kind: StudyKind::Table2 { tiny: true }, seed: 7 };
+            let err = submit(&Target::Unix(sock), spec, &dir.join("out"), true).unwrap_err();
+            daemon.join().unwrap();
+            assert!(
+                matches!(&err, ServeError::Remote { kind, message }
+                    if kind == "protocol" && message.contains(&format!("{name:?}"))),
+                "{kind} {name:?}: {err:?}"
+            );
+            assert_eq!(tree(&dir), ["out", "out/metrics", "sock"], "{kind} {name:?}");
+            assert!(!Path::new(&format!("{absolute}.json")).exists());
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
 }

@@ -288,11 +288,7 @@ impl Server {
                 for rm in &observed.sidecars {
                     let tool =
                         rm.labels().get("tool").cloned().unwrap_or_else(|| "run".to_string());
-                    let sc = CachedSidecar {
-                        name: format!("{stem}_{tool}"),
-                        json: rm.to_json(),
-                        csv: rm.to_csv(),
-                    };
+                    let sc = CachedSidecar { name: format!("{stem}_{tool}"), json: rm.to_json() };
                     write_frame(stream, &sidecar_frame(&sc))?;
                     sidecars.push(sc);
                 }
@@ -486,7 +482,6 @@ fn sidecar_frame(sc: &CachedSidecar) -> Value {
         vec![
             ("name".into(), Value::Str(sc.name.clone())),
             ("json".into(), Value::Str(sc.json.clone())),
-            ("csv".into(), Value::Str(sc.csv.clone())),
         ],
     )
 }

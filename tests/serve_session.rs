@@ -95,23 +95,23 @@ fn socket_submission_matches_in_process_run_and_caches() {
     let served = std::fs::read_to_string(out1.join("study.csv")).expect("served report");
     assert_eq!(normalize_study_csv(&served), normalize_study_csv(&reference.report()));
 
-    // One JSON + one CSV sidecar per tool stage per entry, named by the
-    // CLI's stems; each served JSON carries the reference's labels and
-    // its exact metrics.
+    // One JSON sidecar per tool stage per entry, named by the CLI's
+    // stems; each carries the reference's labels and its exact metrics.
     let names: Vec<String> = std::fs::read_dir(out1.join("metrics"))
         .expect("metrics dir")
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
-    assert_eq!(names.len(), INDICES.len() * 5 * 2, "sidecar files: {names:?}");
+    assert_eq!(names.len(), INDICES.len() * 5, "sidecar files: {names:?}");
+    assert!(names.iter().all(|n| n.ends_with(".json")), "{names:?}");
     assert!(names.iter().any(|n| n == "trace003_packet.json"), "{names:?}");
-    assert!(names.iter().any(|n| n == "trace040_flow.csv"), "{names:?}");
+    assert!(names.iter().any(|n| n == "trace040_flow.json"), "{names:?}");
     for (name, rm) in &reference_sc {
         let text = std::fs::read_to_string(out1.join("metrics").join(name)).expect(name);
         let served = parse_json(&text).expect(name);
         assert_eq!(&served.labels, rm.labels(), "{name}");
         assert_eq!(served.snapshot.deterministic(), rm.set().snapshot().deterministic(), "{name}");
     }
-    assert_eq!(reference_sc.len() * 2, names.len());
+    assert_eq!(reference_sc.len(), names.len());
 
     // --- second submission: identical spec, served from the cache ---
     let out2 = root.join("out2");
