@@ -123,7 +123,9 @@ impl ToolFailure {
                 delay_ps: overflow.delay.as_ps(),
             },
             SimError::InvalidConfig { reason } => ToolFailure::InvalidConfig { reason },
-            SimError::UnknownRequest { .. } | SimError::OversizedMessage { .. } => {
+            SimError::UnknownRequest { .. }
+            | SimError::OversizedMessage { .. }
+            | SimError::CollectiveTagOverflow { .. } => {
                 ToolFailure::InvalidConfig { reason: e.to_string() }
             }
             SimError::RouteArenaExhausted { .. } | SimError::MemoryBudget { .. } => {

@@ -159,18 +159,18 @@ fn deliver(
     true
 }
 
-/// One collective ordinal in progress. Its buffers are reused by later
-/// ordinals once it completes.
+/// The collective in progress. A rank parked at a collective is not
+/// woken until the collective completes, so every rank has arrived at
+/// the current collective before any reaches the next: one group, its
+/// buffers reused by every ordinal.
+#[derive(Default)]
 struct CollGroup {
-    ord: usize,
     arrived: u32,
     /// Per-rank arrival clocks (rank-major, config-minor), filled as
     /// ranks arrive.
     arrivals: Vec<Time>,
     /// Per-rank payload (differs for Alltoallv).
     bytes: Vec<u64>,
-    /// Ranks that arrived before the last one.
-    blocked: Vec<u32>,
 }
 
 /// Event source the replay loop runs over: either the fully
@@ -300,20 +300,22 @@ fn replay_core<S: EvSrc>(
     let mut reqs: Vec<Vec<(u32, ReqState)>> = vec![Vec::new(); n];
     let mut slab = Slab { k, rows: Vec::new(), free: Vec::new() };
     let mut cursors = vec![0usize; n];
-    let mut coll_seen = vec![0usize; n];
-    // Collectives in progress (one, unless a rank was woken past an
-    // unfinished one) and completed groups kept for their buffers.
-    let mut colls: Vec<CollGroup> = Vec::new();
-    let mut spare: Vec<CollGroup> = Vec::new();
+    // Sized by the first collective.
+    let mut coll = CollGroup::default();
 
     let mut ready: VecDeque<u32> = (0..n as u32).collect();
     let mut in_ready = vec![true; n];
     let mut finished = vec![false; n];
+    // Ranks parked at the collective in progress.
+    let mut parked = vec![false; n];
 
-    // Wake a rank blocked on a channel or collective.
+    // Wake a rank blocked on a channel. A rank parked at a collective
+    // stays parked: a send matching one of its earlier receives only
+    // fills the request, which the rank reads after the collective. A
+    // self-send fills the running rank's own receive and wakes nothing.
     macro_rules! wake {
         ($r:expr) => {
-            if !in_ready[$r as usize] {
+            if !in_ready[$r as usize] && !parked[$r as usize] {
                 in_ready[$r as usize] = true;
                 ready.push_back($r);
             }
@@ -363,7 +365,7 @@ fn replay_core<S: EvSrc>(
                         clocks[base + i] += c.total();
                         avail[i] = clocks[base + i];
                     }
-                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) {
+                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) && peer.0 != r {
                         wake!(peer.0);
                     }
                 }
@@ -386,7 +388,7 @@ fn replay_core<S: EvSrc>(
                         avail[i] = start + c.latency + c.bandwidth;
                     }
                     rank_reqs.push((req.0, ReqState::SendDone));
-                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) {
+                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) && peer.0 != r {
                         wake!(peer.0);
                     }
                 }
@@ -464,48 +466,33 @@ fn replay_core<S: EvSrc>(
                     }
                 }
                 EventKind::Coll { kind, bytes, .. } => {
-                    let ord = coll_seen[r as usize];
-                    coll_seen[r as usize] += 1;
-                    let g = match colls.iter().position(|g| g.ord == ord) {
-                        Some(g) => g,
-                        None => {
-                            let mut group = spare.pop().unwrap_or_else(|| CollGroup {
-                                ord,
-                                arrived: 0,
-                                arrivals: vec![Time::ZERO; n * k],
-                                bytes: vec![0; n],
-                                blocked: Vec::new(),
-                            });
-                            // Every rank overwrites its arrival and
-                            // payload before the group completes.
-                            group.ord = ord;
-                            group.arrived = 0;
-                            colls.push(group);
-                            colls.len() - 1
-                        }
-                    };
-                    let group = &mut colls[g];
-                    group.arrived += 1;
-                    group.bytes[r as usize] = *bytes;
-                    group.arrivals[base..base + k].copy_from_slice(&clocks[base..base + k]);
-                    if group.arrived < n as u32 {
-                        group.blocked.push(r);
+                    if coll.arrivals.is_empty() {
+                        coll.arrivals = vec![Time::ZERO; n * k];
+                        coll.bytes = vec![0; n];
+                    }
+                    // Every rank overwrites its arrival and payload
+                    // before the group completes.
+                    coll.arrived += 1;
+                    coll.bytes[r as usize] = *bytes;
+                    coll.arrivals[base..base + k].copy_from_slice(&clocks[base..base + k]);
+                    if coll.arrived < n as u32 {
+                        parked[r as usize] = true;
                         cursors[r as usize] += 1; // resume *after* the collective
                         blocked = true;
                         break 'advance;
                     }
                     // Everyone is here: complete the collective.
-                    let mut group = colls.swap_remove(g);
+                    coll.arrived = 0;
                     for (i, cfg) in configs.iter().enumerate() {
                         let max_arrival =
-                            (0..n).map(|rr| group.arrivals[rr * k + i]).max().unwrap_or(Time::ZERO);
+                            (0..n).map(|rr| coll.arrivals[rr * k + i]).max().unwrap_or(Time::ZERO);
                         // The cost is pure in the payload: a run of equal
                         // payloads reuses the last one.
                         let mut last: Option<(u64, CommCost)> = None;
                         for rr in 0..n {
-                            let arr = group.arrivals[rr * k + i];
+                            let arr = coll.arrivals[rr * k + i];
                             counters[i].wait += max_arrival - arr;
-                            let b = group.bytes[rr];
+                            let b = coll.bytes[rr];
                             let cost = match last {
                                 Some((lb, cost)) if lb == b => cost,
                                 _ => collective(&cfg.net, *kind, b, n as u32),
@@ -518,10 +505,12 @@ fn replay_core<S: EvSrc>(
                         }
                     }
                     // Wake the other n-1 participants.
-                    for wr in group.blocked.drain(..) {
-                        wake!(wr);
+                    for rr in 0..n {
+                        if parked[rr] {
+                            parked[rr] = false;
+                            wake!(rr as u32);
+                        }
                     }
-                    spare.push(group);
                     // This rank continues past the collective.
                 }
             }
@@ -556,6 +545,7 @@ fn replay_core<S: EvSrc>(
 mod tests {
     use super::*;
     use masim_trace::{CollKind, Event, Rank, RankBuilder, StreamedTrace, TraceMeta};
+    use std::collections::HashMap;
 
     fn meta(ranks: u32) -> TraceMeta {
         TraceMeta {
@@ -911,6 +901,238 @@ mod tests {
             let opened = StreamedTrace::from_bytes(masim_trace::io::encode(&t));
             let field = DecodeError::OutOfRange { field: "peer", value: peer.into() };
             assert_eq!(opened.unwrap_err(), StreamError::Decode(field));
+        }
+    }
+
+    /// The logical-clock recurrence evaluated from its definition,
+    /// recursively and memoized: `clock(r, i)` is rank `r`'s clock after
+    /// its first `i` events. Matching is static — the j-th receive rank
+    /// `d` posts from `(s, tag)` takes the j-th send `s` issues to `d`
+    /// with that tag — and a collective ends at its last arrival plus
+    /// the rank's own cost.
+    struct Recurrence<'t> {
+        t: &'t Trace,
+        cfg: ModelConfig,
+        /// (rank, receive-posting event) → (sender, send event).
+        matched: HashMap<(usize, usize), (usize, usize)>,
+        /// Per rank, the event indices of its collectives in order.
+        colls: Vec<Vec<usize>>,
+        memo: HashMap<(usize, usize), Time>,
+    }
+
+    impl Recurrence<'_> {
+        fn clock(&mut self, r: usize, i: usize) -> Time {
+            if i == 0 {
+                return Time::ZERO;
+            }
+            if let Some(&c) = self.memo.get(&(r, i)) {
+                return c;
+            }
+            let (t, net, prev) = (self.t, self.cfg.net, self.clock(r, i - 1));
+            let e = &t.events[r][i - 1];
+            let c = match &e.kind {
+                EventKind::Compute => prev + e.dur.scale(self.cfg.compute_scale),
+                EventKind::Send { bytes, .. } => prev + p2p(&net, *bytes).total(),
+                EventKind::Isend { bytes, .. } => prev + p2p(&net, *bytes).latency / 4,
+                EventKind::Irecv { .. } => prev,
+                EventKind::Recv { .. } => prev.max(self.avail(self.matched[&(r, i - 1)])),
+                EventKind::Wait { req } => self.waited(r, i - 1, &[*req], prev),
+                EventKind::WaitAll { reqs } => self.waited(r, i - 1, reqs, prev),
+                EventKind::Coll { kind, bytes, .. } => {
+                    let o = self.colls[r].iter().position(|&j| j == i - 1).unwrap();
+                    let arrivals: Vec<(usize, usize)> =
+                        self.colls.iter().enumerate().map(|(q, js)| (q, js[o])).collect();
+                    let last = arrivals.into_iter().map(|(q, j)| self.clock(q, j)).max().unwrap();
+                    last + collective(&net, *kind, *bytes, t.num_ranks()).total()
+                }
+            };
+            self.memo.insert((r, i), c);
+            c
+        }
+
+        /// When send event `j` of rank `s` makes its message available.
+        fn avail(&mut self, (s, j): (usize, usize)) -> Time {
+            match &self.t.events[s][j].kind {
+                EventKind::Isend { bytes, .. } => {
+                    self.clock(s, j) + p2p(&self.cfg.net, *bytes).total()
+                }
+                _ => self.clock(s, j + 1),
+            }
+        }
+
+        /// A wait at event `at` on `reqs`: the latest of `prev` and each
+        /// receive request's availability (its most recent issue).
+        fn waited(&mut self, r: usize, at: usize, reqs: &[ReqId], prev: Time) -> Time {
+            let mut c = prev;
+            for req in reqs {
+                let issued = (0..at).rev().find(|&j| match self.t.events[r][j].kind {
+                    EventKind::Isend { req: q, .. } | EventKind::Irecv { req: q, .. } => q == *req,
+                    _ => false,
+                });
+                if let Some(&send) = issued.and_then(|j| self.matched.get(&(r, j))) {
+                    c = c.max(self.avail(send));
+                }
+            }
+            c
+        }
+    }
+
+    /// Per-rank final clocks of `t` under `cfg`, by the recurrence.
+    fn recurrence(t: &Trace, cfg: ModelConfig) -> Vec<Time> {
+        let mut sends: HashMap<(usize, u32, u32), VecDeque<usize>> = HashMap::new();
+        for (s, evs) in t.events.iter().enumerate() {
+            for (j, e) in evs.iter().enumerate() {
+                if let EventKind::Send { peer, tag, .. } | EventKind::Isend { peer, tag, .. } =
+                    e.kind
+                {
+                    sends.entry((s, peer.0, tag)).or_default().push_back(j);
+                }
+            }
+        }
+        let mut rec = Recurrence {
+            t,
+            cfg,
+            matched: HashMap::new(),
+            colls: vec![Vec::new(); t.events.len()],
+            memo: HashMap::new(),
+        };
+        for (d, evs) in t.events.iter().enumerate() {
+            for (i, e) in evs.iter().enumerate() {
+                match e.kind {
+                    EventKind::Recv { peer, tag, .. } | EventKind::Irecv { peer, tag, .. } => {
+                        let j = sends.get_mut(&(peer.idx(), d as u32, tag)).unwrap().pop_front();
+                        rec.matched.insert((d, i), (peer.idx(), j.unwrap()));
+                    }
+                    EventKind::Coll { .. } => rec.colls[d].push(i),
+                    _ => {}
+                }
+            }
+        }
+        (0..t.events.len()).map(|r| rec.clock(r, t.events[r].len())).collect()
+    }
+
+    /// The replay's per-rank clocks equal the recurrence's, bit for bit,
+    /// under every configuration of the standard sweep.
+    fn assert_matches_recurrence(t: &Trace, what: &str) {
+        t.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let cfgs = ModelConfig::standard_sweep(net());
+        for (res, cfg) in replay(t, &cfgs).iter().zip(&cfgs) {
+            let want: Vec<u64> = recurrence(t, *cfg).iter().map(|c| c.as_ps()).collect();
+            let got: Vec<u64> = res.per_rank.iter().map(|c| c.as_ps()).collect();
+            assert_eq!(got, want, "{what}: {cfg:?}");
+        }
+    }
+
+    /// Shapes in which a rank parked at a collective has an earlier
+    /// receive matched while it waits there. The first is the three-rank
+    /// case: rank 1's send matches rank 0's irecv while rank 0 is parked
+    /// at the barrier.
+    fn hostile_shapes() -> Vec<Trace> {
+        let b = |r| RankBuilder::new(Rank(r));
+        let mut shapes = Vec::new();
+        let (mut r0, mut r1, mut r2) = (b(0), b(1), b(2));
+        let rq = r0.irecv(Rank(1), 720, 0, Time::ZERO);
+        r0.barrier(Time::ZERO).wait(rq, Time::ZERO).compute(Time::from_us(5));
+        r1.send(Rank(0), 720, 0, Time::ZERO).recv(Rank(2), 720, 0, Time::ZERO).barrier(Time::ZERO);
+        r2.compute(Time::from_us(10)).send(Rank(1), 720, 0, Time::ZERO).barrier(Time::ZERO);
+        shapes.push([r0, r1, r2]);
+        // An isend completes the early receive; the parked rank then
+        // meets two collectives back to back and a wait-all.
+        let (mut r0, mut r1, mut r2) = (b(0), b(1), b(2));
+        r0.irecv(Rank(1), 50_000, 3, Time::ZERO);
+        r0.coll(CollKind::Allreduce, 4096, Rank(0), Time::ZERO).barrier(Time::ZERO);
+        r0.wait_all(Time::ZERO).compute(Time::from_us(7));
+        let sq = r1.isend(Rank(0), 50_000, 3, Time::ZERO);
+        r1.recv(Rank(2), 8, 1, Time::ZERO).coll(CollKind::Allreduce, 4096, Rank(0), Time::ZERO);
+        r1.wait(sq, Time::ZERO).barrier(Time::ZERO);
+        r2.compute(Time::from_us(20)).send(Rank(1), 8, 1, Time::ZERO);
+        r2.coll(CollKind::Allreduce, 4096, Rank(0), Time::ZERO).barrier(Time::ZERO);
+        shapes.push([r0, r1, r2]);
+        // A self-send matches the running rank's own irecv just before
+        // it parks at the first of two collectives, which rank 1 reaches
+        // only after a receive from rank 2.
+        let (mut r0, mut r1, mut r2) = (b(0), b(1), b(2));
+        let rq = r0.irecv(Rank(0), 720, 5, Time::ZERO);
+        r0.send(Rank(0), 720, 5, Time::ZERO).barrier(Time::ZERO);
+        r0.coll(CollKind::Allreduce, 4096, Rank(0), Time::ZERO);
+        r0.wait(rq, Time::ZERO).compute(Time::from_us(5));
+        r1.recv(Rank(2), 8, 1, Time::ZERO).barrier(Time::ZERO);
+        r2.compute(Time::from_us(10)).send(Rank(1), 8, 1, Time::ZERO).barrier(Time::ZERO);
+        for rb in [&mut r1, &mut r2] {
+            rb.coll(CollKind::Allreduce, 4096, Rank(0), Time::ZERO);
+        }
+        shapes.push([r0, r1, r2]);
+        shapes
+            .into_iter()
+            .map(|ranks| {
+                let mut t = Trace::empty(meta(3));
+                for (r, rb) in ranks.into_iter().enumerate() {
+                    t.events[r] = rb.finish();
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// A seeded random trace from the synthesizer: blocking pairs,
+    /// receives posted well before their sends and waited on well after,
+    /// and collectives in between. Every wait follows its send in the
+    /// synthesizer's step order, so the trace cannot deadlock.
+    fn synth_trace(seed: u64) -> Trace {
+        use masim_workloads::{App, GenConfig, TraceSynth};
+        let mut rng = masim_rng::Rng::seed_from_u64(seed);
+        let ranks = rng.gen_range_u64(2, 7) as u32;
+        let cfg = GenConfig { seed, ..GenConfig::test_default(App::Ep, ranks) };
+        let mut s = TraceSynth::new(cfg, 1.0);
+        // Posted receives not yet sent to, and sent ones not yet waited.
+        let (mut posted, mut sent) = (Vec::new(), Vec::new());
+        for step in 0..rng.gen_range_u64(4, 40) as u32 {
+            let a = Rank(rng.gen_range_u64(0, ranks as u64) as u32);
+            let b = Rank((a.0 + rng.gen_range_u64(1, ranks as u64) as u32) % ranks);
+            let bytes = rng.gen_range_u64(0, 100_000);
+            match rng.gen_range_u64(0, 6) {
+                0 => s.compute_round(),
+                1 => {
+                    s.send(a, b, bytes, 0);
+                    s.recv(b, a, bytes, 0);
+                }
+                // A unique tag per posted receive keeps matching in step order.
+                2 => posted.push((a, b, bytes, step + 1, s.irecv(b, a, bytes, step + 1))),
+                3 if !posted.is_empty() => {
+                    let (a, b, bytes, tag, req) =
+                        posted.swap_remove(rng.gen_range_usize(0, posted.len()));
+                    if rng.next_f64() < 0.5 {
+                        s.send(a, b, bytes, tag);
+                    } else {
+                        s.isend(a, b, bytes, tag);
+                    }
+                    sent.push((b, req));
+                }
+                4 if !sent.is_empty() => {
+                    let (b, req) = sent.swap_remove(rng.gen_range_usize(0, sent.len()));
+                    s.wait(b, req);
+                }
+                _ => s.coll_all(*rng.choose(&CollKind::ALL), bytes, Rank(0)),
+            }
+        }
+        for (a, b, bytes, tag, _) in posted {
+            s.send(a, b, bytes, tag);
+        }
+        for r in 0..ranks {
+            s.wait_all(Rank(r));
+        }
+        s.finish()
+    }
+
+    /// The replay is its recurrence: on the hostile shapes and on 300
+    /// seeded synthesized traces, every rank's clock is bit-identical.
+    #[test]
+    fn replay_matches_recursive_recurrence() {
+        for (i, t) in hostile_shapes().iter().enumerate() {
+            assert_matches_recurrence(t, &format!("hostile shape {i}"));
+        }
+        for seed in 0..300 {
+            assert_matches_recurrence(&synth_trace(seed), &format!("synth seed {seed}"));
         }
     }
 

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 /// Bump on any change to simulator output or to this file format: it
 /// feeds the code-version hash, so old entries stop matching.
-pub const CACHE_FORMAT: u64 = 3;
+pub const CACHE_FORMAT: u64 = 4;
 
 /// The three-part content address of one study result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -96,6 +96,20 @@ pub enum SimError {
         /// Packets the payload would split into.
         packets: u64,
     },
+    /// A collective's lowered rounds would not fit the tag space that
+    /// keeps them apart from application traffic: more than
+    /// [`crate::lower::MAX_COLL_ROUNDS`] rounds (a pairwise all-to-all
+    /// over more than 2 049 ranks), or a rank's
+    /// [`crate::lower::MAX_COLL_ORDINALS`]-th collective. Checked when
+    /// the rank enters the collective, before it issues a round.
+    CollectiveTagOverflow {
+        /// The rank entering the collective.
+        rank: u32,
+        /// The collective's ordinal on that rank.
+        ordinal: u32,
+        /// Rounds the collective lowers to.
+        rounds: u32,
+    },
     /// Estimated resident memory exceeded the configured budget
     /// ([`crate::SimLimits::max_bytes`]) — the typed replacement for an
     /// allocator abort when a mega-scale run outgrows its container.
@@ -152,6 +166,15 @@ impl fmt::Display for SimError {
                     f,
                     "message of {bytes} bytes splits into {packets} packets, exceeding the u32 \
                      packet sequence space"
+                )
+            }
+            SimError::CollectiveTagOverflow { rank, ordinal, rounds } => {
+                write!(
+                    f,
+                    "rank {rank}'s collective #{ordinal} lowers to {rounds} rounds; lowered \
+                     collective tags number at most {} rounds and {} collectives per rank",
+                    crate::lower::MAX_COLL_ROUNDS,
+                    crate::lower::MAX_COLL_ORDINALS
                 )
             }
             SimError::MemoryBudget { resident, budget } => {

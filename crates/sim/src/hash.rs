@@ -1,9 +1,8 @@
 //! Deterministic integer hashing for hot-path maps.
 //!
-//! The runner's hot-path maps (collective-schedule cache, sparse route
-//! index) are keyed by small integers and are never iterated, so the default
-//! SipHash — a keyed DoS-resistant hash costing tens of nanoseconds per
-//! lookup — buys nothing. This multiplicative hasher is a single
+//! The sparse route index is keyed by small integers and never iterated,
+//! so the default SipHash — a keyed DoS-resistant hash costing tens of
+//! nanoseconds per lookup — buys nothing. This multiplicative hasher is a single
 //! `xor`+`mul` per word, and being unseeded it also keeps map-internal
 //! ordering identical from run to run.
 

@@ -1,9 +1,8 @@
 //! The MPI replay driver: rank processes advancing through trace events
-//! (and lowered collective schedules) on the discrete-event engine.
+//! (and the rounds of lowered collectives) on the discrete-event engine.
 
 use crate::error::SimError;
-use crate::hash::IntMap;
-use crate::lower::{coll_tag, lower, Schedule};
+use crate::lower::{coll_tag, round, rounds, Round, MAX_COLL_ORDINALS, MAX_COLL_ROUNDS};
 use crate::msg::{Message, MsgSlab};
 use crate::net::{
     flow_complete, inject, on_flow_resolve, packet_hop, LinkTable, ModelKind, NetState, Packet,
@@ -13,7 +12,7 @@ use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
 use masim_trace::{
-    Event, EventKind, Mailbox, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource,
+    CollKind, Event, EventKind, Mailbox, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource,
 };
 use std::time::{Duration, Instant};
 
@@ -75,7 +74,10 @@ pub struct SimLimits {
     /// Memory budget: estimated resident bytes of the simulation state
     /// (trace, route arena, link tables, message slab, model state),
     /// checked before the run and then at the same cadence as the work
-    /// budget. Exceeding it is a typed [`SimError::MemoryBudget`] instead of an
+    /// budget. Collective state is O(ranks) and left out of the estimate:
+    /// a rank in a collective holds only its round index, each round is
+    /// computed in place, and no lowered schedule is resident. Exceeding
+    /// the budget is a typed [`SimError::MemoryBudget`] instead of an
     /// allocator abort. `u64::MAX` for unlimited.
     pub max_bytes: u64,
 }
@@ -134,11 +136,14 @@ enum PStatus {
     Done,
 }
 
+/// A rank's place in a collective: its arguments and the next round,
+/// which [`round`] computes when the rank reaches it.
+#[derive(Clone, Copy)]
 struct CollExec {
-    /// Index into [`SimState::coll_scheds`] (schedules are cached and
-    /// shared across identical collective invocations).
-    sched_idx: u32,
-    round: usize,
+    kind: CollKind,
+    bytes: u64,
+    root: Rank,
+    round: u32,
     ordinal: u32,
 }
 
@@ -334,25 +339,6 @@ pub struct SimState<'a> {
     compute_scale: f64,
     messages: u64,
     done: usize,
-    /// Lowered collective schedules, interned by
-    /// `(kind, rank, bytes, root)`: iterative apps re-issue identical
-    /// collectives every iteration, so each unique signature lowers
-    /// once and replays from the cache.
-    coll_scheds: Vec<Schedule>,
-    /// Signature → index into `coll_scheds`.
-    coll_cache: IntMap<(u8, u32, u64, u32), u32>,
-    /// Reusable copy-out buffers for the collective round being
-    /// executed (the cached schedule cannot stay borrowed across
-    /// `send_message`, which needs `&mut self`).
-    scr_recvs: Vec<(Rank, u64)>,
-    scr_sends: Vec<(Rank, u64)>,
-    /// Nanoseconds spent lowering collectives (profiled only when
-    /// telemetry is attached; stays zero — and syscall-free — otherwise).
-    /// With the schedule cache, this times unique lowerings, not every
-    /// collective event.
-    lower_ns: u64,
-    /// Gate for the lowering profile above.
-    profile_lower: bool,
     /// First typed error latched mid-run (e.g. a wait on an unknown
     /// request); reported by [`run`] once the engine stops.
     error: Option<SimError>,
@@ -367,13 +353,8 @@ fn token(rank: Rank, code: u32) -> u64 {
 }
 
 impl<'a> SimState<'a> {
-    /// Validate `cfg` against the trace and build the empty state;
-    /// `profile_lower` (an observed run) times collective lowering.
-    pub(crate) fn new(
-        trace: TraceSource<'a>,
-        cfg: &SimConfig,
-        profile_lower: bool,
-    ) -> Result<SimState<'a>, SimError> {
+    /// Validate `cfg` against the trace and build the empty state.
+    pub(crate) fn new(trace: TraceSource<'a>, cfg: &SimConfig) -> Result<SimState<'a>, SimError> {
         let ranks = trace.num_ranks();
         let n = ranks as usize;
         if cfg.mapping.ranks() != ranks {
@@ -415,12 +396,6 @@ impl<'a> SimState<'a> {
             compute_scale: cfg.compute_scale,
             messages: 0,
             done: 0,
-            coll_scheds: Vec::new(),
-            coll_cache: IntMap::default(),
-            scr_recvs: Vec::new(),
-            scr_sends: Vec::new(),
-            lower_ns: 0,
-            profile_lower,
             error: None,
         })
     }
@@ -584,27 +559,21 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
                 }
             }
             EventKind::Coll { kind, bytes, root } => {
-                let ordinal = st.procs[r.idx()].coll_count;
-                st.procs[r.idx()].coll_count += 1;
-                let key = (*kind as u8, r.0, *bytes, root.0);
-                let sched_idx = match st.coll_cache.get(&key) {
-                    Some(&idx) => idx,
-                    None => {
-                        let sched = if st.profile_lower {
-                            let t0 = Instant::now();
-                            let sched = lower(*kind, r, st.trace.num_ranks(), *bytes, *root);
-                            st.lower_ns += t0.elapsed().as_nanos() as u64;
-                            sched
-                        } else {
-                            lower(*kind, r, st.trace.num_ranks(), *bytes, *root)
-                        };
-                        let idx = st.coll_scheds.len() as u32;
-                        st.coll_scheds.push(sched);
-                        st.coll_cache.insert(key, idx);
-                        idx
-                    }
-                };
-                st.procs[r.idx()].coll = Some(CollExec { sched_idx, round: 0, ordinal });
+                let p = &mut st.procs[r.idx()];
+                let ordinal = p.coll_count;
+                p.coll_count += 1;
+                let n = rounds(*kind, st.trace.num_ranks(), *bytes);
+                if n > MAX_COLL_ROUNDS || (n > 0 && ordinal >= MAX_COLL_ORDINALS) {
+                    // Its rounds' tags would not fit `coll_tag`'s space:
+                    // park the rank for good; `run` reports the latched
+                    // cause.
+                    p.status = PStatus::CollRound;
+                    let e = SimError::CollectiveTagOverflow { rank: r.0, ordinal, rounds: n };
+                    st.latch_error(e);
+                    return;
+                }
+                let c = CollExec { kind: *kind, bytes: *bytes, root: *root, round: 0, ordinal };
+                p.coll = Some(c);
                 // Loop continues into enter_coll_rounds.
             }
         }
@@ -613,43 +582,30 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
 
 /// Execute collective rounds until blocked (true) or done (false).
 fn enter_coll_rounds<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) -> bool {
+    let world = st.trace.num_ranks();
     loop {
-        let (round_idx, ordinal, sched_idx) = {
-            let p = &st.procs[r.idx()];
-            let c = p.coll.as_ref().expect("in collective");
-            (c.round, c.ordinal, c.sched_idx as usize)
-        };
-        if round_idx >= st.coll_scheds[sched_idx].rounds.len() {
+        // Invariant: `advance` only calls this for a rank in a collective.
+        let c = st.procs[r.idx()].coll.expect("in collective");
+        if c.round >= rounds(c.kind, world, c.bytes) {
             st.procs[r.idx()].coll = None;
             return false;
         }
-        // Copy this round out of the shared cached schedule (the sends
-        // below need `st` mutably); the scratch buffers are reused
-        // across rounds, so steady state copies without allocating.
-        let mut recvs = std::mem::take(&mut st.scr_recvs);
-        let mut sends = std::mem::take(&mut st.scr_sends);
-        let round = &st.coll_scheds[sched_idx].rounds[round_idx];
-        recvs.clear();
-        recvs.extend_from_slice(&round.recvs);
-        sends.clear();
-        sends.extend_from_slice(&round.sends);
-        let tag = coll_tag(ordinal, round_idx as u32);
+        let Round { recv, send } = round(c.kind, r, world, c.bytes, c.root, c.round);
+        let tag = coll_tag(c.ordinal, c.round);
         let mut pending = 0u32;
-        // Post receives first (they may already be unexpected-matched).
-        for &(peer, _bytes) in &recvs {
+        // Post the receive first (it may already be unexpected-matched).
+        if let Some((peer, _bytes)) = recv {
             if st.mailboxes[r.idx()].post(peer, tag, token(r, TOKEN_COLL)).is_none() {
                 pending += 1;
             }
         }
-        // Issue sends.
-        for &(peer, bytes) in &sends {
+        // Issue the send.
+        if let Some((peer, bytes)) = send {
             st.send_message(eng, r, peer, bytes, tag, RelPurpose::CollRound(r));
             pending += 1;
         }
-        st.scr_recvs = recvs;
-        st.scr_sends = sends;
         let p = &mut st.procs[r.idx()];
-        p.coll.as_mut().unwrap().round = round_idx + 1;
+        p.coll.as_mut().expect("in collective").round = c.round + 1;
         if pending > 0 {
             p.round_pending = pending;
             p.status = PStatus::CollRound;
@@ -875,7 +831,7 @@ fn sim_core(
 ) -> Result<SimResult, SimError> {
     let span = obs.map(|ms| ms.span("sim.runner.simulate"));
     let mut eng: Engine<SimState<'_>> = Engine::new();
-    let mut st = match SimState::new(src, cfg, obs.is_some()) {
+    let mut st = match SimState::new(src, cfg) {
         Ok(st) => st,
         Err(e) => return Err(observe_fail(obs, span, e)),
     };
@@ -940,10 +896,6 @@ fn sim_core(
         ms.add("sim.budget.consumed", processed.saturating_add(work_units));
         // Resident interned-route footprint (flat storage + index).
         ms.gauge_max("sim.route.arena_bytes", st.routes.bytes());
-        // With the schedule cache this times unique lowerings only.
-        if st.lower_ns > 0 {
-            ms.record_span("sim.runner.lower", st.lower_ns);
-        }
         // Message-size distribution, filled once from the slab after the
         // run — O(messages) plain integer updates here, nothing on the
         // injection path — and folded into the shared atomic cells once
@@ -1029,6 +981,7 @@ fn observe_fail(
             SimError::UnknownRequest { .. } => "sim.trace.unknown-request",
             SimError::RouteArenaExhausted { .. } => "sim.route.exhausted",
             SimError::OversizedMessage { .. } => "sim.msg.oversized",
+            SimError::CollectiveTagOverflow { .. } => "sim.coll.tag-overflow",
             SimError::MemoryBudget { .. } => "sim.memory.exceeded",
         };
         ms.add(counter, 1);

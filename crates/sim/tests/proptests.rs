@@ -23,11 +23,11 @@ fn check(kind: CollKind, p: u32, bytes: u64, root: u32) {
         let mut sends: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
         let mut recvs: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
         for (r, s) in scheds.iter().enumerate() {
-            for &(peer, b) in &s.rounds[round].sends {
+            if let Some((peer, b)) = s.rounds[round].send {
                 assert!(peer.0 < p);
                 sends.entry((r as u32, peer.0)).or_default().push(b);
             }
-            for &(peer, b) in &s.rounds[round].recvs {
+            if let Some((peer, b)) = s.rounds[round].recv {
                 assert!(peer.0 < p);
                 recvs.entry((peer.0, r as u32)).or_default().push(b);
             }

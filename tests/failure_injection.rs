@@ -268,6 +268,33 @@ fn oversized_message_is_explicit() {
     }
 }
 
+/// An all-to-all over more than 2 049 ranks lowers to more pairwise
+/// rounds than the collective tag space numbers: every rank entering it
+/// latches a typed `SimError::CollectiveTagOverflow` (previously an
+/// assert at round 2 048), which the study records as an invalid
+/// configuration.
+#[test]
+fn collective_tag_overflow_is_explicit() {
+    let ranks = 2_050;
+    let mut t = Trace::empty(meta(ranks));
+    for r in 0..ranks as usize {
+        let kind = masim_trace::CollKind::Alltoallv;
+        t.events[r] = vec![
+            Event::compute(Time::from_us(1)),
+            Event::new(EventKind::Coll { kind, bytes: 1 << 20, root: Rank(0) }, Time::ZERO),
+        ];
+    }
+    assert_eq!(t.validate(), Ok(()));
+    let cfg = SimConfig::new(Machine::frontier(), PACKET, &t);
+    let err = one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.coll.tag-overflow");
+    assert_eq!(err, SimError::CollectiveTagOverflow { rank: 0, ordinal: 0, rounds: 2_049 });
+    assert!(err.to_string().contains("2049 rounds"), "{err}");
+    let failure = ToolFailure::from_sim(err);
+    assert_eq!(failure.code(), "invalid-config");
+    // MFACT costs the collective in closed form and has no tag space.
+    assert!(try_replay(&t, &[ModelConfig::base(cfg.machine.net)], None).is_ok());
+}
+
 /// A resident-memory budget trips as `SimError::MemoryBudget` with both
 /// sides of the comparison, instead of the allocator aborting the
 /// process at scale.

@@ -1,8 +1,10 @@
 //! Ground-truth oracles: cases whose answer is known in closed form, so
 //! the tools are judged against arithmetic rather than against each
-//! other. Every value is exact picoseconds, with no tolerance, on one
-//! machine of each topology class: torus (Cielito), dragonfly (Edison)
-//! and a small leaf-spine fat tree.
+//! other. Every time is exact picoseconds, with no tolerance. The first
+//! two cases run on one machine of each topology class: torus (Cielito),
+//! dragonfly (Edison) and a small leaf-spine fat tree. The third pins
+//! MFACT's clocks on Cielito; the last judges no time, but checks the
+//! simulator's collective lowering, round by round and byte by byte.
 //!
 //! The expected values are computed here in integer arithmetic from the
 //! machine's published scalars, never through the crates' own
@@ -13,7 +15,7 @@
 use masim_mfact::{replay, ModelConfig};
 use masim_sim::{simulate, ModelKind, SimConfig};
 use masim_topo::{FatTree, LinkKind, Machine, Mapping, NetworkConfig};
-use masim_trace::{NodeId, Rank, RankBuilder, Time, Trace, TraceMeta};
+use masim_trace::{CollKind, NodeId, Rank, RankBuilder, Time, Trace, TraceMeta};
 use std::sync::Arc;
 
 /// Message bytes: `M · 8000 / gbps` ps is whole on a NIC link and
@@ -149,5 +151,131 @@ fn one_packet_between_nodes_costs_its_route() {
         cfg.mapping = Mapping::from_nodes(vec![src, dst]);
         let res = simulate(&trace, &cfg);
         assert_eq!(res.total, Time::from_ps(want), "{name}: {} links", route.len());
+    }
+}
+
+/// (iii) MFACT's logical clocks on a trace where a rank parked at a
+/// barrier has an earlier receive matched while it waits there. With
+/// α = 2.5 µs and `M` = 720 B at 10 Gb/s on Cielito, a blocking send
+/// costs h = 3 076 ns and the three-rank barrier 2α = 5 000 ns:
+/// - rank 2 computes 10 µs and sends to rank 1, available at 13 076;
+/// - rank 1's send to rank 0 is available at 3 076, and its receive from
+///   rank 2 ends at 13 076, its barrier arrival;
+/// - rank 0 arrives at the barrier at 0, so the barrier ends at
+///   13 076 + 5 000 = 18 076 on every rank;
+/// - rank 0 then waits for a message that landed at 3 076, and computes
+///   5 µs: 23 076.
+#[test]
+fn mfact_rank_parked_at_a_barrier_keeps_its_later_work() {
+    let mut trace = Trace::empty(TraceMeta { ranks: 3, ..meta(1) });
+    let mut r0 = RankBuilder::new(Rank(0));
+    let req = r0.irecv(Rank(1), M, 0, Time::ZERO);
+    r0.barrier(Time::ZERO).wait(req, Time::ZERO).compute(Time::from_us(5));
+    let mut r1 = RankBuilder::new(Rank(1));
+    r1.send(Rank(0), M, 0, Time::ZERO).recv(Rank(2), M, 0, Time::ZERO).barrier(Time::ZERO);
+    let mut r2 = RankBuilder::new(Rank(2));
+    r2.compute(Time::from_us(10)).send(Rank(1), M, 0, Time::ZERO).barrier(Time::ZERO);
+    trace.events = vec![r0.finish(), r1.finish(), r2.finish()];
+    trace.validate().expect("the repro is well formed");
+
+    let res = &replay(&trace, &[ModelConfig::base(Machine::cielito().net)])[0];
+    let ns = Time::from_ns;
+    assert_eq!(res.per_rank, [ns(23_076), ns(18_076), ns(18_076)]);
+    assert_eq!(res.total, ns(23_076));
+    // Rank 0 waits 13 076 at the barrier, rank 1 10 000 for rank 2.
+    assert_eq!(res.counters.wait, ns(23_076));
+    // Two sends, plus 2α of barrier on each of three ranks.
+    assert_eq!(res.counters.latency, ns(2 * 2_500 + 3 * 5_000));
+    assert_eq!(res.counters.bandwidth, ns(2 * 576));
+    assert_eq!(res.counters.computation, ns(15_000));
+}
+
+/// (iv) The simulator's lowering of every collective, against closed
+/// forms: round counts and the bytes each rank sends, for every
+/// `CollKind` over world sizes with and without a power-of-two
+/// remainder. Payloads cover the Bruck / pairwise all-to-all switch and
+/// the short / long tree switch; every send carries at least 8 B.
+#[test]
+fn lowering_round_counts_and_bytes_match_closed_forms() {
+    use masim_mfact::cost::{A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};
+    use masim_sim::lower::{lower, rounds};
+    use masim_trace::CollKind::*;
+
+    let ceil_log2 = |p: u32| if p <= 1 { 0 } else { 32 - (p - 1).leading_zeros() };
+    let root = Rank(0);
+    for p in [1u32, 2, 3, 5, 7, 12, 16, 64, 100, 1024] {
+        let (logp, l) = (ceil_log2(p), 31 - p.leading_zeros());
+        let (p2, pw) = (1u32 << l, p as u64);
+        let rem = p - p2;
+        // Fold and unfold rounds when p is not a power of two.
+        let fold = u32::from(rem > 0);
+        // The binomial-tree children of rank `r` (root 0), as the
+        // exponent i of the distance 2^i to each.
+        let children = |r: u32| (0..logp).filter(move |&i| r < 1 << i && r + (1 << i) < p);
+        for m in [0u64, 256, 4_096, 1 << 20] {
+            let b = m.max(8);
+            let short = m <= LONG_MSG_SWITCH;
+            // Per-rank chunk of the long-message phases, and the tree
+            // payload of the long bcast / reduce.
+            let c = (b / pw).max(8);
+            let tree = b * (pw - 1) / pw / u64::from(logp.max(1));
+            // Recursive doubling or halving over the power-of-two subset
+            // (`unit` then doubling per round), plus the unfold's send.
+            let doubling = |r: u32, unit: u64, unfold: u64| match r {
+                r if r >= p2 => 0,
+                r if r < rem => unit * u64::from(p2 - 1) + unfold,
+                _ => unit * u64::from(p2 - 1),
+            };
+            for kind in CollKind::ALL {
+                let want_rounds = match kind {
+                    Barrier | Gather | Scatter => logp,
+                    Bcast | Reduce if short => logp,
+                    Bcast => logp + l + fold,
+                    Reduce => l + logp,
+                    Allreduce if short => l + 2 * fold,
+                    Allreduce => 2 * l + fold,
+                    Allgather => l + fold,
+                    ReduceScatter => l,
+                    Alltoall if m <= A2A_BRUCK_SWITCH => logp,
+                    Alltoall | Alltoallv => p - 1,
+                };
+                assert_eq!(rounds(kind, p, m), want_rounds, "{kind} p={p} m={m}");
+                let mut total = (0u64, 0u64);
+                for r in 0..p {
+                    // Root 0, so rank r is also its virtual rank in the trees.
+                    let want = match kind {
+                        Barrier => 8 * u64::from(logp),
+                        Bcast if short => b * children(r).count() as u64,
+                        Bcast => tree * children(r).count() as u64 + doubling(r, c, c * pw),
+                        Reduce if short => u64::from(r > 0) * b,
+                        Reduce => doubling(r, c, 0) + u64::from(r > 0) * tree,
+                        Allreduce if short => match r {
+                            r if r >= p2 => b,
+                            r if r < rem => b * u64::from(l) + b,
+                            _ => b * u64::from(l),
+                        },
+                        // Rabenseifner: halving then doubling.
+                        Allreduce => 2 * doubling(r, c, 0) + doubling(r, 0, c * pw),
+                        Gather => u64::from(r > 0) * (b << r.max(1).ilog2()),
+                        Scatter => children(r).map(|i| ((b * pw) >> (logp - i)).max(8)).sum(),
+                        Allgather => doubling(r, b, b * pw),
+                        ReduceScatter => doubling(r, c, 0),
+                        Alltoall if m <= A2A_BRUCK_SWITCH => u64::from(logp) * (b * pw / 2).max(8),
+                        Alltoall => (pw - 1) * b,
+                        Alltoallv => (pw - 1) * (b / (pw - 1).max(1)).max(8),
+                    };
+                    let s = lower(kind, Rank(r), p, m, root);
+                    let sent: u64 = s.rounds.iter().filter_map(|k| k.send).map(|(_, b)| b).sum();
+                    let recvd: u64 = s.rounds.iter().filter_map(|k| k.recv).map(|(_, b)| b).sum();
+                    assert_eq!(sent, want, "{kind} p={p} m={m} rank {r}");
+                    if kind == Allreduce && !short && rem == 0 {
+                        // Rabenseifner's 2·(m/p)·(p − 1) per rank.
+                        assert_eq!(sent, 2 * (m / pw) * (pw - 1), "p={p} m={m} rank {r}");
+                    }
+                    total = (total.0 + sent, total.1 + recvd);
+                }
+                assert_eq!(total.0, total.1, "{kind} p={p} m={m}: bytes sent ≠ received");
+            }
+        }
     }
 }
