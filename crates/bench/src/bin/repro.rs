@@ -545,7 +545,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         Some(dir) => Some((dir, install_trace(dir)?)),
         None => None,
     };
-    let server = Server::new(ServerOptions { threads, cache_dir });
+    let server =
+        Server::new(ServerOptions { threads, cache_dir }).map_err(|e| format!("serve: {e}"))?;
     let descr: Vec<String> = binds
         .iter()
         .map(|b| match b {

@@ -13,19 +13,21 @@
 //! * [`session`] — studies as resumable, cancelable, fingerprinted
 //!   session objects. [`Session::run`] is the one study executor: the
 //!   `repro` CLI and the `repro serve` daemon both run every study
-//!   through it, at any thread count, with or without a journal.
+//!   through it, at any thread count, with or without a store;
+//! * [`store`] — the per-trace result store behind `--checkpoint` and
+//!   the daemon's cache: one content-addressed JSONL file.
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod enhanced;
 pub mod report;
 pub mod session;
+pub mod store;
 pub mod study;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_FILE};
 pub use enhanced::{Dataset, Enhanced, ErrorRates, DIFF_THRESHOLD};
 pub use session::{Session, SessionError, SessionOutcome, SessionSpec, StudyKind};
+pub use store::{Key, Record, Sidecar, Store, StoreError, CODE_FINGERPRINT, STORE_FILE};
 pub use study::{
     contained, fraction_within, run_one_observed, ObservedTrace, Study, StudyConfig, ToolFailure,
     ToolRun, TraceStudy, PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN,

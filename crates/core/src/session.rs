@@ -4,7 +4,7 @@
 //! A [`Session`] bundles everything one study request needs — the
 //! [`SessionSpec`] (which corpus, which seed, which budgets), the
 //! derived entry list, the set of completed per-trace results, an
-//! optional [`Checkpoint`] journal, and a partial [`Session::report`] —
+//! optional result [`Store`], and a partial [`Session::report`] —
 //! so callers hold *one* object across interruption, resumption,
 //! cancellation, and streaming:
 //!
@@ -12,23 +12,24 @@
 //!   entry list and [`StudyConfig`] are derived from it, never shipped.
 //!   That is what makes a spec safe to send over a socket and what
 //!   makes two submissions of the same spec provably the same work.
-//! * **Fingerprints.** [`Session::fingerprint`] hashes the canonical
-//!   encodings of the selected entries and the config (FNV-1a 64);
-//!   together with a code-version hash they form the content address of
-//!   the daemon's result cache — any knob that could change a byte of
-//!   output changes the key.
+//! * **Fingerprints.** Canonical encodings (FNV-1a 64) of each entry
+//!   and of the config, with the code fingerprint, key the session's
+//!   records in the [`Store`]: an entry whose key is there is done,
+//!   whether a previous run of this session, an interrupted CLI run or
+//!   another daemon submission put it there. [`Session::fingerprint`]
+//!   hashes the whole selection the same way.
 //! * **Cancellation.** [`Session::run`] polls an [`AtomicBool`] in the
 //!   ordered emit path; flipping it halts dispatch exactly like an emit
-//!   error does, so in-flight entries drain and the journal stays
+//!   error does, so in-flight entries drain and the store stays
 //!   well-formed.
 //! * **One executor.** [`Session::run`] over `study::run_entries_parallel`
 //!   is the only study executor: the one-shot CLI and the daemon both
-//!   call it, with or without a journal, at every thread count — so
-//!   sidecars, journal lines, and reports are bit-identical between
+//!   call it, with or without a store, at every thread count — so
+//!   sidecars, store records, and reports are bit-identical between
 //!   them (host wall-clock fields excepted, as everywhere).
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::report;
+use crate::store::{Key, Record, Store, StoreError};
 use crate::study::{run_entries_parallel, ObservedTrace, Study, StudyConfig, TraceStudy};
 use masim_obs::MetricSet;
 use masim_workloads::{build_corpus, CorpusEntry};
@@ -36,6 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Which study a session runs. Everything else (entries, config, sidecar
 /// stems, report shape) derives deterministically from this plus the
@@ -123,15 +125,15 @@ pub enum SessionError {
         reason: String,
     },
     /// The cancel flag was observed; dispatch halted and in-flight
-    /// entries drained. Completed work (and the journal) is kept.
+    /// entries drained. Completed work (and the store) is kept.
     Canceled {
         /// Requested entries with results when the run stopped.
         done: usize,
         /// Entries requested in total.
         total: usize,
     },
-    /// The checkpoint journal failed (create/resume/append).
-    Checkpoint(CheckpointError),
+    /// The result store failed (create/open/append).
+    Store(StoreError),
 }
 
 impl fmt::Display for SessionError {
@@ -141,16 +143,16 @@ impl fmt::Display for SessionError {
             SessionError::Canceled { done, total } => {
                 write!(f, "session canceled after {done}/{total} entries")
             }
-            SessionError::Checkpoint(e) => write!(f, "session checkpoint failed: {e}"),
+            SessionError::Store(e) => write!(f, "session store failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for SessionError {}
 
-impl From<CheckpointError> for SessionError {
-    fn from(e: CheckpointError) -> SessionError {
-        SessionError::Checkpoint(e)
+impl From<StoreError> for SessionError {
+    fn from(e: StoreError) -> SessionError {
+        SessionError::Store(e)
     }
 }
 
@@ -160,7 +162,7 @@ pub enum SessionOutcome {
     /// Every requested entry has a result (fresh or recovered).
     Complete,
     /// `abort_after` stopped the run early; resume later from the same
-    /// session (or its journal).
+    /// session (or its store).
     Interrupted {
         /// Requested entries with results so far.
         done: usize,
@@ -170,7 +172,7 @@ pub enum SessionOutcome {
 }
 
 /// One study request as a long-lived, resumable object: spec + derived
-/// corpus + completed results + optional journal. See the module docs.
+/// corpus + completed results + optional store. See the module docs.
 #[derive(Debug)]
 pub struct Session {
     spec: SessionSpec,
@@ -179,11 +181,11 @@ pub struct Session {
     /// Entry indices to run, in emit order.
     todo: Vec<usize>,
     completed: BTreeMap<usize, TraceStudy>,
-    checkpoint: Option<Checkpoint>,
+    store: Option<Arc<Store>>,
 }
 
 impl Session {
-    /// Build an in-memory session (no journal) from a spec.
+    /// Build a session that keeps its results to itself (no store).
     pub fn new(spec: SessionSpec) -> Result<Session, SessionError> {
         let config = spec.config();
         let entries = spec.entries();
@@ -216,27 +218,35 @@ impl Session {
             }
             _ => (0..entries.len()).collect(),
         };
-        Ok(Session { spec, config, entries, todo, completed: BTreeMap::new(), checkpoint: None })
+        Ok(Session { spec, config, entries, todo, completed: BTreeMap::new(), store: None })
     }
 
-    /// Build a journaled session: `resume = false` starts a fresh
-    /// journal in `dir`, `resume = true` reopens one and recovers its
-    /// completed results (the journal header must match this spec's
-    /// config and entry count, exactly as `repro --resume` demands).
+    /// Build a session over `store`: every requested entry whose key is
+    /// stored counts as done, and [`Session::run`] stores each entry it
+    /// runs.
+    pub fn with_store(spec: SessionSpec, store: Arc<Store>) -> Result<Session, SessionError> {
+        let mut session = Session::new(spec)?;
+        for &i in &session.todo {
+            let entry = &session.entries[i];
+            let record = store.get(&Key::new(entry, &session.config));
+            if let Some(study) = record.and_then(|r| r.study(entry)) {
+                session.completed.insert(i, study);
+            }
+        }
+        session.store = Some(store);
+        Ok(session)
+    }
+
+    /// Build a session over the store in `dir`: `resume = false` starts it
+    /// empty, `resume = true` reopens it and recovers what it holds for
+    /// this spec (`repro --checkpoint` / `--resume`).
     pub fn with_checkpoint(
         spec: SessionSpec,
         dir: &Path,
         resume: bool,
     ) -> Result<Session, SessionError> {
-        let mut session = Session::new(spec)?;
-        let ckpt = if resume {
-            Checkpoint::resume(dir, &session.config, &session.entries)?
-        } else {
-            Checkpoint::create(dir, &session.config, session.entries.len())?
-        };
-        session.completed = ckpt.completed().clone();
-        session.checkpoint = Some(ckpt);
-        Ok(session)
+        let store = if resume { Store::open(dir)? } else { Store::create(dir)? };
+        Session::with_store(spec, Arc::new(store))
     }
 
     /// The spec this session was built from.
@@ -255,14 +265,26 @@ impl Session {
     }
 
     /// Requested entries that already have a result (recovered from the
-    /// journal or run by a previous [`Session::run`] call).
+    /// store or run by a previous [`Session::run`] call).
     pub fn done(&self) -> usize {
         self.todo.iter().filter(|i| self.completed.contains_key(i)).count()
     }
 
-    /// Journal location, if this session is checkpointed.
+    /// The store's file, if this session's store has one.
     pub fn checkpoint_path(&self) -> Option<PathBuf> {
-        self.checkpoint.as_ref().map(|c| c.path().to_path_buf())
+        self.store.as_ref()?.path().map(Path::to_path_buf)
+    }
+
+    /// Every completed entry's file stem and stored record, in `todo`
+    /// order (empty without a store).
+    pub fn records(&self) -> Vec<(String, Arc<Record>)> {
+        let Some(store) = &self.store else { return Vec::new() };
+        let stored = |&i: &usize| {
+            let entry = &self.entries[i];
+            let record = store.get(&Key::new(entry, &self.config))?;
+            Some((self.spec.stem(i, entry), record))
+        };
+        self.todo.iter().filter(|i| self.completed.contains_key(i)).filter_map(stored).collect()
     }
 
     /// Content fingerprint `(corpus_hash, config_hash)`: FNV-1a 64 over
@@ -277,15 +299,13 @@ impl Session {
             corpus.write_u64(i as u64);
             write_entry(&mut corpus, &self.entries[i]);
         }
-        let mut config = Fnv::new();
-        write_config(&mut config, &self.config);
-        (corpus.finish(), config.finish())
+        (corpus.finish(), config_hash(&self.config))
     }
 
     /// Run every pending entry on the work-stealing pool, invoking
     /// `on_trace(index, stem, observed)` strictly in `todo` order as
-    /// each result is sequenced (this is where the CLI writes sidecars
-    /// and the daemon streams frames). Entries already completed are
+    /// each result is sequenced and stored (this is where the CLI writes
+    /// sidecars and the daemon streams frames). Entries already completed are
     /// skipped; `abort_after = Some(n)` dispatches only the first `n`
     /// pending entries (the deterministic interruption hook); `cancel`
     /// is polled in the emit path and halts dispatch when set.
@@ -311,7 +331,8 @@ impl Session {
         let todo = &self.todo;
         let total = todo.len();
         let completed = &mut self.completed;
-        let checkpoint = &mut self.checkpoint;
+        let store = self.store.as_deref();
+        let config = &self.config;
         run_entries_parallel(
             &self.config,
             entries,
@@ -325,8 +346,9 @@ impl Session {
                     let done = todo.iter().filter(|j| completed.contains_key(j)).count();
                     return Err(SessionError::Canceled { done, total });
                 }
-                if let Some(ck) = checkpoint.as_mut() {
-                    ck.record(i, &observed.study)?;
+                if let Some(store) = store {
+                    let key = Key::new(&entries[i], config);
+                    store.append(key, i, &observed.study, &observed.sidecars)?;
                 }
                 completed.insert(i, observed.study.clone());
                 on_trace(i, &spec.stem(i, &entries[i]), &observed);
@@ -365,9 +387,9 @@ impl Session {
 // ---------------------------------------------------------------------
 
 /// FNV-1a, 64-bit: tiny, dependency-free, stable across platforms — all
-/// a content address needs (the cache tolerates collisions no worse
-/// than any content-addressed store; 64 bits over a few hundred specs
-/// is comfortable).
+/// a content address needs (the store tolerates collisions no worse
+/// than any content-addressed store; 64 bits over a few thousand
+/// entries is comfortable).
 struct Fnv(u64);
 
 impl Fnv {
@@ -397,6 +419,30 @@ impl Fnv {
     }
 }
 
+/// FNV-1a of one corpus entry's canonical encoding.
+pub(crate) fn entry_hash(e: &CorpusEntry) -> u64 {
+    let mut h = Fnv::new();
+    write_entry(&mut h, e);
+    h.finish()
+}
+
+/// FNV-1a of a study configuration's canonical encoding.
+pub(crate) fn config_hash(cfg: &StudyConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u64(cfg.seed);
+    h.write_u64(cfg.packet_budget);
+    h.write_u64(cfg.flow_budget);
+    h.write_u64(cfg.pflow_budget);
+    match cfg.sim_deadline {
+        None => h.write_u64(u64::MAX),
+        Some(d) => {
+            h.write_u64(0);
+            h.write_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        }
+    }
+    h.finish()
+}
+
 fn write_entry(h: &mut Fnv, e: &CorpusEntry) {
     let c = &e.cfg;
     h.write_str(c.app.name());
@@ -412,20 +458,6 @@ fn write_entry(h: &mut Fnv, e: &CorpusEntry) {
     h.write_u64(c.seed);
     h.write_u64(e.rank_bucket as u64);
     h.write_u64(e.comm_bucket as u64);
-}
-
-fn write_config(h: &mut Fnv, cfg: &StudyConfig) {
-    h.write_u64(cfg.seed);
-    h.write_u64(cfg.packet_budget);
-    h.write_u64(cfg.flow_budget);
-    h.write_u64(cfg.pflow_budget);
-    match cfg.sim_deadline {
-        None => h.write_u64(u64::MAX),
-        Some(d) => {
-            h.write_u64(0);
-            h.write_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -501,7 +533,7 @@ mod tests {
         assert!(s.report().lines().count() >= 1, "partial report still renders");
     }
 
-    /// Interrupt + resume through a journaled session reproduces the
+    /// Interrupt + resume through a stored session reproduces the
     /// uninterrupted `Study::run_filtered` reference in everything the
     /// study *derives* (wall clocks are re-measured vs recovered), and
     /// `stem()` matches the CLI naming.
@@ -523,7 +555,7 @@ mod tests {
         drop(first);
 
         let mut second = Session::with_checkpoint(subset_spec(), &dir, true).unwrap();
-        assert_eq!(second.done(), 1, "journal recovered into the session");
+        assert_eq!(second.done(), 1, "store recovered into the session");
         let outcome = second
             .run(2, None, None, &MetricSet::new(), "study", None, |_, stem, _| {
                 stems.push(stem.to_string());

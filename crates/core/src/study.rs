@@ -20,11 +20,12 @@
 //! trace (`tool` ∈ {corpus, mfact, packet, flow, packet-flow}) carrying
 //! the instrumented engines' counters.
 
-use masim_mfact::{probe_configs, try_replay, Classification, ReplayError};
+use masim_mfact::{probe_configs, try_replay, AppClass, Classification, Counters, ReplayError};
+use masim_obs::json::Value;
 use masim_obs::{MetricSet, Progress, RunMetrics};
 use masim_sim::{ModelKind, SimConfig, SimError, SimLimits};
 use masim_topo::Machine;
-use masim_trace::{Features, Time, Trace};
+use masim_trace::{Features, Time, Trace, NUM_FEATURES};
 use masim_workloads::{build_corpus, CorpusEntry};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -740,6 +741,212 @@ pub fn fraction_within(values: &[f64], threshold: f64) -> f64 {
         return 0.0;
     }
     values.iter().filter(|&&v| v <= threshold).count() as f64 / values.len() as f64
+}
+
+// ---------------------------------------------------------------------
+// Wire form: a study as the result store's `study` body
+// ---------------------------------------------------------------------
+
+type Decoded<T> = Result<T, String>;
+
+impl TraceStudy {
+    /// This study as the JSON body the result store keeps for entry
+    /// `index` of its session: every measured field, typed failures
+    /// included, with times in ps and wall clocks in ns.
+    pub(crate) fn to_value(&self, index: usize) -> Value {
+        let c = &self.classification;
+        let b = &c.baseline;
+        let classification = obj([
+            ("class", Value::Str(c.class.label().to_string())),
+            ("bw_sensitivity", Value::Num(c.bw_sensitivity)),
+            ("lat_sensitivity", Value::Num(c.lat_sensitivity)),
+            ("base_total", Value::Num(c.base_total)),
+            (
+                "baseline_ps",
+                Value::Arr([b.wait, b.latency, b.bandwidth, b.computation].map(ps).into()),
+            ),
+        ]);
+        let tools = [&self.mfact, &self.packet, &self.flow, &self.pflow].map(tool_value);
+        let [mfact, packet, flow, pflow] = tools;
+        obj([
+            ("index", Value::UInt(index as u64)),
+            ("measured_total_ps", ps(self.measured_total)),
+            ("measured_comm_ps", ps(self.measured_comm)),
+            ("events", Value::UInt(self.events as u64)),
+            ("features", Value::Arr(self.features.as_vec().map(Value::Num).into())),
+            ("classification", classification),
+            (
+                "tools",
+                obj([("mfact", mfact), ("packet", packet), ("flow", flow), ("packet-flow", pflow)]),
+            ),
+        ])
+    }
+
+    /// A body written by [`TraceStudy::to_value`], as a study of `entry`;
+    /// with no entry, only checks that it decodes.
+    pub(crate) fn from_value(
+        s: &Value,
+        entry: Option<&CorpusEntry>,
+    ) -> Decoded<Option<TraceStudy>> {
+        int::<u64>(s, "index")?;
+        let measured_total = Time::from_ps(int(s, "measured_total_ps")?);
+        let measured_comm = Time::from_ps(int(s, "measured_comm_ps")?);
+        let events = int(s, "events")?;
+        let mut features = [0.0f64; NUM_FEATURES];
+        for (i, item) in items(s, "features", NUM_FEATURES)?.iter().enumerate() {
+            features[i] = item.as_f64().ok_or_else(|| format!("features[{i}] is not a number"))?;
+        }
+        let classification = classification_from(field(s, "classification")?)?;
+        let tools = field(s, "tools")?;
+        let mfact = tool_from(tools, "mfact")?;
+        let packet = tool_from(tools, "packet")?;
+        let flow = tool_from(tools, "flow")?;
+        let pflow = tool_from(tools, "packet-flow")?;
+        Ok(entry.map(|entry| TraceStudy {
+            entry: entry.clone(),
+            measured_total,
+            measured_comm,
+            events,
+            features: Features::from_vec(&features),
+            classification,
+            mfact,
+            packet,
+            flow,
+            pflow,
+        }))
+    }
+}
+
+fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn ps(t: Time) -> Value {
+    Value::UInt(t.as_ps())
+}
+
+fn ns(d: Duration) -> Value {
+    // Saturate instead of wrapping: a >500-year wall time is already
+    // meaningless.
+    Value::UInt(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+fn failure_value(f: &ToolFailure) -> Value {
+    use Value::{Str, UInt};
+    let mut fields = vec![("code", Str(f.code().into()))];
+    fields.extend(match f {
+        ToolFailure::BudgetExhausted { consumed, budget } => {
+            vec![("consumed", UInt(*consumed)), ("budget", UInt(*budget))]
+        }
+        ToolFailure::DeadlineExceeded { elapsed, deadline } => {
+            vec![("elapsed_ns", ns(*elapsed)), ("deadline_ns", ns(*deadline))]
+        }
+        ToolFailure::Deadlock { finished, total } => {
+            vec![("finished", UInt((*finished).into())), ("total", UInt((*total).into()))]
+        }
+        ToolFailure::ClockOverflow { now_ps, delay_ps } => {
+            vec![("now_ps", UInt(*now_ps)), ("delay_ps", UInt(*delay_ps))]
+        }
+        ToolFailure::InvalidConfig { reason } => vec![("reason", Str(reason.clone()))],
+        ToolFailure::Panicked { message } => vec![("message", Str(message.clone()))],
+        ToolFailure::MemoryBudget { detail } => vec![("detail", Str(detail.clone()))],
+    });
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn tool_value(run: &ToolRun) -> Value {
+    obj([
+        ("total_ps", run.total.map_or(Value::Null, ps)),
+        ("comm_ps", run.comm.map_or(Value::Null, ps)),
+        ("wall_ns", ns(run.wall)),
+        ("failure", run.failure.as_ref().map_or(Value::Null, failure_value)),
+    ])
+}
+
+fn field<'a>(v: &'a Value, key: &str) -> Decoded<&'a Value> {
+    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+}
+
+/// An unsigned integer field that must fit `T`.
+fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Decoded<T> {
+    let n = field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' is not a u64"))?;
+    T::try_from(n)
+        .map_err(|_| format!("field '{key}' does not fit a {}", std::any::type_name::<T>()))
+}
+
+fn float(v: &Value, key: &str) -> Decoded<f64> {
+    field(v, key)?.as_f64().ok_or_else(|| format!("field '{key}' is not a number"))
+}
+
+fn text<'a>(v: &'a Value, key: &str) -> Decoded<&'a str> {
+    field(v, key)?.as_str().ok_or_else(|| format!("field '{key}' is not a string"))
+}
+
+/// The items of array field `key`, which must hold exactly `len` of them.
+fn items<'a>(v: &'a Value, key: &str, len: usize) -> Decoded<&'a [Value]> {
+    match field(v, key)? {
+        Value::Arr(items) if items.len() == len => Ok(items),
+        _ => Err(format!("field '{key}' is not a {len}-element array")),
+    }
+}
+
+fn failure_from(v: &Value) -> Decoded<ToolFailure> {
+    let nanos = |key| int(v, key).map(Duration::from_nanos);
+    Ok(match text(v, "code")? {
+        "budget" => ToolFailure::BudgetExhausted {
+            consumed: int(v, "consumed")?,
+            budget: int(v, "budget")?,
+        },
+        "deadline" => ToolFailure::DeadlineExceeded {
+            elapsed: nanos("elapsed_ns")?,
+            deadline: nanos("deadline_ns")?,
+        },
+        "deadlock" => {
+            ToolFailure::Deadlock { finished: int(v, "finished")?, total: int(v, "total")? }
+        }
+        "overflow" => {
+            ToolFailure::ClockOverflow { now_ps: int(v, "now_ps")?, delay_ps: int(v, "delay_ps")? }
+        }
+        "invalid-config" => ToolFailure::InvalidConfig { reason: text(v, "reason")?.into() },
+        "panic" => ToolFailure::Panicked { message: text(v, "message")?.into() },
+        "memory" => ToolFailure::MemoryBudget { detail: text(v, "detail")?.into() },
+        other => return Err(format!("unknown failure code {other:?}")),
+    })
+}
+
+fn tool_from(tools: &Value, key: &str) -> Decoded<ToolRun> {
+    let t = field(tools, key)?;
+    let opt_time = |k| match field(t, k)? {
+        Value::Null => Ok(None),
+        _ => int(t, k).map(|ps| Some(Time::from_ps(ps))),
+    };
+    let failure = match field(t, "failure")? {
+        Value::Null => None,
+        other => Some(failure_from(other).map_err(|e| format!("tool '{key}': {e}"))?),
+    };
+    let wall = Duration::from_nanos(int(t, "wall_ns")?);
+    Ok(ToolRun { total: opt_time("total_ps")?, comm: opt_time("comm_ps")?, wall, failure })
+}
+
+fn classification_from(c: &Value) -> Decoded<Classification> {
+    let label = text(c, "class")?;
+    let class = AppClass::from_label(label).ok_or_else(|| format!("unknown class {label:?}"))?;
+    let ps = items(c, "baseline_ps", 4)?;
+    let ps = |i: usize| {
+        ps[i].as_u64().map(Time::from_ps).ok_or_else(|| format!("baseline_ps[{i}] is not a u64"))
+    };
+    Ok(Classification {
+        class,
+        bw_sensitivity: float(c, "bw_sensitivity")?,
+        lat_sensitivity: float(c, "lat_sensitivity")?,
+        base_total: float(c, "base_total")?,
+        baseline: Counters {
+            wait: ps(0)?,
+            latency: ps(1)?,
+            bandwidth: ps(2)?,
+            computation: ps(3)?,
+        },
+    })
 }
 
 #[cfg(test)]

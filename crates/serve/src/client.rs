@@ -27,44 +27,16 @@ pub enum Target {
 }
 
 /// A connected stream to the daemon (unix or TCP, same protocol).
-pub enum Conn {
-    /// Unix-domain transport.
-    Unix(std::os::unix::net::UnixStream),
-    /// TCP transport.
-    Tcp(std::net::TcpStream),
-}
+pub trait Conn: Read + Write {}
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
+impl<S: Read + Write> Conn for S {}
 
 /// Connect to the daemon.
-pub fn connect(target: &Target) -> std::io::Result<Conn> {
-    match target {
-        Target::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(Conn::Unix),
-        Target::Tcp(addr) => std::net::TcpStream::connect(addr).map(Conn::Tcp),
-    }
+pub fn connect(target: &Target) -> std::io::Result<Box<dyn Conn>> {
+    Ok(match target {
+        Target::Unix(path) => Box::new(std::os::unix::net::UnixStream::connect(path)?),
+        Target::Tcp(addr) => Box::new(std::net::TcpStream::connect(addr)?),
+    })
 }
 
 /// What a completed [`submit`] reported.
@@ -72,7 +44,7 @@ pub fn connect(target: &Target) -> std::io::Result<Conn> {
 pub struct SubmitSummary {
     /// Server-assigned session id.
     pub session: String,
-    /// `"hit"` or `"miss"` — how the result cache answered.
+    /// `"hit"` or `"miss"` — whether every entry was in the result store.
     pub cache: String,
     /// Entries the server actually executed (0 on a cache hit).
     pub ran: u64,
@@ -174,17 +146,21 @@ pub fn submit(
                 if let Some(p) = &progress {
                     p.finish();
                 }
+                let echoed = str_field(&v, "cache")?;
+                if echoed != cache {
+                    return Err(remote(format!(
+                        "session {session} was accepted as a {cache:?} but done as a {echoed:?}"
+                    )));
+                }
                 let summary = SubmitSummary {
                     session,
-                    cache: str_field(&v, "cache")?,
+                    cache,
                     ran: u64_field(&v, "ran")?,
                     wall_ns: u64_field(&v, "wall_ns")?,
                     total,
                     report_name,
                 };
                 std::fs::write(out_dir.join("response.json"), summary.to_value().to_json())?;
-                // Echoed cache state must agree with `accepted`.
-                debug_assert_eq!(summary.cache, cache);
                 return Ok(summary);
             }
             Some("canceled") => {
@@ -256,8 +232,9 @@ mod tests {
     }
 
     /// A fake daemon streams `accepted`, one frame whose `name` tries to
-    /// leave `out`, then `done`. The client must stop at that frame with
-    /// a typed error, having written no file anywhere.
+    /// leave `out`, then `done` — or, for the `done` case, a `done` whose
+    /// cache state contradicts `accepted`. The client must stop at the
+    /// hostile frame with a typed error, having written no file anywhere.
     #[test]
     fn names_from_the_socket_stay_inside_out() {
         let base = std::env::temp_dir().join(format!("masim-confine-{}", std::process::id()));
@@ -270,21 +247,33 @@ mod tests {
             ("sidecar", absolute.as_str()),
             ("sidecar", ".."),
             ("sidecar", ""),
+            ("done", "hit"),
         ];
         for (i, (kind, name)) in cases.into_iter().enumerate() {
             let dir = base.join(format!("case{i}"));
             std::fs::create_dir_all(&dir).unwrap();
             let sock = dir.join("sock");
             let listener = UnixListener::bind(&sock).unwrap();
+            let done = |cache: &str| {
+                frame(
+                    "done",
+                    vec![
+                        ("cache", Value::Str(cache.into())),
+                        ("ran", Value::UInt(1)),
+                        ("wall_ns", Value::UInt(1)),
+                    ],
+                )
+            };
             let hostile = match kind {
                 "sidecar" => frame(
                     "sidecar",
                     vec![("name", Value::Str(name.into())), ("json", Value::Str("{}".into()))],
                 ),
-                _ => frame(
+                "report" => frame(
                     "report",
                     vec![("name", Value::Str(name.into())), ("text", Value::Str("x".into()))],
                 ),
+                _ => done(name),
             };
             let frames = vec![
                 frame(
@@ -296,14 +285,7 @@ mod tests {
                     ],
                 ),
                 hostile,
-                frame(
-                    "done",
-                    vec![
-                        ("cache", Value::Str("miss".into())),
-                        ("ran", Value::UInt(1)),
-                        ("wall_ns", Value::UInt(1)),
-                    ],
-                ),
+                done("miss"),
             ];
             let daemon = std::thread::spawn(move || {
                 let (mut s, _) = listener.accept().unwrap();

@@ -5,25 +5,24 @@
 //! (and optionally TCP), speaks a length-prefixed JSON protocol
 //! ([`protocol`]), queues submitted studies onto the same
 //! work-stealing pool the CLI uses, and streams progress, metric
-//! sidecars, and the final report back as frames. Completed results
-//! land in a content-addressed [`cache`] keyed by `(corpus hash,
-//! config hash, code version)`, so resubmitting an identical study
-//! replays the stored bytes — bit-identical to a fresh run, with zero
-//! simulator invocations.
+//! sidecars, and the final report back as frames. Each finished trace
+//! lands in the one per-trace result store (`masim_core::store`), keyed
+//! by `(entry hash, config hash, code fingerprint)`, so resubmitting a
+//! study replays the stored bytes of every entry it shares with an
+//! earlier one — bit-identical to a fresh run, with zero simulator
+//! invocations when all of them are stored.
 //!
 //! Layering: [`protocol`] (framing + request grammar, typed
-//! [`ServeError`]), [`cache`] (keys + memory/disk store),
-//! [`server`] (accept loop, session registry, submit path),
+//! [`ServeError`]), [`server`] (accept loop, session registry, submit
+//! path over the store),
 //! [`client`] (drives a submission and writes CLI-compatible files).
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheKey, CachedStudy, ResultCache, CACHE_FORMAT};
 pub use client::{submit, SubmitSummary, Target};
 pub use protocol::{read_frame, write_frame, Request, ServeError, MAX_FRAME_LEN};
 pub use server::{Bind, Server, ServerOptions};

@@ -165,18 +165,13 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// The five request operations a client can send.
+/// The four request operations a client can send.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Run (or serve from cache) the study described by `spec`.
+    /// Run (or replay from the result store) the study described by `spec`.
     Submit(SessionSpec),
     /// List every session this daemon has seen, plus server counters.
     Status,
-    /// Replay a completed session's stored frames.
-    Results {
-        /// Session id from an earlier `accepted` frame.
-        session: String,
-    },
     /// Halt a running session's dispatch (completed entries are kept).
     Cancel {
         /// Session id to cancel.
@@ -192,7 +187,6 @@ impl Request {
         match self {
             Request::Submit(_) => "submit",
             Request::Status => "status",
-            Request::Results { .. } => "results",
             Request::Cancel { .. } => "cancel",
             Request::Shutdown => "shutdown",
         }
@@ -218,7 +212,7 @@ impl Request {
                     }
                 }
             }
-            Request::Results { session } | Request::Cancel { session } => {
+            Request::Cancel { session } => {
                 fields.push(("session".into(), Value::Str(session.clone())));
             }
             Request::Status | Request::Shutdown => {}
@@ -243,7 +237,6 @@ impl Request {
         Ok(match op {
             "status" => Request::Status,
             "shutdown" => Request::Shutdown,
-            "results" => Request::Results { session: session(v)? },
             "cancel" => Request::Cancel { session: session(v)? },
             "submit" => {
                 let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(7);
@@ -322,7 +315,6 @@ mod tests {
             }),
             Request::Submit(SessionSpec { kind: StudyKind::Corpus { indices: None }, seed: 7 }),
             Request::Status,
-            Request::Results { session: "aa0001".into() },
             Request::Cancel { session: "bb0002".into() },
             Request::Shutdown,
         ];

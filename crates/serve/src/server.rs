@@ -1,7 +1,7 @@
 //! The `repro serve` daemon: accept loop, per-connection protocol
-//! driver, session registry, and the cache-or-run submit path.
+//! driver, session registry, and the store-or-run submit path.
 //!
-//! One [`Server`] owns the result cache, the server-level [`MetricSet`]
+//! One [`Server`] owns the result [`Store`], the server-level [`MetricSet`]
 //! (request counters, cache hit/miss counters, per-session wall spans)
 //! and a registry of every session it has seen. Each accepted
 //! connection gets its own handler thread; `submit` runs the study on
@@ -14,22 +14,22 @@
 //! session's ordered emit path observes (halting dispatch exactly like
 //! an emit error).
 
-use crate::cache::{CacheKey, CachedSidecar, CachedStudy, ResultCache};
 use crate::protocol::{error_frame, read_frame, write_frame, Request, ServeError};
 use masim_core::session::{Session, SessionError, SessionOutcome, SessionSpec};
+use masim_core::store::{Sidecar, Store, StoreError, CODE_FINGERPRINT, STORE_FILE};
 use masim_obs::json::Value;
 use masim_obs::MetricSet;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Counter: total requests, plus `serve.request.<op>` per operation.
 pub const REQUESTS_COUNTER: &str = "serve.requests";
-/// Counter: submits answered from the result cache.
+/// Counter: submits whose every entry was in the result store.
 pub const CACHE_HIT_COUNTER: &str = "serve.cache.hit";
-/// Counter: submits that had to run the study.
+/// Counter: submits that had to run at least one entry.
 pub const CACHE_MISS_COUNTER: &str = "serve.cache.miss";
 /// Counter: sessions that reached the `complete` state.
 pub const SESSIONS_COMPLETED_COUNTER: &str = "serve.sessions.completed";
@@ -49,7 +49,7 @@ pub enum Bind {
 pub struct ServerOptions {
     /// Worker threads per running study.
     pub threads: usize,
-    /// Disk mirror for the result cache (`None` = memory only).
+    /// Directory of the result store's file (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -63,14 +63,13 @@ struct SessionEntry {
     done: AtomicUsize,
     state: Mutex<&'static str>,
     cancel: AtomicBool,
-    result: Mutex<Option<Arc<CachedStudy>>>,
 }
 
-/// The daemon: registry + cache + metrics + shutdown flag. Shareable
+/// The daemon: registry + store + metrics + shutdown flag. Shareable
 /// across handler threads behind an [`Arc`].
 pub struct Server {
     threads: usize,
-    cache: ResultCache,
+    store: Arc<Store>,
     ms: MetricSet,
     sessions: Mutex<Vec<Arc<SessionEntry>>>,
     shutdown: AtomicBool,
@@ -78,19 +77,25 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a daemon (no sockets yet; see [`Server::serve`]).
-    pub fn new(opts: ServerOptions) -> Server {
-        Server {
+    /// Build a daemon (no sockets yet; see [`Server::serve`]), reopening
+    /// the store under `cache_dir` when there is one.
+    pub fn new(opts: ServerOptions) -> Result<Server, StoreError> {
+        let store = match &opts.cache_dir {
+            None => Store::default(),
+            Some(dir) if dir.join(STORE_FILE).exists() => Store::open(dir)?,
+            Some(dir) => Store::create(dir)?,
+        };
+        Ok(Server {
             threads: opts.threads.max(1),
-            cache: ResultCache::new(opts.cache_dir),
+            store: Arc::new(store),
             ms: MetricSet::new(),
             sessions: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-        }
+        })
     }
 
-    /// The server-level metric set (request counters, cache hit/miss,
+    /// The server-level metric set (request counters, store hit/miss,
     /// per-session spans, plus the study runner's telemetry).
     pub fn metrics(&self) -> &MetricSet {
         &self.ms
@@ -133,25 +138,19 @@ impl Server {
             while !self.shutting_down() {
                 let mut idle = true;
                 for (l, _) in &unix {
-                    match l.accept() {
-                        Ok((mut stream, _)) => {
-                            idle = false;
-                            let _ = stream.set_nonblocking(false);
-                            scope.spawn(move || self.handle_conn(&mut stream));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(_) => {}
+                    // Nothing waiting (`WouldBlock`) and a failed accept
+                    // both leave the loop polling.
+                    if let Ok((mut stream, _)) = l.accept() {
+                        idle = false;
+                        let _ = stream.set_nonblocking(false);
+                        scope.spawn(move || self.handle_conn(&mut stream));
                     }
                 }
                 for l in &tcp {
-                    match l.accept() {
-                        Ok((mut stream, _)) => {
-                            idle = false;
-                            let _ = stream.set_nonblocking(false);
-                            scope.spawn(move || self.handle_conn(&mut stream));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(_) => {}
+                    if let Ok((mut stream, _)) = l.accept() {
+                        idle = false;
+                        let _ = stream.set_nonblocking(false);
+                        scope.spawn(move || self.handle_conn(&mut stream));
                     }
                 }
                 if idle {
@@ -204,7 +203,6 @@ impl Server {
             let res = match req {
                 Request::Submit(spec) => self.handle_submit(stream, spec),
                 Request::Status => write_frame(stream, &self.status_frame()),
-                Request::Results { session } => self.handle_results(stream, &session),
                 Request::Cancel { session } => self.handle_cancel(stream, &session),
                 Request::Shutdown => {
                     self.request_shutdown();
@@ -218,14 +216,15 @@ impl Server {
         }
     }
 
-    /// `submit`: cache-hit replay or a full run with streamed frames.
+    /// `submit`: stream every stored entry's sidecars, then run the rest
+    /// (if any) with streamed frames, then the report.
     fn handle_submit<S: Read + Write>(
         &self,
         stream: &mut S,
         spec: SessionSpec,
     ) -> Result<(), ServeError> {
         let t0 = Instant::now();
-        let mut session = match Session::new(spec) {
+        let mut session = match Session::with_store(spec, self.store.clone()) {
             Ok(s) => s,
             Err(e) => {
                 return write_frame(
@@ -235,67 +234,44 @@ impl Server {
             }
         };
         let (corpus_fp, config_fp) = session.fingerprint();
-        let key = CacheKey::new(corpus_fp, config_fp);
-        let cached = self.cache.get(&key);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let sid = format!("{seq:02x}{:04x}", (key.corpus ^ key.config) & 0xffff);
-        let cache_state = if cached.is_some() { "hit" } else { "miss" };
+        let sid = format!("{seq:02x}{:04x}", (corpus_fp ^ config_fp) & 0xffff);
+        let miss = session.done() < session.total();
+        let cache_state = if miss { "miss" } else { "hit" };
         let entry = Arc::new(SessionEntry {
             id: sid.clone(),
-            key: key.id(),
+            key: format!("{corpus_fp:016x}-{config_fp:016x}-{CODE_FINGERPRINT:016x}"),
             cache: cache_state,
             total: session.total(),
             done: AtomicUsize::new(0),
             state: Mutex::new("running"),
             cancel: AtomicBool::new(false),
-            result: Mutex::new(None),
         });
-        self.sessions.lock().expect("registry lock poisoned").push(entry.clone());
-        write_frame(stream, &accepted_frame(&sid, cache_state, &key.id(), entry.total))?;
+        lock(&self.sessions).push(entry.clone());
+        write_frame(stream, &accepted_frame(&sid, cache_state, &entry.key, entry.total))?;
+        self.ms.add(if miss { CACHE_MISS_COUNTER } else { CACHE_HIT_COUNTER }, 1);
 
-        if let Some(hit) = cached {
-            self.ms.add(CACHE_HIT_COUNTER, 1);
-            entry.done.store(entry.total, Ordering::Relaxed);
-            let res = replay_frames(stream, &sid, &hit, "hit", t0.elapsed());
-            let state = if res.is_ok() { "complete" } else { "failed" };
-            *entry.state.lock().expect("state lock poisoned") = state;
-            *entry.result.lock().expect("result lock poisoned") = Some(hit);
-            if res.is_ok() {
-                self.ms.add(SESSIONS_COMPLETED_COUNTER, 1);
+        // Each entry's frames: a progress frame when the session runs
+        // anything, then its sidecars' exact bytes.
+        let emit = |stream: &mut S, stem: &str, sidecars: &[Sidecar]| -> Result<(), ServeError> {
+            let done = entry.done.fetch_add(1, Ordering::Relaxed) + 1;
+            if miss {
+                write_frame(stream, &count_frame("progress", &sid, done, entry.total))?;
             }
-            return res;
-        }
-
-        self.ms.add(CACHE_MISS_COUNTER, 1);
-        let span = self.ms.span(SESSION_WALL_SPAN);
-        let mut sidecars: Vec<CachedSidecar> = Vec::new();
+            sidecars.iter().try_for_each(|sc| write_frame(stream, &sidecar_frame(stem, sc)))
+        };
+        let mut stream_err = session
+            .records()
+            .iter()
+            .try_for_each(|(stem, r)| emit(stream, stem, &r.sidecars))
+            .err();
         let mut ran = 0u64;
-        let mut stream_err: Option<ServeError> = None;
-        let outcome = {
-            let entry = &entry;
-            let stream_err = &mut stream_err;
-            let sidecars = &mut sidecars;
-            let ran = &mut ran;
-            // The emit path runs strictly in corpus order, so frames
-            // stream in the same order the one-shot CLI writes files.
-            let mut stream_trace = |stream: &mut S,
-                                    stem: &str,
-                                    observed: &masim_core::ObservedTrace|
-             -> Result<(), ServeError> {
-                *ran += 1;
-                let done = entry.done.fetch_add(1, Ordering::Relaxed) + 1;
-                write_frame(stream, &progress_frame(&sid, done, entry.total))?;
-                for rm in &observed.sidecars {
-                    let tool =
-                        rm.labels().get("tool").cloned().unwrap_or_else(|| "run".to_string());
-                    let sc = CachedSidecar { name: format!("{stem}_{tool}"), json: rm.to_json() };
-                    write_frame(stream, &sidecar_frame(&sc))?;
-                    sidecars.push(sc);
-                }
-                Ok(())
-            };
-            let label = session.spec().label();
-            session.run(
+        let label = session.spec().label();
+        let outcome = if miss && stream_err.is_none() {
+            let span = self.ms.span(SESSION_WALL_SPAN);
+            // The emit path runs strictly in corpus order, so frames stream
+            // in the same order the one-shot CLI writes files.
+            let outcome = session.run(
                 self.threads,
                 None,
                 Some(&entry.cancel),
@@ -303,80 +279,49 @@ impl Server {
                 label,
                 Some(&sid),
                 |_, stem, observed| {
-                    if stream_err.is_none() {
-                        if let Err(e) = stream_trace(stream, stem, observed) {
-                            // The consumer is gone: stop dispatching new
-                            // work, let in-flight entries drain.
-                            *stream_err = Some(e);
-                            entry.cancel.store(true, Ordering::Relaxed);
-                        }
+                    if stream_err.is_some() {
+                        return;
+                    }
+                    ran += 1;
+                    let sidecars: Vec<Sidecar> =
+                        observed.sidecars.iter().map(Sidecar::from).collect();
+                    if let Err(e) = emit(stream, stem, &sidecars) {
+                        // The consumer is gone: stop dispatching new work,
+                        // let in-flight entries drain.
+                        stream_err = Some(e);
+                        entry.cancel.store(true, Ordering::Relaxed);
                     }
                 },
-            )
+            );
+            span.stop();
+            outcome
+        } else {
+            Ok(SessionOutcome::Complete)
         };
-        let wall_ns = u64::try_from(span.stop().as_nanos()).unwrap_or(u64::MAX);
         if let Some(e) = stream_err {
-            *entry.state.lock().expect("state lock poisoned") = "failed";
+            *lock(&entry.state) = "failed";
             return Err(e);
         }
         match outcome {
             Ok(SessionOutcome::Complete) => {
-                let result = Arc::new(CachedStudy {
-                    report_name: session.spec().report_name().to_string(),
-                    report: session.report(),
-                    sidecars,
-                    wall_ns,
-                    entries: ran,
-                });
-                if let Err(e) = self.cache.put(&key, result.clone()) {
-                    eprintln!("serve: cache write for {} failed: {e}", key.id());
-                }
-                *entry.state.lock().expect("state lock poisoned") = "complete";
-                *entry.result.lock().expect("result lock poisoned") = Some(result.clone());
+                *lock(&entry.state) = "complete";
                 self.ms.add(SESSIONS_COMPLETED_COUNTER, 1);
-                write_frame(stream, &report_frame(&result.report_name, &result.report))?;
-                write_frame(stream, &done_frame(&sid, "miss", ran, t0.elapsed()))
+                write_frame(
+                    stream,
+                    &report_frame(session.spec().report_name(), &session.report()),
+                )?;
+                write_frame(stream, &done_frame(&sid, cache_state, ran, t0.elapsed()))
             }
-            Ok(SessionOutcome::Interrupted { .. }) => {
-                unreachable!("submit never sets abort_after")
-            }
+            // Invariant: `abort_after` is `None` above, so no run stops early.
+            Ok(SessionOutcome::Interrupted { .. }) => unreachable!("submit never sets abort_after"),
             Err(SessionError::Canceled { done, total }) => {
-                *entry.state.lock().expect("state lock poisoned") = "canceled";
-                write_frame(stream, &canceled_frame(&sid, done, total))
+                *lock(&entry.state) = "canceled";
+                write_frame(stream, &count_frame("canceled", &sid, done, total))
             }
             Err(e) => {
-                *entry.state.lock().expect("state lock poisoned") = "failed";
+                *lock(&entry.state) = "failed";
                 write_frame(stream, &error_frame(&ServeError::BadRequest { reason: e.to_string() }))
             }
-        }
-    }
-
-    /// `results`: replay a completed session's stored frames.
-    fn handle_results<S: Read + Write>(
-        &self,
-        stream: &mut S,
-        session: &str,
-    ) -> Result<(), ServeError> {
-        let Some(entry) = self.lookup(session) else {
-            return write_frame(
-                stream,
-                &error_frame(&ServeError::BadRequest {
-                    reason: format!("unknown session {session:?}"),
-                }),
-            );
-        };
-        let stored = entry.result.lock().expect("result lock poisoned").clone();
-        match stored {
-            Some(result) => replay_frames(stream, &entry.id, &result, "stored", Duration::ZERO),
-            None => write_frame(
-                stream,
-                &error_frame(&ServeError::BadRequest {
-                    reason: format!(
-                        "session {session:?} has no stored result (state: {})",
-                        entry.state.lock().expect("state lock poisoned")
-                    ),
-                }),
-            ),
         }
     }
 
@@ -386,7 +331,8 @@ impl Server {
         stream: &mut S,
         session: &str,
     ) -> Result<(), ServeError> {
-        let Some(entry) = self.lookup(session) else {
+        let found = lock(&self.sessions).iter().find(|e| e.id == session).cloned();
+        let Some(entry) = found else {
             return write_frame(
                 stream,
                 &error_frame(&ServeError::BadRequest {
@@ -398,31 +344,24 @@ impl Server {
         write_frame(stream, &ok_frame("cancel"))
     }
 
-    fn lookup(&self, id: &str) -> Option<Arc<SessionEntry>> {
-        self.sessions.lock().expect("registry lock poisoned").iter().find(|e| e.id == id).cloned()
-    }
-
     /// The `status` response: every session + the `serve.*` counters.
     fn status_frame(&self) -> Value {
-        let sessions = self
-            .sessions
-            .lock()
-            .expect("registry lock poisoned")
+        let sessions = lock(&self.sessions)
             .iter()
             .map(|e| {
                 Value::Obj(vec![
                     ("id".into(), Value::Str(e.id.clone())),
                     ("key".into(), Value::Str(e.key.clone())),
-                    (
-                        "state".into(),
-                        Value::Str(e.state.lock().expect("state lock poisoned").to_string()),
-                    ),
+                    ("state".into(), Value::Str(lock(&e.state).to_string())),
                     ("cache".into(), Value::Str(e.cache.to_string())),
                     ("done".into(), Value::UInt(e.done.load(Ordering::Relaxed) as u64)),
                     ("total".into(), Value::UInt(e.total as u64)),
                 ])
             })
             .collect();
+        let mirror = self.store.path().map(|p| format!(", mirrored to {}", p.display()));
+        let describe =
+            format!("{} record(s) in memory{}", self.store.len(), mirror.unwrap_or_default());
         let snap = self.ms.snapshot();
         let counters = snap
             .counters
@@ -432,7 +371,7 @@ impl Server {
             .collect();
         Value::Obj(vec![
             ("frame".into(), Value::Str("status".into())),
-            ("cache".into(), Value::Str(self.cache.describe())),
+            ("cache".into(), Value::Str(describe)),
             ("sessions".into(), Value::Arr(sessions)),
             ("counters".into(), Value::Obj(counters)),
         ])
@@ -440,7 +379,7 @@ impl Server {
 }
 
 // ---------------------------------------------------------------------
-// Frame constructors (shared by the live path and cache replay)
+// Frame constructors
 // ---------------------------------------------------------------------
 
 fn frame(kind: &str, mut fields: Vec<(String, Value)>) -> Value {
@@ -465,9 +404,10 @@ fn accepted_frame(sid: &str, cache: &str, key: &str, total: usize) -> Value {
     )
 }
 
-fn progress_frame(sid: &str, done: usize, total: usize) -> Value {
+/// A `progress` or `canceled` frame: `done` of `total` entries.
+fn count_frame(kind: &str, sid: &str, done: usize, total: usize) -> Value {
     frame(
-        "progress",
+        kind,
         vec![
             ("session".into(), Value::Str(sid.into())),
             ("done".into(), Value::UInt(done as u64)),
@@ -476,11 +416,11 @@ fn progress_frame(sid: &str, done: usize, total: usize) -> Value {
     )
 }
 
-fn sidecar_frame(sc: &CachedSidecar) -> Value {
+fn sidecar_frame(stem: &str, sc: &Sidecar) -> Value {
     frame(
         "sidecar",
         vec![
-            ("name".into(), Value::Str(sc.name.clone())),
+            ("name".into(), Value::Str(format!("{stem}_{}", sc.tool))),
             ("json".into(), Value::Str(sc.json.clone())),
         ],
     )
@@ -505,32 +445,10 @@ fn done_frame(sid: &str, cache: &str, ran: u64, wall: Duration) -> Value {
     )
 }
 
-fn canceled_frame(sid: &str, done: usize, total: usize) -> Value {
-    frame(
-        "canceled",
-        vec![
-            ("session".into(), Value::Str(sid.into())),
-            ("done".into(), Value::UInt(done as u64)),
-            ("total".into(), Value::UInt(total as u64)),
-        ],
-    )
-}
-
-/// Stream a stored result: the exact sidecar and report bytes the
-/// original run produced, then a `done` with `ran: 0` — zero tool
-/// re-runs is the cache's contract.
-fn replay_frames<S: Read + Write>(
-    stream: &mut S,
-    sid: &str,
-    result: &CachedStudy,
-    cache: &str,
-    wall: Duration,
-) -> Result<(), ServeError> {
-    for sc in &result.sidecars {
-        write_frame(stream, &sidecar_frame(sc))?;
-    }
-    write_frame(stream, &report_frame(&result.report_name, &result.report))?;
-    write_frame(stream, &done_frame(sid, cache, 0, wall))
+/// Lock `m` even if a handler panicked while holding it: every guarded
+/// value is replaced whole, so it is never left half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -543,7 +461,7 @@ mod tests {
     /// and shutdown.
     #[test]
     fn control_plane_over_socketpair() {
-        let server = Server::new(ServerOptions { threads: 1, cache_dir: None });
+        let server = Server::new(ServerOptions { threads: 1, cache_dir: None }).unwrap();
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         let t = std::thread::spawn(move || {
             let server = server;
@@ -581,7 +499,7 @@ mod tests {
     /// hung or dropped connection.
     #[test]
     fn invalid_submit_is_answered() {
-        let server = Server::new(ServerOptions { threads: 1, cache_dir: None });
+        let server = Server::new(ServerOptions { threads: 1, cache_dir: None }).unwrap();
         let (mut a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         let t = std::thread::spawn(move || {
             server.handle_conn(&mut b);

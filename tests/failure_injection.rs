@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use masim_core::{contained, ToolFailure};
+use masim_core::{contained, Key, Store, StoreError, ToolFailure, CODE_FINGERPRINT, STORE_FILE};
 use masim_mfact::{replay, try_replay, ModelConfig, ReplayError};
 use masim_obs::{MetricSet, Snapshot};
 use masim_rng::Rng;
@@ -728,4 +728,60 @@ fn chaos_mixed_failure_study_renders_all_reports() {
     let per_app = format!("{}{}", report::fig3(&study), report::fig4(&study));
     assert!(per_app.contains("incomplete"), "{per_app}");
     assert!(report::table2_text(&study.traces).contains("incomplete"));
+}
+
+// ---------------------------------------------------------------------
+// Hostile result stores: every line is checked when the store opens
+// ---------------------------------------------------------------------
+
+/// A fresh store in a scratch directory holding one real record (the
+/// tiny CMC(16), its MFACT run recorded as a 3-of-16 deadlock); returns
+/// the directory and the record's line.
+fn store_with_one_record() -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("masim-fi-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = masim_core::report::table2_config(7);
+    let entry = &masim_core::report::table2_tiny_entries(7)[0];
+    let mut obs = masim_core::run_one_observed(entry, &cfg);
+    let deadlock = ToolFailure::Deadlock { finished: 3, total: 16 };
+    obs.study.mfact = masim_core::ToolRun::failed(deadlock, Duration::ZERO);
+    let store = Store::create(&dir).unwrap();
+    store.append(Key::new(entry, &cfg), 0, &obs.study, &obs.sidecars).unwrap();
+    let line = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
+    (dir, line)
+}
+
+/// Every line of a result store is checked when it opens. A sidecar
+/// `tool` that is not one plain file name (it would be streamed as a
+/// frame name and written as `<stem>_<tool>.json`) and a deadlock count
+/// wider than `u32` are corrupt on their line; a line under another
+/// code fingerprint is skipped without decoding its body, so even
+/// garbage there is no corruption.
+#[test]
+fn hostile_store_lines_are_typed_when_the_store_opens() {
+    let (dir, good) = store_with_one_record();
+    let reopen = |text: &str| {
+        std::fs::write(dir.join(STORE_FILE), text).unwrap();
+        Store::open(&dir)
+    };
+    let cases = [
+        ("\"tool\":\"packet\"", "\"tool\":\"../x\"", "../x"),
+        ("\"finished\":3", "\"finished\":4294967296", "finished"),
+    ];
+    for (from, to, needle) in cases {
+        let hostile = good.replacen(from, to, 1);
+        assert_ne!(hostile, good);
+        let err = reopen(&format!("{hostile}{good}")).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { line: 1, reason } if reason.contains(needle)),
+            "{to}: {err}"
+        );
+    }
+    // The record's own key, under another build's code fingerprint.
+    let key = &good[8..58];
+    let foreign = format!("{}{:016x}", &key[..34], CODE_FINGERPRINT ^ 1);
+    let garbage = format!("{{\"key\":\"{foreign}\",\"study\":\u{1}not json at all]]\n");
+    let store = reopen(&format!("{garbage}{good}{garbage}{good}")).unwrap();
+    assert_eq!(store.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

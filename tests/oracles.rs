@@ -12,10 +12,13 @@
 //! chosen so that every serialization time is a whole number of
 //! picoseconds on every machine below.
 
+use masim_core::report::table2_tiny_entries;
 use masim_mfact::{replay, ModelConfig};
+use masim_rng::Rng;
 use masim_sim::{simulate, ModelKind, SimConfig};
 use masim_topo::{FatTree, LinkKind, Machine, Mapping, NetworkConfig};
 use masim_trace::{CollKind, NodeId, Rank, RankBuilder, Time, Trace, TraceMeta};
+use masim_workloads::{build_corpus, App, GenConfig, TraceSynth};
 use std::sync::Arc;
 
 /// Message bytes: `M · 8000 / gbps` ps is whole on a NIC link and
@@ -277,5 +280,104 @@ fn lowering_round_counts_and_bytes_match_closed_forms() {
                 assert_eq!(total.0, total.1, "{kind} p={p} m={m}: bytes sent ≠ received");
             }
         }
+    }
+}
+
+/// `b` has at least `a`'s resources on every axis the sweep moves: no
+/// less bandwidth, no more latency, no slower computation.
+fn dominates(b: &ModelConfig, a: &ModelConfig) -> bool {
+    b.net.bandwidth >= a.net.bandwidth
+        && b.net.latency <= a.net.latency
+        && b.compute_scale <= a.compute_scale
+}
+
+/// MFACT's total across `ModelConfig::standard_sweep` on `trace`, checked
+/// for monotonicity: a configuration that dominates another never
+/// predicts a longer run.
+fn assert_mfact_monotone(what: &str, trace: &Trace) {
+    let sweep = ModelConfig::standard_sweep(Machine::cielito().net);
+    let totals: Vec<Time> = replay(trace, &sweep).iter().map(|r| r.total).collect();
+    for (i, a) in sweep.iter().enumerate() {
+        for (j, b) in sweep.iter().enumerate() {
+            if dominates(b, a) {
+                assert!(
+                    totals[j] <= totals[i],
+                    "{what}: sweep{j} dominates sweep{i} but predicts {:?} > {:?} ({b:?} vs {a:?})",
+                    totals[j],
+                    totals[i]
+                );
+            }
+        }
+    }
+}
+
+/// A random program of `seed` built with `TraceSynth`: 4–16 ranks, a few
+/// imbalanced compute rounds, each followed by one of ring or random-pair
+/// exchanges, blocking pair swaps, a collective, an `Alltoallv` or a
+/// barrier, with random message sizes.
+fn synth_trace(seed: u64) -> Trace {
+    let mut rng = Rng::seed_from_u64(seed);
+    let ranks = rng.gen_range_u64(4, 17) as u32;
+    let cfg = GenConfig {
+        comm_fraction: rng.gen_range_f64(0.05, 0.9),
+        imbalance: rng.next_f64(),
+        seed,
+        ..GenConfig::test_default(App::Cmc, ranks)
+    };
+    let mut s = TraceSynth::new(cfg, 1.0 + rng.next_f64());
+    for round in 0..rng.gen_range_u64(1, 6) as u32 {
+        s.compute_round();
+        let bytes = rng.gen_range_u64(0, 1 << 20);
+        let mut order: Vec<u32> = (0..ranks).collect();
+        rng.shuffle(&mut order);
+        match rng.gen_range_u64(0, 6) {
+            0 => {
+                let ring: Vec<_> = (0..ranks).map(|r| (r, (r + 1) % ranks, bytes)).collect();
+                s.symmetric_exchange(&ring, round);
+            }
+            1 => {
+                let pairs: Vec<_> = order.chunks_exact(2).map(|p| (p[0], p[1], bytes)).collect();
+                s.symmetric_exchange(&pairs, round);
+            }
+            2 => {
+                for p in order.chunks_exact(2) {
+                    let (a, b) = (Rank(p[0]), Rank(p[1]));
+                    s.send(a, b, bytes, round);
+                    s.recv(b, a, bytes, round);
+                    s.send(b, a, bytes, round);
+                    s.recv(a, b, bytes, round);
+                }
+            }
+            3 => {
+                let kind = *rng.choose(&CollKind::ALL);
+                s.coll_all(kind, bytes, Rank(order[0]));
+            }
+            4 => {
+                let totals: Vec<u64> =
+                    (0..ranks).map(|_| rng.gen_range_u64(0, bytes + 1)).collect();
+                s.alltoallv(&totals);
+            }
+            _ => s.barrier_all(),
+        }
+    }
+    s.finish()
+}
+
+/// MFACT is monotone in bandwidth, latency and compute scale: across the
+/// standard 7-point sweep, a configuration with more of every resource
+/// never predicts a longer run. Checked on the traces
+/// `tests/golden/mfact_sweep.txt` pins and on 200 random `TraceSynth`
+/// programs.
+#[test]
+fn mfact_total_is_monotone_across_the_standard_sweep() {
+    let corpus = build_corpus(7);
+    let golden = table2_tiny_entries(7)
+        .into_iter()
+        .chain([62, 132, 149, 172, 220].map(|i| corpus[i].clone()));
+    for e in golden {
+        assert_mfact_monotone(&format!("{}({})", e.cfg.app.name(), e.cfg.ranks), &e.generate());
+    }
+    for seed in 0..200 {
+        assert_mfact_monotone(&format!("TraceSynth seed {seed}"), &synth_trace(seed));
     }
 }

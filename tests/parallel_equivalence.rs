@@ -1,14 +1,16 @@
 //! The study executor's determinism contract: `Session::run` — the one
 //! path every study takes — produces, at any thread count, per-trace
-//! predictions, per-tool sidecars, and a checkpoint journal that are
+//! predictions, per-tool sidecars, and result-store records that are
 //! bit-identical to the plain sequential `Study::run_filtered`
 //! reference loop. The only fields allowed to differ are host
 //! wall-clock measurements (span nanoseconds, `wall_ns`), which are
 //! nondeterministic between *any* two runs.
 
+mod common;
+
 use masim_core::{
-    run_one_observed, Checkpoint, Session, SessionOutcome, SessionSpec, Study, StudyConfig,
-    StudyKind, TraceStudy, PARALLEL_WORKERS_GAUGE,
+    run_one_observed, Key, Session, SessionOutcome, SessionSpec, Store, Study, StudyConfig,
+    StudyKind, TraceStudy, PARALLEL_WORKERS_GAUGE, STORE_FILE,
 };
 use masim_obs::{MetricSet, RunMetrics};
 use masim_workloads::build_corpus;
@@ -87,27 +89,6 @@ fn assert_same_sidecars(a: &[RunMetrics], b: &[RunMetrics]) {
     }
 }
 
-/// Zero out the journal's host wall-clock fields (`"wall_ns":N` and the
-/// deadline failure's `"elapsed_ns":N`) so two runs can be compared
-/// byte-for-byte on everything deterministic.
-fn normalize_journal(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(hit) = ["\"wall_ns\":", "\"elapsed_ns\":"]
-        .iter()
-        .filter_map(|k| rest.find(k).map(|p| (p, k.len())))
-        .min()
-    {
-        let (pos, keylen) = hit;
-        let end = pos + keylen;
-        out.push_str(&rest[..end]);
-        out.push('0');
-        rest = rest[end..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
 /// At 1 and at 4 threads the session produces the reference loop's
 /// traces and sidecars, in the same order.
 #[test]
@@ -150,8 +131,8 @@ fn session_bitwise_matches_reference_at_any_thread_count() {
 }
 
 /// Interrupt after 2 entries + resume, at 1 and at 4 threads, writes a
-/// checkpoint journal identical (modulo wall-clock fields) to the one
-/// the reference loop's results produce, and the resumed studies agree
+/// result store identical (modulo wall-clock fields) to the one the
+/// reference loop's results produce, and the resumed studies agree
 /// with the reference on every prediction.
 #[test]
 fn interrupt_resume_matches_reference_journal() {
@@ -159,19 +140,19 @@ fn interrupt_resume_matches_reference_journal() {
     let entries = build_corpus(cfg.seed);
     let indices: Vec<usize> = (0..entries.len()).filter(|i| i % 59 == 2).collect(); // 4 entries
     assert!(indices.len() >= 3, "need enough entries to interrupt mid-run");
-    let reference = Study::run_filtered(cfg.clone(), |i| indices.contains(&i));
+    let observed: Vec<_> = indices.iter().map(|&i| run_one_observed(&entries[i], &cfg)).collect();
     let journal = |dir: &Path| {
-        let text = std::fs::read_to_string(dir.join(masim_core::CHECKPOINT_FILE)).unwrap();
+        let text = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
         let _ = std::fs::remove_dir_all(dir);
-        normalize_journal(&text)
+        text.lines().map(common::deterministic_record).collect::<Vec<_>>()
     };
 
     let ref_dir = scratch("ref");
-    let mut ck = Checkpoint::create(&ref_dir, &cfg, entries.len()).unwrap();
-    for (&i, t) in indices.iter().zip(&reference.traces) {
-        ck.record(i, t).unwrap();
+    let store = Store::create(&ref_dir).unwrap();
+    for (&i, o) in indices.iter().zip(&observed) {
+        store.append(Key::new(&entries[i], &cfg), i, &o.study, &o.sidecars).unwrap();
     }
-    drop(ck);
+    drop(store);
     let ref_journal = journal(&ref_dir);
 
     for threads in THREADS {
@@ -189,8 +170,8 @@ fn interrupt_resume_matches_reference_journal() {
         assert_eq!(outcome, SessionOutcome::Complete);
         assert_eq!(emitted.len(), indices.len() - 2);
 
-        for (a, b) in reference.traces.iter().zip(&second.study().traces) {
-            assert_same_predictions(a, b);
+        for (a, b) in observed.iter().zip(&second.study().traces) {
+            assert_same_predictions(&a.study, b);
         }
         drop(second);
         assert_eq!(

@@ -19,11 +19,18 @@
 //!
 //! Regenerate with `GOLDEN_WRITE=1 cargo test --test route_equivalence`
 //! — but only when a PR *intends* to change predictions; this suite
-//! exists to prove perf PRs are bit-identical.
+//! exists to prove perf PRs are bit-identical. Then re-pin
+//! `CODE_FINGERPRINT` to the value `code_fingerprint_is_pinned` prints:
+//! it hashes both goldens and the tiny run's result-store records, so
+//! every stored result of the old code stops matching.
+
+mod common;
 
 use masim_core::report;
-use masim_core::study::run_one_observed;
+use masim_core::study::{run_one_observed, ObservedTrace};
+use masim_core::{Key, Store, CODE_FINGERPRINT, STORE_FILE};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 const GOLDEN: &str = "tests/golden/tiny_corpus.txt";
 const MFACT_GOLDEN: &str = "tests/golden/mfact_sweep.txt";
@@ -63,14 +70,21 @@ fn mask_numbers(text: &str) -> String {
         .join("\n")
 }
 
+/// The tiny Table II through all four tools, run once per test binary:
+/// the golden snapshot and the fingerprint pin both read it.
+fn tiny_run() -> &'static [ObservedTrace] {
+    static RUN: OnceLock<Vec<ObservedTrace>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let cfg = report::table2_config(7);
+        report::table2_tiny_entries(7).iter().map(|e| run_one_observed(e, &cfg)).collect()
+    })
+}
+
 fn render_snapshot() -> String {
-    let entries = report::table2_tiny_entries(7);
-    let cfg = report::table2_config(7);
     let mut out = String::new();
     let mut studies = Vec::new();
-    for e in &entries {
-        let obs = run_one_observed(e, &cfg);
-        let stem = report::table2_stem(e);
+    for obs in tiny_run() {
+        let stem = report::table2_stem(&obs.study.entry);
         let t = &obs.study;
         let ps = |r: &masim_core::ToolRun| {
             r.total.map_or_else(|| "failed".to_string(), |t| t.as_ps().to_string())
@@ -98,7 +112,7 @@ fn render_snapshot() -> String {
                 }
             }
         }
-        studies.push(obs.study);
+        studies.push(obs.study.clone());
     }
     let _ = writeln!(out, "--- table2 (masked) ---");
     let _ = writeln!(out, "{}", mask_numbers(&report::table2_text(&studies)));
@@ -136,6 +150,43 @@ fn tiny_corpus_matches_pre_refactor_golden() {
     check_golden(GOLDEN, &render_snapshot());
 }
 
+/// FNV-1a 64 of `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `CODE_FINGERPRINT` is the FNV-1a of both goldens' bytes, then of the
+/// tiny run's result-store records with host wall clock taken out
+/// (`wall_ns` zeroed, sidecars reduced to labels plus
+/// `Snapshot::deterministic`). A change to any prediction, record field
+/// or sidecar metric fails here until the constant is re-pinned, and
+/// re-pinning moves every store key: no result of the old code is ever
+/// served as the new code's.
+#[test]
+fn code_fingerprint_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("masim-pin-{}", std::process::id()));
+    let store = Store::create(&dir).expect("create store");
+    let cfg = report::table2_config(7);
+    for (i, obs) in tiny_run().iter().enumerate() {
+        let key = Key::new(&obs.study.entry, &cfg);
+        store.append(key, i, &obs.study, &obs.sidecars).expect("append record");
+    }
+    let records = std::fs::read_to_string(dir.join(STORE_FILE)).expect("read store");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for path in [GOLDEN, MFACT_GOLDEN] {
+        h = fnv1a(h, &std::fs::read(path).expect("golden file"));
+    }
+    for line in records.lines() {
+        h = fnv1a(h, common::deterministic_record(line).1.as_bytes());
+    }
+    assert_eq!(
+        h, CODE_FINGERPRINT,
+        "output changed: re-pin CODE_FINGERPRINT (crates/core/src/store.rs) to {h:#018x}"
+    );
+}
+
 /// Seed-7 corpus entries small enough for a debug build, one per shape
 /// the replay's matching state must handle: LU(64) and DT(64) post
 /// blocking `Recv`s (LU from 96 channels into one rank), AMG(107) holds
@@ -145,10 +196,8 @@ const MFACT_CORPUS_ENTRIES: [usize; 5] = [62, 132, 149, 172, 220];
 
 /// FNV-1a over the per-rank final clocks.
 fn digest(per_rank: &[masim_trace::Time]) -> u64 {
-    per_rank
-        .iter()
-        .flat_map(|t| t.as_ps().to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    let bytes: Vec<u8> = per_rank.iter().flat_map(|t| t.as_ps().to_le_bytes()).collect();
+    fnv1a(0xcbf2_9ce4_8422_2325, &bytes)
 }
 
 /// Every `ConfigResult` field of MFACT's three replays (baseline, the

@@ -1,12 +1,13 @@
 //! End-to-end exercise of the study-as-a-service daemon: a real unix
-//! socket, the length-prefixed protocol, the content-addressed result
-//! cache, and the client that materializes responses as files.
+//! socket, the length-prefixed protocol, the content-addressed per-trace
+//! result store, and the client that materializes responses as files.
 //!
-//! The contract under test is the ISSUE's acceptance criterion: a
-//! socket-submitted study produces the same derived values as running
-//! the session in-process (host wall-clock columns excepted), and an
-//! identical resubmission is served from the cache **byte-identically**
-//! with zero simulator invocations.
+//! The contract under test: a socket-submitted study produces the same
+//! derived values as running the session in-process (host wall-clock
+//! columns excepted), and a submission whose every entry is stored —
+//! by an identical submission, a larger one, or a previous daemon on
+//! the same `--cache-dir` — is served **byte-identically** with zero
+//! simulator invocations.
 
 use masim_core::{Session, SessionSpec, StudyKind};
 use masim_obs::json::Value;
@@ -14,16 +15,21 @@ use masim_obs::run::parse_json;
 use masim_obs::MetricSet;
 use masim_serve::{client, Bind, Server, ServerOptions, Target};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Indices of two debug-cheap corpus entries (the same pair the
-/// checkpoint equivalence tests use).
+/// resume equivalence tests use).
 const INDICES: [usize; 2] = [3, 40];
 
 fn spec() -> SessionSpec {
-    SessionSpec { kind: StudyKind::Corpus { indices: Some(INDICES.to_vec()) }, seed: 7 }
+    subset(&INDICES)
+}
+
+fn subset(indices: &[usize]) -> SessionSpec {
+    SessionSpec { kind: StudyKind::Corpus { indices: Some(indices.to_vec()) }, seed: 7 }
 }
 
 /// Zero the host wall-clock columns of a `study.csv` body — the ones
@@ -53,14 +59,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn socket_submission_matches_in_process_run_and_caches() {
-    let root = scratch("session");
+/// A daemon with two study workers, its store under `root/cache`,
+/// listening on `root/repro.sock` once this returns.
+fn start(root: &Path) -> (Arc<Server>, JoinHandle<()>, Target) {
     let sock = root.join("repro.sock");
-    // Two study workers in the daemon against the one-worker in-process
-    // reference below: served ≡ one-shot holds across thread counts too.
-    let server =
-        Arc::new(Server::new(ServerOptions { threads: 2, cache_dir: Some(root.join("cache")) }));
+    let server = Server::new(ServerOptions { threads: 2, cache_dir: Some(root.join("cache")) });
+    let server = Arc::new(server.expect("open the store"));
     let daemon = {
         let server = server.clone();
         let sock = sock.clone();
@@ -71,7 +75,32 @@ fn socket_submission_matches_in_process_run_and_caches() {
         assert!(Instant::now() < deadline, "daemon never bound {}", sock.display());
         std::thread::sleep(Duration::from_millis(10));
     }
-    let target = Target::Unix(sock.clone());
+    (server, daemon, Target::Unix(sock))
+}
+
+/// Every file under `dir` (one level of subdirectories), by relative
+/// path, with its bytes.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for sub in ["", "metrics"] {
+        for e in std::fs::read_dir(dir.join(sub)).expect("output dir") {
+            let path = e.unwrap().path();
+            if path.is_file() && !path.ends_with("response.json") {
+                let name = path.strip_prefix(dir).unwrap().display().to_string();
+                out.insert(name, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn socket_submission_matches_in_process_run_and_caches() {
+    let root = scratch("session");
+    let sock = root.join("repro.sock");
+    // Two study workers in the daemon against the one-worker in-process
+    // reference below: served ≡ one-shot holds across thread counts too.
+    let (server, daemon, target) = start(&root);
 
     // --- first submission: a cache miss that actually runs ---
     let out1 = root.join("out1");
@@ -152,5 +181,40 @@ fn socket_submission_matches_in_process_run_and_caches() {
     client::shutdown(&target).expect("shutdown ack");
     daemon.join().expect("daemon thread");
     assert!(!sock.exists(), "socket file must be removed on shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The store is per trace: a submission that shares entries with an
+/// earlier one replays them instead of running them, a subset of a
+/// stored study is a hit, and a daemon restarted on the same
+/// `--cache-dir` serves the whole study from disk — every replay
+/// byte-identical to the run that stored it.
+#[test]
+fn stored_entries_are_hits_across_submissions_and_restarts() {
+    let root = scratch("store");
+    let (_, daemon, target) = start(&root);
+    let submit = |indices: &[usize], out: &str| {
+        client::submit(&target, subset(indices), &root.join(out), true).expect(out)
+    };
+
+    let first = submit(&[3], "first");
+    assert_eq!((first.cache.as_str(), first.ran), ("miss", 1));
+    // Entry 3 is stored: only entry 40 runs, and 3's sidecars replay.
+    let both = submit(&INDICES, "both");
+    assert_eq!((both.cache.as_str(), both.ran, both.total), ("miss", 1, 2));
+    assert_eq!(files(&root.join("both")).len(), 1 + INDICES.len() * 5, "report + sidecars");
+    let again = submit(&[3], "again");
+    assert_eq!((again.cache.as_str(), again.ran), ("hit", 0), "a stored subset is a hit");
+    assert_eq!(files(&root.join("first")), files(&root.join("again")));
+    client::shutdown(&target).expect("shutdown ack");
+    daemon.join().expect("daemon thread");
+
+    let (server, daemon, target) = start(&root);
+    let cold = client::submit(&target, spec(), &root.join("restarted"), true).expect("restarted");
+    assert_eq!((cold.cache.as_str(), cold.ran), ("hit", 0), "served from the store on disk");
+    assert_eq!(files(&root.join("both")), files(&root.join("restarted")));
+    assert_eq!(server.metrics().snapshot().counters.get("serve.cache.hit"), Some(&1));
+    client::shutdown(&target).expect("shutdown ack");
+    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&root);
 }
