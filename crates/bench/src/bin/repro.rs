@@ -464,7 +464,6 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
     let res = masim_sim::run(&stream, &cfg, limits, Some(&ms));
     let wall = span.stop();
 
-    let failure = res.as_ref().err().map(|e| ToolFailure::from_sim(e.clone()));
     if let Some(dir) = &metrics {
         let mut rm = RunMetrics::with_set(ms.clone())
             .label("tool", "scale")
@@ -472,8 +471,8 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
             .label("machine", &machine_name)
             .label("ranks", &gcfg.ranks.to_string())
             .label("seed", &gcfg.seed.to_string());
-        if let Some(f) = &failure {
-            rm = rm.label("failure", f.code());
+        if let Err(e) = &res {
+            rm = rm.label("failure", ToolFailure::from_sim(e.clone()).code());
         }
         let n = write_sidecars(dir, "scale", &[rm])?;
         eprintln!("scale: wrote {n} sidecar(s) under {}", dir.display());
@@ -497,19 +496,20 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        Err(e) => {
-            let f = failure.expect("failure recorded for the error branch");
-            Err(format!("scale: simulation failed ({}): {e}", f.code()))
-        }
+        Err(e) => Err(format!(
+            "scale: simulation failed ({}): {e}",
+            ToolFailure::from_sim(e.clone()).code()
+        )),
     }
 }
 
 /// `repro serve`: run the study-as-a-service daemon until a `shutdown`
 /// request arrives. `--socket <path>` and/or `--tcp <addr>` choose the
-/// transports; `--cache-dir <dir>` mirrors the content-addressed result
-/// cache to disk so identical resubmissions replay without running a
-/// single simulator; `--trace <dir>` exports the daemon's timeline on
-/// exit, exactly like the one-shot CLI.
+/// transports; `--cache-dir <dir>` keeps the per-trace result store on
+/// disk (`<dir>/study.ckpt.jsonl`), so an entry stored by any earlier
+/// submission, also before a restart, is a hit that runs no simulator;
+/// `--trace <dir>` exports the daemon's timeline on exit, exactly like
+/// the one-shot CLI.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     let (mut socket, mut tcp) = (None, None);
     let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -664,8 +664,9 @@ fn write_trace(dir: &Path, tl: &TraceLog) -> Result<(), String> {
 /// Run one study to completion through [`Session::run`] — the same
 /// object the `repro serve` daemon runs; the CLI points its trace
 /// callback at sidecar files instead of socket frames, and `--checkpoint`
-/// only decides whether the session journals. Returns the study and the
-/// number of sidecar files written.
+/// only decides whether the session keeps its per-trace result store on
+/// disk (`<dir>/study.ckpt.jsonl`). Returns the study and the number of
+/// sidecar files written.
 ///
 /// Sidecars are written only for entries that ran *in this invocation*
 /// (recovered entries wrote theirs before the interruption, so a resumed

@@ -109,13 +109,6 @@ impl<S: Handler> Engine<S> {
         self.max_pending
     }
 
-    /// Ladder-queue drain-window slides so far (tier-2 activity; see
-    /// [`crate::queue`]).
-    #[inline]
-    pub fn queue_window_advances(&self) -> u64 {
-        self.queue.window_advances()
-    }
-
     /// Ladder-queue overflow→ring migrations so far (tier-3 activity).
     #[inline]
     pub fn queue_overflow_migrations(&self) -> u64 {

@@ -10,9 +10,7 @@
 //!   computation);
 //! * [`classify`] — the sensitivity-sweep classifier (computation-bound,
 //!   load-imbalance-bound, bandwidth-, latency-, communication-bound)
-//!   and the paper's "communication-sensitive" rollup;
-//! * [`advisor`] — the what-if upgrade advisor (bottleneck shares and a
-//!   ranked menu of bandwidth/latency/compute upgrades).
+//!   and the paper's "communication-sensitive" rollup.
 //!
 //! MFACT deliberately ignores network contention — that is the modeling
 //! side of the paper's accuracy trade-off. The contention-aware
@@ -45,13 +43,11 @@
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod classify;
 pub mod cost;
 pub mod error;
 pub mod replay;
 
-pub use advisor::{advise, Advice, WhatIf};
 pub use classify::{
     classify, probe_configs, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD,
 };

@@ -193,7 +193,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
+    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -233,7 +233,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         self.enter()?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -246,7 +246,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
             fields.push((key, val));
@@ -264,7 +264,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.enter()?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -290,7 +290,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {

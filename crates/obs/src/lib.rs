@@ -38,6 +38,17 @@ pub use run::RunMetrics;
 pub use span::{SpanGuard, SpanStats};
 pub use tracelog::{TraceEvent, TraceKind, TraceLog, TraceSpan};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` even if a thread panicked while holding it. Every value the
+/// workspace guards this way (a metric registry map, a trace lane
+/// buffer, a rate limiter's timestamp, a daemon's session table) stays
+/// valid after a partial update, so a panic in one worker never takes
+/// the telemetry or the server down with it.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Bump a named counter on a [`MetricSet`].
 ///
 /// `count!(ms, "sim.packet.packets")` adds 1;
@@ -87,4 +98,17 @@ macro_rules! trace_instant {
             tl.counter($name, $v as u64);
         }
     };
+}
+
+/// Poison `m` the way a dying worker does: a thread panics holding it.
+#[cfg(test)]
+fn poison<T: Send>(m: &Mutex<T>) {
+    std::thread::scope(|s| {
+        let held = s.spawn(|| {
+            let _guard = m.lock();
+            panic!("worker died holding the lock");
+        });
+        assert!(held.join().is_err());
+    });
+    assert!(m.is_poisoned());
 }

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{HistCells, HistData, Histogram};
+use crate::lock;
 use crate::span::{SpanGuard, SpanStats};
 
 /// Monotonic counter handle. Clone freely; all clones share the cell.
@@ -33,16 +34,11 @@ impl Counter {
     }
 }
 
-/// Last-value / high-water-mark gauge handle.
+/// High-water-mark gauge handle.
 #[derive(Clone, Debug)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Raise the gauge to `v` if `v` is larger (high-water mark).
     #[inline]
     pub fn record_max(&self, v: u64) {
@@ -85,14 +81,14 @@ impl MetricSet {
 
     /// Fetch (registering on first use) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("obs counters poisoned");
+        let mut map = lock(&self.inner.counters);
         let cell = map.entry(name.to_string()).or_default().clone();
         Counter(cell)
     }
 
     /// Fetch (registering on first use) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("obs gauges poisoned");
+        let mut map = lock(&self.inner.gauges);
         let cell = map.entry(name.to_string()).or_default().clone();
         Gauge(cell)
     }
@@ -100,16 +96,9 @@ impl MetricSet {
     /// Fetch (registering on first use) the log2-bucketed histogram
     /// `name`.
     pub fn hist(&self, name: &str) -> Histogram {
-        let mut map = self.inner.hists.lock().expect("obs hists poisoned");
+        let mut map = lock(&self.inner.hists);
         let cell = map.entry(name.to_string()).or_default().clone();
         Histogram(cell)
-    }
-
-    /// Record one observation into histogram `name`; registry lookup per
-    /// call, so prefer a pre-registered [`Histogram`] in tight loops.
-    #[inline]
-    pub fn hist_record(&self, name: &str, v: u64) {
-        self.hist(name).record(v);
     }
 
     /// Add `n` to counter `name`; registry lookup per call, so prefer a
@@ -125,12 +114,6 @@ impl MetricSet {
         self.gauge(name).record_max(v);
     }
 
-    /// Set gauge `name` to `v`.
-    #[inline]
-    pub fn gauge_set(&self, name: &str, v: u64) {
-        self.gauge(name).set(v);
-    }
-
     /// Open a wall-clock span; it records into this set when dropped or
     /// stopped ([`SpanGuard::stop`] also returns the elapsed time).
     pub fn span(&self, name: &str) -> SpanGuard {
@@ -140,34 +123,22 @@ impl MetricSet {
     /// Merge one finished span observation into the registry.
     /// Exposed for [`SpanGuard`] and for folding external measurements in.
     pub fn record_span(&self, name: &str, elapsed_ns: u64) {
-        let mut map = self.inner.spans.lock().expect("obs spans poisoned");
+        let mut map = lock(&self.inner.spans);
         map.entry(name.to_string()).or_default().record(elapsed_ns);
     }
 
     /// Copy out every metric, ordered by name.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .expect("obs counters poisoned")
+        let counters = lock(&self.inner.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .expect("obs gauges poisoned")
+        let gauges = lock(&self.inner.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
-        let spans = self.inner.spans.lock().expect("obs spans poisoned").clone();
-        let hists = self
-            .inner
-            .hists
-            .lock()
-            .expect("obs hists poisoned")
+        let spans = lock(&self.inner.spans).clone();
+        let hists = lock(&self.inner.hists)
             .iter()
             .map(|(k, v)| (k.clone(), Histogram(v.clone()).data()))
             .collect();
@@ -185,7 +156,7 @@ impl MetricSet {
             self.gauge_max(k, *v);
         }
         {
-            let mut map = self.inner.spans.lock().expect("obs spans poisoned");
+            let mut map = lock(&self.inner.spans);
             for (k, s) in &other.spans {
                 map.entry(k.clone()).or_default().merge(s);
             }
@@ -241,12 +212,12 @@ mod tests {
         let b = MetricSet::new();
         a.add("n", 2);
         a.gauge_max("g", 9);
-        a.hist_record("h", 3);
+        a.hist("h").record(3);
         b.add("n", 3);
         b.gauge_max("g", 7);
         b.record_span("s", 100);
-        b.hist_record("h", 3);
-        b.hist_record("h", 1000);
+        b.hist("h").record(3);
+        b.hist("h").record(1000);
         a.absorb(&b.snapshot());
         let snap = a.snapshot();
         assert_eq!(snap.counters["n"], 5, "counters add");
@@ -258,6 +229,27 @@ mod tests {
         assert_eq!(h.sum, 1006);
         assert_eq!(h.min, 3);
         assert_eq!(h.max, 1000);
+    }
+
+    /// A worker that panics mid-update leaves every registry usable:
+    /// the snapshot keeps what was recorded and later updates land.
+    #[test]
+    fn registries_survive_a_poisoned_lock() {
+        let ms = MetricSet::new();
+        ms.add("c", 1);
+        ms.gauge_max("g", 2);
+        ms.hist("h").record(3);
+        ms.record_span("s", 4);
+        crate::poison(&ms.inner.counters);
+        crate::poison(&ms.inner.gauges);
+        crate::poison(&ms.inner.hists);
+        crate::poison(&ms.inner.spans);
+        let snap = ms.snapshot();
+        assert_eq!((snap.counters["c"], snap.gauges["g"]), (1, 2));
+        assert_eq!((snap.hists["h"].count(), snap.spans["s"].count), (1, 1));
+        ms.absorb(&snap);
+        let snap = ms.snapshot();
+        assert_eq!((snap.counters["c"], snap.hists["h"].count(), snap.spans["s"].count), (2, 2, 2));
     }
 
     #[test]

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::lock;
+
 pub struct Progress {
     label: String,
     /// Short session/run id printed as `[prefix] ` before the label;
@@ -64,13 +66,6 @@ impl Progress {
         p
     }
 
-    /// A reporter that counts but never prints (tests, quiet mode).
-    pub fn silent(label: &str, total: u64) -> Self {
-        let mut p = Self::new(label, total);
-        p.enabled = false;
-        p
-    }
-
     /// Tag every printed line with a short session id (`[id] label: ...`)
     /// so concurrently running sessions stay distinguishable on a shared
     /// stderr. Rate limiting is already per instance — i.e. per session —
@@ -108,7 +103,7 @@ impl Progress {
         let done = self.done.fetch_add(n, Ordering::Relaxed) + n;
         let now = Instant::now();
         {
-            let mut last = self.last_print.lock().expect("progress lock poisoned");
+            let mut last = lock(&self.last_print);
             match *last {
                 Some(t) if now.duration_since(t) < self.min_interval && done < self.total => return,
                 _ => *last = Some(now),
@@ -158,9 +153,16 @@ impl Progress {
 mod tests {
     use super::*;
 
+    /// A reporter that counts but never prints.
+    fn silent(label: &str, total: u64) -> Progress {
+        let mut p = Progress::new(label, total);
+        p.enabled = false;
+        p
+    }
+
     #[test]
     fn silent_counts_without_printing() {
-        let p = Progress::silent("test", 10);
+        let p = silent("test", 10);
         for _ in 0..10 {
             p.tick(1);
         }
@@ -173,7 +175,7 @@ mod tests {
     /// no-op).
     #[test]
     fn finish_is_idempotent_with_final_tick() {
-        let p = Progress::silent("test", 3);
+        let p = silent("test", 3);
         p.tick(3); // reaches total → reports the final line
         let after_tick = p.lines();
         assert_eq!(after_tick, 1);
@@ -184,7 +186,7 @@ mod tests {
 
     #[test]
     fn finish_reports_when_no_final_tick_printed() {
-        let p = Progress::silent("test", 5);
+        let p = silent("test", 5);
         p.tick(1); // first tick reports (rate limiter starts empty)
         assert_eq!(p.lines(), 1);
         p.finish();
@@ -210,8 +212,8 @@ mod tests {
     /// limiter — ticking one never suppresses another's lines.
     #[test]
     fn prefixed_reporters_rate_limit_independently() {
-        let a = Progress::silent("study", 100).with_prefix("aa0001");
-        let b = Progress::silent("study", 100).with_prefix("bb0002");
+        let a = silent("study", 100).with_prefix("aa0001");
+        let b = silent("study", 100).with_prefix("bb0002");
         assert_eq!(a.prefix(), "aa0001");
         assert_eq!(b.prefix(), "bb0002");
         a.tick(1); // first tick on a fresh limiter always reports

@@ -54,10 +54,6 @@ impl RunMetrics {
         self
     }
 
-    pub fn set_label(&mut self, key: &str, value: &str) {
-        self.labels.insert(key.to_string(), value.to_string());
-    }
-
     pub fn labels(&self) -> &BTreeMap<String, String> {
         &self.labels
     }
@@ -279,8 +275,8 @@ mod tests {
             .label("plain", "ok");
         rm.set().add("weird,counter", 7);
         rm.set().record_span("span \"q\"", 42);
-        rm.set().hist_record("dist,name", 9);
-        rm.set().hist_record("dist,name", 300);
+        rm.set().hist("dist,name").record(9);
+        rm.set().hist("dist,name").record(300);
         let data = parse_json(&rm.to_json()).unwrap();
         assert_eq!(&data.labels, rm.labels());
         assert_eq!(data.snapshot, rm.set().snapshot());
@@ -320,9 +316,9 @@ mod tests {
         ms.record_span("sim.runner.simulate", 2000);
         ms.record_span("des.queue.scan", 5);
         for v in [8u64, 16, 16, 64] {
-            ms.hist_record("sim.msg.bytes", v);
+            ms.hist("sim.msg.bytes").record(v);
         }
-        ms.hist_record("des.queue.depth", 2);
+        ms.hist("des.queue.depth").record(2);
         let snap = ms.snapshot();
 
         // Nothing is dropped; spans lose their three `_ns` fields and

@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::Value;
+use crate::lock;
 
 /// Default per-lane capacity (records, not bytes).
 pub const DEFAULT_LANE_CAPACITY: usize = 1 << 16;
@@ -124,7 +125,7 @@ impl TraceLog {
             }
             let worker = self.inner.next_worker.fetch_add(1, Ordering::Relaxed) as u16;
             let lane = Arc::new(Mutex::new(Lane { worker, buf: Vec::new(), next: 0, dropped: 0 }));
-            self.inner.lanes.lock().expect("trace lanes poisoned").push(lane.clone());
+            lock(&self.inner.lanes).push(lane.clone());
             *slot = Some((key, lane.clone()));
             lane
         })
@@ -134,12 +135,12 @@ impl TraceLog {
     /// study runner aligns trace tracks with its worker numbering).
     pub fn set_worker(&self, w: u16) {
         let lane = self.lane();
-        lane.lock().expect("trace lane poisoned").worker = w;
+        lock(&lane).worker = w;
     }
 
     /// Intern `name`, returning its stable id.
     pub fn intern(&self, name: &str) -> u16 {
-        let mut names = self.inner.names.lock().expect("trace names poisoned");
+        let mut names = lock(&self.inner.names);
         if let Some(id) = names.ids.get(name) {
             return *id;
         }
@@ -156,7 +157,7 @@ impl TraceLog {
 
     /// Interned name for `id` ("?" when unknown).
     pub fn name(&self, id: u16) -> String {
-        let names = self.inner.names.lock().expect("trace names poisoned");
+        let names = lock(&self.inner.names);
         names.list.get(id as usize).cloned().unwrap_or_else(|| "?".to_string())
     }
 
@@ -164,7 +165,7 @@ impl TraceLog {
     /// overflow). Low-level: the macros and guards call this.
     pub fn record(&self, kind: TraceKind, name: u16, start_ns: u64, dur_ns: u64, value: u64) {
         let lane = self.lane();
-        let mut lane = lane.lock().expect("trace lane poisoned");
+        let mut lane = lock(&lane);
         let ev = TraceEvent { start_ns, dur_ns, value, name, worker: lane.worker, kind };
         if lane.buf.len() < self.inner.lane_capacity {
             lane.buf.push(ev);
@@ -195,8 +196,8 @@ impl TraceLog {
 
     /// Total records currently buffered across lanes.
     pub fn len(&self) -> usize {
-        let lanes = self.inner.lanes.lock().expect("trace lanes poisoned");
-        lanes.iter().map(|l| l.lock().expect("trace lane poisoned").buf.len()).sum()
+        let lanes = lock(&self.inner.lanes);
+        lanes.iter().map(|l| lock(l).buf.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -205,15 +206,15 @@ impl TraceLog {
 
     /// Records overwritten by ring overflow, across lanes.
     pub fn dropped(&self) -> u64 {
-        let lanes = self.inner.lanes.lock().expect("trace lanes poisoned");
-        lanes.iter().map(|l| l.lock().expect("trace lane poisoned").dropped).sum()
+        let lanes = lock(&self.inner.lanes);
+        lanes.iter().map(|l| lock(l).dropped).sum()
     }
 
     fn collect(&self) -> Vec<TraceEvent> {
-        let lanes = self.inner.lanes.lock().expect("trace lanes poisoned");
+        let lanes = lock(&self.inner.lanes);
         let mut out = Vec::new();
         for lane in lanes.iter() {
-            out.extend_from_slice(&lane.lock().expect("trace lane poisoned").buf);
+            out.extend_from_slice(&lock(lane).buf);
         }
         out
     }
@@ -317,12 +318,8 @@ fn nest_spans(spans: &[&TraceEvent]) -> Vec<(u16, u64, u64)> {
     let mut out = Vec::with_capacity(sorted.len());
     let mut stack: Vec<(u16, u64, u64)> = Vec::new();
     for (start, end, name) in sorted {
-        while let Some(top) = stack.last() {
-            if top.2 <= start {
-                out.push(stack.pop().unwrap());
-            } else {
-                break;
-            }
+        while let Some(top) = stack.pop_if(|top| top.2 <= start) {
+            out.push(top);
         }
         // Clamp to the enclosing span so overlap (which scoped guards
         // cannot produce, but raw records could) still nests.
@@ -391,6 +388,39 @@ mod tests {
             "TraceEvent grew past 32 bytes: {}",
             std::mem::size_of::<TraceEvent>()
         );
+    }
+
+    /// A worker that panics while holding the name table, the lane list
+    /// or its own lane leaves the log exportable with every record.
+    #[test]
+    fn export_survives_a_poisoned_lock() {
+        let tl = TraceLog::new(64);
+        tl.instant("mark");
+        drop(tl.span("work"));
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                tl.instant("other");
+                let lane = tl.lane();
+                let _guard = lane.lock();
+                panic!("worker died holding its lane");
+            });
+            assert!(died.join().is_err());
+        });
+        crate::poison(&tl.inner.names);
+        crate::poison(&tl.inner.lanes);
+        crate::poison(&tl.lane());
+        tl.instant("after");
+        assert_eq!((tl.len(), tl.dropped()), (4, 0));
+        let doc = json::parse(&tl.to_chrome_json()).expect("export parses");
+        let Some(json::Value::Arr(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents")
+        };
+        for name in ["mark", "work", "other", "after"] {
+            assert!(
+                events.iter().any(|e| e.get("name").and_then(json::Value::as_str) == Some(name)),
+                "{name} missing from the export"
+            );
+        }
     }
 
     #[test]

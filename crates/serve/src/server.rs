@@ -18,11 +18,11 @@ use crate::protocol::{error_frame, read_frame, write_frame, Request, ServeError}
 use masim_core::session::{Session, SessionError, SessionOutcome, SessionSpec};
 use masim_core::store::{Sidecar, Store, StoreError, CODE_FINGERPRINT, STORE_FILE};
 use masim_obs::json::Value;
-use masim_obs::MetricSet;
+use masim_obs::{lock, MetricSet};
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Counter: total requests, plus `serve.request.<op>` per operation.
@@ -443,12 +443,6 @@ fn done_frame(sid: &str, cache: &str, ran: u64, wall: Duration) -> Value {
             ("wall_ns".into(), Value::UInt(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX))),
         ],
     )
-}
-
-/// Lock `m` even if a handler panicked while holding it: every guarded
-/// value is replaced whole, so it is never left half-updated.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

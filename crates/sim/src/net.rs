@@ -235,11 +235,6 @@ impl RouteArena {
         &self.storage[s..s + r.len as usize]
     }
 
-    /// Distinct routes interned so far.
-    pub fn routes_interned(&self) -> usize {
-        self.interned
-    }
-
     /// Resident footprint in bytes (flat storage + index), exported as
     /// `sim.route.arena_bytes`.
     pub fn bytes(&self) -> u64 {
@@ -1206,7 +1201,7 @@ mod tests {
         assert_eq!(arena.get(Rank(1), Rank(2)), Some(r));
         assert_eq!(arena.resolve(r), &links);
         assert_eq!(r.len(), 3);
-        assert_eq!(arena.routes_interned(), 1);
+        assert_eq!(arena.interned, 1);
         assert!(arena.bytes() > 0);
         // A second pair lands behind the first in the flat storage.
         let r2 = arena.try_intern(Rank(2), Rank(1), &[LinkId(7), LinkId(8)]).unwrap();
@@ -1258,7 +1253,7 @@ mod tests {
                 assert_eq!(arena.get(*s, *d), Some(*r), "ranks={ranks}");
                 assert_eq!(arena.resolve(*r), links.as_slice(), "ranks={ranks}");
             }
-            assert_eq!(arena.routes_interned(), refs.len(), "ranks={ranks}");
+            assert_eq!(arena.interned, refs.len(), "ranks={ranks}");
         }
     }
 
@@ -1282,7 +1277,7 @@ mod tests {
         }
         match err.expect("64-byte cap must trip") {
             SimError::RouteArenaExhausted { routes, bytes, limit } => {
-                assert_eq!(routes as usize, arena.routes_interned());
+                assert_eq!(routes as usize, arena.interned);
                 assert!(bytes <= 64 + 128, "{bytes}");
                 assert!(limit.contains("resident cap"), "{limit}");
             }

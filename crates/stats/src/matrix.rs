@@ -19,15 +19,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build from rows.
     pub fn from_rows(rows: &[Vec<f64>]) -> Matrix {
         assert!(!rows.is_empty());
@@ -166,7 +157,10 @@ mod tests {
 
     #[test]
     fn solve_identity() {
-        let i = Matrix::identity(4);
+        let mut i = Matrix::zeros(4, 4);
+        for k in 0..4 {
+            i[(k, k)] = 1.0;
+        }
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(i.solve(&b).unwrap(), b);
     }

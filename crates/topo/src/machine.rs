@@ -118,11 +118,6 @@ impl Machine {
         )
     }
 
-    /// All three study machines, in the paper's order.
-    pub fn all_study_machines() -> Vec<Machine> {
-        vec![Machine::cielito(), Machine::hopper(), Machine::edison()]
-    }
-
     /// Edison at production scale: the full 5 576-node Cray XC30 (we
     /// round up to the first balanced dragonfly that holds it: 55 groups
     /// of 27 routers × 4 nodes = 5 940 nodes). 24 cores/node ⇒ 142 560
@@ -185,18 +180,6 @@ impl Machine {
         )
     }
 
-    /// The mega-scale presets (64k–1M rank capacity). Not part of the
-    /// study corpus — reachable by name from `repro scale` and serve.
-    pub fn scale_machines() -> Vec<Machine> {
-        vec![
-            Machine::edison_full(),
-            Machine::hopper_full(),
-            Machine::frontier(),
-            Machine::mega_torus(),
-            Machine::mega_fattree(),
-        ]
-    }
-
     /// Look a study machine up by name. Unknown names are a typed error
     /// so the study can record the trace as unrunnable instead of
     /// crashing the runner.
@@ -253,7 +236,7 @@ mod tests {
 
     #[test]
     fn hop_latency_partitions_end_to_end() {
-        for m in Machine::all_study_machines() {
+        for m in [Machine::cielito(), Machine::hopper(), Machine::edison()] {
             let mean = m.topology.mean_route_links();
             let total = m.hop_latency().as_ps() as f64 * mean;
             let target = m.net.latency.as_ps() as f64;
@@ -265,7 +248,13 @@ mod tests {
     #[test]
     fn scale_presets_hit_the_mega_band() {
         // 64k–1M rank capacity, reachable by name; study corpus untouched.
-        for m in Machine::scale_machines() {
+        for m in [
+            Machine::edison_full(),
+            Machine::hopper_full(),
+            Machine::frontier(),
+            Machine::mega_torus(),
+            Machine::mega_fattree(),
+        ] {
             assert!(m.capacity() >= 64 * 1024, "{}: {}", m.name, m.capacity());
             assert!(m.capacity() <= 1 << 20, "{}: {}", m.name, m.capacity());
             assert_eq!(Machine::by_name(&m.name).unwrap().name, m.name);

@@ -2,8 +2,8 @@
 //!
 //! The paper replays each trace with "the same task-mapping as the
 //! original application execution", which for the machines involved is
-//! the block (SLURM-default) mapping. Round-robin and random mappings
-//! are provided for the mapping-sensitivity ablation.
+//! the block (SLURM-default) mapping. A random mapping is provided for
+//! the mapping-sensitivity ablation.
 
 use crate::error::TopoError;
 use crate::machine::Machine;
@@ -21,13 +21,6 @@ impl Mapping {
     pub fn block(ranks: u32, ranks_per_node: u32) -> Mapping {
         assert!(ranks_per_node >= 1);
         let node_of = (0..ranks).map(|r| NodeId(r / ranks_per_node)).collect();
-        Mapping { node_of }
-    }
-
-    /// Round-robin mapping over `nodes` nodes: rank r → node (r mod nodes).
-    pub fn round_robin(ranks: u32, nodes: u32) -> Mapping {
-        assert!(nodes >= 1);
-        let node_of = (0..ranks).map(|r| NodeId(r % nodes)).collect();
         Mapping { node_of }
     }
 
@@ -68,18 +61,6 @@ impl Mapping {
         self.node_of.len() as u32
     }
 
-    /// Number of distinct nodes used.
-    pub fn nodes_used(&self) -> u32 {
-        let mut seen: Vec<bool> = Vec::new();
-        for n in &self.node_of {
-            if n.idx() >= seen.len() {
-                seen.resize(n.idx() + 1, false);
-            }
-            seen[n.idx()] = true;
-        }
-        seen.iter().filter(|&&b| b).count() as u32
-    }
-
     /// Check the mapping fits a machine: every node id exists and no node
     /// holds more ranks than it has cores.
     pub fn validate_for(&self, machine: &Machine) -> Result<(), TopoError> {
@@ -113,15 +94,6 @@ mod tests {
         assert_eq!(m.node_of(Rank(3)), NodeId(0));
         assert_eq!(m.node_of(Rank(4)), NodeId(1));
         assert_eq!(m.node_of(Rank(9)), NodeId(2));
-        assert_eq!(m.nodes_used(), 3);
-    }
-
-    #[test]
-    fn round_robin_spreads() {
-        let m = Mapping::round_robin(10, 4);
-        assert_eq!(m.node_of(Rank(0)), NodeId(0));
-        assert_eq!(m.node_of(Rank(5)), NodeId(1));
-        assert_eq!(m.nodes_used(), 4);
     }
 
     #[test]

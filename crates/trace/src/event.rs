@@ -140,36 +140,6 @@ impl EventKind {
         matches!(self, EventKind::Compute)
     }
 
-    /// True for any point-to-point operation (including the waits that
-    /// complete nonblocking ones).
-    pub fn is_p2p(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Send { .. }
-                | EventKind::Isend { .. }
-                | EventKind::Recv { .. }
-                | EventKind::Irecv { .. }
-                | EventKind::Wait { .. }
-                | EventKind::WaitAll { .. }
-        )
-    }
-
-    /// True for blocking ("synchronous" in Table III's terminology)
-    /// point-to-point calls.
-    pub fn is_blocking_p2p(&self) -> bool {
-        matches!(self, EventKind::Send { .. } | EventKind::Recv { .. })
-    }
-
-    /// True for nonblocking point-to-point issue calls.
-    pub fn is_nonblocking_p2p(&self) -> bool {
-        matches!(self, EventKind::Isend { .. } | EventKind::Irecv { .. })
-    }
-
-    /// True for collectives (including barriers).
-    pub fn is_collective(&self) -> bool {
-        matches!(self, EventKind::Coll { .. })
-    }
-
     /// Bytes this event *sends* into the network from this rank.
     ///
     /// Collectives report the per-rank contribution (what Table III's
@@ -248,10 +218,7 @@ mod tests {
         let irecv = EventKind::Irecv { peer: Rank(1), bytes: 8, tag: 0, req: ReqId(0) };
         let wait = EventKind::Wait { req: ReqId(0) };
         let coll = EventKind::Coll { kind: CollKind::Barrier, bytes: 0, root: Rank(0) };
-        assert!(send.is_p2p() && send.is_blocking_p2p() && !send.is_nonblocking_p2p());
-        assert!(irecv.is_p2p() && irecv.is_nonblocking_p2p());
-        assert!(wait.is_p2p());
-        assert!(coll.is_collective() && !coll.is_p2p());
+        assert!([send, irecv, wait, coll].iter().all(|k| !k.is_compute()));
         assert!(EventKind::Compute.is_compute());
     }
 

@@ -15,7 +15,6 @@
 //!   agreement);
 //! * [`io`] — the binary trace format (MASS v1), and [`stream`] — its
 //!   one-rank-at-a-time reader;
-//! * [`text`] — a line-oriented text dump and its parser;
 //! * [`features`] — the 34 measurable Table III features;
 //! * [`mailbox`] — per-rank (source, tag) matching, shared by the
 //!   simulator and MFACT.
@@ -60,7 +59,6 @@ pub mod ids;
 pub mod io;
 pub mod mailbox;
 pub mod stream;
-pub mod text;
 pub mod time;
 pub mod trace;
 pub mod units;
@@ -70,7 +68,6 @@ pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
 pub use mailbox::Mailbox;
 pub use stream::{write_stream, RankCursor, StreamError, StreamedTrace, TraceSource};
-pub use text::from_text;
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};
 pub use units::Bandwidth;

@@ -42,12 +42,6 @@ impl Bandwidth {
         }
     }
 
-    /// Construct from bytes per second.
-    pub fn from_bytes_per_sec(bps: f64) -> Bandwidth {
-        assert!(bps > 0.0 && bps.is_finite(), "bandwidth must be positive and finite: {bps} B/s");
-        Bandwidth { bits_per_sec: bps * 8.0 }
-    }
-
     /// Bandwidth in gigabits per second.
     #[inline]
     pub fn as_gbps(self) -> f64 {
@@ -84,22 +78,6 @@ impl Bandwidth {
 impl fmt::Display for Bandwidth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}Gb/s", self.as_gbps())
-    }
-}
-
-/// Pretty-print a byte count with a binary-prefix unit.
-pub fn format_bytes(bytes: u64) -> String {
-    const KIB: u64 = 1 << 10;
-    const MIB: u64 = 1 << 20;
-    const GIB: u64 = 1 << 30;
-    if bytes >= GIB {
-        format!("{:.2}GiB", bytes as f64 / GIB as f64)
-    } else if bytes >= MIB {
-        format!("{:.2}MiB", bytes as f64 / MIB as f64)
-    } else if bytes >= KIB {
-        format!("{:.2}KiB", bytes as f64 / KIB as f64)
-    } else {
-        format!("{bytes}B")
     }
 }
 
@@ -156,13 +134,5 @@ mod tests {
         for bad in [0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(Bandwidth::try_from_gbps(bad).is_none(), "{bad}");
         }
-    }
-
-    #[test]
-    fn format_bytes_units() {
-        assert_eq!(format_bytes(512), "512B");
-        assert_eq!(format_bytes(2048), "2.00KiB");
-        assert_eq!(format_bytes(3 << 20), "3.00MiB");
-        assert_eq!(format_bytes(5 << 30), "5.00GiB");
     }
 }

@@ -74,10 +74,15 @@ mod tests {
         let t = ep(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Exactly 3 allreduces + 1 barrier per rank.
-        let colls = t.events[0].iter().filter(|e| e.kind.is_collective()).count();
+        let colls = t.events[0].iter().filter(|e| matches!(e.kind, EventKind::Coll { .. })).count();
         assert_eq!(colls, 4);
         // No point-to-point at all.
-        let p2p = t.events.iter().flatten().filter(|e| e.kind.is_p2p()).count();
+        let p2p = t
+            .events
+            .iter()
+            .flatten()
+            .filter(|e| !matches!(e.kind, EventKind::Compute | EventKind::Coll { .. }))
+            .count();
         assert_eq!(p2p, 0);
         assert!((t.comm_fraction() - 0.02).abs() < 1e-6);
     }

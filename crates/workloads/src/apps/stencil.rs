@@ -214,7 +214,7 @@ pub fn bt(cfg: &GenConfig) -> Trace {
 mod tests {
     use super::*;
     use crate::config::App;
-    use masim_trace::Features;
+    use masim_trace::{EventKind, Features};
 
     #[test]
     fn brick_dims_factor_exactly() {
@@ -254,7 +254,10 @@ mod tests {
         assert_eq!(t.validate(), Ok(()));
         // Rank 0 (corner) has 3 face neighbors; 2 exchanges per step ×
         // 5 steps × 3 neighbors × 2 (send+recv issues) = 60 issues.
-        let issues = t.events[0].iter().filter(|e| e.kind.is_nonblocking_p2p()).count();
+        let issues = t.events[0]
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Isend { .. } | EventKind::Irecv { .. }))
+            .count();
         assert_eq!(issues, 60);
     }
 

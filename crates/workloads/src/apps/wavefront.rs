@@ -117,7 +117,12 @@ mod tests {
     fn lu_corner_ranks_have_fewer_messages() {
         let cfg = GenConfig::test_default(App::Lu, 16);
         let t = lu(&cfg);
-        let msgs = |r: usize| t.events[r].iter().filter(|e| e.kind.is_blocking_p2p()).count();
+        let msgs = |r: usize| {
+            t.events[r]
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Send { .. } | EventKind::Recv { .. }))
+                .count()
+        };
         // Corner (0,0) sends 2/receives 0 in the lower sweep; interior
         // rank 5 = (1,1) does 4 each way.
         assert!(msgs(0) < msgs(5));

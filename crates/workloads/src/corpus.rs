@@ -260,27 +260,27 @@ pub fn build_corpus(seed: u64) -> Vec<CorpusEntry> {
     entries
 }
 
-/// Histogram of planned rank buckets (should equal Table Ia's counts).
-pub fn rank_histogram(entries: &[CorpusEntry]) -> [usize; 6] {
-    let mut h = [0; 6];
-    for e in entries {
-        h[e.rank_bucket] += 1;
-    }
-    h
-}
-
-/// Histogram of planned comm buckets (should equal Table Ib's counts).
-pub fn comm_histogram(entries: &[CorpusEntry]) -> [usize; 6] {
-    let mut h = [0; 6];
-    for e in entries {
-        h[e.comm_bucket] += 1;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Histogram of planned rank buckets (should equal Table Ia's counts).
+    fn rank_histogram(entries: &[CorpusEntry]) -> [usize; 6] {
+        let mut h = [0; 6];
+        for e in entries {
+            h[e.rank_bucket] += 1;
+        }
+        h
+    }
+
+    /// Histogram of planned comm buckets (should equal Table Ib's counts).
+    fn comm_histogram(entries: &[CorpusEntry]) -> [usize; 6] {
+        let mut h = [0; 6];
+        for e in entries {
+            h[e.comm_bucket] += 1;
+        }
+        h
+    }
 
     #[test]
     fn corpus_matches_table_1a() {

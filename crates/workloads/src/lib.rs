@@ -26,14 +26,12 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod chaos;
 pub mod config;
 pub mod corpus;
 pub mod cost;
 pub mod synth;
 
 pub use apps::generate;
-pub use chaos::{corrupt_bytes, corrupt_trace, ByteFault, TraceFault, BYTE_FAULTS, TRACE_FAULTS};
 pub use config::{App, GenConfig};
 pub use corpus::{build_corpus, CorpusEntry, COMM_BUCKETS, CORPUS_SIZE, RANK_BUCKETS};
 pub use cost::StampModel;

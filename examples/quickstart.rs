@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use masim_mfact::{advise, classify, replay, ModelConfig};
+use masim_mfact::{classify, replay, ModelConfig};
 use masim_sim::{simulate, ModelKind, SimConfig};
 use masim_topo::Machine;
 use masim_workloads::{generate, App, GenConfig};
@@ -75,10 +75,6 @@ fn main() {
             (wall.as_secs_f64() / mfact_wall.as_secs_f64()).round() as u64
         );
     }
-
-    // 5. Ask the advisor where the time goes and what to buy.
-    let advice = advise(&trace, machine.net);
-    println!("\nadvisor    : {}", advice.summary());
 
     println!("\nModeling agreed with simulation to within a few percent while");
     println!("running orders of magnitude faster — the paper's headline trade-off.");

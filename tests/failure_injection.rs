@@ -20,9 +20,11 @@ use masim_trace::io::{self, DecodeError};
 use masim_trace::{
     Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError, TraceMeta,
 };
-use masim_workloads::{
-    corrupt_bytes, corrupt_trace, generate, App, ByteFault, GenConfig, TraceFault, TRACE_FAULTS,
-};
+use masim_workloads::{generate, App, GenConfig};
+
+#[path = "common/chaos.rs"]
+mod chaos;
+use chaos::{corrupt_bytes, corrupt_trace, ByteFault, TraceFault, TRACE_FAULTS};
 
 fn meta(ranks: u32) -> TraceMeta {
     TraceMeta {
@@ -349,25 +351,6 @@ fn simulator_detects_deadlock() {
     check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected"));
     let cfg = SimConfig::new(machine, PACKET, &t);
     check(one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.deadlock.detected"));
-}
-
-/// Text parsing rejects hostile input with a parse error — it neither
-/// panics nor quietly fabricates a trace.
-#[test]
-fn hostile_text_input() {
-    for garbage in [
-        "",
-        "\n\n\n",
-        "# masim trace:",
-        "# masim trace: app= machine= ranks=abc rpn=1 size=1 seed=0",
-        "# masim trace: app=x machine=y ranks=1 rpn=1 size=1 seed=0\nr0 -5us compute",
-        "# masim trace: app=x machine=y ranks=1 rpn=1 size=1 seed=0\nr0 1us send -> r9 8B tag=0",
-    ] {
-        assert!(
-            masim_trace::from_text(garbage).is_err(),
-            "hostile input must be rejected: {garbage:?}"
-        );
-    }
 }
 
 /// Seeded fuzz over the binary codec: every truncation is rejected and

@@ -1,10 +1,11 @@
 //! Ground-truth oracles: cases whose answer is known in closed form, so
 //! the tools are judged against arithmetic rather than against each
 //! other. Every time is exact picoseconds, with no tolerance. The first
-//! two cases run on one machine of each topology class: torus (Cielito),
-//! dragonfly (Edison) and a small leaf-spine fat tree. The third pins
-//! MFACT's clocks on Cielito; the last judges no time, but checks the
-//! simulator's collective lowering, round by round and byte by byte.
+//! two cases and the k-flow incast run on one machine of each topology
+//! class: torus (Cielito), dragonfly (Edison) and a small leaf-spine fat
+//! tree. The third pins MFACT's clocks on Cielito; the fourth judges no
+//! time, but checks the simulator's collective lowering, round by round
+//! and byte by byte.
 //!
 //! The expected values are computed here in integer arithmetic from the
 //! machine's published scalars, never through the crates' own
@@ -379,5 +380,59 @@ fn mfact_total_is_monotone_across_the_standard_sweep() {
     }
     for seed in 0..200 {
         assert_mfact_monotone(&format!("TraceSynth seed {seed}"), &synth_trace(seed));
+    }
+}
+
+/// (v) k flows over one saturated link: k senders, packed block-wise
+/// onto the machine's first nodes, each send `M` bytes at t = 0 to one
+/// receiver on the last node, which posts every receive up front. Each
+/// rank has its own NIC link at the Hockney bandwidth (see
+/// `masim_sim::net`'s link provisioning), so the senders share no
+/// injection link; the one link all k flows cross and saturate is the
+/// receiver's ejection link, and fabric links carry `cores` × that
+/// bandwidth. Max-min fairness then gives each flow 1/k of it, so
+/// T(k) − T(1) = (k − 1)·M·8000/gbps. The packet model may miss that by
+/// one packet serialization; it and packet-flow both land on it to the
+/// picosecond, which is what is asserted. The flow model snaps arrivals
+/// and completions to its 1 µs quantum and misses it by up to 720 ns
+/// (ROADMAP 2(c)), so it is not asserted here.
+#[test]
+fn k_flows_over_one_saturated_link_serialize() {
+    let packet_bytes = masim_sim::DEFAULT_PACKET_BYTES;
+    assert!(M <= packet_bytes);
+    let incast = |k: u32| {
+        let mut trace = Trace::empty(TraceMeta { ranks: k + 1, ..meta(1) });
+        let sink = Rank(k);
+        let mut rx = RankBuilder::new(sink);
+        for s in 0..k {
+            let mut tx = RankBuilder::new(Rank(s));
+            tx.send(sink, M, 0, Time::ZERO);
+            trace.events[s as usize] = tx.finish();
+            rx.irecv(Rank(s), M, 0, Time::ZERO);
+        }
+        rx.wait_all(Time::ZERO);
+        trace.events[k as usize] = rx.finish();
+        trace.validate().expect("incast is well formed");
+        trace
+    };
+
+    for case in cases() {
+        case.check_scalars();
+        let name = &case.machine.name;
+        let (cores, last) = (case.machine.cores_per_node, case.machine.topology.num_nodes() - 1);
+        for model in [ModelKind::Packet { packet_bytes }, ModelKind::PacketFlow { packet_bytes }] {
+            let total = |k: u32| {
+                let trace = incast(k);
+                let mut cfg = SimConfig::new(case.machine.clone(), model, &trace);
+                let senders = (0..k).map(|s| NodeId(s / cores));
+                cfg.mapping = Mapping::from_nodes(senders.chain([NodeId(last)]).collect());
+                simulate(&trace, &cfg).total.as_ps()
+            };
+            let alone = total(1);
+            for k in [2u32, 3, 4, 8] {
+                let want = u64::from(k - 1) * case.nic_ser_ps();
+                assert_eq!(total(k) - alone, want, "{name}: {} k={k}", model.name());
+            }
+        }
     }
 }
