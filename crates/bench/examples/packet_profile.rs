@@ -1,22 +1,36 @@
-//! Per-event cost probe for the packet model on the bench CG(64)
-//! workload (the slowest tool × the heaviest tiny-corpus entry).
+//! Per-event cost probe for the packet model on CG(64), 16 ranks per
+//! node on Cielito (the slowest tool on a communication-heavy trace).
 //!
-//! Complements `cargo bench`: reports ns/event and events/s from the
-//! engine's own processed-event counter, the unit of `benchmark/`'s
-//! `sim.packet_ns_per_event` row. Run with
+//! Reports ns/event and events/s from the engine's own processed-event
+//! counter, the unit of `benchmark/`'s `sim.packet_ns_per_event` row.
+//! It is a profiling driver, not a gate: run it under a profiler with
 //! `cargo run --release -p masim-bench --example packet_profile`.
 
-use masim_bench::bench_entries;
 use masim_obs::MetricSet;
 use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::Machine;
+use masim_trace::Time;
+use masim_workloads::{generate, App, GenConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
     let machine = Machine::cielito();
-    let entry = &bench_entries()[1]; // CG(64)
-    let trace = entry.generate();
+    let gen = GenConfig {
+        app: App::Cg,
+        ranks: App::Cg.legal_ranks(64),
+        ranks_per_node: 16,
+        machine: "cielito".into(),
+        gbps: 10.0,
+        latency: Time::from_ns(2_500),
+        size: 1,
+        iters: 3,
+        comm_fraction: 0.25,
+        imbalance: 0.1,
+        seed: 99,
+    };
+    gen.check();
+    let trace = generate(&gen);
     let [pkt, _, _] = ModelKind::study_models();
     let cfg = SimConfig::new(machine.clone(), pkt, &trace);
     // Warm up.

@@ -41,8 +41,9 @@
 
 use masim_core::report;
 use masim_core::{
-    Dataset, Enhanced, Session, SessionOutcome, SessionSpec, Study, StudyConfig, StudyKind,
-    PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER, PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
+    Dataset, Enhanced, Session, SessionError, SessionOutcome, SessionSpec, Sidecar, Store, Study,
+    StudyConfig, StudyKind, PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER,
+    PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
 };
 use masim_obs::json::Value;
 use masim_obs::run::parse_json;
@@ -53,6 +54,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::slice::Iter;
+use std::sync::Arc;
 use std::time::Instant;
 
 const ALL: [&str; 11] = [
@@ -81,11 +83,9 @@ struct Options {
     tiny: bool,
     /// `bench-summary` subcommand: fold an existing sidecar dir.
     summarize: bool,
-    /// `--checkpoint <dir>`: journal each completed trace so an
-    /// interrupted run can resume.
+    /// `--checkpoint <dir>`: keep each completed trace in the result
+    /// store there, and reuse whatever it already holds for this study.
     checkpoint: Option<PathBuf>,
-    /// `--resume`: reuse an existing journal instead of starting fresh.
-    resume: bool,
     /// `--fail-after <n>`: deliberately stop after `n` newly run traces
     /// (exit code 3) — the interruption hook CI exercises resume with.
     fail_after: Option<usize>,
@@ -150,7 +150,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         tiny: false,
         summarize: false,
         checkpoint: None,
-        resume: false,
         fail_after: None,
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         trace: None,
@@ -168,7 +167,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             "--metrics" => opts.metrics = Some(dir(&mut it, a)?),
             "--trace" => opts.trace = Some(dir(&mut it, a)?),
             "--checkpoint" => opts.checkpoint = Some(dir(&mut it, a)?),
-            "--resume" => opts.resume = true,
             "--fail-after" => {
                 let n = it.next().ok_or("--fail-after requires a count argument")?;
                 let count = n.parse().map_err(|_| format!("--fail-after: '{n}' is not a count"))?;
@@ -182,9 +180,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             "bench-summary" => opts.summarize = true,
             _ => opts.reports.push(a.clone()),
         }
-    }
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint <dir>".into());
     }
     if opts.fail_after.is_some() && opts.checkpoint.is_none() {
         return Err("--fail-after requires --checkpoint <dir>".into());
@@ -327,7 +322,7 @@ fn run() -> Result<(), String> {
             let rm = RunMetrics::with_set(study_ms.clone())
                 .label("tool", "runner")
                 .label("threads", &threads.to_string());
-            sidecar_count += write_sidecars(dir, "study", &[rm])?;
+            sidecar_count += write_sidecars(dir, "study", &[Sidecar::from(&rm)])?;
         }
         eprintln!("wrote {sidecar_count} metric sidecar(s) under {}", dir.display());
         // `repro table3` runs no study: no sidecar, nothing to fold.
@@ -474,7 +469,7 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
         if let Err(e) = &res {
             rm = rm.label("failure", ToolFailure::from_sim(e.clone()).code());
         }
-        let n = write_sidecars(dir, "scale", &[rm])?;
+        let n = write_sidecars(dir, "scale", &[Sidecar::from(&rm)])?;
         eprintln!("scale: wrote {n} sidecar(s) under {}", dir.display());
         fold_sidecars(dir)?;
     }
@@ -668,34 +663,42 @@ fn write_trace(dir: &Path, tl: &TraceLog) -> Result<(), String> {
 /// disk (`<dir>/study.ckpt.jsonl`). Returns the study and the number of
 /// sidecar files written.
 ///
-/// Sidecars are written only for entries that ran *in this invocation*
-/// (recovered entries wrote theirs before the interruption, so a resumed
-/// `--metrics` directory ends up with exactly one sidecar set per
-/// entry). On a deliberate `--fail-after` interruption, prints resume
-/// guidance and exits with [`EXIT_INTERRUPTED`].
+/// A store's records are keyed by entry, config and code fingerprint, so
+/// every entry it already holds is recovered rather than re-run, and —
+/// as the daemon streams them — its stored sidecars are written before
+/// the rest run: a `--metrics` directory always ends up with one sidecar
+/// set per entry. On a deliberate `--fail-after` interruption, prints
+/// resume guidance and exits with [`EXIT_INTERRUPTED`].
 fn run_session(
     spec: SessionSpec,
     opts: &Options,
     study_ms: &MetricSet,
 ) -> Result<(Study, usize), String> {
     let mut session = match &opts.checkpoint {
-        Some(ckdir) => Session::with_checkpoint(spec, ckdir, opts.resume),
+        Some(ckdir) => Store::open(ckdir)
+            .map_err(SessionError::from)
+            .and_then(|store| Session::with_store(spec, Arc::new(store))),
         None => Session::new(spec),
     }
     .map_err(|e| e.to_string())?;
     if let (recovered @ 1.., Some(path)) = (session.done(), session.checkpoint_path()) {
         eprintln!("checkpoint: recovered {recovered} completed trace(s) from {}", path.display());
     }
-    let label = session.spec().label();
     let mut written = 0usize;
+    if let Some(dir) = &opts.metrics {
+        for (stem, record) in session.records() {
+            written += write_sidecars(dir, &stem, &record.sidecars)?;
+        }
+    }
     let mut werr: Option<String> = None;
     let outcome = session
-        .run(opts.threads, opts.fail_after, None, study_ms, label, None, |_, stem, observed| {
+        .run(opts.threads, opts.fail_after, None, study_ms, None, |_, stem, observed| {
             if werr.is_some() {
                 return;
             }
             if let Some(dir) = &opts.metrics {
-                match write_sidecars(dir, stem, &observed.sidecars) {
+                let sidecars: Vec<Sidecar> = observed.sidecars.iter().map(Sidecar::from).collect();
+                match write_sidecars(dir, stem, &sidecars) {
                     Ok(n) => written += n,
                     Err(e) => werr = Some(e),
                 }
@@ -710,21 +713,20 @@ fn run_session(
         SessionOutcome::Interrupted { done, total } => {
             eprintln!(
                 "checkpoint: deliberately interrupted after {done}/{total} trace(s); \
-                 rerun with --resume to finish"
+                 rerun with the same --checkpoint to finish"
             );
             std::process::exit(EXIT_INTERRUPTED);
         }
     }
 }
 
-/// Write one `<stem>_<tool>.json` sidecar per tool run; returns the number of files written.
-fn write_sidecars(dir: &Path, stem: &str, runs: &[RunMetrics]) -> Result<usize, String> {
-    for rm in runs {
-        let tool = rm.labels().get("tool").cloned().unwrap_or_else(|| "run".into());
-        let path = dir.join(format!("{stem}_{tool}.json"));
-        rm.write_json(&path).map_err(|e| format!("write sidecar {}: {e}", path.display()))?;
+/// Write one `<stem>_<tool>.json` file per sidecar; returns the number of files written.
+fn write_sidecars(dir: &Path, stem: &str, sidecars: &[Sidecar]) -> Result<usize, String> {
+    for sc in sidecars {
+        let path = dir.join(format!("{stem}_{}.json", sc.tool));
+        fs::write(&path, &sc.json).map_err(|e| format!("write sidecar {}: {e}", path.display()))?;
     }
-    Ok(runs.len())
+    Ok(sidecars.len())
 }
 
 /// `bench-summary`: fold every JSON sidecar in `dir` into
@@ -899,7 +901,6 @@ mod tests {
         for (args, why) in [
             (&["--threads", "0"][..], "--threads: '0' is not a positive count"),
             (&["--threads", "auto"], "--threads: 'auto' is not a positive count"),
-            (&["--resume"], "--resume requires --checkpoint <dir>"),
             (&["--fail-after", "1"], "--fail-after requires --checkpoint <dir>"),
             (
                 &["--sim-threads", "0"],
@@ -916,8 +917,8 @@ mod tests {
         ] {
             assert_eq!(parse(args).err().as_deref(), Some(why));
         }
-        let opts = parse(&["--sim-threads", "1", "--checkpoint", "d", "--resume"]).unwrap();
-        assert!(opts.resume);
+        let opts = parse(&["--sim-threads", "1", "--checkpoint", "d"]).unwrap();
+        assert_eq!(opts.checkpoint.as_deref(), Some(Path::new("d")));
     }
 
     #[test]

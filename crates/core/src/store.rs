@@ -11,11 +11,13 @@
 //! `study` holds what the tools measured (typed failures included; the
 //! caller re-attaches the entry), `sidecars` each stage's exact JSON.
 //!
-//! Opening reads every line. A line under another code fingerprint is
-//! stale and skipped without decoding its body. A final line that does
-//! not decode is a torn write: it is dropped and cut from the file. Any
-//! other line that does not decode is [`StoreError::Corrupt`], since
-//! re-running over it could mask a failing disk or a tampered file.
+//! Opening reads every line; a directory without a store gets an empty
+//! one, so opening is also how a store starts. A line under another
+//! code fingerprint is stale and skipped without decoding its body. A
+//! final line that does not decode is a torn write: it is dropped and
+//! cut from the file. Any other line that does not decode is
+//! [`StoreError::Corrupt`], since re-running over it could mask a
+//! failing disk or a tampered file.
 
 use crate::session::{config_hash, entry_hash};
 use crate::study::{StudyConfig, TraceStudy};
@@ -26,7 +28,7 @@ use std::collections::HashMap;
 use std::ffi::OsStr;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -154,20 +156,16 @@ pub struct Store {
 }
 
 impl Store {
-    /// Start an empty store in `dir` (created if needed), truncating any
-    /// previous file.
-    pub fn create(dir: &Path) -> Result<Store, StoreError> {
+    /// Open the store in `dir`, creating the directory and an empty file
+    /// when missing, and recover its current records (see the module
+    /// docs). A later line wins over an earlier one with its key.
+    pub fn open(dir: &Path) -> Result<Store, StoreError> {
         fs::create_dir_all(dir)?;
         let path = dir.join(STORE_FILE);
-        let file = Some(fs::File::create(&path)?);
-        Ok(Store { path: Some(path), inner: Mutex::new(Inner { file, records: HashMap::new() }) })
-    }
-
-    /// Reopen the store in `dir` and recover its current records (see the
-    /// module docs). A later line wins over an earlier one with its key.
-    pub fn open(dir: &Path) -> Result<Store, StoreError> {
-        let path = dir.join(STORE_FILE);
-        let text = fs::read_to_string(&path)?;
+        let text = match fs::read_to_string(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
+            read => read?,
+        };
         let mut records = HashMap::new();
         let (mut kept, mut at) = (0, 0);
         let mut lines = text.split_inclusive('\n').enumerate().peekable();
@@ -183,7 +181,7 @@ impl Store {
             }
             kept = at;
         }
-        let mut file = fs::OpenOptions::new().append(true).open(&path)?;
+        let mut file = fs::OpenOptions::new().create(true).append(true).open(&path)?;
         // Cut a torn tail, and end the last kept line, so the next record
         // starts on a line of its own.
         file.set_len(kept as u64)?;
@@ -371,7 +369,7 @@ mod tests {
     /// `entries[i]`'s synthetic study, stored in a fresh store in `dir`;
     /// returns the store's text.
     fn stored_text(dir: &Path, entries: &[CorpusEntry], i: usize) -> String {
-        let store = Store::create(dir).unwrap();
+        let store = Store::open(dir).unwrap();
         let key = Key::new(&entries[i], &StudyConfig::default());
         store.append(key, i, &synthetic_study(&entries[i]), &[]).unwrap();
         fs::read_to_string(dir.join(STORE_FILE)).unwrap()
@@ -415,8 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn create_append_open_recovers_results() {
-        let dir = scratch("recover");
+    fn open_append_reopen_recovers_results() {
+        let dir = scratch("recover").join("missing");
         let entries = build_corpus(7);
         let t = synthetic_study(&entries[5]);
         stored_text(&dir, &entries, 5);
@@ -509,8 +507,9 @@ mod tests {
     fn resume_under_another_config_recovers_nothing() {
         let dir = scratch("config");
         let spec = |seed| SessionSpec { kind: StudyKind::Corpus { indices: Some(vec![3]) }, seed };
-        let mut first = Session::with_checkpoint(spec(7), &dir, false).unwrap();
-        first.run(1, None, None, &MetricSet::new(), "study", None, |_, _, _| {}).unwrap();
+        let on_disk = |spec| Session::with_store(spec, Arc::new(Store::open(&dir).unwrap()));
+        let mut first = on_disk(spec(7)).unwrap();
+        first.run(1, None, None, &MetricSet::new(), None, |_, _, _| {}).unwrap();
         drop(first);
         let entries = build_corpus(7);
         let budgeted = StudyConfig { packet_budget: 1, ..StudyConfig::default() };
@@ -518,11 +517,11 @@ mod tests {
         assert!(store.get(&Key::new(&entries[3], &StudyConfig::default())).is_some());
         assert!(store.get(&Key::new(&entries[3], &budgeted)).is_none(), "budget is in the key");
 
-        let mut resumed = Session::with_checkpoint(spec(8), &dir, true).unwrap();
+        let mut resumed = on_disk(spec(8)).unwrap();
         assert_eq!(resumed.done(), 0, "a seed-7 record is no seed-8 hit");
         let mut fresh = Session::new(spec(8)).unwrap();
         for s in [&mut resumed, &mut fresh] {
-            s.run(1, None, None, &MetricSet::new(), "study", None, |_, _, _| {}).unwrap();
+            s.run(1, None, None, &MetricSet::new(), None, |_, _, _| {}).unwrap();
         }
         let (a, b) = (&resumed.study().traces[0], &fresh.study().traces[0]);
         assert_eq!(a.measured_total, b.measured_total);

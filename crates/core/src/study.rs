@@ -580,30 +580,28 @@ fn poisoned_observed(entry: &CorpusEntry, cause: ToolFailure) -> ObservedTrace {
 /// [`PARALLEL_WORKERS_GAUGE`], [`PARALLEL_STEALS_COUNTER`],
 /// [`PARALLEL_BACKLOG_GAUGE`], [`PARALLEL_WALL_SPAN`], plus per-worker
 /// `core.study.parallel.{claimed,worker}/wNN` counters and spans.
-/// Progress aggregates across workers through one rate-limited reporter.
+/// Progress aggregates across workers through one rate-limited reporter,
+/// which `progress(total, workers)` builds once the pool size is known.
 ///
 /// Workers are panic-isolated: a panic escaping the per-tool boundaries
 /// records a poisoned result for that entry and the rest of the corpus
 /// still runs — one bad trace cannot take down the pool.
 /// An `emit` error (e.g. a failed journal append) halts the cursor so
 /// workers wind down early, and is returned after they drain.
-#[allow(clippy::too_many_arguments)] // internal plumbing; callers go through Session::run
 pub(crate) fn run_entries_parallel<E>(
     cfg: &StudyConfig,
     entries: &[CorpusEntry],
     todo: &[usize],
     threads: usize,
     study_ms: &MetricSet,
-    progress_label: &str,
-    progress_prefix: Option<&str>,
+    progress: impl FnOnce(u64, usize) -> Progress,
     mut emit: impl FnMut(usize, ObservedTrace) -> Result<(), E>,
 ) -> Result<(), E> {
     let n = todo.len();
     let workers = threads.clamp(1, n.max(1));
     study_ms.gauge_max(PARALLEL_WORKERS_GAUGE, workers as u64);
     let wall = study_ms.span(PARALLEL_WALL_SPAN);
-    let progress = Progress::with_workers(progress_label, n as u64, workers)
-        .with_prefix(progress_prefix.unwrap_or(""));
+    let progress = progress(n as u64, workers);
     let cursor = AtomicUsize::new(0);
     let steals = study_ms.counter(PARALLEL_STEALS_COUNTER);
     let mut emit_err: Option<E> = None;
@@ -1014,6 +1012,10 @@ mod tests {
         assert!(within10 > 0.5, "only {within10} within 10%: {diffs:?}");
     }
 
+    fn pool_progress(total: u64, workers: usize) -> Progress {
+        Progress::with_workers("pool", total, workers)
+    }
+
     /// Corpus entries 3 and 40 (two cheap ones) through the pool,
     /// collected in emit order.
     fn pool_run(threads: usize, ms: &MetricSet) -> Vec<(usize, ObservedTrace)> {
@@ -1021,7 +1023,7 @@ mod tests {
         let entries = build_corpus(cfg.seed);
         let mut out = Vec::new();
         let res: Result<(), std::convert::Infallible> =
-            run_entries_parallel(&cfg, &entries, &[3, 40], threads, ms, "pool", None, |i, o| {
+            run_entries_parallel(&cfg, &entries, &[3, 40], threads, ms, pool_progress, |i, o| {
                 out.push((i, o));
                 Ok(())
             });
@@ -1074,11 +1076,10 @@ mod tests {
         let todo = [3usize, 40];
         let ms = MetricSet::new();
         let mut emitted = 0usize;
-        let res =
-            run_entries_parallel(&cfg, &entries, &todo, 2, &ms, "emit-error", None, |_, _| {
-                emitted += 1;
-                Err("journal append failed")
-            });
+        let res = run_entries_parallel(&cfg, &entries, &todo, 2, &ms, pool_progress, |_, _| {
+            emitted += 1;
+            Err("journal append failed")
+        });
         assert_eq!(res, Err("journal append failed"));
         assert_eq!(emitted, 1, "dispatch halts after the first emit failure");
     }

@@ -16,7 +16,7 @@
 
 use crate::protocol::{error_frame, read_frame, write_frame, Request, ServeError};
 use masim_core::session::{Session, SessionError, SessionOutcome, SessionSpec};
-use masim_core::store::{Sidecar, Store, StoreError, CODE_FINGERPRINT, STORE_FILE};
+use masim_core::store::{Sidecar, Store, StoreError, CODE_FINGERPRINT};
 use masim_obs::json::Value;
 use masim_obs::{lock, MetricSet};
 use std::io::{Read, Write};
@@ -77,13 +77,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a daemon (no sockets yet; see [`Server::serve`]), reopening
-    /// the store under `cache_dir` when there is one.
+    /// Build a daemon (no sockets yet; see [`Server::serve`]) over the
+    /// store under `cache_dir` (opened, or started empty), or over an
+    /// in-memory store without one.
     pub fn new(opts: ServerOptions) -> Result<Server, StoreError> {
         let store = match &opts.cache_dir {
             None => Store::default(),
-            Some(dir) if dir.join(STORE_FILE).exists() => Store::open(dir)?,
-            Some(dir) => Store::create(dir)?,
+            Some(dir) => Store::open(dir)?,
         };
         Ok(Server {
             threads: opts.threads.max(1),
@@ -266,7 +266,6 @@ impl Server {
             .try_for_each(|(stem, r)| emit(stream, stem, &r.sidecars))
             .err();
         let mut ran = 0u64;
-        let label = session.spec().label();
         let outcome = if miss && stream_err.is_none() {
             let span = self.ms.span(SESSION_WALL_SPAN);
             // The emit path runs strictly in corpus order, so frames stream
@@ -276,7 +275,6 @@ impl Server {
                 None,
                 Some(&entry.cancel),
                 &self.ms,
-                label,
                 Some(&sid),
                 |_, stem, observed| {
                     if stream_err.is_some() {

@@ -726,7 +726,7 @@ pub fn run<'a>(
     sim_core(src.into(), cfg, limits, obs)
 }
 
-/// [`run`] without limits or telemetry, for examples and benches.
+/// [`run`] without limits or telemetry, for examples and tests.
 ///
 /// Panics if the replay deadlocks (validate traces first), the mapping
 /// does not fit the machine, or the simulated clock overflows.

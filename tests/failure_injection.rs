@@ -728,7 +728,7 @@ fn store_with_one_record() -> (std::path::PathBuf, String) {
     let mut obs = masim_core::run_one_observed(entry, &cfg);
     let deadlock = ToolFailure::Deadlock { finished: 3, total: 16 };
     obs.study.mfact = masim_core::ToolRun::failed(deadlock, Duration::ZERO);
-    let store = Store::create(&dir).unwrap();
+    let store = Store::open(&dir).unwrap();
     store.append(Key::new(entry, &cfg), 0, &obs.study, &obs.sidecars).unwrap();
     let line = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
     (dir, line)

@@ -5,7 +5,8 @@
 //! class: torus (Cielito), dragonfly (Edison) and a small leaf-spine fat
 //! tree. The third pins MFACT's clocks on Cielito; the fourth judges no
 //! time, but checks the simulator's collective lowering, round by round
-//! and byte by byte.
+//! and byte by byte. Where no closed form exists, run-level invariants
+//! judge random `TraceSynth` programs on the same three machines.
 //!
 //! The expected values are computed here in integer arithmetic from the
 //! machine's published scalars, never through the crates' own
@@ -435,4 +436,52 @@ fn k_flows_over_one_saturated_link_serialize() {
             }
         }
     }
+}
+
+/// Run-level invariants where no closed form exists: 50 random
+/// `TraceSynth` programs on Cielito, Edison and the fat tree, under every
+/// simulator model.
+/// * No rank finishes before the sum of its own `Compute` durations
+///   (the compute scale is 1).
+/// * Every byte a rank's injection link carries is carried by some
+///   rank's ejection link: the two sums of `link_bytes` agree.
+/// * Link charges depend on routes and message sizes, not on timing, so
+///   `link_bytes` is identical under packet, flow and packet-flow.
+#[test]
+fn run_level_invariants_hold_on_random_programs() {
+    let packet_bytes = masim_sim::DEFAULT_PACKET_BYTES;
+    let models = [
+        ModelKind::Packet { packet_bytes },
+        ModelKind::Flow,
+        ModelKind::PacketFlow { packet_bytes },
+    ];
+    let mut carried = 0;
+    for case in cases() {
+        let name = &case.machine.name;
+        for seed in 0..50 {
+            let trace = synth_trace(seed);
+            let ranks = trace.num_ranks() as usize;
+            let compute: Vec<u64> = (trace.events.iter())
+                .map(|evs| evs.iter().filter(|e| e.kind.is_compute()).map(|e| e.dur.as_ps()).sum())
+                .collect();
+            let mut reference: Option<Vec<u64>> = None;
+            for model in models {
+                let what = format!("{name} seed {seed} {}", model.name());
+                let r = simulate(&trace, &SimConfig::new(case.machine.clone(), model, &trace));
+                for (rank, (finish, busy)) in r.per_rank.iter().zip(&compute).enumerate() {
+                    assert!(finish.as_ps() >= *busy, "{what}: rank {rank} beat its compute");
+                }
+                let fabric = r.link_bytes.len() - 2 * ranks;
+                let injected: u64 = r.link_bytes[fabric..fabric + ranks].iter().sum();
+                let ejected: u64 = r.link_bytes[fabric + ranks..].iter().sum();
+                assert_eq!(injected, ejected, "{what}: injected vs ejected bytes");
+                carried += usize::from(injected > 0);
+                match &reference {
+                    None => reference = Some(r.link_bytes),
+                    Some(first) => assert_eq!(&r.link_bytes, first, "{what}: link bytes"),
+                }
+            }
+        }
+    }
+    assert!(carried >= 400, "only {carried} of 450 runs crossed a NIC link");
 }

@@ -16,6 +16,7 @@ use masim_obs::{MetricSet, RunMetrics};
 use masim_workloads::build_corpus;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const THREADS: [usize; 2] = [1, 4];
 
@@ -33,7 +34,7 @@ fn run(
 ) -> (SessionOutcome, Vec<(usize, Vec<RunMetrics>)>) {
     let mut emitted = Vec::new();
     let outcome = session
-        .run(threads, abort_after, None, ms, "study", None, |i, _, o| {
+        .run(threads, abort_after, None, ms, None, |i, _, o| {
             emitted.push((i, o.sidecars.clone()));
         })
         .unwrap();
@@ -148,7 +149,7 @@ fn interrupt_resume_matches_reference_journal() {
     };
 
     let ref_dir = scratch("ref");
-    let store = Store::create(&ref_dir).unwrap();
+    let store = Store::open(&ref_dir).unwrap();
     for (&i, o) in indices.iter().zip(&observed) {
         store.append(Key::new(&entries[i], &cfg), i, &o.study, &o.sidecars).unwrap();
     }
@@ -159,13 +160,15 @@ fn interrupt_resume_matches_reference_journal() {
         let dir = scratch(&format!("t{threads}"));
         let ms = MetricSet::new();
         // Interrupt after 2 fresh entries...
-        let mut first = Session::with_checkpoint(subset_spec(&indices), &dir, false).unwrap();
+        let on_disk =
+            || Session::with_store(subset_spec(&indices), Arc::new(Store::open(&dir).unwrap()));
+        let mut first = on_disk().unwrap();
         let (outcome, emitted) = run(&mut first, threads, Some(2), &ms);
         assert_eq!(outcome, SessionOutcome::Interrupted { done: 2, total: indices.len() });
         assert_eq!(emitted.len(), 2);
         drop(first);
         // ...then resume to completion; only the remainder re-runs.
-        let mut second = Session::with_checkpoint(subset_spec(&indices), &dir, true).unwrap();
+        let mut second = on_disk().unwrap();
         let (outcome, emitted) = run(&mut second, threads, None, &ms);
         assert_eq!(outcome, SessionOutcome::Complete);
         assert_eq!(emitted.len(), indices.len() - 2);

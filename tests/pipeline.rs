@@ -317,3 +317,92 @@ fn budget_trips_identically_from_memory_and_stream() {
     );
     assert_eq!(run(&stream, &cfg, SimLimits::budget(10_000), None).err(), Some(err));
 }
+
+/// One of the design-ablation workloads: `app` at 64 ranks (the nearest
+/// legal count), 16 ranks per node on Cielito, seed 99.
+fn ablation_trace(app: App, comm_fraction: f64) -> masim_trace::Trace {
+    let cfg = GenConfig {
+        app,
+        ranks: app.legal_ranks(64),
+        ranks_per_node: 16,
+        machine: "cielito".into(),
+        gbps: 10.0,
+        latency: Time::from_ns(2_500),
+        size: 1,
+        iters: 3,
+        comm_fraction,
+        imbalance: 0.1,
+        seed: 99,
+    };
+    cfg.check();
+    generate(&cfg)
+}
+
+/// The design ablations, as exact counts rather than wall times, so they
+/// hold on any host (Cielito, workloads from [`ablation_trace`]). The
+/// pinned values move with any model change; the relations asserted
+/// beside them are the design claims, and must survive a re-pin.
+///
+/// * **Packet size** (packet model, FT(64), 1–16 KiB): the same messages
+///   cost strictly fewer packets as packets grow, and the prediction
+///   rises strictly — by ≈ 13.9 % at 16 KiB over the 1 KiB default.
+/// * **Flow ripple** (flow model): FT(64)'s all-to-all bursts need more
+///   rate re-solves than LULESH(64)'s nearest-neighbour exchanges,
+///   although FT sends fewer messages.
+/// * **Mapping** (packet-flow, 8 KiB packets, CR(64)): random placement
+///   sends the same messages through the same events as block
+///   placement, but does more work, loads its busiest link more and
+///   predicts a longer run.
+#[test]
+fn design_ablations_hold_as_exact_counts() {
+    use masim_topo::Mapping;
+    let machine = Machine::cielito();
+    let ft = ablation_trace(App::Ft, 0.5);
+    let sweep: Vec<_> = [1u64, 2, 4, 8, 16]
+        .map(|kb| {
+            let model = ModelKind::Packet { packet_bytes: kb * 1024 };
+            let r = simulate(&ft, &SimConfig::new(machine.clone(), model, &ft));
+            (r.messages, r.work_units, r.total.as_ps())
+        })
+        .into();
+    assert_eq!(
+        sweep,
+        [
+            (2_367, 9_456, 894_777_164),
+            (2_367, 4_944, 899_468_879),
+            (2_367, 2_688, 911_210_271),
+            (2_367, 1_560, 944_287_971),
+            (2_367, 996, 1_018_793_947),
+        ]
+    );
+    for w in sweep.windows(2) {
+        assert_eq!(w[0].0, w[1].0, "packet size changes no message");
+        assert!(w[0].1 > w[1].1, "larger packets, fewer work units: {w:?}");
+        assert!(w[0].2 < w[1].2, "larger packets, longer prediction: {w:?}");
+    }
+    let (default, largest) = (sweep[0].2 as f64, sweep[4].2 as f64);
+    assert!(largest / default > 1.13, "16 KiB moves the prediction by more than a few percent");
+
+    let flow = |app, comm_fraction| {
+        let t = ablation_trace(app, comm_fraction);
+        let r = simulate(&t, &SimConfig::new(machine.clone(), ModelKind::Flow, &t));
+        (r.messages, r.work_units)
+    };
+    let (lulesh, ft_flow) = (flow(App::Lulesh, 0.1), flow(App::Ft, 0.5));
+    assert_eq!((lulesh, ft_flow), ((2_880, 1_577), (2_367, 5_865)));
+    assert!(ft_flow.0 < lulesh.0 && ft_flow.1 > lulesh.1, "bursts ripple, not volume");
+
+    let cr = ablation_trace(App::Cr, 0.6);
+    let placed = |mapping| {
+        let model = ModelKind::PacketFlow { packet_bytes: 8192 };
+        let r =
+            simulate(&cr, &SimConfig { mapping, ..SimConfig::new(machine.clone(), model, &cr) });
+        (r.messages, r.events, r.work_units, r.max_link_bytes, r.total.as_ps())
+    };
+    let block = placed(Mapping::block(cr.num_ranks(), 16));
+    let random = placed(Mapping::random(cr.num_ranks(), 16, 3));
+    assert_eq!(block, (1_599, 3_454, 816, 816_126, 438_638_181));
+    assert_eq!(random, (1_599, 3_454, 1_653, 2_449_530, 463_558_583));
+    assert_eq!((block.0, block.1), (random.0, random.1), "placement moves no message or event");
+    assert!(random.2 > block.2 && random.3 > block.3 && random.4 > block.4);
+}

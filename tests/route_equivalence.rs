@@ -165,7 +165,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 #[test]
 fn code_fingerprint_is_pinned() {
     let dir = std::env::temp_dir().join(format!("masim-pin-{}", std::process::id()));
-    let store = Store::create(&dir).expect("create store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir).expect("create store");
     let cfg = report::table2_config(7);
     for (i, obs) in tiny_run().iter().enumerate() {
         let key = Key::new(&obs.study.entry, &cfg);

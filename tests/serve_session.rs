@@ -115,7 +115,7 @@ fn socket_submission_matches_in_process_run_and_caches() {
     let mut reference = Session::new(spec()).expect("reference session");
     let mut reference_sc = BTreeMap::new();
     reference
-        .run(1, None, None, &MetricSet::new(), "reference", None, |_, stem, observed| {
+        .run(1, None, None, &MetricSet::new(), None, |_, stem, observed| {
             for rm in &observed.sidecars {
                 reference_sc.insert(format!("{stem}_{}.json", rm.labels()["tool"]), rm.clone());
             }
