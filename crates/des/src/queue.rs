@@ -49,11 +49,20 @@
 //! assigns sequence numbers itself, one per push, so ordering needs no
 //! `Ord` on the payload.
 //!
-//! All containers retain their capacity across the run: after warm-up
-//! the schedule/pop cycle performs no heap allocation.
+//! Memory follows what is pending, not what the run has seen. Every
+//! ring bucket starts with [`BUCKET_RESERVE`] entries of capacity, and a
+//! bucket buffer that a burst grew goes back to the ring shrunk to that
+//! once the drain lane has emptied it, so idle ring capacity stays
+//! `NUM_BUCKETS × BUCKET_RESERVE` entries however large the bursts
+//! were. The drain lane, the late lane and the overflow heap are single
+//! containers; each keeps the largest backlog it held. A burst that
+//! outgrows its bucket's reserve reallocates while it fills; a run whose
+//! buckets stay under the reserve schedules and pops without heap
+//! allocation after warm-up.
 
 use masim_trace::Time;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -63,10 +72,12 @@ const BUCKET_SHIFT: u32 = 16;
 pub const BUCKET_WIDTH_PS: u64 = 1 << BUCKET_SHIFT;
 /// Number of ring buckets (power of two; the ring spans ~67 µs).
 pub const NUM_BUCKETS: u64 = 1024;
-/// First-touch capacity of a ring bucket. Bucket `Vec`s keep (and
-/// circulate, via the drain swap) their capacity for the queue's
-/// lifetime, so each bucket pays this reserve at most once and
-/// steady-state scheduling stays allocation-free.
+/// Capacity every ring bucket and drain lane starts with, and the most a
+/// drained bucket buffer keeps: a burst grows its bucket, the drain swap
+/// moves that buffer to the drain lane, and once drained it goes back to
+/// the ring shrunk to this. Idle ring capacity is therefore a constant
+/// `NUM_BUCKETS × BUCKET_RESERVE` entries, however long the run and
+/// however large its bursts.
 const BUCKET_RESERVE: usize = 16;
 
 #[inline]
@@ -161,13 +172,9 @@ impl<T> Default for LadderQueue<T> {
 }
 
 impl<T> LadderQueue<T> {
-    /// An empty queue with its window at time zero.
-    ///
-    /// Drain lanes are pre-reserved; ring buckets reserve lazily on
-    /// first touch (see [`Self::ring_push`]), so constructing a queue
-    /// costs one allocation for the ring spine instead of
-    /// `NUM_BUCKETS` bucket allocations — short simulations never pay
-    /// for buckets they don't reach.
+    /// An empty queue with its window at time zero and every lane and
+    /// ring bucket reserved up front, so that what the queue holds does
+    /// not depend on how much of the ring a run has reached.
     pub fn new() -> LadderQueue<T> {
         LadderQueue {
             imm: VecDeque::with_capacity(BUCKET_RESERVE),
@@ -176,7 +183,7 @@ impl<T> LadderQueue<T> {
             current: Vec::with_capacity(BUCKET_RESERVE),
             late: BinaryHeap::with_capacity(BUCKET_RESERVE),
             cur_bucket: 0,
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            ring: (0..NUM_BUCKETS).map(|_| Vec::with_capacity(BUCKET_RESERVE)).collect(),
             ring_len: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -274,14 +281,14 @@ impl<T> LadderQueue<T> {
     /// Pop the earliest `(time, seq)` entry.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
+        // `select_head` names a non-empty lane, so the lane pop is `Some`.
         let e = match self.select_head()? {
             Head::Immediate => {
-                let (seq, payload) = self.imm.pop_front().expect("head says imm");
-                Entry { at: self.imm_at, seq, payload }
+                self.imm.pop_front().map(|(seq, payload)| Entry { at: self.imm_at, seq, payload })
             }
-            Head::Current => self.current.pop().expect("head says current"),
-            Head::Late => self.late.pop().expect("head says late").0,
-        };
+            Head::Current => self.current.pop(),
+            Head::Late => self.late.pop().map(|h| h.0),
+        }?;
         self.last_ps = e.at;
         self.len -= 1;
         Some((Time::from_ps(e.at), e.seq, e.payload))
@@ -291,10 +298,10 @@ impl<T> LadderQueue<T> {
     /// may slide the ring window forward to materialize the head.
     pub fn peek_key(&mut self) -> Option<(Time, u64)> {
         let (at, seq) = match self.select_head()? {
-            Head::Immediate => (self.imm_at, self.imm.front().expect("head says imm").0),
-            Head::Current => self.current.last().expect("head says current").key(),
-            Head::Late => self.late.peek().expect("head says late").0.key(),
-        };
+            Head::Immediate => self.imm.front().map(|&(seq, _)| (self.imm_at, seq)),
+            Head::Current => self.current.last().map(Entry::key),
+            Head::Late => self.late.peek().map(|h| h.0.key()),
+        }?;
         Some((Time::from_ps(at), seq))
     }
 
@@ -346,10 +353,10 @@ impl<T> LadderQueue<T> {
         self.window_advances += 1;
         loop {
             if self.ring_len == 0 {
-                // Ring dry: jump the window straight to the overflow head.
-                debug_assert!(!self.overflow.is_empty());
-                let head_bucket = bucket_of(self.overflow.peek().expect("len > 0").0.at);
-                self.cur_bucket = head_bucket;
+                // Ring dry: jump the window straight to the overflow
+                // head, which exists because `len > 0`.
+                let Some(head) = self.overflow.peek() else { return };
+                self.cur_bucket = bucket_of(head.0.at);
                 self.migrate_overflow();
                 debug_assert!(!self.current.is_empty());
             } else {
@@ -358,6 +365,9 @@ impl<T> LadderQueue<T> {
                 if !self.ring[slot].is_empty() {
                     std::mem::swap(&mut self.current, &mut self.ring[slot]);
                     self.ring_len -= self.current.len();
+                    // The drained buffer goes back to the ring: it keeps
+                    // a small capacity, not the largest burst it held.
+                    self.ring[slot].shrink_to(BUCKET_RESERVE);
                 }
                 self.migrate_overflow();
             }
@@ -372,12 +382,13 @@ impl<T> LadderQueue<T> {
     /// Move overflow entries whose bucket is now inside the ring horizon
     /// (or the active window) into place.
     fn migrate_overflow(&mut self) {
-        while let Some(head) = self.overflow.peek() {
+        loop {
+            let Some(head) = self.overflow.peek_mut() else { break };
             let b = bucket_of(head.0.at);
             if b > self.cur_bucket + NUM_BUCKETS {
                 break;
             }
-            let HeapEntry(e) = self.overflow.pop().expect("peeked");
+            let HeapEntry(e) = PeekMut::pop(head);
             self.overflow_migrations += 1;
             if b <= self.cur_bucket {
                 self.current.push(e);
@@ -387,15 +398,10 @@ impl<T> LadderQueue<T> {
         }
     }
 
-    /// Push into the ring bucket for `b`, reserving the bucket's
-    /// steady-state capacity on first touch.
+    /// Push into the ring bucket for `b`.
     #[inline]
     fn ring_push(&mut self, b: u64, entry: Entry<T>) {
-        let bucket = &mut self.ring[(b % NUM_BUCKETS) as usize];
-        if bucket.capacity() == 0 {
-            bucket.reserve(BUCKET_RESERVE);
-        }
-        bucket.push(entry);
+        self.ring[(b % NUM_BUCKETS) as usize].push(entry);
         self.ring_len += 1;
     }
 }
@@ -515,6 +521,27 @@ mod tests {
         let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
         assert_eq!(order, vec![10, 2, 1, 11, 3]);
         assert_eq!(q.bucket_len_max(), 3, "bucket 2 held one entry");
+    }
+
+    /// Bursts of 4 096 entries into successive buckets, each drained
+    /// before the next, twice around the ring: the bucket buffers must
+    /// hold about one burst, not one per bucket ever filled.
+    #[test]
+    fn ring_capacity_follows_pending() {
+        const BURST: u64 = 4096;
+        let mut q = LadderQueue::new();
+        let mut peak = 0;
+        for b in 1..=2 * NUM_BUCKETS {
+            for i in 0..BURST {
+                q.push(Time::from_ps(b * BUCKET_WIDTH_PS + i), i as u32);
+            }
+            peak = peak.max(q.len());
+            while q.pop().is_some() {}
+        }
+        assert_eq!(peak, BURST as usize, "every burst went to the ring");
+        let held = q.current.capacity() + q.ring.iter().map(Vec::capacity).sum::<usize>();
+        let bound = 2 * peak + NUM_BUCKETS as usize * BUCKET_RESERVE;
+        assert!(held <= bound, "bucket buffers hold {held} entries for a peak of {peak}");
     }
 
     #[test]

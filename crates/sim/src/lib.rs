@@ -71,9 +71,10 @@ impl ModelKind {
 }
 
 /// Unit-test-only counting allocator: wraps the system allocator and
-/// counts allocation events per thread, so hot-path routines (the flow
-/// re-solve, most prominently) can assert they are allocation-free in
-/// steady state.
+/// counts allocation events and live bytes per thread, so hot-path
+/// routines (the flow re-solve, most prominently) can assert they are
+/// allocation-free in steady state, and whole runs that their peak heap
+/// does not grow with the number of messages.
 #[cfg(test)]
 pub(crate) mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,26 +82,43 @@ pub(crate) mod alloc_counter {
 
     thread_local! {
         static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        static LIVE: Cell<i64> = const { Cell::new(0) };
+        static PEAK: Cell<i64> = const { Cell::new(0) };
         static RESOLVE_DELTAS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Move this thread's live-byte count by `grow - shrink`, raising
+    /// its peak. Signed: a block freed on another thread than the one
+    /// that allocated it takes that thread's count below zero, and
+    /// differences between two readings stay exact.
+    fn track(grow: usize, shrink: usize) {
+        let _ = LIVE.try_with(|live| {
+            let now = live.get() + grow as i64 - shrink as i64;
+            live.set(now);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+        });
     }
 
     pub(crate) struct Counting;
 
     // SAFETY: defers all allocation to `System`; the per-thread counter
-    // bump is allocation-free and panic-free (`try_with` tolerates TLS
-    // teardown).
+    // updates are allocation-free and panic-free (`try_with` tolerates
+    // TLS teardown).
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            track(layout.size(), 0);
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            track(0, layout.size());
             unsafe { System.dealloc(ptr, layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            track(new_size, layout.size());
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -111,6 +129,18 @@ pub(crate) mod alloc_counter {
     /// Allocation events on this thread so far.
     pub(crate) fn count() -> u64 {
         ALLOCS.with(|c| c.get())
+    }
+
+    /// Restart this thread's peak at its current live bytes; returns them.
+    pub(crate) fn reset_peak() -> i64 {
+        let live = LIVE.with(Cell::get);
+        PEAK.with(|p| p.set(live));
+        live
+    }
+
+    /// Most live bytes on this thread since the last [`reset_peak`].
+    pub(crate) fn peak() -> i64 {
+        PEAK.with(Cell::get)
     }
 
     /// Log one re-solve's allocation delta (called by `flow_resolve`

@@ -26,10 +26,10 @@
 //!
 //! ## Hot-path data layout
 //!
-//! Per-message state is flat and `Copy` throughout: messages live in an
-//! id-indexed [`MsgSlab`](crate::msg::MsgSlab), routes are interned once
-//! per rank pair into a [`RouteArena`] and referenced by an 8-byte
-//! [`RouteRef`], and a [`Packet`] is a small plain value — no `Arc`, no
+//! Per-message state is flat and `Copy` throughout: messages in flight
+//! live in a slot-recycling [`MsgSlab`](crate::msg::MsgSlab), routes are
+//! interned once per rank pair into a [`RouteArena`] and referenced by an
+//! 8-byte [`RouteRef`], and a [`Packet`] is a small plain value — no `Arc`, no
 //! `Drop` glue in the engine's event arena. The packet model injects
 //! *lazily*: only a message's first packet is scheduled up front; each
 //! packet schedules its successor at its own injection-link departure
@@ -420,6 +420,7 @@ impl NetState {
                 link_bytes: vec![0; links],
                 recomputes: 0,
                 resolve_pending: false,
+                injected: 0,
                 scr_order: Vec::new(),
                 solver: MaxMin::new(links),
             }),
@@ -675,13 +676,17 @@ pub(crate) fn packet_hop(eng: &mut Engine<SimState>, st: &mut SimState, mut pkt:
         let h = pkt.hop as usize;
         (route[h], h + 1 < route.len())
     };
-    let m = *st.msgs.get(pkt.msg);
     let NetState::Packet(net) = &mut st.net else {
         unreachable!("packet event in non-packet model")
     };
     let (depart, arrive_next) = net.reserve(&st.links, eng.now(), link, pkt.bytes);
 
+    // The message is read only where it is still in flight: at hop 0
+    // its last packet has not released the sender, and the last packet
+    // delivers it. A middle packet may trail the last one and must not
+    // look, since the retired slot may already hold another message.
     if pkt.hop == 0 {
+        let m = *st.msgs.get(pkt.msg);
         if pkt.is_last {
             // Sender may reuse its buffer once the last packet clears
             // the NIC.
@@ -698,6 +703,7 @@ pub(crate) fn packet_hop(eng: &mut Engine<SimState>, st: &mut SimState, mut pkt:
     if has_next {
         eng.schedule_at(arrive_next, SimEvent::PacketHop(pkt));
     } else if pkt.is_last {
+        let m = *st.msgs.get(pkt.msg);
         eng.schedule_at(
             arrive_next,
             SimEvent::Deliver { dst: m.dst, src: m.src, tag: m.tag, msg: pkt.msg },
@@ -719,6 +725,9 @@ const FLOW_QUANTUM_PS: u64 = 1_000_000;
 struct Flow {
     /// Message slab id.
     msg: u32,
+    /// Injection ordinal among the run's flows: the re-solve order key.
+    /// Unlike the slab id it is never reused.
+    ord: u64,
     route: RouteRef,
     remaining: f64,
     rate: f64, // bytes/sec
@@ -732,9 +741,10 @@ struct Flow {
 /// Active flows live in `slots`, a `Vec`-backed slab with a free list:
 /// arrivals reuse freed slots, completions are O(1) removals, and the
 /// per-resolve settle pass is a dense scan instead of a hash-map walk.
-/// Re-solve ordering is by message id (collected and sorted per
-/// resolve), so rate assignment and completion scheduling are
-/// slot-layout-independent. The rates themselves come from [`MaxMin`],
+/// Re-solve ordering is by injection ordinal (collected and sorted per
+/// resolve), so rate assignment and completion scheduling depend
+/// neither on the flow slab's layout nor on which message-slab slots
+/// were recycled. The rates themselves come from [`MaxMin`],
 /// which sees only flow indices in that order, their routes and the
 /// link capacities. All re-solve scratch (`scr_order` and the solver's
 /// buffers) lives here, so the steady-state resolve path performs zero
@@ -750,8 +760,10 @@ pub struct FlowNet {
     recomputes: u64,
     /// A re-solve event is already queued for the current timestamp.
     resolve_pending: bool,
-    /// Per-resolve (message id, slot) list, reused across re-solves.
-    scr_order: Vec<(u32, u32)>,
+    /// Flows injected so far (the next flow's `ord`).
+    injected: u64,
+    /// Per-resolve (injection ordinal, slot) list, reused across re-solves.
+    scr_order: Vec<(u64, u32)>,
     solver: MaxMin,
 }
 
@@ -938,6 +950,7 @@ impl FlowNet {
         }
         let flow = Flow {
             msg: id,
+            ord: self.injected,
             route,
             remaining: bytes as f64,
             rate: 0.0,
@@ -955,6 +968,7 @@ impl FlowNet {
                 self.slots.push(Some(flow));
             }
         }
+        self.injected += 1;
         self.live += 1;
         self.schedule_resolve(eng);
     }
@@ -1003,15 +1017,15 @@ fn flow_resolve(
     let now = eng.now();
     let FlowNet { slots, scr_order: order, solver, .. } = net;
     // 1. Settle progress at old rates; collect the deterministic
-    // (message id, slot) order — by id, not slot, so slab layout never
-    // affects scheduling order.
+    // (injection ordinal, slot) order — by ordinal, not slot or message
+    // id, so slab layout and slot reuse never affect scheduling order.
     order.clear();
     for (slot, s) in slots.iter_mut().enumerate() {
         let Some(f) = s else { continue };
         let dt = (now - f.last_update).as_secs_f64();
         f.remaining = (f.remaining - f.rate * dt).max(0.0);
         f.last_update = now;
-        order.push((f.msg, slot as u32));
+        order.push((f.ord, slot as u32));
     }
     order.sort_unstable();
 
@@ -1031,7 +1045,7 @@ fn flow_resolve(
     // draining together complete at the same instant and their removals
     // batch into a single ripple re-solve.
     const QUANTUM_PS: u64 = FLOW_QUANTUM_PS;
-    for (k, &(id, slot)) in order.iter().enumerate() {
+    for (k, &(_, slot)) in order.iter().enumerate() {
         let f = slots[slot as usize].as_mut().expect("flow exists");
         let rate = rates[k].max(1.0);
         let rate_changed = (rate - f.rate).abs() > f.rate * 1e-12 + 1e-6;
@@ -1045,7 +1059,7 @@ fn flow_resolve(
         let secs = f.remaining / f.rate;
         let at = now + Time::from_secs_f64(secs);
         let at = Time::from_ps(at.as_ps().div_ceil(QUANTUM_PS) * QUANTUM_PS);
-        let ev = eng.schedule_at(at, SimEvent::FlowComplete { slot, msg: id });
+        let ev = eng.schedule_at(at, SimEvent::FlowComplete { slot, msg: f.msg });
         f.completion = Some(ev);
     }
 }

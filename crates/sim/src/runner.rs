@@ -3,7 +3,7 @@
 
 use crate::error::SimError;
 use crate::lower::{coll_tag, round, rounds, Round, MAX_COLL_ORDINALS, MAX_COLL_ROUNDS};
-use crate::msg::{Message, MsgSlab};
+use crate::msg::{Message, MsgSlab, RelPurpose};
 use crate::net::{
     flow_complete, inject, on_flow_resolve, packet_hop, LinkTable, ModelKind, NetState, Packet,
     RouteArena,
@@ -72,13 +72,16 @@ pub struct SimLimits {
     /// Optional wall-clock deadline on this host.
     pub deadline: Option<Duration>,
     /// Memory budget: estimated resident bytes of the simulation state
-    /// (trace, route arena, link tables, message slab, model state),
-    /// checked before the run and then at the same cadence as the work
-    /// budget. Collective state is O(ranks) and left out of the estimate:
-    /// a rank in a collective holds only its round index, each round is
-    /// computed in place, and no lowered schedule is resident. Exceeding
-    /// the budget is a typed [`SimError::MemoryBudget`] instead of an
-    /// allocator abort. `u64::MAX` for unlimited.
+    /// (trace, route arena, link tables, the messages in flight, model
+    /// state), checked before the run and then at the same cadence as
+    /// the work budget. It charges what is in flight, not what the run
+    /// has sent: a message's slab slot counts from its injection until
+    /// both its release and its delivery have been handled. Collective
+    /// state is O(ranks) and left out of the estimate: a rank in a
+    /// collective holds only its round index, each round is computed in
+    /// place, and no lowered schedule is resident. Exceeding the budget
+    /// is a typed [`SimError::MemoryBudget`] instead of an allocator
+    /// abort. `u64::MAX` for unlimited.
     pub max_bytes: u64,
 }
 
@@ -219,13 +222,6 @@ impl Proc {
     }
 }
 
-/// What a sender-release event means for the source rank.
-enum RelPurpose {
-    BlockingSend(Rank),
-    AppReq(Rank, u32),
-    CollRound(Rank),
-}
-
 /// The typed DES event vocabulary of the replay (the engine's
 /// `S::Event`). One variant per closure shape the old engine boxed; the
 /// payloads are small `Copy` values — message ids into the
@@ -240,8 +236,8 @@ pub enum SimEvent {
     ComputeDone(Rank),
     /// Sender may reuse its buffer (message fully injected / drained).
     Release {
-        /// Source rank (for symmetry with `Deliver`; the release table
-        /// is keyed by message id).
+        /// Source rank (for symmetry with `Deliver`; what the release
+        /// means is kept in the message's slab slot).
         src: Rank,
         /// Message slab id.
         msg: u32,
@@ -324,8 +320,10 @@ pub struct SimState<'a> {
     /// Where a rank pair's route is built before it is interned, so a
     /// cold intern allocates nothing of its own.
     pub(crate) route_scratch: Vec<LinkId>,
-    /// Id-indexed message table; event payloads carry `u32` ids into it.
+    /// The messages in flight; event payloads carry `u32` ids into it.
     pub(crate) msgs: MsgSlab,
+    /// Size distribution of every message injected (`sim.msg.bytes`).
+    msg_sizes: masim_obs::HistData,
     trace: TraceSource<'a>,
     /// Per-rank streaming decode windows (empty for a memory trace).
     cursors: Vec<RankCursor<'a>>,
@@ -334,8 +332,6 @@ pub struct SimState<'a> {
     trace_bytes: u64,
     procs: Vec<Proc>,
     mailboxes: Vec<Mailbox>,
-    /// Release purposes indexed by message id (ids are sequential).
-    releases: Vec<Option<RelPurpose>>,
     compute_scale: f64,
     messages: u64,
     done: usize,
@@ -387,12 +383,12 @@ impl<'a> SimState<'a> {
             routes,
             route_scratch: Vec::new(),
             msgs: MsgSlab::default(),
+            msg_sizes: masim_obs::HistData::default(),
             trace_bytes: trace.resident_bytes(),
             trace,
             cursors,
             procs: (0..n).map(|_| Proc::new()).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
-            releases: Vec::new(),
             compute_scale: cfg.compute_scale,
             messages: 0,
             done: 0,
@@ -411,9 +407,9 @@ impl<'a> SimState<'a> {
     ) -> u32 {
         self.messages += 1;
         // Zero-byte MPI messages still cross the wire as a header.
-        let id = self.msgs.push(Message { src, dst, bytes: bytes.max(1), tag });
-        debug_assert_eq!(id as usize, self.releases.len());
-        self.releases.push(Some(purpose));
+        let bytes = bytes.max(1);
+        self.msg_sizes.record(bytes);
+        let id = self.msgs.insert(Message { src, dst, bytes, tag }, purpose);
         inject(eng, self, id);
         id
     }
@@ -439,14 +435,15 @@ impl<'a> SimState<'a> {
     }
 
     /// Estimated resident bytes of the simulation state: event data,
-    /// interned routes, link tables, message slab, and network-model
-    /// vectors. An estimate of the dominant allocations, not an
-    /// allocator census — it is what [`SimLimits::max_bytes`] meters.
+    /// interned routes, link tables, the messages in flight, and
+    /// network-model vectors. An estimate of the dominant allocations,
+    /// not an allocator census — it is what [`SimLimits::max_bytes`]
+    /// meters.
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.trace_bytes
             + self.routes.bytes()
             + self.links.resident_bytes()
-            + (self.msgs.len() * std::mem::size_of::<Message>()) as u64
+            + self.msgs.resident_bytes()
             + self.net.resident_bytes()
     }
 }
@@ -622,8 +619,9 @@ fn on_deliver<'a>(
     dst: Rank,
     src: Rank,
     tag: u32,
-    _msg_id: u32,
+    msg_id: u32,
 ) {
+    st.msgs.deliver(msg_id);
     let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) else {
         return; // queued as unexpected
     };
@@ -655,10 +653,7 @@ fn recv_complete<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, tok:
 
 /// A sender may reuse its buffer (message fully injected / drained).
 fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, _src: Rank, msg_id: u32) {
-    let Some(purpose) = st.releases.get_mut(msg_id as usize).and_then(Option::take) else {
-        return;
-    };
-    match purpose {
+    match st.msgs.release(msg_id) {
         RelPurpose::BlockingSend(r) => {
             let p = &mut st.procs[r.idx()];
             debug_assert_eq!(p.status, PStatus::BlockedSend);
@@ -896,15 +891,11 @@ fn sim_core(
         ms.add("sim.budget.consumed", processed.saturating_add(work_units));
         // Resident interned-route footprint (flat storage + index).
         ms.gauge_max("sim.route.arena_bytes", st.routes.bytes());
-        // Message-size distribution, filled once from the slab after the
-        // run — O(messages) plain integer updates here, nothing on the
-        // injection path — and folded into the shared atomic cells once
-        // per bucket.
-        if !st.msgs.is_empty() {
-            let mut sizes = masim_obs::HistData::default();
-            for i in 0..st.msgs.len() {
-                sizes.record(st.msgs.get(i as u32).bytes);
-            }
+        // Message-size distribution, recorded into plain integers at
+        // injection and folded into the shared atomic cells once per
+        // bucket.
+        if st.messages > 0 {
+            let sizes = &st.msg_sizes;
             let mh = ms.hist("sim.msg.bytes");
             for (b, n) in sizes.buckets.iter().enumerate() {
                 if *n > 0 {
@@ -1007,5 +998,35 @@ mod tests {
             "SimEvent grew to {size} bytes; keep event payloads within the arena budget"
         );
         assert!(!std::mem::needs_drop::<SimEvent>());
+    }
+
+    /// Simulator memory follows what is in flight, not how far the run
+    /// has gone: four times the iterations must not raise a run's peak
+    /// heap by more than a fixed slack, on every app and model. The
+    /// slack allows a scratch buffer to double once more when a later
+    /// iteration holds a few more flows or pending events; it is far
+    /// below what one record per message sent would add.
+    #[test]
+    fn sim_heap_does_not_grow_with_iterations() {
+        use masim_workloads::{generate, App, GenConfig};
+        const SLACK: i64 = 128 << 10;
+        for app in App::ALL {
+            for model in crate::ModelKind::study_models() {
+                let peak = |iters: u32| {
+                    let trace = generate(&GenConfig { iters, ..GenConfig::test_default(app, 16) });
+                    let cfg = SimConfig::new(masim_topo::Machine::cielito(), model, &trace);
+                    let base = crate::alloc_counter::reset_peak();
+                    crate::simulate(&trace, &cfg);
+                    crate::alloc_counter::peak() - base
+                };
+                let (short, long) = (peak(2), peak(8));
+                assert!(
+                    long <= short + SLACK,
+                    "{} {}: peak heap {short} B at 2 iterations, {long} B at 8",
+                    app.name(),
+                    model.name()
+                );
+            }
+        }
     }
 }

@@ -32,6 +32,7 @@ use crate::ids::{Rank, ReqId};
 use crate::time::Time;
 use crate::trace::{Trace, TraceMeta};
 use std::fmt;
+use std::io::{Cursor, Seek, SeekFrom, Write};
 
 /// Current format revision.
 const VERSION: u32 = 1;
@@ -222,31 +223,47 @@ fn encode_segment(rank: u32, events: &[Event], out: &mut Vec<u8>) {
 
 /// Serialize a trace to its binary form.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    let m = &trace.meta;
-    let mut buf = Vec::with_capacity(64 + trace.events.len() * 24 + trace.num_events() * 6);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    put_string(&mut buf, &m.app);
-    put_string(&mut buf, &m.machine);
-    for v in [m.ranks, m.ranks_per_node, m.problem_size] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf.extend_from_slice(&m.seed.to_le_bytes());
+    let mut out =
+        Cursor::new(Vec::with_capacity(64 + trace.events.len() * 24 + trace.num_events() * 6));
+    // Writes and seeks into a `Cursor<Vec<u8>>` cannot fail.
+    let _ = write_mass(trace, &mut out);
+    out.into_inner()
+}
 
-    // Index placeholder, each entry patched once its segment is laid down.
-    let index_at = buf.len();
-    buf.resize(index_at + trace.events.len() * 24, 0);
-    let payload_at = buf.len();
-    for (r, events) in trace.events.iter().enumerate() {
-        let start = buf.len();
-        encode_segment(r as u32, events, &mut buf);
-        let entry = [start - payload_at, buf.len() - start, events.len()];
-        for (k, v) in entry.into_iter().enumerate() {
-            let at = index_at + 24 * r + 8 * k;
-            buf[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
-        }
+/// Write `trace` in MASS to `w`, which starts at offset 0: one rank's
+/// segment at a time, then seek back to fill in the index and flush.
+/// The one encoder: [`encode`] runs it into memory, [`crate::write_stream`]
+/// into a file, which never holds more than one encoded segment.
+pub(crate) fn write_mass<W: Write + Seek>(trace: &Trace, w: &mut W) -> std::io::Result<()> {
+    let m = &trace.meta;
+    let mut head = Vec::with_capacity(64 + m.app.len() + m.machine.len());
+    head.extend_from_slice(MAGIC);
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    put_string(&mut head, &m.app);
+    put_string(&mut head, &m.machine);
+    for v in [m.ranks, m.ranks_per_node, m.problem_size] {
+        head.extend_from_slice(&v.to_le_bytes());
     }
-    buf
+    head.extend_from_slice(&m.seed.to_le_bytes());
+    w.write_all(&head)?;
+
+    // Index placeholder, each entry filled in as its segment is written.
+    let mut index = vec![0u8; trace.events.len() * 24];
+    w.write_all(&index)?;
+    let mut seg = Vec::new();
+    let mut offset = 0;
+    for (r, events) in trace.events.iter().enumerate() {
+        seg.clear();
+        encode_segment(r as u32, events, &mut seg);
+        w.write_all(&seg)?;
+        for (k, v) in [offset, seg.len(), events.len()].into_iter().enumerate() {
+            index[24 * r + 8 * k..][..8].copy_from_slice(&(v as u64).to_le_bytes());
+        }
+        offset += seg.len();
+    }
+    w.seek(SeekFrom::Start(head.len() as u64))?;
+    w.write_all(&index)?;
+    w.flush()
 }
 
 // ---- decoding ----------------------------------------------------------

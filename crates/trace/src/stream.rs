@@ -38,9 +38,13 @@ impl From<DecodeError> for StreamError {
     }
 }
 
-/// Write a trace to `path` in the binary format.
+/// Write a trace to `path` in the binary format, streamed segment by
+/// segment through a buffered file: the encoded trace is never held in
+/// memory whole.
 pub fn write_stream(trace: &Trace, path: &Path) -> Result<(), StreamError> {
-    std::fs::write(path, crate::io::encode(trace)).map_err(|e| StreamError::Io(e.to_string()))
+    let io_err = |e: std::io::Error| StreamError::Io(e.to_string());
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
+    crate::io::write_mass(trace, &mut file).map_err(io_err)
 }
 
 /// An opened streamed trace: its validated layout and the compact bytes.
@@ -417,6 +421,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.mass");
         write_stream(&t, &path).expect("write");
+        assert_eq!(std::fs::read(&path).unwrap(), encode(&t), "one encoder, two sinks");
         let st = StreamedTrace::open(&path).expect("open");
         assert_eq!((st.meta(), walk(&st)), (&t.meta, t.events));
         std::fs::remove_file(&path).ok();

@@ -324,6 +324,34 @@ fn memory_budget_is_explicit() {
     assert!(matches!(failure, ToolFailure::MemoryBudget { .. }));
 }
 
+/// The memory budget charges what is in flight, not what the run has
+/// sent: a 16-rank ring of 2 000 iterations (32 000 messages) fits in
+/// its pre-run footprint plus 64 KiB on every model.
+#[test]
+fn memory_budget_charges_in_flight_messages_not_history() {
+    const RANKS: u32 = 16;
+    let mut t = Trace::empty(meta(RANKS));
+    for r in 0..RANKS {
+        let (next, prev) = (Rank((r + 1) % RANKS), Rank((r + RANKS - 1) % RANKS));
+        let send = Event::new(EventKind::Send { peer: next, bytes: 4096, tag: 0 }, Time::ZERO);
+        let recv = Event::new(EventKind::Recv { peer: prev, bytes: 4096, tag: 0 }, Time::ZERO);
+        t.events[r as usize] = (0..2000).flat_map(|_| [send.clone(), recv.clone()]).collect();
+    }
+    for model in ModelKind::study_models() {
+        let cfg = SimConfig::new(Machine::cielito(), model, &t);
+        let budget = |bytes| SimLimits::unlimited().with_memory_budget(bytes);
+        let resident = match masim_sim::run(&t, &cfg, budget(0), None) {
+            Err(SimError::MemoryBudget { resident, budget: 0 }) => resident,
+            other => panic!("{}: a zero budget must trip before the run: {other:?}", model.name()),
+        };
+        let res = masim_sim::run(&t, &cfg, budget(resident + (64 << 10)), None);
+        match res {
+            Ok(r) => assert_eq!(r.messages, 32_000, "{}", model.name()),
+            Err(e) => panic!("{}: pre-run footprint {resident} B + 64 KiB: {e}", model.name()),
+        }
+    }
+}
+
 /// MFACT rejects replays of deadlocking traces with a typed error
 /// instead of hanging or panicking.
 #[test]
