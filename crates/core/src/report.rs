@@ -185,13 +185,7 @@ pub fn table2_tiny_entries(seed: u64) -> Vec<CorpusEntry> {
 /// The per-entry study configuration Table II uses: unbudgeted, so
 /// every tool runs the heavyweights to completion.
 pub fn table2_config(seed: u64) -> StudyConfig {
-    StudyConfig {
-        seed,
-        packet_budget: u64::MAX,
-        flow_budget: u64::MAX,
-        pflow_budget: u64::MAX,
-        ..StudyConfig::default()
-    }
+    StudyConfig { seed, packet_budget: u64::MAX, flow_budget: u64::MAX, pflow_budget: u64::MAX }
 }
 
 /// Stable sidecar file stem (`app<ranks>`) for one Table II entry.

@@ -278,9 +278,8 @@ impl Session {
     /// Content fingerprint `(corpus_hash, config_hash)`: FNV-1a 64 over
     /// the canonical encodings of the *selected* entries (index +
     /// generator knobs, floats by exact bit pattern) and of the study
-    /// config. Any change to seed, subset, budgets, or deadline changes
-    /// a hash; two sessions with equal fingerprints run byte-identical
-    /// studies.
+    /// config. Any change to seed, subset or budgets changes a hash;
+    /// two sessions with equal fingerprints run byte-identical studies.
     pub fn fingerprint(&self) -> (u64, u64) {
         let mut corpus = Fnv::new();
         for &i in &self.todo {
@@ -415,19 +414,14 @@ pub(crate) fn entry_hash(e: &CorpusEntry) -> u64 {
     h.finish()
 }
 
-/// FNV-1a of a study configuration's canonical encoding.
+/// FNV-1a of a study configuration's canonical encoding. The
+/// destructuring is exhaustive, so a new field must be hashed (or
+/// explicitly ignored) before this compiles.
 pub(crate) fn config_hash(cfg: &StudyConfig) -> u64 {
+    let StudyConfig { seed, packet_budget, flow_budget, pflow_budget } = cfg;
     let mut h = Fnv::new();
-    h.write_u64(cfg.seed);
-    h.write_u64(cfg.packet_budget);
-    h.write_u64(cfg.flow_budget);
-    h.write_u64(cfg.pflow_budget);
-    match cfg.sim_deadline {
-        None => h.write_u64(u64::MAX),
-        Some(d) => {
-            h.write_u64(0);
-            h.write_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
+    for v in [seed, packet_budget, flow_budget, pflow_budget] {
+        h.write_u64(*v);
     }
     h.finish()
 }
@@ -508,6 +502,26 @@ mod tests {
         // tiny vs full Table II differ in the corpus hash.
         let t2full = fp(SessionSpec { kind: StudyKind::Table2 { tiny: false }, seed: 7 });
         assert_ne!(t2.0, t2full.0);
+    }
+
+    /// Every `StudyConfig` field reaches the store key: moving any one of
+    /// the four moves the `Key`, so no two configs share records.
+    #[test]
+    fn every_config_field_moves_the_key() {
+        let entry = &build_corpus(7)[3];
+        let base = StudyConfig::default();
+        let key = Key::new(entry, &base);
+        for (field, cfg) in [
+            ("seed", StudyConfig { seed: base.seed + 1, ..base.clone() }),
+            (
+                "packet_budget",
+                StudyConfig { packet_budget: base.packet_budget + 1, ..base.clone() },
+            ),
+            ("flow_budget", StudyConfig { flow_budget: base.flow_budget + 1, ..base.clone() }),
+            ("pflow_budget", StudyConfig { pflow_budget: base.pflow_budget - 1, ..base.clone() }),
+        ] {
+            assert_ne!(Key::new(entry, &cfg), key, "{field} does not move the key");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! "json":…}]}`. The key `<entry>-<config>-<code>` (16 hex digits each)
 //! is the FNV-1a of the corpus entry's and the study configuration's
 //! canonical encodings, plus [`CODE_FINGERPRINT`]: a record is a hit only
-//! for the same entry, seed, budgets and deadline, under code with the
+//! for the same entry, seed and budgets, under code with the
 //! same output, so configurations can share a file and never mix.
 //! `study` holds what the tools measured (typed failures included; the
 //! caller re-attaches the entry), `sidecars` each stage's exact JSON.
@@ -380,13 +380,6 @@ mod tests {
         let entries = build_corpus(7);
         let mut t = synthetic_study(&entries[0]);
         // Cover the remaining variants too.
-        t.packet = ToolRun::failed(
-            ToolFailure::DeadlineExceeded {
-                elapsed: Duration::from_nanos(999),
-                deadline: Duration::ZERO,
-            },
-            Duration::from_nanos(999),
-        );
         t.flow = ToolRun::failed(
             ToolFailure::ClockOverflow { now_ps: u64::MAX - 1, delay_ps: 17 },
             Duration::from_nanos(1),

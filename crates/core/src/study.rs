@@ -49,13 +49,6 @@ pub enum ToolFailure {
         /// The budget that was exceeded.
         budget: u64,
     },
-    /// Wall-clock deadline exceeded on this host.
-    DeadlineExceeded {
-        /// Wall clock elapsed when the run was cut off.
-        elapsed: Duration,
-        /// The deadline that was exceeded.
-        deadline: Duration,
-    },
     /// The tool detected a deadlock in the trace (replay or simulation
     /// drained its ready work with ranks still blocked).
     Deadlock {
@@ -84,8 +77,8 @@ pub enum ToolFailure {
         /// The panic payload, if it was a string (the common case).
         message: String,
     },
-    /// The run exceeded its memory budget (resident-set ceiling or
-    /// route-arena cap). At mega-scale these used to be allocator
+    /// The run exceeded its memory budget or the route arena's
+    /// structural limits. At mega-scale these used to be allocator
     /// aborts; now they land here as rows the report can count.
     MemoryBudget {
         /// What was exhausted and by how much, e.g. "simulation memory
@@ -100,7 +93,6 @@ impl ToolFailure {
     pub fn code(&self) -> &'static str {
         match self {
             ToolFailure::BudgetExhausted { .. } => "budget",
-            ToolFailure::DeadlineExceeded { .. } => "deadline",
             ToolFailure::Deadlock { .. } => "deadlock",
             ToolFailure::ClockOverflow { .. } => "overflow",
             ToolFailure::InvalidConfig { .. } => "invalid-config",
@@ -114,9 +106,6 @@ impl ToolFailure {
         match e {
             SimError::BudgetExhausted { consumed, budget } => {
                 ToolFailure::BudgetExhausted { consumed, budget }
-            }
-            SimError::DeadlineExceeded { elapsed, deadline } => {
-                ToolFailure::DeadlineExceeded { elapsed, deadline }
             }
             SimError::Deadlock { finished, total, .. } => ToolFailure::Deadlock { finished, total },
             SimError::ClockOverflow { overflow, .. } => ToolFailure::ClockOverflow {
@@ -161,14 +150,6 @@ impl std::fmt::Display for ToolFailure {
         match self {
             ToolFailure::BudgetExhausted { consumed, budget } => {
                 write!(f, "work budget exhausted ({consumed} > {budget})")
-            }
-            ToolFailure::DeadlineExceeded { elapsed, deadline } => {
-                write!(
-                    f,
-                    "deadline exceeded ({:.3}s > {:.3}s)",
-                    elapsed.as_secs_f64(),
-                    deadline.as_secs_f64()
-                )
             }
             ToolFailure::Deadlock { finished, total } => {
                 write!(f, "deadlock ({finished}/{total} ranks finished)")
@@ -312,18 +293,6 @@ pub struct StudyConfig {
     /// Work budget for packet-flow (effectively unlimited: the paper's
     /// packet-flow model completes all 235 traces).
     pub pflow_budget: u64,
-    /// Optional wall-clock deadline per simulator run, checked at the
-    /// same cadence as the work budget. `None` (the default) keeps runs
-    /// budget-limited only, which is what makes study results
-    /// host-independent; deadlines are an operational guard for
-    /// unattended runs.
-    pub sim_deadline: Option<Duration>,
-    /// Resident-memory ceiling (bytes) per simulator run, charged
-    /// against the simulator's own accounting (trace + routes + links +
-    /// in-flight messages + model state). `u64::MAX` (the default)
-    /// disables the check. An exceeded budget is a typed
-    /// [`ToolFailure::MemoryBudget`] row, not an allocator abort.
-    pub mem_budget: u64,
 }
 
 impl Default for StudyConfig {
@@ -333,8 +302,6 @@ impl Default for StudyConfig {
             packet_budget: 1_640_000,
             flow_budget: 211_200,
             pflow_budget: u64::MAX,
-            sim_deadline: None,
-            mem_budget: u64::MAX,
         }
     }
 }
@@ -496,8 +463,7 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
 
     let sim_run = |model: ModelKind, budget: u64| -> (ToolRun, MetricSet) {
         let ms = MetricSet::new();
-        let limits =
-            SimLimits { max_work: budget, deadline: cfg.sim_deadline, max_bytes: cfg.mem_budget };
+        let limits = SimLimits::budget(budget);
         let span = ms.span(TOOL_WALL_SPAN);
         let res = {
             // Static names keep the timeline span free of per-run
@@ -516,8 +482,8 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
         let wall = span.stop();
         let run = match res {
             Ok(r) => ToolRun::ok(r.total, r.comm_time, wall),
-            // Budget exhausted, deadline missed, clock overflow, deadlock,
-            // rejected config, or a contained panic: the tool failed on
+            // Budget exhausted, clock overflow, deadlock, rejected
+            // config, or a contained panic: the tool failed on
             // this trace (incomplete), mirroring the paper's failure
             // counts — with the cause recorded.
             Err(cause) => ToolRun::failed(cause, wall),
@@ -836,9 +802,6 @@ fn failure_value(f: &ToolFailure) -> Value {
         ToolFailure::BudgetExhausted { consumed, budget } => {
             vec![("consumed", UInt(*consumed)), ("budget", UInt(*budget))]
         }
-        ToolFailure::DeadlineExceeded { elapsed, deadline } => {
-            vec![("elapsed_ns", ns(*elapsed)), ("deadline_ns", ns(*deadline))]
-        }
         ToolFailure::Deadlock { finished, total } => {
             vec![("finished", UInt((*finished).into())), ("total", UInt((*total).into()))]
         }
@@ -889,15 +852,10 @@ fn items<'a>(v: &'a Value, key: &str, len: usize) -> Decoded<&'a [Value]> {
 }
 
 fn failure_from(v: &Value) -> Decoded<ToolFailure> {
-    let nanos = |key| int(v, key).map(Duration::from_nanos);
     Ok(match text(v, "code")? {
         "budget" => ToolFailure::BudgetExhausted {
             consumed: int(v, "consumed")?,
             budget: int(v, "budget")?,
-        },
-        "deadline" => ToolFailure::DeadlineExceeded {
-            elapsed: nanos("elapsed_ns")?,
-            deadline: nanos("deadline_ns")?,
         },
         "deadlock" => {
             ToolFailure::Deadlock { finished: int(v, "finished")?, total: int(v, "total")? }
@@ -1137,23 +1095,6 @@ mod tests {
         }
         let study = Study { traces: vec![t.clone()], config: cfg };
         assert_eq!(study.failure_census()["invalid-config"], 4);
-    }
-
-    #[test]
-    fn zero_deadline_fails_sims_with_typed_cause() {
-        let cfg = StudyConfig { sim_deadline: Some(Duration::ZERO), ..StudyConfig::default() };
-        let entries = masim_workloads::build_corpus(cfg.seed);
-        let t = run_one_observed(&entries[3], &cfg).study;
-        // MFACT has no deadline; the simulators all miss a zero deadline.
-        assert!(t.mfact.completed());
-        for run in [&t.packet, &t.flow, &t.pflow] {
-            assert!(
-                matches!(run.failure, Some(ToolFailure::DeadlineExceeded { .. })),
-                "{:?}",
-                run.failure
-            );
-            assert_eq!(run.failure.as_ref().unwrap().code(), "deadline");
-        }
     }
 
     #[test]

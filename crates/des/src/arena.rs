@@ -17,7 +17,7 @@
 /// slab's footprint and cache behaviour are `size_of::<E>() ×
 /// pending`. Handlers are expected to keep payloads small, `Copy`
 /// handles into side tables (slabs, interning arenas) rather than owning
-/// containers; [`EventArena::new`] debug-asserts the budget so an
+/// containers; `EventArena::new` debug-asserts the budget so an
 /// accidentally fattened payload fails loudly in CI instead of silently
 /// doubling the hot loop's cache traffic.
 pub const MAX_INLINE_PAYLOAD_BYTES: usize = 32;

@@ -50,7 +50,7 @@
 //! `Ord` on the payload.
 //!
 //! Memory follows what is pending, not what the run has seen. Every
-//! ring bucket starts with [`BUCKET_RESERVE`] entries of capacity, and a
+//! ring bucket starts with `BUCKET_RESERVE` entries of capacity, and a
 //! bucket buffer that a burst grew goes back to the ring shrunk to that
 //! once the drain lane has emptied it, so idle ring capacity stays
 //! `NUM_BUCKETS × BUCKET_RESERVE` entries however large the bursts

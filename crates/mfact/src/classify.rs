@@ -112,15 +112,6 @@ impl Classification {
     }
 }
 
-/// Classify a trace on a machine, replaying once under the baseline and
-/// the two slow-down probes.
-///
-/// Panics if the replay fails (malformed trace); use [`try_classify`]
-/// for the typed-error path.
-pub fn classify(trace: &Trace, net: NetworkConfig) -> Classification {
-    try_classify(trace, net).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The classifier's probe list, in the order
 /// [`Classification::from_replay`] reads it: the baseline, bandwidth ÷ 8,
 /// latency × 8. One [`try_replay`] over these is everything MFACT needs
@@ -133,7 +124,8 @@ pub fn probe_configs(net: NetworkConfig) -> [ModelConfig; 3] {
     ]
 }
 
-/// Fallible classification: a malformed trace (deadlock, dangling
+/// Classify a trace on a machine, replaying once under the baseline and
+/// the two slow-down probes. A malformed trace (deadlock, dangling
 /// request) surfaces as a [`ReplayError`] instead of a panic.
 pub fn try_classify(trace: &Trace, net: NetworkConfig) -> Result<Classification, ReplayError> {
     Ok(Classification::from_replay(&try_replay(trace, &probe_configs(net), None)?))
@@ -240,7 +232,7 @@ mod tests {
         cfg.comm_fraction = 0.02;
         cfg.iters = 8;
         let t = generate(&cfg);
-        let c = classify(&t, net());
+        let c = try_classify(&t, net()).expect("replay completes");
         assert_eq!(c.class, AppClass::ComputationBound, "{c:?}");
         assert!(!c.is_comm_sensitive());
     }
@@ -251,7 +243,7 @@ mod tests {
         cfg.comm_fraction = 0.6;
         cfg.size = 2;
         let t = generate(&cfg);
-        let c = classify(&t, net());
+        let c = try_classify(&t, net()).expect("replay completes");
         assert!(c.is_comm_sensitive(), "{c:?}");
         assert!(c.bw_sensitivity > SENSITIVITY_THRESHOLD, "{c:?}");
     }
@@ -263,7 +255,7 @@ mod tests {
         cfg.imbalance = 0.9;
         cfg.iters = 10;
         let t = generate(&cfg);
-        let c = classify(&t, net());
+        let c = try_classify(&t, net()).expect("replay completes");
         assert_eq!(c.class, AppClass::LoadImbalanceBound, "{c:?}");
     }
 
@@ -276,7 +268,7 @@ mod tests {
         let mut cfg = GenConfig::test_default(App::Lu, 64);
         cfg.comm_fraction = 0.5;
         let t = generate(&cfg);
-        let c = classify(&t, net());
+        let c = try_classify(&t, net()).expect("replay completes");
         assert!(
             c.lat_sensitivity > c.bw_sensitivity,
             "lat {} !> bw {}",

@@ -4,8 +4,8 @@
 //! out-of-range peers) are data under the fault-contained study runner —
 //! the study records the trace as failed with a cause — so the replay
 //! core returns a [`ReplayError`] through
-//! [`crate::try_replay`] and the panicking [`crate::replay`] wrapper is
-//! kept for call sites that only ever see validated traces.
+//! [`crate::try_replay`]. The panicking [`crate::replay()`] wrapper
+//! stays because `benchmark/src/adapter.rs` binds it.
 
 use std::fmt;
 

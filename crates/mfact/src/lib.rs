@@ -5,7 +5,7 @@
 //!
 //! * [`cost`] — Hockney point-to-point and Thakur–Gropp collective cost
 //!   models, split into latency and bandwidth parts;
-//! * [`replay`] — the single-pass, multi-configuration logical-clock
+//! * [`replay`](mod@replay) — the single-pass, multi-configuration logical-clock
 //!   trace replay with the four counters (wait, latency, bandwidth,
 //!   computation);
 //! * [`classify`] — the sensitivity-sweep classifier (computation-bound,
@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use masim_mfact::{classify, replay, ModelConfig};
+//! use masim_mfact::{replay, try_classify, ModelConfig};
 //! use masim_topo::NetworkConfig;
 //! use masim_workloads::{generate, App, GenConfig};
 //!
@@ -37,7 +37,7 @@
 //! );
 //! assert!(results[1].total <= results[0].total);
 //!
-//! let class = classify(&trace, net);
+//! let class = try_classify(&trace, net).expect("CG(16) replays");
 //! println!("CG is {}", class.class);
 //! ```
 
@@ -48,9 +48,7 @@ pub mod cost;
 pub mod error;
 pub mod replay;
 
-pub use classify::{
-    classify, probe_configs, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD,
-};
+pub use classify::{probe_configs, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD};
 pub use cost::{collective, p2p, CommCost};
 pub use error::ReplayError;
 pub use replay::{replay, try_replay, ConfigResult, Counters, ModelConfig};

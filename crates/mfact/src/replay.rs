@@ -216,7 +216,8 @@ impl EvSrc for StreamSrc<'_> {
 ///
 /// Panics if the trace deadlocks (which [`Trace::validate`] would have
 /// reported first — run it on untrusted traces). [`try_replay`] is the
-/// typed-error path for untrusted input.
+/// typed-error path for untrusted input. Kept, with this signature,
+/// because `benchmark/src/adapter.rs` binds it.
 pub fn replay(trace: &Trace, configs: &[ModelConfig]) -> Vec<ConfigResult> {
     try_replay(trace, configs, None).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -1,7 +1,7 @@
 //! Property-style tests for the MFACT replay and classifier, driven by a
 //! seeded deterministic generator so every run covers the same cases.
 
-use masim_mfact::{classify, replay, ModelConfig};
+use masim_mfact::{replay, try_classify, ModelConfig};
 use masim_rng::Rng;
 use masim_topo::NetworkConfig;
 use masim_trace::Time;
@@ -91,8 +91,8 @@ fn classification_consistent() {
         cfg.comm_fraction = f;
         let trace = generate(&cfg);
         let net = NetworkConfig::new(35.0, 2_575);
-        let a = classify(&trace, net);
-        let b = classify(&trace, net);
+        let a = try_classify(&trace, net).expect("replay completes");
+        let b = try_classify(&trace, net).expect("replay completes");
         assert_eq!(a.class, b.class);
         if a.is_comm_sensitive() {
             assert!(

@@ -6,11 +6,10 @@
 //! returns a [`SimError`] through [`crate::simulate_budgeted`]'s result
 //! path and the study marks the trace incomplete, instead of a panic
 //! taking down the whole study thread pool. Deadlocks, invalid
-//! configurations, and wall-clock deadline misses travel the same path.
+//! configurations, and memory-budget trips travel the same path.
 
 use masim_des::ClockOverflow;
 use std::fmt;
-use std::time::Duration;
 
 /// How many blocked ranks a [`SimError::Deadlock`] lists explicitly
 /// before summarizing (large traces can strand hundreds of ranks; the
@@ -27,14 +26,6 @@ pub enum SimError {
         consumed: u64,
         /// The budget that was exceeded.
         budget: u64,
-    },
-    /// The run exceeded its wall-clock deadline on this host (checked at
-    /// the same cadence as the work budget).
-    DeadlineExceeded {
-        /// Wall clock elapsed when the run was cut off.
-        elapsed: Duration,
-        /// The deadline that was exceeded.
-        deadline: Duration,
     },
     /// The simulation clock overflowed its u64 picosecond range — a
     /// pathological compute duration or retry loop pushed `now + delay`
@@ -75,10 +66,10 @@ pub enum SimError {
         /// The dangling request id.
         req: u32,
     },
-    /// The route arena hit a structural or configured capacity limit —
-    /// more distinct routes than the `u32` route-id space, a route longer
-    /// than `u16` hops, or resident bytes past the configured cap. At
-    /// mega scale this used to be an `expect` panic deep in `intern`.
+    /// The route arena hit a structural limit — more distinct routes
+    /// than the `u32` route-id space, or a route longer than `u16` hops.
+    /// At mega scale this used to be an `expect` panic deep in `intern`.
+    /// Its resident bytes are bounded by [`crate::SimLimits::max_bytes`].
     RouteArenaExhausted {
         /// Distinct routes interned when the arena gave up.
         routes: u64,
@@ -126,14 +117,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::BudgetExhausted { consumed, budget } => {
                 write!(f, "simulation budget exhausted: {consumed} work units > budget {budget}")
-            }
-            SimError::DeadlineExceeded { elapsed, deadline } => {
-                write!(
-                    f,
-                    "simulation deadline exceeded: {:.3}s wall > {:.3}s deadline",
-                    elapsed.as_secs_f64(),
-                    deadline.as_secs_f64()
-                )
             }
             SimError::ClockOverflow { model, overflow } => {
                 write!(f, "{model} model aborted, trace incomplete: {overflow}")

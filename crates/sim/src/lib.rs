@@ -15,12 +15,11 @@
 //!
 //! [`run`] is the one entry point: source (in-memory or streamed
 //! trace), limits, and an optional telemetry sink are its arguments.
-//! [`simulate`] is the panicking convenience for examples.
 //!
 //! # Example
 //!
 //! ```
-//! use masim_sim::{simulate, ModelKind, SimConfig};
+//! use masim_sim::{run, ModelKind, SimConfig, SimLimits};
 //! use masim_topo::Machine;
 //! use masim_workloads::{generate, App, GenConfig};
 //!
@@ -28,7 +27,7 @@
 //! let machine = Machine::cielito();
 //! for model in ModelKind::study_models() {
 //!     let cfg = SimConfig::new(machine.clone(), model, &trace);
-//!     let result = simulate(&trace, &cfg);
+//!     let result = run(&trace, &cfg, SimLimits::unlimited(), None).expect("LULESH(8) completes");
 //!     println!("{}: {}", model.name(), result.total);
 //!     assert!(result.total > masim_trace::Time::ZERO);
 //! }
@@ -47,7 +46,7 @@ pub mod util_report;
 pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
-    run, simulate, simulate_budgeted, simulate_streamed_limited, SimConfig, SimLimits, SimResult,
+    run, simulate_budgeted, simulate_streamed_limited, SimConfig, SimLimits, SimResult,
 };
 pub use util_report::UtilReport;
 

@@ -130,7 +130,7 @@ const DENSE_RANK_LIMIT: u32 = 2048;
 /// back-to-back in one flat `Vec<LinkId>`, written once on first use and
 /// addressed by copyable [`RouteRef`] handles thereafter. Replaces the
 /// `HashMap<(u32, u32), Arc<[LinkId]>>` route cache — lookups don't
-/// hash below [`DENSE_RANK_LIMIT`] ranks, and resolving a route is a
+/// hash below `DENSE_RANK_LIMIT` ranks, and resolving a route is a
 /// slice borrow, not a refcount round-trip.
 pub struct RouteArena {
     storage: Vec<LinkId>,
@@ -142,10 +142,6 @@ pub struct RouteArena {
     ranks: u32,
     dense: Vec<RouteRef>,
     sparse: IntMap<(u32, u32), RouteRef>,
-    interned: usize,
-    /// Resident-byte cap; [`RouteArena::try_intern`] returns a typed
-    /// error instead of growing past it.
-    cap_bytes: u64,
 }
 
 impl RouteArena {
@@ -162,15 +158,7 @@ impl RouteArena {
             ranks,
             dense,
             sparse: IntMap::default(),
-            interned: 0,
-            cap_bytes: u64::MAX,
         }
-    }
-
-    /// Cap the arena's resident footprint; interning past the cap
-    /// becomes [`SimError::RouteArenaExhausted`].
-    pub fn set_cap_bytes(&mut self, cap: u64) {
-        self.cap_bytes = cap;
     }
 
     /// The interned route for (src, dst), if already seen.
@@ -189,10 +177,10 @@ impl RouteArena {
     }
 
     /// Intern a freshly built route for (src, dst). The arena's limits
-    /// are structural (u32 route ids, u16 hops) or configured
-    /// ([`RouteArena::set_cap_bytes`]); hitting one is a typed
+    /// are structural (u32 route ids, u16 hops); hitting one is a typed
     /// [`SimError::RouteArenaExhausted`], never a panic — at mega scale
-    /// the old `expect` here was the first thing to blow up.
+    /// the old `expect` here was the first thing to blow up. Its
+    /// resident bytes count against the run's memory budget instead.
     pub fn try_intern(
         &mut self,
         src: Rank,
@@ -208,10 +196,6 @@ impl RouteArena {
             return Err(self.exhausted("route-id space (u32) exhausted".into()));
         }
         let off = self.starts.len() as u32;
-        let added = (std::mem::size_of_val(links) + std::mem::size_of::<u64>()) as u64;
-        if self.bytes().saturating_add(added) > self.cap_bytes {
-            return Err(self.exhausted(format!("resident cap of {} B exceeded", self.cap_bytes)));
-        }
         self.starts.push(self.storage.len() as u64);
         self.storage.extend_from_slice(links);
         let r = RouteRef { off, len };
@@ -220,12 +204,15 @@ impl RouteArena {
         } else {
             self.dense[src.0 as usize * self.ranks as usize + dst.0 as usize] = r;
         }
-        self.interned += 1;
         Ok(r)
     }
 
     fn exhausted(&self, limit: String) -> SimError {
-        SimError::RouteArenaExhausted { routes: self.interned as u64, bytes: self.bytes(), limit }
+        SimError::RouteArenaExhausted {
+            routes: self.starts.len() as u64,
+            bytes: self.bytes(),
+            limit,
+        }
     }
 
     /// The links of an interned route.
@@ -744,7 +731,7 @@ struct Flow {
 /// Re-solve ordering is by injection ordinal (collected and sorted per
 /// resolve), so rate assignment and completion scheduling depend
 /// neither on the flow slab's layout nor on which message-slab slots
-/// were recycled. The rates themselves come from [`MaxMin`],
+/// were recycled. The rates themselves come from `MaxMin`,
 /// which sees only flow indices in that order, their routes and the
 /// link capacities. All re-solve scratch (`scr_order` and the solver's
 /// buffers) lives here, so the steady-state resolve path performs zero
@@ -1215,7 +1202,7 @@ mod tests {
         assert_eq!(arena.get(Rank(1), Rank(2)), Some(r));
         assert_eq!(arena.resolve(r), &links);
         assert_eq!(r.len(), 3);
-        assert_eq!(arena.interned, 1);
+        assert_eq!(arena.starts.len(), 1);
         assert!(arena.bytes() > 0);
         // A second pair lands behind the first in the flat storage.
         let r2 = arena.try_intern(Rank(2), Rank(1), &[LinkId(7), LinkId(8)]).unwrap();
@@ -1267,45 +1254,25 @@ mod tests {
                 assert_eq!(arena.get(*s, *d), Some(*r), "ranks={ranks}");
                 assert_eq!(arena.resolve(*r), links.as_slice(), "ranks={ranks}");
             }
-            assert_eq!(arena.interned, refs.len(), "ranks={ranks}");
+            assert_eq!(arena.starts.len(), refs.len(), "ranks={ranks}");
         }
     }
 
-    /// Hitting the configured resident cap is a typed error carrying the
-    /// arena's state, never the old `expect` panic.
+    /// A route longer than the u16 hop field is a typed error carrying
+    /// the arena's state, never the old `expect` panic.
     #[test]
-    fn route_arena_cap_is_a_typed_error() {
+    fn route_arena_hop_limit_is_a_typed_error() {
         let mut arena = RouteArena::new(4);
-        arena.set_cap_bytes(64);
-        let mut err = None;
-        for src in 0..4u32 {
-            for dst in 0..4u32 {
-                if src == dst {
-                    continue;
-                }
-                let links = [LinkId(src), LinkId(dst), LinkId(src + dst)];
-                if let Err(e) = arena.try_intern(Rank(src), Rank(dst), &links) {
-                    err = Some(e);
-                }
-            }
-        }
-        match err.expect("64-byte cap must trip") {
-            SimError::RouteArenaExhausted { routes, bytes, limit } => {
-                assert_eq!(routes as usize, arena.interned);
-                assert!(bytes <= 64 + 128, "{bytes}");
-                assert!(limit.contains("resident cap"), "{limit}");
-            }
-            e => panic!("wrong error: {e}"),
-        }
-        // Routes longer than the u16 hop field are likewise typed.
+        arena.try_intern(Rank(1), Rank(2), &[LinkId(1), LinkId(2)]).unwrap();
         let long = vec![LinkId(1); u16::MAX as usize + 1];
-        let mut arena = RouteArena::new(4);
         match arena.try_intern(Rank(0), Rank(1), &long) {
-            Err(SimError::RouteArenaExhausted { limit, .. }) => {
+            Err(SimError::RouteArenaExhausted { routes, limit, .. }) => {
+                assert_eq!(routes, 1);
                 assert!(limit.contains("hops"), "{limit}")
             }
             other => panic!("wrong result: {other:?}"),
         }
+        assert!(arena.get(Rank(0), Rank(1)).is_none(), "a rejected route is not interned");
     }
 
     /// Acceptance gate for the scratch-hoisting rework: once the
@@ -1323,7 +1290,8 @@ mod tests {
         let machine = masim_topo::Machine::cielito();
         let cfg = crate::SimConfig::new(machine, ModelKind::Flow, &trace);
         crate::alloc_counter::reset();
-        let result = crate::simulate(&trace, &cfg);
+        let result = crate::run(&trace, &cfg, crate::SimLimits::unlimited(), None)
+            .expect("simulation completes");
         assert!(result.work_units > 0, "flow model ran no re-solves");
         let deltas = crate::alloc_counter::take();
         assert!(deltas.len() > 8, "trace too small to exercise steady state");

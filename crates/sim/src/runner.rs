@@ -14,7 +14,6 @@ use masim_topo::{LinkId, Machine, Mapping};
 use masim_trace::{
     CollKind, Event, EventKind, Mailbox, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource,
 };
-use std::time::{Duration, Instant};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -25,18 +24,11 @@ pub struct SimConfig {
     pub mapping: Mapping,
     /// Which network model to run.
     pub model: ModelKind,
-    /// Computation-time multiplier.
-    pub compute_scale: f64,
-    /// Resident-byte cap on the interned-route arena; interning past it
-    /// is a typed [`SimError::RouteArenaExhausted`]. `u64::MAX` (the
-    /// default) leaves only the arena's structural limits (u32 route
-    /// ids, u16 hops) in force.
-    pub route_arena_cap_bytes: u64,
 }
 
 impl SimConfig {
     /// Default configuration: block mapping (as the original runs used)
-    /// at the trace's recorded ranks-per-node, unit compute scale.
+    /// at the trace's recorded ranks-per-node.
     pub fn new(machine: Machine, model: ModelKind, trace: &Trace) -> SimConfig {
         SimConfig::for_ranks(machine, model, trace.num_ranks(), trace.meta.ranks_per_node)
     }
@@ -44,33 +36,26 @@ impl SimConfig {
     /// Like [`SimConfig::new`] for a trace that stays on disk: the block
     /// mapping comes from the stream's recorded metadata, so the full
     /// event vectors never need materializing just to build a config.
+    /// Kept, with this signature, because `benchmark/src/adapter.rs`
+    /// binds it.
     pub fn for_streamed(machine: Machine, model: ModelKind, stream: &StreamedTrace) -> SimConfig {
         SimConfig::for_ranks(machine, model, stream.num_ranks(), stream.meta().ranks_per_node)
     }
 
     fn for_ranks(machine: Machine, model: ModelKind, ranks: u32, per_node: u32) -> SimConfig {
-        SimConfig {
-            machine,
-            mapping: Mapping::block(ranks, per_node),
-            model,
-            compute_scale: 1.0,
-            route_arena_cap_bytes: u64::MAX,
-        }
+        SimConfig { machine, mapping: Mapping::block(ranks, per_node), model }
     }
 }
 
 /// Resource limits for one simulation run: a deterministic work budget
-/// and an optional wall-clock deadline, both checked at the same cadence
-/// in the run loop. The budget is what makes study results reproducible
-/// (it counts simulated work); the deadline is a host-level safety net
-/// for interactive and CI use.
+/// and a memory budget, both checked at the same cadence in the run
+/// loop. Both count simulated state, not host time, so a run's outcome
+/// does not depend on the host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimLimits {
     /// Work budget (DES events + model work units). `u64::MAX` for
     /// unlimited.
     pub max_work: u64,
-    /// Optional wall-clock deadline on this host.
-    pub deadline: Option<Duration>,
     /// Memory budget: estimated resident bytes of the simulation state
     /// (trace, route arena, link tables, the messages in flight, model
     /// state), checked before the run and then at the same cadence as
@@ -86,14 +71,14 @@ pub struct SimLimits {
 }
 
 impl SimLimits {
-    /// A pure work budget, no deadline or memory cap.
+    /// A pure work budget, no memory cap.
     pub fn budget(max_work: u64) -> SimLimits {
-        SimLimits { max_work, deadline: None, max_bytes: u64::MAX }
+        SimLimits { max_work, max_bytes: u64::MAX }
     }
 
     /// No limits at all.
     pub fn unlimited() -> SimLimits {
-        SimLimits { max_work: u64::MAX, deadline: None, max_bytes: u64::MAX }
+        SimLimits::budget(u64::MAX)
     }
 
     /// This limit set with a memory budget of `max_bytes`.
@@ -332,7 +317,6 @@ pub struct SimState<'a> {
     trace_bytes: u64,
     procs: Vec<Proc>,
     mailboxes: Vec<Mailbox>,
-    compute_scale: f64,
     messages: u64,
     done: usize,
     /// First typed error latched mid-run (e.g. a wait on an unknown
@@ -369,8 +353,7 @@ impl<'a> SimState<'a> {
         }
         let links = LinkTable::new(&cfg.machine, ranks);
         let net = NetState::new(cfg.model, links.len());
-        let mut routes = RouteArena::new(ranks);
-        routes.set_cap_bytes(cfg.route_arena_cap_bytes);
+        let routes = RouteArena::new(ranks);
         let cursors = match trace {
             TraceSource::Memory(_) => Vec::new(),
             TraceSource::Streamed(s) => (0..ranks).map(|r| s.cursor(Rank(r))).collect(),
@@ -389,7 +372,6 @@ impl<'a> SimState<'a> {
             cursors,
             procs: (0..n).map(|_| Proc::new()).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
-            compute_scale: cfg.compute_scale,
             messages: 0,
             done: 0,
             error: None,
@@ -471,7 +453,7 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
 
         match &ev.kind {
             EventKind::Compute => {
-                let d = ev.dur.scale(st.compute_scale);
+                let d = ev.dur;
                 let p = &mut st.procs[r.idx()];
                 // Saturate: a pathological duration must surface as the
                 // engine's typed clock overflow, not an accounting abort.
@@ -696,17 +678,17 @@ fn try_finish_wait<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r:
     }
 }
 
-/// Run one simulation: the single `Result`-returning entry point. The
-/// `simulate*` functions below are one-line wrappers over it.
+/// Run one simulation: the single entry point. The two `simulate_*`
+/// functions below are one-line wrappers over it, kept for a binding.
 ///
 /// What varies is all in the arguments: `src` is an in-memory
 /// [`Trace`] or an on-disk [`StreamedTrace`] (decoded through per-rank
 /// sliding windows, so the per-rank `Vec<Event>`s are never
 /// materialized; predictions are bit-identical either way), `limits`
-/// is the work budget / wall deadline / memory budget checked every
-/// 1024 events, and `obs`, when given, receives the `sim.*` and
-/// `des.*` telemetry once after the run — the hot loop itself carries
-/// no instrumentation, so results do not depend on it.
+/// is the work and memory budget checked every 1024 events, and `obs`,
+/// when given, receives the `sim.*` and `des.*` telemetry once after
+/// the run — the hot loop itself carries no instrumentation, so
+/// results do not depend on it.
 ///
 /// An exhausted budget is the analogue of the paper's tool failures
 /// (SST/Macro's packet and flow models completed 216 and 162 of the 235
@@ -719,15 +701,6 @@ pub fn run<'a>(
     obs: Option<&MetricSet>,
 ) -> Result<SimResult, SimError> {
     sim_core(src.into(), cfg, limits, obs)
-}
-
-/// [`run`] without limits or telemetry, for examples and tests.
-///
-/// Panics if the replay deadlocks (validate traces first), the mapping
-/// does not fit the machine, or the simulated clock overflows.
-pub fn simulate(trace: &Trace, cfg: &SimConfig) -> SimResult {
-    run(trace, cfg, SimLimits::unlimited(), None)
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// [`run`] on an in-memory trace under a pure work budget. Kept, with
@@ -798,7 +771,6 @@ fn drain<'a, D: DrainDetail>(
     eng: &mut Engine<SimState<'a>>,
     st: &mut SimState<'a>,
     limits: &SimLimits,
-    started: Option<Instant>,
     obs: Option<&MetricSet>,
     mut detail: D,
 ) -> Result<(), SimError> {
@@ -810,7 +782,7 @@ fn drain<'a, D: DrainDetail>(
             check = 0;
             detail.cadence(eng);
             let consumed = eng.processed().saturating_add(st.net.work_units());
-            check_limits(consumed, st.resident_bytes(), limits, started, obs)?;
+            check_limits(consumed, st.resident_bytes(), limits, obs)?;
         }
     }
     Ok(())
@@ -833,12 +805,9 @@ fn sim_core(
     for r in 0..src.num_ranks() {
         eng.schedule_at(Time::ZERO, SimEvent::Advance(Rank(r)));
     }
-    // Wall clock is only consulted when a deadline is armed, so the
-    // budget-only path stays free of syscalls.
-    let started = limits.deadline.map(|_| Instant::now());
     // A state that is already over the memory budget (e.g. the trace
     // itself) fails fast, before any events run.
-    if let Err(err) = check_limits(0, st.resident_bytes(), &limits, started, obs) {
+    if let Err(err) = check_limits(0, st.resident_bytes(), &limits, obs) {
         return Err(observe_fail(obs, span, err));
     }
     // The per-event detail is selected up front, only for an observed
@@ -847,9 +816,9 @@ fn sim_core(
         (Some(ms), Some(tl)) => {
             let _drain = tl.span("des.engine.drain");
             let detail = TimelineDetail { tl, dt_hist: ms.hist("sim.engine.dt_ps"), last_ps: 0 };
-            drain(&mut eng, &mut st, &limits, started, obs, detail)
+            drain(&mut eng, &mut st, &limits, obs, detail)
         }
-        _ => drain(&mut eng, &mut st, &limits, started, obs, NoDetail),
+        _ => drain(&mut eng, &mut st, &limits, obs, NoDetail),
     };
     if let Err(err) = drained {
         return Err(observe_fail(obs, span, err));
@@ -924,14 +893,12 @@ fn sim_core(
     })
 }
 
-/// The 1024-event-cadence limit check of the drain loop:
-/// deterministic work budget first, then the memory budget, then the
-/// optional wall deadline.
+/// The 1024-event-cadence limit check of the drain loop: work budget
+/// first, then the memory budget.
 fn check_limits(
     consumed: u64,
     resident: u64,
     limits: &SimLimits,
-    started: Option<Instant>,
     obs: Option<&MetricSet>,
 ) -> Result<(), SimError> {
     if consumed > limits.max_work {
@@ -942,12 +909,6 @@ fn check_limits(
     }
     if resident > limits.max_bytes {
         return Err(SimError::MemoryBudget { resident, budget: limits.max_bytes });
-    }
-    if let (Some(deadline), Some(started)) = (limits.deadline, started) {
-        let elapsed = started.elapsed();
-        if elapsed > deadline {
-            return Err(SimError::DeadlineExceeded { elapsed, deadline });
-        }
     }
     Ok(())
 }
@@ -965,7 +926,6 @@ fn observe_fail(
         }
         let counter = match &err {
             SimError::BudgetExhausted { .. } => "sim.budget.exhausted",
-            SimError::DeadlineExceeded { .. } => "sim.deadline.exceeded",
             SimError::ClockOverflow { .. } => "sim.clock.overflow",
             SimError::Deadlock { .. } => "sim.deadlock.detected",
             SimError::InvalidConfig { .. } => "sim.config.invalid",
@@ -1016,7 +976,8 @@ mod tests {
                     let trace = generate(&GenConfig { iters, ..GenConfig::test_default(app, 16) });
                     let cfg = SimConfig::new(masim_topo::Machine::cielito(), model, &trace);
                     let base = crate::alloc_counter::reset_peak();
-                    crate::simulate(&trace, &cfg);
+                    crate::run(&trace, &cfg, crate::SimLimits::unlimited(), None)
+                        .expect("simulation completes");
                     crate::alloc_counter::peak() - base
                 };
                 let (short, long) = (peak(2), peak(8));

@@ -117,7 +117,7 @@ pub fn virtual_link_rank(cfg: &SimConfig, ranks: u32, link: LinkId) -> Option<(L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, ModelKind, SimConfig};
+    use crate::{ModelKind, SimConfig};
     use masim_topo::Machine;
     use masim_workloads::{generate, App, GenConfig};
 
@@ -127,7 +127,8 @@ mod tests {
         gcfg.ranks_per_node = 1;
         let trace = generate(&gcfg);
         let cfg = SimConfig::new(machine, ModelKind::PacketFlow { packet_bytes: 8192 }, &trace);
-        let r = simulate(&trace, &cfg);
+        let r = crate::run(&trace, &cfg, crate::SimLimits::unlimited(), None)
+            .expect("simulation completes");
         (cfg, trace.num_ranks(), r)
     }
 

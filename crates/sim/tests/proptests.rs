@@ -5,7 +5,7 @@
 use masim_obs::MetricSet;
 use masim_rng::Rng;
 use masim_sim::lower::{lower, Schedule};
-use masim_sim::{simulate, ModelKind, SimConfig, SimLimits};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{Machine, NetworkConfig, Torus3d};
 use masim_trace::{CollKind, Rank, RankBuilder, Time, Trace, TraceMeta};
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ fn simulation_respects_hockney_lower_bound() {
         let ranks = (pairs * 2) as u32;
         let machine = Machine::new(
             "t",
-            Arc::new(Torus3d::new(2, 2, 2, 2)),
+            Arc::new(Torus3d::try_new(2, 2, 2, 2).expect("valid torus shape")),
             NetworkConfig::new(10.0, 2_000),
             4,
         );
@@ -94,10 +94,9 @@ fn simulation_respects_hockney_lower_bound() {
                 machine: machine.clone(),
                 mapping: masim_topo::Mapping::block(ranks, 1),
                 model,
-                compute_scale: 1.0,
-                route_arena_cap_bytes: u64::MAX,
             };
-            let r = simulate(&trace, &cfg);
+            let r = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                .expect("simulation completes");
             assert!(
                 r.total >= floor,
                 "{}: {:?} beat the Hockney floor {:?}",
@@ -121,7 +120,8 @@ fn observed_simulation_is_bit_identical() {
     let machine = Machine::cielito();
     for model in ModelKind::study_models() {
         let sc = SimConfig::new(machine.clone(), model, &trace);
-        let plain = simulate(&trace, &sc);
+        let plain = masim_sim::run(&trace, &sc, SimLimits::unlimited(), None)
+            .expect("simulation completes");
         let ms = MetricSet::new();
         let observed =
             masim_sim::run(&trace, &sc, SimLimits::unlimited(), Some(&ms)).expect("unbudgeted");
@@ -149,21 +149,4 @@ fn exhausted_budget_reports_consumption() {
     let snap = ms.snapshot();
     assert_eq!(snap.counters["sim.budget.exhausted"], 1);
     assert!(snap.counters["sim.budget.consumed"] > 2_000);
-}
-
-/// Compute scaling is monotone: a faster CPU never slows the app.
-#[test]
-fn compute_scale_monotone() {
-    let mut r = Rng::seed_from_u64(0x51a1_0003);
-    for _ in 0..8 {
-        let scale = r.gen_range_f64(0.1, 1.0);
-        let machine = Machine::cielito();
-        let cfg = masim_workloads::GenConfig::test_default(masim_workloads::App::MiniFe, 8);
-        let trace = masim_workloads::generate(&cfg);
-        let base = SimConfig::new(machine.clone(), ModelKind::Flow, &trace);
-        let fast = SimConfig { compute_scale: scale, ..base.clone() };
-        let t_base = simulate(&trace, &base).total;
-        let t_fast = simulate(&trace, &fast).total;
-        assert!(t_fast <= t_base, "{t_fast:?} > {t_base:?} at scale {scale}");
-    }
 }

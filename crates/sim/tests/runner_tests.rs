@@ -2,7 +2,7 @@
 //! with MFACT in the uncongested limit, and contention behaviour.
 
 use masim_mfact::{replay, ModelConfig};
-use masim_sim::{simulate, ModelKind, SimConfig};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{Machine, Mapping, NetworkConfig, Torus3d};
 use masim_trace::{CollKind, Rank, RankBuilder, Time, Trace, TraceMeta};
 use std::sync::Arc;
@@ -20,12 +20,17 @@ fn meta(ranks: u32, rpn: u32) -> TraceMeta {
 
 /// A small torus machine for tests: 8 switches, 1 node each, 4 cores.
 fn tiny_machine() -> Machine {
-    Machine::new("tiny", Arc::new(Torus3d::new(2, 2, 2, 1)), NetworkConfig::new(10.0, 2_000), 4)
+    Machine::new(
+        "tiny",
+        Arc::new(Torus3d::try_new(2, 2, 2, 1).expect("valid torus shape")),
+        NetworkConfig::new(10.0, 2_000),
+        4,
+    )
 }
 
 fn sim(trace: &Trace, model: ModelKind) -> masim_sim::SimResult {
     let cfg = SimConfig::new(tiny_machine(), model, trace);
-    simulate(trace, &cfg)
+    masim_sim::run(trace, &cfg, SimLimits::unlimited(), None).expect("simulation completes")
 }
 
 fn all_models() -> [ModelKind; 3] {
@@ -298,7 +303,8 @@ fn flow_model_predictions_at_table2_scale_are_pinned() {
     for (gcfg, total_ps, comm_ps, events, work_units) in pins {
         let trace = generate(&gcfg);
         let cfg = SimConfig::new(Machine::hopper(), ModelKind::study_models()[1], &trace);
-        let r = simulate(&trace, &cfg);
+        let r = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+            .expect("simulation completes");
         let app = gcfg.app;
         assert_eq!(r.total.as_ps(), total_ps, "{app}: total");
         assert_eq!(r.comm_time.as_ps(), comm_ps, "{app}: comm");
@@ -324,10 +330,9 @@ fn all_apps_simulate_on_cielito() {
                 machine: machine.clone(),
                 mapping: Mapping::block(t.num_ranks(), t.meta.ranks_per_node),
                 model,
-                compute_scale: 1.0,
-                route_arena_cap_bytes: u64::MAX,
             };
-            let r = simulate(&t, &cfg);
+            let r = masim_sim::run(&t, &cfg, SimLimits::unlimited(), None)
+                .expect("simulation completes");
             assert!(r.total > Time::ZERO, "{app}/{}", model.name());
             // Simulation must be within a factor 3 of the model: they
             // share cost shapes; only contention separates them.
@@ -389,7 +394,7 @@ fn sparse_route_mode_simulates_deterministically() {
     let cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
     let ms = masim_obs::MetricSet::new();
     let a = masim_sim::run(&t, &cfg, masim_sim::SimLimits::unlimited(), Some(&ms)).unwrap();
-    let b = simulate(&t, &cfg);
+    let b = masim_sim::run(&t, &cfg, SimLimits::unlimited(), None).expect("simulation completes");
     assert_eq!(a.total, b.total);
     assert_eq!(a.per_rank, b.per_rank);
     assert!(a.total > Time::ZERO);

@@ -27,24 +27,11 @@ pub struct Dragonfly {
 }
 
 impl Dragonfly {
-    /// Build a dragonfly; panics unless `groups > 1` and `G − 1` divides
+    /// Build a dragonfly. `groups` must be > 1 and `G − 1` must divide
     /// `a·h` (so every ordered group pair gets the same number of global
     /// channels; `G = a·h + 1` is the classic one-channel-per-pair
     /// balanced arrangement, smaller `G` gives multi-channel pairs as on
-    /// real Aries).
-    pub fn new(
-        groups: u32,
-        routers_per_group: u32,
-        nodes_per_router: u32,
-        global_per_router: u32,
-    ) -> Dragonfly {
-        Dragonfly::try_new(groups, routers_per_group, nodes_per_router, global_per_router)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor: validates the shape (including the absolute
-    /// arrangement's `(G−1) | a·h` requirement) and that the directed
-    /// link id space fits in `u32`.
+    /// real Aries), and the directed link id space must fit in `u32`.
     pub fn try_new(
         groups: u32,
         routers_per_group: u32,
@@ -93,7 +80,10 @@ impl Dragonfly {
             // Widen: at Frontier-class sizes g·a·p can exceed u32 while
             // searching for the first shape that fits.
             if u64::from(g) * u64::from(a) * u64::from(nodes_per_router) >= u64::from(min_nodes) {
-                return Dragonfly::new(g, a, nodes_per_router, global_per_router);
+                // Invariant: `G = a·h + 1` meets `(G−1) | a·h`, and the one
+                // caller's sizes keep the link id space far below `u32`.
+                return Dragonfly::try_new(g, a, nodes_per_router, global_per_router)
+                    .expect("balanced dragonfly shape");
             }
             a += 1;
         }
@@ -281,7 +271,7 @@ mod tests {
 
     fn small() -> Dragonfly {
         // G = a*h + 1 = 5 groups of 4 routers, 2 nodes each: 40 nodes.
-        Dragonfly::new(5, 4, 2, 1)
+        Dragonfly::try_new(5, 4, 2, 1).expect("valid dragonfly shape")
     }
 
     #[test]
@@ -323,7 +313,7 @@ mod tests {
     #[test]
     fn multi_channel_pairs_spread() {
         // G=3, a=4, h=3: a*h=12 channels, (G-1)=2 -> 6 channels per pair.
-        let d = Dragonfly::new(3, 4, 2, 3);
+        let d = Dragonfly::try_new(3, 4, 2, 3).expect("valid dragonfly shape");
         assert_eq!(d.channels_per_pair(), 6);
         let mut gateways = std::collections::HashSet::new();
         for salt in 0..6u64 {

@@ -20,14 +20,9 @@ pub struct FatTree {
 
 impl FatTree {
     /// Build a fat tree with `leaves` leaf switches, `spines` spine
-    /// switches, and `nodes_per_leaf` nodes per leaf. Panicking wrapper
-    /// over [`FatTree::try_new`] for statically-known shapes.
-    pub fn new(leaves: u32, spines: u32, nodes_per_leaf: u32) -> FatTree {
-        FatTree::try_new(leaves, spines, nodes_per_leaf).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor: validates the shape and that the directed
-    /// link id space (`2·leaves·spines + 2·nodes`) fits in `u32`.
+    /// switches, and `nodes_per_leaf` nodes per leaf. Validates the shape
+    /// and that the directed link id space (`2·leaves·spines + 2·nodes`)
+    /// fits in `u32`.
     pub fn try_new(leaves: u32, spines: u32, nodes_per_leaf: u32) -> Result<FatTree, TopoError> {
         let shape_err = |reason: String| TopoError::InvalidShape { topo: "fattree", reason };
         if leaves < 2 {
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn counts() {
-        let t = FatTree::new(4, 2, 8);
+        let t = FatTree::try_new(4, 2, 8).expect("valid fat tree shape");
         assert_eq!(t.num_nodes(), 32);
         assert_eq!(t.num_switches(), 6);
         assert_eq!(t.num_links(), 2 * 4 * 2 + 2 * 32);
@@ -155,7 +150,7 @@ mod tests {
 
     #[test]
     fn all_routes_well_formed() {
-        let t = FatTree::new(4, 2, 4);
+        let t = FatTree::try_new(4, 2, 4).expect("valid fat tree shape");
         for s in 0..t.num_nodes() {
             for d in 0..t.num_nodes() {
                 check_route_shape(&t, NodeId(s), NodeId(d)).expect("route shape");
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn intra_leaf_skips_fabric() {
-        let t = FatTree::new(4, 2, 4);
+        let t = FatTree::try_new(4, 2, 4).expect("valid fat tree shape");
         assert_eq!(t.fabric_hops(NodeId(0), NodeId(1)), 0);
         assert_eq!(t.fabric_hops(NodeId(0), NodeId(4)), 2);
     }
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn spine_choice_is_deterministic_and_in_range() {
-        let t = FatTree::new(7, 3, 2);
+        let t = FatTree::try_new(7, 3, 2).expect("valid fat tree shape");
         for sl in 0..7 {
             for dl in 0..7 {
                 let s = t.spine_for(sl, dl);

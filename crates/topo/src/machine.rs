@@ -87,7 +87,7 @@ impl Machine {
     pub fn cielito() -> Machine {
         Machine::new(
             "cielito",
-            Arc::new(Torus3d::new(4, 4, 2, 2)),
+            preset(Torus3d::try_new(4, 4, 2, 2)),
             NetworkConfig::new(10.0, 2_500),
             16,
         )
@@ -99,7 +99,7 @@ impl Machine {
     pub fn hopper() -> Machine {
         Machine::new(
             "hopper",
-            Arc::new(Torus3d::new(6, 4, 4, 2)),
+            preset(Torus3d::try_new(6, 4, 4, 2)),
             NetworkConfig::new(35.0, 2_575),
             24,
         )
@@ -112,7 +112,7 @@ impl Machine {
     pub fn edison() -> Machine {
         Machine::new(
             "edison",
-            Arc::new(Dragonfly::new(7, 24, 1, 1)),
+            preset(Dragonfly::try_new(7, 24, 1, 1)),
             NetworkConfig::new(24.0, 1_300),
             24,
         )
@@ -137,7 +137,7 @@ impl Machine {
     pub fn hopper_full() -> Machine {
         Machine::new(
             "hopper-full",
-            Arc::new(Torus3d::new(17, 8, 24, 2)),
+            preset(Torus3d::try_new(17, 8, 24, 2)),
             NetworkConfig::new(35.0, 2_575),
             24,
         )
@@ -150,7 +150,7 @@ impl Machine {
     pub fn frontier() -> Machine {
         Machine::new(
             "frontier",
-            Arc::new(Dragonfly::new(49, 12, 16, 4)),
+            preset(Dragonfly::try_new(49, 12, 16, 4)),
             NetworkConfig::new(200.0, 2_000),
             64,
         )
@@ -162,7 +162,7 @@ impl Machine {
     pub fn mega_torus() -> Machine {
         Machine::new(
             "torus-mega",
-            Arc::new(Torus3d::new(32, 32, 32, 2)),
+            preset(Torus3d::try_new(32, 32, 32, 2)),
             NetworkConfig::new(50.0, 1_500),
             16,
         )
@@ -174,7 +174,7 @@ impl Machine {
     pub fn mega_fattree() -> Machine {
         Machine::new(
             "fattree-mega",
-            Arc::new(FatTree::new(1_024, 64, 64)),
+            preset(FatTree::try_new(1_024, 64, 64)),
             NetworkConfig::new(100.0, 1_000),
             16,
         )
@@ -196,6 +196,12 @@ impl Machine {
             _ => Err(TopoError::UnknownMachine { name: name.to_string() }),
         }
     }
+}
+
+/// A built-in machine's topology. Invariant: every preset passes a
+/// constant shape that `try_new` accepts, and each preset is built by a test.
+fn preset<T: Topology + 'static>(shape: Result<T, TopoError>) -> Arc<dyn Topology> {
+    Arc::new(shape.expect("built-in topology shape is valid"))
 }
 
 impl std::fmt::Debug for Machine {

@@ -21,16 +21,10 @@ pub struct Torus3d {
 
 impl Torus3d {
     /// Build an `x × y × z` torus with `nodes_per_switch` nodes attached
-    /// to every switch. All dimensions must be ≥ 1 and at least one > 1.
-    /// Panicking wrapper over [`Torus3d::try_new`] for statically-known
-    /// shapes.
-    pub fn new(x: u32, y: u32, z: u32, nodes_per_switch: u32) -> Torus3d {
-        Torus3d::try_new(x, y, z, nodes_per_switch).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor: validates the shape and — crucially at mega
-    /// scale — that the directed-link id space (`switches·6 + 2·nodes`)
-    /// fits in `u32`, so `fabric_link`-style arithmetic can never wrap.
+    /// to every switch. All dimensions must be ≥ 1 and at least one > 1,
+    /// and — crucially at mega scale — the directed-link id space
+    /// (`switches·6 + 2·nodes`) must fit in `u32`, so `fabric_link`-style
+    /// arithmetic can never wrap.
     pub fn try_new(x: u32, y: u32, z: u32, nodes_per_switch: u32) -> Result<Torus3d, TopoError> {
         let shape_err = |reason: String| TopoError::InvalidShape { topo: "torus3d", reason };
         if x < 1 || y < 1 || z < 1 {
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn counts() {
-        let t = Torus3d::new(4, 4, 2, 2);
+        let t = Torus3d::try_new(4, 4, 2, 2).expect("valid torus shape");
         assert_eq!(t.num_switches(), 32);
         assert_eq!(t.num_nodes(), 64);
         assert_eq!(t.num_links(), 32 * 6 + 2 * 64);
@@ -189,7 +183,7 @@ mod tests {
 
     #[test]
     fn coords_round_trip() {
-        let t = Torus3d::new(4, 3, 2, 1);
+        let t = Torus3d::try_new(4, 3, 2, 1).expect("valid torus shape");
         for s in 0..t.num_switches() {
             let c = t.coords(SwitchId(s));
             assert_eq!(t.switch_at(c), SwitchId(s));
@@ -199,13 +193,13 @@ mod tests {
 
     #[test]
     fn same_node_routes_empty() {
-        let t = Torus3d::new(4, 4, 2, 2);
+        let t = Torus3d::try_new(4, 4, 2, 2).expect("valid torus shape");
         assert!(t.route_vec(NodeId(5), NodeId(5)).is_empty());
     }
 
     #[test]
     fn same_switch_route_is_inject_eject() {
-        let t = Torus3d::new(4, 4, 2, 2);
+        let t = Torus3d::try_new(4, 4, 2, 2).expect("valid torus shape");
         // Nodes 0 and 1 share switch 0.
         let p = t.route_vec(NodeId(0), NodeId(1));
         assert_eq!(p.len(), 2);
@@ -215,7 +209,7 @@ mod tests {
 
     #[test]
     fn all_routes_well_formed() {
-        let t = Torus3d::new(4, 3, 2, 2);
+        let t = Torus3d::try_new(4, 3, 2, 2).expect("valid torus shape");
         for s in 0..t.num_nodes() {
             for d in 0..t.num_nodes() {
                 check_route_shape(&t, NodeId(s), NodeId(d)).expect("route shape");
@@ -226,7 +220,7 @@ mod tests {
     #[test]
     fn route_takes_shorter_wrap() {
         // 8-wide ring in x: 0 -> 6 should go backwards (2 hops), not 6.
-        let t = Torus3d::new(8, 1, 1, 1);
+        let t = Torus3d::try_new(8, 1, 1, 1).expect("valid torus shape");
         let p = t.route_vec(NodeId(0), NodeId(6));
         // injection + 2 fabric + ejection
         assert_eq!(p.len(), 4);
@@ -234,7 +228,7 @@ mod tests {
 
     #[test]
     fn route_hop_count_matches_manhattan_wrap_distance() {
-        let t = Torus3d::new(4, 4, 4, 1);
+        let t = Torus3d::try_new(4, 4, 4, 1).expect("valid torus shape");
         let dist = |a: u32, b: u32, size: u32| {
             let fwd = (b + size - a) % size;
             let bwd = (a + size - b) % size;
@@ -255,13 +249,13 @@ mod tests {
 
     #[test]
     fn deterministic_routes() {
-        let t = Torus3d::new(4, 4, 2, 2);
+        let t = Torus3d::try_new(4, 4, 2, 2).expect("valid torus shape");
         assert_eq!(t.route_vec(NodeId(3), NodeId(42)), t.route_vec(NodeId(3), NodeId(42)));
     }
 
     #[test]
     fn mean_route_links_positive() {
-        let t = Torus3d::new(4, 4, 2, 2);
+        let t = Torus3d::try_new(4, 4, 2, 2).expect("valid torus shape");
         let m = t.mean_route_links();
         assert!(m > 2.0 && m < 10.0, "mean {m}");
     }

@@ -21,7 +21,7 @@ fn torus_routes_well_formed() {
             continue;
         }
         checked += 1;
-        let t = Torus3d::new(x, y, z, nps);
+        let t = Torus3d::try_new(x, y, z, nps).expect("valid torus shape");
         let n = t.num_nodes();
         let s = NodeId(r.gen_range_u64(0, 200) as u32 % n);
         let d = NodeId(r.gen_range_u64(0, 200) as u32 % n);
@@ -41,7 +41,7 @@ fn dragonfly_routes_well_formed() {
         let p = r.gen_range_u64(1, 4) as u32;
         let h = r.gen_range_u64(1, 3) as u32;
         let g = a * h + 1;
-        let d = Dragonfly::new(g, a, p, h);
+        let d = Dragonfly::try_new(g, a, p, h).expect("valid dragonfly shape");
         let n = d.num_nodes();
         let s = NodeId(r.gen_range_u64(0, 500) as u32 % n);
         let t = NodeId(r.gen_range_u64(0, 500) as u32 % n);
@@ -58,7 +58,7 @@ fn fattree_routes_well_formed() {
         let leaves = r.gen_range_u64(2, 8) as u32;
         let spines = r.gen_range_u64(1, 4) as u32;
         let per = r.gen_range_u64(1, 6) as u32;
-        let t = FatTree::new(leaves, spines, per);
+        let t = FatTree::try_new(leaves, spines, per).expect("valid fat tree shape");
         let n = t.num_nodes();
         let s = NodeId(r.gen_range_u64(0, 500) as u32 % n);
         let d = NodeId(r.gen_range_u64(0, 500) as u32 % n);
@@ -102,7 +102,7 @@ fn hop_latency_partition() {
     for (x, y, z) in [(2u32, 2u32, 2u32), (4, 4, 2), (6, 4, 4), (3, 3, 3)] {
         let m = Machine::new(
             "t",
-            std::sync::Arc::new(Torus3d::new(x, y, z, 2)),
+            std::sync::Arc::new(Torus3d::try_new(x, y, z, 2).expect("valid torus shape")),
             masim_topo::NetworkConfig::new(10.0, 2_000),
             4,
         );

@@ -18,7 +18,7 @@ const BLOCKS_PER_SWEEP: u32 = 4;
 /// Per iteration: a lower-triangular sweep (receive from north and west,
 /// compute, send to south and east) followed by the mirrored
 /// upper-triangular sweep, then a residual `Allreduce` every five
-/// iterations. Each sweep is pipelined over [`BLOCKS_PER_SWEEP`] blocks
+/// iterations. Each sweep is pipelined over `BLOCKS_PER_SWEEP` blocks
 /// of small messages.
 pub fn lu(cfg: &GenConfig) -> Trace {
     let side = grid_side(cfg.ranks);

@@ -12,7 +12,7 @@
 //! ```
 
 use masim_mfact::{replay, ModelConfig};
-use masim_sim::{simulate, ModelKind, SimConfig};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{Machine, Mapping};
 use masim_trace::Time;
 use masim_workloads::{generate, App, GenConfig};
@@ -42,10 +42,9 @@ fn run(app: App, mapping_name: &str, machine: &Machine) {
         machine: machine.clone(),
         mapping,
         model: ModelKind::PacketFlow { packet_bytes: 8192 },
-        compute_scale: 1.0,
-        route_arena_cap_bytes: u64::MAX,
     };
-    let sim = simulate(&trace, &sim_cfg);
+    let sim = masim_sim::run(&trace, &sim_cfg, SimLimits::unlimited(), None)
+        .expect("simulation completes");
     let diff = (sim.total.as_secs_f64() / model.total.as_secs_f64() - 1.0) * 100.0;
     println!(
         "{:<8} {:<7} mapping: MFACT {:>9}  sim {:>9}  DIFF {:>7.2}%  hottest link {:>8.2} MB",

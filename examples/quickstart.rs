@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use masim_mfact::{classify, replay, ModelConfig};
-use masim_sim::{simulate, ModelKind, SimConfig};
+use masim_mfact::{replay, try_classify, ModelConfig};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::Machine;
 use masim_workloads::{generate, App, GenConfig};
 use std::time::Instant;
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // 3. Classify the application.
-    let class = classify(&trace, machine.net);
+    let class = try_classify(&trace, machine.net).expect("replay completes");
     println!(
         "            class: {} (bw sens {:+.1}%, lat sens {:+.1}%)",
         class.class,
@@ -63,7 +63,8 @@ fn main() {
     for model_kind in ModelKind::study_models() {
         let sim_cfg = SimConfig::new(machine.clone(), model_kind, &trace);
         let t1 = Instant::now();
-        let r = simulate(&trace, &sim_cfg);
+        let r = masim_sim::run(&trace, &sim_cfg, SimLimits::unlimited(), None)
+            .expect("simulation completes");
         let wall = t1.elapsed();
         let diff = (r.total.as_secs_f64() / model.total.as_secs_f64() - 1.0) * 100.0;
         println!(

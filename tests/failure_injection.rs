@@ -12,9 +12,7 @@ use masim_core::{contained, Key, Store, StoreError, ToolFailure, CODE_FINGERPRIN
 use masim_mfact::{replay, try_replay, ModelConfig, ReplayError};
 use masim_obs::{MetricSet, Snapshot};
 use masim_rng::Rng;
-use masim_sim::{
-    simulate, simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult,
-};
+use masim_sim::{simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult};
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::io::{self, DecodeError};
 use masim_trace::{
@@ -46,7 +44,7 @@ fn deadlock_trace() -> Trace {
     t
 }
 
-/// The FT-64 trace used to exercise work budgets and deadlines: big
+/// The FT-64 trace used to exercise work and memory budgets: big
 /// enough that a tiny limit trips mid-run.
 fn ft64_trace() -> Trace {
     let mut gcfg = GenConfig::test_default(App::Ft, 64);
@@ -115,7 +113,13 @@ fn zero_byte_messages_work() {
     let m = replay(&t, &[ModelConfig::base(machine.net)]);
     assert!(m[0].total > Time::ZERO, "latency still applies");
     for model in ModelKind::study_models() {
-        let r = simulate(&t, &SimConfig::new(machine.clone(), model, &t));
+        let r = masim_sim::run(
+            &t,
+            &SimConfig::new(machine.clone(), model, &t),
+            SimLimits::unlimited(),
+            None,
+        )
+        .expect("simulation completes");
         assert!(r.total > Time::ZERO, "{}", model.name());
     }
 }
@@ -136,7 +140,13 @@ fn single_rank_trace_works() {
     let m = replay(&t, &[ModelConfig::base(machine.net)]);
     assert_eq!(m[0].per_rank.len(), 1);
     for model in ModelKind::study_models() {
-        let r = simulate(&t, &SimConfig::new(machine.clone(), model, &t));
+        let r = masim_sim::run(
+            &t,
+            &SimConfig::new(machine.clone(), model, &t),
+            SimLimits::unlimited(),
+            None,
+        )
+        .expect("simulation completes");
         assert!(r.total >= Time::from_ms(1), "{}", model.name());
     }
 }
@@ -169,8 +179,6 @@ fn oversubscribed_mapping_rejected() {
         machine: machine.clone(),
         mapping: Mapping::block(34, 17), // 17 ranks on one 16-core node
         model: ModelKind::Flow,
-        compute_scale: 1.0,
-        route_arena_cap_bytes: u64::MAX,
     };
     let check = |err: SimError| match err {
         SimError::InvalidConfig { reason } => {
@@ -199,52 +207,55 @@ fn budget_exhaustion_is_explicit() {
     assert!(full.events > 2_000);
 }
 
-/// A wall-clock deadline trips with a typed error carrying both the
-/// elapsed time and the deadline it exceeded.
+/// Interned routes count against the memory budget, which is their one
+/// bound. Each of 64 ranks, one per node, sends once to every other rank
+/// (4 032 routes), so at most 64 messages are in flight while the route
+/// arena grows past the pre-run footprint by more than 64 KiB; the ring
+/// control sends as many messages over 64 routes and fits.
 #[test]
-fn deadline_exceeded_is_explicit() {
-    let t = ft64_trace();
-    let machine = Machine::cielito();
-    let cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
-    let limits =
-        SimLimits { max_work: u64::MAX, deadline: Some(Duration::ZERO), max_bytes: u64::MAX };
-    let err = masim_sim::run(&t, &cfg, limits, None).expect_err("zero deadline must fail");
-    match err {
-        SimError::DeadlineExceeded { elapsed: _, deadline } => {
-            assert_eq!(deadline, Duration::ZERO)
+fn route_memory_counts_against_the_memory_budget() {
+    const RANKS: u32 = 64;
+    let trace = |peer_at: &dyn Fn(u32, u32) -> (u32, u32)| {
+        let mut t = Trace::empty(meta(RANKS));
+        for r in 0..RANKS {
+            t.events[r as usize] = (1..RANKS)
+                .flat_map(|k| {
+                    let (to, from) = peer_at(r, k);
+                    let send = EventKind::Send { peer: Rank(to), bytes: 64, tag: 0 };
+                    let recv = EventKind::Recv { peer: Rank(from), bytes: 64, tag: 0 };
+                    [Event::new(send, Time::ZERO), Event::new(recv, Time::ZERO)]
+                })
+                .collect();
         }
-        other => panic!("expected DeadlineExceeded, got {other}"),
-    }
-    // No deadline at all still completes.
-    assert!(masim_sim::run(&t, &cfg, SimLimits::unlimited(), None).is_ok());
-}
+        t
+    };
+    let all_pairs = trace(&|r, k| ((r + k) % RANKS, (r + RANKS - k) % RANKS));
+    let ring = trace(&|r, _| ((r + 1) % RANKS, (r + RANKS - 1) % RANKS));
+    let budget = |bytes| SimLimits::unlimited().with_memory_budget(bytes);
+    let pre_run = |t: &Trace, cfg: &SimConfig| match masim_sim::run(t, cfg, budget(0), None) {
+        Err(SimError::MemoryBudget { resident, budget: 0 }) => resident,
+        other => panic!("a zero budget must trip before the run: {other:?}"),
+    };
 
-/// A route-arena cap trips as `SimError::RouteArenaExhausted` — the
-/// typed replacement for the old intern-time panic at mega-scale.
-#[test]
-fn route_arena_cap_is_explicit() {
-    let machine = Machine::cielito();
-    let mut t = Trace::empty(meta(2));
-    t.events[0] =
-        vec![Event::new(EventKind::Send { peer: Rank(1), bytes: 64, tag: 0 }, Time::ZERO)];
-    t.events[1] =
-        vec![Event::new(EventKind::Recv { peer: Rank(0), bytes: 64, tag: 0 }, Time::ZERO)];
-    let mut cfg = SimConfig::new(machine, ModelKind::Packet { packet_bytes: 1024 }, &t);
-    // Mapping::block(2, 1) puts the ranks on different nodes, so the
-    // first message needs a multi-hop route — which cannot fit in 8 B.
-    cfg.mapping = Mapping::block(2, 1);
-    cfg.route_arena_cap_bytes = 8;
-    let err = simulate_budgeted(&t, &cfg, u64::MAX).expect_err("tiny arena cap must fail");
-    match err {
-        SimError::RouteArenaExhausted { bytes: _, routes, ref limit } => {
-            assert_eq!(routes, 0, "the very first route must trip the cap");
-            assert!(limit.contains("cap"), "limit: {limit}");
-        }
-        ref other => panic!("expected RouteArenaExhausted, got {other}"),
-    }
-    // An uncapped run of the same trace completes.
-    cfg.route_arena_cap_bytes = u64::MAX;
-    assert!(simulate_budgeted(&t, &cfg, u64::MAX).is_ok());
+    let cfg = SimConfig::new(Machine::cielito(), PACKET, &all_pairs);
+    let ms = MetricSet::new();
+    masim_sim::run(&all_pairs, &cfg, SimLimits::unlimited(), Some(&ms)).expect("unbudgeted");
+    // Before the run the arena holds only its dense 64 x 64 index.
+    let grown = ms.snapshot().gauges["sim.route.arena_bytes"] - u64::from(RANKS * RANKS) * 8;
+    assert!(grown > 64 << 10, "route arena grew by {grown} B");
+
+    let limit = pre_run(&all_pairs, &cfg) + (64 << 10);
+    let err = masim_sim::run(&all_pairs, &cfg, budget(limit), None).expect_err("routes outgrow it");
+    assert!(
+        matches!(err, SimError::MemoryBudget { resident, budget } if budget == limit && resident > limit),
+        "{err}"
+    );
+    assert_eq!(ToolFailure::from_sim(err).code(), "memory");
+
+    let cfg = SimConfig::new(Machine::cielito(), PACKET, &ring);
+    let limit = pre_run(&ring, &cfg) + (64 << 10);
+    let r = masim_sim::run(&ring, &cfg, budget(limit), None).expect("ring fits the same headroom");
+    assert_eq!(r.messages, u64::from(RANKS * (RANKS - 1)));
 }
 
 /// A message whose packet count exceeds the u32 sequence space is a

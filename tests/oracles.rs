@@ -17,7 +17,7 @@
 use masim_core::report::table2_tiny_entries;
 use masim_mfact::{replay, ModelConfig};
 use masim_rng::Rng;
-use masim_sim::{simulate, ModelKind, SimConfig};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{FatTree, LinkKind, Machine, Mapping, NetworkConfig};
 use masim_trace::{CollKind, NodeId, Rank, RankBuilder, Time, Trace, TraceMeta};
 use masim_workloads::{build_corpus, App, GenConfig, TraceSynth};
@@ -39,7 +39,7 @@ struct Case {
 fn cases() -> [Case; 3] {
     let fat_tree = Machine::new(
         "fattree-small",
-        Arc::new(FatTree::new(4, 2, 4)),
+        Arc::new(FatTree::try_new(4, 2, 4).expect("valid fat tree shape")),
         NetworkConfig::new(10.0, 1_000),
         4,
     );
@@ -110,7 +110,8 @@ fn intra_node_ping_pong_is_twice_hockney_on_every_tool() {
         for model in ModelKind::study_models() {
             let cfg = SimConfig::new(case.machine.clone(), model, &trace);
             assert_eq!(cfg.mapping.node_of(Rank(0)), cfg.mapping.node_of(Rank(1)), "{name}");
-            let res = simulate(&trace, &cfg);
+            let res = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                .expect("simulation completes");
             assert_eq!(res.total, want, "{name}: {}", model.name());
         }
     }
@@ -154,7 +155,8 @@ fn one_packet_between_nodes_costs_its_route() {
         let mut cfg =
             SimConfig::new(case.machine.clone(), ModelKind::Packet { packet_bytes }, &trace);
         cfg.mapping = Mapping::from_nodes(vec![src, dst]);
-        let res = simulate(&trace, &cfg);
+        let res = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+            .expect("simulation completes");
         assert_eq!(res.total, Time::from_ps(want), "{name}: {} links", route.len());
     }
 }
@@ -427,7 +429,10 @@ fn k_flows_over_one_saturated_link_serialize() {
                 let mut cfg = SimConfig::new(case.machine.clone(), model, &trace);
                 let senders = (0..k).map(|s| NodeId(s / cores));
                 cfg.mapping = Mapping::from_nodes(senders.chain([NodeId(last)]).collect());
-                simulate(&trace, &cfg).total.as_ps()
+                masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                    .expect("simulation completes")
+                    .total
+                    .as_ps()
             };
             let alone = total(1);
             for k in [2u32, 3, 4, 8] {
@@ -441,8 +446,7 @@ fn k_flows_over_one_saturated_link_serialize() {
 /// Run-level invariants where no closed form exists: 50 random
 /// `TraceSynth` programs on Cielito, Edison and the fat tree, under every
 /// simulator model.
-/// * No rank finishes before the sum of its own `Compute` durations
-///   (the compute scale is 1).
+/// * No rank finishes before the sum of its own `Compute` durations.
 /// * Every byte a rank's injection link carries is carried by some
 ///   rank's ejection link: the two sums of `link_bytes` agree.
 /// * Link charges depend on routes and message sizes, not on timing, so
@@ -467,7 +471,13 @@ fn run_level_invariants_hold_on_random_programs() {
             let mut reference: Option<Vec<u64>> = None;
             for model in models {
                 let what = format!("{name} seed {seed} {}", model.name());
-                let r = simulate(&trace, &SimConfig::new(case.machine.clone(), model, &trace));
+                let r = masim_sim::run(
+                    &trace,
+                    &SimConfig::new(case.machine.clone(), model, &trace),
+                    SimLimits::unlimited(),
+                    None,
+                )
+                .expect("simulation completes");
                 for (rank, (finish, busy)) in r.per_rank.iter().zip(&compute).enumerate() {
                     assert!(finish.as_ps() >= *busy, "{what}: rank {rank} beat its compute");
                 }

@@ -3,10 +3,9 @@
 
 use masim_core::{run_one_observed, Dataset, Enhanced, Study, StudyConfig};
 use masim_mfact::{
-    classify, probe_configs, replay, try_classify, try_replay, AppClass, Classification,
-    ModelConfig,
+    probe_configs, replay, try_classify, try_replay, AppClass, Classification, ModelConfig,
 };
-use masim_sim::{simulate, ModelKind, SimConfig};
+use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::Machine;
 use masim_trace::{io, Features, Time};
 use masim_workloads::{build_corpus, generate, App, GenConfig, CORPUS_SIZE};
@@ -120,13 +119,16 @@ fn classification_predicts_diff_extremes() {
     ep_cfg.latency = Time::from_ns(2_575);
     ep_cfg.ranks_per_node = 24;
     let ep = generate(&ep_cfg);
-    let c = classify(&ep, machine.net);
+    let c = try_classify(&ep, machine.net).expect("replay completes");
     assert_eq!(c.class, AppClass::ComputationBound);
     let m = replay(&ep, &[ModelConfig::base(machine.net)])[0].total;
-    let s = simulate(
+    let s = masim_sim::run(
         &ep,
         &SimConfig::new(machine.clone(), ModelKind::PacketFlow { packet_bytes: 8192 }, &ep),
+        SimLimits::unlimited(),
+        None,
     )
+    .expect("simulation completes")
     .total;
     let diff = (s.as_secs_f64() / m.as_secs_f64() - 1.0).abs();
     assert!(diff < 0.02, "EP diff {diff}");
@@ -140,13 +142,16 @@ fn classification_predicts_diff_extremes() {
     cr_cfg.ranks_per_node = 24;
     cr_cfg.size = 2;
     let cr = generate(&cr_cfg);
-    let c = classify(&cr, machine.net);
+    let c = try_classify(&cr, machine.net).expect("replay completes");
     assert!(c.is_comm_sensitive(), "{c:?}");
     let m = replay(&cr, &[ModelConfig::base(machine.net)])[0].total;
-    let s = simulate(
+    let s = masim_sim::run(
         &cr,
         &SimConfig::new(machine.clone(), ModelKind::PacketFlow { packet_bytes: 8192 }, &cr),
+        SimLimits::unlimited(),
+        None,
     )
+    .expect("simulation completes")
     .total;
     let diff = (s.as_secs_f64() / m.as_secs_f64() - 1.0).abs();
     assert!(diff > 0.02, "CR diff {diff} unexpectedly small");
@@ -275,7 +280,8 @@ fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
     let trace = cg64_two_per_node(99);
     let stream = masim_trace::StreamedTrace::from_bytes(io::encode(&trace)).unwrap();
     let cfg = SimConfig::new(Machine::cielito(), ModelKind::Packet { packet_bytes: 1024 }, &trace);
-    let mem = simulate(&trace, &cfg);
+    let mem =
+        masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None).expect("simulation completes");
     assert!(mem.events > 0 && mem.work_units > 0, "no packet work");
     // Destructured, so a new result field fails to compile here until it
     // is compared too.
@@ -361,7 +367,13 @@ fn design_ablations_hold_as_exact_counts() {
     let sweep: Vec<_> = [1u64, 2, 4, 8, 16]
         .map(|kb| {
             let model = ModelKind::Packet { packet_bytes: kb * 1024 };
-            let r = simulate(&ft, &SimConfig::new(machine.clone(), model, &ft));
+            let r = masim_sim::run(
+                &ft,
+                &SimConfig::new(machine.clone(), model, &ft),
+                SimLimits::unlimited(),
+                None,
+            )
+            .expect("simulation completes");
             (r.messages, r.work_units, r.total.as_ps())
         })
         .into();
@@ -385,7 +397,13 @@ fn design_ablations_hold_as_exact_counts() {
 
     let flow = |app, comm_fraction| {
         let t = ablation_trace(app, comm_fraction);
-        let r = simulate(&t, &SimConfig::new(machine.clone(), ModelKind::Flow, &t));
+        let r = masim_sim::run(
+            &t,
+            &SimConfig::new(machine.clone(), ModelKind::Flow, &t),
+            SimLimits::unlimited(),
+            None,
+        )
+        .expect("simulation completes");
         (r.messages, r.work_units)
     };
     let (lulesh, ft_flow) = (flow(App::Lulesh, 0.1), flow(App::Ft, 0.5));
@@ -395,8 +413,13 @@ fn design_ablations_hold_as_exact_counts() {
     let cr = ablation_trace(App::Cr, 0.6);
     let placed = |mapping| {
         let model = ModelKind::PacketFlow { packet_bytes: 8192 };
-        let r =
-            simulate(&cr, &SimConfig { mapping, ..SimConfig::new(machine.clone(), model, &cr) });
+        let r = masim_sim::run(
+            &cr,
+            &SimConfig { mapping, ..SimConfig::new(machine.clone(), model, &cr) },
+            SimLimits::unlimited(),
+            None,
+        )
+        .expect("simulation completes");
         (r.messages, r.events, r.work_units, r.max_link_bytes, r.total.as_ps())
     };
     let block = placed(Mapping::block(cr.num_ranks(), 16));
