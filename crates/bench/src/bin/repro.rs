@@ -354,10 +354,11 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 }
 
 /// `repro scale`: the mega-scale smoke path. Generate a trace for a
-/// scale machine, stream it to disk in the MASS v1 format, drop the
-/// in-memory copy, and replay the *streamed* trace through the packet
-/// model under a resident-memory budget. Route-arena caps, oversized
-/// messages and memory budgets all land as typed failures.
+/// scale machine straight to disk in the MASS v1 format — the two-pass
+/// generator holds the encoded trace, never a decoded event — and replay
+/// the *streamed* trace through the packet model under a resident-memory
+/// budget. Oversized messages and memory budgets, route memory included,
+/// land as typed failures.
 ///
 /// `--metrics <dir>` writes a `tool=scale` sidecar and folds the
 /// directory into `BENCH_obs.json`, whose top-level `host` entry then
@@ -425,16 +426,12 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    // Stage 1: generate, stream to disk, and *drop* the in-memory trace
-    // — from here on the simulator sees only the encoded bytes.
+    // Stage 1: generate straight to disk; the simulator sees only the
+    // encoded bytes.
     let t0 = Instant::now();
-    let path = {
-        let trace = masim_workloads::generate(&gcfg);
-        let path = trace_dir.join(format!("{}_{}.mass", app.name(), gcfg.ranks));
-        masim_trace::write_stream(&trace, &path)
-            .map_err(|e| format!("scale: write stream: {e}"))?;
-        path
-    };
+    let path = trace_dir.join(format!("{}_{}.mass", app.name(), gcfg.ranks));
+    masim_workloads::generate_stream(&gcfg, &path)
+        .map_err(|e| format!("scale: write stream: {e}"))?;
     let gen_secs = t0.elapsed().as_secs_f64();
     let stream = StreamedTrace::open(&path).map_err(|e| format!("scale: open stream: {e}"))?;
     eprintln!(

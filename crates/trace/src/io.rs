@@ -175,50 +175,75 @@ fn get_u32_varint(buf: &mut &[u8], field: &'static str) -> Result<u32, DecodeErr
 
 // ---- encoding ----------------------------------------------------------
 
-/// Encode one rank's event stream as a payload segment: per event the
-/// tag, the duration, then the kind's fields.
-fn encode_segment(rank: u32, events: &[Event], out: &mut Vec<u8>) {
-    let mut prev_req = 0u32;
+/// Append one event of `rank`'s stream to its payload segment: the tag,
+/// the duration, then the kind's fields. `prev_req` carries the request
+/// delta base from one event of the rank to the next, as in
+/// [`decode_event`].
+pub(crate) fn encode_event(out: &mut Vec<u8>, rank: u32, prev_req: &mut u32, e: &Event) {
     let mut req_delta = |buf: &mut Vec<u8>, req: ReqId| {
-        put_signed(buf, i64::from(req.0) - i64::from(prev_req));
-        prev_req = req.0;
+        put_signed(buf, i64::from(req.0) - i64::from(*prev_req));
+        *prev_req = req.0;
     };
-    for e in events {
-        let (code, p2p) = match &e.kind {
-            EventKind::Compute => (TAG_COMPUTE, None),
-            EventKind::Send { peer, bytes, tag } => (TAG_SEND, Some((peer, bytes, tag))),
-            EventKind::Isend { peer, bytes, tag, .. } => (TAG_ISEND, Some((peer, bytes, tag))),
-            EventKind::Recv { peer, bytes, tag } => (TAG_RECV, Some((peer, bytes, tag))),
-            EventKind::Irecv { peer, bytes, tag, .. } => (TAG_IRECV, Some((peer, bytes, tag))),
-            EventKind::Wait { .. } => (TAG_WAIT, None),
-            EventKind::WaitAll { .. } => (TAG_WAITALL, None),
-            EventKind::Coll { .. } => (TAG_COLL, None),
-        };
-        out.push(code);
-        put_varint(out, e.dur.as_ps());
-        if let Some((peer, bytes, tag)) = p2p {
-            put_signed(out, i64::from(peer.0) - i64::from(rank));
-            put_varint(out, *bytes);
-            put_varint(out, u64::from(*tag));
-        }
-        match &e.kind {
-            EventKind::Isend { req, .. }
-            | EventKind::Irecv { req, .. }
-            | EventKind::Wait { req } => req_delta(out, *req),
-            EventKind::WaitAll { reqs } => {
-                put_varint(out, reqs.len() as u64);
-                for r in reqs {
-                    req_delta(out, *r);
-                }
-            }
-            EventKind::Coll { kind, bytes, root } => {
-                out.push(kind.code());
-                put_varint(out, *bytes);
-                put_varint(out, u64::from(root.0));
-            }
-            EventKind::Compute | EventKind::Send { .. } | EventKind::Recv { .. } => {}
-        }
+    let (code, p2p) = match &e.kind {
+        EventKind::Compute => (TAG_COMPUTE, None),
+        EventKind::Send { peer, bytes, tag } => (TAG_SEND, Some((peer, bytes, tag))),
+        EventKind::Isend { peer, bytes, tag, .. } => (TAG_ISEND, Some((peer, bytes, tag))),
+        EventKind::Recv { peer, bytes, tag } => (TAG_RECV, Some((peer, bytes, tag))),
+        EventKind::Irecv { peer, bytes, tag, .. } => (TAG_IRECV, Some((peer, bytes, tag))),
+        EventKind::Wait { .. } => (TAG_WAIT, None),
+        EventKind::WaitAll { .. } => (TAG_WAITALL, None),
+        EventKind::Coll { .. } => (TAG_COLL, None),
+    };
+    out.push(code);
+    put_varint(out, e.dur.as_ps());
+    if let Some((peer, bytes, tag)) = p2p {
+        put_signed(out, i64::from(peer.0) - i64::from(rank));
+        put_varint(out, *bytes);
+        put_varint(out, u64::from(*tag));
     }
+    match &e.kind {
+        EventKind::Isend { req, .. } | EventKind::Irecv { req, .. } | EventKind::Wait { req } => {
+            req_delta(out, *req)
+        }
+        EventKind::WaitAll { reqs } => {
+            put_varint(out, reqs.len() as u64);
+            for r in reqs {
+                req_delta(out, *r);
+            }
+        }
+        EventKind::Coll { kind, bytes, root } => {
+            out.push(kind.code());
+            put_varint(out, *bytes);
+            put_varint(out, u64::from(root.0));
+        }
+        EventKind::Compute | EventKind::Send { .. } | EventKind::Recv { .. } => {}
+    }
+}
+
+/// The header and segment index of a MASS buffer: `meta`, then per rank
+/// its segment's `(byte length, event count)` from `segments`, with
+/// offsets accumulated in rank order. Both writers put exactly this in
+/// front of the payload: [`write_mass`] once as a placeholder and once
+/// filled in, [`crate::stream::SegmentWriter`] once.
+pub(crate) fn head(meta: &TraceMeta, segments: &[(u64, u64)]) -> Vec<u8> {
+    let mut head =
+        Vec::with_capacity(64 + meta.app.len() + meta.machine.len() + segments.len() * 24);
+    head.extend_from_slice(MAGIC);
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    put_string(&mut head, &meta.app);
+    put_string(&mut head, &meta.machine);
+    for v in [meta.ranks, meta.ranks_per_node, meta.problem_size] {
+        head.extend_from_slice(&v.to_le_bytes());
+    }
+    head.extend_from_slice(&meta.seed.to_le_bytes());
+    let mut offset = 0;
+    for &(len, count) in segments {
+        for v in [offset, len, count] {
+            head.extend_from_slice(&v.to_le_bytes());
+        }
+        offset += len;
+    }
+    head
 }
 
 /// Serialize a trace to its binary form.
@@ -232,37 +257,23 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 
 /// Write `trace` in MASS to `w`, which starts at offset 0: one rank's
 /// segment at a time, then seek back to fill in the index and flush.
-/// The one encoder: [`encode`] runs it into memory, [`crate::write_stream`]
-/// into a file, which never holds more than one encoded segment.
+/// [`encode`] runs it into memory, [`crate::write_stream`] into a file,
+/// which never holds more than one encoded segment.
 pub(crate) fn write_mass<W: Write + Seek>(trace: &Trace, w: &mut W) -> std::io::Result<()> {
-    let m = &trace.meta;
-    let mut head = Vec::with_capacity(64 + m.app.len() + m.machine.len());
-    head.extend_from_slice(MAGIC);
-    head.extend_from_slice(&VERSION.to_le_bytes());
-    put_string(&mut head, &m.app);
-    put_string(&mut head, &m.machine);
-    for v in [m.ranks, m.ranks_per_node, m.problem_size] {
-        head.extend_from_slice(&v.to_le_bytes());
-    }
-    head.extend_from_slice(&m.seed.to_le_bytes());
-    w.write_all(&head)?;
-
-    // Index placeholder, each entry filled in as its segment is written.
-    let mut index = vec![0u8; trace.events.len() * 24];
-    w.write_all(&index)?;
+    let mut segments = vec![(0, 0); trace.events.len()];
+    w.write_all(&head(&trace.meta, &segments))?;
     let mut seg = Vec::new();
-    let mut offset = 0;
     for (r, events) in trace.events.iter().enumerate() {
         seg.clear();
-        encode_segment(r as u32, events, &mut seg);
-        w.write_all(&seg)?;
-        for (k, v) in [offset, seg.len(), events.len()].into_iter().enumerate() {
-            index[24 * r + 8 * k..][..8].copy_from_slice(&(v as u64).to_le_bytes());
+        let mut prev_req = 0;
+        for e in events {
+            encode_event(&mut seg, r as u32, &mut prev_req, e);
         }
-        offset += seg.len();
+        w.write_all(&seg)?;
+        segments[r] = (seg.len() as u64, events.len() as u64);
     }
-    w.seek(SeekFrom::Start(head.len() as u64))?;
-    w.write_all(&index)?;
+    w.seek(SeekFrom::Start(0))?;
+    w.write_all(&head(&trace.meta, &segments))?;
     w.flush()
 }
 

@@ -67,7 +67,9 @@ pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
 pub use mailbox::Mailbox;
-pub use stream::{write_stream, RankCursor, StreamError, StreamedTrace, TraceSource};
+pub use stream::{
+    write_stream, RankCursor, SegmentWriter, StreamError, StreamedTrace, TraceSource,
+};
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};
 pub use units::Bandwidth;

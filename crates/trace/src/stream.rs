@@ -10,6 +10,7 @@ use crate::ids::Rank;
 use crate::io::{decode_event, DecodeError, Layout};
 use crate::trace::{Trace, TraceMeta};
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// Why a streamed trace could not be opened.
@@ -45,6 +46,50 @@ pub fn write_stream(trace: &Trace, path: &Path) -> Result<(), StreamError> {
     let io_err = |e: std::io::Error| StreamError::Io(e.to_string());
     let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
     crate::io::write_mass(trace, &mut file).map_err(io_err)
+}
+
+/// A MASS trace built one event at a time, ranks in any interleaving:
+/// each event is encoded into its rank's segment as it arrives, and
+/// [`SegmentWriter::write`] puts header, index and segments into a file
+/// in one pass. What it holds is the encoded trace, never a decoded
+/// event — the generator's streamed path writes through it.
+pub struct SegmentWriter {
+    segments: Vec<RankSegment>,
+}
+
+/// One rank's segment under construction.
+#[derive(Clone, Default)]
+struct RankSegment {
+    bytes: Vec<u8>,
+    count: u64,
+    prev_req: u32,
+}
+
+impl SegmentWriter {
+    /// An empty trace of `ranks` ranks.
+    pub fn new(ranks: u32) -> SegmentWriter {
+        SegmentWriter { segments: vec![RankSegment::default(); ranks as usize] }
+    }
+
+    /// Append `event` to `rank`'s stream.
+    pub fn push(&mut self, rank: Rank, event: &Event) {
+        let seg = &mut self.segments[rank.idx()];
+        crate::io::encode_event(&mut seg.bytes, rank.0, &mut seg.prev_req, event);
+        seg.count += 1;
+    }
+
+    /// Write the trace to `path` under `meta`; the bytes equal
+    /// [`write_stream`]'s for the same events.
+    pub fn write(self, meta: &TraceMeta, path: &Path) -> Result<(), StreamError> {
+        let io_err = |e: std::io::Error| StreamError::Io(e.to_string());
+        let sizes: Vec<_> = self.segments.iter().map(|s| (s.bytes.len() as u64, s.count)).collect();
+        let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
+        file.write_all(&crate::io::head(meta, &sizes)).map_err(io_err)?;
+        for seg in &self.segments {
+            file.write_all(&seg.bytes).map_err(io_err)?;
+        }
+        file.flush().map_err(io_err)
+    }
 }
 
 /// An opened streamed trace: its validated layout and the compact bytes.

@@ -4,18 +4,16 @@
 //! almost all time is local computation, so no network model — however
 //! detailed — changes the predicted total.
 
-use crate::apps::stamp_contention;
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// NPB EP: embarrassingly parallel random-number generation.
 ///
 /// Structure: `iters` pure-compute rounds, then a three-way
 /// `MPI_Allreduce` of the Gaussian-pair counts (16 B each) and a closing
 /// barrier — exactly the benchmark's communication footprint.
-pub fn ep(cfg: &GenConfig) -> Trace {
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
+pub fn ep(cfg: &GenConfig, s: &mut TraceSynth) {
     for _ in 0..cfg.iters {
         s.compute_round();
     }
@@ -28,7 +26,6 @@ pub fn ep(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Allreduce, 16, Rank(0));
     }
     s.barrier_all();
-    s.finish()
 }
 
 /// CMC: Monte Carlo particle transport mini-app.
@@ -38,8 +35,7 @@ pub fn ep(cfg: &GenConfig) -> Trace {
 /// cycles a particle-count rebalance `Bcast`. The imbalance, not the
 /// traffic, dominates — the paper classifies CMC load-imbalance- or
 /// computation-bound, with sub-1 % DIFFtotal.
-pub fn cmc(cfg: &GenConfig) -> Trace {
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
+pub fn cmc(cfg: &GenConfig, s: &mut TraceSynth) {
     let ranks = s.ranks();
     for cycle in 0..cfg.iters {
         // Particle load per rank: lognormal-ish spread driven by the
@@ -58,20 +54,20 @@ pub fn cmc(cfg: &GenConfig) -> Trace {
         }
     }
     s.barrier_all();
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::EventKind;
 
     #[test]
     fn ep_communication_is_tiny_and_fixed() {
         let mut cfg = GenConfig::test_default(App::Ep, 16);
         cfg.comm_fraction = 0.02;
-        let t = ep(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Exactly 3 allreduces + 1 barrier per rank.
         let colls = t.events[0].iter().filter(|e| matches!(e.kind, EventKind::Coll { .. })).count();
@@ -90,7 +86,7 @@ mod tests {
     #[test]
     fn ep_bytes_match_payloads() {
         let cfg = GenConfig::test_default(App::Ep, 8);
-        let t = ep(&cfg);
+        let t = generate(&cfg);
         // 3 allreduces × 16 B × 8 ranks.
         assert_eq!(t.total_bytes(), 3 * 16 * 8);
     }
@@ -100,7 +96,7 @@ mod tests {
         let mut cfg = GenConfig::test_default(App::Cmc, 16);
         cfg.imbalance = 0.6;
         cfg.iters = 6;
-        let t = cmc(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Compute time must differ noticeably across ranks.
         let comp: Vec<u64> = (0..16)
@@ -121,7 +117,7 @@ mod tests {
     fn cmc_has_periodic_bcast() {
         let mut cfg = GenConfig::test_default(App::Cmc, 8);
         cfg.iters = 8;
-        let t = cmc(&cfg);
+        let t = generate(&cfg);
         let bcasts = t.events[0]
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Coll { kind: CollKind::Bcast, .. }))

@@ -7,10 +7,10 @@
 //! discussion) hit shared links in ways a contention-free model cannot
 //! see.
 
-use crate::apps::{per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// Crystal Router: the Nek5000 generalized all-to-all kernel.
 ///
@@ -19,11 +19,10 @@ use masim_trace::{CollKind, Rank, Trace};
 /// payloads are data-dependent and irregular (±50 % around the mean),
 /// and high stages pair ranks that are far apart on any physical
 /// topology — maximal link sharing.
-pub fn cr(cfg: &GenConfig) -> Trace {
+pub fn cr(cfg: &GenConfig, s: &mut TraceSynth) {
     assert!(cfg.ranks.is_power_of_two(), "CR world must be a power of two");
     let stages = cfg.ranks.trailing_zeros();
     let base = per_rank_volume(8 * 1024 * size_mult(cfg.size).min(4), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 128, Rank(0));
     for round in 0..cfg.iters {
         s.compute_round();
@@ -42,7 +41,6 @@ pub fn cr(cfg: &GenConfig) -> Trace {
         }
     }
     s.barrier_all();
-    s.finish()
 }
 
 /// FillBoundary: the BoxLib/AMReX ghost-cell fill.
@@ -52,9 +50,8 @@ pub fn cr(cfg: &GenConfig) -> Trace {
 /// Degree and volume also differ *per rank*, which adds the load
 /// imbalance the paper observes. The box graph is fixed at setup and
 /// re-exchanged every step.
-pub fn fill_boundary(cfg: &GenConfig) -> Trace {
+pub fn fill_boundary(cfg: &GenConfig, s: &mut TraceSynth) {
     let base = per_rank_volume(2 * 1024 * size_mult(cfg.size).min(2), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
 
     // Build the irregular box-neighbor graph once, deterministically.
     let mut edges: Vec<(u32, u32, u64)> = Vec::new();
@@ -94,7 +91,6 @@ pub fn fill_boundary(cfg: &GenConfig) -> Trace {
         s.symmetric_exchange(&edges, 2);
         s.coll_all(CollKind::Reduce, 32, Rank(0));
     }
-    s.finish()
 }
 
 /// NPB DT: data traffic over a task graph.
@@ -104,9 +100,8 @@ pub fn fill_boundary(cfg: &GenConfig) -> Trace {
 /// forward. Communication is blocking and bandwidth-heavy but the run is
 /// short — the paper excludes DT from the timing study for exactly that
 /// reason (sub-second runs).
-pub fn dt(cfg: &GenConfig) -> Trace {
+pub fn dt(cfg: &GenConfig, s: &mut TraceSynth) {
     let msg = per_rank_volume(512 * 1024 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 64, Rank(0));
     let n = cfg.ranks;
     for round in 0..cfg.iters {
@@ -129,19 +124,19 @@ pub fn dt(cfg: &GenConfig) -> Trace {
         }
     }
     s.coll_all(CollKind::Reduce, 16, Rank(0));
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
     fn cr_hypercube_partners() {
         let cfg = GenConfig::test_default(App::Cr, 16);
-        let t = cr(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Rank 0 exchanges with 1, 2, 4, 8 each iteration.
         let peers: std::collections::HashSet<u32> = t.events[0]
@@ -157,7 +152,7 @@ mod tests {
     #[test]
     fn cr_sizes_are_irregular() {
         let cfg = GenConfig::test_default(App::Cr, 16);
-        let t = cr(&cfg);
+        let t = generate(&cfg);
         let sizes: Vec<u64> = t
             .events
             .iter()
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn fb_degree_is_irregular() {
         let cfg = GenConfig::test_default(App::FillBoundary, 32);
-        let t = fill_boundary(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Per-rank distinct-peer counts must vary.
         let f = Features::extract(&t);
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn dt_tree_flows_to_root() {
         let cfg = GenConfig::test_default(App::Dt, 7);
-        let t = dt(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Root (0) only receives; leaves only send.
         let root_sends =
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn dt_messages_are_large() {
         let cfg = GenConfig::test_default(App::Dt, 7);
-        let t = dt(&cfg);
+        let t = generate(&cfg);
         for e in t.events.iter().flatten() {
             if let EventKind::Send { bytes, .. } = e.kind {
                 assert!(bytes >= 64 * 1024, "DT message small: {bytes}");

@@ -5,10 +5,10 @@
 //! latency-sensitive as rank counts grow; the exchanges keep a modest
 //! bandwidth demand.
 
-use crate::apps::{per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// NPB CG: conjugate gradient on a 2-D process grid.
 ///
@@ -16,7 +16,7 @@ use masim_trace::{CollKind, Rank, Trace};
 /// `sx/sy ∈ {1, 2}`. Per iteration: the `q = A·p` row reduction
 /// (point-to-point with row neighbors), the transpose-fold exchange with
 /// the partner half of the grid, then two 8-byte dot `Allreduce`s.
-pub fn cg(cfg: &GenConfig) -> Trace {
+pub fn cg(cfg: &GenConfig, s: &mut TraceSynth) {
     assert!(cfg.ranks.is_power_of_two(), "CG world must be a power of two");
     let k = cfg.ranks.trailing_zeros();
     let sx = 1u32 << k.div_ceil(2);
@@ -39,8 +39,6 @@ pub fn cg(cfg: &GenConfig) -> Trace {
     for r in 0..half {
         transpose_edges.push((r, r + half, vec_bytes));
     }
-
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 128, Rank(0));
     // CG runs many short iterations: 5 per knob unit.
     for _ in 0..cfg.iters * 5 {
@@ -52,7 +50,6 @@ pub fn cg(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
     }
-    s.finish()
 }
 
 /// Nekbone: spectral-element Poisson kernel.
@@ -63,13 +60,11 @@ pub fn cg(cfg: &GenConfig) -> Trace {
 /// reduction frequency, which turns latency into the bottleneck at
 /// scale. Section VI-B lists Nekbone among the communication-sensitive,
 /// sometimes mis-classified apps.
-pub fn nekbone(cfg: &GenConfig) -> Trace {
+pub fn nekbone(cfg: &GenConfig, s: &mut TraceSynth) {
     let dims = crate::apps::stencil::brick_dims(cfg.ranks);
     let faces = crate::apps::stencil::face_edges(dims);
     let face_bytes = per_rank_volume(512 * size_mult(cfg.size), cfg.ranks);
     let edges: Vec<(u32, u32, u64)> = faces.iter().map(|&(a, b)| (a, b, face_bytes)).collect();
-
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 64, Rank(0));
     for _ in 0..cfg.iters * 6 {
         s.compute_round();
@@ -79,19 +74,19 @@ pub fn nekbone(cfg: &GenConfig) -> Trace {
         }
     }
     s.coll_all(CollKind::Allreduce, 8, Rank(0));
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
     fn cg_valid_with_transpose_pattern() {
         let cfg = GenConfig::test_default(App::Cg, 16);
-        let t = cg(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         assert!(f.no_c > 0.0);
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn nekbone_reduction_heavy() {
         let cfg = GenConfig::test_default(App::Nekbone, 24);
-        let t = nekbone(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // 3 allreduces per CG iteration: collectives outnumber exchanges.
@@ -122,7 +117,7 @@ mod tests {
     fn cg_dot_product_cadence() {
         let mut cfg = GenConfig::test_default(App::Cg, 4);
         cfg.iters = 2;
-        let t = cg(&cfg);
+        let t = generate(&cfg);
         let dots = t.events[0]
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Coll { kind: CollKind::Allreduce, .. }))

@@ -7,7 +7,9 @@
 //! modeling-vs-simulation accuracy gap.
 
 use crate::config::{App, GenConfig};
-use masim_trace::Trace;
+use crate::synth::{self, TraceSynth};
+use masim_trace::{StreamError, Trace};
+use std::path::Path;
 
 pub mod compute_bound;
 pub mod irregular;
@@ -36,27 +38,42 @@ pub fn stamp_contention(app: App) -> f64 {
     }
 }
 
-/// Generate the trace for `cfg.app`.
+/// Generate the trace for `cfg.app` in memory.
 pub fn generate(cfg: &GenConfig) -> Trace {
+    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
+    program(cfg, &mut s);
+    s.finish()
+}
+
+/// Generate the trace for `cfg.app` straight to `path` in the MASS
+/// format: the bytes of `io::encode(&generate(cfg))`, produced by two
+/// runs of the generator that never hold a decoded event — the
+/// mega-scale path's memory floor is the encoded trace.
+pub fn generate_stream(cfg: &GenConfig, path: &Path) -> Result<(), StreamError> {
+    synth::write_two_pass(cfg, stamp_contention(cfg.app), path, |s| program(cfg, s))
+}
+
+/// Emit `cfg.app`'s program into `s`.
+fn program(cfg: &GenConfig, s: &mut TraceSynth) {
     match cfg.app {
-        App::Ep => compute_bound::ep(cfg),
-        App::Cmc => compute_bound::cmc(cfg),
-        App::Lulesh => stencil::lulesh(cfg),
-        App::Cns => stencil::cns(cfg),
-        App::MiniFe => stencil::minife(cfg),
-        App::Bt => stencil::bt(cfg),
-        App::Ft => transpose::ft(cfg),
-        App::BigFft => transpose::bigfft(cfg),
-        App::Is => sort::is(cfg),
-        App::Mg => multigrid::mg(cfg),
-        App::MultiGrid => multigrid::multigrid_full(cfg),
-        App::Amg => multigrid::amg(cfg),
-        App::Lu => wavefront::lu(cfg),
-        App::Cg => krylov::cg(cfg),
-        App::Nekbone => krylov::nekbone(cfg),
-        App::Cr => irregular::cr(cfg),
-        App::FillBoundary => irregular::fill_boundary(cfg),
-        App::Dt => irregular::dt(cfg),
+        App::Ep => compute_bound::ep(cfg, s),
+        App::Cmc => compute_bound::cmc(cfg, s),
+        App::Lulesh => stencil::lulesh(cfg, s),
+        App::Cns => stencil::cns(cfg, s),
+        App::MiniFe => stencil::minife(cfg, s),
+        App::Bt => stencil::bt(cfg, s),
+        App::Ft => transpose::ft(cfg, s),
+        App::BigFft => transpose::bigfft(cfg, s),
+        App::Is => sort::is(cfg, s),
+        App::Mg => multigrid::mg(cfg, s),
+        App::MultiGrid => multigrid::multigrid_full(cfg, s),
+        App::Amg => multigrid::amg(cfg, s),
+        App::Lu => wavefront::lu(cfg, s),
+        App::Cg => krylov::cg(cfg, s),
+        App::Nekbone => krylov::nekbone(cfg, s),
+        App::Cr => irregular::cr(cfg, s),
+        App::FillBoundary => irregular::fill_boundary(cfg, s),
+        App::Dt => irregular::dt(cfg, s),
     }
 }
 

@@ -7,10 +7,10 @@
 //! structural load imbalance that makes the paper classify MG-family
 //! runs load-imbalance-bound at scale.
 
-use crate::apps::{per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// Active-rank ring edges at V-cycle level `l`: ranks at stride `2^l`
 /// exchange with their next active neighbor.
@@ -58,14 +58,13 @@ fn levels_for(ranks: u32) -> u32 {
 
 /// Shared V-cycle skeleton; `depth_scale` deepens cycles for the full
 /// application, `halo_base` sets fine-level payloads.
-fn vcycle_app(cfg: &GenConfig, halo_base: u64, cycles_per_iter: u32) -> Trace {
+fn vcycle_app(cfg: &GenConfig, halo_base: u64, cycles_per_iter: u32, s: &mut TraceSynth) {
     let levels = levels_for(cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 512, Rank(0));
     for _ in 0..cfg.iters * cycles_per_iter {
         // Down-sweep: restrict.
         for l in 0..levels {
-            let w = level_weights(&mut s, cfg.ranks, l, cfg.imbalance);
+            let w = level_weights(s, cfg.ranks, l, cfg.imbalance);
             s.compute_round_weighted(&w);
             let bytes = (halo_base >> l).max(64);
             let edges = level_ring_edges(cfg.ranks, l, bytes);
@@ -75,7 +74,7 @@ fn vcycle_app(cfg: &GenConfig, halo_base: u64, cycles_per_iter: u32) -> Trace {
         }
         // Up-sweep: prolongate.
         for l in (0..levels).rev() {
-            let w = level_weights(&mut s, cfg.ranks, l, cfg.imbalance);
+            let w = level_weights(s, cfg.ranks, l, cfg.imbalance);
             s.compute_round_weighted(&w);
             let bytes = (halo_base >> l).max(64);
             let edges = level_ring_edges(cfg.ranks, l, bytes);
@@ -86,30 +85,28 @@ fn vcycle_app(cfg: &GenConfig, halo_base: u64, cycles_per_iter: u32) -> Trace {
         // Residual norm.
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
     }
-    s.finish()
 }
 
 /// NPB MG: V-cycles on a power-of-two world.
-pub fn mg(cfg: &GenConfig) -> Trace {
+pub fn mg(cfg: &GenConfig, s: &mut TraceSynth) {
     let halo = per_rank_volume(1024 * size_mult(cfg.size), cfg.ranks);
-    vcycle_app(cfg, halo, 1)
+    vcycle_app(cfg, halo, 1, s)
 }
 
 /// The production MultiGrid application: deeper cycling (two V-cycles
 /// per outer iteration) and a heavier fine-level halo, plus a setup
 /// `Allgather`.
-pub fn multigrid_full(cfg: &GenConfig) -> Trace {
+pub fn multigrid_full(cfg: &GenConfig, s: &mut TraceSynth) {
     let halo = per_rank_volume(2 * 1024 * size_mult(cfg.size), cfg.ranks);
     // Reuse the skeleton but wrap with a setup phase by regenerating:
     // build directly so the setup collective precedes the cycles.
     let levels = levels_for(cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Allgather, 128, Rank(0));
     s.coll_all(CollKind::Bcast, 2048, Rank(0));
     for _ in 0..cfg.iters {
         for _cycle in 0..2 {
             for l in 0..levels {
-                let w = level_weights(&mut s, cfg.ranks, l, cfg.imbalance);
+                let w = level_weights(s, cfg.ranks, l, cfg.imbalance);
                 s.compute_round_weighted(&w);
                 let bytes = (halo >> l).max(64);
                 let edges = level_ring_edges(cfg.ranks, l, bytes);
@@ -118,7 +115,7 @@ pub fn multigrid_full(cfg: &GenConfig) -> Trace {
                 }
             }
             for l in (0..levels).rev() {
-                let w = level_weights(&mut s, cfg.ranks, l, cfg.imbalance);
+                let w = level_weights(s, cfg.ranks, l, cfg.imbalance);
                 s.compute_round_weighted(&w);
                 let bytes = (halo >> l).max(64);
                 let edges = level_ring_edges(cfg.ranks, l, bytes);
@@ -130,7 +127,6 @@ pub fn multigrid_full(cfg: &GenConfig) -> Trace {
         }
         s.coll_all(CollKind::Reduce, 64, Rank(0));
     }
-    s.finish()
 }
 
 /// AMG: algebraic multigrid with *irregular* level graphs.
@@ -140,10 +136,9 @@ pub fn multigrid_full(cfg: &GenConfig) -> Trace {
 /// traffic non-locally — AMG's halos are heavier and less regular than
 /// geometric MG's, but payloads stay small enough that the paper still
 /// measures sub-1 % DIFFtotal.
-pub fn amg(cfg: &GenConfig) -> Trace {
+pub fn amg(cfg: &GenConfig, s: &mut TraceSynth) {
     let levels = levels_for(cfg.ranks).min(5);
     let halo = per_rank_volume(512 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Allgather, 64, Rank(0));
     // Build per-level irregular graphs once (the matrix hierarchy is
     // fixed across iterations), deterministic in the seed.
@@ -172,7 +167,7 @@ pub fn amg(cfg: &GenConfig) -> Trace {
     }
     for _ in 0..cfg.iters {
         for (l, edges) in level_edges.iter().enumerate() {
-            let w = level_weights(&mut s, cfg.ranks, l as u32, cfg.imbalance);
+            let w = level_weights(s, cfg.ranks, l as u32, cfg.imbalance);
             s.compute_round_weighted(&w);
             if !edges.is_empty() {
                 s.symmetric_exchange(edges, l as u32);
@@ -181,13 +176,13 @@ pub fn amg(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
     }
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
@@ -209,7 +204,7 @@ mod tests {
     #[test]
     fn mg_valid_with_structural_imbalance() {
         let cfg = GenConfig::test_default(App::Mg, 16);
-        let t = mg(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Rank 0 participates at every level; rank 1 only at level 0, so
         // rank 0 does more compute.
@@ -227,8 +222,8 @@ mod tests {
     fn multigrid_deeper_than_mg() {
         let cfg_mg = GenConfig::test_default(App::Mg, 16);
         let cfg_full = GenConfig::test_default(App::MultiGrid, 16);
-        let a = mg(&cfg_mg);
-        let b = multigrid_full(&cfg_full);
+        let a = generate(&cfg_mg);
+        let b = generate(&cfg_full);
         assert_eq!(b.validate(), Ok(()));
         assert!(b.num_events() > a.num_events());
     }
@@ -236,7 +231,7 @@ mod tests {
     #[test]
     fn amg_fanout_exceeds_ring() {
         let cfg = GenConfig::test_default(App::Amg, 32);
-        let t = amg(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // Irregular graph: mean fan-out must beat a pure ring's ~2.
@@ -247,7 +242,7 @@ mod tests {
     fn amg_hierarchy_fixed_across_iterations() {
         let mut cfg = GenConfig::test_default(App::Amg, 16);
         cfg.iters = 2;
-        let t = amg(&cfg);
+        let t = generate(&cfg);
         // Count rank 0's isends in each iteration: identical graphs mean
         // identical counts per iteration.
         let sends: Vec<usize> = t.events[0]

@@ -8,10 +8,10 @@
 //! the frequently mis-classified, load-imbalanced apps at large rank
 //! counts.
 
-use crate::apps::{per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// Generate an IS trace.
 ///
@@ -20,10 +20,9 @@ use masim_trace::{CollKind, Rank, Trace};
 /// 2. `Allreduce` of the bucket-size table;
 /// 3. `Alltoallv` of the keys with data-dependent per-rank volumes;
 /// 4. local permutation compute and a partial-verification `Allreduce`.
-pub fn is(cfg: &GenConfig) -> Trace {
+pub fn is(cfg: &GenConfig, s: &mut TraceSynth) {
     let base = per_rank_volume(64 * 1024 * size_mult(cfg.size).min(4), cfg.ranks);
     let table_bytes = (cfg.ranks as u64) * 4;
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     for _ in 0..cfg.iters {
         s.compute_round();
         s.coll_all(CollKind::Allreduce, table_bytes, Rank(0));
@@ -45,19 +44,19 @@ pub fn is(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
     }
     s.barrier_all();
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::EventKind;
 
     #[test]
     fn is_valid_and_alltoallv_heavy() {
         let cfg = GenConfig::test_default(App::Is, 16);
-        let t = is(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let a2av_bytes: u64 = t
             .events
@@ -75,7 +74,7 @@ mod tests {
     fn is_volumes_are_skewed() {
         let mut cfg = GenConfig::test_default(App::Is, 16);
         cfg.imbalance = 0.5;
-        let t = is(&cfg);
+        let t = generate(&cfg);
         let vols: Vec<u64> = t
             .events
             .iter()
@@ -95,7 +94,7 @@ mod tests {
     fn is_iteration_structure() {
         let mut cfg = GenConfig::test_default(App::Is, 8);
         cfg.iters = 4;
-        let t = is(&cfg);
+        let t = generate(&cfg);
         let allreduces = t.events[0]
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Coll { kind: CollKind::Allreduce, .. }))

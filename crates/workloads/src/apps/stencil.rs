@@ -6,10 +6,10 @@
 //! a percent — the paper's Figure 4(b) shows exactly this for MiniFE and
 //! LULESH.
 
-use crate::apps::{cube_side, grid_side, per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{cube_side, grid_side, per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// Decompose `ranks` into a near-cubic `px × py × pz` brick (exact for
 /// perfect cubes; degrades gracefully to slabs for awkward counts).
@@ -71,21 +71,19 @@ fn sized_edges(edges: &[(u32, u32)], bytes: u64) -> Vec<(u32, u32, u64)> {
 /// Per iteration: a compute round, a 6-face halo exchange (full faces),
 /// a 12-edge exchange at 1/16 the payload, and the time-step-control
 /// `Allreduce` — LULESH's famous `dtcourant`/`dthydro` reduction.
-pub fn lulesh(cfg: &GenConfig) -> Trace {
+pub fn lulesh(cfg: &GenConfig, s: &mut TraceSynth) {
     let side = cube_side(cfg.ranks);
     assert_eq!(side * side * side, cfg.ranks, "LULESH needs a cubic rank count");
     let dims = [side, side, side];
     let faces = face_edges(dims);
     let edges12 = brick_edge_edges(dims);
     let face_bytes = per_rank_volume(2 * 1024 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     for _ in 0..cfg.iters {
         s.compute_round();
         s.symmetric_exchange(&sized_edges(&faces, face_bytes), 1);
         s.symmetric_exchange(&sized_edges(&edges12, (face_bytes / 16).max(64)), 2);
         s.coll_all(CollKind::Allreduce, 16, Rank(0));
     }
-    s.finish()
 }
 
 /// Undirected edge-neighbor (12 per interior cell) edges of a brick:
@@ -123,7 +121,7 @@ fn brick_edge_edges(dims: [u32; 3]) -> Vec<(u32, u32)> {
 /// Per iteration: two stencil sweeps (hyperbolic fluxes, then diffusion),
 /// each preceded by a 6-face halo exchange; a stability `Allreduce` every
 /// five steps.
-pub fn cns(cfg: &GenConfig) -> Trace {
+pub fn cns(cfg: &GenConfig, s: &mut TraceSynth) {
     let dims = {
         let side = cube_side(cfg.ranks);
         assert_eq!(side * side * side, cfg.ranks, "CNS needs a cubic rank count");
@@ -131,7 +129,6 @@ pub fn cns(cfg: &GenConfig) -> Trace {
     };
     let faces = face_edges(dims);
     let face_bytes = per_rank_volume(2 * 1024 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     for step in 0..cfg.iters {
         s.compute_round();
         s.symmetric_exchange(&sized_edges(&faces, face_bytes), 1);
@@ -141,7 +138,6 @@ pub fn cns(cfg: &GenConfig) -> Trace {
             s.coll_all(CollKind::Allreduce, 8, Rank(0));
         }
     }
-    s.finish()
 }
 
 /// MiniFE: implicit finite elements — assembly, then a CG solve.
@@ -151,11 +147,10 @@ pub fn cns(cfg: &GenConfig) -> Trace {
 /// and two 8-byte dot-product `Allreduce`s. Message sizes are small
 /// relative to compute, which is why the paper measures MiniFE's
 /// DIFFtotal under 1 %.
-pub fn minife(cfg: &GenConfig) -> Trace {
+pub fn minife(cfg: &GenConfig, s: &mut TraceSynth) {
     let dims = brick_dims(cfg.ranks);
     let faces = face_edges(dims);
     let halo_bytes = per_rank_volume(512 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     // Assembly phase.
     s.compute_round();
     s.coll_all(CollKind::Allgather, 32, Rank(0));
@@ -167,7 +162,6 @@ pub fn minife(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
         s.coll_all(CollKind::Allreduce, 8, Rank(0));
     }
-    s.finish()
 }
 
 /// NPB BT: block-tridiagonal solver on a square process grid.
@@ -176,7 +170,7 @@ pub fn minife(cfg: &GenConfig) -> Trace {
 /// exchanges faces with the four grid neighbors (wrapping — BT uses a
 /// cyclic decomposition), then a residual `Allreduce` closes the
 /// iteration.
-pub fn bt(cfg: &GenConfig) -> Trace {
+pub fn bt(cfg: &GenConfig, s: &mut TraceSynth) {
     let side = grid_side(cfg.ranks);
     assert_eq!(side * side, cfg.ranks, "BT needs a square rank count");
     let id = |x: u32, y: u32| x + y * side;
@@ -199,7 +193,6 @@ pub fn bt(cfg: &GenConfig) -> Trace {
     edges.sort_unstable();
     edges.dedup();
     let face_bytes = per_rank_volume(1024 * size_mult(cfg.size), cfg.ranks);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     for _ in 0..cfg.iters {
         for sweep in 0..3u32 {
             s.compute_round();
@@ -207,13 +200,13 @@ pub fn bt(cfg: &GenConfig) -> Trace {
         }
         s.coll_all(CollKind::Allreduce, 40, Rank(0));
     }
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn lulesh_valid_and_local() {
         let cfg = GenConfig::test_default(App::Lulesh, 27);
-        let t = lulesh(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // 26-neighborhood capped at faces+edges: fan-out must stay small
@@ -250,7 +243,7 @@ mod tests {
     fn cns_two_exchanges_per_step() {
         let mut cfg = GenConfig::test_default(App::Cns, 8);
         cfg.iters = 5;
-        let t = cns(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         // Rank 0 (corner) has 3 face neighbors; 2 exchanges per step ×
         // 5 steps × 3 neighbors × 2 (send+recv issues) = 60 issues.
@@ -264,7 +257,7 @@ mod tests {
     #[test]
     fn minife_dot_products_dominate_call_count() {
         let cfg = GenConfig::test_default(App::MiniFe, 12);
-        let t = minife(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // Two allreduces per CG iteration, 5 CG iterations per knob iter.
@@ -274,7 +267,7 @@ mod tests {
     #[test]
     fn bt_needs_square() {
         let cfg = GenConfig::test_default(App::Bt, 16);
-        let t = bt(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
     }
 
@@ -286,6 +279,7 @@ mod tests {
             ranks: 26, // not a cube
             ..GenConfig::test_default(App::Ep, 26)
         };
-        let _ = lulesh(&cfg);
+        let mut s = TraceSynth::new(GenConfig::test_default(App::Ep, 26), 1.0);
+        lulesh(&cfg, &mut s);
     }
 }

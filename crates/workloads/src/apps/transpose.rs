@@ -6,20 +6,19 @@
 //! MFACT's contention-free Hockney estimate — these are the paper's
 //! bandwidth-bound, simulation-worthy cases.
 
-use crate::apps::{grid_side, per_rank_volume, size_mult, stamp_contention};
+use crate::apps::{grid_side, per_rank_volume, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// NPB FT: 3-D FFT.
 ///
 /// Per iteration: local FFT compute, a global `Alltoall` transpose of the
 /// full per-rank volume, more local compute, and the checksum
 /// `Allreduce`. An initial `Bcast` distributes the problem setup.
-pub fn ft(cfg: &GenConfig) -> Trace {
+pub fn ft(cfg: &GenConfig, s: &mut TraceSynth) {
     let per_rank = per_rank_volume(32 * 1024 * size_mult(cfg.size).min(4), cfg.ranks);
     let per_peer = (per_rank / cfg.ranks as u64).max(64);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.begin_round();
     for r in 0..s.ranks() {
         s.compute(Rank(r), 0.3);
@@ -31,7 +30,6 @@ pub fn ft(cfg: &GenConfig) -> Trace {
         s.compute_round();
         s.coll_all(CollKind::Allreduce, 32, Rank(0));
     }
-    s.finish()
 }
 
 /// DOE BigFFT: large distributed FFT with pencil decomposition.
@@ -42,7 +40,7 @@ pub fn ft(cfg: &GenConfig) -> Trace {
 /// exactly the sub-communicator all-to-alls of the real kernel, expressed
 /// as point-to-point because traces record them that way after
 /// `MPI_Comm_split`.
-pub fn bigfft(cfg: &GenConfig) -> Trace {
+pub fn bigfft(cfg: &GenConfig, s: &mut TraceSynth) {
     let side = grid_side(cfg.ranks);
     assert_eq!(side * side, cfg.ranks, "BigFFT needs a square (power-of-4) rank count");
     let per_rank = per_rank_volume(32 * 1024 * size_mult(cfg.size).min(4), cfg.ranks);
@@ -58,8 +56,6 @@ pub fn bigfft(cfg: &GenConfig) -> Trace {
             }
         }
     }
-
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 4096, Rank(0));
     for _ in 0..cfg.iters {
         s.compute_round();
@@ -68,19 +64,19 @@ pub fn bigfft(cfg: &GenConfig) -> Trace {
         s.coll_all(CollKind::Alltoall, a2a_peer_bytes, Rank(0));
     }
     s.coll_all(CollKind::Allreduce, 16, Rank(0));
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
     fn ft_volume_dominated_by_alltoall() {
         let cfg = GenConfig::test_default(App::Ft, 16);
-        let t = ft(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // No point-to-point: FT is collective-only.
@@ -105,7 +101,7 @@ mod tests {
     fn ft_alltoall_count_matches_iters() {
         let mut cfg = GenConfig::test_default(App::Ft, 8);
         cfg.iters = 7;
-        let t = ft(&cfg);
+        let t = generate(&cfg);
         let count = t.events[0]
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Coll { kind: CollKind::Alltoall, .. }))
@@ -116,7 +112,7 @@ mod tests {
     #[test]
     fn bigfft_row_exchange_is_dense_within_rows() {
         let cfg = GenConfig::test_default(App::BigFft, 16);
-        let t = bigfft(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // Each rank talks p2p to its 3 row peers.
@@ -128,7 +124,7 @@ mod tests {
         // Even at the largest size, per-op traffic stays within the cap.
         let mut cfg = GenConfig::test_default(App::BigFft, 64);
         cfg.size = 4;
-        let t = bigfft(&cfg);
+        let t = generate(&cfg);
         // Per iteration: row exchange + global alltoall, each bounded by
         // the 16 MiB per-operation cap.
         let per_iter = t.total_bytes() / cfg.iters as u64;

@@ -5,10 +5,10 @@
 //! sends and receives*. The pattern is latency-dominated — the opposite
 //! end of the spectrum from FT's bandwidth-bound transposes.
 
-use crate::apps::{grid_side, size_mult, stamp_contention};
+use crate::apps::{grid_side, size_mult};
 use crate::config::GenConfig;
 use crate::synth::TraceSynth;
-use masim_trace::{CollKind, Rank, Trace};
+use masim_trace::{CollKind, Rank};
 
 /// Number of pencil blocks per sweep (pipeline depth).
 const BLOCKS_PER_SWEEP: u32 = 4;
@@ -20,13 +20,12 @@ const BLOCKS_PER_SWEEP: u32 = 4;
 /// upper-triangular sweep, then a residual `Allreduce` every five
 /// iterations. Each sweep is pipelined over `BLOCKS_PER_SWEEP` blocks
 /// of small messages.
-pub fn lu(cfg: &GenConfig) -> Trace {
+pub fn lu(cfg: &GenConfig, s: &mut TraceSynth) {
     let side = grid_side(cfg.ranks);
     assert_eq!(side * side, cfg.ranks, "LU needs a square rank count");
     let id = |x: u32, y: u32| Rank(x + y * side);
     // Pencil faces are thin: a few KB regardless of class.
     let bytes = 1024 * size_mult(cfg.size).min(4);
-    let mut s = TraceSynth::new(cfg.clone(), stamp_contention(cfg.app));
     s.coll_all(CollKind::Bcast, 256, Rank(0));
 
     for it in 0..cfg.iters {
@@ -79,19 +78,19 @@ pub fn lu(cfg: &GenConfig) -> Trace {
         }
     }
     s.coll_all(CollKind::Allreduce, 40, Rank(0));
-    s.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::App;
+    use crate::generate;
     use masim_trace::{EventKind, Features};
 
     #[test]
     fn lu_valid_and_blocking() {
         let cfg = GenConfig::test_default(App::Lu, 16);
-        let t = lu(&cfg);
+        let t = generate(&cfg);
         assert_eq!(t.validate(), Ok(()));
         let f = Features::extract(&t);
         // LU is all blocking point-to-point: no nonblocking issues.
@@ -105,7 +104,7 @@ mod tests {
     #[test]
     fn lu_messages_are_small() {
         let cfg = GenConfig::test_default(App::Lu, 16);
-        let t = lu(&cfg);
+        let t = generate(&cfg);
         for e in t.events.iter().flatten() {
             if let EventKind::Send { bytes, .. } = e.kind {
                 assert!(bytes <= 8 * 1024, "LU message unexpectedly large: {bytes}");
@@ -116,7 +115,7 @@ mod tests {
     #[test]
     fn lu_corner_ranks_have_fewer_messages() {
         let cfg = GenConfig::test_default(App::Lu, 16);
-        let t = lu(&cfg);
+        let t = generate(&cfg);
         let msgs = |r: usize| {
             t.events[r]
                 .iter()
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     fn lu_send_recv_counts_balance() {
         let cfg = GenConfig::test_default(App::Lu, 9);
-        let t = lu(&cfg);
+        let t = generate(&cfg);
         let f = Features::extract(&t);
         assert_eq!(f.no_s, f.no_r, "every send has a matching recv");
     }

@@ -31,7 +31,7 @@ pub mod corpus;
 pub mod cost;
 pub mod synth;
 
-pub use apps::generate;
+pub use apps::{generate, generate_stream};
 pub use config::{App, GenConfig};
 pub use corpus::{build_corpus, CorpusEntry, COMM_BUCKETS, CORPUS_SIZE, RANK_BUCKETS};
 pub use cost::StampModel;

@@ -12,12 +12,20 @@
 //!   is how the corpus reproduces Table Ib);
 //! * **skew waits** — per-round compute imbalance surfaces as recorded
 //!   wait time on the first blocking call after each gap, exactly as a
-//!   real DUMPI trace records it.
+//!   real DUMPI trace records it;
+//! * **two passes** for a trace written straight to disk
+//!   ([`crate::generate_stream`]) — calibration needs global totals, so
+//!   the program runs once keeping only those, then again from the same
+//!   seed, encoding each event with its final duration as it is emitted.
+//!   No decoded event is held.
 
 use crate::config::GenConfig;
 use crate::cost::StampModel;
 use masim_rng::Rng;
-use masim_trace::{CollKind, Event, EventKind, Rank, ReqId, Time, Trace, TraceMeta};
+use masim_trace::{
+    CollKind, Event, EventKind, Rank, ReqId, SegmentWriter, StreamError, Time, Trace, TraceMeta,
+};
+use std::path::Path;
 
 /// One compute round: per-rank gap weights plus the events that absorb
 /// the round's skew as recorded wait time.
@@ -29,11 +37,90 @@ struct Round {
     absorbers: Vec<(u32, usize)>,
 }
 
+/// Where emitted events go. Every store sees the same events through
+/// [`TraceSynth::emit`]; only what it keeps differs.
+enum Store {
+    /// The in-memory path: every event kept, compute slots and skew waits
+    /// patched at [`TraceSynth::finish`].
+    Memory(Vec<Vec<Event>>),
+    /// Pass 1 of the streamed path: no event kept, only the per-rank
+    /// counts, the running comm sum and the rounds calibration reads.
+    Tally,
+    /// Pass 2 of the streamed path: each event encoded with its final
+    /// duration as it is emitted.
+    Encode(Encode),
+}
+
+/// Pass 2's state: the solved calibration and the segments it fills.
+struct Encode {
+    out: SegmentWriter,
+    cal: Calibration,
+    /// `(rank, absorber event index, skew wait)`, grouped by rank and in
+    /// event order within a rank; an absorber of several deficits has
+    /// one entry for each.
+    waits: Vec<(u32, usize, Time)>,
+    /// Per rank, the position in `waits` of its next entry.
+    next_wait: Vec<usize>,
+}
+
+impl Encode {
+    /// Encode event `idx` of `rank`, adding the waits it absorbs. Kept
+    /// out of line so that [`TraceSynth::emit`] inlines small.
+    #[inline(never)]
+    fn push(&mut self, rank: Rank, idx: usize, mut event: Event) {
+        let next = &mut self.next_wait[rank.idx()];
+        while let Some(&(_, _, wait)) =
+            self.waits.get(*next).filter(|w| (w.0, w.1) == (rank.0, idx))
+        {
+            event.dur += wait;
+            *next += 1;
+        }
+        self.out.push(rank, &event);
+    }
+}
+
+/// What calibration decides: the duration of one unit of gap weight, and
+/// the damping `κ` of skew waits.
+struct Calibration {
+    unit: f64,
+    kappa: f64,
+}
+
+impl Calibration {
+    /// The final duration of a compute slot of `weight`.
+    fn slot(&self, weight: f64) -> Time {
+        Time::from_ps((self.unit * weight).round() as u64)
+    }
+
+    /// The wait a skew `deficit` adds to its absorber's stamp.
+    fn wait(&self, deficit: f64) -> Time {
+        Time::from_ps((self.unit * self.kappa * deficit).round() as u64)
+    }
+}
+
+/// The gap unit `u` and damping `κ` that solve [`TraceSynth::finish`]'s
+/// calibration equation for comm fraction `f`.
+fn solve(f: f64, c: f64, w: f64, d: f64) -> Calibration {
+    let mut kappa = 1.0;
+    let denom = |k: f64| f * w - (1.0 - f) * k * d;
+    if w > 0.0 && denom(kappa) <= 0.0 {
+        // Damp waits so at most half of the comm budget is skew wait.
+        kappa = 0.5 * f * w / ((1.0 - f) * d);
+    }
+    let unit = if w > 0.0 && c > 0.0 { c * (1.0 - f) / denom(kappa) } else { 0.0 };
+    assert!(unit >= 0.0 && unit.is_finite(), "calibration failed: unit={unit}");
+    Calibration { unit, kappa }
+}
+
 /// The trace synthesizer. See module docs.
 pub struct TraceSynth {
     cfg: GenConfig,
     stamp: StampModel,
-    streams: Vec<Vec<Event>>,
+    store: Store,
+    /// Events emitted per rank: the index the next one gets.
+    lens: Vec<usize>,
+    /// Stamped communication time emitted so far (`C` of [`solve`]).
+    comm_ps: u128,
     next_req: Vec<u32>,
     open_reqs: Vec<Vec<(u32, u64)>>, // (req id, bytes) still outstanding
     rng: Rng,
@@ -45,6 +132,11 @@ impl TraceSynth {
     /// Start synthesizing a trace for `cfg`, stamping measured times with
     /// the given original-run `contention` factor (≥ 1).
     pub fn new(cfg: GenConfig, contention: f64) -> TraceSynth {
+        let n = cfg.ranks as usize;
+        TraceSynth::with_store(cfg, contention, Store::Memory(vec![Vec::new(); n]))
+    }
+
+    fn with_store(cfg: GenConfig, contention: f64, store: Store) -> TraceSynth {
         cfg.check();
         let n = cfg.ranks as usize;
         let stamp = StampModel::new(cfg.gbps, cfg.latency, contention);
@@ -52,7 +144,9 @@ impl TraceSynth {
         TraceSynth {
             cfg,
             stamp,
-            streams: vec![Vec::new(); n],
+            store,
+            lens: vec![0; n],
+            comm_ps: 0,
             next_req: vec![0; n],
             open_reqs: vec![Vec::new(); n],
             rng,
@@ -76,6 +170,25 @@ impl TraceSynth {
         &self.stamp
     }
 
+    /// Append `event` to `rank`'s stream and return its index there.
+    /// Every event of every store passes here. Inlined into each emitter,
+    /// so the in-memory path keeps its cost of one push per event.
+    #[inline(always)]
+    fn emit(&mut self, rank: Rank, event: Event) -> usize {
+        let r = rank.idx();
+        let idx = self.lens[r];
+        self.lens[r] += 1;
+        if !event.kind.is_compute() {
+            self.comm_ps += u128::from(event.dur.as_ps());
+        }
+        match &mut self.store {
+            Store::Memory(events) => events[r].push(event),
+            Store::Tally => {}
+            Store::Encode(enc) => enc.push(rank, idx, event),
+        }
+        idx
+    }
+
     // ----- compute rounds -------------------------------------------------
 
     /// Open a new compute round. Subsequent [`TraceSynth::compute`] calls
@@ -88,9 +201,14 @@ impl TraceSynth {
     /// The actual duration is assigned at `finish` (calibration).
     pub fn compute(&mut self, rank: Rank, weight: f64) {
         assert!(weight >= 0.0 && weight.is_finite());
+        if let Store::Encode(enc) = &self.store {
+            // Pass 2 knows the final duration and needs no round record.
+            let dur = enc.cal.slot(weight);
+            self.emit(rank, Event::compute(dur));
+            return;
+        }
+        let idx = self.emit(rank, Event::compute(Time::ZERO));
         let round = self.rounds.last_mut().expect("compute() before begin_round()");
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::compute(Time::ZERO));
         round.slots.push((rank.0, idx, weight));
         self.awaiting_absorber[rank.idx()] = true;
     }
@@ -117,7 +235,9 @@ impl TraceSynth {
         }
     }
 
-    fn register_absorber(&mut self, rank: Rank, idx: usize) {
+    /// Emit a blocking event; it absorbs its rank's pending round skew.
+    fn emit_absorber(&mut self, rank: Rank, kind: EventKind, dur: Time) {
+        let idx = self.emit(rank, Event::new(kind, dur));
         if self.awaiting_absorber[rank.idx()] {
             self.awaiting_absorber[rank.idx()] = false;
             if let Some(round) = self.rounds.last_mut() {
@@ -131,36 +251,35 @@ impl TraceSynth {
     /// Blocking send.
     pub fn send(&mut self, rank: Rank, peer: Rank, bytes: u64, tag: u32) {
         let dur = self.stamp.p2p(bytes);
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::new(EventKind::Send { peer, bytes, tag }, dur));
-        self.register_absorber(rank, idx);
+        self.emit_absorber(rank, EventKind::Send { peer, bytes, tag }, dur);
     }
 
     /// Blocking receive (absorbs round skew as recorded wait).
     pub fn recv(&mut self, rank: Rank, peer: Rank, bytes: u64, tag: u32) {
         let dur = self.stamp.p2p(bytes);
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::new(EventKind::Recv { peer, bytes, tag }, dur));
-        self.register_absorber(rank, idx);
+        self.emit_absorber(rank, EventKind::Recv { peer, bytes, tag }, dur);
     }
 
     /// Nonblocking send.
     pub fn isend(&mut self, rank: Rank, peer: Rank, bytes: u64, tag: u32) -> ReqId {
-        let req = ReqId(self.next_req[rank.idx()]);
-        self.next_req[rank.idx()] += 1;
-        self.open_reqs[rank.idx()].push((req.0, bytes));
+        let req = self.open_req(rank, bytes);
         let dur = self.stamp.issue();
-        self.streams[rank.idx()].push(Event::new(EventKind::Isend { peer, bytes, tag, req }, dur));
+        self.emit(rank, Event::new(EventKind::Isend { peer, bytes, tag, req }, dur));
         req
     }
 
     /// Nonblocking receive.
     pub fn irecv(&mut self, rank: Rank, peer: Rank, bytes: u64, tag: u32) -> ReqId {
+        let req = self.open_req(rank, bytes);
+        let dur = self.stamp.issue();
+        self.emit(rank, Event::new(EventKind::Irecv { peer, bytes, tag, req }, dur));
+        req
+    }
+
+    fn open_req(&mut self, rank: Rank, bytes: u64) -> ReqId {
         let req = ReqId(self.next_req[rank.idx()]);
         self.next_req[rank.idx()] += 1;
         self.open_reqs[rank.idx()].push((req.0, bytes));
-        let dur = self.stamp.issue();
-        self.streams[rank.idx()].push(Event::new(EventKind::Irecv { peer, bytes, tag, req }, dur));
         req
     }
 
@@ -172,9 +291,7 @@ impl TraceSynth {
             .expect("wait on unknown request");
         let (_, bytes) = self.open_reqs[rank.idx()].remove(pos);
         let dur = self.stamp.wait(bytes);
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::new(EventKind::Wait { req }, dur));
-        self.register_absorber(rank, idx);
+        self.emit_absorber(rank, EventKind::Wait { req }, dur);
     }
 
     /// Wait on all outstanding requests of `rank`.
@@ -186,9 +303,7 @@ impl TraceSynth {
         let max_bytes = self.open_reqs[rank.idx()].iter().map(|&(_, b)| b).max().unwrap_or(0);
         self.open_reqs[rank.idx()].clear();
         let dur = self.stamp.wait(max_bytes);
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::new(EventKind::WaitAll { reqs }, dur));
-        self.register_absorber(rank, idx);
+        self.emit_absorber(rank, EventKind::WaitAll { reqs }, dur);
     }
 
     /// Symmetric nonblocking exchange over undirected weighted `edges`:
@@ -221,9 +336,7 @@ impl TraceSynth {
     /// sequence across ranks; prefer [`TraceSynth::coll_all`]).
     pub fn coll(&mut self, rank: Rank, kind: CollKind, bytes: u64, root: Rank) {
         let dur = self.stamp.collective(kind, bytes, self.cfg.ranks);
-        let idx = self.streams[rank.idx()].len();
-        self.streams[rank.idx()].push(Event::new(EventKind::Coll { kind, bytes, root }, dur));
-        self.register_absorber(rank, idx);
+        self.emit_absorber(rank, EventKind::Coll { kind, bytes, root }, dur);
     }
 
     /// The same collective on every rank (uniform payload).
@@ -257,7 +370,7 @@ impl TraceSynth {
     /// linear in slots + absorbers at any rank count.
     fn skew_deficits(&self) -> Vec<(usize, usize, f64)> {
         const NONE: usize = usize::MAX;
-        let mut absorber_of = vec![NONE; self.streams.len()];
+        let mut absorber_of = vec![NONE; self.lens.len()];
         let mut deficits = Vec::new();
         for round in &self.rounds {
             if round.slots.is_empty() {
@@ -287,6 +400,27 @@ impl TraceSynth {
         deficits
     }
 
+    /// [`solve`] over this synthesizer's rounds and its skew `deficits`.
+    fn calibration(&self, deficits: &[(usize, usize, f64)]) -> Calibration {
+        for (r, open) in self.open_reqs.iter().enumerate() {
+            assert!(open.is_empty(), "rank {r} finished with {} open requests", open.len());
+        }
+        let w: f64 = self.rounds.iter().flat_map(|r| r.slots.iter()).map(|&(_, _, w)| w).sum();
+        let d: f64 = deficits.iter().map(|&(_, _, x)| x).sum();
+        solve(self.cfg.comm_fraction, self.comm_ps as f64, w, d)
+    }
+
+    fn meta(&self) -> TraceMeta {
+        TraceMeta {
+            app: self.cfg.app.name().to_string(),
+            machine: self.cfg.machine.clone(),
+            ranks: self.cfg.ranks,
+            ranks_per_node: self.cfg.ranks_per_node,
+            problem_size: self.cfg.size,
+            seed: self.cfg.seed,
+        }
+    }
+
     /// Calibrate compute gaps and skew waits, then build the trace.
     ///
     /// Solves for the per-weight-unit gap duration `u` such that the
@@ -307,58 +441,68 @@ impl TraceSynth {
     }
 
     /// [`TraceSynth::finish`] over already-collected skew `deficits`.
-    fn calibrate(mut self, deficits: Vec<(usize, usize, f64)>) -> Trace {
-        for (r, open) in self.open_reqs.iter().enumerate() {
-            assert!(open.is_empty(), "rank {r} finished with {} open requests", open.len());
-        }
-
-        let comm_ps: u128 = self
-            .streams
-            .iter()
-            .flat_map(|es| es.iter())
-            .filter(|e| !e.kind.is_compute())
-            .map(|e| e.dur.as_ps() as u128)
-            .sum();
-        let c = comm_ps as f64;
-
-        let w: f64 = self.rounds.iter().flat_map(|r| r.slots.iter()).map(|&(_, _, w)| w).sum();
-
-        let d: f64 = deficits.iter().map(|&(_, _, x)| x).sum();
-
-        let f = self.cfg.comm_fraction;
-        let mut kappa = 1.0;
-        let denom = |k: f64| f * w - (1.0 - f) * k * d;
-        if w > 0.0 && denom(kappa) <= 0.0 {
-            // Damp waits so at most half of the comm budget is skew wait.
-            kappa = 0.5 * f * w / ((1.0 - f) * d);
-        }
-        let unit = if w > 0.0 && c > 0.0 { c * (1.0 - f) / denom(kappa) } else { 0.0 };
-        assert!(unit >= 0.0 && unit.is_finite(), "calibration failed: unit={unit}");
-
-        // Patch compute slots.
-        for round in &self.rounds {
-            for &(rank, idx, wgt) in &round.slots {
-                self.streams[rank as usize][idx].dur = Time::from_ps((unit * wgt).round() as u64);
+    fn calibrate(self, deficits: Vec<(usize, usize, f64)>) -> Trace {
+        let cal = self.calibration(&deficits);
+        let meta = self.meta();
+        let events = match self.store {
+            Store::Memory(mut events) => {
+                for round in &self.rounds {
+                    for &(rank, idx, wgt) in &round.slots {
+                        events[rank as usize][idx].dur = cal.slot(wgt);
+                    }
+                }
+                for (rank, idx, deficit) in deficits {
+                    events[rank][idx].dur += cal.wait(deficit);
+                }
+                events
             }
-        }
-        // Patch skew waits.
-        for (rank, idx, deficit) in deficits {
-            let extra = Time::from_ps((unit * kappa * deficit).round() as u64);
-            let dur = &mut self.streams[rank][idx].dur;
-            *dur += extra;
-        }
-
-        let meta = TraceMeta {
-            app: self.cfg.app.name().to_string(),
-            machine: self.cfg.machine.clone(),
-            ranks: self.cfg.ranks,
-            ranks_per_node: self.cfg.ranks_per_node,
-            problem_size: self.cfg.size,
-            seed: self.cfg.seed,
+            // `new` is the only public constructor, and its store keeps
+            // every event; the streamed passes keep none.
+            Store::Tally | Store::Encode(_) => Vec::new(),
         };
-        let trace = Trace { meta, events: self.streams };
+        let trace = Trace { meta, events };
         debug_assert_eq!(trace.validate(), Ok(()), "generator produced an invalid trace");
         trace
+    }
+}
+
+/// Run `program` twice from the same seed and write its trace to `path`
+/// in MASS, byte for byte what `write_stream` makes of
+/// [`TraceSynth::finish`]'s trace. Pass 1 keeps only what calibration
+/// reads; pass 2 encodes each event with its final duration as it is
+/// emitted, so no decoded event is held.
+pub(crate) fn write_two_pass(
+    cfg: &GenConfig,
+    contention: f64,
+    path: &Path,
+    program: impl Fn(&mut TraceSynth),
+) -> Result<(), StreamError> {
+    let (cal, mut deficits) = {
+        let mut tally = TraceSynth::with_store(cfg.clone(), contention, Store::Tally);
+        program(&mut tally);
+        let deficits = tally.skew_deficits();
+        (tally.calibration(&deficits), deficits)
+    };
+    // Group by rank, keeping deficit order within a rank: a rank's
+    // absorbers come in round order, so that is event order.
+    deficits.sort_by_key(|&(rank, _, _)| rank);
+    let waits: Vec<(u32, usize, Time)> = deficits
+        .into_iter()
+        .map(|(rank, idx, deficit)| (rank as u32, idx, cal.wait(deficit)))
+        .collect();
+    let mut next_wait = vec![waits.len(); cfg.ranks as usize];
+    for (i, &(rank, _, _)) in waits.iter().enumerate().rev() {
+        next_wait[rank as usize] = i;
+    }
+    let out = SegmentWriter::new(cfg.ranks);
+    let store = Store::Encode(Encode { out, cal, waits, next_wait });
+    let mut synth = TraceSynth::with_store(cfg.clone(), contention, store);
+    program(&mut synth);
+    let meta = synth.meta();
+    match synth.store {
+        Store::Encode(enc) => enc.out.write(&meta, path),
+        // Built as `Encode` three lines up.
+        Store::Memory(_) | Store::Tally => Ok(()),
     }
 }
 
@@ -429,16 +573,40 @@ mod tests {
         assert_eq!(n_events, 8 /*compute*/ + 4 * 4 + 8);
     }
 
-    #[test]
-    fn extreme_imbalance_low_fraction_still_calibrates() {
-        let mut s = TraceSynth::new(cfg(0.02, 1.0), 1.0);
+    /// Rounds of heavy skew under a tiny comm fraction: the case where
+    /// [`solve`] must damp κ below 1.
+    fn damped_program(s: &mut TraceSynth) {
         for _ in 0..3 {
             s.compute_round();
             s.barrier_all();
         }
+    }
+
+    #[test]
+    fn extreme_imbalance_low_fraction_still_calibrates() {
+        let mut s = TraceSynth::new(cfg(0.02, 1.0), 1.0);
+        damped_program(&mut s);
+        let kappa = s.calibration(&s.skew_deficits()).kappa;
+        assert!(kappa < 1.0, "the construction must damp: κ = {kappa}");
         let t = s.finish();
         let got = t.comm_fraction();
         assert!((got - 0.02).abs() < 1e-6, "got {got}");
+        assert_two_pass_bytes_equal("damped", cfg(0.02, 1.0), damped_program);
+    }
+
+    /// The streamed path's file equals the in-memory path's encoding of
+    /// the same `program`, byte for byte.
+    fn assert_two_pass_bytes_equal(name: &str, cfg: GenConfig, program: fn(&mut TraceSynth)) {
+        let mut s = TraceSynth::new(cfg.clone(), 1.0);
+        program(&mut s);
+        let want = masim_trace::io::encode(&s.finish());
+        let dir = std::env::temp_dir().join(format!("masim-two-pass-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}.mass"));
+        write_two_pass(&cfg, 1.0, &path, program).unwrap();
+        let got = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(got == want, "{name}: two-pass file differs from the in-memory encoding");
     }
 
     #[test]
@@ -475,13 +643,20 @@ mod tests {
         deficits
     }
 
+    /// [`awkward_program`] in memory, not yet finished.
+    fn awkward_rounds() -> TraceSynth {
+        let mut s = TraceSynth::new(cfg(0.3, 0.0), 1.0);
+        awkward_program(&mut s);
+        s
+    }
+
     /// Three rounds over 8 ranks hitting every lookup outcome: slots
     /// with no absorber (ranks 6, 7 in round 1), a zero-deficit maximum
     /// (rank 0), an absorber from a rank with no slot in its round
     /// (rank 7 in round 2, still armed from round 1), and a rank that
-    /// registers twice in one round (rank 1 in round 3: first wins).
-    fn awkward_rounds() -> TraceSynth {
-        let mut s = TraceSynth::new(cfg(0.3, 0.0), 1.0);
+    /// registers twice in one round (rank 1 in round 3: first wins),
+    /// the second time after a slot that follows its first absorber.
+    fn awkward_program(s: &mut TraceSynth) {
         let pair = |s: &mut TraceSynth, a: u32, b: u32| {
             s.send(Rank(a), Rank(b), 512, 1);
             s.recv(Rank(b), Rank(a), 512, 1);
@@ -492,24 +667,23 @@ mod tests {
             s.compute(Rank(r), 1.0 + 0.125 * r as f64);
         }
         for a in [0, 2, 4] {
-            pair(&mut s, a, a + 1);
+            pair(s, a, a + 1);
         }
         s.begin_round();
         for r in 0..6 {
             s.compute(Rank(r), 2.0 - 0.25 * r as f64);
         }
-        pair(&mut s, 6, 7);
+        pair(s, 6, 7);
         for a in [0, 2, 4] {
-            pair(&mut s, a + 1, a);
+            pair(s, a + 1, a);
         }
         s.begin_round();
         s.compute(Rank(1), 1.0);
         s.compute(Rank(2), 4.0);
-        pair(&mut s, 2, 1);
+        pair(s, 2, 1);
         s.compute(Rank(1), 0.5);
-        pair(&mut s, 1, 2);
+        pair(s, 1, 2);
         s.barrier_all();
-        s
     }
 
     #[test]
@@ -533,6 +707,14 @@ mod tests {
         // Every event duration, not only the deficit list.
         let want = awkward_rounds().calibrate(naive);
         assert_eq!(s.finish(), want);
+    }
+
+    /// Every awkward lookup case above, through the two-pass path: a
+    /// slot after its rank's absorber, an absorber with no slot, a zero
+    /// deficit and a double registration.
+    #[test]
+    fn awkward_rounds_stream_the_in_memory_bytes() {
+        assert_two_pass_bytes_equal("awkward", cfg(0.3, 0.0), awkward_program);
     }
 
     /// FNV-1a 64 of each generator's canonical encoding. The binary format

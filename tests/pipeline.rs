@@ -25,6 +25,39 @@ fn serialization_preserves_predictions() {
     assert_eq!(a[0].counters, b[0].counters);
 }
 
+/// The streamed generator's file is the in-memory trace's encoding, byte
+/// for byte: every app at four sizes, two seeds and three (imbalance,
+/// comm fraction) corners, the middle one heavy skew under a tiny comm
+/// fraction.
+#[test]
+fn generate_stream_writes_the_in_memory_encoding() {
+    let dir = std::env::temp_dir().join(format!("masim-gen-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.mass");
+    for app in App::ALL {
+        for ranks in [8, 27, 64, 100] {
+            for seed in [7, 11] {
+                for (imbalance, comm_fraction) in [(0.1, 0.3), (1.0, 0.02), (0.0, 0.8)] {
+                    let cfg = GenConfig {
+                        seed,
+                        imbalance,
+                        comm_fraction,
+                        ..GenConfig::test_default(app, ranks)
+                    };
+                    masim_workloads::generate_stream(&cfg, &path).expect("write stream");
+                    let got = std::fs::read(&path).expect("read stream");
+                    assert!(
+                        got == io::encode(&generate(&cfg)),
+                        "{app}({}) seed {seed}, imbalance {imbalance}, fraction {comm_fraction}",
+                        cfg.ranks
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The full pipeline on one trace: every tool produces a positive,
 /// internally consistent prediction.
 #[test]
