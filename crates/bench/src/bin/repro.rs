@@ -48,7 +48,7 @@ use masim_core::{
 use masim_obs::json::Value;
 use masim_obs::run::parse_json;
 use masim_obs::{HistData, MetricSet, RunMetrics, TraceLog};
-use masim_serve::{Bind, Server, ServerOptions, Target};
+use masim_serve::{Server, ServerOptions};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -119,16 +119,6 @@ fn check_sim_threads(n: &str, flag: &str) -> Result<(), String> {
         return Ok(());
     }
     Err(format!("{flag} '{n}': the intra-trace PDES was removed; only 1 is accepted"))
-}
-
-/// The daemon endpoint `cmd`'s `--socket <path>` or `--tcp <addr>` names.
-fn target_arg(cmd: &str, flag: &str, it: &mut Iter<String>) -> Result<Target, String> {
-    if flag == "--socket" {
-        path_arg(it, &format!("{cmd}: --socket requires a path")).map(Target::Unix)
-    } else {
-        let addr = it.next().ok_or_else(|| format!("{cmd}: --tcp requires an address"))?;
-        Ok(Target::Tcp(addr.clone()))
-    }
 }
 
 /// `fs::create_dir_all` whose error reads "`what` `dir`: cause".
@@ -496,24 +486,21 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// `repro serve`: run the study-as-a-service daemon until a `shutdown`
-/// request arrives. `--socket <path>` and/or `--tcp <addr>` choose the
-/// transports; `--cache-dir <dir>` keeps the per-trace result store on
-/// disk (`<dir>/study.ckpt.jsonl`), so an entry stored by any earlier
+/// request arrives. `--socket <path>` names the unix socket it listens
+/// on; `--cache-dir <dir>` keeps the per-trace result store on disk
+/// (`<dir>/study.ckpt.jsonl`), so an entry stored by any earlier
 /// submission, also before a restart, is a hit that runs no simulator;
 /// `--trace <dir>` exports the daemon's timeline on exit, exactly like
 /// the one-shot CLI.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let (mut socket, mut tcp) = (None, None);
+    let mut socket: Option<PathBuf> = None;
     let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut cache_dir: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" | "--tcp" => match target_arg("serve", a, &mut it)? {
-                Target::Unix(p) => socket = Some(Bind::Unix(p)),
-                Target::Tcp(t) => tcp = Some(Bind::Tcp(t)),
-            },
+            "--socket" => socket = Some(path_arg(&mut it, "serve: --socket requires a path")?),
             "--threads" => {
                 let n = it.next().ok_or("serve: --threads requires a count")?;
                 threads = parse_threads(n, "serve: --threads")?;
@@ -529,25 +516,15 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("serve: unknown argument '{other}'")),
         }
     }
-    let binds: Vec<Bind> = socket.into_iter().chain(tcp).collect();
-    if binds.is_empty() {
-        return Err("serve: need --socket <path> and/or --tcp <addr>".into());
-    }
+    let socket = socket.ok_or("serve: need --socket <path>")?;
     let trace = match &trace {
         Some(dir) => Some((dir, install_trace(dir)?)),
         None => None,
     };
     let server =
         Server::new(ServerOptions { threads, cache_dir }).map_err(|e| format!("serve: {e}"))?;
-    let descr: Vec<String> = binds
-        .iter()
-        .map(|b| match b {
-            Bind::Unix(p) => format!("unix:{}", p.display()),
-            Bind::Tcp(a) => format!("tcp:{a}"),
-        })
-        .collect();
-    eprintln!("serve: listening on {} ({threads} thread(s))", descr.join(", "));
-    server.serve(&binds).map_err(|e| format!("serve: {e}"))?;
+    eprintln!("serve: listening on unix:{} ({threads} thread(s))", socket.display());
+    server.serve(&socket).map_err(|e| format!("serve: {e}"))?;
     eprintln!("serve: shut down");
     if let Some((dir, tl)) = trace {
         write_trace(dir, tl)?;
@@ -560,7 +537,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// layout the one-shot CLI writes (report at the top, sidecars under
 /// `metrics/`), plus a `response.json` summary for scripts.
 fn submit_cmd(args: &[String]) -> Result<(), String> {
-    let mut target: Option<Target> = None;
+    let mut socket: Option<PathBuf> = None;
     let mut out = PathBuf::from("serve_out");
     let mut study: Option<String> = None;
     let mut tiny = false;
@@ -570,7 +547,7 @@ fn submit_cmd(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" | "--tcp" => target = Some(target_arg("submit", a, &mut it)?),
+            "--socket" => socket = Some(path_arg(&mut it, "submit: --socket requires a path")?),
             "--out" => out = path_arg(&mut it, "submit: --out requires a path")?,
             "--tiny" => tiny = true,
             "--quiet" => quiet = true,
@@ -589,7 +566,7 @@ fn submit_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("submit: unknown argument '{other}'")),
         }
     }
-    let target = target.ok_or("submit: need --socket <path> or --tcp <addr>")?;
+    let socket = socket.ok_or("submit: need --socket <path>")?;
     let kind = match study.as_deref() {
         Some("table2") => StudyKind::Table2 { tiny },
         Some("study") => StudyKind::Corpus { indices },
@@ -597,7 +574,7 @@ fn submit_cmd(args: &[String]) -> Result<(), String> {
         None => return Err("submit: need a study name (table2|study)".into()),
     };
     make_dir("create out dir", &out)?;
-    let summary = masim_serve::submit(&target, SessionSpec { kind, seed }, &out, quiet)
+    let summary = masim_serve::submit(&socket, SessionSpec { kind, seed }, &out, quiet)
         .map_err(|e| format!("submit: {e}"))?;
     eprintln!(
         "submit: session {} cache {} ran {}/{} in {:.3}s; wrote {}",
@@ -614,13 +591,13 @@ fn submit_cmd(args: &[String]) -> Result<(), String> {
 /// `repro ctl <status|shutdown|cancel <id>>`: one control request to a
 /// running daemon; the response frame is printed as JSON on stdout.
 fn ctl_cmd(args: &[String]) -> Result<(), String> {
-    let mut target: Option<Target> = None;
+    let mut socket: Option<PathBuf> = None;
     let mut verb: Option<String> = None;
     let mut session: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" | "--tcp" => target = Some(target_arg("ctl", a, &mut it)?),
+            "--socket" => socket = Some(path_arg(&mut it, "ctl: --socket requires a path")?),
             name if !name.starts_with('-') && verb.is_none() => verb = Some(name.to_string()),
             name if !name.starts_with('-') && session.is_none() => {
                 session = Some(name.to_string());
@@ -628,13 +605,13 @@ fn ctl_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("ctl: unknown argument '{other}'")),
         }
     }
-    let target = target.ok_or("ctl: need --socket <path> or --tcp <addr>")?;
+    let socket = socket.ok_or("ctl: need --socket <path>")?;
     let resp = match verb.as_deref() {
-        Some("status") => masim_serve::client::status(&target),
-        Some("shutdown") => masim_serve::client::shutdown(&target),
+        Some("status") => masim_serve::client::status(&socket),
+        Some("shutdown") => masim_serve::client::shutdown(&socket),
         Some("cancel") => {
             let id = session.ok_or("ctl: cancel needs a session id")?;
-            masim_serve::client::cancel(&target, &id)
+            masim_serve::client::cancel(&socket, &id)
         }
         _ => return Err("ctl: need a verb (status|shutdown|cancel <id>)".into()),
     }

@@ -73,9 +73,10 @@ fn a_report_without_a_study_leaves_nothing_to_fold() {
 
 /// The two subcommands and three flags of the deleted bench gate, and the
 /// deleted resume flag (a `--checkpoint` rerun resumes on its own),
-/// spelled in halves so a grep for the old names finds nothing in this tree.
+/// spelled in halves so a grep for the old names finds nothing in this tree;
+/// then the deleted TCP transport at each daemon subcommand.
 #[test]
-fn deleted_subcommands_and_flags_exit_1_as_unknown_reports() {
+fn deleted_subcommands_and_flags_exit_1_as_unknown() {
     let halves = [
         ("bench-", "gate"),
         ("bench-", "pdes"),
@@ -91,6 +92,12 @@ fn deleted_subcommands_and_flags_exit_1_as_unknown_reports() {
         assert_eq!(out.status.code(), Some(1), "{gone}: {stderr}");
         assert!(stderr.starts_with(&format!("repro: unknown report '{gone}'; ")), "{stderr}");
         assert_eq!(stderr.matches(gone).count(), 1, "still listed as available: {stderr}");
+    }
+    for cmd in ["serve", "submit", "ctl"] {
+        let (_, out) = repro("deleted_names", &[cmd, "--tcp", "127.0.0.1:1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert_eq!(stderr, format!("repro: {cmd}: unknown argument '--tcp'\n"));
     }
 }
 

@@ -12,7 +12,7 @@ use crate::study::Study;
 use masim_stats::{
     auc, fit, monte_carlo_cv, roc_points, trimmed_mean, Confusion, CvReport, Logistic,
 };
-use masim_trace::features::{FEATURE_NAMES, NUM_FEATURES};
+use masim_trace::{FEATURE_NAMES, NUM_FEATURES};
 
 /// DIFFtotal threshold above which a run "requires simulation".
 pub const DIFF_THRESHOLD: f64 = 0.02;

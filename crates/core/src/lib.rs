@@ -4,26 +4,26 @@
 //! model that predicts, per application, whether detailed simulation is
 //! worth its cost.
 //!
-//! * [`study`] — run every tool over one corpus entry
+//! * [`TraceStudy`] — run every tool over one corpus entry
 //!   ([`run_one_observed`]); DIFFtotal, timing ratios, completion
 //!   accounting; the plain sequential reference loop ([`Study::run`]);
 //! * [`enhanced`] — the Section VI predictor: Table III candidates + CL,
 //!   step-wise logistic selection under Monte Carlo cross-validation;
 //! * [`report`] — one generator per table/figure in the paper;
-//! * [`session`] — studies as resumable, cancelable, fingerprinted
+//! * [`Session`] — studies as resumable, cancelable, fingerprinted
 //!   session objects. [`Session::run`] is the one study executor: the
 //!   `repro` CLI and the `repro serve` daemon both run every study
 //!   through it, at any thread count, with or without a store;
-//! * [`store`] — the per-trace result store behind `--checkpoint` and
+//! * [`Store`] — the per-trace result store behind `--checkpoint` and
 //!   the daemon's cache: one content-addressed JSONL file.
 
 #![warn(missing_docs)]
 
 pub mod enhanced;
 pub mod report;
-pub mod session;
-pub mod store;
-pub mod study;
+mod session;
+mod store;
+mod study;
 
 pub use enhanced::{Dataset, Enhanced, ErrorRates, DIFF_THRESHOLD};
 pub use session::{Session, SessionError, SessionOutcome, SessionSpec, StudyKind};

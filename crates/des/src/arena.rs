@@ -99,12 +99,6 @@ impl<E> EventArena<E> {
         self.live -= 1;
         Some(payload)
     }
-
-    /// Is the handle still backed by a pending payload?
-    #[inline]
-    pub(crate) fn is_live(&self, id: EventId) -> bool {
-        self.slots.get(id.slot as usize).is_some_and(|s| s.gen == id.gen && s.payload.is_some())
-    }
 }
 
 #[cfg(test)]
@@ -116,10 +110,8 @@ mod tests {
         let mut a: EventArena<u32> = EventArena::new();
         let id = a.insert(7);
         assert_eq!(a.live(), 1);
-        assert!(a.is_live(id));
         assert_eq!(a.take(id), Some(7));
         assert_eq!(a.live(), 0);
-        assert!(!a.is_live(id));
         assert_eq!(a.take(id), None, "double take is a no-op");
     }
 
@@ -139,7 +131,6 @@ mod tests {
     fn dead_handle_is_never_live() {
         let mut a: EventArena<u32> = EventArena::new();
         a.insert(1);
-        assert!(!a.is_live(EventId::DEAD));
         assert_eq!(a.take(EventId::DEAD), None);
     }
 }

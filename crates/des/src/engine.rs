@@ -200,36 +200,6 @@ impl<S: Handler> Engine<S> {
     pub fn run(&mut self, state: &mut S) {
         while self.step(state) {}
     }
-
-    /// Run while the next event is at or before `until`; the clock is
-    /// then advanced to `until` even if idle.
-    pub fn run_until(&mut self, state: &mut S, until: Time) {
-        loop {
-            // Peek past cancelled entries without executing.
-            let next_at = loop {
-                match self.queue.peek_payload() {
-                    None => break None,
-                    Some(&id) if !self.arena.is_live(id) => {
-                        self.queue.pop();
-                    }
-                    Some(_) => {
-                        break self.queue.peek_key().map(|(at, _)| at);
-                    }
-                }
-            };
-            match next_at {
-                Some(at) if at <= until => {
-                    if !self.step(state) {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -318,32 +288,6 @@ mod tests {
         eng.schedule_at(eng.now(), 10);
         eng.run(&mut log);
         assert_eq!(log.0, vec![1, 10]);
-    }
-
-    #[test]
-    fn run_until_stops_and_advances_clock() {
-        let mut eng: Engine<Log> = Engine::new();
-        let mut log = Log(Vec::new());
-        eng.schedule_at(Time::from_ns(10), 1);
-        eng.schedule_at(Time::from_ns(50), 2);
-        eng.run_until(&mut log, Time::from_ns(25));
-        assert_eq!(log.0, vec![1]);
-        assert_eq!(eng.now(), Time::from_ns(25));
-        assert_eq!(eng.pending(), 1);
-        eng.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
-    }
-
-    #[test]
-    fn run_until_with_cancelled_head() {
-        let mut eng: Engine<Log> = Engine::new();
-        let mut log = Log(Vec::new());
-        let a = eng.schedule_at(Time::from_ns(10), 1);
-        eng.schedule_at(Time::from_ns(40), 2);
-        eng.cancel(a);
-        eng.run_until(&mut log, Time::from_ns(20));
-        assert!(log.0.is_empty());
-        assert_eq!(eng.pending(), 1);
     }
 
     #[test]

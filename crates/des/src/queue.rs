@@ -483,7 +483,7 @@ mod tests {
         q.push(far, 9);
         // Materialize the head (slides the window far forward)…
         assert_eq!(q.peek_key().unwrap().0, far);
-        // …then push an earlier event, as run_until + schedule_at can.
+        // …then push an earlier event, as a caller that peeks first can.
         q.push(Time::from_ns(5), 1);
         let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, p)| p).collect();
         assert_eq!(order, vec![1, 9]);

@@ -223,8 +223,8 @@ impl Pair {
         })
     }
 
-    /// Skip cancelled heads the way `Engine::run_until` does, then pop
-    /// one live entry.
+    /// Skip cancelled heads, as `Engine::step` does, then pop one live
+    /// entry.
     fn execute(&mut self) {
         while self.q.peek_payload().is_some_and(|p| self.cancelled.contains(p)) {
             self.pop();

@@ -5,10 +5,10 @@
 //!
 //! * [`cost`] — Hockney point-to-point and Thakur–Gropp collective cost
 //!   models, split into latency and bandwidth parts;
-//! * [`replay`](mod@replay) — the single-pass, multi-configuration logical-clock
+//! * [`replay()`] — the single-pass, multi-configuration logical-clock
 //!   trace replay with the four counters (wait, latency, bandwidth,
 //!   computation);
-//! * [`classify`] — the sensitivity-sweep classifier (computation-bound,
+//! * [`try_classify`] — the sensitivity-sweep classifier (computation-bound,
 //!   load-imbalance-bound, bandwidth-, latency-, communication-bound)
 //!   and the paper's "communication-sensitive" rollup.
 //!
@@ -43,10 +43,10 @@
 
 #![warn(missing_docs)]
 
-pub mod classify;
+mod classify;
 pub mod cost;
-pub mod error;
-pub mod replay;
+mod error;
+mod replay;
 
 pub use classify::{probe_configs, try_classify, AppClass, Classification, SENSITIVITY_THRESHOLD};
 pub use cost::{collective, p2p, CommCost};

@@ -22,12 +22,12 @@
 //! (e.g. `core.study.parallel.worker/w00`).
 
 pub mod hist;
-pub mod host;
+mod host;
 pub mod json;
-pub mod metrics;
-pub mod progress;
+mod metrics;
+mod progress;
 pub mod run;
-pub mod span;
+mod span;
 pub mod tracelog;
 
 pub use hist::{HistData, Histogram};

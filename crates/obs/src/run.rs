@@ -25,8 +25,6 @@
 //! only in `BENCH_obs.json`.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 use crate::hist::HistData;
 use crate::json::{self, ParseError, Value};
@@ -64,10 +62,6 @@ impl RunMetrics {
 
     pub fn to_json(&self) -> String {
         snapshot_to_json(&self.labels, &self.set.snapshot())
-    }
-
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
     }
 }
 

@@ -40,11 +40,6 @@ impl SpanStats {
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// Mean observation, zero when empty.
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// Live stopwatch; records on drop. Obtain via
@@ -119,6 +114,5 @@ mod tests {
         assert_eq!(s.sum_ns, 16);
         assert_eq!(s.min_ns, 2);
         assert_eq!(s.max_ns, 9);
-        assert_eq!(s.mean_ns(), 5);
     }
 }

@@ -10,34 +10,12 @@
 //! else is a typed error and nothing is written.
 
 use crate::protocol::{read_frame, write_frame, Request, ServeError};
-use masim_core::session::SessionSpec;
+use masim_core::SessionSpec;
 use masim_obs::json::Value;
 use masim_obs::Progress;
 use std::ffi::OsStr;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-
-/// Where the daemon lives, from the client's point of view.
-#[derive(Clone, Debug)]
-pub enum Target {
-    /// A unix-domain socket path.
-    Unix(PathBuf),
-    /// A TCP address, e.g. `127.0.0.1:7077`.
-    Tcp(String),
-}
-
-/// A connected stream to the daemon (unix or TCP, same protocol).
-pub trait Conn: Read + Write {}
-
-impl<S: Read + Write> Conn for S {}
-
-/// Connect to the daemon.
-pub fn connect(target: &Target) -> std::io::Result<Box<dyn Conn>> {
-    Ok(match target {
-        Target::Unix(path) => Box::new(std::os::unix::net::UnixStream::connect(path)?),
-        Target::Tcp(addr) => Box::new(std::net::TcpStream::connect(addr)?),
-    })
-}
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 
 /// What a completed [`submit`] reported.
 #[derive(Clone, Debug)]
@@ -102,12 +80,12 @@ fn u64_field(v: &Value, field: &str) -> Result<u64, ServeError> {
 /// (report at the top, sidecars in `metrics/`, summary in
 /// `response.json`). `quiet` suppresses the client-side progress bar.
 pub fn submit(
-    target: &Target,
+    socket: &Path,
     spec: SessionSpec,
     out_dir: &Path,
     quiet: bool,
 ) -> Result<SubmitSummary, ServeError> {
-    let mut conn = connect(target)?;
+    let mut conn = UnixStream::connect(socket)?;
     write_frame(&mut conn, &Request::Submit(spec).to_value())?;
 
     let metrics_dir = out_dir.join("metrics");
@@ -181,31 +159,31 @@ pub fn submit(
 }
 
 /// One-request helper: send `req`, return the single response frame.
-fn roundtrip(target: &Target, req: &Request) -> Result<Value, ServeError> {
-    let mut conn = connect(target)?;
+fn roundtrip(socket: &Path, req: &Request) -> Result<Value, ServeError> {
+    let mut conn = UnixStream::connect(socket)?;
     write_frame(&mut conn, &req.to_value())?;
     read_frame(&mut conn)
 }
 
 /// Fetch the daemon's `status` frame (sessions, cache, counters).
-pub fn status(target: &Target) -> Result<Value, ServeError> {
-    roundtrip(target, &Request::Status)
+pub fn status(socket: &Path) -> Result<Value, ServeError> {
+    roundtrip(socket, &Request::Status)
 }
 
 /// Cancel a running session by id; returns the server's response frame.
-pub fn cancel(target: &Target, session: &str) -> Result<Value, ServeError> {
-    roundtrip(target, &Request::Cancel { session: session.to_string() })
+pub fn cancel(socket: &Path, session: &str) -> Result<Value, ServeError> {
+    roundtrip(socket, &Request::Cancel { session: session.to_string() })
 }
 
 /// Ask the daemon to exit; returns its acknowledgement frame.
-pub fn shutdown(target: &Target) -> Result<Value, ServeError> {
-    roundtrip(target, &Request::Shutdown)
+pub fn shutdown(socket: &Path) -> Result<Value, ServeError> {
+    roundtrip(socket, &Request::Shutdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masim_core::session::StudyKind;
+    use masim_core::StudyKind;
     use std::os::unix::net::UnixListener;
 
     fn frame(kind: &str, fields: Vec<(&str, Value)>) -> Value {
@@ -298,7 +276,7 @@ mod tests {
             });
 
             let spec = SessionSpec { kind: StudyKind::Table2 { tiny: true }, seed: 7 };
-            let err = submit(&Target::Unix(sock), spec, &dir.join("out"), true).unwrap_err();
+            let err = submit(&sock, spec, &dir.join("out"), true).unwrap_err();
             daemon.join().unwrap();
             assert!(
                 matches!(&err, ServeError::Remote { kind, message }

@@ -16,7 +16,7 @@
 //! the JSON parser's typed error — a hostile or corrupt peer can never
 //! panic the daemon or abort the allocator.
 
-use masim_core::session::{SessionSpec, StudyKind};
+use masim_core::{SessionSpec, StudyKind};
 use masim_obs::json::{parse, Value};
 use std::fmt;
 use std::io::{Read, Write};

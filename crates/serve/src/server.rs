@@ -15,12 +15,16 @@
 //! an emit error).
 
 use crate::protocol::{error_frame, read_frame, write_frame, Request, ServeError};
-use masim_core::session::{Session, SessionError, SessionOutcome, SessionSpec};
-use masim_core::store::{Sidecar, Store, StoreError, CODE_FINGERPRINT};
+use masim_core::{
+    Session, SessionError, SessionOutcome, SessionSpec, Sidecar, Store, StoreError,
+    CODE_FINGERPRINT,
+};
 use masim_obs::json::Value;
 use masim_obs::{lock, MetricSet};
-use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileTypeExt;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -35,15 +39,6 @@ pub const CACHE_MISS_COUNTER: &str = "serve.cache.miss";
 pub const SESSIONS_COMPLETED_COUNTER: &str = "serve.sessions.completed";
 /// Span: wall-clock of each executed (non-cached) session.
 pub const SESSION_WALL_SPAN: &str = "serve.session.wall";
-
-/// Where the daemon listens.
-#[derive(Clone, Debug)]
-pub enum Bind {
-    /// A unix-domain socket at this path (stale files are replaced).
-    Unix(PathBuf),
-    /// A TCP listen address, e.g. `127.0.0.1:7077`.
-    Tcp(String),
-}
 
 /// Construction knobs for [`Server`].
 pub struct ServerOptions {
@@ -111,56 +106,29 @@ impl Server {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Listen on every bind and serve until [`Server::request_shutdown`]
-    /// (usually via a `shutdown` request). Each connection is handled on
-    /// its own scoped thread; the unix socket file is removed on exit.
-    pub fn serve(&self, binds: &[Bind]) -> std::io::Result<()> {
-        let mut unix = Vec::new();
-        let mut tcp = Vec::new();
-        for b in binds {
-            match b {
-                Bind::Unix(path) => {
-                    // A previous daemon's stale socket file would make
-                    // bind fail; this daemon owns the path now.
-                    let _ = std::fs::remove_file(path);
-                    let l = std::os::unix::net::UnixListener::bind(path)?;
-                    l.set_nonblocking(true)?;
-                    unix.push((l, path.clone()));
-                }
-                Bind::Tcp(addr) => {
-                    let l = std::net::TcpListener::bind(addr)?;
-                    l.set_nonblocking(true)?;
-                    tcp.push(l);
-                }
-            }
-        }
+    /// Listen on the unix socket at `path` and serve until
+    /// [`Server::request_shutdown`] (usually via a `shutdown` request).
+    /// Each connection is handled on its own scoped thread; the socket
+    /// file is removed on exit. A path a live daemon answers on is an
+    /// `AddrInUse` error, and one that is not a socket is left alone.
+    pub fn serve(&self, path: &Path) -> io::Result<()> {
+        remove_stale_socket(path)?;
+        let listener = UnixListener::bind(path)?;
+        listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
             while !self.shutting_down() {
-                let mut idle = true;
-                for (l, _) in &unix {
-                    // Nothing waiting (`WouldBlock`) and a failed accept
-                    // both leave the loop polling.
-                    if let Ok((mut stream, _)) = l.accept() {
-                        idle = false;
+                // Nothing waiting (`WouldBlock`) and a failed accept both
+                // leave the loop polling.
+                match listener.accept() {
+                    Ok((mut stream, _)) => {
                         let _ = stream.set_nonblocking(false);
                         scope.spawn(move || self.handle_conn(&mut stream));
                     }
-                }
-                for l in &tcp {
-                    if let Ok((mut stream, _)) = l.accept() {
-                        idle = false;
-                        let _ = stream.set_nonblocking(false);
-                        scope.spawn(move || self.handle_conn(&mut stream));
-                    }
-                }
-                if idle {
-                    std::thread::sleep(Duration::from_millis(20));
+                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
                 }
             }
         });
-        for (_, path) in &unix {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(path);
         Ok(())
     }
 
@@ -376,6 +344,25 @@ impl Server {
     }
 }
 
+/// Clear the way for binding `path`: remove a previous daemon's socket
+/// file only if nothing answers on it. A live daemon's socket is
+/// `AddrInUse`, and any file that is not a socket is an error, kept.
+fn remove_stale_socket(path: &Path) -> io::Result<()> {
+    let meta = match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        meta => meta?,
+    };
+    if !meta.file_type().is_socket() {
+        let msg = format!("{} exists and is not a socket", path.display());
+        return Err(io::Error::new(io::ErrorKind::AlreadyExists, msg));
+    }
+    if UnixStream::connect(path).is_ok() {
+        let msg = format!("{}: a daemon is already listening", path.display());
+        return Err(io::Error::new(io::ErrorKind::AddrInUse, msg));
+    }
+    std::fs::remove_file(path)
+}
+
 // ---------------------------------------------------------------------
 // Frame constructors
 // ---------------------------------------------------------------------
@@ -446,7 +433,7 @@ fn done_frame(sid: &str, cache: &str, ran: u64, wall: Duration) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masim_core::session::StudyKind;
+    use masim_core::StudyKind;
 
     /// Drive `handle_conn` over an in-memory socketpair without running
     /// any study: status, cancel of an unknown session, bad requests,

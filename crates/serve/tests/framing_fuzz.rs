@@ -8,8 +8,8 @@
 //! classified outcomes, zero process-level faults.
 
 use masim_obs::json::Value;
-use masim_serve::protocol::{read_frame, write_frame, Request, ServeError};
 use masim_serve::MAX_FRAME_LEN;
+use masim_serve::{read_frame, write_frame, Request, ServeError};
 use std::io::Cursor;
 
 /// Deterministic splitmix64 stream (same idiom as the obs JSON fuzz).

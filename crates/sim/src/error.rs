@@ -47,7 +47,7 @@ pub enum SimError {
         /// Total ranks in the trace.
         total: u32,
         /// A sample of the blocked ranks (at most
-        /// [`DEADLOCK_RANK_SAMPLE`], in rank order).
+        /// `DEADLOCK_RANK_SAMPLE`, in rank order).
         waiting_ranks: Vec<u32>,
     },
     /// The configuration cannot be simulated at all: the mapping does

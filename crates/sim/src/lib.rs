@@ -6,7 +6,7 @@
 //! point-to-point rounds of the standard MPICH algorithms
 //! ([`lower`]); and all traffic is routed over the target machine's
 //! topology through one of three contention-aware network models
-//! ([`net`]): packet, flow, or hybrid packet-flow.
+//! ([`ModelKind`]): packet, flow, or hybrid packet-flow.
 //!
 //! The algorithm shapes match `masim-mfact`'s analytic formulas, so in
 //! the uncongested limit the simulator and the modeler agree; every
@@ -35,20 +35,18 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
+mod error;
 pub(crate) mod hash;
 pub mod lower;
-pub mod msg;
-pub mod net;
-pub mod runner;
-pub mod util_report;
+mod msg;
+mod net;
+mod runner;
 
 pub use error::SimError;
 pub use net::ModelKind;
 pub use runner::{
     run, simulate_budgeted, simulate_streamed_limited, SimConfig, SimLimits, SimResult,
 };
-pub use util_report::UtilReport;
 
 /// Default packet size for the packet model (SST/Macro recommends
 /// 1–8 KiB; 1 KiB is the high-fidelity end, which is what makes the packet model the slowest tool).

@@ -112,12 +112,6 @@ impl RouteRef {
     pub fn len(self) -> usize {
         self.len as usize
     }
-
-    /// Interned routes always carry ≥ 2 links (injection + ejection);
-    /// only the sentinel is empty.
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
 }
 
 /// Ranks up to which the (src, dst) → route index is a dense
@@ -268,11 +262,6 @@ impl LinkTable {
     /// Total number of links (fabric + virtual).
     pub fn len(&self) -> usize {
         self.caps.len()
-    }
-
-    /// True when the table is empty (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
     }
 
     /// Estimated resident footprint, for the memory-budget check.

@@ -109,7 +109,7 @@ pub struct SimResult {
     pub max_link_bytes: u64,
     /// Total bytes charged to every directed link, in link-table order
     /// (fabric links, then one injection and one ejection link per
-    /// rank) — the input of [`UtilReport`](crate::UtilReport).
+    /// rank).
     pub link_bytes: Vec<u64>,
 }
 

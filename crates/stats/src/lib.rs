@@ -1,12 +1,12 @@
 //! `masim-stats`: the statistical toolkit behind the enhanced MFACT
 //! (Section VI of the paper).
 //!
-//! * [`matrix`] — dense mini linear algebra for ≤ 6×6 IRLS solves;
-//! * [`logistic`] — logistic regression via iteratively reweighted least
+//! * [`Matrix`] — dense mini linear algebra for ≤ 6×6 IRLS solves;
+//! * [`fit`] — logistic regression via iteratively reweighted least
 //!   squares with internal standardization and raw-scale coefficients;
-//! * [`select`] — AIC-guided step-wise forward selection (≤ 5 variables);
-//! * [`mccv`] — Monte Carlo cross-validation (100 × 80/20 splits);
-//! * [`metrics`] — confusion counts, MR/FN/FP rates, 2 %-trimmed means.
+//! * [`forward_select`] — AIC-guided step-wise forward selection (≤ 5 variables);
+//! * [`monte_carlo_cv`] — Monte Carlo cross-validation (100 × 80/20 splits);
+//! * [`Confusion`] — confusion counts, MR/FN/FP rates, 2 %-trimmed means.
 //!
 //! # Example
 //!
@@ -24,11 +24,11 @@
 
 #![warn(missing_docs)]
 
-pub mod logistic;
-pub mod matrix;
-pub mod mccv;
-pub mod metrics;
-pub mod select;
+mod logistic;
+mod matrix;
+mod mccv;
+mod metrics;
+mod select;
 
 pub use logistic::{fit, FitError, Logistic};
 pub use matrix::Matrix;

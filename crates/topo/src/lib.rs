@@ -2,20 +2,20 @@
 //! configurations, and task mappings.
 //!
 //! The simulator charges traffic to the directed links a [`Topology`]
-//! enumerates; MFACT only consumes the scalar [`machine::NetworkConfig`].
+//! enumerates; MFACT only consumes the scalar [`NetworkConfig`].
 //! Three topology classes are provided, matching SST/Macro's catalogue
 //! as used in the paper: 3-D torus (Gemini: Cielito, Hopper), dragonfly
 //! (Aries: Edison), and a leaf-spine fat tree (for ablations).
 
 #![warn(missing_docs)]
 
-pub mod dragonfly;
-pub mod error;
-pub mod fattree;
-pub mod machine;
-pub mod mapping;
-pub mod topology;
-pub mod torus;
+mod dragonfly;
+mod error;
+mod fattree;
+mod machine;
+mod mapping;
+mod topology;
+mod torus;
 
 pub use dragonfly::Dragonfly;
 pub use error::TopoError;

@@ -5,18 +5,18 @@
 //! replay a recorded stream of MPI calls per rank. This crate provides
 //! that common substrate:
 //!
-//! * [`time::Time`] — integer picosecond simulated time;
-//! * [`units::Bandwidth`] — link rates and exact serialization times;
-//! * [`ids`] — `Rank` / `NodeId` / `ReqId` newtypes;
-//! * [`event`] — the MPI event model (point-to-point, nonblocking
+//! * [`Time`] — integer picosecond simulated time;
+//! * [`Bandwidth`] — link rates and exact serialization times;
+//! * [`Rank`] / [`NodeId`] / [`ReqId`] newtypes;
+//! * [`Event`] — the MPI event model (point-to-point, nonblocking
 //!   requests, collectives, compute gaps) with measured durations;
-//! * [`trace`] — the per-rank trace container, a builder, and structural
+//! * [`Trace`] — the per-rank trace container, a builder, and structural
 //!   validation (send/recv matching, request lifecycle, collective
 //!   agreement);
-//! * [`io`] — the binary trace format (MASS v1), and [`stream`] — its
+//! * [`io`] — the binary trace format (MASS v1), and [`StreamedTrace`] — its
 //!   one-rank-at-a-time reader;
-//! * [`features`] — the 34 measurable Table III features;
-//! * [`mailbox`] — per-rank (source, tag) matching, shared by the
+//! * [`Features`] — the 34 measurable Table III features;
+//! * [`Mailbox`] — per-rank (source, tag) matching, shared by the
 //!   simulator and MFACT.
 //!
 //! # Example
@@ -53,15 +53,15 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod features;
-pub mod ids;
+mod event;
+mod features;
+mod ids;
 pub mod io;
-pub mod mailbox;
-pub mod stream;
-pub mod time;
-pub mod trace;
-pub mod units;
+mod mailbox;
+mod stream;
+mod time;
+mod trace;
+mod units;
 
 pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};

@@ -25,11 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod apps;
-pub mod config;
-pub mod corpus;
-pub mod cost;
-pub mod synth;
+mod apps;
+mod config;
+mod corpus;
+mod cost;
+mod synth;
 
 pub use apps::{generate, generate_stream};
 pub use config::{App, GenConfig};

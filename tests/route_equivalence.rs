@@ -27,7 +27,7 @@
 mod common;
 
 use masim_core::report;
-use masim_core::study::{run_one_observed, ObservedTrace};
+use masim_core::{run_one_observed, ObservedTrace};
 use masim_core::{Key, Store, CODE_FINGERPRINT, STORE_FILE};
 use std::fmt::Write as _;
 use std::sync::OnceLock;

@@ -13,9 +13,12 @@ use masim_core::{Session, SessionSpec, StudyKind};
 use masim_obs::json::Value;
 use masim_obs::run::parse_json;
 use masim_obs::MetricSet;
-use masim_serve::{client, Bind, Server, ServerOptions, Target};
+use masim_serve::{client, Server, ServerOptions};
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,21 +64,21 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// A daemon with two study workers, its store under `root/cache`,
 /// listening on `root/repro.sock` once this returns.
-fn start(root: &Path) -> (Arc<Server>, JoinHandle<()>, Target) {
+fn start(root: &Path) -> (Arc<Server>, JoinHandle<()>, PathBuf) {
     let sock = root.join("repro.sock");
     let server = Server::new(ServerOptions { threads: 2, cache_dir: Some(root.join("cache")) });
     let server = Arc::new(server.expect("open the store"));
     let daemon = {
         let server = server.clone();
         let sock = sock.clone();
-        std::thread::spawn(move || server.serve(&[Bind::Unix(sock)]).expect("serve loop"))
+        std::thread::spawn(move || server.serve(&sock).expect("serve loop"))
     };
     let deadline = Instant::now() + Duration::from_secs(10);
     while !sock.exists() {
         assert!(Instant::now() < deadline, "daemon never bound {}", sock.display());
         std::thread::sleep(Duration::from_millis(10));
     }
-    (server, daemon, Target::Unix(sock))
+    (server, daemon, sock)
 }
 
 /// Every file under `dir` (one level of subdirectories), by relative
@@ -97,14 +100,13 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn socket_submission_matches_in_process_run_and_caches() {
     let root = scratch("session");
-    let sock = root.join("repro.sock");
     // Two study workers in the daemon against the one-worker in-process
     // reference below: served ≡ one-shot holds across thread counts too.
-    let (server, daemon, target) = start(&root);
+    let (server, daemon, sock) = start(&root);
 
     // --- first submission: a cache miss that actually runs ---
     let out1 = root.join("out1");
-    let s1 = client::submit(&target, spec(), &out1, true).expect("first submit");
+    let s1 = client::submit(&sock, spec(), &out1, true).expect("first submit");
     assert_eq!(s1.cache, "miss");
     assert_eq!(s1.total, INDICES.len() as u64);
     assert_eq!(s1.ran, INDICES.len() as u64, "a miss runs every entry");
@@ -144,7 +146,7 @@ fn socket_submission_matches_in_process_run_and_caches() {
 
     // --- second submission: identical spec, served from the cache ---
     let out2 = root.join("out2");
-    let s2 = client::submit(&target, spec(), &out2, true).expect("second submit");
+    let s2 = client::submit(&sock, spec(), &out2, true).expect("second submit");
     assert_eq!(s2.cache, "hit");
     assert_eq!(s2.ran, 0, "a hit must not invoke a single simulator");
     let counters = server.metrics().snapshot().counters;
@@ -167,7 +169,7 @@ fn socket_submission_matches_in_process_run_and_caches() {
     }
 
     // --- status sees both sessions; shutdown stops the accept loop ---
-    let status = client::status(&target).expect("status");
+    let status = client::status(&sock).expect("status");
     let sessions = match status.get("sessions") {
         Some(Value::Arr(items)) => items,
         other => panic!("status.sessions missing: {other:?}"),
@@ -178,7 +180,7 @@ fn socket_submission_matches_in_process_run_and_caches() {
         assert_eq!(s.get("done").and_then(Value::as_u64), Some(INDICES.len() as u64));
     }
 
-    client::shutdown(&target).expect("shutdown ack");
+    client::shutdown(&sock).expect("shutdown ack");
     daemon.join().expect("daemon thread");
     assert!(!sock.exists(), "socket file must be removed on shutdown");
     let _ = std::fs::remove_dir_all(&root);
@@ -192,9 +194,9 @@ fn socket_submission_matches_in_process_run_and_caches() {
 #[test]
 fn stored_entries_are_hits_across_submissions_and_restarts() {
     let root = scratch("store");
-    let (_, daemon, target) = start(&root);
+    let (_, daemon, sock) = start(&root);
     let submit = |indices: &[usize], out: &str| {
-        client::submit(&target, subset(indices), &root.join(out), true).expect(out)
+        client::submit(&sock, subset(indices), &root.join(out), true).expect(out)
     };
 
     let first = submit(&[3], "first");
@@ -206,15 +208,67 @@ fn stored_entries_are_hits_across_submissions_and_restarts() {
     let again = submit(&[3], "again");
     assert_eq!((again.cache.as_str(), again.ran), ("hit", 0), "a stored subset is a hit");
     assert_eq!(files(&root.join("first")), files(&root.join("again")));
-    client::shutdown(&target).expect("shutdown ack");
+    client::shutdown(&sock).expect("shutdown ack");
     daemon.join().expect("daemon thread");
 
-    let (server, daemon, target) = start(&root);
-    let cold = client::submit(&target, spec(), &root.join("restarted"), true).expect("restarted");
+    let (server, daemon, sock) = start(&root);
+    let cold = client::submit(&sock, spec(), &root.join("restarted"), true).expect("restarted");
     assert_eq!((cold.cache.as_str(), cold.ran), ("hit", 0), "served from the store on disk");
     assert_eq!(files(&root.join("both")), files(&root.join("restarted")));
     assert_eq!(server.metrics().snapshot().counters.get("serve.cache.hit"), Some(&1));
-    client::shutdown(&target).expect("shutdown ack");
+    client::shutdown(&sock).expect("shutdown ack");
     daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A fresh daemon on `path` in a thread: what it refuses to bind with.
+/// One that binds instead never returns, which fails here.
+fn refusal(path: &Path) -> std::io::Error {
+    let server = Server::new(ServerOptions { threads: 1, cache_dir: None }).expect("memory store");
+    let (tx, rx) = mpsc::channel();
+    let owned = path.to_path_buf();
+    std::thread::spawn(move || tx.send(server.serve(&owned)));
+    let result = rx.recv_timeout(Duration::from_secs(10));
+    result.expect("serve bound instead of refusing").expect_err("serve returned Ok")
+}
+
+/// `serve` takes over a socket path only when nobody answers on it: a
+/// live daemon's socket is `AddrInUse` and that daemon keeps serving; a
+/// regular file is an error and stays as it was; a stale socket file
+/// (its daemon gone) is replaced.
+#[test]
+fn serve_replaces_only_a_stale_socket() {
+    let root = scratch("claim");
+
+    let (_, daemon, sock) = start(&root);
+    let err = refusal(&sock);
+    assert_eq!(err.kind(), ErrorKind::AddrInUse, "{err}");
+    client::status(&sock).expect("the first daemon still answers");
+    client::shutdown(&sock).expect("shutdown ack");
+    daemon.join().expect("daemon thread");
+
+    let file = root.join("notes.txt");
+    std::fs::write(&file, "keep me").unwrap();
+    let err = refusal(&file);
+    assert!(err.to_string().contains("not a socket"), "{err}");
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), "keep me");
+
+    let stale = root.join("stale.sock");
+    drop(UnixListener::bind(&stale).unwrap());
+    assert!(stale.exists(), "a dropped listener leaves its socket file");
+    let server = Server::new(ServerOptions { threads: 1, cache_dir: None }).expect("memory store");
+    let daemon = {
+        let stale = stale.clone();
+        std::thread::spawn(move || server.serve(&stale).expect("a stale socket is replaced"))
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client::status(&stale).is_err() {
+        assert!(!daemon.is_finished(), "serve gave up on a stale socket");
+        assert!(Instant::now() < deadline, "daemon never answered on {}", stale.display());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    client::shutdown(&stale).expect("shutdown ack");
+    daemon.join().expect("daemon thread");
+    assert!(!stale.exists(), "socket file must be removed on shutdown");
     let _ = std::fs::remove_dir_all(&root);
 }
