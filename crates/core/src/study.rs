@@ -113,7 +113,7 @@ impl ToolFailure {
                 delay_ps: overflow.delay.as_ps(),
             },
             SimError::InvalidConfig { reason } => ToolFailure::InvalidConfig { reason },
-            SimError::UnknownRequest { .. }
+            SimError::Malformed(_)
             | SimError::OversizedMessage { .. }
             | SimError::CollectiveTagOverflow { .. } => {
                 ToolFailure::InvalidConfig { reason: e.to_string() }

@@ -1,12 +1,16 @@
 //! Typed replay failures.
 //!
-//! Malformed traces (deadlocks, dangling or reused request ids,
-//! out-of-range peers) are data under the fault-contained study runner —
+//! Malformed traces are data under the fault-contained study runner —
 //! the study records the trace as failed with a cause — so the replay
-//! core returns a [`ReplayError`] through
-//! [`crate::try_replay`]. The panicking [`crate::replay()`] wrapper
-//! stays because `benchmark/src/adapter.rs` binds it.
+//! core returns a [`ReplayError`] through [`crate::try_replay`]. A trace
+//! that breaks an MPI request or peer rule fails with the same
+//! [`TraceError`] that [`masim_trace::Trace::validate`] and the
+//! simulator report, as all three check it through
+//! [`masim_trace::Requests`] and [`masim_trace::check_peer`]. The
+//! panicking [`crate::replay()`] wrapper stays because
+//! `benchmark/src/adapter.rs` binds it.
 
+use masim_trace::TraceError;
 use std::fmt;
 
 /// Why a logical-clock replay could not complete.
@@ -21,31 +25,18 @@ pub enum ReplayError {
         /// Total ranks in the trace.
         total: u32,
     },
-    /// A `Wait`/`WaitAll` referenced a request id that was never issued
-    /// (or was already retired) — a malformed trace.
-    UnknownRequest {
-        /// The waiting rank.
-        rank: u32,
-        /// The dangling request id.
-        req: u32,
-    },
-    /// An `Isend`/`Irecv` reused a request id that is still outstanding
-    /// (or `u32::MAX`, which the replay reserves for blocking receives).
-    RequestReuse {
-        /// The issuing rank.
-        rank: u32,
-        /// The reused request id.
-        req: u32,
-    },
-    /// A point-to-point event names a peer outside the trace's ranks.
-    PeerOutOfRange {
-        /// The rank that sends or receives.
-        rank: u32,
-        /// The out-of-range peer.
-        peer: u32,
-    },
+    /// An event broke an MPI rule: a request id reused while
+    /// outstanding, a wait on a request that is not, or an out-of-range
+    /// peer.
+    Malformed(TraceError),
     /// The replay was invoked with an empty configuration list.
     NoConfigs,
+}
+
+impl From<TraceError> for ReplayError {
+    fn from(e: TraceError) -> ReplayError {
+        ReplayError::Malformed(e)
+    }
 }
 
 impl fmt::Display for ReplayError {
@@ -54,15 +45,7 @@ impl fmt::Display for ReplayError {
             ReplayError::Deadlock { finished, total } => {
                 write!(f, "replay deadlocked: {finished}/{total} ranks finished (invalid trace?)")
             }
-            ReplayError::UnknownRequest { rank, req } => {
-                write!(f, "rank {rank} waits on unknown request {req}")
-            }
-            ReplayError::RequestReuse { rank, req } => {
-                write!(f, "rank {rank} reuses outstanding request {req}")
-            }
-            ReplayError::PeerOutOfRange { rank, peer } => {
-                write!(f, "rank {rank} addresses out-of-range peer {peer}")
-            }
+            ReplayError::Malformed(e) => write!(f, "malformed trace: {e}"),
             ReplayError::NoConfigs => write!(f, "need at least one configuration"),
         }
     }

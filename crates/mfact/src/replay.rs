@@ -14,7 +14,9 @@ use crate::cost::{collective, p2p, CommCost};
 use crate::error::ReplayError;
 use masim_obs::MetricSet;
 use masim_topo::NetworkConfig;
-use masim_trace::{Event, EventKind, Mailbox, Rank, RankCursor, ReqId, Time, Trace, TraceSource};
+use masim_trace::{
+    check_peer, Event, EventKind, Mailbox, Rank, RankCursor, Requests, Time, Trace, TraceSource,
+};
 use std::collections::VecDeque;
 
 /// One target configuration for the replay.
@@ -77,23 +79,18 @@ pub struct ConfigResult {
     pub counters: Counters,
 }
 
-/// Request id of a blocking receive: it has no request object, so it
-/// runs as an implicit irecv + wait under this reserved id.
-const BLOCKING: u32 = u32::MAX;
+/// Mailbox token of a blocking receive. It has no request object, so it
+/// runs as an implicit irecv + wait in its rank's blocking slot, outside
+/// the request table, under a token no request id (< 2^32) can take.
+const BLOCKING_RECV: u64 = 1 << 32;
 
-/// One outstanding request on a rank.
+/// The state of an outstanding request, or of a posted blocking receive.
 #[derive(Clone, Copy)]
 enum ReqState {
-    /// Send requests complete locally (buffered semantics).
+    /// An `Isend`: complete at issue (buffered semantics).
     SendDone,
     /// A receive: the availability row of its matched send, once matched.
     Recv(Option<u32>),
-}
-
-/// Index of request `req` in a rank's outstanding requests (unsorted;
-/// a rank holds a few dozen at most, so a scan beats hashing).
-fn find(reqs: &[(u32, ReqState)], req: u32) -> Option<usize> {
-    reqs.iter().position(|&(id, _)| id == req)
 }
 
 /// Availability vectors of sends not yet consumed by their receive: the
@@ -139,23 +136,26 @@ impl Slab {
 /// be woken.
 fn deliver(
     mailboxes: &mut [Mailbox],
-    reqs: &mut [Vec<(u32, ReqState)>],
+    reqs: &mut [Requests<ReqState>],
+    blocking: &mut [Option<ReqState>],
     src: u32,
     dst: u32,
     tag: u32,
     row: u32,
 ) -> bool {
     let dst = dst as usize;
-    let Some(req) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
+    let Some(token) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
         return false;
     };
-    // Request ids are unique while outstanding, and a waiting receive
-    // keeps its record until it matches.
-    let (_, state) = reqs[dst]
-        .iter_mut()
-        .find(|(id, _)| *id == req as u32)
-        .expect("a waiting receive keeps its request record");
-    *state = ReqState::Recv(Some(row));
+    // A waiting receive keeps its request record, or its blocking slot,
+    // until it matches.
+    let state = match token {
+        BLOCKING_RECV => blocking[dst].as_mut(),
+        req => reqs[dst].get_mut(req as u32).ok(),
+    };
+    if let Some(state) = state {
+        *state = ReqState::Recv(Some(row));
+    }
     true
 }
 
@@ -296,9 +296,13 @@ fn replay_core<S: EvSrc>(
     let mut comp = vec![Time::ZERO; n * k];
     let mut counters = vec![Counters::default(); k];
     // Per destination rank: queued sends (payload: availability row) and
-    // waiting receives (token: request id) by (source, tag).
+    // waiting receives (token: request id, or `BLOCKING_RECV`) by
+    // (source, tag).
     let mut mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::default()).collect();
-    let mut reqs: Vec<Vec<(u32, ReqState)>> = vec![Vec::new(); n];
+    let mut reqs: Vec<Requests<ReqState>> =
+        (0..num_ranks).map(|r| Requests::new(Rank(r))).collect();
+    // Per rank: its blocking receive, while one is posted.
+    let mut blocking: Vec<Option<ReqState>> = vec![None; n];
     let mut slab = Slab { k, rows: Vec::new(), free: Vec::new() };
     let mut cursors = vec![0usize; n];
     // Sized by the first collective.
@@ -322,20 +326,6 @@ fn replay_core<S: EvSrc>(
             }
         };
     }
-    let check_peer = |rank: u32, peer: Rank| {
-        if peer.0 < num_ranks {
-            Ok(())
-        } else {
-            Err(ReplayError::PeerOutOfRange { rank, peer: peer.0 })
-        }
-    };
-    let check_fresh = |reqs: &[(u32, ReqState)], rank: u32, req: u32| {
-        if req == BLOCKING || find(reqs, req).is_some() {
-            Err(ReplayError::RequestReuse { rank, req })
-        } else {
-            Ok(())
-        }
-    };
 
     while let Some(r) = ready.pop_front() {
         in_ready[r as usize] = false;
@@ -356,7 +346,7 @@ fn replay_core<S: EvSrc>(
                     }
                 }
                 EventKind::Send { peer, bytes, tag } => {
-                    check_peer(r, *peer)?;
+                    check_peer(Rank(r), *peer, num_ranks)?;
                     let row = slab.alloc();
                     let avail = slab.row_mut(row);
                     for (i, cfg) in configs.iter().enumerate() {
@@ -366,13 +356,15 @@ fn replay_core<S: EvSrc>(
                         clocks[base + i] += c.total();
                         avail[i] = clocks[base + i];
                     }
-                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) && peer.0 != r {
+                    if deliver(&mut mailboxes, &mut reqs, &mut blocking, r, peer.0, *tag, row)
+                        && peer.0 != r
+                    {
                         wake!(peer.0);
                     }
                 }
                 EventKind::Isend { peer, bytes, tag, req } => {
-                    check_peer(r, *peer)?;
-                    check_fresh(rank_reqs, r, req.0)?;
+                    check_peer(Rank(r), *peer, num_ranks)?;
+                    rank_reqs.issue(req.0, ReqState::SendDone)?;
                     let row = slab.alloc();
                     let avail = slab.row_mut(row);
                     for (i, cfg) in configs.iter().enumerate() {
@@ -388,36 +380,35 @@ fn replay_core<S: EvSrc>(
                         clocks[base + i] = start + c.latency / 4;
                         avail[i] = start + c.latency + c.bandwidth;
                     }
-                    rank_reqs.push((req.0, ReqState::SendDone));
-                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, row) && peer.0 != r {
+                    if deliver(&mut mailboxes, &mut reqs, &mut blocking, r, peer.0, *tag, row)
+                        && peer.0 != r
+                    {
                         wake!(peer.0);
                     }
                 }
                 EventKind::Recv { peer, tag, .. } => {
-                    // A blocking receive is an implicit irecv+wait under
-                    // the reserved request id `BLOCKING`. On first
-                    // execution it either matches a queued send or waits
-                    // in the mailbox; when the send later arrives it
-                    // fills the request and this event is retried.
-                    check_peer(r, *peer)?;
-                    let row = match find(rank_reqs, BLOCKING) {
+                    // On first execution a blocking receive either
+                    // matches a queued send or waits in the mailbox and
+                    // in its slot; when the send later arrives it fills
+                    // the slot and this event is retried.
+                    check_peer(Rank(r), *peer, num_ranks)?;
+                    let slot = &mut blocking[r as usize];
+                    let row = match *slot {
                         // Retry after a wake-up.
-                        Some(j) => match rank_reqs[j].1 {
-                            ReqState::Recv(Some(row)) => {
-                                rank_reqs.swap_remove(j);
-                                row
-                            }
-                            // Spurious wake; still waiting in the
-                            // mailbox — just block again.
-                            _ => {
-                                blocked = true;
-                                break 'advance;
-                            }
-                        },
-                        None => match mailboxes[r as usize].post(*peer, *tag, BLOCKING as u64) {
+                        Some(ReqState::Recv(Some(row))) => {
+                            *slot = None;
+                            row
+                        }
+                        // Spurious wake; still waiting in the mailbox —
+                        // just block again.
+                        Some(_) => {
+                            blocked = true;
+                            break 'advance;
+                        }
+                        None => match mailboxes[r as usize].post(*peer, *tag, BLOCKING_RECV) {
                             Some(row) => row as u32,
                             None => {
-                                rank_reqs.push((BLOCKING, ReqState::Recv(None)));
+                                *slot = Some(ReqState::Recv(None));
                                 blocked = true;
                                 break 'advance;
                             }
@@ -426,42 +417,32 @@ fn replay_core<S: EvSrc>(
                     slab.consume(row, &mut clocks[base..base + k], &mut counters);
                 }
                 EventKind::Irecv { peer, tag, req, .. } => {
-                    check_peer(r, *peer)?;
-                    check_fresh(rank_reqs, r, req.0)?;
-                    let row = mailboxes[r as usize].post(*peer, *tag, req.0 as u64);
-                    rank_reqs.push((req.0, ReqState::Recv(row.map(|row| row as u32))));
+                    check_peer(Rank(r), *peer, num_ranks)?;
+                    let state = rank_reqs.issue(req.0, ReqState::Recv(None))?;
+                    let row = mailboxes[r as usize].post(*peer, *tag, u64::from(req.0));
+                    *state = ReqState::Recv(row.map(|row| row as u32));
                 }
                 EventKind::Wait { req } => {
-                    let Some(j) = find(rank_reqs, req.0) else {
-                        return Err(ReplayError::UnknownRequest { rank: r, req: req.0 });
-                    };
-                    match rank_reqs[j].1 {
-                        ReqState::SendDone => {}
-                        ReqState::Recv(Some(row)) => {
-                            slab.consume(row, &mut clocks[base..base + k], &mut counters);
-                        }
-                        ReqState::Recv(None) => {
-                            blocked = true;
-                            break 'advance;
-                        }
+                    if let ReqState::Recv(None) = rank_reqs.get(req.0)? {
+                        blocked = true;
+                        break 'advance;
                     }
-                    rank_reqs.swap_remove(j);
+                    if let ReqState::Recv(Some(row)) = rank_reqs.retire(req.0)? {
+                        slab.consume(row, &mut clocks[base..base + k], &mut counters);
+                    }
                 }
                 EventKind::WaitAll { reqs: ids } => {
-                    // All receive requests must have matched sends.
-                    let unmatched = |id: &ReqId| {
-                        find(rank_reqs, id.0)
-                            .is_some_and(|j| matches!(rank_reqs[j].1, ReqState::Recv(None)))
-                    };
-                    if ids.iter().any(unmatched) {
+                    // Every id must be live, and every receive matched.
+                    let mut unmatched = false;
+                    for id in ids {
+                        unmatched |= matches!(rank_reqs.get(id.0)?, ReqState::Recv(None));
+                    }
+                    if unmatched {
                         blocked = true;
                         break 'advance;
                     }
                     for id in ids {
-                        let Some(j) = find(rank_reqs, id.0) else {
-                            return Err(ReplayError::UnknownRequest { rank: r, req: id.0 });
-                        };
-                        if let (_, ReqState::Recv(Some(row))) = rank_reqs.swap_remove(j) {
+                        if let ReqState::Recv(Some(row)) = rank_reqs.retire(id.0)? {
                             slab.consume(row, &mut clocks[base..base + k], &mut counters);
                         }
                     }
@@ -545,7 +526,9 @@ fn replay_core<S: EvSrc>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masim_trace::{CollKind, Event, Rank, RankBuilder, StreamedTrace, TraceMeta};
+    use masim_trace::{
+        CollKind, Event, Rank, RankBuilder, ReqId, StreamedTrace, TraceError, TraceMeta,
+    };
     use std::collections::HashMap;
 
     fn meta(ranks: u32) -> TraceMeta {
@@ -868,7 +851,6 @@ mod tests {
 
     #[test]
     fn reused_outstanding_request_is_typed_error() {
-        use masim_trace::ReqId;
         let ev = |kind| Event::new(kind, Time::ZERO);
         let irecv = |req| ev(EventKind::Irecv { peer: Rank(1), bytes: 8, tag: 0, req: ReqId(req) });
         let send = |peer, tag| ev(EventKind::Send { peer: Rank(peer), bytes: 8, tag });
@@ -879,12 +861,8 @@ mod tests {
         t.events[0] = vec![irecv(1), irecv(1), ev(EventKind::Wait { req: ReqId(1) }), send(1, 0)];
         t.events[0].push(recv(1, 1));
         t.events[1] = vec![send(0, 0), recv(0, 0), send(0, 0), send(0, 1)];
-        assert_eq!(replay_error_both_ways(&t), ReplayError::RequestReuse { rank: 0, req: 1 });
-        // The id blocking receives run under is reserved.
-        t.events[0] = vec![irecv(u32::MAX)];
-        t.events[1] = vec![send(0, 0)];
-        let err = replay_error_both_ways(&t);
-        assert_eq!(err, ReplayError::RequestReuse { rank: 0, req: u32::MAX });
+        let reuse = TraceError::RequestReuse { rank: Rank(0), req: 1 };
+        assert_eq!(replay_error_both_ways(&t), ReplayError::Malformed(reuse));
     }
 
     /// From memory the replay rejects the peer; its MASS bytes never open.
@@ -898,7 +876,8 @@ mod tests {
         ] {
             t.events[0] = vec![Event::new(kind, Time::ZERO)];
             let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
-            assert_eq!(err, ReplayError::PeerOutOfRange { rank: 0, peer });
+            let out = TraceError::PeerOutOfRange { rank: Rank(0), peer: Rank(peer) };
+            assert_eq!(err, ReplayError::Malformed(out));
             let opened = StreamedTrace::from_bytes(masim_trace::io::encode(&t));
             let field = DecodeError::OutOfRange { field: "peer", value: peer.into() };
             assert_eq!(opened.unwrap_err(), StreamError::Decode(field));
@@ -1139,10 +1118,10 @@ mod tests {
 
     #[test]
     fn unknown_request_is_typed_error() {
-        use masim_trace::ReqId;
         let mut t = Trace::empty(meta(1));
         t.events[0] = vec![Event::new(EventKind::Wait { req: ReqId(42) }, Time::ZERO)];
         let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
-        assert_eq!(err, ReplayError::UnknownRequest { rank: 0, req: 42 });
+        let dangling = TraceError::DanglingWait { rank: Rank(0), req: 42 };
+        assert_eq!(err, ReplayError::Malformed(dangling));
     }
 }

@@ -3,12 +3,13 @@
 //! The paper's study treats tool failure as data, not as a crash:
 //! SST/Macro's packet and flow models completed only 216 and 162 of the
 //! 235 corpus traces. This repo mirrors that — a run that cannot finish
-//! returns a [`SimError`] through [`crate::simulate_budgeted`]'s result
-//! path and the study marks the trace incomplete, instead of a panic
-//! taking down the whole study thread pool. Deadlocks, invalid
-//! configurations, and memory-budget trips travel the same path.
+//! returns a [`SimError`] from [`crate::run`] and the study marks the
+//! trace incomplete, instead of a panic taking down the whole study
+//! thread pool. Deadlocks, invalid configurations, malformed traces and
+//! memory-budget trips travel the same path.
 
 use masim_des::ClockOverflow;
+use masim_trace::TraceError;
 use std::fmt;
 
 /// How many blocked ranks a [`SimError::Deadlock`] lists explicitly
@@ -56,16 +57,12 @@ pub enum SimError {
         /// Human-readable description of the rejected configuration.
         reason: String,
     },
-    /// A `Wait`/`WaitAll` referenced a request id that was never issued
-    /// — a malformed trace that [`masim_trace::Trace::validate`] would
-    /// have reported first (the modeler's `ReplayError` has the same
-    /// variant).
-    UnknownRequest {
-        /// The waiting rank.
-        rank: u32,
-        /// The dangling request id.
-        req: u32,
-    },
+    /// An event broke an MPI rule: a request id reused while
+    /// outstanding, a wait on a request that is not, or an out-of-range
+    /// peer. The rank is parked at that event. On a trace with one such
+    /// defect, [`masim_trace::Trace::validate`] and MFACT's replay report
+    /// the same error.
+    Malformed(TraceError),
     /// The route arena hit a structural limit — more distinct routes
     /// than the `u32` route-id space, or a route longer than `u16` hops.
     /// At mega scale this used to be an `expect` panic deep in `intern`.
@@ -132,12 +129,7 @@ impl fmt::Display for SimError {
             SimError::InvalidConfig { reason } => {
                 write!(f, "invalid simulation configuration: {reason}")
             }
-            SimError::UnknownRequest { rank, req } => {
-                write!(
-                    f,
-                    "malformed trace: rank {rank} waits on request {req} that was never issued"
-                )
-            }
+            SimError::Malformed(e) => write!(f, "malformed trace: {e}"),
             SimError::RouteArenaExhausted { routes, bytes, limit } => {
                 write!(
                     f,
@@ -171,3 +163,9 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+impl From<TraceError> for SimError {
+    fn from(e: TraceError) -> SimError {
+        SimError::Malformed(e)
+    }
+}

@@ -12,7 +12,8 @@ use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
 use masim_trace::{
-    CollKind, Event, EventKind, Mailbox, Rank, RankCursor, StreamedTrace, Time, Trace, TraceSource,
+    check_peer, CollKind, Event, EventKind, Mailbox, Rank, RankCursor, ReqId, Requests,
+    StreamedTrace, Time, Trace, TraceSource,
 };
 
 /// Simulation configuration.
@@ -121,6 +122,10 @@ enum PStatus {
     BlockedRecv,
     Waiting,
     CollRound,
+    /// Its last event could not run (it breaks a request or peer rule,
+    /// or its collective outgrows the tag space); [`run`] reports the
+    /// latched cause.
+    Parked,
     Done,
 }
 
@@ -135,50 +140,13 @@ struct CollExec {
     ordinal: u32,
 }
 
-/// Outstanding nonblocking requests for one rank: (id, completed).
-/// A rank keeps at most a handful in flight, so an unsorted vec with
-/// linear scans beats a hash map — no hashing, no per-request
-/// allocation once the buffer has warmed, and removal is a tail swap
-/// (order is irrelevant; every access is keyed).
-#[derive(Default, Debug)]
-struct ReqSet {
-    reqs: Vec<(u32, bool)>,
-}
-
-impl ReqSet {
-    /// Completion state of `id`, if issued.
-    fn get(&self, id: u32) -> Option<bool> {
-        self.reqs.iter().find(|(rid, _)| *rid == id).map(|&(_, done)| done)
-    }
-
-    /// Record `id` as issued (overwriting a stale duplicate).
-    fn insert(&mut self, id: u32, done: bool) {
-        match self.reqs.iter_mut().find(|(rid, _)| *rid == id) {
-            Some(slot) => slot.1 = done,
-            None => self.reqs.push((id, done)),
-        }
-    }
-
-    /// Mark `id` complete if it is still outstanding.
-    fn set_done(&mut self, id: u32) {
-        if let Some(slot) = self.reqs.iter_mut().find(|(rid, _)| *rid == id) {
-            slot.1 = true;
-        }
-    }
-
-    /// Retire `id`, returning its completion state.
-    fn remove(&mut self, id: u32) -> Option<bool> {
-        let idx = self.reqs.iter().position(|(rid, _)| *rid == id)?;
-        Some(self.reqs.swap_remove(idx).1)
-    }
-}
-
 struct Proc {
     cursor: usize,
     status: PStatus,
     /// Application nonblocking requests: id → completed?
-    reqs: ReqSet,
-    /// Requests a `Wait`/`WaitAll` is currently blocked on.
+    reqs: Requests<bool>,
+    /// Requests the `Wait`/`WaitAll` the rank is blocked in has retired
+    /// but that have not completed yet.
     wait_set: Vec<u32>,
     coll: Option<CollExec>,
     coll_count: u32,
@@ -191,11 +159,11 @@ struct Proc {
 }
 
 impl Proc {
-    fn new() -> Proc {
+    fn new(rank: Rank) -> Proc {
         Proc {
             cursor: 0,
             status: PStatus::Idle,
-            reqs: ReqSet::default(),
+            reqs: Requests::new(rank),
             wait_set: Vec::new(),
             coll: None,
             coll_count: 0,
@@ -324,13 +292,10 @@ pub struct SimState<'a> {
     error: Option<SimError>,
 }
 
-// Receive-token encoding: rank in the high 32 bits, purpose below.
-const TOKEN_BLOCKING: u32 = u32::MAX;
-const TOKEN_COLL: u32 = 0x8000_0000;
-
-fn token(rank: Rank, code: u32) -> u64 {
-    ((rank.0 as u64) << 32) | code as u64
-}
+// Mailbox tokens of the simulator's own receives. An application
+// request's token is its id, below 2^32.
+const TOKEN_BLOCKING: u64 = 1 << 32;
+const TOKEN_COLL: u64 = TOKEN_BLOCKING + 1;
 
 impl<'a> SimState<'a> {
     /// Validate `cfg` against the trace and build the empty state.
@@ -370,7 +335,7 @@ impl<'a> SimState<'a> {
             trace_bytes: trace.resident_bytes(),
             trace,
             cursors,
-            procs: (0..n).map(|_| Proc::new()).collect(),
+            procs: (0..ranks).map(|r| Proc::new(Rank(r))).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             messages: 0,
             done: 0,
@@ -403,6 +368,13 @@ impl<'a> SimState<'a> {
         if self.error.is_none() {
             self.error = Some(e);
         }
+    }
+
+    /// Rank `r`'s last event cannot run: park the rank for good and latch
+    /// why.
+    fn park(&mut self, r: Rank, e: SimError) {
+        self.procs[r.idx()].status = PStatus::Parked;
+        self.latch_error(e);
     }
 
     /// Event `k` of rank `r`'s trace, if it exists. Borrowed directly
@@ -450,113 +422,90 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
             return;
         };
         st.procs[r.idx()].cursor += 1;
-
-        match &ev.kind {
-            EventKind::Compute => {
-                let d = ev.dur;
-                let p = &mut st.procs[r.idx()];
-                // Saturate: a pathological duration must surface as the
-                // engine's typed clock overflow, not an accounting abort.
-                p.compute_total = p.compute_total.saturating_add(d);
-                p.status = PStatus::Computing;
-                eng.schedule_in(d, SimEvent::ComputeDone(r));
-                return;
-            }
-            EventKind::Send { peer, bytes, tag } => {
-                let id = st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::BlockingSend(r));
-                let p = &mut st.procs[r.idx()];
-                p.status = PStatus::BlockedSend;
-                p.blocked_send_msg = id;
-                return;
-            }
-            EventKind::Isend { peer, bytes, tag, req } => {
-                st.procs[r.idx()].reqs.insert(req.0, false);
-                st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::AppReq(r, req.0));
-            }
-            EventKind::Recv { peer, tag, .. } => {
-                let tok = token(r, TOKEN_BLOCKING);
-                if st.mailboxes[r.idx()].post(*peer, *tag, tok).is_none() {
-                    st.procs[r.idx()].status = PStatus::BlockedRecv;
-                    return;
-                }
-            }
-            EventKind::Irecv { peer, tag, req, .. } => {
-                let done = st.mailboxes[r.idx()].post(*peer, *tag, token(r, req.0)).is_some();
-                st.procs[r.idx()].reqs.insert(req.0, done);
-            }
-            EventKind::Wait { req } => {
-                if st.procs[r.idx()].reqs.get(req.0).is_none() {
-                    // Malformed trace: the request was never issued.
-                    // Latch the typed cause and let the rank block on a
-                    // request that can never complete; `run` reports
-                    // the latched error instead of a bare deadlock.
-                    st.procs[r.idx()].reqs.insert(req.0, false);
-                    if st.error.is_none() {
-                        st.error = Some(SimError::UnknownRequest { rank: r.0, req: req.0 });
-                    }
-                }
-                let p = &mut st.procs[r.idx()];
-                if p.reqs.remove(req.0).unwrap_or(false) {
-                    // Already complete.
-                } else {
-                    p.reqs.insert(req.0, false);
-                    p.wait_set.clear();
-                    p.wait_set.push(req.0);
-                    p.status = PStatus::Waiting;
-                    return;
-                }
-            }
-            EventKind::WaitAll { reqs } => {
-                for id in reqs {
-                    if st.procs[r.idx()].reqs.get(id.0).is_none() {
-                        // Same malformed-trace handling as Wait above.
-                        st.procs[r.idx()].reqs.insert(id.0, false);
-                        if st.error.is_none() {
-                            st.error = Some(SimError::UnknownRequest { rank: r.0, req: id.0 });
-                        }
-                    }
-                }
-                let p = &mut st.procs[r.idx()];
-                p.wait_set.clear();
-                for id in reqs {
-                    if !p.reqs.get(id.0).unwrap_or(false) {
-                        p.wait_set.push(id.0);
-                    }
-                }
-                if p.wait_set.is_empty() {
-                    for id in reqs {
-                        p.reqs.remove(id.0);
-                    }
-                } else {
-                    for id in reqs {
-                        if p.reqs.get(id.0) == Some(true) {
-                            p.reqs.remove(id.0);
-                        }
-                    }
-                    p.status = PStatus::Waiting;
-                    return;
-                }
-            }
-            EventKind::Coll { kind, bytes, root } => {
-                let p = &mut st.procs[r.idx()];
-                let ordinal = p.coll_count;
-                p.coll_count += 1;
-                let n = rounds(*kind, st.trace.num_ranks(), *bytes);
-                if n > MAX_COLL_ROUNDS || (n > 0 && ordinal >= MAX_COLL_ORDINALS) {
-                    // Its rounds' tags would not fit `coll_tag`'s space:
-                    // park the rank for good; `run` reports the latched
-                    // cause.
-                    p.status = PStatus::CollRound;
-                    let e = SimError::CollectiveTagOverflow { rank: r.0, ordinal, rounds: n };
-                    st.latch_error(e);
-                    return;
-                }
-                let c = CollExec { kind: *kind, bytes: *bytes, root: *root, round: 0, ordinal };
-                p.coll = Some(c);
-                // Loop continues into enter_coll_rounds.
-            }
+        match issue(eng, st, r, &ev) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(e) => return st.park(r, e),
         }
     }
+}
+
+/// Issue trace event `ev` of rank `r`: true if the rank runs on, false if
+/// it blocked, an error if the event is malformed.
+fn issue<'a>(
+    eng: &mut Engine<SimState<'a>>,
+    st: &mut SimState<'a>,
+    r: Rank,
+    ev: &Event,
+) -> Result<bool, SimError> {
+    let world = st.procs.len() as u32;
+    match &ev.kind {
+        EventKind::Compute => {
+            let d = ev.dur;
+            let p = &mut st.procs[r.idx()];
+            // Saturate: a pathological duration must surface as the
+            // engine's typed clock overflow, not an accounting abort.
+            p.compute_total = p.compute_total.saturating_add(d);
+            p.status = PStatus::Computing;
+            eng.schedule_in(d, SimEvent::ComputeDone(r));
+            return Ok(false);
+        }
+        EventKind::Send { peer, bytes, tag } => {
+            check_peer(r, *peer, world)?;
+            let id = st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::BlockingSend(r));
+            let p = &mut st.procs[r.idx()];
+            p.status = PStatus::BlockedSend;
+            p.blocked_send_msg = id;
+            return Ok(false);
+        }
+        EventKind::Isend { peer, bytes, tag, req } => {
+            check_peer(r, *peer, world)?;
+            st.procs[r.idx()].reqs.issue(req.0, false)?;
+            st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::AppReq(r, req.0));
+        }
+        EventKind::Recv { peer, tag, .. } => {
+            check_peer(r, *peer, world)?;
+            if st.mailboxes[r.idx()].post(*peer, *tag, TOKEN_BLOCKING).is_none() {
+                st.procs[r.idx()].status = PStatus::BlockedRecv;
+                return Ok(false);
+            }
+        }
+        EventKind::Irecv { peer, tag, req, .. } => {
+            check_peer(r, *peer, world)?;
+            let done = st.procs[r.idx()].reqs.issue(req.0, false)?;
+            *done = st.mailboxes[r.idx()].post(*peer, *tag, u64::from(req.0)).is_some();
+        }
+        EventKind::Wait { req } => return wait(&mut st.procs[r.idx()], std::slice::from_ref(req)),
+        EventKind::WaitAll { reqs } => return wait(&mut st.procs[r.idx()], reqs),
+        EventKind::Coll { kind, bytes, root } => {
+            let p = &mut st.procs[r.idx()];
+            let ordinal = p.coll_count;
+            p.coll_count += 1;
+            let n = rounds(*kind, world, *bytes);
+            if n > MAX_COLL_ROUNDS || (n > 0 && ordinal >= MAX_COLL_ORDINALS) {
+                // Its rounds' tags would not fit `coll_tag`'s space.
+                return Err(SimError::CollectiveTagOverflow { rank: r.0, ordinal, rounds: n });
+            }
+            p.coll = Some(CollExec { kind: *kind, bytes: *bytes, root: *root, round: 0, ordinal });
+            // `advance` goes on into enter_coll_rounds.
+        }
+    }
+    Ok(true)
+}
+
+/// A `Wait`/`WaitAll` retires `reqs`: true if all have completed, false
+/// if the rank blocks until the rest have.
+fn wait(p: &mut Proc, reqs: &[ReqId]) -> Result<bool, SimError> {
+    for id in reqs {
+        if !p.reqs.retire(id.0)? {
+            p.wait_set.push(id.0);
+        }
+    }
+    if p.wait_set.is_empty() {
+        return Ok(true);
+    }
+    p.status = PStatus::Waiting;
+    Ok(false)
 }
 
 /// Execute collective rounds until blocked (true) or done (false).
@@ -574,7 +523,7 @@ fn enter_coll_rounds<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, 
         let mut pending = 0u32;
         // Post the receive first (it may already be unexpected-matched).
         if let Some((peer, _bytes)) = recv {
-            if st.mailboxes[r.idx()].post(peer, tag, token(r, TOKEN_COLL)).is_none() {
+            if st.mailboxes[r.idx()].post(peer, tag, TOKEN_COLL).is_none() {
                 pending += 1;
             }
         }
@@ -604,32 +553,18 @@ fn on_deliver<'a>(
     msg_id: u32,
 ) {
     st.msgs.deliver(msg_id);
-    let Some(tok) = st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) else {
-        return; // queued as unexpected
-    };
-    recv_complete(eng, st, tok);
-}
-
-/// A posted receive just matched.
-fn recv_complete<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, tok: u64) {
-    let r = Rank((tok >> 32) as u32);
-    let code = (tok & 0xFFFF_FFFF) as u32;
-    let p = &mut st.procs[r.idx()];
-    if code == TOKEN_BLOCKING {
-        debug_assert_eq!(p.status, PStatus::BlockedRecv);
-        p.status = PStatus::Idle;
-        advance(eng, st, r);
-    } else if code == TOKEN_COLL {
-        debug_assert!(p.round_pending > 0);
-        p.round_pending -= 1;
-        if p.round_pending == 0 && p.status == PStatus::CollRound {
+    // The mailbox is `dst`'s, so a token it hands back names a receive
+    // that `dst` posted.
+    match st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) {
+        None => {} // queued as unexpected
+        Some(TOKEN_BLOCKING) => {
+            let p = &mut st.procs[dst.idx()];
+            debug_assert_eq!(p.status, PStatus::BlockedRecv);
             p.status = PStatus::Idle;
-            advance(eng, st, r);
+            advance(eng, st, dst);
         }
-    } else {
-        // Application request completion.
-        p.reqs.set_done(code);
-        try_finish_wait(eng, st, r);
+        Some(TOKEN_COLL) => round_done(eng, st, dst),
+        Some(req) => req_done(eng, st, dst, req as u32),
     }
 }
 
@@ -643,36 +578,33 @@ fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, _src: R
             p.status = PStatus::Idle;
             advance(eng, st, r);
         }
-        RelPurpose::AppReq(r, req) => {
-            st.procs[r.idx()].reqs.set_done(req);
-            try_finish_wait(eng, st, r);
-        }
-        RelPurpose::CollRound(r) => {
-            let p = &mut st.procs[r.idx()];
-            debug_assert!(p.round_pending > 0);
-            p.round_pending -= 1;
-            if p.round_pending == 0 && p.status == PStatus::CollRound {
-                p.status = PStatus::Idle;
-                advance(eng, st, r);
-            }
-        }
+        RelPurpose::AppReq(r, req) => req_done(eng, st, r, req),
+        RelPurpose::CollRound(r) => round_done(eng, st, r),
     }
 }
 
-/// If rank `r` is blocked in `Wait`/`WaitAll` and everything it waits on
-/// completed, resume it.
-fn try_finish_wait<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
+/// A receive or a send of rank `r`'s current collective round completed.
+fn round_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
     let p = &mut st.procs[r.idx()];
-    if p.status != PStatus::Waiting {
+    debug_assert!(p.round_pending > 0);
+    p.round_pending -= 1;
+    if p.round_pending == 0 && p.status == PStatus::CollRound {
+        p.status = PStatus::Idle;
+        advance(eng, st, r);
+    }
+}
+
+/// Application request `req` of rank `r` completed. If the wait the rank
+/// is blocked in retired it and nothing else is left, resume the rank.
+fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, req: u32) {
+    let p = &mut st.procs[r.idx()];
+    if let Ok(done) = p.reqs.get_mut(req) {
+        *done = true;
         return;
     }
-    if p.wait_set.iter().all(|&id| p.reqs.get(id).unwrap_or(false)) {
-        // Drain in place so the wait-set buffer keeps its capacity.
-        for i in 0..p.wait_set.len() {
-            let id = p.wait_set[i];
-            p.reqs.remove(id);
-        }
-        p.wait_set.clear();
+    let Some(i) = p.wait_set.iter().position(|&id| id == req) else { return };
+    p.wait_set.swap_remove(i);
+    if p.wait_set.is_empty() && p.status == PStatus::Waiting {
         p.status = PStatus::Idle;
         advance(eng, st, r);
     }
@@ -929,7 +861,7 @@ fn observe_fail(
             SimError::ClockOverflow { .. } => "sim.clock.overflow",
             SimError::Deadlock { .. } => "sim.deadlock.detected",
             SimError::InvalidConfig { .. } => "sim.config.invalid",
-            SimError::UnknownRequest { .. } => "sim.trace.unknown-request",
+            SimError::Malformed(_) => "sim.trace.malformed",
             SimError::RouteArenaExhausted { .. } => "sim.route.exhausted",
             SimError::OversizedMessage { .. } => "sim.msg.oversized",
             SimError::CollectiveTagOverflow { .. } => "sim.coll.tag-overflow",

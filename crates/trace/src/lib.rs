@@ -16,8 +16,8 @@
 //! * [`io`] — the binary trace format (MASS v1), and [`StreamedTrace`] — its
 //!   one-rank-at-a-time reader;
 //! * [`Features`] — the 34 measurable Table III features;
-//! * [`Mailbox`] — per-rank (source, tag) matching, shared by the
-//!   simulator and MFACT.
+//! * [`Mailbox`] — per-rank (source, tag) matching, and [`Requests`] —
+//!   per-rank request rules, both shared by the simulator and MFACT.
 //!
 //! # Example
 //!
@@ -66,7 +66,7 @@ mod units;
 pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
-pub use mailbox::Mailbox;
+pub use mailbox::{check_peer, Mailbox, Requests};
 pub use stream::{
     write_stream, RankCursor, SegmentWriter, StreamError, StreamedTrace, TraceSource,
 };

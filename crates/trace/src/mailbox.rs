@@ -1,8 +1,90 @@
-//! Per-rank MPI matching, shared by both trace consumers: the simulator
-//! matches message arrivals against posted receives, MFACT matches a
-//! send's availability row against waiting receives.
+//! Per-rank MPI state, shared by both trace consumers: the [`Mailbox`]
+//! matches message arrivals (the simulator's arrival times, MFACT's
+//! availability rows) against posted receives, and [`Requests`] holds
+//! the request rules that [`crate::Trace::validate`] checks too.
 
 use crate::ids::Rank;
+use crate::trace::TraceError;
+
+/// A point-to-point event of `rank` may name only a peer below `world`;
+/// [`TraceError::PeerOutOfRange`] otherwise.
+#[inline]
+pub fn check_peer(rank: Rank, peer: Rank, world: u32) -> Result<(), TraceError> {
+    if peer.0 < world {
+        Ok(())
+    } else {
+        Err(TraceError::PeerOutOfRange { rank, peer })
+    }
+}
+
+/// One rank's outstanding nonblocking requests, each holding the
+/// replaying tool's own state `S`: the one statement of MPI's request
+/// rules. An id is live from the `Isend`/`Irecv` that issues it until the
+/// `Wait`/`WaitAll` that retires it, and may be issued again after that.
+/// Every `u32` is a legal id; none is reserved, so a tool keeps its own
+/// receives out of this table. A rank keeps a handful live, so an
+/// unsorted vector with linear scans beats hashing: no per-request
+/// allocation once warm, and retiring is a tail swap.
+#[derive(Debug)]
+pub struct Requests<S> {
+    rank: Rank,
+    live: Vec<(u32, S)>,
+}
+
+impl<S> Requests<S> {
+    /// No live requests on `rank`.
+    pub fn new(rank: Rank) -> Requests<S> {
+        Requests { rank, live: Vec::new() }
+    }
+
+    #[inline]
+    fn find(&self, req: u32) -> Result<usize, TraceError> {
+        let dangling = || TraceError::DanglingWait { rank: self.rank, req };
+        self.live.iter().position(|(id, _)| *id == req).ok_or_else(dangling)
+    }
+
+    /// Issue `req` with `state`; [`TraceError::RequestReuse`] while `req`
+    /// is live.
+    #[inline]
+    pub fn issue(&mut self, req: u32, state: S) -> Result<&mut S, TraceError> {
+        if self.find(req).is_ok() {
+            return Err(TraceError::RequestReuse { rank: self.rank, req });
+        }
+        let at = self.live.len();
+        self.live.push((req, state));
+        Ok(&mut self.live[at].1)
+    }
+
+    /// The state of live request `req`; [`TraceError::DanglingWait`] if it
+    /// was never issued or is already retired.
+    #[inline]
+    pub fn get(&self, req: u32) -> Result<&S, TraceError> {
+        self.find(req).map(|i| &self.live[i].1)
+    }
+
+    /// [`Requests::get`], mutably.
+    #[inline]
+    pub fn get_mut(&mut self, req: u32) -> Result<&mut S, TraceError> {
+        self.find(req).map(|i| &mut self.live[i].1)
+    }
+
+    /// A wait retires `req` and takes its state;
+    /// [`TraceError::DanglingWait`] if it was never issued or is already
+    /// retired.
+    #[inline]
+    pub fn retire(&mut self, req: u32) -> Result<S, TraceError> {
+        self.find(req).map(|i| self.live.swap_remove(i).1)
+    }
+
+    /// The rank's stream ended: [`TraceError::UnwaitedRequest`] for a
+    /// request still live.
+    pub fn finish(&self) -> Result<(), TraceError> {
+        match self.live.first() {
+            Some(&(req, _)) => Err(TraceError::UnwaitedRequest { rank: self.rank, req }),
+            None => Ok(()),
+        }
+    }
+}
 
 /// Matching state per destination rank: MPI's posted-receive queue and
 /// unexpected-message queue in one list, keyed by (source, tag). No
@@ -80,6 +162,28 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn requests_follow_the_mpi_rules_for_every_id() {
+        let rank = Rank(3);
+        for req in [0, 1, 0x8000_0000, u32::MAX] {
+            let mut reqs = Requests::new(rank);
+            assert_eq!(reqs.retire(req), Err(TraceError::DanglingWait { rank, req }));
+            *reqs.issue(req, 1).unwrap() += 1;
+            assert_eq!(reqs.issue(req, 0), Err(TraceError::RequestReuse { rank, req }));
+            assert_eq!(reqs.finish(), Err(TraceError::UnwaitedRequest { rank, req }));
+            assert_eq!(reqs.get(req), Ok(&2));
+            assert_eq!(reqs.retire(req), Ok(2));
+            assert_eq!(reqs.get(req), Err(TraceError::DanglingWait { rank, req }));
+            assert_eq!(reqs.finish(), Ok(()));
+            assert!(reqs.issue(req, 0).is_ok(), "a retired id may be issued again");
+        }
+        assert_eq!(check_peer(rank, Rank(1), 2), Ok(()));
+        assert_eq!(
+            check_peer(rank, Rank(2), 2),
+            Err(TraceError::PeerOutOfRange { rank, peer: Rank(2) })
+        );
+    }
 
     #[test]
     fn post_then_deliver_matches() {

@@ -2,13 +2,14 @@
 
 use crate::event::{CollKind, Event, EventKind};
 use crate::ids::Rank;
+use crate::mailbox::{check_peer, Requests};
 use crate::time::Time;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
-/// FIFO validation ledger per (src, dst, tag) channel: queued send
-/// sizes plus matched send/recv counts.
-type ChannelLedger = HashMap<(u32, u32, u32), (VecDeque<u64>, usize, usize)>;
+/// Validation ledger per (src, dst, tag) channel: the byte counts of its
+/// sends and of its receives, each in program order.
+type ChannelLedger = HashMap<(u32, u32, u32), [Vec<u64>; 2]>;
 
 /// Metadata describing where a trace came from, mirroring the header of a
 /// DUMPI trace set (application, machine, rank count, problem scale).
@@ -190,7 +191,8 @@ impl Trace {
     /// 3. per (src, dst, tag) channel, sends and receives pair up FIFO
     ///    with equal byte counts;
     /// 4. every nonblocking request is waited exactly once, no dangling
-    ///    waits, no reuse of an outstanding request id;
+    ///    waits, no reuse of an outstanding request id: the [`Requests`]
+    ///    rules, which MFACT and the simulator also apply per event;
     /// 5. every rank performs the same collective sequence (kind, root)
     ///    as rank 0 — MPI's matching rule for collectives.
     pub fn validate(&self) -> Result<(), TraceError> {
@@ -213,7 +215,6 @@ impl Trace {
             })
             .unwrap_or_default();
 
-        // FIFO per-channel ledger: (src, dst, tag) -> queued send byte counts.
         let mut channels: ChannelLedger = HashMap::new();
 
         for (r, es) in self.events.iter().enumerate() {
@@ -221,55 +222,31 @@ impl Trace {
             if es.is_empty() {
                 return Err(TraceError::EmptyRank(rank));
             }
-            let mut outstanding: HashMap<u32, ()> = HashMap::new();
+            let mut reqs = Requests::new(rank);
             let mut coll_idx = 0usize;
             for e in es {
                 match &e.kind {
                     EventKind::Compute => {}
                     EventKind::Send { peer, bytes, tag }
                     | EventKind::Isend { peer, bytes, tag, .. } => {
-                        if peer.0 >= world {
-                            return Err(TraceError::PeerOutOfRange { rank, peer: *peer });
-                        }
-                        let entry = channels.entry((rank.0, peer.0, *tag)).or_default();
-                        entry.0.push_back(*bytes);
-                        entry.1 += 1;
+                        check_peer(rank, *peer, world)?;
+                        channels.entry((rank.0, peer.0, *tag)).or_default()[0].push(*bytes);
                         if let EventKind::Isend { req, .. } = &e.kind {
-                            if outstanding.insert(req.0, ()).is_some() {
-                                return Err(TraceError::RequestReuse { rank, req: req.0 });
-                            }
+                            reqs.issue(req.0, ())?;
                         }
                     }
                     EventKind::Recv { peer, bytes, tag }
                     | EventKind::Irecv { peer, bytes, tag, .. } => {
-                        if peer.0 >= world {
-                            return Err(TraceError::PeerOutOfRange { rank, peer: *peer });
-                        }
-                        let entry = channels.entry((peer.0, rank.0, *tag)).or_default();
-                        entry.2 += 1;
-                        // Byte agreement is checked when draining; remember
-                        // receive sizes in a parallel queue keyed by sign.
-                        // We encode receives by pushing onto a second queue
-                        // implicitly: compare at the end via counts, and
-                        // check byte equality pairwise below.
-                        // To keep it single-pass we stash recv bytes too:
-                        entry.0.push_back(u64::MAX ^ *bytes); // marker, unpacked later
+                        check_peer(rank, *peer, world)?;
+                        channels.entry((peer.0, rank.0, *tag)).or_default()[1].push(*bytes);
                         if let EventKind::Irecv { req, .. } = &e.kind {
-                            if outstanding.insert(req.0, ()).is_some() {
-                                return Err(TraceError::RequestReuse { rank, req: req.0 });
-                            }
+                            reqs.issue(req.0, ())?;
                         }
                     }
-                    EventKind::Wait { req } => {
-                        if outstanding.remove(&req.0).is_none() {
-                            return Err(TraceError::DanglingWait { rank, req: req.0 });
-                        }
-                    }
-                    EventKind::WaitAll { reqs } => {
-                        for req in reqs {
-                            if outstanding.remove(&req.0).is_none() {
-                                return Err(TraceError::DanglingWait { rank, req: req.0 });
-                            }
+                    EventKind::Wait { req } => reqs.retire(req.0)?,
+                    EventKind::WaitAll { reqs: ids } => {
+                        for id in ids {
+                            reqs.retire(id.0)?;
                         }
                     }
                     EventKind::Coll { kind, root, .. } => {
@@ -293,61 +270,20 @@ impl Trace {
             if coll_idx != coll_seq.len() {
                 return Err(TraceError::CollectiveMismatch { rank, index: coll_idx });
             }
-            if let Some((&req, _)) = outstanding.iter().next() {
-                return Err(TraceError::UnwaitedRequest { rank, req });
-            }
+            reqs.finish()?;
         }
 
-        // Drain channels: interleave of send bytes and recv markers must
-        // pair up FIFO with equal sizes and equal counts.
-        for ((src, dst, tag), (queue, sends, recvs)) in channels {
-            if sends != recvs {
-                return Err(TraceError::UnmatchedMessage {
-                    src: Rank(src),
-                    dst: Rank(dst),
-                    tag,
-                    sends,
-                    recvs,
-                });
+        // MPI matches a channel's sends and receives in order: the j-th
+        // send pairs with the j-th receive.
+        for ((src, dst, tag), [sends, recvs]) in channels {
+            let (src, dst) = (Rank(src), Rank(dst));
+            if sends.len() != recvs.len() {
+                let (sends, recvs) = (sends.len(), recvs.len());
+                return Err(TraceError::UnmatchedMessage { src, dst, tag, sends, recvs });
             }
-            let mut pending_sends: VecDeque<u64> = VecDeque::new();
-            let mut pending_recvs: VecDeque<u64> = VecDeque::new();
-            for v in queue {
-                // Values pushed by receives were XOR-marked; a collision
-                // with a real send size of the same encoding is impossible
-                // to disambiguate in-band, so recompute pairing using two
-                // queues and check sizes as pairs become available.
-                // (Send sizes are < 2^63 in practice; the marker flips the
-                // top bits, so decode by probing both interpretations.)
-                let is_recv_marker = v > (u64::MAX >> 1);
-                if is_recv_marker {
-                    let bytes = u64::MAX ^ v;
-                    if let Some(sb) = pending_sends.pop_front() {
-                        if sb != bytes {
-                            return Err(TraceError::ByteMismatch {
-                                src: Rank(src),
-                                dst: Rank(dst),
-                                tag,
-                                send_bytes: sb,
-                                recv_bytes: bytes,
-                            });
-                        }
-                    } else {
-                        pending_recvs.push_back(bytes);
-                    }
-                } else if let Some(rb) = pending_recvs.pop_front() {
-                    if v != rb {
-                        return Err(TraceError::ByteMismatch {
-                            src: Rank(src),
-                            dst: Rank(dst),
-                            tag,
-                            send_bytes: v,
-                            recv_bytes: rb,
-                        });
-                    }
-                } else {
-                    pending_sends.push_back(v);
-                }
+            if let Some((&send_bytes, &recv_bytes)) = sends.iter().zip(&recvs).find(|(s, r)| s != r)
+            {
+                return Err(TraceError::ByteMismatch { src, dst, tag, send_bytes, recv_bytes });
             }
         }
         Ok(())
@@ -514,6 +450,25 @@ mod tests {
             Time::from_us(1),
         ));
         assert!(matches!(t.validate(), Err(TraceError::UnmatchedMessage { .. })));
+    }
+
+    /// A send of 2^63 B or more matched to a small receive is a byte
+    /// mismatch, whatever bit pattern its size has.
+    #[test]
+    fn huge_send_matched_to_small_recv_detected() {
+        let mut t = ping_pong();
+        let huge = 1 << 63;
+        t.events[0].push(Event::new(
+            EventKind::Send { peer: Rank(1), bytes: huge, tag: 9 },
+            Time::from_us(1),
+        ));
+        t.events[1].push(Event::new(
+            EventKind::Recv { peer: Rank(0), bytes: 5, tag: 9 },
+            Time::from_us(1),
+        ));
+        let (src, dst) = (Rank(0), Rank(1));
+        let err = TraceError::ByteMismatch { src, dst, tag: 9, send_bytes: huge, recv_bytes: 5 };
+        assert_eq!(t.validate(), Err(err));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use masim_trace::io::{self, DecodeError};
 use masim_trace::{
     Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError, TraceMeta,
 };
-use masim_workloads::{generate, App, GenConfig};
+use masim_workloads::{generate, App, CorpusEntry, GenConfig};
 
 #[path = "common/chaos.rs"]
 mod chaos;
@@ -684,8 +684,180 @@ fn chaos_trace_faults_land_in_typed_errors() {
                 _ => { /* any typed outcome: a panic was caught above */ }
             }
             if fault == TraceFault::WildWaitRequest {
-                let err = one_failure(run, "sim.trace.unknown-request");
-                assert!(matches!(err, SimError::UnknownRequest { .. }), "{fault:?}/{seed}: {err}");
+                let err = one_failure(run, "sim.trace.malformed");
+                let dangling = matches!(err, SimError::Malformed(TraceError::DanglingWait { .. }));
+                assert!(dangling, "{fault:?}/{seed}: {err}");
+            }
+        }
+    }
+}
+
+/// `t` with every request id of every rank XORed with `mask`.
+fn relabel_requests(t: &Trace, mask: u32) -> Trace {
+    let mut t = t.clone();
+    for e in t.events.iter_mut().flatten() {
+        match &mut e.kind {
+            EventKind::Isend { req, .. }
+            | EventKind::Irecv { req, .. }
+            | EventKind::Wait { req } => req.0 ^= mask,
+            EventKind::WaitAll { reqs } => reqs.iter_mut().for_each(|req| req.0 ^= mask),
+            _ => {}
+        }
+    }
+    t
+}
+
+/// What one trace predicts: MFACT's standard sweep, every field but the
+/// configuration, and per study model the simulator's total, per-rank
+/// finish times, events, messages and link bytes.
+type Predictions = (Vec<(Time, Vec<Time>, Time, masim_mfact::Counters)>, Vec<SimOutcome>);
+type SimOutcome = (Time, Vec<Time>, u64, u64, Vec<u64>);
+
+fn predictions<'a>(src: impl Into<masim_trace::TraceSource<'a>>, machine: &Machine) -> Predictions {
+    let src = src.into();
+    let sweep = ModelConfig::standard_sweep(machine.net);
+    let mfact = try_replay(src, &sweep, None).expect("MFACT replays");
+    let mfact = mfact.into_iter().map(|c| (c.total, c.per_rank, c.comm_time, c.counters)).collect();
+    let meta = match src {
+        masim_trace::TraceSource::Memory(t) => &t.meta,
+        masim_trace::TraceSource::Streamed(s) => s.meta(),
+    };
+    let sim = ModelKind::study_models().map(|model| {
+        let cfg = SimConfig {
+            machine: machine.clone(),
+            mapping: Mapping::block(meta.ranks, meta.ranks_per_node),
+            model,
+        };
+        let r = masim_sim::run(src, &cfg, SimLimits::unlimited(), None).expect("simulation runs");
+        (r.total, r.per_rank, r.events, r.messages, r.link_bytes)
+    });
+    (mfact, sim.to_vec())
+}
+
+/// Request ids are opaque labels: relabeling every id of every rank, by
+/// `r ↦ u32::MAX − r` and by `r ↦ r ^ 2^31`, changes no prediction of
+/// MFACT or of any simulator model, from memory or streamed. Both maps
+/// reach ids a tool could be tempted to reserve for its own receives.
+#[test]
+fn request_rules_ids_are_opaque_labels() {
+    let mut entries = masim_workloads::build_corpus(7);
+    entries.sort_by_key(|e| e.cfg.ranks);
+    let nonblocking = |t: &Trace| {
+        t.events.iter().flatten().any(|e| matches!(e.kind, EventKind::Isend { .. }))
+            && t.events.iter().flatten().any(|e| matches!(e.kind, EventKind::Irecv { .. }))
+    };
+    // The smallest traces of three apps that issue both.
+    let mut picked = Vec::new();
+    for e in &entries {
+        if picked.len() < 3
+            && picked.iter().all(|(p, _): &(&CorpusEntry, Trace)| p.cfg.app != e.cfg.app)
+        {
+            let t = e.generate();
+            if nonblocking(&t) {
+                picked.push((e, t));
+            }
+        }
+    }
+    assert_eq!(picked.len(), 3, "the corpus has three apps with Isend and Irecv");
+    for (entry, trace) in &picked {
+        let machine = Machine::by_name(&entry.cfg.machine).expect("corpus machine");
+        let label = format!("{}({})", entry.cfg.app.name(), entry.cfg.ranks);
+        let want = predictions(trace, &machine);
+        // `r ^ u32::MAX` is `u32::MAX - r`.
+        for mask in [u32::MAX, 0x8000_0000] {
+            let moved = relabel_requests(trace, mask);
+            assert_ne!(&moved, trace);
+            assert!(predictions(&moved, &machine) == want, "{label}, r ^ {mask:#x}, in memory");
+            let stream =
+                StreamedTrace::from_bytes(io::encode(&moved)).expect("relabeled trace opens");
+            assert!(predictions(&stream, &machine) == want, "{label}, r ^ {mask:#x}, streamed");
+        }
+    }
+}
+
+/// One malformed trace, one error: for a trace with a single request or
+/// peer defect, validation, MFACT and every simulator model report the
+/// same `TraceError`, from memory and, where the trace encodes, streamed.
+/// Nothing panics. An out-of-range peer does not encode: the decoder
+/// refuses it.
+#[test]
+fn request_rules_one_malformed_trace_gives_one_error() {
+    use masim_trace::ReqId;
+    let ev = |kind| Event::new(kind, Time::from_us(1));
+    let send = |peer, tag| ev(EventKind::Send { peer: Rank(peer), bytes: 8, tag });
+    let recv = |peer, tag| ev(EventKind::Recv { peer: Rank(peer), bytes: 8, tag });
+    let isend =
+        |peer, tag, req| ev(EventKind::Isend { peer: Rank(peer), bytes: 8, tag, req: ReqId(req) });
+    let irecv =
+        |peer, tag, req| ev(EventKind::Irecv { peer: Rank(peer), bytes: 8, tag, req: ReqId(req) });
+    let wait = |req| ev(EventKind::Wait { req: ReqId(req) });
+    let wait_all =
+        |reqs: &[u32]| ev(EventKind::WaitAll { reqs: reqs.iter().map(|&r| ReqId(r)).collect() });
+    let two = |r0, r1| Trace { events: vec![r0, r1], ..Trace::empty(meta(2)) };
+    let rank = Rank(0);
+    let out = TraceError::PeerOutOfRange { rank, peer: Rank(2) };
+    let cases = [
+        (
+            "reused outstanding Isend id",
+            two(vec![isend(1, 0, 3), isend(1, 1, 3), wait(3)], vec![recv(0, 0), recv(0, 1)]),
+            TraceError::RequestReuse { rank, req: 3 },
+        ),
+        (
+            "reused outstanding Irecv id",
+            two(vec![irecv(1, 0, 3), irecv(1, 1, 3), wait(3)], vec![send(0, 0), send(0, 1)]),
+            TraceError::RequestReuse { rank, req: 3 },
+        ),
+        (
+            "Wait on a never-issued id",
+            two(vec![wait(42)], vec![ev(EventKind::Compute)]),
+            TraceError::DanglingWait { rank, req: 42 },
+        ),
+        (
+            "WaitAll naming an unknown id",
+            two(vec![irecv(1, 0, 0), wait_all(&[0, 7])], vec![send(0, 0)]),
+            TraceError::DanglingWait { rank, req: 7 },
+        ),
+        ("Send to peer = world", two(vec![send(2, 0)], vec![ev(EventKind::Compute)]), out.clone()),
+        (
+            "Isend to peer = world",
+            two(vec![isend(2, 0, 0), wait(0)], vec![ev(EventKind::Compute)]),
+            out.clone(),
+        ),
+        (
+            "Recv from peer = world",
+            two(vec![recv(2, 0)], vec![ev(EventKind::Compute)]),
+            out.clone(),
+        ),
+        (
+            "Irecv from peer = world",
+            two(vec![irecv(2, 0, 0), wait(0)], vec![ev(EventKind::Compute)]),
+            out.clone(),
+        ),
+    ];
+    let machine = Machine::cielito();
+    let configs = [ModelConfig::base(machine.net)];
+    for (what, t, want) in cases {
+        let validated = contained(|| Ok(t.validate())).expect("validation never panics");
+        assert_eq!(validated, Err(want.clone()), "{what}: validate");
+        let tools = |src: masim_trace::TraceSource<'_>, how: &str| {
+            let mfact = contained(|| Ok(try_replay(src, &configs, None).map(|_| ())));
+            assert_eq!(mfact, Ok(Err(ReplayError::Malformed(want.clone()))), "{what}: MFACT {how}");
+            for model in ModelKind::study_models() {
+                let cfg = SimConfig::new(machine.clone(), model, &t);
+                let sim = contained(|| {
+                    Ok(masim_sim::run(src, &cfg, SimLimits::unlimited(), None).map(|_| ()))
+                });
+                let name = model.name();
+                assert_eq!(sim, Ok(Err(SimError::Malformed(want.clone()))), "{what}: {name} {how}");
+            }
+        };
+        tools((&t).into(), "in memory");
+        match StreamedTrace::from_bytes(io::encode(&t)) {
+            Ok(stream) => tools((&stream).into(), "streamed"),
+            Err(e) => {
+                assert_eq!(want, out, "{what}: only out-of-range peers fail to decode");
+                let field = DecodeError::OutOfRange { field: "peer", value: 2 };
+                assert_eq!(e, StreamError::Decode(field), "{what}: decode");
             }
         }
     }
