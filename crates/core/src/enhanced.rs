@@ -215,18 +215,24 @@ mod tests {
     #[test]
     fn cl_is_a_strong_predictor() {
         let d = dataset();
-        let e = Enhanced::train(&d, 17);
-        // CL{ncs} must rank among the top variables, as in Table IV.
-        // (On a corpus *slice* other comm-share features can edge it out
-        // occasionally; the full-corpus Table IV in EXPERIMENTS.md is the
-        // authoritative check.)
-        let rank = e.cv.ranked_candidates().iter().position(|&j| j == CL_INDEX).unwrap();
-        assert!(rank < 15, "CL rank {rank}");
-        // When selected, its coefficient is negative: "ncs" argues
-        // against recommending simulation.
-        if e.cv.selection_rate(CL_INDEX) > 0.0 {
-            assert!(e.cv.mean_coefficient(CL_INDEX) < 0.0);
-        }
+        // CL{ncs} must rank among the top variables, as in Table IV. On a
+        // corpus *slice* one MC-CV seed's ranking is noise (on the
+        // release slice CL's rank spans 5–16 over seeds 17..=27), so the
+        // median over eleven seeds is judged; the full-corpus Table IV in
+        // EXPERIMENTS.md is the authoritative check.
+        let mut ranks: Vec<usize> = (17..=27)
+            .map(|seed| {
+                let e = Enhanced::train(&d, seed);
+                // When selected, its coefficient is negative: "ncs" argues
+                // against recommending simulation.
+                if e.cv.selection_rate(CL_INDEX) > 0.0 {
+                    assert!(e.cv.mean_coefficient(CL_INDEX) < 0.0, "seed {seed}");
+                }
+                e.cv.ranked_candidates().iter().position(|&j| j == CL_INDEX).unwrap()
+            })
+            .collect();
+        ranks.sort_unstable();
+        assert!(ranks[ranks.len() / 2] < 15, "CL ranks {ranks:?}");
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::error::ReplayError;
 use masim_obs::MetricSet;
 use masim_topo::NetworkConfig;
 use masim_trace::{
-    check_peer, Event, EventKind, Mailbox, Rank, RankCursor, Requests, Time, Trace, TraceSource,
+    check_peer, Event, EventKind, Mailbox, Rank, RankCursor, Requests, Time, Trace, TraceError,
+    TraceSource, TOOL_RECV,
 };
 use std::collections::VecDeque;
 
@@ -79,23 +80,22 @@ pub struct ConfigResult {
     pub counters: Counters,
 }
 
-/// Mailbox token of a blocking receive. It has no request object, so it
-/// runs as an implicit irecv + wait in its rank's blocking slot, outside
-/// the request table, under a token no request id (< 2^32) can take.
-const BLOCKING_RECV: u64 = 1 << 32;
-
-/// The state of an outstanding request, or of a posted blocking receive.
+/// The state of a live request: an `Isend`'s, an `Irecv`'s, or the
+/// implicit `Irecv` of a blocking receive ([`TOOL_RECV`]). A blocking send
+/// is an `Isend` waited on at once, so it never lives here.
 #[derive(Clone, Copy)]
 enum ReqState {
-    /// An `Isend`: complete at issue (buffered semantics).
-    SendDone,
+    /// A send: its release row, when the sender may reuse its buffer
+    /// (issue + m·β).
+    Send(u32),
     /// A receive: the availability row of its matched send, once matched.
     Recv(Option<u32>),
 }
 
-/// Availability vectors of sends not yet consumed by their receive: the
-/// k-wide rows of one vector, recycled through a free list, so the
-/// steady state allocates nothing per message.
+/// Per-configuration time rows: the availability of sends not yet
+/// consumed by their receive and the release of `Isend`s not yet waited
+/// on. The k-wide rows of one vector, recycled through a free list, so
+/// the steady state allocates nothing per message.
 struct Slab {
     k: usize,
     rows: Vec<Time>,
@@ -111,20 +111,21 @@ impl Slab {
         })
     }
 
-    fn row_mut(&mut self, row: u32) -> &mut [Time] {
-        let at = row as usize * self.k;
-        &mut self.rows[at..at + self.k]
+    fn set(&mut self, row: u32, config: usize, t: Time) {
+        self.rows[row as usize * self.k + config] = t;
     }
 
-    /// A receive consumes `row`: each configuration's clock advances to
-    /// the message's availability, the gap counted as wait, and the row
-    /// is freed.
-    fn consume(&mut self, row: u32, clocks: &mut [Time], counters: &mut [Counters]) {
+    /// A wait consumes `row`: each configuration's clock advances to the
+    /// row's time and the row is freed. A receive's gap counts as wait; a
+    /// send's is part of its m·β, already counted as bandwidth.
+    fn consume(&mut self, row: u32, clocks: &mut [Time], counters: &mut [Counters], recv: bool) {
         let at = row as usize * self.k;
-        for (i, &a) in self.rows[at..at + self.k].iter().enumerate() {
-            if a > clocks[i] {
-                counters[i].wait += a - clocks[i];
-                clocks[i] = a;
+        for ((&t, clock), c) in self.rows[at..at + self.k].iter().zip(clocks).zip(counters) {
+            if t > *clock {
+                if recv {
+                    c.wait += t - *clock;
+                }
+                *clock = t;
             }
         }
         self.free.push(row);
@@ -137,26 +138,68 @@ impl Slab {
 fn deliver(
     mailboxes: &mut [Mailbox],
     reqs: &mut [Requests<ReqState>],
-    blocking: &mut [Option<ReqState>],
     src: u32,
     dst: u32,
     tag: u32,
     row: u32,
 ) -> bool {
     let dst = dst as usize;
-    let Some(token) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
+    let Some(key) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
         return false;
     };
-    // A waiting receive keeps its request record, or its blocking slot,
-    // until it matches.
-    let state = match token {
-        BLOCKING_RECV => blocking[dst].as_mut(),
-        req => reqs[dst].get_mut(req as u32).ok(),
-    };
-    if let Some(state) = state {
+    // A waiting receive keeps its request until a wait retires it, and a
+    // wait does not retire an unmatched receive.
+    if let Some(state) = reqs[dst].get_mut(key) {
         *state = ReqState::Recv(Some(row));
     }
     true
+}
+
+/// Issue receive request `key` and post it on its channel, matched at
+/// once if its send already came.
+fn irecv(
+    reqs: &mut Requests<ReqState>,
+    mailbox: &mut Mailbox,
+    peer: Rank,
+    tag: u32,
+    key: u64,
+) -> Result<(), TraceError> {
+    let state = reqs.issue(key, ReqState::Recv(None))?;
+    *state = ReqState::Recv(mailbox.post(peer, tag, key).map(|row| row as u32));
+    Ok(())
+}
+
+/// The one wait: a `Wait`/`WaitAll`, or a blocking receive's. Every key
+/// must be live; false (nothing retired) while a receive among them is
+/// unmatched, else each request is retired and the rank's clocks
+/// (`clocks`, one per configuration) advance to its row.
+fn wait<I>(
+    reqs: &mut Requests<ReqState>,
+    keys: I,
+    slab: &mut Slab,
+    clocks: &mut [Time],
+    counters: &mut [Counters],
+) -> Result<bool, TraceError>
+where
+    I: IntoIterator<Item = u64>,
+    I::IntoIter: Clone,
+{
+    let keys = keys.into_iter();
+    let mut unmatched = false;
+    for key in keys.clone() {
+        unmatched |= matches!(reqs.get(key)?, ReqState::Recv(None));
+    }
+    if unmatched {
+        return Ok(false);
+    }
+    for key in keys {
+        match reqs.retire(key)? {
+            ReqState::Send(row) => slab.consume(row, clocks, counters, false),
+            ReqState::Recv(Some(row)) => slab.consume(row, clocks, counters, true),
+            ReqState::Recv(None) => {} // every receive is matched: checked above
+        }
+    }
+    Ok(true)
 }
 
 /// The collective in progress. A rank parked at a collective is not
@@ -296,13 +339,10 @@ fn replay_core<S: EvSrc>(
     let mut comp = vec![Time::ZERO; n * k];
     let mut counters = vec![Counters::default(); k];
     // Per destination rank: queued sends (payload: availability row) and
-    // waiting receives (token: request id, or `BLOCKING_RECV`) by
-    // (source, tag).
+    // waiting receives (token: the request key) by (source, tag).
     let mut mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::default()).collect();
     let mut reqs: Vec<Requests<ReqState>> =
         (0..num_ranks).map(|r| Requests::new(Rank(r))).collect();
-    // Per rank: its blocking receive, while one is posted.
-    let mut blocking: Vec<Option<ReqState>> = vec![None; n];
     let mut slab = Slab { k, rows: Vec::new(), free: Vec::new() };
     let mut cursors = vec![0usize; n];
     // Sized by the first collective.
@@ -336,6 +376,17 @@ fn replay_core<S: EvSrc>(
             let ev = src.get(r, cursors[r as usize]);
             let base = r as usize * k;
             let rank_reqs = &mut reqs[r as usize];
+            // The one wait on `keys`. While a receive among them is
+            // unmatched the rank blocks, to re-run this event when woken.
+            macro_rules! wait {
+                ($keys:expr) => {{
+                    let clocks = &mut clocks[base..base + k];
+                    if !wait(rank_reqs, $keys, &mut slab, clocks, &mut counters)? {
+                        blocked = true;
+                        break 'advance;
+                    }
+                }};
+            }
             match &ev.kind {
                 EventKind::Compute => {
                     for (i, cfg) in configs.iter().enumerate() {
@@ -345,108 +396,53 @@ fn replay_core<S: EvSrc>(
                         counters[i].computation += d;
                     }
                 }
-                EventKind::Send { peer, bytes, tag } => {
+                // A `Send` is an `Isend` waited on at once: the payload
+                // lands at issue + α + m·β, and the sender's buffer is free
+                // at issue + m·β, which an `Isend` keeps in its request
+                // and a `Send` moves the sender to now.
+                EventKind::Send { peer, bytes, tag }
+                | EventKind::Isend { peer, bytes, tag, .. } => {
                     check_peer(Rank(r), *peer, num_ranks)?;
-                    let row = slab.alloc();
-                    let avail = slab.row_mut(row);
-                    for (i, cfg) in configs.iter().enumerate() {
-                        let c = p2p(&cfg.net, *bytes);
-                        counters[i].latency += c.latency;
-                        counters[i].bandwidth += c.bandwidth;
-                        clocks[base + i] += c.total();
-                        avail[i] = clocks[base + i];
-                    }
-                    if deliver(&mut mailboxes, &mut reqs, &mut blocking, r, peer.0, *tag, row)
-                        && peer.0 != r
-                    {
-                        wake!(peer.0);
-                    }
-                }
-                EventKind::Isend { peer, bytes, tag, req } => {
-                    check_peer(Rank(r), *peer, num_ranks)?;
-                    rank_reqs.issue(req.0, ReqState::SendDone)?;
-                    let row = slab.alloc();
-                    let avail = slab.row_mut(row);
-                    for (i, cfg) in configs.iter().enumerate() {
-                        let c = p2p(&cfg.net, *bytes);
-                        counters[i].latency += c.latency;
-                        counters[i].bandwidth += c.bandwidth;
-                        // A nonblocking issue costs only the software
-                        // injection overhead locally (a quarter of α);
-                        // the full α + m·β transfer overlaps with
-                        // subsequent execution and determines when the
-                        // message is available at the receiver.
-                        let start = clocks[base + i];
-                        clocks[base + i] = start + c.latency / 4;
-                        avail[i] = start + c.latency + c.bandwidth;
-                    }
-                    if deliver(&mut mailboxes, &mut reqs, &mut blocking, r, peer.0, *tag, row)
-                        && peer.0 != r
-                    {
-                        wake!(peer.0);
-                    }
-                }
-                EventKind::Recv { peer, tag, .. } => {
-                    // On first execution a blocking receive either
-                    // matches a queued send or waits in the mailbox and
-                    // in its slot; when the send later arrives it fills
-                    // the slot and this event is retried.
-                    check_peer(Rank(r), *peer, num_ranks)?;
-                    let slot = &mut blocking[r as usize];
-                    let row = match *slot {
-                        // Retry after a wake-up.
-                        Some(ReqState::Recv(Some(row))) => {
-                            *slot = None;
-                            row
+                    let release = match ev.kind {
+                        EventKind::Isend { req, .. } => {
+                            let row = slab.alloc();
+                            rank_reqs.issue(req.0.into(), ReqState::Send(row))?;
+                            Some(row)
                         }
-                        // Spurious wake; still waiting in the mailbox —
-                        // just block again.
-                        Some(_) => {
-                            blocked = true;
-                            break 'advance;
-                        }
-                        None => match mailboxes[r as usize].post(*peer, *tag, BLOCKING_RECV) {
-                            Some(row) => row as u32,
-                            None => {
-                                *slot = Some(ReqState::Recv(None));
-                                blocked = true;
-                                break 'advance;
-                            }
-                        },
+                        _ => None,
                     };
-                    slab.consume(row, &mut clocks[base..base + k], &mut counters);
+                    let avail = slab.alloc();
+                    for (i, cfg) in configs.iter().enumerate() {
+                        let c = p2p(&cfg.net, *bytes);
+                        counters[i].latency += c.latency;
+                        counters[i].bandwidth += c.bandwidth;
+                        let issued = clocks[base + i];
+                        slab.set(avail, i, issued + c.total());
+                        match release {
+                            Some(row) => slab.set(row, i, issued + c.bandwidth),
+                            None => clocks[base + i] = issued + c.bandwidth,
+                        }
+                    }
+                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, avail) && peer.0 != r {
+                        wake!(peer.0);
+                    }
                 }
                 EventKind::Irecv { peer, tag, req, .. } => {
                     check_peer(Rank(r), *peer, num_ranks)?;
-                    let state = rank_reqs.issue(req.0, ReqState::Recv(None))?;
-                    let row = mailboxes[r as usize].post(*peer, *tag, u64::from(req.0));
-                    *state = ReqState::Recv(row.map(|row| row as u32));
+                    irecv(rank_reqs, &mut mailboxes[r as usize], *peer, *tag, req.0.into())?;
                 }
-                EventKind::Wait { req } => {
-                    if let ReqState::Recv(None) = rank_reqs.get(req.0)? {
-                        blocked = true;
-                        break 'advance;
+                // A `Recv` is an `Irecv` under the tool token plus its
+                // wait; a woken rank finds the request live and re-runs
+                // only the wait.
+                EventKind::Recv { peer, tag, .. } => {
+                    check_peer(Rank(r), *peer, num_ranks)?;
+                    if rank_reqs.get_mut(TOOL_RECV).is_none() {
+                        irecv(rank_reqs, &mut mailboxes[r as usize], *peer, *tag, TOOL_RECV)?;
                     }
-                    if let ReqState::Recv(Some(row)) = rank_reqs.retire(req.0)? {
-                        slab.consume(row, &mut clocks[base..base + k], &mut counters);
-                    }
+                    wait!([TOOL_RECV]);
                 }
-                EventKind::WaitAll { reqs: ids } => {
-                    // Every id must be live, and every receive matched.
-                    let mut unmatched = false;
-                    for id in ids {
-                        unmatched |= matches!(rank_reqs.get(id.0)?, ReqState::Recv(None));
-                    }
-                    if unmatched {
-                        blocked = true;
-                        break 'advance;
-                    }
-                    for id in ids {
-                        if let ReqState::Recv(Some(row)) = rank_reqs.retire(id.0)? {
-                            slab.consume(row, &mut clocks[base..base + k], &mut counters);
-                        }
-                    }
-                }
+                EventKind::Wait { req } => wait!([u64::from(req.0)]),
+                EventKind::WaitAll { reqs: ids } => wait!(ids.iter().map(|id| u64::from(id.0))),
                 EventKind::Coll { kind, bytes, .. } => {
                     if coll.arrivals.is_empty() {
                         coll.arrivals = vec![Time::ZERO; n * k];
@@ -500,6 +496,7 @@ fn replay_core<S: EvSrc>(
         }
 
         if !blocked && cursors[r as usize] >= len {
+            reqs[r as usize].finish()?;
             finished[r as usize] = true;
         }
         // A blocked rank's wake-up is registered with its mailbox entry
@@ -565,9 +562,10 @@ mod tests {
         let t = send_recv_trace();
         let res = replay(&t, &[ModelConfig::base(net())]);
         let r = &res[0];
-        // Sender: 10us + 2.5us + 1us = 13.5us.
-        assert_eq!(r.per_rank[0], Time::from_ns(13_500));
-        // Receiver waits from 1us until the message lands at 13.5us.
+        // Sender: its buffer is free after 10us + 1us of serialization.
+        assert_eq!(r.per_rank[0], Time::from_us(11));
+        // Receiver waits from 1us until the message lands at
+        // 10us + 2.5us + 1us = 13.5us.
         assert_eq!(r.per_rank[1], Time::from_ns(13_500));
         assert_eq!(r.total, Time::from_ns(13_500));
         assert_eq!(r.counters.wait, Time::from_ns(12_500));
@@ -744,8 +742,8 @@ mod tests {
     fn comm_time_excludes_computation() {
         let t = send_recv_trace();
         let r = &replay(&t, &[ModelConfig::base(net())])[0];
-        // Rank0: clock 13.5us, comp 10us -> comm 3.5; rank1: 13.5 - 1 = 12.5.
-        assert_eq!(r.comm_time, Time::from_us(16));
+        // Rank0: clock 11us, comp 10us -> comm 1; rank1: 13.5 - 1 = 12.5.
+        assert_eq!(r.comm_time, Time::from_ns(13_500));
     }
 
     #[test]
@@ -766,8 +764,8 @@ mod tests {
         // One histogram observation per rank of the baseline config.
         let h = &snap.hists["mfact.replay.clock_advance_ns"];
         assert_eq!(h.count(), t.num_ranks() as u64);
-        // Both ranks finish at 13.5us (see hockney_happened_before).
-        assert_eq!(h.min, 13_500);
+        // The ranks finish at 11us and 13.5us (see hockney_happened_before).
+        assert_eq!(h.min, 11_000);
         assert_eq!(h.max, 13_500);
         assert_eq!(snap.spans["mfact.replay.replay"].count, 1);
     }
@@ -889,7 +887,9 @@ mod tests {
     /// its first `i` events. Matching is static — the j-th receive rank
     /// `d` posts from `(s, tag)` takes the j-th send `s` issues to `d`
     /// with that tag — and a collective ends at its last arrival plus
-    /// the rank's own cost.
+    /// the rank's own cost. A send issued at `c` releases its sender at
+    /// `c + m·β` and lands at `c + α + m·β`; a blocking call waits at
+    /// once, a nonblocking one at its `Wait`.
     struct Recurrence<'t> {
         t: &'t Trace,
         cfg: ModelConfig,
@@ -912,9 +912,8 @@ mod tests {
             let e = &t.events[r][i - 1];
             let c = match &e.kind {
                 EventKind::Compute => prev + e.dur.scale(self.cfg.compute_scale),
-                EventKind::Send { bytes, .. } => prev + p2p(&net, *bytes).total(),
-                EventKind::Isend { bytes, .. } => prev + p2p(&net, *bytes).latency / 4,
-                EventKind::Irecv { .. } => prev,
+                EventKind::Send { bytes, .. } => prev + p2p(&net, *bytes).bandwidth,
+                EventKind::Isend { .. } | EventKind::Irecv { .. } => prev,
                 EventKind::Recv { .. } => prev.max(self.avail(self.matched[&(r, i - 1)])),
                 EventKind::Wait { req } => self.waited(r, i - 1, &[*req], prev),
                 EventKind::WaitAll { reqs } => self.waited(r, i - 1, reqs, prev),
@@ -930,18 +929,25 @@ mod tests {
             c
         }
 
-        /// When send event `j` of rank `s` makes its message available.
-        fn avail(&mut self, (s, j): (usize, usize)) -> Time {
-            match &self.t.events[s][j].kind {
-                EventKind::Isend { bytes, .. } => {
-                    self.clock(s, j) + p2p(&self.cfg.net, *bytes).total()
+        /// The serialization m·β of send event `j` of rank `s`.
+        fn ser(&self, (s, j): (usize, usize)) -> Time {
+            match self.t.events[s][j].kind {
+                EventKind::Send { bytes, .. } | EventKind::Isend { bytes, .. } => {
+                    p2p(&self.cfg.net, bytes).bandwidth
                 }
-                _ => self.clock(s, j + 1),
+                _ => unreachable!("not a send"),
             }
         }
 
+        /// When send event `j` of rank `s` makes its message available:
+        /// its issue plus α + m·β.
+        fn avail(&mut self, (s, j): (usize, usize)) -> Time {
+            self.clock(s, j) + self.cfg.net.latency + self.ser((s, j))
+        }
+
         /// A wait at event `at` on `reqs`: the latest of `prev` and each
-        /// receive request's availability (its most recent issue).
+        /// request's completion (from its most recent issue): a receive's
+        /// availability, a send's release.
         fn waited(&mut self, r: usize, at: usize, reqs: &[ReqId], prev: Time) -> Time {
             let mut c = prev;
             for req in reqs {
@@ -949,9 +955,12 @@ mod tests {
                     EventKind::Isend { req: q, .. } | EventKind::Irecv { req: q, .. } => q == *req,
                     _ => false,
                 });
-                if let Some(&send) = issued.and_then(|j| self.matched.get(&(r, j))) {
-                    c = c.max(self.avail(send));
-                }
+                let Some(j) = issued else { continue };
+                let done = match self.t.events[r][j].kind {
+                    EventKind::Isend { .. } => self.clock(r, j) + self.ser((r, j)),
+                    _ => self.avail(self.matched[&(r, j)]),
+                };
+                c = c.max(done);
             }
             c
         }

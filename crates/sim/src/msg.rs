@@ -19,19 +19,14 @@ pub struct Message {
     pub tag: u32,
 }
 
-/// What a message's sender-release event means for its source rank.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum RelPurpose {
-    BlockingSend(Rank),
-    AppReq(Rank, u32),
-    CollRound(Rank),
-}
-
 /// One occupied slab slot.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     msg: Message,
-    purpose: RelPurpose,
+    /// The key of the send request of `msg.src` that the message's
+    /// `Release` completes: an `Isend`'s id widened, or
+    /// [`masim_trace::TOOL_SEND`] for a blocking or collective send.
+    key: u64,
     released: bool,
     delivered: bool,
 }
@@ -50,10 +45,11 @@ pub struct MsgSlab {
 }
 
 impl MsgSlab {
-    /// Intern a message and what its release means; returns its id.
+    /// Intern a message and the key of the send request its release
+    /// completes; returns its id.
     #[inline]
-    pub(crate) fn insert(&mut self, msg: Message, purpose: RelPurpose) -> u32 {
-        let slot = Slot { msg, purpose, released: false, delivered: false };
+    pub(crate) fn insert(&mut self, msg: Message, key: u64) -> u32 {
+        let slot = Slot { msg, key, released: false, delivered: false };
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = slot;
             return id;
@@ -70,20 +66,20 @@ impl MsgSlab {
         &self.slots[id as usize].msg
     }
 
-    /// Handle message `id`'s `Release`: returns what it means for the
-    /// sender, and retires the slot if the message was delivered.
-    /// Invariant: each message's `Release` is handled exactly once; a
-    /// second one would reach a slot that may hold another message.
+    /// Handle message `id`'s `Release`: returns the key of the sender's
+    /// request it completes, and retires the slot if the message was
+    /// delivered. Invariant: each message's `Release` is handled exactly
+    /// once; a second one would reach a slot that may hold another
+    /// message.
     #[inline]
-    pub(crate) fn release(&mut self, id: u32) -> RelPurpose {
+    pub(crate) fn release(&mut self, id: u32) -> u64 {
         let s = &mut self.slots[id as usize];
         assert!(!s.released, "message {id} released twice");
         s.released = true;
-        let purpose = s.purpose;
         if s.delivered {
             self.free.push(id);
         }
-        purpose
+        s.key
     }
 
     /// Handle message `id`'s `Deliver`, retiring the slot if the sender
@@ -113,28 +109,32 @@ impl MsgSlab {
 mod tests {
     use super::*;
 
+    use masim_trace::TOOL_SEND;
+
     fn msg(bytes: u64) -> Message {
         Message { src: Rank(0), dst: Rank(1), bytes, tag: 0 }
     }
 
     #[test]
     fn slot_is_retired_after_release_and_deliver_in_either_order() {
+        assert_eq!(std::mem::size_of::<Slot>(), 40, "the memory budget charges 40 B a slot");
         let mut slab = MsgSlab::default();
-        let a = slab.insert(msg(1), RelPurpose::CollRound(Rank(0)));
-        let b = slab.insert(msg(2), RelPurpose::BlockingSend(Rank(0)));
+        let a = slab.insert(msg(1), TOOL_SEND);
+        let b = slab.insert(msg(2), 9);
         assert_eq!((a, b, slab.len()), (0, 1, 2));
         slab.deliver(a);
         assert_eq!(slab.len(), 2, "a is not released yet");
-        assert!(matches!(slab.release(a), RelPurpose::CollRound(_)));
-        assert!(matches!(slab.release(b), RelPurpose::BlockingSend(_)));
+        assert_eq!(slab.release(a), TOOL_SEND);
+        assert_eq!(slab.release(b), 9);
         assert_eq!(slab.len(), 1, "a retired, b still undelivered");
         slab.deliver(b);
         assert_eq!(slab.len(), 0);
         // Both slots are reused before the slab grows.
-        let c = slab.insert(msg(3), RelPurpose::AppReq(Rank(1), 7));
-        let d = slab.insert(msg(4), RelPurpose::CollRound(Rank(1)));
-        let e = slab.insert(msg(5), RelPurpose::CollRound(Rank(1)));
+        let c = slab.insert(msg(3), 7);
+        let d = slab.insert(msg(4), TOOL_SEND);
+        let e = slab.insert(msg(5), TOOL_SEND);
         assert_eq!((c, d, e), (1, 0, 2));
         assert_eq!((slab.get(c).bytes, slab.get(d).bytes, slab.get(e).bytes), (3, 4, 5));
+        assert_eq!(slab.release(c), 7, "a reused slot completes its new request");
     }
 }

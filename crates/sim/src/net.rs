@@ -484,8 +484,9 @@ pub(crate) fn inject(eng: &mut Engine<SimState>, st: &mut SimState, id: u32) {
     let dst_node = st.mapping.node_of(msg.dst);
 
     if src_node == dst_node {
-        // Intra-node: uncontended Hockney transfer, same cost model as
-        // MFACT so the tools agree on local traffic.
+        // Intra-node: uncontended Hockney transfer, MFACT's point-to-point
+        // rule (sender free after m·β, payload lands after α + m·β), so on
+        // one node the tools agree to the ps.
         let ser = st.machine.net.bandwidth.transfer_time(msg.bytes);
         let release = eng.now() + ser;
         let deliver = eng.now() + st.machine.net.latency + ser;

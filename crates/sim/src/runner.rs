@@ -3,7 +3,7 @@
 
 use crate::error::SimError;
 use crate::lower::{coll_tag, round, rounds, Round, MAX_COLL_ORDINALS, MAX_COLL_ROUNDS};
-use crate::msg::{Message, MsgSlab, RelPurpose};
+use crate::msg::{Message, MsgSlab};
 use crate::net::{
     flow_complete, inject, on_flow_resolve, packet_hop, LinkTable, ModelKind, NetState, Packet,
     RouteArena,
@@ -12,8 +12,8 @@ use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
 use masim_trace::{
-    check_peer, CollKind, Event, EventKind, Mailbox, Rank, RankCursor, ReqId, Requests,
-    StreamedTrace, Time, Trace, TraceSource,
+    check_peer, CollKind, Event, EventKind, Mailbox, Rank, RankCursor, Requests, StreamedTrace,
+    Time, Trace, TraceSource, TOOL_RECV, TOOL_SEND,
 };
 
 /// Simulation configuration.
@@ -118,10 +118,10 @@ pub struct SimResult {
 enum PStatus {
     Idle,
     Computing,
-    BlockedSend,
-    BlockedRecv,
+    /// In a wait on requests that have not completed: a `Wait`/`WaitAll`,
+    /// a blocking `Send`/`Recv` (its nonblocking twin plus a wait) or a
+    /// collective round (its receive and send plus a wait).
     Waiting,
-    CollRound,
     /// Its last event could not run (it breaks a request or peer rule,
     /// or its collective outgrows the tag space); [`run`] reports the
     /// latched cause.
@@ -143,19 +143,16 @@ struct CollExec {
 struct Proc {
     cursor: usize,
     status: PStatus,
-    /// Application nonblocking requests: id → completed?
+    /// Live requests, application and tool: key → completed?
     reqs: Requests<bool>,
-    /// Requests the `Wait`/`WaitAll` the rank is blocked in has retired
-    /// but that have not completed yet.
-    wait_set: Vec<u32>,
+    /// Requests the wait the rank is blocked in has retired but that have
+    /// not completed yet. Each request completes once, so a completion of
+    /// a key that is no longer live is one of these.
+    waiting: u32,
     coll: Option<CollExec>,
     coll_count: u32,
-    /// Outstanding receives + send releases in the current collective
-    /// round.
-    round_pending: u32,
     compute_total: Time,
     finish: Time,
-    blocked_send_msg: u32,
 }
 
 impl Proc {
@@ -164,13 +161,11 @@ impl Proc {
             cursor: 0,
             status: PStatus::Idle,
             reqs: Requests::new(rank),
-            wait_set: Vec::new(),
+            waiting: 0,
             coll: None,
             coll_count: 0,
-            round_pending: 0,
             compute_total: Time::ZERO,
             finish: Time::ZERO,
-            blocked_send_msg: 0,
         }
     }
 }
@@ -189,8 +184,8 @@ pub enum SimEvent {
     ComputeDone(Rank),
     /// Sender may reuse its buffer (message fully injected / drained).
     Release {
-        /// Source rank (for symmetry with `Deliver`; what the release
-        /// means is kept in the message's slab slot).
+        /// Source rank, whose send request the release completes (the
+        /// request's key is kept in the message's slab slot).
         src: Rank,
         /// Message slab id.
         msg: u32,
@@ -292,11 +287,6 @@ pub struct SimState<'a> {
     error: Option<SimError>,
 }
 
-// Mailbox tokens of the simulator's own receives. An application
-// request's token is its id, below 2^32.
-const TOKEN_BLOCKING: u64 = 1 << 32;
-const TOKEN_COLL: u64 = TOKEN_BLOCKING + 1;
-
 impl<'a> SimState<'a> {
     /// Validate `cfg` against the trace and build the empty state.
     pub(crate) fn new(trace: TraceSource<'a>, cfg: &SimConfig) -> Result<SimState<'a>, SimError> {
@@ -343,22 +333,33 @@ impl<'a> SimState<'a> {
         })
     }
 
-    fn send_message(
+    /// Issue send request `key` of rank `src` and inject its message;
+    /// the message's `Release` completes the request.
+    fn isend(
         &mut self,
         eng: &mut Engine<SimState<'a>>,
         src: Rank,
         dst: Rank,
         bytes: u64,
         tag: u32,
-        purpose: RelPurpose,
-    ) -> u32 {
+        key: u64,
+    ) -> Result<(), SimError> {
+        self.procs[src.idx()].reqs.issue(key, false)?;
         self.messages += 1;
         // Zero-byte MPI messages still cross the wire as a header.
         let bytes = bytes.max(1);
         self.msg_sizes.record(bytes);
-        let id = self.msgs.insert(Message { src, dst, bytes, tag }, purpose);
+        let id = self.msgs.insert(Message { src, dst, bytes, tag }, key);
         inject(eng, self, id);
-        id
+        Ok(())
+    }
+
+    /// Issue receive request `key` of rank `r` and post it: done at once
+    /// if its message already arrived, else when it is delivered.
+    fn irecv(&mut self, r: Rank, peer: Rank, tag: u32, key: u64) -> Result<(), SimError> {
+        let done = self.procs[r.idx()].reqs.issue(key, false)?;
+        *done = self.mailboxes[r.idx()].post(peer, tag, key).is_some();
+        Ok(())
     }
 
     /// Latch the first typed mid-run error; [`run`] reports it with
@@ -408,14 +409,20 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
         debug_assert_eq!(st.procs[r.idx()].status, PStatus::Idle);
 
         // Inside a collective: run its rounds first.
-        if st.procs[r.idx()].coll.is_some() && enter_coll_rounds(eng, st, r) {
-            return; // blocked inside the collective
+        if st.procs[r.idx()].coll.is_some() {
+            match enter_coll_rounds(eng, st, r) {
+                Ok(true) => return, // blocked inside the collective
+                Ok(false) => {}     // collective finished; on to trace events
+                Err(e) => return st.park(r, e),
+            }
         }
-        // Collective finished; fall through to trace events.
 
         let cursor = st.procs[r.idx()].cursor;
         let Some(ev) = st.fetch_event(r, cursor) else {
             let p = &mut st.procs[r.idx()];
+            if let Err(e) = p.reqs.finish() {
+                return st.park(r, e.into());
+            }
             p.status = PStatus::Done;
             p.finish = eng.now();
             st.done += 1;
@@ -450,33 +457,30 @@ fn issue<'a>(
             eng.schedule_in(d, SimEvent::ComputeDone(r));
             return Ok(false);
         }
+        // A blocking call is its nonblocking twin under a tool token, then
+        // a wait on it.
         EventKind::Send { peer, bytes, tag } => {
             check_peer(r, *peer, world)?;
-            let id = st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::BlockingSend(r));
-            let p = &mut st.procs[r.idx()];
-            p.status = PStatus::BlockedSend;
-            p.blocked_send_msg = id;
-            return Ok(false);
+            st.isend(eng, r, *peer, *bytes, *tag, TOOL_SEND)?;
+            return wait(&mut st.procs[r.idx()], [TOOL_SEND]);
         }
         EventKind::Isend { peer, bytes, tag, req } => {
             check_peer(r, *peer, world)?;
-            st.procs[r.idx()].reqs.issue(req.0, false)?;
-            st.send_message(eng, r, *peer, *bytes, *tag, RelPurpose::AppReq(r, req.0));
+            st.isend(eng, r, *peer, *bytes, *tag, req.0.into())?;
         }
         EventKind::Recv { peer, tag, .. } => {
             check_peer(r, *peer, world)?;
-            if st.mailboxes[r.idx()].post(*peer, *tag, TOKEN_BLOCKING).is_none() {
-                st.procs[r.idx()].status = PStatus::BlockedRecv;
-                return Ok(false);
-            }
+            st.irecv(r, *peer, *tag, TOOL_RECV)?;
+            return wait(&mut st.procs[r.idx()], [TOOL_RECV]);
         }
         EventKind::Irecv { peer, tag, req, .. } => {
             check_peer(r, *peer, world)?;
-            let done = st.procs[r.idx()].reqs.issue(req.0, false)?;
-            *done = st.mailboxes[r.idx()].post(*peer, *tag, u64::from(req.0)).is_some();
+            st.irecv(r, *peer, *tag, req.0.into())?;
         }
-        EventKind::Wait { req } => return wait(&mut st.procs[r.idx()], std::slice::from_ref(req)),
-        EventKind::WaitAll { reqs } => return wait(&mut st.procs[r.idx()], reqs),
+        EventKind::Wait { req } => return wait(&mut st.procs[r.idx()], [req.0.into()]),
+        EventKind::WaitAll { reqs } => {
+            return wait(&mut st.procs[r.idx()], reqs.iter().map(|req| req.0.into()))
+        }
         EventKind::Coll { kind, bytes, root } => {
             let p = &mut st.procs[r.idx()];
             let ordinal = p.coll_count;
@@ -493,51 +497,52 @@ fn issue<'a>(
     Ok(true)
 }
 
-/// A `Wait`/`WaitAll` retires `reqs`: true if all have completed, false
-/// if the rank blocks until the rest have.
-fn wait(p: &mut Proc, reqs: &[ReqId]) -> Result<bool, SimError> {
-    for id in reqs {
-        if !p.reqs.retire(id.0)? {
-            p.wait_set.push(id.0);
+/// The one wait: a `Wait`/`WaitAll`, a blocking call or a collective
+/// round retires `keys`: true if all have completed, false if the rank
+/// blocks until the rest have.
+fn wait(p: &mut Proc, keys: impl IntoIterator<Item = u64>) -> Result<bool, SimError> {
+    for key in keys {
+        if !p.reqs.retire(key)? {
+            p.waiting += 1;
         }
     }
-    if p.wait_set.is_empty() {
+    if p.waiting == 0 {
         return Ok(true);
     }
     p.status = PStatus::Waiting;
     Ok(false)
 }
 
-/// Execute collective rounds until blocked (true) or done (false).
-fn enter_coll_rounds<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) -> bool {
+/// Execute collective rounds until blocked (true) or done (false). A
+/// round is a receive and a send under the tool tokens, then a wait on
+/// both; the wait retires them before the next round issues them again.
+fn enter_coll_rounds<'a>(
+    eng: &mut Engine<SimState<'a>>,
+    st: &mut SimState<'a>,
+    r: Rank,
+) -> Result<bool, SimError> {
     let world = st.trace.num_ranks();
     loop {
         // Invariant: `advance` only calls this for a rank in a collective.
         let c = st.procs[r.idx()].coll.expect("in collective");
         if c.round >= rounds(c.kind, world, c.bytes) {
             st.procs[r.idx()].coll = None;
-            return false;
+            return Ok(false);
         }
         let Round { recv, send } = round(c.kind, r, world, c.bytes, c.root, c.round);
         let tag = coll_tag(c.ordinal, c.round);
-        let mut pending = 0u32;
         // Post the receive first (it may already be unexpected-matched).
         if let Some((peer, _bytes)) = recv {
-            if st.mailboxes[r.idx()].post(peer, tag, TOKEN_COLL).is_none() {
-                pending += 1;
-            }
+            st.irecv(r, peer, tag, TOOL_RECV)?;
         }
-        // Issue the send.
         if let Some((peer, bytes)) = send {
-            st.send_message(eng, r, peer, bytes, tag, RelPurpose::CollRound(r));
-            pending += 1;
+            st.isend(eng, r, peer, bytes, tag, TOOL_SEND)?;
         }
         let p = &mut st.procs[r.idx()];
         p.coll.as_mut().expect("in collective").round = c.round + 1;
-        if pending > 0 {
-            p.round_pending = pending;
-            p.status = PStatus::CollRound;
-            return true;
+        let keys = [recv.map(|_| TOOL_RECV), send.map(|_| TOOL_SEND)];
+        if !wait(p, keys.into_iter().flatten())? {
+            return Ok(true);
         }
         // Empty (or fully satisfied) round: continue to the next.
     }
@@ -554,57 +559,29 @@ fn on_deliver<'a>(
 ) {
     st.msgs.deliver(msg_id);
     // The mailbox is `dst`'s, so a token it hands back names a receive
-    // that `dst` posted.
-    match st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) {
-        None => {} // queued as unexpected
-        Some(TOKEN_BLOCKING) => {
-            let p = &mut st.procs[dst.idx()];
-            debug_assert_eq!(p.status, PStatus::BlockedRecv);
-            p.status = PStatus::Idle;
-            advance(eng, st, dst);
-        }
-        Some(TOKEN_COLL) => round_done(eng, st, dst),
-        Some(req) => req_done(eng, st, dst, req as u32),
+    // request that `dst` issued.
+    if let Some(key) = st.mailboxes[dst.idx()].deliver(src, tag, eng.now().as_ps()) {
+        req_done(eng, st, dst, key);
     }
 }
 
-/// A sender may reuse its buffer (message fully injected / drained).
-fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, _src: Rank, msg_id: u32) {
-    match st.msgs.release(msg_id) {
-        RelPurpose::BlockingSend(r) => {
-            let p = &mut st.procs[r.idx()];
-            debug_assert_eq!(p.status, PStatus::BlockedSend);
-            debug_assert_eq!(p.blocked_send_msg, msg_id);
-            p.status = PStatus::Idle;
-            advance(eng, st, r);
-        }
-        RelPurpose::AppReq(r, req) => req_done(eng, st, r, req),
-        RelPurpose::CollRound(r) => round_done(eng, st, r),
-    }
+/// A sender may reuse its buffer (message fully injected / drained): its
+/// send request completes.
+fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, src: Rank, msg_id: u32) {
+    let key = st.msgs.release(msg_id);
+    req_done(eng, st, src, key);
 }
 
-/// A receive or a send of rank `r`'s current collective round completed.
-fn round_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
+/// Request `key` of rank `r` completed. If the wait the rank is blocked
+/// in retired it and nothing else is left, resume the rank.
+fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, key: u64) {
     let p = &mut st.procs[r.idx()];
-    debug_assert!(p.round_pending > 0);
-    p.round_pending -= 1;
-    if p.round_pending == 0 && p.status == PStatus::CollRound {
-        p.status = PStatus::Idle;
-        advance(eng, st, r);
-    }
-}
-
-/// Application request `req` of rank `r` completed. If the wait the rank
-/// is blocked in retired it and nothing else is left, resume the rank.
-fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, req: u32) {
-    let p = &mut st.procs[r.idx()];
-    if let Ok(done) = p.reqs.get_mut(req) {
+    if let Some(done) = p.reqs.get_mut(key) {
         *done = true;
         return;
     }
-    let Some(i) = p.wait_set.iter().position(|&id| id == req) else { return };
-    p.wait_set.swap_remove(i);
-    if p.wait_set.is_empty() && p.status == PStatus::Waiting {
+    p.waiting -= 1;
+    if p.waiting == 0 && p.status == PStatus::Waiting {
         p.status = PStatus::Idle;
         advance(eng, st, r);
     }

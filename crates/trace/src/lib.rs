@@ -66,7 +66,7 @@ mod units;
 pub use event::{CollKind, Event, EventKind};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
-pub use mailbox::{check_peer, Mailbox, Requests};
+pub use mailbox::{check_peer, Mailbox, Requests, TOOL_RECV, TOOL_SEND};
 pub use stream::{
     write_stream, RankCursor, SegmentWriter, StreamError, StreamedTrace, TraceSource,
 };

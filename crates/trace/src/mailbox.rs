@@ -17,18 +17,27 @@ pub fn check_peer(rank: Rank, peer: Rank, world: u32) -> Result<(), TraceError> 
     }
 }
 
-/// One rank's outstanding nonblocking requests, each holding the
-/// replaying tool's own state `S`: the one statement of MPI's request
-/// rules. An id is live from the `Isend`/`Irecv` that issues it until the
-/// `Wait`/`WaitAll` that retires it, and may be issued again after that.
-/// Every `u32` is a legal id; none is reserved, so a tool keeps its own
-/// receives out of this table. A rank keeps a handful live, so an
-/// unsorted vector with linear scans beats hashing: no per-request
-/// allocation once warm, and retiring is a tail swap.
+/// The key (and mailbox token) of the implicit receive request of a
+/// blocking `Recv` or a collective round; [`TOOL_SEND`] is its send's.
+pub const TOOL_RECV: u64 = 1 << 32;
+/// See [`TOOL_RECV`].
+pub const TOOL_SEND: u64 = TOOL_RECV + 1;
+
+/// One rank's live requests, each holding the replaying tool's own state
+/// `S`: the one statement of MPI's request rules. A request is live from
+/// the call that issues it until the wait that retires it; its key may
+/// be issued again after that. An `Isend`/`Irecv` is keyed by its id
+/// widened, so every `u32` is legal; a blocking call is its nonblocking
+/// twin plus a wait, keyed by a tool token. Invariant: a tool request is
+/// issued and retired inside the one trace event that implies it, so it
+/// never reaches a [`TraceError`], whose `req` is an id (debug-asserted).
+/// A rank keeps a handful live, so an unsorted vector with linear scans
+/// beats hashing. An entry holds its key as the low word and a tool flag:
+/// with a `bool` state it takes 8 bytes, as a plain `u32` id would.
 #[derive(Debug)]
 pub struct Requests<S> {
     rank: Rank,
-    live: Vec<(u32, S)>,
+    live: Vec<(u32, bool, S)>,
 }
 
 impl<S> Requests<S> {
@@ -38,49 +47,67 @@ impl<S> Requests<S> {
     }
 
     #[inline]
-    fn find(&self, req: u32) -> Result<usize, TraceError> {
-        let dangling = || TraceError::DanglingWait { rank: self.rank, req };
-        self.live.iter().position(|(id, _)| *id == req).ok_or_else(dangling)
+    fn position(&self, key: u64) -> Option<usize> {
+        debug_assert!(key <= TOOL_SEND, "{key:#x} is neither an id nor a tool token");
+        let (low, tool) = (key as u32, key >= TOOL_RECV);
+        self.live.iter().position(|&(l, t, _)| (l, t) == (low, tool))
     }
 
-    /// Issue `req` with `state`; [`TraceError::RequestReuse`] while `req`
+    /// The application id behind `key`, for an error.
+    fn id(key: u64) -> u32 {
+        debug_assert!(key < TOOL_RECV, "tool request {key:#x} broke a request rule");
+        key as u32
+    }
+
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, TraceError> {
+        let dangling = || TraceError::DanglingWait { rank: self.rank, req: Self::id(key) };
+        self.position(key).ok_or_else(dangling)
+    }
+
+    /// Issue `key` with `state`; [`TraceError::RequestReuse`] while `key`
     /// is live.
     #[inline]
-    pub fn issue(&mut self, req: u32, state: S) -> Result<&mut S, TraceError> {
-        if self.find(req).is_ok() {
-            return Err(TraceError::RequestReuse { rank: self.rank, req });
+    pub fn issue(&mut self, key: u64, state: S) -> Result<&mut S, TraceError> {
+        if self.position(key).is_some() {
+            return Err(TraceError::RequestReuse { rank: self.rank, req: Self::id(key) });
         }
         let at = self.live.len();
-        self.live.push((req, state));
-        Ok(&mut self.live[at].1)
+        self.live.push((key as u32, key >= TOOL_RECV, state));
+        Ok(&mut self.live[at].2)
     }
 
-    /// The state of live request `req`; [`TraceError::DanglingWait`] if it
+    /// The state of live request `key`; [`TraceError::DanglingWait`] if it
     /// was never issued or is already retired.
     #[inline]
-    pub fn get(&self, req: u32) -> Result<&S, TraceError> {
-        self.find(req).map(|i| &self.live[i].1)
+    pub fn get(&self, key: u64) -> Result<&S, TraceError> {
+        self.find(key).map(|i| &self.live[i].2)
     }
 
-    /// [`Requests::get`], mutably.
+    /// The state of `key` while it is live, for a completion to update;
+    /// `None` once a wait has retired it. A completion is not a trace
+    /// event, so a missing key is no error.
     #[inline]
-    pub fn get_mut(&mut self, req: u32) -> Result<&mut S, TraceError> {
-        self.find(req).map(|i| &mut self.live[i].1)
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut S> {
+        self.position(key).map(|i| &mut self.live[i].2)
     }
 
-    /// A wait retires `req` and takes its state;
+    /// A wait retires `key` and takes its state;
     /// [`TraceError::DanglingWait`] if it was never issued or is already
     /// retired.
     #[inline]
-    pub fn retire(&mut self, req: u32) -> Result<S, TraceError> {
-        self.find(req).map(|i| self.live.swap_remove(i).1)
+    pub fn retire(&mut self, key: u64) -> Result<S, TraceError> {
+        self.find(key).map(|i| self.live.swap_remove(i).2)
     }
 
     /// The rank's stream ended: [`TraceError::UnwaitedRequest`] for a
     /// request still live.
     pub fn finish(&self) -> Result<(), TraceError> {
         match self.live.first() {
-            Some(&(req, _)) => Err(TraceError::UnwaitedRequest { rank: self.rank, req }),
+            Some(&(low, tool, _)) => {
+                let key = u64::from(low) | u64::from(tool) << 32;
+                Err(TraceError::UnwaitedRequest { rank: self.rank, req: Self::id(key) })
+            }
             None => Ok(()),
         }
     }
@@ -167,22 +194,43 @@ mod tests {
     fn requests_follow_the_mpi_rules_for_every_id() {
         let rank = Rank(3);
         for req in [0, 1, 0x8000_0000, u32::MAX] {
+            let key = u64::from(req);
             let mut reqs = Requests::new(rank);
-            assert_eq!(reqs.retire(req), Err(TraceError::DanglingWait { rank, req }));
-            *reqs.issue(req, 1).unwrap() += 1;
-            assert_eq!(reqs.issue(req, 0), Err(TraceError::RequestReuse { rank, req }));
+            assert_eq!(reqs.retire(key), Err(TraceError::DanglingWait { rank, req }));
+            *reqs.issue(key, 1).unwrap() += 1;
+            assert_eq!(reqs.issue(key, 0), Err(TraceError::RequestReuse { rank, req }));
             assert_eq!(reqs.finish(), Err(TraceError::UnwaitedRequest { rank, req }));
-            assert_eq!(reqs.get(req), Ok(&2));
-            assert_eq!(reqs.retire(req), Ok(2));
-            assert_eq!(reqs.get(req), Err(TraceError::DanglingWait { rank, req }));
+            assert_eq!(reqs.get(key), Ok(&2));
+            assert_eq!(reqs.retire(key), Ok(2));
+            assert_eq!(reqs.get(key), Err(TraceError::DanglingWait { rank, req }));
+            assert_eq!(reqs.get_mut(key), None);
             assert_eq!(reqs.finish(), Ok(()));
-            assert!(reqs.issue(req, 0).is_ok(), "a retired id may be issued again");
+            assert!(reqs.issue(key, 0).is_ok(), "a retired id may be issued again");
         }
+        // The tool tokens sit above every id and live beside them.
+        let mut reqs = Requests::new(rank);
+        for key in [u64::from(u32::MAX), TOOL_RECV, TOOL_SEND] {
+            reqs.issue(key, key).unwrap();
+        }
+        assert_eq!(reqs.retire(TOOL_SEND), Ok(TOOL_SEND));
+        assert_eq!(reqs.retire(TOOL_RECV), Ok(TOOL_RECV));
+        assert_eq!(reqs.get_mut(u64::from(u32::MAX)), Some(&mut u64::from(u32::MAX)));
+        // The simulator's completion flags take 8 bytes an entry.
+        let mut flags = Requests::new(rank);
+        flags.issue(TOOL_SEND, false).unwrap();
+        assert_eq!(std::mem::size_of_val(&flags.live[0]), 8);
         assert_eq!(check_peer(rank, Rank(1), 2), Ok(()));
         assert_eq!(
             check_peer(rank, Rank(2), 2),
             Err(TraceError::PeerOutOfRange { rank, peer: Rank(2) })
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "broke a request rule")]
+    fn a_tool_request_never_reaches_a_trace_error() {
+        let _ = Requests::<()>::new(Rank(0)).retire(TOOL_RECV);
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl Trace {
                         check_peer(rank, *peer, world)?;
                         channels.entry((rank.0, peer.0, *tag)).or_default()[0].push(*bytes);
                         if let EventKind::Isend { req, .. } = &e.kind {
-                            reqs.issue(req.0, ())?;
+                            reqs.issue(req.0.into(), ())?;
                         }
                     }
                     EventKind::Recv { peer, bytes, tag }
@@ -240,13 +240,13 @@ impl Trace {
                         check_peer(rank, *peer, world)?;
                         channels.entry((peer.0, rank.0, *tag)).or_default()[1].push(*bytes);
                         if let EventKind::Irecv { req, .. } = &e.kind {
-                            reqs.issue(req.0, ())?;
+                            reqs.issue(req.0.into(), ())?;
                         }
                     }
-                    EventKind::Wait { req } => reqs.retire(req.0)?,
+                    EventKind::Wait { req } => reqs.retire(req.0.into())?,
                     EventKind::WaitAll { reqs: ids } => {
                         for id in ids {
-                            reqs.retire(id.0)?;
+                            reqs.retire(id.0.into())?;
                         }
                     }
                     EventKind::Coll { kind, root, .. } => {

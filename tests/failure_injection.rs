@@ -817,6 +817,16 @@ fn request_rules_one_malformed_trace_gives_one_error() {
             two(vec![irecv(1, 0, 0), wait_all(&[0, 7])], vec![send(0, 0)]),
             TraceError::DanglingWait { rank, req: 7 },
         ),
+        (
+            "Isend never waited",
+            two(vec![isend(1, 0, 5)], vec![recv(0, 0)]),
+            TraceError::UnwaitedRequest { rank, req: 5 },
+        ),
+        (
+            "Irecv never waited",
+            two(vec![irecv(1, 0, 5)], vec![send(0, 0)]),
+            TraceError::UnwaitedRequest { rank, req: 5 },
+        ),
         ("Send to peer = world", two(vec![send(2, 0)], vec![ev(EventKind::Compute)]), out.clone()),
         (
             "Isend to peer = world",

@@ -6,7 +6,9 @@
 //! tree. The third pins MFACT's clocks on Cielito; the fourth judges no
 //! time, but checks the simulator's collective lowering, round by round
 //! and byte by byte. Where no closed form exists, run-level invariants
-//! judge random `TraceSynth` programs on the same three machines.
+//! judge random `TraceSynth` programs on the same three machines, and
+//! with the network switched off (every rank on one node) MFACT must
+//! equal every simulator model on collective-free ones.
 //!
 //! The expected values are computed here in integer arithmetic from the
 //! machine's published scalars, never through the crates' own
@@ -163,11 +165,13 @@ fn one_packet_between_nodes_costs_its_route() {
 
 /// (iii) MFACT's logical clocks on a trace where a rank parked at a
 /// barrier has an earlier receive matched while it waits there. With
-/// α = 2.5 µs and `M` = 720 B at 10 Gb/s on Cielito, a blocking send
-/// costs h = 3 076 ns and the three-rank barrier 2α = 5 000 ns:
+/// α = 2.5 µs and `M` = 720 B at 10 Gb/s on Cielito, a send frees its
+/// sender after M·β = 576 ns, its message lands h = α + M·β = 3 076 ns
+/// after the send, and the three-rank barrier costs 2α = 5 000 ns:
 /// - rank 2 computes 10 µs and sends to rank 1, available at 13 076;
-/// - rank 1's send to rank 0 is available at 3 076, and its receive from
-///   rank 2 ends at 13 076, its barrier arrival;
+///   it reaches the barrier at 10 576;
+/// - rank 1's send to rank 0 is available at 3 076 and frees rank 1 at
+///   576; its receive from rank 2 ends at 13 076, its barrier arrival;
 /// - rank 0 arrives at the barrier at 0, so the barrier ends at
 ///   13 076 + 5 000 = 18 076 on every rank;
 /// - rank 0 then waits for a message that landed at 3 076, and computes
@@ -189,8 +193,9 @@ fn mfact_rank_parked_at_a_barrier_keeps_its_later_work() {
     let ns = Time::from_ns;
     assert_eq!(res.per_rank, [ns(23_076), ns(18_076), ns(18_076)]);
     assert_eq!(res.total, ns(23_076));
-    // Rank 0 waits 13 076 at the barrier, rank 1 10 000 for rank 2.
-    assert_eq!(res.counters.wait, ns(23_076));
+    // At the barrier rank 0 waits 13 076 and rank 2 2 500; rank 1 waits
+    // 13 076 − 576 = 12 500 for rank 2's message.
+    assert_eq!(res.counters.wait, ns(13_076 + 2_500 + 12_500));
     // Two sends, plus 2α of barrier on each of three ranks.
     assert_eq!(res.counters.latency, ns(2 * 2_500 + 3 * 5_000));
     assert_eq!(res.counters.bandwidth, ns(2 * 576));
@@ -318,8 +323,9 @@ fn assert_mfact_monotone(what: &str, trace: &Trace) {
 /// A random program of `seed` built with `TraceSynth`: 4–16 ranks, a few
 /// imbalanced compute rounds, each followed by one of ring or random-pair
 /// exchanges, blocking pair swaps, a collective, an `Alltoallv` or a
-/// barrier, with random message sizes.
-fn synth_trace(seed: u64) -> Trace {
+/// barrier, with random message sizes. `p2p_only` keeps the first three:
+/// no collective at all.
+fn synth_trace(seed: u64, p2p_only: bool) -> Trace {
     let mut rng = Rng::seed_from_u64(seed);
     let ranks = rng.gen_range_u64(4, 17) as u32;
     let cfg = GenConfig {
@@ -334,7 +340,7 @@ fn synth_trace(seed: u64) -> Trace {
         let bytes = rng.gen_range_u64(0, 1 << 20);
         let mut order: Vec<u32> = (0..ranks).collect();
         rng.shuffle(&mut order);
-        match rng.gen_range_u64(0, 6) {
+        match rng.gen_range_u64(0, if p2p_only { 3 } else { 6 }) {
             0 => {
                 let ring: Vec<_> = (0..ranks).map(|r| (r, (r + 1) % ranks, bytes)).collect();
                 s.symmetric_exchange(&ring, round);
@@ -382,7 +388,7 @@ fn mfact_total_is_monotone_across_the_standard_sweep() {
         assert_mfact_monotone(&format!("{}({})", e.cfg.app.name(), e.cfg.ranks), &e.generate());
     }
     for seed in 0..200 {
-        assert_mfact_monotone(&format!("TraceSynth seed {seed}"), &synth_trace(seed));
+        assert_mfact_monotone(&format!("TraceSynth seed {seed}"), &synth_trace(seed, false));
     }
 }
 
@@ -463,7 +469,7 @@ fn run_level_invariants_hold_on_random_programs() {
     for case in cases() {
         let name = &case.machine.name;
         for seed in 0..50 {
-            let trace = synth_trace(seed);
+            let trace = synth_trace(seed, false);
             let ranks = trace.num_ranks() as usize;
             let compute: Vec<u64> = (trace.events.iter())
                 .map(|evs| evs.iter().filter(|e| e.kind.is_compute()).map(|e| e.dur.as_ps()).sum())
@@ -494,4 +500,32 @@ fn run_level_invariants_hold_on_random_programs() {
         }
     }
     assert!(carried >= 400, "only {carried} of 450 runs crossed a NIC link");
+}
+
+/// (vi) With no network, MFACT and the simulator agree. Every rank sits
+/// on node 0 of a Cielito copy whose node has one core per rank, so every
+/// message takes the simulator's intra-node Hockney path: the sender is
+/// free after m·β, the payload lands after α + m·β, with no contention
+/// and no topology. That is MFACT's point-to-point rule, so on 200
+/// collective-free `TraceSynth` programs MFACT's base prediction equals
+/// every simulator model's, rank by rank, to the picosecond.
+#[test]
+fn zero_network_mfact_equals_every_simulator_model_on_one_node() {
+    let cielito = Machine::cielito();
+    for seed in 0..200 {
+        let trace = synth_trace(seed, true);
+        let ranks = trace.num_ranks();
+        let one_node =
+            Machine::new("cielito-one-node", cielito.topology.clone(), cielito.net, ranks);
+        let mfact = &replay(&trace, &[ModelConfig::base(one_node.net)])[0];
+        for model in ModelKind::study_models() {
+            let mut cfg = SimConfig::new(one_node.clone(), model, &trace);
+            cfg.mapping = Mapping::from_nodes(vec![NodeId(0); ranks as usize]);
+            let sim = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                .expect("simulation completes");
+            let what = format!("seed {seed} ({ranks} ranks), {}", model.name());
+            assert_eq!(sim.per_rank, mfact.per_rank, "{what}: per rank");
+            assert_eq!(sim.total, mfact.total, "{what}: total");
+        }
+    }
 }
