@@ -12,7 +12,7 @@
 //! classification.
 
 use masim_topo::NetworkConfig;
-use masim_trace::{CollKind, Time};
+use masim_trace::{CollKind, Time, A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};
 
 /// A communication cost split into MFACT's two counter categories.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -34,15 +34,6 @@ impl CommCost {
 pub fn p2p(net: &NetworkConfig, bytes: u64) -> CommCost {
     CommCost { latency: net.latency, bandwidth: net.bandwidth.transfer_time(bytes) }
 }
-
-/// Message-size threshold between the short- and long-message collective
-/// algorithms (MPICH's defaults sit in the 8–64 KiB range; we follow the
-/// common 12 KiB switch point for tree vs. pipeline algorithms).
-pub const LONG_MSG_SWITCH: u64 = 12 * 1024;
-
-/// Bruck-vs-pairwise switch for `Alltoall` (small payloads use Bruck's
-/// log-round algorithm; large payloads use pairwise exchange).
-pub const A2A_BRUCK_SWITCH: u64 = 1024;
 
 /// Ceil(log2(p)), with `log2(1) = 0`.
 fn ceil_log2(p: u64) -> u64 {

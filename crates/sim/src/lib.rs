@@ -8,10 +8,10 @@
 //! topology through one of three contention-aware network models
 //! ([`ModelKind`]): packet, flow, or hybrid packet-flow.
 //!
-//! The algorithm shapes match `masim-mfact`'s analytic formulas, so in
-//! the uncongested limit the simulator and the modeler agree; every
-//! disagreement the study measures is contention — the effect the paper
-//! quantifies.
+//! The algorithm shapes are the ones `masim-mfact`'s analytic formulas
+//! assume. In the uncongested limit the two tools agree to the ps for
+//! power-of-two world sizes; where they do not (other world sizes, 1-byte
+//! headers), [`lower`] states the gap.
 //!
 //! [`run`] is the one entry point: source (in-memory or streamed
 //! trace), limits, and an optional telemetry sink are its arguments.

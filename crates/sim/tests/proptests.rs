@@ -1,55 +1,12 @@
-//! Property-style tests for the simulator's collective lowering and
-//! network models, driven by a seeded deterministic generator so every
-//! run covers the same cases.
+//! Property-style tests for the simulator's network models, driven by a
+//! seeded deterministic generator so every run covers the same cases.
 
 use masim_obs::MetricSet;
 use masim_rng::Rng;
-use masim_sim::lower::{lower, Schedule};
 use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{Machine, NetworkConfig, Torus3d};
-use masim_trace::{CollKind, Rank, RankBuilder, Time, Trace, TraceMeta};
-use std::collections::HashMap;
+use masim_trace::{Rank, RankBuilder, Time, Trace, TraceMeta};
 use std::sync::Arc;
-
-/// Cross-rank schedule consistency for arbitrary (kind, p, bytes, root).
-fn check(kind: CollKind, p: u32, bytes: u64, root: u32) {
-    let root = Rank(root % p);
-    let scheds: Vec<Schedule> = (0..p).map(|r| lower(kind, Rank(r), p, bytes, root)).collect();
-    let rounds = scheds[0].rounds.len();
-    for s in &scheds {
-        assert_eq!(s.rounds.len(), rounds);
-    }
-    for round in 0..rounds {
-        let mut sends: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
-        let mut recvs: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
-        for (r, s) in scheds.iter().enumerate() {
-            if let Some((peer, b)) = s.rounds[round].send {
-                assert!(peer.0 < p);
-                sends.entry((r as u32, peer.0)).or_default().push(b);
-            }
-            if let Some((peer, b)) = s.rounds[round].recv {
-                assert!(peer.0 < p);
-                recvs.entry((peer.0, r as u32)).or_default().push(b);
-            }
-        }
-        assert_eq!(sends, recvs, "{} p={} round {}", kind, p, round);
-    }
-}
-
-/// Lowered collectives pair sends and receives exactly, for any
-/// world size (including non-powers-of-two), payload, and root.
-#[test]
-fn lowering_is_consistent() {
-    let mut r = Rng::seed_from_u64(0x51a1_0001);
-    const PAYLOADS: [u64; 6] = [0, 8, 512, 4096, 64 * 1024, 1 << 20];
-    for _ in 0..128 {
-        let kind = *r.choose(&CollKind::ALL);
-        let p = r.gen_range_u64(2, 40) as u32;
-        let bytes = *r.choose(&PAYLOADS);
-        let root = r.gen_range_u64(0, 40) as u32;
-        check(kind, p, bytes, root);
-    }
-}
 
 /// Simulated random pairwise exchanges terminate and respect the
 /// lower bound: no model finishes faster than the largest message's

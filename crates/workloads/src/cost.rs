@@ -13,7 +13,7 @@
 //! prediction formulas: the study compares tools against these recorded
 //! times, so they must not share an implementation.
 
-use masim_trace::{Bandwidth, CollKind, Time};
+use masim_trace::{Bandwidth, CollKind, Time, A2A_BRUCK_SWITCH};
 
 /// Stamps measured durations for one (machine, application) pairing.
 #[derive(Clone, Debug)]
@@ -93,7 +93,7 @@ impl StampModel {
             CollKind::Alltoall => {
                 // Bruck below the switch point, pairwise above: the same
                 // split MPICH (and both tools) use.
-                if bytes <= 1024 {
+                if bytes <= A2A_BRUCK_SWITCH {
                     a * logp + self.transfer(bytes.saturating_mul(p / 2)) * logp
                 } else {
                     a * (p - 1) + self.transfer(bytes.saturating_mul(p - 1))

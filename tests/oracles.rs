@@ -21,7 +21,9 @@ use masim_mfact::{replay, ModelConfig};
 use masim_rng::Rng;
 use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::{FatTree, LinkKind, Machine, Mapping, NetworkConfig};
-use masim_trace::{CollKind, NodeId, Rank, RankBuilder, Time, Trace, TraceMeta};
+use masim_trace::{
+    CollKind, NodeId, Rank, RankBuilder, Time, Trace, TraceMeta, A2A_BRUCK_SWITCH, LONG_MSG_SWITCH,
+};
 use masim_workloads::{build_corpus, App, GenConfig, TraceSynth};
 use std::sync::Arc;
 
@@ -206,10 +208,14 @@ fn mfact_rank_parked_at_a_barrier_keeps_its_later_work() {
 /// forms: round counts and the bytes each rank sends, for every
 /// `CollKind` over world sizes with and without a power-of-two
 /// remainder. Payloads cover the Bruck / pairwise all-to-all switch and
-/// the short / long tree switch; every send carries at least 8 B.
+/// the short / long tree switch. The expectations are derived from the
+/// algorithms' definitions, not from the lowering's arithmetic: a tree
+/// rank's parent is the rank with its top bit cleared, and a butterfly
+/// rank below p₂ (the largest power of two ≤ p) holds, before round k,
+/// each member w of its aligned group of 2^k ranks plus w + p₂ if that
+/// rank exists.
 #[test]
 fn lowering_round_counts_and_bytes_match_closed_forms() {
-    use masim_mfact::cost::{A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};
     use masim_sim::lower::{lower, rounds};
     use masim_trace::CollKind::*;
 
@@ -217,64 +223,86 @@ fn lowering_round_counts_and_bytes_match_closed_forms() {
     let root = Rank(0);
     for p in [1u32, 2, 3, 5, 7, 12, 16, 64, 100, 1024] {
         let (logp, l) = (ceil_log2(p), 31 - p.leading_zeros());
-        let (p2, pw) = (1u32 << l, p as u64);
+        let (p2, pw) = (1u32 << l, u64::from(p));
         let rem = p - p2;
         // Fold and unfold rounds when p is not a power of two.
         let fold = u32::from(rem > 0);
-        // The binomial-tree children of rank `r` (root 0), as the
-        // exponent i of the distance 2^i to each.
-        let children = |r: u32| (0..logp).filter(move |&i| r < 1 << i && r + (1 << i) < p);
+        // Root 0, so rank r is also its virtual rank in the trees.
+        let parent = |y: u32| y - (1 << y.ilog2());
+        let children: Vec<u64> =
+            (0..p).map(|r| (1..p).filter(|&y| parent(y) == r).count() as u64).collect();
+        let subtree: Vec<u64> = (0..p)
+            .map(|r| {
+                let reaches = |mut y: u32| {
+                    while y > r {
+                        y = parent(y);
+                    }
+                    y == r
+                };
+                (r..p).filter(|&y| reaches(y)).count() as u64
+            })
+            .collect();
+        let held = |v: u32, k: u32| -> u64 {
+            let g = v >> k << k;
+            (g..g + (1 << k)).map(|w| 1 + u64::from(w + p2 < p)).sum()
+        };
+        // Contributions rank v sends over recursive doubling (its own
+        // group's) and over recursive halving (its partner's group's).
+        let doubling = |v: u32| -> u64 { (0..l).map(|k| held(v, k)).sum() };
+        let halving = |v: u32| -> u64 { (0..l).map(|k| held(v ^ (1 << k), k)).sum() };
         for m in [0u64, 256, 4_096, 1 << 20] {
-            let b = m.max(8);
             let short = m <= LONG_MSG_SWITCH;
-            // Per-rank chunk of the long-message phases, and the tree
-            // payload of the long bcast / reduce.
-            let c = (b / pw).max(8);
-            let tree = b * (pw - 1) / pw / u64::from(logp.max(1));
-            // Recursive doubling or halving over the power-of-two subset
-            // (`unit` then doubling per round), plus the unfold's send.
-            let doubling = |r: u32, unit: u64, unfold: u64| match r {
-                r if r >= p2 => 0,
-                r if r < rem => unit * u64::from(p2 - 1) + unfold,
-                _ => unit * u64::from(p2 - 1),
-            };
+            // Per-rank block of the long-message algorithms.
+            let c = m / pw;
             for kind in CollKind::ALL {
                 let want_rounds = match kind {
                     Barrier | Gather | Scatter => logp,
                     Bcast | Reduce if short => logp,
-                    Bcast => logp + l + fold,
-                    Reduce => l + logp,
+                    Bcast | Reduce => logp + l + 2 * fold,
                     Allreduce if short => l + 2 * fold,
-                    Allreduce => 2 * l + fold,
-                    Allgather => l + fold,
-                    ReduceScatter => l,
+                    Allreduce => 2 * l + 2 * fold,
+                    Allgather | ReduceScatter => l + 2 * fold,
                     Alltoall if m <= A2A_BRUCK_SWITCH => logp,
                     Alltoall | Alltoallv => p - 1,
                 };
                 assert_eq!(rounds(kind, p, m), want_rounds, "{kind} p={p} m={m}");
                 let mut total = (0u64, 0u64);
                 for r in 0..p {
-                    // Root 0, so rank r is also its virtual rank in the trees.
+                    let i = r as usize;
+                    // Folded-in rank, its proxy, and a butterfly rank.
+                    let (folds, proxy, inside) =
+                        (u64::from(r >= p2), u64::from(r < rem), u64::from(r < p2));
                     let want = match kind {
-                        Barrier => 8 * u64::from(logp),
-                        Bcast if short => b * children(r).count() as u64,
-                        Bcast => tree * children(r).count() as u64 + doubling(r, c, c * pw),
-                        Reduce if short => u64::from(r > 0) * b,
-                        Reduce => doubling(r, c, 0) + u64::from(r > 0) * tree,
-                        Allreduce if short => match r {
-                            r if r >= p2 => b,
-                            r if r < rem => b * u64::from(l) + b,
-                            _ => b * u64::from(l),
-                        },
+                        Barrier => 0,
+                        Bcast if short => m * children[i],
+                        // Scatter c-blocks, then allgather them.
+                        Bcast => {
+                            c * (subtree[i] - 1)
+                                + folds * c
+                                + inside * c * doubling(r)
+                                + proxy * (pw - 1) * c
+                        }
+                        Reduce if short => u64::from(r > 0) * m,
+                        Reduce => {
+                            folds * (pw - 1) * c
+                                + inside * c * halving(r)
+                                + proxy * c
+                                + u64::from(r > 0) * c * subtree[i]
+                        }
+                        Allreduce if short => folds * m + inside * m * u64::from(l) + proxy * m,
                         // Rabenseifner: halving then doubling.
-                        Allreduce => 2 * doubling(r, c, 0) + doubling(r, 0, c * pw),
-                        Gather => u64::from(r > 0) * (b << r.max(1).ilog2()),
-                        Scatter => children(r).map(|i| ((b * pw) >> (logp - i)).max(8)).sum(),
-                        Allgather => doubling(r, b, b * pw),
-                        ReduceScatter => doubling(r, c, 0),
-                        Alltoall if m <= A2A_BRUCK_SWITCH => u64::from(logp) * (b * pw / 2).max(8),
-                        Alltoall => (pw - 1) * b,
-                        Alltoallv => (pw - 1) * (b / (pw - 1).max(1)).max(8),
+                        Allreduce => {
+                            folds * pw * c
+                                + inside * c * (halving(r) + doubling(r))
+                                + proxy * pw * c
+                        }
+                        Gather => u64::from(r > 0) * m * subtree[i],
+                        Scatter => m * (subtree[i] - 1),
+                        Allgather => folds * m + inside * m * doubling(r) + proxy * (pw - 1) * m,
+                        ReduceScatter => folds * (pw - 1) * c + inside * c * halving(r) + proxy * c,
+                        Alltoall if m <= A2A_BRUCK_SWITCH => u64::from(logp) * (m * pw / 2),
+                        Alltoall => (pw - 1) * m,
+                        Alltoallv => u64::from(p > 1) * m,
                     };
                     let s = lower(kind, Rank(r), p, m, root);
                     let sent: u64 = s.rounds.iter().filter_map(|k| k.send).map(|(_, b)| b).sum();
@@ -289,6 +317,85 @@ fn lowering_round_counts_and_bytes_match_closed_forms() {
                 assert_eq!(total.0, total.1, "{kind} p={p} m={m}: bytes sent ≠ received");
             }
         }
+    }
+}
+
+/// (v) The lowering is a valid algorithm, by data flow. Round by round, a
+/// set per rank names the ranks whose contribution it holds: a receive
+/// adds what the sender held when the round began. Every round's sends
+/// and receives pair up, peer and bytes; a `Bcast` or `Scatter` rank
+/// sends only once the root's data has reached it; a `Reduce` or
+/// `Gather` root ends holding all p; and every rank of every other kind
+/// ends holding all p (the barrier's synchronization, too). Every kind,
+/// world sizes with and without a power-of-two remainder, payloads on
+/// both sides of both algorithm switches, roots 0, 1 and p − 1. CI runs
+/// this by name.
+#[test]
+fn collective_data_flow_reaches_every_rank() {
+    let payloads = [
+        0,
+        1,
+        A2A_BRUCK_SWITCH,
+        A2A_BRUCK_SWITCH + 1,
+        LONG_MSG_SWITCH,
+        LONG_MSG_SWITCH + 1,
+        1 << 20,
+    ];
+    for p in [1u32, 2, 3, 5, 7, 12, 16, 64, 100] {
+        let mut roots = vec![0, 1 % p, p - 1];
+        roots.dedup();
+        for m in payloads {
+            for kind in CollKind::ALL {
+                for &root in &roots {
+                    check_data_flow(kind, p, m, root);
+                }
+            }
+        }
+    }
+}
+
+/// One case of [`collective_data_flow_reaches_every_rank`], p ≤ 128.
+fn check_data_flow(kind: CollKind, p: u32, m: u64, root: u32) {
+    use masim_sim::lower::lower;
+    use masim_trace::CollKind::*;
+
+    let what = format!("{kind} p={p} m={m} root={root}");
+    let s: Vec<_> = (0..p).map(|r| lower(kind, Rank(r), p, m, Rank(root)).rounds).collect();
+    assert!(s.iter().all(|rounds| rounds.len() == s[0].len()), "{what}: ragged rounds");
+    // Bit i of heard[r]: rank r holds rank i's contribution.
+    let mut heard: Vec<u128> = (0..p).map(|r| 1 << r).collect();
+    for k in 0..s[0].len() {
+        let held = heard.clone();
+        for (r, rank) in s.iter().enumerate() {
+            let me = Rank(r as u32);
+            if let Some((to, b)) = rank[k].send {
+                let peer = s[to.idx()][k].recv;
+                assert_eq!(peer, Some((me, b)), "{what}, round {k}: {r}'s send to {to} unmatched");
+                if matches!(kind, Bcast | Scatter) {
+                    let ok = held[r] >> root & 1 == 1;
+                    assert!(ok, "{what}, round {k}: {r} sends before the root's data reached it");
+                }
+            }
+            if let Some((from, b)) = rank[k].recv {
+                let peer = s[from.idx()][k].send;
+                assert_eq!(
+                    peer,
+                    Some((me, b)),
+                    "{what}, round {k}: {r}'s recv from {from} unmatched"
+                );
+                heard[r] |= held[from.idx()];
+            }
+        }
+    }
+    let all = u128::MAX >> (128 - p);
+    let (needs, ranks) = match kind {
+        Bcast | Scatter => (1 << root, 0..p),
+        Reduce | Gather => (all, root..root + 1),
+        _ => (all, 0..p),
+    };
+    for r in ranks {
+        let got = heard[r as usize];
+        assert_eq!(got & needs, needs, "{what}: rank {r} ends holding {got:b}");
     }
 }
 
@@ -526,6 +633,88 @@ fn zero_network_mfact_equals_every_simulator_model_on_one_node() {
             let what = format!("seed {seed} ({ranks} ranks), {}", model.name());
             assert_eq!(sim.per_rank, mfact.per_rank, "{what}: per rank");
             assert_eq!(sim.total, mfact.total, "{what}: total");
+        }
+    }
+}
+
+/// (vii) With no network, each collective alone against its closed form.
+/// Every rank of a one-node Cielito copy (α = 2.5 µs, β = 800 ps per
+/// byte; `h` = β·1 B, the simulator's header floor) enters one collective
+/// at time 0, with root 0. MFACT charges its Thakur–Gropp cost; the
+/// simulator runs the lowered rounds on the intra-node Hockney path, where
+/// a sender is free after m·β and its payload lands after α + m·β.
+///
+/// For a power-of-two p they agree to the ps, except where a 0-byte edge
+/// crosses the wire as a 1-byte header: ⌈log₂ p⌉·h for `Barrier`, log₂ p·h
+/// for `ReduceScatter` below p bytes, and (p − 1 − m)·h for `Alltoallv`
+/// below p − 1 bytes. At p = 3 (p₂ = 2, one fold) the gaps, sim − MFACT,
+/// are derived round by round from the lowering's definition, with
+/// c = ⌊m/3⌋ and X(n) the wire time of max(n, 1) bytes:
+/// - `Bcast` short: the root's two sends overlap the first hop, a + 2x(m)
+///   against 2a + 2x(m): −a. `Scatter` is the same tree with 1-block
+///   edges: −a.
+/// - `Reduce` short and `Gather`: both leaves send at 0, a + x(m) against
+///   2a + 2x(m): −a − x(m).
+/// - `Bcast` long: scatter (a + 2x(c) to rank 2), fold, doubling (rank 0
+///   sends 2c), unfold of 2c: 3a + 7x(c) against 4a + x(⌊4m/3⌋).
+/// - `Reduce` long, its reverse: fold of 2c, halving, unfold of c, gather:
+///   3a + 5x(c) against 4a + x(⌊4m/3⌋).
+/// - `Allreduce` short: fold, doubling, unfold, 2a + 3x(m) against
+///   2a + 2x(m): +x(m). Long (x(c) > 2a at both payloads): fold of 3c,
+///   halving, doubling, unfold of 3c, 2a + 9x(c) against 4a + x(⌊4m/3⌋).
+/// - `Allgather`: fold of m, doubling (rank 0 sends 2m), unfold of 2m,
+///   2a + 5x(m) against 2a + 2x(m): +3x(m).
+/// - `ReduceScatter`: fold of 2c, halving, unfold of c,
+///   2a + X(2c) + 2X(c) against 2a + x(⌊2m/3⌋).
+/// - `Alltoall`: symmetric rounds, no gap; `Alltoallv`: (2 − m)·h below
+///   2 bytes.
+#[test]
+fn zero_network_collectives_cost_their_closed_forms() {
+    use masim_trace::CollKind::*;
+
+    let cielito = Machine::cielito();
+    let a = 2_500_000i64;
+    let x = |n: u64| (n * 800) as i64;
+    let h = x(1);
+    let wire = |n: u64| x(n.max(1));
+    for p in [2u32, 3, 8, 16, 64] {
+        let one_node = Machine::new("cielito-one-node", cielito.topology.clone(), cielito.net, p);
+        let (logp, pw) = (i64::from(p.next_power_of_two().ilog2()), u64::from(p));
+        for m in [1u64, 1 << 10, 64 << 10, 1 << 20] {
+            let (short, c) = (m <= LONG_MSG_SWITCH, m / 3);
+            for kind in CollKind::ALL {
+                let gap = match (p, kind) {
+                    (_, Barrier) => logp * h,
+                    (_, Alltoallv) => (pw - 1 - m.min(pw - 1)) as i64 * h,
+                    (3, Bcast | Scatter) if short || kind == Scatter => -a,
+                    (3, Reduce | Gather) if short || kind == Gather => -a - x(m),
+                    (3, Bcast) => -a + x(7 * c) - x(4 * m / 3),
+                    (3, Reduce) => -a + x(5 * c) - x(4 * m / 3),
+                    (3, Allreduce) if short => x(m),
+                    (3, Allreduce) => -2 * a + x(9 * c) - x(4 * m / 3),
+                    (3, Allgather) => 3 * x(m),
+                    (3, ReduceScatter) => wire(2 * c) + 2 * wire(c) - x(2 * m / 3),
+                    (_, ReduceScatter) if m < pw => logp * h,
+                    _ => 0,
+                };
+                let mut trace = Trace::empty(TraceMeta { ranks: p, ..meta(p) });
+                trace.events = (0..p)
+                    .map(|r| {
+                        let mut b = RankBuilder::new(Rank(r));
+                        b.coll(kind, m, Rank(0), Time::ZERO);
+                        b.finish()
+                    })
+                    .collect();
+                let mfact = replay(&trace, &[ModelConfig::base(one_node.net)])[0].total;
+                for model in ModelKind::study_models() {
+                    let mut cfg = SimConfig::new(one_node.clone(), model, &trace);
+                    cfg.mapping = Mapping::from_nodes(vec![NodeId(0); p as usize]);
+                    let sim = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                        .expect("simulation completes");
+                    let got = sim.total.as_ps() as i64 - mfact.as_ps() as i64;
+                    assert_eq!(got, gap, "{kind} p={p} m={m}, {}: sim − MFACT, ps", model.name());
+                }
+            }
         }
     }
 }
