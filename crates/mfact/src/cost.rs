@@ -10,6 +10,18 @@
 //! Every cost is returned split into its latency part and its bandwidth
 //! part, because MFACT tracks them in separate logical counters to drive
 //! classification.
+//!
+//! A collective is one synchronizing step: every rank leaves at the last
+//! arrival plus its closed form. As a modeling choice, a world size that
+//! is not a power of two is charged ⌈log₂ p⌉ rounds and no fold rounds,
+//! and a tree's leaves do not finish early. The simulator runs the
+//! lowered algorithm (`masim_sim::lower`), which folds the remainder
+//! ranks in and overlaps the rounds; `tests/oracles.rs` states the gap at
+//! p = 3. The alternatives cost more than they buy (EXPERIMENTS.md):
+//! replaying the lowered rounds took MFACT's corpus sweep from 2.0–2.5 s
+//! to 5.7–6.8 s, and charging the same plan in lock-step moved the
+//! no-network DIFF p90 from 2.1–2.8 % to 5.6–5.8 %. The study reports the
+//! collective share of a DIFF as a modeling artefact.
 
 use masim_topo::NetworkConfig;
 use masim_trace::{CollKind, Time, A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};

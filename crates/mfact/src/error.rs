@@ -3,10 +3,10 @@
 //! Malformed traces are data under the fault-contained study runner —
 //! the study records the trace as failed with a cause — so the replay
 //! core returns a [`ReplayError`] through [`crate::try_replay`]. A trace
-//! that breaks an MPI request or peer rule fails with the same
+//! that breaks an MPI peer, root or request rule fails with the same
 //! [`TraceError`] that [`masim_trace::Trace::validate`] and the
-//! simulator report, as all three check it through
-//! [`masim_trace::Requests`] and [`masim_trace::check_peer`]. The
+//! simulator report, as all three walk it through
+//! [`masim_trace::Walker`]. The
 //! panicking [`crate::replay()`] wrapper stays because
 //! `benchmark/src/adapter.rs` binds it.
 
@@ -27,7 +27,7 @@ pub enum ReplayError {
     },
     /// An event broke an MPI rule: a request id reused while
     /// outstanding, a wait on a request that is not, or an out-of-range
-    /// peer.
+    /// peer or root.
     Malformed(TraceError),
     /// The replay was invoked with an empty configuration list.
     NoConfigs,

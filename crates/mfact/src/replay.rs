@@ -14,10 +14,7 @@ use crate::cost::{collective, p2p, CommCost};
 use crate::error::ReplayError;
 use masim_obs::MetricSet;
 use masim_topo::NetworkConfig;
-use masim_trace::{
-    check_peer, Event, EventKind, Mailbox, Rank, RankCursor, Requests, Time, Trace, TraceError,
-    TraceSource, TOOL_RECV,
-};
+use masim_trace::{Action, Mailbox, Rank, Time, Trace, TraceSource, Walker};
 use std::collections::VecDeque;
 
 /// One target configuration for the replay.
@@ -80,9 +77,8 @@ pub struct ConfigResult {
     pub counters: Counters,
 }
 
-/// The state of a live request: an `Isend`'s, an `Irecv`'s, or the
-/// implicit `Irecv` of a blocking receive ([`TOOL_RECV`]). A blocking send
-/// is an `Isend` waited on at once, so it never lives here.
+/// The state of a live request: a send's or a receive's, blocking ones
+/// included (the [`Walker`] yields those as a request plus its wait).
 #[derive(Clone, Copy)]
 enum ReqState {
     /// A send: its release row, when the sender may reuse its buffer
@@ -137,69 +133,21 @@ impl Slab {
 /// be woken.
 fn deliver(
     mailboxes: &mut [Mailbox],
-    reqs: &mut [Requests<ReqState>],
+    walker: &mut Walker<ReqState>,
     src: u32,
     dst: u32,
     tag: u32,
     row: u32,
 ) -> bool {
-    let dst = dst as usize;
-    let Some(key) = mailboxes[dst].deliver(Rank(src), tag, row as u64) else {
+    let Some(key) = mailboxes[dst as usize].deliver(Rank(src), tag, row as u64) else {
         return false;
     };
     // A waiting receive keeps its request until a wait retires it, and a
     // wait does not retire an unmatched receive.
-    if let Some(state) = reqs[dst].get_mut(key) {
+    if let Some(state) = walker.state_mut(Rank(dst), key) {
         *state = ReqState::Recv(Some(row));
     }
     true
-}
-
-/// Issue receive request `key` and post it on its channel, matched at
-/// once if its send already came.
-fn irecv(
-    reqs: &mut Requests<ReqState>,
-    mailbox: &mut Mailbox,
-    peer: Rank,
-    tag: u32,
-    key: u64,
-) -> Result<(), TraceError> {
-    let state = reqs.issue(key, ReqState::Recv(None))?;
-    *state = ReqState::Recv(mailbox.post(peer, tag, key).map(|row| row as u32));
-    Ok(())
-}
-
-/// The one wait: a `Wait`/`WaitAll`, or a blocking receive's. Every key
-/// must be live; false (nothing retired) while a receive among them is
-/// unmatched, else each request is retired and the rank's clocks
-/// (`clocks`, one per configuration) advance to its row.
-fn wait<I>(
-    reqs: &mut Requests<ReqState>,
-    keys: I,
-    slab: &mut Slab,
-    clocks: &mut [Time],
-    counters: &mut [Counters],
-) -> Result<bool, TraceError>
-where
-    I: IntoIterator<Item = u64>,
-    I::IntoIter: Clone,
-{
-    let keys = keys.into_iter();
-    let mut unmatched = false;
-    for key in keys.clone() {
-        unmatched |= matches!(reqs.get(key)?, ReqState::Recv(None));
-    }
-    if unmatched {
-        return Ok(false);
-    }
-    for key in keys {
-        match reqs.retire(key)? {
-            ReqState::Send(row) => slab.consume(row, clocks, counters, false),
-            ReqState::Recv(Some(row)) => slab.consume(row, clocks, counters, true),
-            ReqState::Recv(None) => {} // every receive is matched: checked above
-        }
-    }
-    Ok(true)
 }
 
 /// The collective in progress. A rank parked at a collective is not
@@ -214,45 +162,6 @@ struct CollGroup {
     arrivals: Vec<Time>,
     /// Per-rank payload (differs for Alltoallv).
     bytes: Vec<u64>,
-}
-
-/// Event source the replay loop runs over: either the fully
-/// materialized [`Trace`] or per-rank streaming cursors into a MASS v1
-/// buffer. The replay's access pattern — strictly forward per rank,
-/// with the *current* event re-read when a blocked rank is woken —
-/// stays inside [`RankCursor`]'s decode window, so the streamed path
-/// never rewinds.
-trait EvSrc {
-    /// Events in rank `r`'s stream.
-    fn len_of(&self, r: u32) -> usize;
-    /// Event `k` of rank `r`. `k` must be in range and within the
-    /// streaming window (current, one back, or the next undecoded).
-    fn get(&mut self, r: u32, k: usize) -> &Event;
-}
-
-struct MemSrc<'a>(&'a Trace);
-
-impl EvSrc for MemSrc<'_> {
-    fn len_of(&self, r: u32) -> usize {
-        self.0.events[r as usize].len()
-    }
-    fn get(&mut self, r: u32, k: usize) -> &Event {
-        &self.0.events[r as usize][k]
-    }
-}
-
-struct StreamSrc<'a> {
-    cursors: Vec<RankCursor<'a>>,
-    lens: Vec<usize>,
-}
-
-impl EvSrc for StreamSrc<'_> {
-    fn len_of(&self, r: u32) -> usize {
-        self.lens[r as usize]
-    }
-    fn get(&mut self, r: u32, k: usize) -> &Event {
-        self.cursors[r as usize].get(k).expect("index bounded by len_of")
-    }
 }
 
 /// Replay `trace` under every configuration simultaneously.
@@ -271,9 +180,9 @@ pub fn replay(trace: &Trace, configs: &[ModelConfig]) -> Vec<ConfigResult> {
 ///
 /// `src` is an in-memory [`Trace`] or a
 /// [`StreamedTrace`](masim_trace::StreamedTrace); the latter is
-/// replayed without materializing per-rank event vectors — each rank
-/// decodes through a [`RankCursor`], so the resident footprint stays at
-/// the encoded (MASS v1) size plus one decode window per rank — and the
+/// replayed without materializing per-rank event vectors — the
+/// [`Walker`] decodes each rank through a one-event window, so the
+/// resident footprint stays at the encoded (MASS v1) size — and the
 /// results are bit-identical either way.
 ///
 /// With `obs`, the same bit-identical results plus `mfact.replay.*`
@@ -297,17 +206,7 @@ fn replay_source(
     obs: Option<&MetricSet>,
 ) -> Result<Vec<ConfigResult>, ReplayError> {
     let span = obs.map(|ms| ms.span("mfact.replay.replay"));
-    let n = src.num_ranks();
-    let results = match src {
-        TraceSource::Memory(trace) => replay_core(n, MemSrc(trace), configs),
-        TraceSource::Streamed(stream) => {
-            let cursors = StreamSrc {
-                cursors: (0..n).map(|r| stream.cursor(Rank(r))).collect(),
-                lens: (0..n).map(|r| stream.rank_len(Rank(r))).collect(),
-            };
-            replay_core(n, cursors, configs)
-        }
-    };
+    let results = replay_core(src, configs);
     drop(span); // records the wall time
     let Some(ms) = obs else { return results };
     let results = results.inspect_err(|_| ms.add("mfact.replay.failed", 1))?;
@@ -324,27 +223,24 @@ fn replay_source(
     Ok(results)
 }
 
-fn replay_core<S: EvSrc>(
-    num_ranks: u32,
-    mut src: S,
+fn replay_core(
+    src: TraceSource<'_>,
     configs: &[ModelConfig],
 ) -> Result<Vec<ConfigResult>, ReplayError> {
     if configs.is_empty() {
         return Err(ReplayError::NoConfigs);
     }
-    let n = num_ranks as usize;
+    let n = src.num_ranks() as usize;
     let k = configs.len();
 
+    let mut walker = Walker::new(src);
     let mut clocks = vec![Time::ZERO; n * k];
     let mut comp = vec![Time::ZERO; n * k];
     let mut counters = vec![Counters::default(); k];
     // Per destination rank: queued sends (payload: availability row) and
     // waiting receives (token: the request key) by (source, tag).
     let mut mailboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::default()).collect();
-    let mut reqs: Vec<Requests<ReqState>> =
-        (0..num_ranks).map(|r| Requests::new(Rank(r))).collect();
     let mut slab = Slab { k, rows: Vec::new(), free: Vec::new() };
-    let mut cursors = vec![0usize; n];
     // Sized by the first collective.
     let mut coll = CollGroup::default();
 
@@ -367,83 +263,62 @@ fn replay_core<S: EvSrc>(
         };
     }
 
+    // A rank runs until it blocks in a wait (woken by the send that
+    // matches it, to run the wait again), parks at a collective or ends.
     while let Some(r) = ready.pop_front() {
         in_ready[r as usize] = false;
-        let len = src.len_of(r);
-        let mut blocked = false;
-
-        'advance: while cursors[r as usize] < len {
-            let ev = src.get(r, cursors[r as usize]);
-            let base = r as usize * k;
-            let rank_reqs = &mut reqs[r as usize];
-            // The one wait on `keys`. While a receive among them is
-            // unmatched the rank blocks, to re-run this event when woken.
-            macro_rules! wait {
-                ($keys:expr) => {{
-                    let clocks = &mut clocks[base..base + k];
-                    if !wait(rank_reqs, $keys, &mut slab, clocks, &mut counters)? {
-                        blocked = true;
-                        break 'advance;
-                    }
-                }};
-            }
-            match &ev.kind {
-                EventKind::Compute => {
+        let rank = Rank(r);
+        let base = r as usize * k;
+        loop {
+            match walker.next(rank)? {
+                Action::Compute(d) => {
                     for (i, cfg) in configs.iter().enumerate() {
-                        let d = ev.dur.scale(cfg.compute_scale);
+                        let d = d.scale(cfg.compute_scale);
                         clocks[base + i] += d;
                         comp[base + i] += d;
                         counters[i].computation += d;
                     }
                 }
-                // A `Send` is an `Isend` waited on at once: the payload
-                // lands at issue + α + m·β, and the sender's buffer is free
-                // at issue + m·β, which an `Isend` keeps in its request
-                // and a `Send` moves the sender to now.
-                EventKind::Send { peer, bytes, tag }
-                | EventKind::Isend { peer, bytes, tag, .. } => {
-                    check_peer(Rank(r), *peer, num_ranks)?;
-                    let release = match ev.kind {
-                        EventKind::Isend { req, .. } => {
-                            let row = slab.alloc();
-                            rank_reqs.issue(req.0.into(), ReqState::Send(row))?;
-                            Some(row)
-                        }
-                        _ => None,
-                    };
+                // The payload lands at issue + α + m·β, and the sender's
+                // buffer is free at issue + m·β, kept in the request until
+                // its wait.
+                Action::Isend { peer, bytes, tag, key } => {
+                    let release = slab.alloc();
+                    walker.issue(rank, key, ReqState::Send(release))?;
                     let avail = slab.alloc();
                     for (i, cfg) in configs.iter().enumerate() {
-                        let c = p2p(&cfg.net, *bytes);
+                        let c = p2p(&cfg.net, bytes);
                         counters[i].latency += c.latency;
                         counters[i].bandwidth += c.bandwidth;
                         let issued = clocks[base + i];
                         slab.set(avail, i, issued + c.total());
-                        match release {
-                            Some(row) => slab.set(row, i, issued + c.bandwidth),
-                            None => clocks[base + i] = issued + c.bandwidth,
-                        }
+                        slab.set(release, i, issued + c.bandwidth);
                     }
-                    if deliver(&mut mailboxes, &mut reqs, r, peer.0, *tag, avail) && peer.0 != r {
+                    if deliver(&mut mailboxes, &mut walker, r, peer.0, tag, avail) && peer.0 != r {
                         wake!(peer.0);
                     }
                 }
-                EventKind::Irecv { peer, tag, req, .. } => {
-                    check_peer(Rank(r), *peer, num_ranks)?;
-                    irecv(rank_reqs, &mut mailboxes[r as usize], *peer, *tag, req.0.into())?;
+                // Posted, and matched at once if its send already came.
+                Action::Irecv { peer, tag, key, .. } => {
+                    let state = walker.issue(rank, key, ReqState::Recv(None))?;
+                    let row = mailboxes[r as usize].post(peer, tag, key);
+                    *state = ReqState::Recv(row.map(|row| row as u32));
                 }
-                // A `Recv` is an `Irecv` under the tool token plus its
-                // wait; a woken rank finds the request live and re-runs
-                // only the wait.
-                EventKind::Recv { peer, tag, .. } => {
-                    check_peer(Rank(r), *peer, num_ranks)?;
-                    if rank_reqs.get_mut(TOOL_RECV).is_none() {
-                        irecv(rank_reqs, &mut mailboxes[r as usize], *peer, *tag, TOOL_RECV)?;
+                // The wait blocks while a receive in it is unmatched; then
+                // each request's row moves the clocks, in the wait's order.
+                Action::Wait => {
+                    let clocks = &mut clocks[base..base + k];
+                    let matched = |s: &ReqState| !matches!(s, ReqState::Recv(None));
+                    let consume = |s| match s {
+                        ReqState::Send(row) => slab.consume(row, clocks, &mut counters, false),
+                        ReqState::Recv(Some(row)) => slab.consume(row, clocks, &mut counters, true),
+                        ReqState::Recv(None) => {} // every receive is matched: checked first
+                    };
+                    if !walker.wait(rank, matched, consume)? {
+                        break;
                     }
-                    wait!([TOOL_RECV]);
                 }
-                EventKind::Wait { req } => wait!([u64::from(req.0)]),
-                EventKind::WaitAll { reqs: ids } => wait!(ids.iter().map(|id| u64::from(id.0))),
-                EventKind::Coll { kind, bytes, .. } => {
+                Action::Coll { kind, bytes, .. } => {
                     if coll.arrivals.is_empty() {
                         coll.arrivals = vec![Time::ZERO; n * k];
                         coll.bytes = vec![0; n];
@@ -451,13 +326,11 @@ fn replay_core<S: EvSrc>(
                     // Every rank overwrites its arrival and payload
                     // before the group completes.
                     coll.arrived += 1;
-                    coll.bytes[r as usize] = *bytes;
+                    coll.bytes[r as usize] = bytes;
                     coll.arrivals[base..base + k].copy_from_slice(&clocks[base..base + k]);
                     if coll.arrived < n as u32 {
                         parked[r as usize] = true;
-                        cursors[r as usize] += 1; // resume *after* the collective
-                        blocked = true;
-                        break 'advance;
+                        break; // resumes after the collective
                     }
                     // Everyone is here: complete the collective.
                     coll.arrived = 0;
@@ -473,7 +346,7 @@ fn replay_core<S: EvSrc>(
                             let b = coll.bytes[rr];
                             let cost = match last {
                                 Some((lb, cost)) if lb == b => cost,
-                                _ => collective(&cfg.net, *kind, b, n as u32),
+                                _ => collective(&cfg.net, kind, b, n as u32),
                             };
                             last = Some((b, cost));
                             clocks[rr * k + i] = max_arrival + cost.total();
@@ -491,16 +364,12 @@ fn replay_core<S: EvSrc>(
                     }
                     // This rank continues past the collective.
                 }
+                Action::Done => {
+                    finished[r as usize] = true;
+                    break;
+                }
             }
-            cursors[r as usize] += 1;
         }
-
-        if !blocked && cursors[r as usize] >= len {
-            reqs[r as usize].finish()?;
-            finished[r as usize] = true;
-        }
-        // A blocked rank's wake-up is registered with its mailbox entry
-        // or collective.
     }
 
     let done = finished.iter().filter(|&&f| f).count();
@@ -524,7 +393,7 @@ fn replay_core<S: EvSrc>(
 mod tests {
     use super::*;
     use masim_trace::{
-        CollKind, Event, Rank, RankBuilder, ReqId, StreamedTrace, TraceError, TraceMeta,
+        CollKind, Event, EventKind, Rank, RankBuilder, ReqId, StreamedTrace, TraceError, TraceMeta,
     };
     use std::collections::HashMap;
 

@@ -1,4 +1,4 @@
-//! The MPI replay driver: rank processes advancing through trace events
+//! The MPI replay driver: rank processes running the [`Walker`]'s actions
 //! (and the rounds of lowered collectives) on the discrete-event engine.
 
 use crate::error::SimError;
@@ -12,8 +12,8 @@ use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
 use masim_topo::{LinkId, Machine, Mapping};
 use masim_trace::{
-    check_peer, CollKind, Event, EventKind, Mailbox, Rank, RankCursor, Requests, StreamedTrace,
-    Time, Trace, TraceSource, TOOL_RECV, TOOL_SEND,
+    Action, CollKind, Mailbox, Rank, StreamedTrace, Time, Trace, TraceSource, Walker, TOOL_RECV,
+    TOOL_SEND,
 };
 
 /// Simulation configuration.
@@ -122,9 +122,9 @@ enum PStatus {
     /// a blocking `Send`/`Recv` (its nonblocking twin plus a wait) or a
     /// collective round (its receive and send plus a wait).
     Waiting,
-    /// Its last event could not run (it breaks a request or peer rule,
-    /// or its collective outgrows the tag space); [`run`] reports the
-    /// latched cause.
+    /// Its last event could not run (it breaks a peer, root or request
+    /// rule, or its collective outgrows the tag space); [`run`] reports
+    /// the latched cause.
     Parked,
     Done,
 }
@@ -141,13 +141,11 @@ struct CollExec {
 }
 
 struct Proc {
-    cursor: usize,
     status: PStatus,
-    /// Live requests, application and tool: key → completed?
-    reqs: Requests<bool>,
-    /// Requests the wait the rank is blocked in has retired but that have
-    /// not completed yet. Each request completes once, so a completion of
-    /// a key that is no longer live is one of these.
+    /// Requests the wait the rank is blocked in has retired (or a
+    /// collective round issued) but that have not completed yet. Each
+    /// request completes once, so a completion of a key that is no longer
+    /// live is one of these.
     waiting: u32,
     coll: Option<CollExec>,
     coll_count: u32,
@@ -156,11 +154,9 @@ struct Proc {
 }
 
 impl Proc {
-    fn new(rank: Rank) -> Proc {
+    fn new() -> Proc {
         Proc {
-            cursor: 0,
             status: PStatus::Idle,
-            reqs: Requests::new(rank),
             waiting: 0,
             coll: None,
             coll_count: 0,
@@ -234,28 +230,6 @@ impl<'a> Handler for SimState<'a> {
     }
 }
 
-/// A fetched trace event: borrowed straight from an in-memory trace, or
-/// moved out of a streamed rank's decode window (the window is `&mut`,
-/// so a borrow cannot be held across the replay's re-entrant match
-/// arms). `Deref`s to [`Event`] so the replay reads both identically.
-pub(crate) enum Ev<'e> {
-    /// Borrowed from an in-memory trace.
-    Ref(&'e Event),
-    /// Taken from a streamed decode window.
-    Owned(Event),
-}
-
-impl std::ops::Deref for Ev<'_> {
-    type Target = Event;
-
-    fn deref(&self) -> &Event {
-        match self {
-            Ev::Ref(e) => e,
-            Ev::Owned(e) => e,
-        }
-    }
-}
-
 /// The shared simulation state (the DES engine's `S`).
 pub struct SimState<'a> {
     pub(crate) machine: Machine,
@@ -272,9 +246,8 @@ pub struct SimState<'a> {
     pub(crate) msgs: MsgSlab,
     /// Size distribution of every message injected (`sim.msg.bytes`).
     msg_sizes: masim_obs::HistData,
-    trace: TraceSource<'a>,
-    /// Per-rank streaming decode windows (empty for a memory trace).
-    cursors: Vec<RankCursor<'a>>,
+    /// Every rank's events and live requests: key → completed?
+    walker: Walker<'a, bool>,
     /// Event-data resident bytes, cached at build time (constant for
     /// the run; summing per-rank capacities at 100k ranks is not free).
     trace_bytes: u64,
@@ -309,10 +282,6 @@ impl<'a> SimState<'a> {
         let links = LinkTable::new(&cfg.machine, ranks);
         let net = NetState::new(cfg.model, links.len());
         let routes = RouteArena::new(ranks);
-        let cursors = match trace {
-            TraceSource::Memory(_) => Vec::new(),
-            TraceSource::Streamed(s) => (0..ranks).map(|r| s.cursor(Rank(r))).collect(),
-        };
         Ok(SimState {
             machine: cfg.machine.clone(),
             mapping: cfg.mapping.clone(),
@@ -323,9 +292,8 @@ impl<'a> SimState<'a> {
             msgs: MsgSlab::default(),
             msg_sizes: masim_obs::HistData::default(),
             trace_bytes: trace.resident_bytes(),
-            trace,
-            cursors,
-            procs: (0..ranks).map(|r| Proc::new(Rank(r))).collect(),
+            walker: Walker::new(trace),
+            procs: (0..ranks).map(|_| Proc::new()).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             messages: 0,
             done: 0,
@@ -333,9 +301,9 @@ impl<'a> SimState<'a> {
         })
     }
 
-    /// Issue send request `key` of rank `src` and inject its message;
-    /// the message's `Release` completes the request.
-    fn isend(
+    /// Inject the message of rank `src`'s send request `key`; the
+    /// message's `Release` completes the request.
+    fn send(
         &mut self,
         eng: &mut Engine<SimState<'a>>,
         src: Rank,
@@ -343,23 +311,13 @@ impl<'a> SimState<'a> {
         bytes: u64,
         tag: u32,
         key: u64,
-    ) -> Result<(), SimError> {
-        self.procs[src.idx()].reqs.issue(key, false)?;
+    ) {
         self.messages += 1;
         // Zero-byte MPI messages still cross the wire as a header.
         let bytes = bytes.max(1);
         self.msg_sizes.record(bytes);
         let id = self.msgs.insert(Message { src, dst, bytes, tag }, key);
         inject(eng, self, id);
-        Ok(())
-    }
-
-    /// Issue receive request `key` of rank `r` and post it: done at once
-    /// if its message already arrived, else when it is delivered.
-    fn irecv(&mut self, r: Rank, peer: Rank, tag: u32, key: u64) -> Result<(), SimError> {
-        let done = self.procs[r.idx()].reqs.issue(key, false)?;
-        *done = self.mailboxes[r.idx()].post(peer, tag, key).is_some();
-        Ok(())
     }
 
     /// Latch the first typed mid-run error; [`run`] reports it with
@@ -376,17 +334,6 @@ impl<'a> SimState<'a> {
     fn park(&mut self, r: Rank, e: SimError) {
         self.procs[r.idx()].status = PStatus::Parked;
         self.latch_error(e);
-    }
-
-    /// Event `k` of rank `r`'s trace, if it exists. Borrowed directly
-    /// from a memory trace; taken out of the rank's streaming decode
-    /// window otherwise — [`advance`] bumps the rank's cursor right
-    /// after the fetch and never asks for index `k` again.
-    fn fetch_event(&mut self, r: Rank, k: usize) -> Option<Ev<'a>> {
-        match self.trace {
-            TraceSource::Memory(t) => t.events[r.idx()].get(k).map(Ev::Ref),
-            TraceSource::Streamed(_) => self.cursors[r.idx()].take(k).map(Ev::Owned),
-        }
     }
 
     /// Estimated resident bytes of the simulation state: event data,
@@ -407,29 +354,13 @@ impl<'a> SimState<'a> {
 fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
     loop {
         debug_assert_eq!(st.procs[r.idx()].status, PStatus::Idle);
-
         // Inside a collective: run its rounds first.
-        if st.procs[r.idx()].coll.is_some() {
-            match enter_coll_rounds(eng, st, r) {
-                Ok(true) => return, // blocked inside the collective
-                Ok(false) => {}     // collective finished; on to trace events
-                Err(e) => return st.park(r, e),
-            }
+        if st.procs[r.idx()].coll.is_some() && enter_coll_rounds(eng, st, r) {
+            return; // blocked inside the collective
         }
-
-        let cursor = st.procs[r.idx()].cursor;
-        let Some(ev) = st.fetch_event(r, cursor) else {
-            let p = &mut st.procs[r.idx()];
-            if let Err(e) = p.reqs.finish() {
-                return st.park(r, e.into());
-            }
-            p.status = PStatus::Done;
-            p.finish = eng.now();
-            st.done += 1;
-            return;
-        };
-        st.procs[r.idx()].cursor += 1;
-        match issue(eng, st, r, &ev) {
+        let step =
+            st.walker.next(r).map_err(SimError::from).and_then(|a| run_action(eng, st, r, a));
+        match step {
             Ok(true) => {}
             Ok(false) => return,
             Err(e) => return st.park(r, e),
@@ -437,18 +368,16 @@ fn advance<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) {
     }
 }
 
-/// Issue trace event `ev` of rank `r`: true if the rank runs on, false if
-/// it blocked, an error if the event is malformed.
-fn issue<'a>(
+/// Run rank `r`'s next action: true if the rank runs on, false if it
+/// blocked or ended, an error if the action breaks a rule.
+fn run_action<'a>(
     eng: &mut Engine<SimState<'a>>,
     st: &mut SimState<'a>,
     r: Rank,
-    ev: &Event,
+    action: Action,
 ) -> Result<bool, SimError> {
-    let world = st.procs.len() as u32;
-    match &ev.kind {
-        EventKind::Compute => {
-            let d = ev.dur;
+    match action {
+        Action::Compute(d) => {
             let p = &mut st.procs[r.idx()];
             // Saturate: a pathological duration must surface as the
             // engine's typed clock overflow, not an accounting abort.
@@ -457,92 +386,85 @@ fn issue<'a>(
             eng.schedule_in(d, SimEvent::ComputeDone(r));
             return Ok(false);
         }
-        // A blocking call is its nonblocking twin under a tool token, then
-        // a wait on it.
-        EventKind::Send { peer, bytes, tag } => {
-            check_peer(r, *peer, world)?;
-            st.isend(eng, r, *peer, *bytes, *tag, TOOL_SEND)?;
-            return wait(&mut st.procs[r.idx()], [TOOL_SEND]);
+        Action::Isend { peer, bytes, tag, key } => {
+            st.walker.issue(r, key, false)?;
+            st.send(eng, r, peer, bytes, tag, key);
         }
-        EventKind::Isend { peer, bytes, tag, req } => {
-            check_peer(r, *peer, world)?;
-            st.isend(eng, r, *peer, *bytes, *tag, req.0.into())?;
+        // Done at once if its message already arrived, else when it is
+        // delivered.
+        Action::Irecv { peer, tag, key, .. } => {
+            let done = st.walker.issue(r, key, false)?;
+            *done = st.mailboxes[r.idx()].post(peer, tag, key).is_some();
         }
-        EventKind::Recv { peer, tag, .. } => {
-            check_peer(r, *peer, world)?;
-            st.irecv(r, *peer, *tag, TOOL_RECV)?;
-            return wait(&mut st.procs[r.idx()], [TOOL_RECV]);
+        // The wait retires its requests and blocks until the rest of
+        // them have completed.
+        Action::Wait => {
+            let p = &mut st.procs[r.idx()];
+            st.walker.wait(r, |_| true, |done| p.waiting += u32::from(!done))?;
+            return Ok(runs_on(p));
         }
-        EventKind::Irecv { peer, tag, req, .. } => {
-            check_peer(r, *peer, world)?;
-            st.irecv(r, *peer, *tag, req.0.into())?;
-        }
-        EventKind::Wait { req } => return wait(&mut st.procs[r.idx()], [req.0.into()]),
-        EventKind::WaitAll { reqs } => {
-            return wait(&mut st.procs[r.idx()], reqs.iter().map(|req| req.0.into()))
-        }
-        EventKind::Coll { kind, bytes, root } => {
+        Action::Coll { kind, bytes, root } => {
+            let world = st.procs.len() as u32;
             let p = &mut st.procs[r.idx()];
             let ordinal = p.coll_count;
             p.coll_count += 1;
-            let n = rounds(*kind, world, *bytes);
+            let n = rounds(kind, world, bytes);
             if n > MAX_COLL_ROUNDS || (n > 0 && ordinal >= MAX_COLL_ORDINALS) {
                 // Its rounds' tags would not fit `coll_tag`'s space.
                 return Err(SimError::CollectiveTagOverflow { rank: r.0, ordinal, rounds: n });
             }
-            p.coll = Some(CollExec { kind: *kind, bytes: *bytes, root: *root, round: 0, ordinal });
+            p.coll = Some(CollExec { kind, bytes, root, round: 0, ordinal });
             // `advance` goes on into enter_coll_rounds.
+        }
+        Action::Done => {
+            let p = &mut st.procs[r.idx()];
+            p.status = PStatus::Done;
+            p.finish = eng.now();
+            st.done += 1;
+            return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// The one wait: a `Wait`/`WaitAll`, a blocking call or a collective
-/// round retires `keys`: true if all have completed, false if the rank
-/// blocks until the rest have.
-fn wait(p: &mut Proc, keys: impl IntoIterator<Item = u64>) -> Result<bool, SimError> {
-    for key in keys {
-        if !p.reqs.retire(key)? {
-            p.waiting += 1;
-        }
-    }
+/// True if nothing the rank waits for is left; else the rank blocks.
+fn runs_on(p: &mut Proc) -> bool {
     if p.waiting == 0 {
-        return Ok(true);
+        return true;
     }
     p.status = PStatus::Waiting;
-    Ok(false)
+    false
 }
 
 /// Execute collective rounds until blocked (true) or done (false). A
 /// round is a receive and a send under the tool tokens, then a wait on
-/// both; the wait retires them before the next round issues them again.
-fn enter_coll_rounds<'a>(
-    eng: &mut Engine<SimState<'a>>,
-    st: &mut SimState<'a>,
-    r: Rank,
-) -> Result<bool, SimError> {
-    let world = st.trace.num_ranks();
+/// both. Neither is a trace request, so no request table holds them: the
+/// wait counts the ones not yet complete.
+fn enter_coll_rounds<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank) -> bool {
+    let world = st.procs.len() as u32;
     loop {
         // Invariant: `advance` only calls this for a rank in a collective.
         let c = st.procs[r.idx()].coll.expect("in collective");
         if c.round >= rounds(c.kind, world, c.bytes) {
             st.procs[r.idx()].coll = None;
-            return Ok(false);
+            return false;
         }
         let Round { recv, send } = round(c.kind, r, world, c.bytes, c.root, c.round);
         let tag = coll_tag(c.ordinal, c.round);
+        let mut pending = 0;
         // Post the receive first (it may already be unexpected-matched).
         if let Some((peer, _bytes)) = recv {
-            st.irecv(r, peer, tag, TOOL_RECV)?;
+            pending += u32::from(st.mailboxes[r.idx()].post(peer, tag, TOOL_RECV).is_none());
         }
         if let Some((peer, bytes)) = send {
-            st.isend(eng, r, peer, bytes, tag, TOOL_SEND)?;
+            st.send(eng, r, peer, bytes, tag, TOOL_SEND);
+            pending += 1;
         }
         let p = &mut st.procs[r.idx()];
         p.coll.as_mut().expect("in collective").round = c.round + 1;
-        let keys = [recv.map(|_| TOOL_RECV), send.map(|_| TOOL_SEND)];
-        if !wait(p, keys.into_iter().flatten())? {
-            return Ok(true);
+        p.waiting += pending;
+        if !runs_on(p) {
+            return true;
         }
         // Empty (or fully satisfied) round: continue to the next.
     }
@@ -575,11 +497,11 @@ fn on_release<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, src: Ra
 /// Request `key` of rank `r` completed. If the wait the rank is blocked
 /// in retired it and nothing else is left, resume the rank.
 fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, key: u64) {
-    let p = &mut st.procs[r.idx()];
-    if let Some(done) = p.reqs.get_mut(key) {
+    if let Some(done) = st.walker.state_mut(r, key) {
         *done = true;
         return;
     }
+    let p = &mut st.procs[r.idx()];
     p.waiting -= 1;
     if p.waiting == 0 && p.status == PStatus::Waiting {
         p.status = PStatus::Idle;

@@ -16,8 +16,11 @@
 //! * [`io`] — the binary trace format (MASS v1), and [`StreamedTrace`] — its
 //!   one-rank-at-a-time reader;
 //! * [`Features`] — the 34 measurable Table III features;
-//! * [`Mailbox`] — per-rank (source, tag) matching, and [`Requests`] —
-//!   per-rank request rules, both shared by the simulator and MFACT.
+//! * [`Walker`] — the one walk over each rank's events for validation,
+//!   MFACT and the simulator: it reads either source, applies the peer,
+//!   root and request rules, and yields each event's [`Action`]s;
+//! * [`Mailbox`] — per-rank (source, tag) matching, shared by the
+//!   simulator and MFACT.
 //!
 //! # Example
 //!
@@ -62,17 +65,19 @@ mod stream;
 mod time;
 mod trace;
 mod units;
+mod walk;
 
 pub use event::{CollKind, Event, EventKind, A2A_BRUCK_SWITCH, LONG_MSG_SWITCH};
 pub use features::{Features, FEATURE_NAMES, NUM_FEATURES};
 pub use ids::{NodeId, Rank, ReqId};
-pub use mailbox::{check_peer, Mailbox, Requests, TOOL_RECV, TOOL_SEND};
+pub use mailbox::{Mailbox, TOOL_RECV, TOOL_SEND};
 pub use stream::{
     write_stream, RankCursor, SegmentWriter, StreamError, StreamedTrace, TraceSource,
 };
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};
 pub use units::Bandwidth;
+pub use walk::{Action, Walker};
 
 /// Unit-test-only counting allocator: counts allocation events per
 /// thread, so [`Mailbox`] can assert steady-state matching allocates

@@ -1,24 +1,14 @@
 //! Per-rank MPI state, shared by both trace consumers: the [`Mailbox`]
 //! matches message arrivals (the simulator's arrival times, MFACT's
 //! availability rows) against posted receives, and [`Requests`] holds
-//! the request rules that [`crate::Trace::validate`] checks too.
+//! the request rules that [`crate::Walker`] applies for every tool.
 
 use crate::ids::Rank;
 use crate::trace::TraceError;
 
-/// A point-to-point event of `rank` may name only a peer below `world`;
-/// [`TraceError::PeerOutOfRange`] otherwise.
-#[inline]
-pub fn check_peer(rank: Rank, peer: Rank, world: u32) -> Result<(), TraceError> {
-    if peer.0 < world {
-        Ok(())
-    } else {
-        Err(TraceError::PeerOutOfRange { rank, peer })
-    }
-}
-
 /// The key (and mailbox token) of the implicit receive request of a
-/// blocking `Recv` or a collective round; [`TOOL_SEND`] is its send's.
+/// blocking `Recv`, and the simulator's token for a collective round's
+/// receive; [`TOOL_SEND`] is the same for a send.
 pub const TOOL_RECV: u64 = 1 << 32;
 /// See [`TOOL_RECV`].
 pub const TOOL_SEND: u64 = TOOL_RECV + 1;
@@ -35,14 +25,14 @@ pub const TOOL_SEND: u64 = TOOL_RECV + 1;
 /// beats hashing. An entry holds its key as the low word and a tool flag:
 /// with a `bool` state it takes 8 bytes, as a plain `u32` id would.
 #[derive(Debug)]
-pub struct Requests<S> {
+pub(crate) struct Requests<S> {
     rank: Rank,
     live: Vec<(u32, bool, S)>,
 }
 
 impl<S> Requests<S> {
     /// No live requests on `rank`.
-    pub fn new(rank: Rank) -> Requests<S> {
+    pub(crate) fn new(rank: Rank) -> Requests<S> {
         Requests { rank, live: Vec::new() }
     }
 
@@ -68,7 +58,7 @@ impl<S> Requests<S> {
     /// Issue `key` with `state`; [`TraceError::RequestReuse`] while `key`
     /// is live.
     #[inline]
-    pub fn issue(&mut self, key: u64, state: S) -> Result<&mut S, TraceError> {
+    pub(crate) fn issue(&mut self, key: u64, state: S) -> Result<&mut S, TraceError> {
         if self.position(key).is_some() {
             return Err(TraceError::RequestReuse { rank: self.rank, req: Self::id(key) });
         }
@@ -80,7 +70,7 @@ impl<S> Requests<S> {
     /// The state of live request `key`; [`TraceError::DanglingWait`] if it
     /// was never issued or is already retired.
     #[inline]
-    pub fn get(&self, key: u64) -> Result<&S, TraceError> {
+    pub(crate) fn get(&self, key: u64) -> Result<&S, TraceError> {
         self.find(key).map(|i| &self.live[i].2)
     }
 
@@ -88,7 +78,7 @@ impl<S> Requests<S> {
     /// `None` once a wait has retired it. A completion is not a trace
     /// event, so a missing key is no error.
     #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut S> {
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut S> {
         self.position(key).map(|i| &mut self.live[i].2)
     }
 
@@ -96,13 +86,13 @@ impl<S> Requests<S> {
     /// [`TraceError::DanglingWait`] if it was never issued or is already
     /// retired.
     #[inline]
-    pub fn retire(&mut self, key: u64) -> Result<S, TraceError> {
+    pub(crate) fn retire(&mut self, key: u64) -> Result<S, TraceError> {
         self.find(key).map(|i| self.live.swap_remove(i).2)
     }
 
     /// The rank's stream ended: [`TraceError::UnwaitedRequest`] for a
     /// request still live.
-    pub fn finish(&self) -> Result<(), TraceError> {
+    pub(crate) fn finish(&self) -> Result<(), TraceError> {
         match self.live.first() {
             Some(&(low, tool, _)) => {
                 let key = u64::from(low) | u64::from(tool) << 32;
@@ -219,11 +209,6 @@ mod tests {
         let mut flags = Requests::new(rank);
         flags.issue(TOOL_SEND, false).unwrap();
         assert_eq!(std::mem::size_of_val(&flags.live[0]), 8);
-        assert_eq!(check_peer(rank, Rank(1), 2), Ok(()));
-        assert_eq!(
-            check_peer(rank, Rank(2), 2),
-            Err(TraceError::PeerOutOfRange { rank, peer: Rank(2) })
-        );
     }
 
     #[test]

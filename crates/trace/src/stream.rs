@@ -130,11 +130,6 @@ impl StreamedTrace {
         self.layout.index.iter().map(|s| s.count).sum()
     }
 
-    /// Events in one rank's stream.
-    pub fn rank_len(&self, rank: Rank) -> usize {
-        self.layout.index[rank.idx()].count as usize
-    }
-
     /// Bytes held resident for the encoded trace (header + index +
     /// payload) — the number a memory budget should charge.
     pub fn resident_bytes(&self) -> u64 {
@@ -146,9 +141,8 @@ impl StreamedTrace {
         RankCursor {
             buf: self.layout.segment(&self.data, rank),
             rank: rank.0,
-            total: self.rank_len(rank),
+            total: self.layout.index[rank.idx()].count as usize,
             decoded: 0,
-            prev: None,
             cur: None,
             prev_req: 0,
         }
@@ -167,10 +161,10 @@ impl fmt::Debug for StreamedTrace {
 
 /// Where a tool reads its events from: a fully materialized [`Trace`]
 /// (the study corpus path) or a [`StreamedTrace`] decoded per rank
-/// through a small sliding window (the mega-scale path, which never
-/// builds the per-rank `Vec<Event>`s). Both tools' single entry points,
-/// `masim_sim::run` and `masim_mfact::try_replay`, take
-/// `impl Into<TraceSource>`.
+/// through a one-event window (the mega-scale path, which never builds
+/// the per-rank `Vec<Event>`s). [`crate::Walker`] reads either, and both
+/// tools' single entry points, `masim_sim::run` and
+/// `masim_mfact::try_replay`, take `impl Into<TraceSource>`.
 #[derive(Clone, Copy)]
 pub enum TraceSource<'a> {
     /// In-memory trace.
@@ -191,7 +185,15 @@ impl<'a> From<&'a StreamedTrace> for TraceSource<'a> {
     }
 }
 
-impl TraceSource<'_> {
+impl<'a> TraceSource<'a> {
+    /// Run metadata.
+    pub fn meta(&self) -> &'a TraceMeta {
+        match *self {
+            TraceSource::Memory(t) => &t.meta,
+            TraceSource::Streamed(s) => s.meta(),
+        }
+    }
+
     /// World size.
     pub fn num_ranks(&self) -> u32 {
         match self {
@@ -220,22 +222,62 @@ impl TraceSource<'_> {
             TraceSource::Streamed(s) => s.resident_bytes(),
         }
     }
+
+    /// Rank `r`'s events, read forward.
+    pub(crate) fn reader(&self, r: Rank) -> RankReader<'a> {
+        match *self {
+            TraceSource::Memory(t) => RankReader::Memory { events: &t.events[r.idx()], read: 0 },
+            TraceSource::Streamed(s) => RankReader::Streamed(s.cursor(r)),
+        }
+    }
+}
+
+/// One rank's events, read forward once from either source, with the
+/// event read last still at hand (a wait's ids).
+pub(crate) enum RankReader<'a> {
+    /// A borrowed stream and how many of its events were read.
+    Memory { events: &'a [Event], read: usize },
+    /// A decoding window.
+    Streamed(RankCursor<'a>),
+}
+
+impl RankReader<'_> {
+    /// The next event, `None` past the end.
+    #[inline(always)]
+    pub(crate) fn next(&mut self) -> Option<&Event> {
+        match self {
+            RankReader::Memory { events, read } => {
+                let ev = events.get(*read)?;
+                *read += 1;
+                Some(ev)
+            }
+            RankReader::Streamed(c) => c.get(c.decoded),
+        }
+    }
+
+    /// The event [`RankReader::next`] returned last.
+    #[inline(always)]
+    pub(crate) fn current(&self) -> Option<&Event> {
+        match self {
+            RankReader::Memory { events, read } => events.get(read.checked_sub(1)?),
+            RankReader::Streamed(c) => c.cur.as_ref(),
+        }
+    }
 }
 
 /// A one-event-at-a-time decoder over a rank's segment.
 ///
 /// Consumers walk a rank's stream with a non-decreasing index, re-reading
-/// the current event while the rank is blocked (the runner and mfact
-/// retry pattern) and occasionally peeking one event back. The cursor
-/// therefore keeps exactly two decoded events of state; anything further
-/// back is unreachable by construction and treated as a logic error.
+/// the current event (a wait's ids, read again when the wait is run).
+/// The cursor therefore keeps exactly one decoded event of state;
+/// anything further back is unreachable by construction and treated as
+/// a logic error.
 pub struct RankCursor<'a> {
     buf: &'a [u8],
     rank: u32,
     total: usize,
     /// Events decoded so far; `cur` holds event `decoded - 1`.
     decoded: usize,
-    prev: Option<Event>,
     cur: Option<Event>,
     prev_req: u32,
 }
@@ -252,42 +294,24 @@ impl RankCursor<'_> {
     }
 
     /// The event at index `k`. Returns `None` past the end of the
-    /// stream. `k` must be the current event, one before it, or the next
-    /// undecoded one — the streaming window.
+    /// stream. `k` must be the current event or the next undecoded one
+    /// — the streaming window.
     pub fn get(&mut self, k: usize) -> Option<&Event> {
         if k >= self.total {
             return None;
         }
-        if k + 1 == self.decoded {
-            return self.cur.as_ref();
+        if k + 1 != self.decoded {
+            assert!(
+                k == self.decoded,
+                "non-streaming access: asked for event {k} with {} decoded",
+                self.decoded
+            );
+            let ev = decode_event(&mut self.buf, self.rank, &mut self.prev_req)
+                .expect("validated at open");
+            self.cur = Some(ev);
+            self.decoded += 1;
         }
-        if k + 2 == self.decoded {
-            return self.prev.as_ref();
-        }
-        assert!(
-            k == self.decoded,
-            "non-streaming access: asked for event {k} with {} decoded",
-            self.decoded
-        );
-        let ev =
-            decode_event(&mut self.buf, self.rank, &mut self.prev_req).expect("validated at open");
-        self.prev = self.cur.take();
-        self.cur = Some(ev);
-        self.decoded += 1;
         self.cur.as_ref()
-    }
-
-    /// [`RankCursor::get`] by value: moves event `k` out of the window
-    /// instead of lending it, for a consumer that reads each event once
-    /// and keeps it across calls that need the cursor's owner mutably.
-    /// A taken event is gone — asking for `k` again returns `None`.
-    pub fn take(&mut self, k: usize) -> Option<Event> {
-        self.get(k)?;
-        if k + 1 == self.decoded {
-            self.cur.take()
-        } else {
-            self.prev.take()
-        }
     }
 }
 
@@ -338,13 +362,13 @@ mod tests {
         t
     }
 
-    /// Every rank's events, taken through its cursor.
-    fn walk(st: &StreamedTrace) -> Vec<Vec<Event>> {
-        let cursor = |r| {
-            let mut c = st.cursor(Rank(r));
-            (0..c.len()).map(|k| c.take(k).expect("in range")).collect()
+    /// Every rank's events, read through its reader.
+    fn walk(src: TraceSource<'_>) -> Vec<Vec<Event>> {
+        let read = |r| {
+            let mut reader = src.reader(Rank(r));
+            std::iter::from_fn(|| reader.next().cloned()).collect()
         };
-        (0..st.num_ranks()).map(cursor).collect()
+        (0..src.num_ranks()).map(read).collect()
     }
 
     #[test]
@@ -355,7 +379,8 @@ mod tests {
         let st = StreamedTrace::from_bytes(bytes).expect("open");
         assert_eq!(st.num_ranks(), 2);
         assert_eq!(st.num_events(), 10);
-        assert_eq!(walk(&st), t.events);
+        assert_eq!(walk((&st).into()), t.events);
+        assert_eq!(walk((&t).into()), t.events);
     }
 
     #[test]
@@ -366,29 +391,29 @@ mod tests {
             let mut c = st.cursor(Rank(r));
             assert_eq!(c.len(), t.events[r as usize].len());
             for (k, want) in t.events[r as usize].iter().enumerate() {
-                // Re-reads of the same index must be stable (the blocked
-                // rank retry pattern), and one-back peeks must work.
+                // Re-reads of the current index must be stable (a wait
+                // run again).
                 assert_eq!(c.get(k), Some(want));
                 assert_eq!(c.get(k), Some(want));
-                if k > 0 {
-                    assert_eq!(c.get(k - 1), Some(&t.events[r as usize][k - 1]));
-                }
             }
             assert_eq!(c.get(c.len()), None);
         }
     }
 
     #[test]
-    fn cursor_take_walks_the_stream_by_value() {
+    fn readers_keep_the_event_read_last() {
         let t = sample();
         let st = StreamedTrace::from_bytes(encode(&t)).expect("open");
-        for r in 0..2u32 {
-            let mut c = st.cursor(Rank(r));
-            for (k, want) in t.events[r as usize].iter().enumerate() {
-                assert_eq!(c.take(k).as_ref(), Some(want));
-                assert_eq!(c.get(k), None, "a taken event is gone");
+        for src in [TraceSource::from(&t), TraceSource::from(&st)] {
+            for (r, events) in t.events.iter().enumerate() {
+                let mut reader = src.reader(Rank(r as u32));
+                assert_eq!(reader.current(), None);
+                for want in events {
+                    assert_eq!(reader.next(), Some(want));
+                    assert_eq!(reader.current(), Some(want));
+                }
+                assert_eq!(reader.next(), None);
             }
-            assert_eq!(c.take(c.len()), None);
         }
     }
 
@@ -468,7 +493,7 @@ mod tests {
         write_stream(&t, &path).expect("write");
         assert_eq!(std::fs::read(&path).unwrap(), encode(&t), "one encoder, two sinks");
         let st = StreamedTrace::open(&path).expect("open");
-        assert_eq!((st.meta(), walk(&st)), (&t.meta, t.events));
+        assert_eq!((st.meta(), walk((&st).into())), (&t.meta, t.events));
         std::fs::remove_file(&path).ok();
     }
 }

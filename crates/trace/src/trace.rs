@@ -2,8 +2,8 @@
 
 use crate::event::{CollKind, Event, EventKind};
 use crate::ids::Rank;
-use crate::mailbox::{check_peer, Requests};
 use crate::time::Time;
+use crate::walk::{Action, Walker};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -73,7 +73,7 @@ pub enum TraceError {
     RequestReuse { rank: Rank, req: u32 },
     /// Ranks disagree on the collective sequence.
     CollectiveMismatch { rank: Rank, index: usize },
-    /// A rooted collective's root is out of range.
+    /// A collective's root is out of range.
     RootOutOfRange { rank: Rank, root: Rank },
 }
 
@@ -187,75 +187,49 @@ impl Trace {
     ///
     /// Verified properties:
     /// 1. stream count matches metadata, and no rank is empty;
-    /// 2. all peers and roots are in range;
+    /// 2. the [`Walker`]'s rules, which MFACT and the simulator apply
+    ///    too: peers and roots are in range, every nonblocking request
+    ///    is waited exactly once, no dangling waits, no reuse of an
+    ///    outstanding request id;
     /// 3. per (src, dst, tag) channel, sends and receives pair up FIFO
     ///    with equal byte counts;
-    /// 4. every nonblocking request is waited exactly once, no dangling
-    ///    waits, no reuse of an outstanding request id: the [`Requests`]
-    ///    rules, which MFACT and the simulator also apply per event;
-    /// 5. every rank performs the same collective sequence (kind, root)
+    /// 4. every rank performs the same collective sequence (kind, root)
     ///    as rank 0 — MPI's matching rule for collectives.
     pub fn validate(&self) -> Result<(), TraceError> {
         let world = self.meta.ranks;
         if self.events.len() != world as usize {
             return Err(TraceError::RankCountMismatch { meta: world, streams: self.events.len() });
         }
-
-        // Collective reference sequence from rank 0.
-        let coll_seq: Vec<(CollKind, Rank)> = self
-            .events
-            .first()
-            .map(|es| {
-                es.iter()
-                    .filter_map(|e| match e.kind {
-                        EventKind::Coll { kind, root, .. } => Some((kind, root)),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-
+        let mut walker = Walker::new(self);
         let mut channels: ChannelLedger = HashMap::new();
-
+        // Rank 0's collective sequence, walked first.
+        let mut colls: Vec<(CollKind, Rank)> = Vec::new();
         for (r, es) in self.events.iter().enumerate() {
             let rank = Rank(r as u32);
             if es.is_empty() {
                 return Err(TraceError::EmptyRank(rank));
             }
-            let mut reqs = Requests::new(rank);
             let mut coll_idx = 0usize;
-            for e in es {
-                match &e.kind {
-                    EventKind::Compute => {}
-                    EventKind::Send { peer, bytes, tag }
-                    | EventKind::Isend { peer, bytes, tag, .. } => {
-                        check_peer(rank, *peer, world)?;
-                        channels.entry((rank.0, peer.0, *tag)).or_default()[0].push(*bytes);
-                        if let EventKind::Isend { req, .. } = &e.kind {
-                            reqs.issue(req.0.into(), ())?;
-                        }
+            loop {
+                match walker.next(rank)? {
+                    Action::Compute(_) => {}
+                    Action::Isend { peer, bytes, tag, key } => {
+                        channels.entry((rank.0, peer.0, tag)).or_default()[0].push(bytes);
+                        walker.issue(rank, key, ())?;
                     }
-                    EventKind::Recv { peer, bytes, tag }
-                    | EventKind::Irecv { peer, bytes, tag, .. } => {
-                        check_peer(rank, *peer, world)?;
-                        channels.entry((peer.0, rank.0, *tag)).or_default()[1].push(*bytes);
-                        if let EventKind::Irecv { req, .. } = &e.kind {
-                            reqs.issue(req.0.into(), ())?;
-                        }
+                    Action::Irecv { peer, bytes, tag, key } => {
+                        channels.entry((peer.0, rank.0, tag)).or_default()[1].push(bytes);
+                        walker.issue(rank, key, ())?;
                     }
-                    EventKind::Wait { req } => reqs.retire(req.0.into())?,
-                    EventKind::WaitAll { reqs: ids } => {
-                        for id in ids {
-                            reqs.retire(id.0.into())?;
-                        }
+                    Action::Wait => {
+                        walker.wait(rank, |_| true, |()| {})?;
                     }
-                    EventKind::Coll { kind, root, .. } => {
-                        if kind.is_rooted() && root.0 >= world {
-                            return Err(TraceError::RootOutOfRange { rank, root: *root });
+                    Action::Coll { kind, root, .. } => {
+                        if r == 0 {
+                            colls.push((kind, root));
                         }
-                        match coll_seq.get(coll_idx) {
-                            Some(&(k0, r0))
-                                if k0 == *kind && (!kind.is_rooted() || r0 == *root) => {}
+                        match colls.get(coll_idx) {
+                            Some(&(k0, r0)) if k0 == kind && (!kind.is_rooted() || r0 == root) => {}
                             _ => {
                                 return Err(TraceError::CollectiveMismatch {
                                     rank,
@@ -265,12 +239,12 @@ impl Trace {
                         }
                         coll_idx += 1;
                     }
+                    Action::Done => break,
                 }
             }
-            if coll_idx != coll_seq.len() {
+            if coll_idx != colls.len() {
                 return Err(TraceError::CollectiveMismatch { rank, index: coll_idx });
             }
-            reqs.finish()?;
         }
 
         // MPI matches a channel's sends and receives in order: the j-th

@@ -1,0 +1,243 @@
+//! The one walk over a rank's events, shared by [`crate::Trace::validate`],
+//! MFACT's replay and the simulator: a [`Walker`] reads every rank's events
+//! from either [`TraceSource`], applies MPI's peer, root and request rules,
+//! and turns each event into the [`Action`]s a replaying tool runs. What a
+//! tool keeps is its clock: what an action costs and when a wait is ready.
+
+use crate::event::{CollKind, EventKind};
+use crate::ids::Rank;
+use crate::mailbox::{Requests, TOOL_RECV, TOOL_SEND};
+use crate::stream::{RankReader, TraceSource};
+use crate::time::Time;
+use crate::trace::TraceError;
+
+/// One MPI action of a rank, in program order. A blocking `Send`/`Recv`
+/// is its nonblocking twin under a tool token ([`TOOL_SEND`],
+/// [`TOOL_RECV`]), then a [`Action::Wait`] on it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[allow(missing_docs)] // the fields are the event's
+pub enum Action {
+    /// Computation for the recorded duration.
+    Compute(Time),
+    /// A send under request `key`, which the tool issues with
+    /// [`Walker::issue`].
+    Isend { peer: Rank, bytes: u64, tag: u32, key: u64 },
+    /// A receive under request `key`, which the tool issues with
+    /// [`Walker::issue`].
+    Irecv { peer: Rank, bytes: u64, tag: u32, key: u64 },
+    /// A wait on the requests [`Walker::wait`] retires. It is yielded
+    /// again until that wait succeeds.
+    Wait,
+    /// A collective; its root is below the world size.
+    Coll { kind: CollKind, bytes: u64, root: Rank },
+    /// The stream ended with no request live.
+    Done,
+}
+
+/// Where a rank is in its walk.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stage {
+    /// The next action comes from the next event.
+    Read,
+    /// A wait on the current event's request ids is open.
+    WaitIds,
+    /// A blocking send's wait is open.
+    WaitSend,
+    /// A blocking receive's wait is open.
+    WaitRecv,
+}
+
+/// One rank's walk: its events, its stage and its live requests, each
+/// holding the replaying tool's state `S`.
+struct RankWalk<'a, S> {
+    events: RankReader<'a>,
+    stage: Stage,
+    reqs: Requests<S>,
+}
+
+/// Every rank's walk over one trace.
+pub struct Walker<'a, S> {
+    world: u32,
+    ranks: Vec<RankWalk<'a, S>>,
+}
+
+/// A point-to-point event of `rank` may name only a peer below `world`.
+fn check_peer(rank: Rank, peer: Rank, world: u32) -> Result<(), TraceError> {
+    if peer.0 < world {
+        Ok(())
+    } else {
+        Err(TraceError::PeerOutOfRange { rank, peer })
+    }
+}
+
+impl<'a, S> Walker<'a, S> {
+    /// Every rank of `src` at its first event.
+    pub fn new(src: impl Into<TraceSource<'a>>) -> Walker<'a, S> {
+        let src = src.into();
+        let world = src.num_ranks();
+        let walk =
+            |r| RankWalk { events: src.reader(r), stage: Stage::Read, reqs: Requests::new(r) };
+        Walker { world, ranks: (0..world).map(|r| walk(Rank(r))).collect() }
+    }
+
+    /// Rank `r`'s next action: [`Action::Wait`] again while its open wait
+    /// has not succeeded. Errors name the event's broken rule: a peer or
+    /// root outside the world, or a request live at the end.
+    // Forced, like `wait` and the reader's calls: MFACT's replay runs
+    // them per event, and left as calls they cost its sweep ≈ 20 %.
+    #[inline(always)]
+    pub fn next(&mut self, r: Rank) -> Result<Action, TraceError> {
+        let RankWalk { events, stage, reqs } = &mut self.ranks[r.idx()];
+        if *stage != Stage::Read {
+            return Ok(Action::Wait);
+        }
+        let Some(ev) = events.next() else {
+            reqs.finish()?;
+            return Ok(Action::Done);
+        };
+        let (send, peer, bytes, tag, req) = match ev.kind {
+            EventKind::Compute => return Ok(Action::Compute(ev.dur)),
+            EventKind::Send { peer, bytes, tag } => (true, peer, bytes, tag, None),
+            EventKind::Isend { peer, bytes, tag, req } => (true, peer, bytes, tag, Some(req)),
+            EventKind::Recv { peer, bytes, tag } => (false, peer, bytes, tag, None),
+            EventKind::Irecv { peer, bytes, tag, req } => (false, peer, bytes, tag, Some(req)),
+            EventKind::Wait { .. } | EventKind::WaitAll { .. } => {
+                *stage = Stage::WaitIds;
+                return Ok(Action::Wait);
+            }
+            EventKind::Coll { kind, bytes, root } if root.0 < self.world => {
+                return Ok(Action::Coll { kind, bytes, root })
+            }
+            EventKind::Coll { root, .. } => {
+                return Err(TraceError::RootOutOfRange { rank: r, root })
+            }
+        };
+        check_peer(r, peer, self.world)?;
+        let key = match (req, send) {
+            (Some(req), _) => u64::from(req.0),
+            (None, true) => {
+                *stage = Stage::WaitSend;
+                TOOL_SEND
+            }
+            (None, false) => {
+                *stage = Stage::WaitRecv;
+                TOOL_RECV
+            }
+        };
+        Ok(if send {
+            Action::Isend { peer, bytes, tag, key }
+        } else {
+            Action::Irecv { peer, bytes, tag, key }
+        })
+    }
+
+    /// Issue request `key` of an [`Action::Isend`] or [`Action::Irecv`]
+    /// of rank `r` with the tool's `state`;
+    /// [`TraceError::RequestReuse`] while `key` is live.
+    #[inline]
+    pub fn issue(&mut self, r: Rank, key: u64, state: S) -> Result<&mut S, TraceError> {
+        self.ranks[r.idx()].reqs.issue(key, state)
+    }
+
+    /// The state of rank `r`'s request `key` while it is live, for a
+    /// completion to update; `None` once a wait has retired it.
+    #[inline]
+    pub fn state_mut(&mut self, r: Rank, key: u64) -> Option<&mut S> {
+        self.ranks[r.idx()].reqs.get_mut(key)
+    }
+
+    /// Run rank `r`'s open wait: every request in it must be live
+    /// ([`TraceError::DanglingWait`]). While `ready` rejects one's state
+    /// the wait retires nothing and returns false, to be run again after
+    /// the next [`Action::Wait`]. Otherwise each request is retired in
+    /// the order the wait names it, its state handed to `retired`, and
+    /// the wait closes.
+    #[inline(always)]
+    pub fn wait(
+        &mut self,
+        r: Rank,
+        ready: impl Fn(&S) -> bool,
+        retired: impl FnMut(S),
+    ) -> Result<bool, TraceError> {
+        let RankWalk { events, stage, reqs } = &mut self.ranks[r.idx()];
+        // A tool token, or the ids of the current event: a `Wait` or a
+        // `WaitAll` (the stage says so).
+        let kind = events.current().map(|e| &e.kind);
+        let one = match (*stage, kind) {
+            (Stage::WaitSend, _) => Some(TOOL_SEND),
+            (Stage::WaitRecv, _) => Some(TOOL_RECV),
+            (_, Some(EventKind::Wait { req })) => Some(u64::from(req.0)),
+            _ => None,
+        };
+        let done = match (one, kind) {
+            (Some(key), _) => retire_all(reqs, std::iter::once(key), ready, retired)?,
+            (None, Some(EventKind::WaitAll { reqs: ids })) => {
+                retire_all(reqs, ids.iter().map(|id| u64::from(id.0)), ready, retired)?
+            }
+            _ => true,
+        };
+        if done {
+            *stage = Stage::Read;
+        }
+        Ok(done)
+    }
+}
+
+/// The body of [`Walker::wait`] over its keys.
+#[inline(always)]
+fn retire_all<S>(
+    reqs: &mut Requests<S>,
+    keys: impl Iterator<Item = u64> + Clone,
+    ready: impl Fn(&S) -> bool,
+    mut retired: impl FnMut(S),
+) -> Result<bool, TraceError> {
+    let mut all_ready = true;
+    for key in keys.clone() {
+        all_ready &= ready(reqs.get(key)?);
+    }
+    if all_ready {
+        for key in keys {
+            retired(reqs.retire(key)?);
+        }
+    }
+    Ok(all_ready)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::Event;
+    use crate::ids::ReqId;
+    use crate::trace::{Trace, TraceMeta};
+
+    /// A blocking call is its nonblocking twin under a tool token plus a
+    /// wait, and a wait that is not ready retires nothing and comes back.
+    #[test]
+    fn blocking_calls_desugar_and_unready_waits_repeat() {
+        let meta = TraceMeta { ranks: 2, ranks_per_node: 1, ..TraceMeta::default() };
+        let ev = |kind| Event::new(kind, Time::ZERO);
+        let mut t = Trace::empty(meta);
+        t.events[0] = vec![
+            ev(EventKind::Send { peer: Rank(1), bytes: 8, tag: 3 }),
+            ev(EventKind::Irecv { peer: Rank(1), bytes: 8, tag: 4, req: ReqId(9) }),
+            ev(EventKind::Wait { req: ReqId(9) }),
+        ];
+        let (r, done) = (Rank(0), |d: &bool| *d);
+        let mut w = Walker::new(&t);
+        let send = Action::Isend { peer: Rank(1), bytes: 8, tag: 3, key: TOOL_SEND };
+        assert_eq!(w.next(r), Ok(send));
+        w.issue(r, TOOL_SEND, true).unwrap();
+        assert_eq!(w.next(r), Ok(Action::Wait));
+        assert_eq!(w.wait(r, done, |_| {}), Ok(true));
+        assert_eq!(w.next(r), Ok(Action::Irecv { peer: Rank(1), bytes: 8, tag: 4, key: 9 }));
+        w.issue(r, 9, false).unwrap();
+        assert_eq!(w.next(r), Ok(Action::Wait));
+        assert_eq!(w.wait(r, done, |_| unreachable!("nothing retires")), Ok(false));
+        assert_eq!(w.next(r), Ok(Action::Wait));
+        *w.state_mut(r, 9).unwrap() = true;
+        let mut retired = Vec::new();
+        assert_eq!(w.wait(r, done, |d| retired.push(d)), Ok(true));
+        assert_eq!((retired, w.next(r)), (vec![true], Ok(Action::Done)));
+        assert_eq!(w.state_mut(r, 9), None);
+    }
+}

@@ -71,11 +71,19 @@ impl StampModel {
     /// Measured duration of a collective over `world` ranks with
     /// per-rank payload `bytes` (total payload for `Alltoallv`).
     ///
-    /// Latency-round counts follow the *same algorithm shapes* the tools
-    /// assume (binomial trees, recursive doubling, Bruck vs. pairwise
-    /// all-to-all), so that the recorded time differs from the tools'
-    /// predictions only by per-call overhead and the contention the
-    /// original run experienced — never by algorithm choice.
+    /// Most kinds follow the algorithm shapes MFACT's cost model assumes
+    /// (binomial trees, recursive doubling, Bruck vs. pairwise
+    /// all-to-all), where the recorded time differs from its prediction
+    /// by per-call overhead and the contention the original run
+    /// experienced. These differ by algorithm, with α the latency plus
+    /// the per-call overhead:
+    /// - short `Allreduce` is stamped 2·⌈log₂ p⌉·α + 2·m·β, where MFACT
+    ///   charges ⌈log₂ p⌉·(α + m·β) (recursive doubling);
+    /// - long `Bcast`/`Reduce` keep the tree, ⌈log₂ p⌉·(α + m·β), where
+    ///   MFACT switches to scatter + allgather,
+    ///   2·⌈log₂ p⌉·α + 2·m·(p − 1)/p·β;
+    /// - `ReduceScatter` moves m·β and long `Allreduce` 2·m·β, where
+    ///   MFACT charges (p − 1)/p of that.
     pub fn collective(&self, kind: CollKind, bytes: u64, world: u32) -> Time {
         let p = world.max(2) as u64;
         let logp = (64 - (p - 1).leading_zeros()) as u64; // ceil(log2 p)

@@ -16,7 +16,8 @@ use masim_sim::{simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, Si
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::io::{self, DecodeError};
 use masim_trace::{
-    Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError, TraceMeta,
+    CollKind, Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError,
+    TraceMeta,
 };
 use masim_workloads::{generate, App, CorpusEntry, GenConfig};
 
@@ -718,10 +719,7 @@ fn predictions<'a>(src: impl Into<masim_trace::TraceSource<'a>>, machine: &Machi
     let sweep = ModelConfig::standard_sweep(machine.net);
     let mfact = try_replay(src, &sweep, None).expect("MFACT replays");
     let mfact = mfact.into_iter().map(|c| (c.total, c.per_rank, c.comm_time, c.counters)).collect();
-    let meta = match src {
-        masim_trace::TraceSource::Memory(t) => &t.meta,
-        masim_trace::TraceSource::Streamed(s) => s.meta(),
-    };
+    let meta = src.meta();
     let sim = ModelKind::study_models().map(|model| {
         let cfg = SimConfig {
             machine: machine.clone(),
@@ -775,11 +773,11 @@ fn request_rules_ids_are_opaque_labels() {
     }
 }
 
-/// One malformed trace, one error: for a trace with a single request or
-/// peer defect, validation, MFACT and every simulator model report the
-/// same `TraceError`, from memory and, where the trace encodes, streamed.
-/// Nothing panics. An out-of-range peer does not encode: the decoder
-/// refuses it.
+/// One malformed trace, one error: for a trace with a single request,
+/// peer or root defect, validation, MFACT and every simulator model
+/// report the same `TraceError`, from memory and, where the trace
+/// encodes, streamed. Nothing panics. An out-of-range peer or root does
+/// not encode: the decoder refuses it.
 #[test]
 fn request_rules_one_malformed_trace_gives_one_error() {
     use masim_trace::ReqId;
@@ -793,6 +791,7 @@ fn request_rules_one_malformed_trace_gives_one_error() {
     let wait = |req| ev(EventKind::Wait { req: ReqId(req) });
     let wait_all =
         |reqs: &[u32]| ev(EventKind::WaitAll { reqs: reqs.iter().map(|&r| ReqId(r)).collect() });
+    let bcast = |root| ev(EventKind::Coll { kind: CollKind::Bcast, bytes: 8, root: Rank(root) });
     let two = |r0, r1| Trace { events: vec![r0, r1], ..Trace::empty(meta(2)) };
     let rank = Rank(0);
     let out = TraceError::PeerOutOfRange { rank, peer: Rank(2) };
@@ -843,6 +842,9 @@ fn request_rules_one_malformed_trace_gives_one_error() {
             two(vec![irecv(2, 0, 0), wait(0)], vec![ev(EventKind::Compute)]),
             out.clone(),
         ),
+        ("Bcast root = 5 at p = 2", two(vec![bcast(5)], vec![bcast(5)]), {
+            TraceError::RootOutOfRange { rank, root: Rank(5) }
+        }),
     ];
     let machine = Machine::cielito();
     let configs = [ModelConfig::base(machine.net)];
@@ -865,8 +867,12 @@ fn request_rules_one_malformed_trace_gives_one_error() {
         match StreamedTrace::from_bytes(io::encode(&t)) {
             Ok(stream) => tools((&stream).into(), "streamed"),
             Err(e) => {
-                assert_eq!(want, out, "{what}: only out-of-range peers fail to decode");
-                let field = DecodeError::OutOfRange { field: "peer", value: 2 };
+                let (field, Rank(value)) = match want {
+                    TraceError::PeerOutOfRange { peer, .. } => ("peer", peer),
+                    TraceError::RootOutOfRange { root, .. } => ("root", root),
+                    _ => panic!("{what}: only out-of-range peers and roots fail to decode"),
+                };
+                let field = DecodeError::OutOfRange { field, value: value.into() };
                 assert_eq!(e, StreamError::Decode(field), "{what}: decode");
             }
         }

@@ -3,7 +3,8 @@
 
 use masim_core::{run_one_observed, Dataset, Enhanced, Study, StudyConfig};
 use masim_mfact::{
-    probe_configs, replay, try_classify, try_replay, AppClass, Classification, ModelConfig,
+    probe_configs, replay, try_classify, try_replay, AppClass, Classification, ConfigResult,
+    ModelConfig,
 };
 use masim_sim::{ModelKind, SimConfig, SimLimits};
 use masim_topo::Machine;
@@ -304,9 +305,10 @@ fn cg64_two_per_node(seed: u64) -> masim_trace::Trace {
     generate(&gcfg)
 }
 
-/// The packet model replays a streamed trace exactly as it replays the
-/// same trace from memory: every `SimResult` field, on a trace with real
-/// packet traffic.
+/// The packet model and MFACT replay a streamed trace exactly as they
+/// replay the same trace from memory: every `SimResult` field, on a trace
+/// with real packet traffic, and every field of MFACT's standard-sweep
+/// results.
 #[test]
 fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
     use masim_sim::{run, SimLimits, SimResult};
@@ -338,6 +340,18 @@ fn cg64_streamed_replay_is_bit_identical_to_in_memory() {
     assert_eq!(work_units, mem.work_units);
     assert_eq!(max_link_bytes, mem.max_link_bytes);
     assert_eq!(link_bytes, mem.link_bytes);
+
+    let sweep = ModelConfig::standard_sweep(Machine::cielito().net);
+    let mem = try_replay(&trace, &sweep, None).expect("MFACT replays");
+    let streamed = try_replay(&stream, &sweep, None).expect("MFACT replays streamed");
+    assert_eq!(streamed.len(), sweep.len());
+    for (i, (s, m)) in streamed.into_iter().zip(&mem).enumerate() {
+        let ConfigResult { config: _, total, per_rank, comm_time, counters } = s;
+        assert_eq!(total, m.total, "config {i}");
+        assert_eq!(per_rank, m.per_rank, "config {i}");
+        assert_eq!(comm_time, m.comm_time, "config {i}");
+        assert_eq!(counters, m.counters, "config {i}");
+    }
 }
 
 /// A work budget too small for the trace trips as a typed
