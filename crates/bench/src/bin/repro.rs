@@ -454,7 +454,7 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
             .label("ranks", &gcfg.ranks.to_string())
             .label("seed", &gcfg.seed.to_string());
         if let Err(e) = &res {
-            rm = rm.label("failure", ToolFailure::from_sim(e.clone()).code());
+            rm = rm.label("failure", ToolFailure::from(e.clone()).code());
         }
         let n = write_sidecars(dir, "scale", &[Sidecar::from(&rm)])?;
         eprintln!("scale: wrote {n} sidecar(s) under {}", dir.display());
@@ -478,10 +478,9 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        Err(e) => Err(format!(
-            "scale: simulation failed ({}): {e}",
-            ToolFailure::from_sim(e.clone()).code()
-        )),
+        Err(e) => {
+            Err(format!("scale: simulation failed ({}): {e}", ToolFailure::from(e.clone()).code()))
+        }
     }
 }
 

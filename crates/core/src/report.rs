@@ -560,6 +560,7 @@ mod tests {
     use super::*;
     use crate::study::ToolFailure;
     use crate::testutil::study;
+    use masim_mfact::ReplayError;
 
     fn small_study() -> &'static Study {
         study()
@@ -679,7 +680,7 @@ mod tests {
         // censused, never unwrapped.
         let mut s = small_study().clone();
         assert!(s.traces[0].pflow.completed() && s.traces[1].mfact.completed());
-        let cause = ToolFailure::Deadlock { finished: 1, total: 8 };
+        let cause = ToolFailure::from(ReplayError::Deadlock { finished: 1, total: 8 });
         let wall = s.traces[0].mfact.wall;
         s.traces[0].mfact = ToolRun::failed(cause.clone(), wall);
         // The converse shape on a different trace: MFACT fine, packet-flow dead.

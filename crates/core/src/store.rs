@@ -38,9 +38,9 @@ pub const STORE_FILE: &str = "study.ckpt.jsonl";
 /// Fingerprint of this build's output, the third part of every key.
 /// `code_fingerprint_is_pinned` (`tests/route_equivalence.rs`) fails
 /// until it is the FNV-1a of both goldens and the tiny Table II's
-/// records, so changing any prediction, record field or sidecar metric
-/// moves every key.
-pub const CODE_FINGERPRINT: u64 = 0x3bab_230d_a285_7d5c;
+/// records (plus one with budget-failed runs), so changing any
+/// prediction, record field or sidecar metric moves every key.
+pub const CODE_FINGERPRINT: u64 = 0x9b5b_af4d_44e3_8f3b;
 
 /// Why the store could not be opened or extended.
 #[derive(Debug)]
@@ -283,9 +283,12 @@ fn decode(v: &Value) -> Result<(Key, Record), String> {
 mod tests {
     use super::*;
     use crate::session::{Session, SessionSpec, StudyKind};
-    use crate::study::{ToolFailure, ToolRun};
-    use masim_mfact::{AppClass, Classification, Counters};
+    use crate::study::{contained, ToolFailure, ToolRun};
+    use masim_des::ClockOverflow;
+    use masim_mfact::{AppClass, Classification, Counters, ReplayError};
     use masim_obs::MetricSet;
+    use masim_sim::SimError;
+    use masim_topo::TopoError;
     use masim_trace::{Features, Time};
     use masim_workloads::build_corpus;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -325,8 +328,8 @@ mod tests {
         }
     }
 
-    /// A synthetic result exercising every failure variant and exact
-    /// f64/u64 round-trips.
+    /// A synthetic result with three failure codes and exact f64/u64
+    /// round-trips.
     fn synthetic_study(entry: &CorpusEntry) -> TraceStudy {
         TraceStudy {
             entry: entry.clone(),
@@ -347,15 +350,18 @@ mod tests {
                 },
             },
             mfact: ToolRun::failed(
-                ToolFailure::Deadlock { finished: 3, total: 16 },
+                ToolFailure::from(ReplayError::Deadlock { finished: 3, total: 16 }),
                 Duration::from_nanos(1_500),
             ),
             packet: ToolRun::failed(
-                ToolFailure::BudgetExhausted { consumed: 2_000_001, budget: 2_000_000 },
+                ToolFailure::from(SimError::BudgetExhausted {
+                    consumed: 2_000_001,
+                    budget: 2_000_000,
+                }),
                 Duration::from_micros(12),
             ),
             flow: ToolRun::failed(
-                ToolFailure::Panicked { message: "index out of bounds: \"quoted\"".into() },
+                contained::<()>(|| panic!("index out of bounds: \"quoted\"")).unwrap_err(),
                 Duration::ZERO,
             ),
             pflow: ToolRun::ok(
@@ -376,22 +382,26 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trips_every_failure_variant() {
+    fn record_round_trips_every_failure_code() {
         let entries = build_corpus(7);
         let mut t = synthetic_study(&entries[0]);
-        // Cover the remaining variants too.
+        // Cover the remaining codes too.
+        let overflow = ClockOverflow { now: Time::from_ps(u64::MAX - 1), delay: Time::from_ps(17) };
         t.flow = ToolRun::failed(
-            ToolFailure::ClockOverflow { now_ps: u64::MAX - 1, delay_ps: 17 },
+            ToolFailure::from(SimError::ClockOverflow { model: "flow", overflow }),
             Duration::from_nanos(1),
         );
         t.mfact = ToolRun::failed(
-            ToolFailure::InvalidConfig { reason: "unknown machine \"summit\"".into() },
+            ToolFailure::from(TopoError::UnknownMachine { name: "summit".into() }),
             Duration::ZERO,
         );
         t.pflow = ToolRun::failed(
-            ToolFailure::MemoryBudget { detail: "9 B resident > 8 B budget".into() },
+            ToolFailure::from(SimError::MemoryBudget { resident: 9, budget: 8 }),
             Duration::from_nanos(3),
         );
+        let codes = [&t.mfact, &t.packet, &t.flow, &t.pflow, &synthetic_study(&entries[0]).flow]
+            .map(|run| run.failure.as_ref().unwrap().code());
+        assert_eq!(codes, ["invalid-config", "budget", "overflow", "memory", "panic"]);
         let key = Key::new(&entries[0], &StudyConfig::default());
         for study in [&synthetic_study(&entries[0]), &t] {
             let line = Value::Obj(vec![
@@ -458,19 +468,19 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A deadlock count past `u32::MAX` is corruption, not a silently
-    /// truncated number on reopen.
+    /// A failure code outside the six is corruption, not a failure the
+    /// reports would print under an unknown name.
     #[test]
-    fn deadlock_counts_wider_than_u32_are_corrupt() {
-        let dir = scratch("u32");
+    fn unknown_failure_codes_are_corrupt() {
+        let dir = scratch("code");
         let entries = build_corpus(7);
         let good = stored_text(&dir, &entries, 2);
-        let wide = good.replacen("\"finished\":3", "\"finished\":4294967296", 1);
-        assert_ne!(wide, good);
-        fs::write(dir.join(STORE_FILE), format!("{wide}{good}")).unwrap();
+        let unknown = good.replacen("\"code\":\"deadlock\"", "\"code\":\"melted\"", 1);
+        assert_ne!(unknown, good);
+        fs::write(dir.join(STORE_FILE), format!("{unknown}{good}")).unwrap();
         let err = Store::open(&dir).unwrap_err();
         assert!(
-            matches!(&err, StoreError::Corrupt { line: 1, reason } if reason.contains("finished")),
+            matches!(&err, StoreError::Corrupt { line: 1, reason } if reason.contains("melted")),
             "{err}"
         );
         let _ = fs::remove_dir_all(&dir);

@@ -9,11 +9,11 @@
 //!
 //! Tool failure is **data** here, never a crash: every per-trace tool
 //! run executes behind a panic boundary ([`contained`]) and records its
-//! failure cause as a typed [`ToolFailure`] on the [`ToolRun`], so a
-//! malformed trace or a pathological configuration costs the study one
-//! entry, not the whole corpus. Causes surface in reports
-//! ([`Study::failure_census`]) and as a `failure` label on the per-tool
-//! metric sidecars.
+//! cause as a [`ToolFailure`] (a code plus the cause's own text) on the
+//! [`ToolRun`], so a malformed trace or a pathological configuration
+//! costs the study one entry, not the whole corpus. Causes surface in
+//! reports ([`Study::failure_census`]) and as a `failure` label on the
+//! per-tool metric sidecars.
 //!
 //! Tool wall-clock times are measured through `masim-obs` spans, and
 //! every run returns one labeled [`RunMetrics`] sidecar per tool per
@@ -24,154 +24,94 @@ use masim_mfact::{probe_configs, try_replay, AppClass, Classification, Counters,
 use masim_obs::json::Value;
 use masim_obs::{MetricSet, Progress, RunMetrics};
 use masim_sim::{ModelKind, SimConfig, SimError, SimLimits};
-use masim_topo::Machine;
+use masim_topo::{Machine, TopoError};
 use masim_trace::{Features, Time, Trace, NUM_FEATURES};
 use masim_workloads::{build_corpus, CorpusEntry};
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Why a tool failed on a trace — the study's cross-tool failure
-/// taxonomy. Simulator errors ([`SimError`]), modeler errors
-/// ([`ReplayError`]), and caught panics all normalize into this one
-/// enum so reports and checkpoints can account for every incomplete
-/// tool run uniformly.
+/// The failure codes, as reports, the `*_failure` CSV columns, the
+/// `failure=` sidecar labels and the result store print them: work
+/// budget, deadlock, clock overflow, rejected trace or configuration,
+/// contained panic, memory budget.
+const CODES: [&str; 6] = ["budget", "deadlock", "overflow", "invalid-config", "panic", "memory"];
+
+/// Why a tool failed on a trace: one of six codes plus the cause's own
+/// text. A simulator's [`SimError`], a modeler's [`ReplayError`], a
+/// machine lookup's [`TopoError`] and a caught panic all become this one
+/// record.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ToolFailure {
-    /// Work budget (DES events + model work units) exhausted — the
-    /// paper's dominant failure mode for the packet and flow models.
-    BudgetExhausted {
-        /// Work consumed when the run was cut off.
-        consumed: u64,
-        /// The budget that was exceeded.
-        budget: u64,
-    },
-    /// The tool detected a deadlock in the trace (replay or simulation
-    /// drained its ready work with ranks still blocked).
-    Deadlock {
-        /// Ranks that finished.
-        finished: u32,
-        /// Total ranks in the trace.
-        total: u32,
-    },
-    /// The simulation clock overflowed its u64 picosecond range.
-    ClockOverflow {
-        /// Engine clock (ps) when the offending schedule was attempted.
-        now_ps: u64,
-        /// The delay (ps) whose addition overflowed.
-        delay_ps: u64,
-    },
-    /// The trace/configuration combination was rejected up front
-    /// (unknown machine, mapping mismatch, dangling request id, ...).
-    InvalidConfig {
-        /// Human-readable description of the rejected input.
-        reason: String,
-    },
-    /// The tool panicked and the panic was contained at the study
-    /// boundary. Anything landing here is a bug worth chasing — the
-    /// message is preserved verbatim for the report.
-    Panicked {
-        /// The panic payload, if it was a string (the common case).
-        message: String,
-    },
-    /// The run exceeded its memory budget or the route arena's
-    /// structural limits. At mega-scale these used to be allocator
-    /// aborts; now they land here as rows the report can count.
-    MemoryBudget {
-        /// What was exhausted and by how much, e.g. "simulation memory
-        /// budget exceeded: 9 GiB resident > 8 GiB budget".
-        detail: String,
-    },
+pub struct ToolFailure {
+    code: &'static str,
+    detail: String,
 }
 
 impl ToolFailure {
-    /// Short stable identifier, used as the `failure` label on metric
-    /// sidecars, in CSV columns, and in checkpoint journals.
+    fn new(code: &'static str, cause: &dyn Display) -> ToolFailure {
+        debug_assert!(CODES.contains(&code), "unknown failure code {code:?}");
+        ToolFailure { code, detail: cause.to_string() }
+    }
+
+    /// A caught panic; its payload is the detail when it is a string.
+    fn panicked(payload: &(dyn Any + Send)) -> ToolFailure {
+        let text = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        ToolFailure::new("panic", &text.unwrap_or("<non-string panic payload>"))
+    }
+
+    /// The failure code: `budget`, `deadlock`, `overflow`,
+    /// `invalid-config`, `panic` or `memory`.
     pub fn code(&self) -> &'static str {
-        match self {
-            ToolFailure::BudgetExhausted { .. } => "budget",
-            ToolFailure::Deadlock { .. } => "deadlock",
-            ToolFailure::ClockOverflow { .. } => "overflow",
-            ToolFailure::InvalidConfig { .. } => "invalid-config",
-            ToolFailure::Panicked { .. } => "panic",
-            ToolFailure::MemoryBudget { .. } => "memory",
-        }
+        self.code
     }
 
-    /// Normalize a simulator error.
-    pub fn from_sim(e: SimError) -> ToolFailure {
-        match e {
-            SimError::BudgetExhausted { consumed, budget } => {
-                ToolFailure::BudgetExhausted { consumed, budget }
-            }
-            SimError::Deadlock { finished, total, .. } => ToolFailure::Deadlock { finished, total },
-            SimError::ClockOverflow { overflow, .. } => ToolFailure::ClockOverflow {
-                now_ps: overflow.now.as_ps(),
-                delay_ps: overflow.delay.as_ps(),
-            },
-            SimError::InvalidConfig { reason } => ToolFailure::InvalidConfig { reason },
-            SimError::Malformed(_)
+    /// The cause's own `Display` text (the payload, for a panic).
+    pub fn detail(&self) -> &str {
+        &self.detail
+    }
+}
+
+impl From<SimError> for ToolFailure {
+    fn from(e: SimError) -> ToolFailure {
+        let code = match e {
+            SimError::BudgetExhausted { .. } => "budget",
+            SimError::Deadlock { .. } => "deadlock",
+            SimError::ClockOverflow { .. } => "overflow",
+            SimError::RouteArenaExhausted { .. } | SimError::MemoryBudget { .. } => "memory",
+            SimError::InvalidConfig { .. }
+            | SimError::Malformed(_)
             | SimError::OversizedMessage { .. }
-            | SimError::CollectiveTagOverflow { .. } => {
-                ToolFailure::InvalidConfig { reason: e.to_string() }
-            }
-            SimError::RouteArenaExhausted { .. } | SimError::MemoryBudget { .. } => {
-                ToolFailure::MemoryBudget { detail: e.to_string() }
-            }
-        }
-    }
-
-    /// Normalize a modeler (replay) error.
-    pub fn from_replay(e: ReplayError) -> ToolFailure {
-        match e {
-            ReplayError::Deadlock { finished, total } => ToolFailure::Deadlock { finished, total },
-            other => ToolFailure::InvalidConfig { reason: other.to_string() },
-        }
-    }
-
-    /// Extract a message from a caught panic payload.
-    pub fn from_panic(payload: &(dyn Any + Send)) -> ToolFailure {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_string()
+            | SimError::CollectiveTagOverflow { .. } => "invalid-config",
         };
-        ToolFailure::Panicked { message }
+        ToolFailure::new(code, &e)
     }
 }
 
-impl std::fmt::Display for ToolFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ToolFailure::BudgetExhausted { consumed, budget } => {
-                write!(f, "work budget exhausted ({consumed} > {budget})")
-            }
-            ToolFailure::Deadlock { finished, total } => {
-                write!(f, "deadlock ({finished}/{total} ranks finished)")
-            }
-            ToolFailure::ClockOverflow { now_ps, delay_ps } => {
-                write!(f, "clock overflow (now {now_ps} ps + delay {delay_ps} ps)")
-            }
-            ToolFailure::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            ToolFailure::Panicked { message } => write!(f, "tool panicked: {message}"),
-            ToolFailure::MemoryBudget { detail } => write!(f, "memory budget exceeded: {detail}"),
-        }
+impl From<ReplayError> for ToolFailure {
+    fn from(e: ReplayError) -> ToolFailure {
+        let deadlock = matches!(e, ReplayError::Deadlock { .. });
+        ToolFailure::new(if deadlock { "deadlock" } else { "invalid-config" }, &e)
     }
 }
 
-/// Run `f` behind a panic boundary: a panic becomes
-/// [`ToolFailure::Panicked`] instead of unwinding into the study loop.
-/// This is the containment primitive every per-trace tool run goes
-/// through.
+impl From<TopoError> for ToolFailure {
+    fn from(e: TopoError) -> ToolFailure {
+        ToolFailure::new("invalid-config", &e)
+    }
+}
+
+/// Run `f` behind a panic boundary: a panic becomes a `panic`
+/// [`ToolFailure`] instead of unwinding into the study loop. This is the
+/// containment primitive every per-trace tool run goes through.
 pub fn contained<T>(f: impl FnOnce() -> Result<T, ToolFailure>) -> Result<T, ToolFailure> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
-        Err(payload) => Err(ToolFailure::from_panic(payload.as_ref())),
+        Err(payload) => Err(ToolFailure::panicked(payload.as_ref())),
     }
 }
 
@@ -366,106 +306,72 @@ fn label_sidecar(
     rm
 }
 
-/// The early-exit path of [`run_one_observed`]: the study could not get
-/// past trace generation or machine lookup, so every tool is marked
-/// failed with `cause` and each tool sidecar still times (an empty)
-/// [`TOOL_WALL_SPAN`] so sidecar shape stays uniform for downstream
-/// consumers.
-fn stalled_trace(
-    entry: &CorpusEntry,
-    gen_ms: MetricSet,
-    trace: Option<&Trace>,
-    cause: ToolFailure,
-) -> ObservedTrace {
-    let [pkt_kind, flow_kind, pflow_kind] = ModelKind::study_models();
-    let stalled_tool = |tool: &str| -> (ToolRun, RunMetrics) {
-        let ms = MetricSet::new();
-        let wall = ms.span(TOOL_WALL_SPAN).stop();
-        let run = ToolRun::failed(cause.clone(), wall);
-        let rm = label_sidecar(entry, ms, tool, run.failure.as_ref());
-        (run, rm)
-    };
-    let (mfact, mfact_rm) = stalled_tool("mfact");
-    let (packet, packet_rm) = stalled_tool(pkt_kind.name());
-    let (flow, flow_rm) = stalled_tool(flow_kind.name());
-    let (pflow, pflow_rm) = stalled_tool(pflow_kind.name());
-    ObservedTrace {
-        study: TraceStudy {
-            entry: entry.clone(),
-            measured_total: trace.map_or(Time::ZERO, |t| t.measured_time()),
-            measured_comm: trace.map_or(Time::ZERO, |t| t.total_comm_time()),
-            events: trace.map_or(0, |t| t.num_events()),
-            features: trace.map_or_else(Features::default, Features::extract),
-            classification: Classification::unavailable(),
-            mfact,
-            packet,
-            flow,
-            pflow,
-        },
-        sidecars: vec![
-            label_sidecar(entry, gen_ms, "corpus", None),
-            mfact_rm,
-            packet_rm,
-            flow_rm,
-            pflow_rm,
-        ],
-    }
-}
-
 /// Run one tool set over one corpus entry, collecting per-tool metric
 /// sidecars. Predictions do not depend on the telemetry: every
 /// instrumented engine keeps its hot loop free of instrumentation and
 /// exports counters after the run.
 ///
-/// Every stage runs behind [`contained`]: a panicking generator or tool
-/// records a typed failure on the affected runs instead of unwinding.
+/// Generation runs behind [`contained`] too: a panicking generator
+/// leaves no trace, and every tool records that panic.
 pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace {
     let gen_ms = MetricSet::new();
-    let trace: Trace = {
+    let trace = {
         let _ts = masim_obs::trace_span!("study.generate");
-        match contained(|| Ok(entry.generate_observed(&gen_ms))) {
-            Ok(t) => t,
-            // No trace at all: nothing downstream can run.
-            Err(cause) => return stalled_trace(entry, gen_ms, None, cause),
-        }
+        contained(|| Ok(entry.generate_observed(&gen_ms)))
     };
-    let machine = match Machine::by_name(&entry.cfg.machine) {
-        Ok(m) => m,
-        Err(e) => {
-            let cause = ToolFailure::InvalidConfig { reason: e.to_string() };
-            return stalled_trace(entry, gen_ms, Some(&trace), cause);
-        }
+    observe(entry, cfg, gen_ms, trace)
+}
+
+/// The one builder of an [`ObservedTrace`]: run each tool step on
+/// `trace` behind [`contained`] and write the record and its five
+/// sidecars. Without a trace or a machine, each tool step records that
+/// cause instead of running and times an empty [`TOOL_WALL_SPAN`], so
+/// every record has one shape.
+fn observe(
+    entry: &CorpusEntry,
+    cfg: &StudyConfig,
+    gen_ms: MetricSet,
+    trace: Result<Trace, ToolFailure>,
+) -> ObservedTrace {
+    let ready = match &trace {
+        Ok(t) => Machine::by_name(&entry.cfg.machine).map(|m| (t, m)).map_err(ToolFailure::from),
+        Err(cause) => Err(cause.clone()),
+    };
+    let mut sidecars = vec![label_sidecar(entry, gen_ms, "corpus", None)];
+    type Step<'a> =
+        dyn FnMut(&Trace, &Machine, &MetricSet) -> Result<(Time, Time), ToolFailure> + 'a;
+    let mut step = |tool: &str, run: &mut Step| {
+        let ms = MetricSet::new();
+        let span = ms.span(TOOL_WALL_SPAN);
+        let res = match &ready {
+            Ok((trace, machine)) => contained(|| run(trace, machine, &ms)),
+            Err(cause) => Err(cause.clone()),
+        };
+        let wall = span.stop();
+        let run = match res {
+            Ok((total, comm)) => ToolRun::ok(total, comm, wall),
+            Err(cause) => ToolRun::failed(cause, wall),
+        };
+        sidecars.push(label_sidecar(entry, ms, tool, run.failure.as_ref()));
+        run
     };
 
     // MFACT: single multi-config replay (baseline + the classifier's two
     // probes), exactly the tool's one-replay-many-configs trick. The
     // wall time measured is that single replay; the prediction and the
     // class are both read from its results.
-    let mfact_ms = MetricSet::new();
-    let span = mfact_ms.span(TOOL_WALL_SPAN);
-    let mres = {
+    let mut replay = None;
+    let mfact = step("mfact", &mut |trace, machine, ms| {
         let _ts = masim_obs::trace_span!("study.tool/mfact");
-        contained(|| {
-            try_replay(&trace, &probe_configs(machine.net), Some(&mfact_ms))
-                .map_err(ToolFailure::from_replay)
-        })
-    };
-    let mfact_wall = span.stop();
-    let (mfact, classification) = match mres {
-        Ok(res) => (
-            ToolRun::ok(res[0].total, res[0].comm_time, mfact_wall),
-            Classification::from_replay(&res),
-        ),
-        Err(cause) => (ToolRun::failed(cause, mfact_wall), Classification::unavailable()),
-    };
-
-    let features = Features::extract(&trace);
-
-    let sim_run = |model: ModelKind, budget: u64| -> (ToolRun, MetricSet) {
-        let ms = MetricSet::new();
-        let limits = SimLimits::budget(budget);
-        let span = ms.span(TOOL_WALL_SPAN);
-        let res = {
+        let res = replay.insert(try_replay(trace, &probe_configs(machine.net), Some(ms))?);
+        Ok((res[0].total, res[0].comm_time))
+    });
+    let classification =
+        replay.map_or_else(Classification::unavailable, |res| Classification::from_replay(&res));
+    let [pkt, fl, pf] = ModelKind::study_models();
+    let sims = [(pkt, cfg.packet_budget), (fl, cfg.flow_budget), (pf, cfg.pflow_budget)];
+    let [packet, flow, pflow] = sims.map(|(model, budget)| {
+        step(model.name(), &mut |trace, machine, ms| {
             // Static names keep the timeline span free of per-run
             // allocation; the set is the `phases` list `cli.rs`'s
             // `traced_run_exports_a_valid_timeline…` test looks for.
@@ -474,42 +380,20 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
                 "flow" => "study.tool/flow",
                 _ => "study.tool/packet-flow",
             });
-            contained(|| {
-                let scfg = SimConfig::new(machine.clone(), model, &trace);
-                masim_sim::run(&trace, &scfg, limits, Some(&ms)).map_err(ToolFailure::from_sim)
-            })
-        };
-        let wall = span.stop();
-        let run = match res {
-            Ok(r) => ToolRun::ok(r.total, r.comm_time, wall),
-            // Budget exhausted, clock overflow, deadlock, rejected
-            // config, or a contained panic: the tool failed on
-            // this trace (incomplete), mirroring the paper's failure
-            // counts — with the cause recorded.
-            Err(cause) => ToolRun::failed(cause, wall),
-        };
-        (run, ms)
-    };
-    let [pkt_kind, flow_kind, pflow_kind] = ModelKind::study_models();
-    let (packet, packet_ms) = sim_run(pkt_kind, cfg.packet_budget);
-    let (flow, flow_ms) = sim_run(flow_kind, cfg.flow_budget);
-    let (pflow, pflow_ms) = sim_run(pflow_kind, cfg.pflow_budget);
+            let scfg = SimConfig::new(machine.clone(), model, trace);
+            let r = masim_sim::run(trace, &scfg, SimLimits::budget(budget), Some(ms))?;
+            Ok((r.total, r.comm_time))
+        })
+    });
 
-    let sidecars = vec![
-        label_sidecar(entry, gen_ms, "corpus", None),
-        label_sidecar(entry, mfact_ms, "mfact", mfact.failure.as_ref()),
-        label_sidecar(entry, packet_ms, pkt_kind.name(), packet.failure.as_ref()),
-        label_sidecar(entry, flow_ms, flow_kind.name(), flow.failure.as_ref()),
-        label_sidecar(entry, pflow_ms, pflow_kind.name(), pflow.failure.as_ref()),
-    ];
-
+    let trace = trace.as_ref().ok();
     ObservedTrace {
         study: TraceStudy {
             entry: entry.clone(),
-            measured_total: trace.measured_time(),
-            measured_comm: trace.total_comm_time(),
-            events: trace.num_events(),
-            features,
+            measured_total: trace.map_or(Time::ZERO, Trace::measured_time),
+            measured_comm: trace.map_or(Time::ZERO, Trace::total_comm_time),
+            events: trace.map_or(0, Trace::num_events),
+            features: trace.map_or_else(Features::default, Features::extract),
             classification,
             mfact,
             packet,
@@ -518,14 +402,6 @@ pub fn run_one_observed(entry: &CorpusEntry, cfg: &StudyConfig) -> ObservedTrace
         },
         sidecars,
     }
-}
-
-/// The all-tools-failed [`ObservedTrace`] recorded when a pool worker
-/// panicked outside every per-tool containment boundary (a bug in the
-/// study glue itself): zero measurements, neutral classification, the
-/// same cause on all four tools, and the uniform five-sidecar layout.
-fn poisoned_observed(entry: &CorpusEntry, cause: ToolFailure) -> ObservedTrace {
-    stalled_trace(entry, MetricSet::new(), None, cause)
 }
 
 /// The study executor: the work-stealing pool behind
@@ -550,8 +426,9 @@ fn poisoned_observed(entry: &CorpusEntry, cause: ToolFailure) -> ObservedTrace {
 /// which `progress(total, workers)` builds once the pool size is known.
 ///
 /// Workers are panic-isolated: a panic escaping the per-tool boundaries
-/// records a poisoned result for that entry and the rest of the corpus
-/// still runs — one bad trace cannot take down the pool.
+/// becomes that entry's record with no trace, `panic` on every tool, and
+/// the rest of the corpus still runs — one bad trace cannot take down
+/// the pool.
 /// An `emit` error (e.g. a failed journal append) halts the cursor so
 /// workers wind down early, and is returned after they drain.
 pub(crate) fn run_entries_parallel<E>(
@@ -599,11 +476,8 @@ pub(crate) fn run_entries_parallel<E>(
                     last = Some(pos);
                     claimed += 1;
                     let entry = &entries[todo[pos]];
-                    let observed =
-                        match catch_unwind(AssertUnwindSafe(|| run_one_observed(entry, cfg))) {
-                            Ok(o) => o,
-                            Err(p) => poisoned_observed(entry, ToolFailure::from_panic(p.as_ref())),
-                        };
+                    let observed = contained(|| Ok(run_one_observed(entry, cfg)))
+                        .unwrap_or_else(|cause| observe(entry, cfg, MetricSet::new(), Err(cause)));
                     progress.tick(1);
                     if tx.send((pos, observed)).is_err() {
                         break; // writer gone: nothing left to report to
@@ -796,23 +670,7 @@ fn ns(d: Duration) -> Value {
 }
 
 fn failure_value(f: &ToolFailure) -> Value {
-    use Value::{Str, UInt};
-    let mut fields = vec![("code", Str(f.code().into()))];
-    fields.extend(match f {
-        ToolFailure::BudgetExhausted { consumed, budget } => {
-            vec![("consumed", UInt(*consumed)), ("budget", UInt(*budget))]
-        }
-        ToolFailure::Deadlock { finished, total } => {
-            vec![("finished", UInt((*finished).into())), ("total", UInt((*total).into()))]
-        }
-        ToolFailure::ClockOverflow { now_ps, delay_ps } => {
-            vec![("now_ps", UInt(*now_ps)), ("delay_ps", UInt(*delay_ps))]
-        }
-        ToolFailure::InvalidConfig { reason } => vec![("reason", Str(reason.clone()))],
-        ToolFailure::Panicked { message } => vec![("message", Str(message.clone()))],
-        ToolFailure::MemoryBudget { detail } => vec![("detail", Str(detail.clone()))],
-    });
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    obj([("code", Value::Str(f.code.into())), ("detail", Value::Str(f.detail.clone()))])
 }
 
 fn tool_value(run: &ToolRun) -> Value {
@@ -852,22 +710,10 @@ fn items<'a>(v: &'a Value, key: &str, len: usize) -> Decoded<&'a [Value]> {
 }
 
 fn failure_from(v: &Value) -> Decoded<ToolFailure> {
-    Ok(match text(v, "code")? {
-        "budget" => ToolFailure::BudgetExhausted {
-            consumed: int(v, "consumed")?,
-            budget: int(v, "budget")?,
-        },
-        "deadlock" => {
-            ToolFailure::Deadlock { finished: int(v, "finished")?, total: int(v, "total")? }
-        }
-        "overflow" => {
-            ToolFailure::ClockOverflow { now_ps: int(v, "now_ps")?, delay_ps: int(v, "delay_ps")? }
-        }
-        "invalid-config" => ToolFailure::InvalidConfig { reason: text(v, "reason")?.into() },
-        "panic" => ToolFailure::Panicked { message: text(v, "message")?.into() },
-        "memory" => ToolFailure::MemoryBudget { detail: text(v, "detail")?.into() },
-        other => return Err(format!("unknown failure code {other:?}")),
-    })
+    let code = text(v, "code")?;
+    let known = CODES.into_iter().find(|c| *c == code);
+    let code = known.ok_or_else(|| format!("unknown failure code {code:?}"))?;
+    Ok(ToolFailure { code, detail: text(v, "detail")?.into() })
 }
 
 fn tool_from(tools: &Value, key: &str) -> Decoded<ToolRun> {
@@ -1062,39 +908,7 @@ mod tests {
         let ok = contained(|| Ok(41 + 1));
         assert_eq!(ok, Ok(42));
         let err = contained::<u64>(|| panic!("kaboom {}", 7));
-        assert_eq!(err, Err(ToolFailure::Panicked { message: "kaboom 7".into() }));
-        assert_eq!(err.unwrap_err().code(), "panic");
-    }
-
-    #[test]
-    fn unknown_machine_is_a_typed_failure_on_every_tool() {
-        let cfg = StudyConfig::default();
-        let entries = masim_workloads::build_corpus(cfg.seed);
-        let mut entry = entries[3].clone();
-        entry.cfg.machine = "summit".to_string();
-        let observed = run_one_observed(&entry, &cfg);
-        let t = &observed.study;
-        // The trace itself generated fine; only the tools stalled.
-        assert!(t.measured_total > Time::ZERO);
-        assert!(t.events > 0);
-        for run in [&t.mfact, &t.packet, &t.flow, &t.pflow] {
-            assert!(!run.completed());
-            assert!(
-                matches!(run.failure, Some(ToolFailure::InvalidConfig { .. })),
-                "{:?}",
-                run.failure
-            );
-        }
-        // Sidecar shape is uniform with the healthy path, and every tool
-        // sidecar carries the failure label.
-        assert_eq!(observed.sidecars.len(), 5);
-        assert!(!observed.sidecars[0].labels().contains_key("failure"));
-        for rm in &observed.sidecars[1..] {
-            assert_eq!(rm.labels()["failure"], "invalid-config");
-            assert_eq!(rm.set().snapshot().spans[TOOL_WALL_SPAN].count, 1);
-        }
-        let study = Study { traces: vec![t.clone()], config: cfg };
-        assert_eq!(study.failure_census()["invalid-config"], 4);
+        assert_eq!(err, Err(ToolFailure { code: "panic", detail: "kaboom 7".into() }));
     }
 
     #[test]

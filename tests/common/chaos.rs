@@ -11,7 +11,7 @@
 //! The containment contract the failure-injection suite asserts over
 //! these: every corrupted input must land in a **typed error**
 //! (`DecodeError`, `TraceError`, `ReplayError`, `SimError`, or a
-//! contained `ToolFailure::Panicked`) — never an uncontained panic,
+//! contained `panic` `ToolFailure`) — never an uncontained panic,
 //! never a silently wrong answer.
 
 use masim_rng::Rng;

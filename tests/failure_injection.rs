@@ -6,20 +6,27 @@
 //! `ReplayError`, `SimError`, or a contained `ToolFailure`); nothing in
 //! this suite is allowed to rely on `should_panic`.
 
+use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::sync::Arc;
 use std::time::Duration;
 
-use masim_core::{contained, Key, Store, StoreError, ToolFailure, CODE_FINGERPRINT, STORE_FILE};
-use masim_mfact::{replay, try_replay, ModelConfig, ReplayError};
-use masim_obs::{MetricSet, Snapshot};
+use masim_core::{
+    contained, run_one_observed, Key, ObservedTrace, Session, SessionSpec, Store, StoreError,
+    Study, StudyConfig, StudyKind, ToolFailure, ToolRun, TraceStudy, CODE_FINGERPRINT, STORE_FILE,
+    TOOL_WALL_SPAN,
+};
+use masim_mfact::{replay, try_replay, Classification, ModelConfig, ReplayError};
+use masim_obs::{MetricSet, RunMetrics, Snapshot};
 use masim_rng::Rng;
 use masim_sim::{simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, SimResult};
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::io::{self, DecodeError};
 use masim_trace::{
-    CollKind, Event, EventKind, Rank, StreamError, StreamedTrace, Time, Trace, TraceError,
-    TraceMeta,
+    CollKind, Event, EventKind, Features, Rank, StreamError, StreamedTrace, Time, Trace,
+    TraceError, TraceMeta,
 };
-use masim_workloads::{generate, App, CorpusEntry, GenConfig};
+use masim_workloads::{build_corpus, generate, App, CorpusEntry, GenConfig};
 
 #[path = "common/chaos.rs"]
 mod chaos;
@@ -75,6 +82,15 @@ fn one_failure(run: (Result<SimResult, SimError>, Snapshot), counter: &str) -> S
     let bumped: Vec<_> = ms.counters.iter().filter(|(_, &v)| v > 0).collect();
     assert_eq!(bumped, [(&counter.to_string(), &1)], "{err}");
     err
+}
+
+/// `err` as the study records it: a code, with `err`'s own text as the
+/// detail.
+fn record_of(err: impl Display + Into<ToolFailure>) -> ToolFailure {
+    let text = err.to_string();
+    let failure = err.into();
+    assert_eq!(failure.detail(), text, "{}", failure.code());
+    failure
 }
 
 /// A truncated binary trace is rejected at every cut point.
@@ -251,7 +267,7 @@ fn route_memory_counts_against_the_memory_budget() {
         matches!(err, SimError::MemoryBudget { resident, budget } if budget == limit && resident > limit),
         "{err}"
     );
-    assert_eq!(ToolFailure::from_sim(err).code(), "memory");
+    assert_eq!(record_of(err).code(), "memory");
 
     let cfg = SimConfig::new(Machine::cielito(), PACKET, &ring);
     let limit = pre_run(&ring, &cfg) + (64 << 10);
@@ -303,8 +319,7 @@ fn collective_tag_overflow_is_explicit() {
     let err = one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.coll.tag-overflow");
     assert_eq!(err, SimError::CollectiveTagOverflow { rank: 0, ordinal: 0, rounds: 2_049 });
     assert!(err.to_string().contains("2049 rounds"), "{err}");
-    let failure = ToolFailure::from_sim(err);
-    assert_eq!(failure.code(), "invalid-config");
+    assert_eq!(record_of(err).code(), "invalid-config");
     // MFACT costs the collective in closed form and has no tag space.
     assert!(try_replay(&t, &[ModelConfig::base(cfg.machine.net)], None).is_ok());
 }
@@ -331,9 +346,7 @@ fn memory_budget_is_explicit() {
     let res = masim_sim::run(&t, &cfg, limits, None);
     assert!(matches!(res, Err(SimError::MemoryBudget { budget: 4096, .. })), "{res:?}");
     // The same failure normalizes to the study-level "memory" code.
-    let failure = ToolFailure::from_sim(err);
-    assert_eq!(failure.code(), "memory");
-    assert!(matches!(failure, ToolFailure::MemoryBudget { .. }));
+    assert_eq!(record_of(err).code(), "memory");
 }
 
 /// The memory budget charges what is in flight, not what the run has
@@ -414,8 +427,9 @@ fn decode_fuzz_survives_byte_corruption() {
         // A single flipped bit may or may not be structurally fatal;
         // both outcomes are fine, unwinding is not.
         let outcome = contained(|| Ok(io::decode(&flipped).map(|t2| t2.validate().is_ok())));
-        assert!(
-            !matches!(outcome, Err(ToolFailure::Panicked { .. })),
+        assert_ne!(
+            outcome.err().map(|f| f.code()),
+            Some("panic"),
             "seed {seed}: decode of flipped buffer panicked"
         );
     }
@@ -652,11 +666,11 @@ fn chaos_trace_faults_land_in_typed_errors() {
             // debug-panic — `contained` must turn that into a typed
             // failure rather than an unwind.
             let mfact = contained(|| {
-                try_replay(&bad, &configs, None).map(|_| ()).map_err(ToolFailure::from_replay)
+                try_replay(&bad, &configs, None).map(|_| ()).map_err(ToolFailure::from)
             });
             match fault {
                 TraceFault::RecvRecvDeadlock => assert!(
-                    matches!(mfact, Err(ToolFailure::Deadlock { .. })),
+                    mfact.as_ref().err().map(ToolFailure::code) == Some("deadlock"),
                     "{fault:?}/{seed}: expected typed deadlock, got {mfact:?}"
                 ),
                 TraceFault::HugeCompute => { /* contained() returning at all is the contract */ }
@@ -670,16 +684,15 @@ fn chaos_trace_faults_land_in_typed_errors() {
                 .unwrap_or_else(|e| panic!("{fault:?}/{seed}: simulator panicked: {e:?}"));
             let res = &run.0;
             // The study-level code the outcome normalizes to.
-            let failure = res.as_ref().map_err(|e| ToolFailure::from_sim(e.clone()));
+            let failure = res.as_ref().err().map(|e| record_of(e.clone()));
+            let code = failure.as_ref().map(ToolFailure::code);
             match fault {
                 TraceFault::HugeCompute => assert!(
-                    matches!(res, Err(SimError::ClockOverflow { .. }))
-                        && matches!(failure, Err(ToolFailure::ClockOverflow { .. })),
+                    matches!(res, Err(SimError::ClockOverflow { .. })) && code == Some("overflow"),
                     "{fault:?}/{seed}: expected typed overflow, got {res:?} -> {failure:?}"
                 ),
                 TraceFault::RecvRecvDeadlock => assert!(
-                    matches!(res, Err(SimError::Deadlock { .. }))
-                        && matches!(failure, Err(ToolFailure::Deadlock { .. })),
+                    matches!(res, Err(SimError::Deadlock { .. })) && code == Some("deadlock"),
                     "{fault:?}/{seed}: expected typed deadlock, got {res:?} -> {failure:?}"
                 ),
                 _ => { /* any typed outcome: a panic was caught above */ }
@@ -880,11 +893,11 @@ fn request_rules_one_malformed_trace_gives_one_error() {
 }
 
 /// The containment primitive itself: an arbitrary panic inside a tool
-/// closure becomes `ToolFailure::Panicked` carrying the payload.
+/// closure becomes a `panic` failure whose detail is the payload.
 #[test]
 fn panics_become_typed_failures() {
-    let r = contained::<()>(|| panic!("injected tool crash"));
-    assert_eq!(r, Err(ToolFailure::Panicked { message: "injected tool crash".into() }));
+    let failure = contained::<()>(|| panic!("injected tool crash")).unwrap_err();
+    assert_eq!((failure.code(), failure.detail()), ("panic", "injected tool crash"));
 }
 
 /// Chaos-built mixed-failure study: MFACT fails on one trace while
@@ -893,7 +906,7 @@ fn panics_become_typed_failures() {
 /// render and census the incomplete traces.
 #[test]
 fn chaos_mixed_failure_study_renders_all_reports() {
-    use masim_core::{report, Study, StudyConfig, ToolRun};
+    use masim_core::report;
 
     let mut study = Study::run_filtered(StudyConfig::default(), |i| i == 30 || i == 40);
     assert!(study.traces.iter().all(|t| t.mfact.completed() && t.pflow.completed()));
@@ -906,10 +919,10 @@ fn chaos_mixed_failure_study_renders_all_reports() {
     let chaos_failure = contained(|| {
         try_replay(&bad, &[ModelConfig::base(Machine::cielito().net)], None)
             .map(|_| ())
-            .map_err(ToolFailure::from_replay)
+            .map_err(ToolFailure::from)
     })
     .expect_err("deadlock fault must fail the replay");
-    assert!(matches!(chaos_failure, ToolFailure::Deadlock { .. }), "{chaos_failure:?}");
+    assert_eq!(chaos_failure.code(), "deadlock", "{chaos_failure:?}");
 
     // Install it as trace 0's MFACT outcome (packet-flow still fine) and
     // as trace 1's packet-flow outcome (MFACT still fine).
@@ -953,8 +966,8 @@ fn store_with_one_record() -> (std::path::PathBuf, String) {
     let cfg = masim_core::report::table2_config(7);
     let entry = &masim_core::report::table2_tiny_entries(7)[0];
     let mut obs = masim_core::run_one_observed(entry, &cfg);
-    let deadlock = ToolFailure::Deadlock { finished: 3, total: 16 };
-    obs.study.mfact = masim_core::ToolRun::failed(deadlock, Duration::ZERO);
+    let deadlock = ToolFailure::from(ReplayError::Deadlock { finished: 3, total: 16 });
+    obs.study.mfact = ToolRun::failed(deadlock, Duration::ZERO);
     let store = Store::open(&dir).unwrap();
     store.append(Key::new(entry, &cfg), 0, &obs.study, &obs.sidecars).unwrap();
     let line = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
@@ -963,8 +976,8 @@ fn store_with_one_record() -> (std::path::PathBuf, String) {
 
 /// Every line of a result store is checked when it opens. A sidecar
 /// `tool` that is not one plain file name (it would be streamed as a
-/// frame name and written as `<stem>_<tool>.json`) and a deadlock count
-/// wider than `u32` are corrupt on their line; a line under another
+/// frame name and written as `<stem>_<tool>.json`) and a failure code
+/// outside the six are corrupt on their line; a line under another
 /// code fingerprint is skipped without decoding its body, so even
 /// garbage there is no corruption.
 #[test]
@@ -976,7 +989,7 @@ fn hostile_store_lines_are_typed_when_the_store_opens() {
     };
     let cases = [
         ("\"tool\":\"packet\"", "\"tool\":\"../x\"", "../x"),
-        ("\"finished\":3", "\"finished\":4294967296", "finished"),
+        ("\"code\":\"deadlock\"", "\"code\":\"melted\"", "melted"),
     ];
     for (from, to, needle) in cases {
         let hostile = good.replacen(from, to, 1);
@@ -994,4 +1007,190 @@ fn hostile_store_lines_are_typed_when_the_store_opens() {
     let store = reopen(&format!("{garbage}{good}{garbage}{good}")).unwrap();
     assert_eq!(store.len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Early exits: a trace whose tools never ran keeps the record's shape
+// ---------------------------------------------------------------------
+
+/// Seed 7's corpus entry 3 with `edit` applied, run through the study.
+fn observed_entry(edit: impl FnOnce(&mut CorpusEntry)) -> ObservedTrace {
+    let cfg = StudyConfig::default();
+    let mut entry = build_corpus(cfg.seed)[3].clone();
+    edit(&mut entry);
+    run_one_observed(&entry, &cfg)
+}
+
+/// Every metric name in a sidecar, whatever its kind.
+fn metric_names(rm: &RunMetrics) -> Vec<String> {
+    let s = rm.set().snapshot();
+    let (c, g, h) = (s.counters.into_keys(), s.gauges.into_keys(), s.hists.into_keys());
+    c.chain(g).chain(s.spans.into_keys()).chain(h).collect()
+}
+
+/// The record of a trace whose tools never ran: `cause` on all four tools
+/// and in the census, and the healthy path's five sidecars with their
+/// labels, each tool sidecar labelled `failure=<code>` and timing one
+/// (empty) `TOOL_WALL_SPAN`.
+fn assert_tools_stalled(observed: &ObservedTrace, cause: &ToolFailure) {
+    let (t, code) = (&observed.study, cause.code());
+    for run in [&t.mfact, &t.packet, &t.flow, &t.pflow] {
+        assert!(!run.completed() && run.comm.is_none());
+        assert_eq!(run.failure.as_ref(), Some(cause));
+    }
+    assert_eq!(t.classification.class, Classification::unavailable().class);
+    let study = Study { traces: vec![t.clone()], config: StudyConfig::default() };
+    assert_eq!(study.failure_census(), BTreeMap::from([(code, 4)]));
+    let tools: Vec<&str> = observed.sidecars.iter().map(|s| s.labels()["tool"].as_str()).collect();
+    assert_eq!(tools, ["corpus", "mfact", "packet", "flow", "packet-flow"]);
+    for (i, rm) in observed.sidecars.iter().enumerate() {
+        let mut want = vec!["app", "machine", "ranks", "seed", "tool"];
+        if i > 0 {
+            want.insert(1, "failure");
+            assert_eq!(rm.labels()["failure"], code);
+            assert_eq!(metric_names(rm), [TOOL_WALL_SPAN]);
+            assert_eq!(rm.set().snapshot().spans[TOOL_WALL_SPAN].count, 1);
+        }
+        assert_eq!(rm.labels().keys().collect::<Vec<_>>(), want);
+    }
+}
+
+/// An unknown machine fails every tool as `invalid-config`; the trace
+/// itself generated fine, so its measurements stay.
+#[test]
+fn unknown_machine_is_a_typed_failure_on_every_tool() {
+    let observed = observed_entry(|e| e.cfg.machine = "summit".to_string());
+    let t = &observed.study;
+    assert!(t.measured_total > Time::ZERO && t.measured_comm > Time::ZERO && t.events > 0);
+    assert_ne!(t.features, Features::default());
+    let unknown = record_of(TopoError::UnknownMachine { name: "summit".into() });
+    assert_eq!(unknown.code(), "invalid-config");
+    assert_tools_stalled(&observed, &unknown);
+    assert_eq!(
+        metric_names(&observed.sidecars[0]),
+        ["workloads.corpus.events", "workloads.corpus.traces", "workloads.corpus.generate"]
+    );
+}
+
+/// A generator that panics (one rank trips `GenConfig::check`) leaves no
+/// trace: zero measurements, and `panic` on every tool.
+#[test]
+fn generator_panic_is_a_typed_failure_on_every_tool() {
+    let observed = observed_entry(|e| e.cfg.ranks = 1);
+    let t = &observed.study;
+    assert_eq!((t.measured_total, t.measured_comm, t.events), (Time::ZERO, Time::ZERO, 0));
+    assert_eq!(t.features, Features::default());
+    let check = contained::<()>(|| panic!("need at least two ranks")).unwrap_err();
+    assert_tools_stalled(&observed, &check);
+    assert_eq!(metric_names(&observed.sidecars[0]), ["workloads.corpus.generate"]);
+}
+
+// ---------------------------------------------------------------------
+// Study records: a failed tool run is its code plus its cause's own text
+// ---------------------------------------------------------------------
+
+/// `failure` on all four tools of seed 7's entry 3, through
+/// `Store::append` and `Store::open`: a session over the reopened store
+/// reads it back unchanged.
+fn assert_store_keeps(failure: &ToolFailure) {
+    let dir = std::env::temp_dir().join(format!(
+        "masim-fi-record-{}-{}",
+        std::process::id(),
+        failure.code()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = SessionSpec { kind: StudyKind::Corpus { indices: Some(vec![3]) }, seed: 7 };
+    let entry = &spec.entries()[3];
+    let run = ToolRun::failed(failure.clone(), Duration::from_nanos(1));
+    let study = TraceStudy {
+        entry: entry.clone(),
+        measured_total: Time::ZERO,
+        measured_comm: Time::ZERO,
+        events: 0,
+        features: Features::default(),
+        classification: Classification::unavailable(),
+        mfact: run.clone(),
+        packet: run.clone(),
+        flow: run.clone(),
+        pflow: run,
+    };
+    let store = Store::open(&dir).unwrap();
+    store.append(Key::new(entry, &spec.config()), 3, &study, &[]).unwrap();
+    drop(store);
+    let session = Session::with_store(spec, Arc::new(Store::open(&dir).unwrap())).unwrap();
+    let back = &session.study().traces[0];
+    for run in [&back.mfact, &back.packet, &back.flow, &back.pflow] {
+        assert_eq!(run.failure.as_ref(), Some(failure));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `err` recorded as `code` with its own text as the detail, kept by the
+/// result store unchanged.
+fn assert_study_record(err: impl Display + Into<ToolFailure>, code: &str) -> ToolFailure {
+    let failure = record_of(err);
+    assert_eq!(failure.code(), code, "{}", failure.detail());
+    assert_store_keeps(&failure);
+    failure
+}
+
+/// CG(8) with one chaos fault, and a packet configuration derived from
+/// the healthy twin.
+fn chaos_cg8(fault: TraceFault) -> (Trace, SimConfig) {
+    let healthy = generate(&GenConfig::test_default(App::Cg, 8));
+    let bad = corrupt_trace(&healthy, fault, &mut Rng::seed_from_u64(3));
+    (bad, SimConfig::new(Machine::cielito(), PACKET, &healthy))
+}
+
+#[test]
+fn study_record_budget() {
+    let t = ft64_trace();
+    let cfg = SimConfig::new(Machine::cielito(), PACKET, &t);
+    let err = masim_sim::run(&t, &cfg, SimLimits::budget(2_000), None).unwrap_err();
+    assert_study_record(err, "budget");
+}
+
+/// A simulator deadlock keeps its model and its blocked-rank sample.
+#[test]
+fn study_record_deadlock() {
+    let (bad, cfg) = chaos_cg8(TraceFault::RecvRecvDeadlock);
+    let err = masim_sim::run(&bad, &cfg, SimLimits::unlimited(), None).unwrap_err();
+    let SimError::Deadlock { waiting_ranks, .. } = &err else { panic!("{err}") };
+    let sample = format!("packet model; blocked ranks {waiting_ranks:?}");
+    let failure = assert_study_record(err.clone(), "deadlock");
+    assert!(failure.detail().contains(&sample), "{}", failure.detail());
+    let err = try_replay(&bad, &[ModelConfig::base(cfg.machine.net)], None).unwrap_err();
+    assert_study_record(err, "deadlock");
+}
+
+#[test]
+fn study_record_overflow() {
+    let (bad, cfg) = chaos_cg8(TraceFault::HugeCompute);
+    let err = masim_sim::run(&bad, &cfg, SimLimits::unlimited(), None).unwrap_err();
+    assert_study_record(err, "overflow");
+}
+
+#[test]
+fn study_record_invalid_config() {
+    let (bad, cfg) = chaos_cg8(TraceFault::WildWaitRequest);
+    let err = masim_sim::run(&bad, &cfg, SimLimits::unlimited(), None).unwrap_err();
+    assert_study_record(err, "invalid-config");
+    let err = try_replay(&bad, &[ModelConfig::base(cfg.machine.net)], None).unwrap_err();
+    assert_study_record(err, "invalid-config");
+}
+
+#[test]
+fn study_record_panic() {
+    let failure = contained::<()>(|| panic!("tool {} crashed", "packet")).unwrap_err();
+    assert_eq!((failure.code(), failure.detail()), ("panic", "tool packet crashed"));
+    assert_store_keeps(&failure);
+}
+
+#[test]
+fn study_record_memory() {
+    let t = ft64_trace();
+    let cfg = SimConfig::new(Machine::cielito(), ModelKind::Flow, &t);
+    let limits = SimLimits::unlimited().with_memory_budget(0);
+    let err = masim_sim::run(&t, &cfg, limits, None).unwrap_err();
+    assert_study_record(err, "memory");
 }

@@ -27,7 +27,7 @@
 mod common;
 
 use masim_core::report;
-use masim_core::{run_one_observed, ObservedTrace};
+use masim_core::{run_one_observed, ObservedTrace, StudyConfig};
 use masim_core::{Key, Store, CODE_FINGERPRINT, STORE_FILE};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -156,20 +156,27 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// `CODE_FINGERPRINT` is the FNV-1a of both goldens' bytes, then of the
-/// tiny run's result-store records with host wall clock taken out
-/// (`wall_ns` zeroed, sidecars reduced to labels plus
+/// tiny run's result-store records and of one more, MiniFE(16) with its
+/// packet and flow runs failing a budget of 1, with host wall clock taken
+/// out (`wall_ns` zeroed, sidecars reduced to labels plus
 /// `Snapshot::deterministic`). A change to any prediction, record field
-/// or sidecar metric fails here until the constant is re-pinned, and
-/// re-pinning moves every store key: no result of the old code is ever
-/// served as the new code's.
+/// (a failed run's too) or sidecar metric fails here until the constant
+/// is re-pinned, and re-pinning moves every store key: no result of the
+/// old code is ever served as the new code's.
 #[test]
 fn code_fingerprint_is_pinned() {
     let dir = std::env::temp_dir().join(format!("masim-pin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).expect("create store");
     let cfg = report::table2_config(7);
-    for (i, obs) in tiny_run().iter().enumerate() {
-        let key = Key::new(&obs.study.entry, &cfg);
+    let budgeted = StudyConfig { packet_budget: 1, flow_budget: 1, ..cfg.clone() };
+    let failed = run_one_observed(&tiny_run()[2].study.entry, &budgeted);
+    let codes =
+        [&failed.study.packet, &failed.study.flow].map(|r| r.failure.as_ref().map(|f| f.code()));
+    assert_eq!(codes, [Some("budget"); 2]);
+    let runs = tiny_run().iter().map(|obs| (obs, &cfg)).chain([(&failed, &budgeted)]);
+    for (i, (obs, cfg)) in runs.enumerate() {
+        let key = Key::new(&obs.study.entry, cfg);
         store.append(key, i, &obs.study, &obs.sidecars).expect("append record");
     }
     let records = std::fs::read_to_string(dir.join(STORE_FILE)).expect("read store");
