@@ -561,6 +561,7 @@ mod tests {
     use crate::study::ToolFailure;
     use crate::testutil::study;
     use masim_mfact::ReplayError;
+    use masim_trace::Stall;
 
     fn small_study() -> &'static Study {
         study()
@@ -680,7 +681,8 @@ mod tests {
         // censused, never unwrapped.
         let mut s = small_study().clone();
         assert!(s.traces[0].pflow.completed() && s.traces[1].mfact.completed());
-        let cause = ToolFailure::from(ReplayError::Deadlock { finished: 1, total: 8 });
+        let stall = Stall { finished: 1, total: 8, blocked: (1..8).collect() };
+        let cause = ToolFailure::from(ReplayError::Deadlock(stall));
         let wall = s.traces[0].mfact.wall;
         s.traces[0].mfact = ToolRun::failed(cause.clone(), wall);
         // The converse shape on a different trace: MFACT fine, packet-flow dead.

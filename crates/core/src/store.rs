@@ -289,7 +289,7 @@ mod tests {
     use masim_obs::MetricSet;
     use masim_sim::SimError;
     use masim_topo::TopoError;
-    use masim_trace::{Features, Time};
+    use masim_trace::{Features, Stall, Time};
     use masim_workloads::build_corpus;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -350,7 +350,11 @@ mod tests {
                 },
             },
             mfact: ToolRun::failed(
-                ToolFailure::from(ReplayError::Deadlock { finished: 3, total: 16 }),
+                ToolFailure::from(ReplayError::Deadlock(Stall {
+                    finished: 3,
+                    total: 16,
+                    blocked: (3..16).collect(),
+                })),
                 Duration::from_nanos(1_500),
             ),
             packet: ToolRun::failed(

@@ -10,21 +10,16 @@
 //! panicking [`crate::replay()`] wrapper stays because
 //! `benchmark/src/adapter.rs` binds it.
 
-use masim_trace::TraceError;
+use masim_trace::{Stall, TraceError};
 use std::fmt;
 
 /// Why a logical-clock replay could not complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
     /// The replay drained its ready queue with ranks still blocked: the
-    /// trace deadlocks (e.g. mutually blocking receives), which
-    /// [`masim_trace::Trace::validate`] would have reported first.
-    Deadlock {
-        /// Ranks that finished.
-        finished: u32,
-        /// Total ranks in the trace.
-        total: u32,
-    },
+    /// trace deadlocks (e.g. mutually blocking receives). A matched wait
+    /// cycle passes [`masim_trace::Trace::validate`] and stalls here.
+    Deadlock(Stall),
     /// An event broke an MPI rule: a request id reused while
     /// outstanding, a wait on a request that is not, or an out-of-range
     /// peer or root.
@@ -42,9 +37,7 @@ impl From<TraceError> for ReplayError {
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplayError::Deadlock { finished, total } => {
-                write!(f, "replay deadlocked: {finished}/{total} ranks finished (invalid trace?)")
-            }
+            ReplayError::Deadlock(stall) => write!(f, "replay deadlocked: {stall}"),
             ReplayError::Malformed(e) => write!(f, "malformed trace: {e}"),
             ReplayError::NoConfigs => write!(f, "need at least one configuration"),
         }

@@ -166,8 +166,8 @@ struct CollGroup {
 
 /// Replay `trace` under every configuration simultaneously.
 ///
-/// Panics if the trace deadlocks (which [`Trace::validate`] would have
-/// reported first — run it on untrusted traces). [`try_replay`] is the
+/// Panics if the trace is malformed or deadlocks; a matched wait cycle
+/// passes [`Trace::validate`] and still deadlocks. [`try_replay`] is the
 /// typed-error path for untrusted input. Kept, with this signature,
 /// because `benchmark/src/adapter.rs` binds it.
 pub fn replay(trace: &Trace, configs: &[ModelConfig]) -> Vec<ConfigResult> {
@@ -246,7 +246,6 @@ fn replay_core(
 
     let mut ready: VecDeque<u32> = (0..n as u32).collect();
     let mut in_ready = vec![true; n];
-    let mut finished = vec![false; n];
     // Ranks parked at the collective in progress.
     let mut parked = vec![false; n];
 
@@ -364,17 +363,13 @@ fn replay_core(
                     }
                     // This rank continues past the collective.
                 }
-                Action::Done => {
-                    finished[r as usize] = true;
-                    break;
-                }
+                Action::Done => break,
             }
         }
     }
 
-    let done = finished.iter().filter(|&&f| f).count();
-    if done != n {
-        return Err(ReplayError::Deadlock { finished: done as u32, total: n as u32 });
+    if let Some(stall) = walker.stall() {
+        return Err(ReplayError::Deadlock(stall));
     }
 
     Ok(configs
@@ -393,7 +388,8 @@ fn replay_core(
 mod tests {
     use super::*;
     use masim_trace::{
-        CollKind, Event, EventKind, Rank, RankBuilder, ReqId, StreamedTrace, TraceError, TraceMeta,
+        CollKind, Event, EventKind, Rank, RankBuilder, ReqId, Stall, StreamedTrace, TraceError,
+        TraceMeta,
     };
     use std::collections::HashMap;
 
@@ -585,7 +581,7 @@ mod tests {
         t.events[1] = b1.finish();
         let stream = StreamedTrace::from_bytes(masim_trace::io::encode(&t)).unwrap();
         let err = try_replay(&stream, &[ModelConfig::base(net())], None).unwrap_err();
-        assert!(matches!(err, ReplayError::Deadlock { finished: 1, total: 2 }));
+        assert_eq!(err, ReplayError::Deadlock(Stall { finished: 1, total: 2, blocked: vec![1] }));
     }
 
     #[test]
@@ -664,7 +660,10 @@ mod tests {
         t.events[1] =
             vec![Event::new(EventKind::Recv { peer: Rank(0), bytes: 8, tag: 0 }, Time::ZERO)];
         let err = try_replay(&t, &[ModelConfig::base(net())], None).unwrap_err();
-        assert_eq!(err, ReplayError::Deadlock { finished: 0, total: 2 });
+        assert_eq!(
+            err,
+            ReplayError::Deadlock(Stall { finished: 0, total: 2, blocked: vec![0, 1] })
+        );
     }
 
     #[test]

@@ -49,30 +49,6 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Bump a named counter on a [`MetricSet`].
-///
-/// `count!(ms, "sim.packet.packets")` adds 1;
-/// `count!(ms, "sim.packet.hops", n)` adds `n`.
-#[macro_export]
-macro_rules! count {
-    ($ms:expr, $name:expr) => {
-        $ms.add($name, 1)
-    };
-    ($ms:expr, $name:expr, $n:expr) => {
-        $ms.add($name, $n as u64)
-    };
-}
-
-/// Open a wall-clock span on a [`MetricSet`]; the span records itself
-/// when the returned guard drops (or via [`SpanGuard::stop`], which also
-/// returns the elapsed time).
-#[macro_export]
-macro_rules! span {
-    ($ms:expr, $name:expr) => {
-        $ms.span($name)
-    };
-}
-
 /// Open a timeline span on the process-global [`TraceLog`] (see
 /// [`tracelog::install`]). Evaluates to an `Option` guard — bind it
 /// (`let _t = obs::trace_span!("phase");`) so it closes at scope exit.

@@ -43,7 +43,7 @@ impl SpanStats {
 }
 
 /// Live stopwatch; records on drop. Obtain via
-/// [`MetricSet::span`](crate::MetricSet::span) or the `obs::span!` macro.
+/// [`MetricSet::span`](crate::MetricSet::span).
 #[derive(Debug)]
 pub struct SpanGuard {
     start: Instant,

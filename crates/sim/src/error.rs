@@ -9,13 +9,8 @@
 //! memory-budget trips travel the same path.
 
 use masim_des::ClockOverflow;
-use masim_trace::TraceError;
+use masim_trace::{Stall, TraceError};
 use std::fmt;
-
-/// How many blocked ranks a [`SimError::Deadlock`] lists explicitly
-/// before summarizing (large traces can strand hundreds of ranks; the
-/// error stays small and cheap to clone).
-pub const DEADLOCK_RANK_SAMPLE: usize = 16;
 
 /// Why a simulation did not produce a prediction.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,18 +33,14 @@ pub enum SimError {
         overflow: ClockOverflow,
     },
     /// The event queue drained with ranks still blocked: the trace
-    /// deadlocks (e.g. mutually blocking receives or an unmatched
-    /// receive that validation would have flagged).
+    /// deadlocks (e.g. mutually blocking receives, or an unmatched
+    /// receive that validation would have flagged). The walker's
+    /// [`Stall`] names the blocked ranks.
     Deadlock {
         /// Network model that was running.
         model: &'static str,
-        /// Ranks that finished.
-        finished: u32,
-        /// Total ranks in the trace.
-        total: u32,
-        /// A sample of the blocked ranks (at most
-        /// `DEADLOCK_RANK_SAMPLE`, in rank order).
-        waiting_ranks: Vec<u32>,
+        /// Which ranks finished and which were blocked.
+        stall: Stall,
     },
     /// The configuration cannot be simulated at all: the mapping does
     /// not match the trace or fit the machine.
@@ -118,13 +109,8 @@ impl fmt::Display for SimError {
             SimError::ClockOverflow { model, overflow } => {
                 write!(f, "{model} model aborted, trace incomplete: {overflow}")
             }
-            SimError::Deadlock { model, finished, total, waiting_ranks } => {
-                write!(
-                    f,
-                    "simulation deadlocked: {finished}/{total} ranks finished ({model} model; \
-                     blocked ranks {waiting_ranks:?}{})",
-                    if (total - finished) as usize > waiting_ranks.len() { ", ..." } else { "" }
-                )
+            SimError::Deadlock { model, stall } => {
+                write!(f, "simulation deadlocked ({model} model): {stall}")
             }
             SimError::InvalidConfig { reason } => {
                 write!(f, "invalid simulation configuration: {reason}")

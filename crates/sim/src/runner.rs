@@ -126,7 +126,6 @@ enum PStatus {
     /// rule, or its collective outgrows the tag space); [`run`] reports
     /// the latched cause.
     Parked,
-    Done,
 }
 
 /// A rank's place in a collective: its arguments and the next round,
@@ -254,7 +253,6 @@ pub struct SimState<'a> {
     procs: Vec<Proc>,
     mailboxes: Vec<Mailbox>,
     messages: u64,
-    done: usize,
     /// First typed error latched mid-run (e.g. a wait on an unknown
     /// request); reported by [`run`] once the engine stops.
     error: Option<SimError>,
@@ -296,7 +294,6 @@ impl<'a> SimState<'a> {
             procs: (0..ranks).map(|_| Proc::new()).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             messages: 0,
-            done: 0,
             error: None,
         })
     }
@@ -417,10 +414,7 @@ fn run_action<'a>(
             // `advance` goes on into enter_coll_rounds.
         }
         Action::Done => {
-            let p = &mut st.procs[r.idx()];
-            p.status = PStatus::Done;
-            p.finish = eng.now();
-            st.done += 1;
+            st.procs[r.idx()].finish = eng.now();
             return Ok(false);
         }
     }
@@ -663,19 +657,8 @@ fn sim_core(
     if let Some(err) = st.error.take().or(overflow) {
         return Err(observe_fail(obs, span, err));
     }
-    let n = st.procs.len();
-    if st.done != n {
-        let waiting_ranks: Vec<u32> = (0..n)
-            .filter(|&r| st.procs[r].status != PStatus::Done)
-            .map(|r| r as u32)
-            .take(crate::error::DEADLOCK_RANK_SAMPLE)
-            .collect();
-        let err = SimError::Deadlock {
-            model: cfg.model.name(),
-            finished: st.done as u32,
-            total: n as u32,
-            waiting_ranks,
-        };
+    if let Some(stall) = st.walker.stall() {
+        let err = SimError::Deadlock { model: cfg.model.name(), stall };
         return Err(observe_fail(obs, span, err));
     }
     let per_rank: Vec<Time> = st.procs.iter().map(|p| p.finish).collect();

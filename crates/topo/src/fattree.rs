@@ -1,6 +1,6 @@
 //! Two-level fat tree (leaf/spine Clos), provided as the third topology
-//! class SST/Macro supports. None of the paper's three machines uses it,
-//! but it is exercised by ablation benches and examples.
+//! class SST/Macro supports. None of the paper's three machines uses it;
+//! the route oracles (`tests/oracles.rs`) and this crate's tests do.
 //!
 //! Every leaf switch connects to every spine switch. Up-routing picks the
 //! spine deterministically by hashing the destination leaf, which spreads

@@ -18,7 +18,8 @@
 //! * [`Features`] — the 34 measurable Table III features;
 //! * [`Walker`] — the one walk over each rank's events for validation,
 //!   MFACT and the simulator: it reads either source, applies the peer,
-//!   root and request rules, and yields each event's [`Action`]s;
+//!   root and request rules, yields each event's [`Action`]s, and names a
+//!   stopped run's unfinished ranks ([`Stall`]);
 //! * [`Mailbox`] — per-rank (source, tag) matching, shared by the
 //!   simulator and MFACT.
 //!
@@ -77,7 +78,7 @@ pub use stream::{
 pub use time::Time;
 pub use trace::{RankBuilder, Trace, TraceError, TraceMeta};
 pub use units::Bandwidth;
-pub use walk::{Action, Walker};
+pub use walk::{Action, Stall, Walker, DEADLOCK_RANK_SAMPLE};
 
 /// Unit-test-only counting allocator: counts allocation events per
 /// thread, so [`Mailbox`] can assert steady-state matching allocates

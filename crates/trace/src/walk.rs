@@ -1,8 +1,10 @@
 //! The one walk over a rank's events, shared by [`crate::Trace::validate`],
 //! MFACT's replay and the simulator: a [`Walker`] reads every rank's events
 //! from either [`TraceSource`], applies MPI's peer, root and request rules,
-//! and turns each event into the [`Action`]s a replaying tool runs. What a
-//! tool keeps is its clock: what an action costs and when a wait is ready.
+//! and turns each event into the [`Action`]s a replaying tool runs. It
+//! also knows which ranks finished, so a tool whose run stops short asks
+//! it for the one [`Stall`]. What a tool keeps is its clock: what an
+//! action costs and when a wait is ready.
 
 use crate::event::{CollKind, EventKind};
 use crate::ids::Rank;
@@ -10,6 +12,11 @@ use crate::mailbox::{Requests, TOOL_RECV, TOOL_SEND};
 use crate::stream::{RankReader, TraceSource};
 use crate::time::Time;
 use crate::trace::TraceError;
+use std::fmt;
+
+/// How many blocked ranks a [`Stall`] names (a large trace can strand
+/// hundreds; the error stays small and cheap to clone).
+pub const DEADLOCK_RANK_SAMPLE: usize = 16;
 
 /// One MPI action of a rank, in program order. A blocking `Send`/`Recv`
 /// is its nonblocking twin under a tool token ([`TOOL_SEND`],
@@ -30,7 +37,7 @@ pub enum Action {
     Wait,
     /// A collective; its root is below the world size.
     Coll { kind: CollKind, bytes: u64, root: Rank },
-    /// The stream ended with no request live.
+    /// The stream ended with no request live: the rank finished.
     Done,
 }
 
@@ -45,6 +52,9 @@ enum Stage {
     WaitSend,
     /// A blocking receive's wait is open.
     WaitRecv,
+    /// [`Action::Done`] was yielded: the rank finished, and `next` is
+    /// not called again.
+    Done,
 }
 
 /// One rank's walk: its events, its stage and its live requests, each
@@ -53,6 +63,26 @@ struct RankWalk<'a, S> {
     events: RankReader<'a>,
     stage: Stage,
     reqs: Requests<S>,
+}
+
+/// A run that stopped with ranks unfinished: how many finished, and the
+/// first [`DEADLOCK_RANK_SAMPLE`] blocked ranks in rank order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Stall {
+    /// Ranks that yielded [`Action::Done`].
+    pub finished: u32,
+    /// Ranks in the trace.
+    pub total: u32,
+    /// A sample of the unfinished ranks.
+    pub blocked: Vec<u32>,
+}
+
+impl fmt::Display for Stall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Stall { finished, total, blocked } = self;
+        let more = if (total - finished) as usize > blocked.len() { ", ..." } else { "" };
+        write!(f, "{finished}/{total} ranks finished; blocked ranks {blocked:?}{more}")
+    }
 }
 
 /// Every rank's walk over one trace.
@@ -89,10 +119,12 @@ impl<'a, S> Walker<'a, S> {
     pub fn next(&mut self, r: Rank) -> Result<Action, TraceError> {
         let RankWalk { events, stage, reqs } = &mut self.ranks[r.idx()];
         if *stage != Stage::Read {
+            debug_assert!(*stage != Stage::Done, "rank {} walked past its end", r.0);
             return Ok(Action::Wait);
         }
         let Some(ev) = events.next() else {
             reqs.finish()?;
+            *stage = Stage::Done;
             return Ok(Action::Done);
         };
         let (send, peer, bytes, tag, req) = match ev.kind {
@@ -181,6 +213,15 @@ impl<'a, S> Walker<'a, S> {
         }
         Ok(done)
     }
+
+    /// `None` once every rank has yielded [`Action::Done`]; else the
+    /// [`Stall`] of a run that stopped short (a deadlock).
+    pub fn stall(&self) -> Option<Stall> {
+        let finished = self.ranks.iter().filter(|w| w.stage == Stage::Done).count() as u32;
+        let blocked = (0..self.world).filter(|&r| self.ranks[r as usize].stage != Stage::Done);
+        let blocked = blocked.take(DEADLOCK_RANK_SAMPLE).collect();
+        (finished < self.world).then_some(Stall { finished, total: self.world, blocked })
+    }
 }
 
 /// The body of [`Walker::wait`] over its keys.
@@ -239,5 +280,26 @@ mod tests {
         assert_eq!(w.wait(r, done, |d| retired.push(d)), Ok(true));
         assert_eq!((retired, w.next(r)), (vec![true], Ok(Action::Done)));
         assert_eq!(w.state_mut(r, 9), None);
+    }
+
+    /// A rank finishes when it yields `Done`; the stall names the rest,
+    /// at most [`DEADLOCK_RANK_SAMPLE`] of them.
+    #[test]
+    fn stall_names_the_unfinished_ranks() {
+        let meta = TraceMeta { ranks: 20, ranks_per_node: 1, ..TraceMeta::default() };
+        let t = Trace::empty(meta);
+        let mut w: Walker<()> = Walker::new(&t);
+        for r in [0, 2] {
+            assert_eq!(w.next(Rank(r)), Ok(Action::Done));
+        }
+        let stall = w.stall().expect("18 ranks unfinished");
+        let blocked: Vec<u32> = (1..2).chain(3..18).collect();
+        assert_eq!(stall, Stall { finished: 2, total: 20, blocked });
+        assert!(stall.to_string().starts_with("2/20 ranks finished; blocked ranks [1, 3, 4,"));
+        assert!(stall.to_string().ends_with("17], ..."), "{stall}");
+        for r in (1..2).chain(3..20) {
+            assert_eq!(w.next(Rank(r)), Ok(Action::Done));
+        }
+        assert_eq!(w.stall(), None);
     }
 }

@@ -23,7 +23,7 @@ use masim_sim::{simulate_budgeted, ModelKind, SimConfig, SimError, SimLimits, Si
 use masim_topo::{Machine, Mapping, NetworkConfig, TopoError};
 use masim_trace::io::{self, DecodeError};
 use masim_trace::{
-    CollKind, Event, EventKind, Features, Rank, StreamError, StreamedTrace, Time, Trace,
+    CollKind, Event, EventKind, Features, Rank, Stall, StreamError, StreamedTrace, Time, Trace,
     TraceError, TraceMeta,
 };
 use masim_workloads::{build_corpus, generate, App, CorpusEntry, GenConfig};
@@ -377,14 +377,19 @@ fn memory_budget_charges_in_flight_messages_not_history() {
     }
 }
 
+/// Both ranks of a two-rank deadlock blocked, as every tool reports it.
+fn both_blocked() -> Stall {
+    Stall { finished: 0, total: 2, blocked: vec![0, 1] }
+}
+
 /// MFACT rejects replays of deadlocking traces with a typed error
-/// instead of hanging or panicking.
+/// instead of hanging or panicking, naming the blocked ranks.
 #[test]
 fn mfact_detects_deadlock() {
     let t = deadlock_trace();
     let err = try_replay(&t, &[ModelConfig::base(Machine::cielito().net)], None)
         .expect_err("deadlock must be detected");
-    assert_eq!(err, ReplayError::Deadlock { finished: 0, total: 2 });
+    assert_eq!(err, ReplayError::Deadlock(both_blocked()));
 }
 
 /// The simulator detects the same deadlock, reporting which ranks were
@@ -393,17 +398,41 @@ fn mfact_detects_deadlock() {
 fn simulator_detects_deadlock() {
     let t = deadlock_trace();
     let machine = Machine::cielito();
-    let check = |err: SimError| match err {
-        SimError::Deadlock { finished, total, ref waiting_ranks, .. } => {
-            assert_eq!((finished, total), (0, 2));
-            assert_eq!(waiting_ranks, &[0, 1], "blocked ranks must be reported");
-        }
+    let check = |err: SimError, name: &str| match err {
+        SimError::Deadlock { model, stall } => assert_eq!((model, stall), (name, both_blocked())),
         ref other => panic!("expected Deadlock, got {other}"),
     };
     let cfg = SimConfig::new(machine.clone(), ModelKind::Flow, &t);
-    check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected"));
+    check(simulate_budgeted(&t, &cfg, u64::MAX).expect_err("deadlock must be detected"), "flow");
     let cfg = SimConfig::new(machine, PACKET, &t);
-    check(one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.deadlock.detected"));
+    let err = one_failure(observed(&t, &cfg, SimLimits::unlimited()), "sim.deadlock.detected");
+    check(err, "packet");
+}
+
+/// Each rank receives from its peer, then sends to it: every send has
+/// its receive and every request is waited, so [`Trace::validate`]
+/// passes, yet neither rank reaches its send. MFACT and all three
+/// models stall with both ranks blocked.
+#[test]
+fn deadlock_matched_cycle_passes_validate_and_stalls_every_tool() {
+    let mut t = Trace::empty(meta(2));
+    for r in 0..2 {
+        let peer = Rank(1 - r);
+        t.events[r as usize] = vec![
+            Event::new(EventKind::Recv { peer, bytes: 8, tag: 0 }, Time::ZERO),
+            Event::new(EventKind::Send { peer, bytes: 8, tag: 0 }, Time::ZERO),
+        ];
+    }
+    assert_eq!(t.validate(), Ok(()));
+    let err = try_replay(&t, &[ModelConfig::base(Machine::cielito().net)], None).unwrap_err();
+    assert_eq!(err, ReplayError::Deadlock(both_blocked()));
+    for model in ModelKind::study_models() {
+        let cfg = SimConfig::new(Machine::cielito(), model, &t);
+        match masim_sim::run(&t, &cfg, SimLimits::unlimited(), None) {
+            Err(SimError::Deadlock { stall, .. }) => assert_eq!(stall, both_blocked()),
+            other => panic!("{}: expected a deadlock, got {other:?}", model.name()),
+        }
+    }
 }
 
 /// Seeded fuzz over the binary codec: every truncation is rejected and
@@ -966,7 +995,8 @@ fn store_with_one_record() -> (std::path::PathBuf, String) {
     let cfg = masim_core::report::table2_config(7);
     let entry = &masim_core::report::table2_tiny_entries(7)[0];
     let mut obs = masim_core::run_one_observed(entry, &cfg);
-    let deadlock = ToolFailure::from(ReplayError::Deadlock { finished: 3, total: 16 });
+    let stall = Stall { finished: 3, total: 16, blocked: (3..16).collect() };
+    let deadlock = ToolFailure::from(ReplayError::Deadlock(stall));
     obs.study.mfact = ToolRun::failed(deadlock, Duration::ZERO);
     let store = Store::open(&dir).unwrap();
     store.append(Key::new(entry, &cfg), 0, &obs.study, &obs.sidecars).unwrap();
@@ -1150,17 +1180,22 @@ fn study_record_budget() {
     assert_study_record(err, "budget");
 }
 
-/// A simulator deadlock keeps its model and its blocked-rank sample.
+/// A deadlock keeps its blocked-rank sample in either tool; the
+/// simulator's keeps its model too.
 #[test]
 fn study_record_deadlock() {
     let (bad, cfg) = chaos_cg8(TraceFault::RecvRecvDeadlock);
     let err = masim_sim::run(&bad, &cfg, SimLimits::unlimited(), None).unwrap_err();
-    let SimError::Deadlock { waiting_ranks, .. } = &err else { panic!("{err}") };
-    let sample = format!("packet model; blocked ranks {waiting_ranks:?}");
+    let SimError::Deadlock { model: "packet", stall } = &err else { panic!("{err}") };
+    let sample = format!("(packet model): {stall}");
     let failure = assert_study_record(err.clone(), "deadlock");
     assert!(failure.detail().contains(&sample), "{}", failure.detail());
     let err = try_replay(&bad, &[ModelConfig::base(cfg.machine.net)], None).unwrap_err();
-    assert_study_record(err, "deadlock");
+    let ReplayError::Deadlock(stall) = &err else { panic!("{err}") };
+    assert!(!stall.blocked.is_empty(), "{stall}");
+    let sample = format!("blocked ranks {:?}", stall.blocked);
+    let failure = assert_study_record(err.clone(), "deadlock");
+    assert!(failure.detail().contains(&sample), "{}", failure.detail());
 }
 
 #[test]
