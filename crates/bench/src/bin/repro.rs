@@ -4,7 +4,6 @@
 //! cargo run --release -p masim-bench --bin repro -- all
 //! cargo run --release -p masim-bench --bin repro -- fig2 fig5
 //! cargo run --release -p masim-bench --bin repro -- all --metrics reports/metrics
-//! cargo run --release -p masim-bench --bin repro -- bench-summary
 //! cargo run --release -p masim-bench --bin repro -- serve --socket repro.sock &
 //! cargo run --release -p masim-bench --bin repro -- submit table2 --tiny --socket repro.sock --out out
 //! cargo run --release -p masim-bench --bin repro -- ctl shutdown --socket repro.sock
@@ -21,19 +20,17 @@
 //!
 //! With `--metrics <dir>`, every trace×tool run also writes a JSON
 //! observability sidecar (counters, gauges, wall-clock spans) under
-//! `<dir>`, and the run ends by folding them into a top-level
-//! `BENCH_obs.json` of per-tool wall-clock and throughput aggregates.
-//! `bench-summary` re-folds an existing sidecar directory without
-//! re-running anything. `--tiny` shrinks the Table II heavyweights to
-//! smoke-test scale (`tests/cli.rs` runs `table2 --tiny --metrics`).
+//! `<dir>`, plus one `study_runner.json` for the worker pool. `--tiny`
+//! shrinks the Table II heavyweights to smoke-test scale (`tests/cli.rs`
+//! runs `table2 --tiny --metrics`).
 //!
 //! Measurement has one authority per question. Exact event counts and
 //! predictions: `tests/golden/tiny_corpus.txt` in `cargo test`. Timing:
 //! `benchmark/`, one line per PR in `BENCH_history.jsonl`. Thread-count
 //! determinism: `cargo test` — the root equivalence suites and this
 //! crate's `tests/cli.rs`, all judged by `masim_obs::run`. What a run
-//! says about itself: the sidecars and `BENCH_obs.json`, which gate
-//! nothing.
+//! says about itself: its sidecars and, for `scale`, its result line;
+//! both gate nothing.
 //!
 //! `--sim-threads 1` is still accepted, as a no-op, by the report
 //! commands and `serve`; any other value is a usage error, because the
@@ -42,14 +39,10 @@
 use masim_core::report;
 use masim_core::{
     Dataset, Enhanced, Session, SessionError, SessionOutcome, SessionSpec, Sidecar, Store, Study,
-    StudyConfig, StudyKind, PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER,
-    PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
+    StudyConfig, StudyKind, PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
 };
-use masim_obs::json::Value;
-use masim_obs::run::parse_json;
-use masim_obs::{HistData, MetricSet, RunMetrics, TraceLog};
+use masim_obs::{MetricSet, RunMetrics, TraceLog};
 use masim_serve::{Server, ServerOptions};
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -65,9 +58,6 @@ const ALL: [&str; 11] = [
 /// Reports available by name but not part of `all`: they retrain the model several times.
 const EXTRA: [&str; 1] = ["stability"];
 
-/// Where the folded per-tool summary lands.
-const BENCH_OBS: &str = "BENCH_obs.json";
-
 fn main() {
     if let Err(e) = run() {
         eprintln!("repro: {e}");
@@ -81,8 +71,6 @@ struct Options {
     metrics: Option<PathBuf>,
     /// Shrink table2 to smoke-test scale.
     tiny: bool,
-    /// `bench-summary` subcommand: fold an existing sidecar dir.
-    summarize: bool,
     /// `--checkpoint <dir>`: keep each completed trace in the result
     /// store there, and reuse whatever it already holds for this study.
     checkpoint: Option<PathBuf>,
@@ -138,7 +126,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         reports: Vec::new(),
         metrics: None,
         tiny: false,
-        summarize: false,
         checkpoint: None,
         fail_after: None,
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -167,21 +154,20 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
                 check_sim_threads(n, "--sim-threads:")?;
             }
             "--tiny" => opts.tiny = true,
-            "bench-summary" => opts.summarize = true,
             _ => opts.reports.push(a.clone()),
         }
     }
     if opts.fail_after.is_some() && opts.checkpoint.is_none() {
         return Err("--fail-after requires --checkpoint <dir>".into());
     }
-    if (opts.reports.is_empty() && !opts.summarize) || opts.reports.iter().any(|a| a == "all") {
+    if opts.reports.is_empty() || opts.reports.iter().any(|a| a == "all") {
         opts.reports = ALL.iter().map(|s| s.to_string()).collect();
     }
     for a in &opts.reports {
         if !ALL.contains(&a.as_str()) && !EXTRA.contains(&a.as_str()) {
             return Err(format!(
-                "unknown report '{a}'; available: {ALL:?}, {EXTRA:?}, 'all', 'bench-summary', \
-                 or the subcommands 'serve', 'submit', 'ctl', 'scale' (first argument)"
+                "unknown report '{a}'; available: {ALL:?}, {EXTRA:?}, 'all', or the \
+                 subcommands 'serve', 'submit', 'ctl', 'scale' (first argument)"
             ));
         }
     }
@@ -216,9 +202,6 @@ fn run() -> Result<(), String> {
         Some(dir) => Some((dir, install_trace(dir)?)),
         None => None,
     };
-    if opts.summarize && opts.reports.is_empty() {
-        return fold_sidecars(opts.metrics.as_deref().unwrap_or(Path::new("reports/metrics")));
-    }
     make_dir("create", Path::new("reports/"))?;
 
     // Which reports need the full study / the trained model?
@@ -305,9 +288,8 @@ fn run() -> Result<(), String> {
 
     if let Some(dir) = &opts.metrics {
         // One extra sidecar for the study runner itself (tool =
-        // "runner": workers, steals, writer backlog, wall span) so the
-        // fold can report the pool next to the tools. Absent only when
-        // no study ran (`repro table3`).
+        // "runner": workers, steals, writer backlog, wall span). Absent
+        // only when no study ran (`repro table3`).
         if study_ms.snapshot().gauges.get(PARALLEL_WORKERS_GAUGE).copied().unwrap_or(0) > 0 {
             let rm = RunMetrics::with_set(study_ms.clone())
                 .label("tool", "runner")
@@ -315,12 +297,6 @@ fn run() -> Result<(), String> {
             sidecar_count += write_sidecars(dir, "study", &[Sidecar::from(&rm)])?;
         }
         eprintln!("wrote {sidecar_count} metric sidecar(s) under {}", dir.display());
-        // `repro table3` runs no study: no sidecar, nothing to fold.
-        if sidecar_count > 0 {
-            fold_sidecars(dir)?;
-        }
-    } else if opts.summarize {
-        fold_sidecars(Path::new("reports/metrics"))?;
     }
     if let Some((dir, tl)) = trace {
         write_trace(dir, tl)?;
@@ -350,10 +326,9 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 /// budget. Oversized messages and memory budgets, route memory included,
 /// land as typed failures.
 ///
-/// `--metrics <dir>` writes a `tool=scale` sidecar and folds the
-/// directory into `BENCH_obs.json`, whose top-level `host` entry then
-/// carries this process's peak RSS next to the simulator's own
-/// `route_arena_bytes` accounting.
+/// `--metrics <dir>` writes a `tool=scale` sidecar. The result line
+/// carries the simulator's own route-arena accounting and this
+/// process's peak RSS.
 fn scale_cmd(args: &[String]) -> Result<(), String> {
     use masim_core::ToolFailure;
     use masim_sim::{ModelKind, SimConfig, SimLimits, DEFAULT_PACKET_BYTES};
@@ -458,7 +433,6 @@ fn scale_cmd(args: &[String]) -> Result<(), String> {
         }
         let n = write_sidecars(dir, "scale", &[Sidecar::from(&rm)])?;
         eprintln!("scale: wrote {n} sidecar(s) under {}", dir.display());
-        fold_sidecars(dir)?;
     }
     match res {
         Ok(r) => {
@@ -702,165 +676,6 @@ fn write_sidecars(dir: &Path, stem: &str, sidecars: &[Sidecar]) -> Result<usize,
     Ok(sidecars.len())
 }
 
-/// `bench-summary`: fold every JSON sidecar in `dir` into
-/// `BENCH_obs.json` — per tool, the median and max tool wall-clock and
-/// the aggregate event throughput.
-fn fold_sidecars(dir: &Path) -> Result<(), String> {
-    // tool -> per-run (wall_ns, events)
-    let mut by_tool: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
-    // tool -> (max peak queue occupancy, max route arena bytes) across
-    // runs — the hot-path telemetry the sim runner exports as gauges.
-    let mut hot_gauges: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    // tool -> (workers, steals, writer backlog max): parallel-runner
-    // telemetry from the `study_runner` sidecar (tool = "runner").
-    let mut par_gauges: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    // tool -> hist name -> bucket-merged histogram, for the `dist`
-    // section (simulation histograms are only present when the run was
-    // traced; the fold carries whatever it finds).
-    let mut hist_acc: BTreeMap<String, BTreeMap<String, HistData>> = BTreeMap::new();
-    let rd = fs::read_dir(dir).map_err(|e| format!("read metrics dir {}: {e}", dir.display()))?;
-    for ent in rd {
-        let path = ent.map_err(|e| format!("list {}: {e}", dir.display()))?.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("read sidecar {}: {e}", path.display()))?;
-        let data =
-            parse_json(&text).map_err(|e| format!("parse sidecar {}: {e}", path.display()))?;
-        let Some(tool) = data.labels.get("tool").cloned() else { continue };
-        // The study tags tool wall-clock under one span name; sidecars
-        // without it (e.g. trace generation) fall back to their longest
-        // recorded span.
-        let wall_ns = data
-            .snapshot
-            .spans
-            .get(TOOL_WALL_SPAN)
-            .map(|s| s.sum_ns)
-            .or_else(|| data.snapshot.spans.values().map(|s| s.sum_ns).max())
-            .unwrap_or(0);
-        let events = ["des.engine.processed", "mfact.replay.events", "workloads.corpus.events"]
-            .iter()
-            .find_map(|k| data.snapshot.counters.get(*k))
-            .copied()
-            .unwrap_or(0);
-        let gauge = |name: &str| data.snapshot.gauges.get(name).copied().unwrap_or(0);
-        let (occ, arena) = hot_gauges.entry(tool.clone()).or_default();
-        *occ = (*occ).max(gauge("sim.queue.peak_occupancy"));
-        *arena = (*arena).max(gauge("sim.route.arena_bytes"));
-        let counter = |name: &str| data.snapshot.counters.get(name).copied().unwrap_or(0);
-        let (w, st, bl) = par_gauges.entry(tool.clone()).or_default();
-        *w = (*w).max(gauge(PARALLEL_WORKERS_GAUGE));
-        *st = (*st).max(counter(PARALLEL_STEALS_COUNTER));
-        *bl = (*bl).max(gauge(PARALLEL_BACKLOG_GAUGE));
-        for (name, h) in &data.snapshot.hists {
-            if matches!(name.as_str(), "sim.engine.dt_ps" | "sim.msg.bytes") {
-                hist_acc.entry(tool.clone()).or_default().entry(name.clone()).or_default().merge(h);
-            }
-        }
-        by_tool.entry(tool).or_default().push((wall_ns, events));
-    }
-    if by_tool.is_empty() {
-        return Err(format!("no metric sidecars with a 'tool' label in {}", dir.display()));
-    }
-
-    let mut obj = Vec::new();
-    for (tool, mut runs) in by_tool {
-        runs.sort_unstable();
-        let walls: Vec<u64> = runs.iter().map(|r| r.0).collect();
-        let p50_ns = walls[(walls.len() - 1) / 2];
-        let max_ns = walls.last().copied().unwrap_or(0);
-        let total_events: u64 = runs.iter().map(|r| r.1).sum();
-        // Median of per-run throughputs, not total/total: one cold-start
-        // run (page faults, first-touch allocation) would otherwise
-        // dominate the aggregate at smoke-test scale.
-        let mut rates: Vec<f64> =
-            runs.iter().filter(|r| r.0 > 0).map(|r| r.1 as f64 / (r.0 as f64 / 1e9)).collect();
-        rates.sort_unstable_by(f64::total_cmp);
-        let events_per_sec = if rates.is_empty() { 0.0 } else { rates[(rates.len() - 1) / 2] };
-        let mut fields = vec![
-            ("wall_p50".into(), Value::Num(p50_ns as f64 / 1e9)),
-            ("wall_max".into(), Value::Num(max_ns as f64 / 1e9)),
-            ("events_per_sec".into(), Value::Num(events_per_sec)),
-            ("events_total".into(), Value::UInt(total_events)),
-            ("runs".into(), Value::UInt(walls.len() as u64)),
-        ];
-        // Hot-path telemetry, present only for tools that export it
-        // (the simulators).
-        let (occ, arena) = hot_gauges.get(&tool).copied().unwrap_or((0, 0));
-        if occ > 0 {
-            fields.push(("queue_peak_occupancy".into(), Value::UInt(occ)));
-        }
-        if arena > 0 {
-            fields.push(("route_arena_bytes".into(), Value::UInt(arena)));
-        }
-        // Parallel-runner telemetry (the `runner` pseudo-tool): how many
-        // workers ran, how many claims were steals, and the writer's
-        // re-sequencing high-water mark.
-        let (workers, steals, backlog) = par_gauges.get(&tool).copied().unwrap_or((0, 0, 0));
-        if workers > 0 {
-            fields.push(("workers".into(), Value::UInt(workers)));
-            fields.push(("steals".into(), Value::UInt(steals)));
-            fields.push(("writer_backlog_max".into(), Value::UInt(backlog)));
-        }
-        // Distribution summaries. Tool wall percentiles are exact
-        // (computed from the per-run walls, already sorted); the
-        // simulation-side histograms summarize via their log2 buckets
-        // and appear only when the runs recorded them (traced runs).
-        let mut dist = vec![("tool_wall".into(), dist_exact_secs(&walls))];
-        if let Some(hists) = hist_acc.get(&tool) {
-            for (key, name) in [("sim_dt_ps", "sim.engine.dt_ps"), ("msg_bytes", "sim.msg.bytes")] {
-                if let Some(h) = hists.get(name).filter(|h| h.count() > 0) {
-                    dist.push((key.into(), dist_hist(h)));
-                }
-            }
-        }
-        fields.push(("dist".into(), Value::Obj(dist)));
-        obj.push((tool, Value::Obj(fields)));
-    }
-    // Host-side measurements live only here, never in the per-tool
-    // sidecars: `cli.rs` compares those between runs, and RSS varies
-    // run to run.
-    obj.push((
-        "host".into(),
-        Value::Obj(vec![("peak_rss_bytes".into(), Value::UInt(masim_obs::peak_rss_bytes()))]),
-    ));
-    let json = Value::Obj(obj).to_json();
-    fs::write(BENCH_OBS, &json).map_err(|e| format!("write {BENCH_OBS}: {e}"))?;
-    println!("{json}");
-    eprintln!("wrote {BENCH_OBS}");
-    Ok(())
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn pct_exact(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Exact wall-clock percentiles (seconds) from per-run walls in ns.
-fn dist_exact_secs(sorted_ns: &[u64]) -> Value {
-    Value::Obj(vec![
-        ("p50".into(), Value::Num(pct_exact(sorted_ns, 0.50) as f64 / 1e9)),
-        ("p90".into(), Value::Num(pct_exact(sorted_ns, 0.90) as f64 / 1e9)),
-        ("p99".into(), Value::Num(pct_exact(sorted_ns, 0.99) as f64 / 1e9)),
-        ("count".into(), Value::UInt(sorted_ns.len() as u64)),
-    ])
-}
-
-/// Log2-bucket percentile summary of a merged sidecar histogram.
-fn dist_hist(h: &HistData) -> Value {
-    Value::Obj(vec![
-        ("p50".into(), Value::UInt(h.p50())),
-        ("p90".into(), Value::UInt(h.p90())),
-        ("p99".into(), Value::UInt(h.p99())),
-        ("count".into(), Value::UInt(h.count())),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -902,14 +717,5 @@ mod tests {
         for bad in ["g", "", "17179869184g", "8gb"] {
             assert!(parse_bytes(bad).is_err(), "'{bad}' is not a byte count");
         }
-    }
-
-    #[test]
-    fn exact_percentiles_are_nearest_rank() {
-        let walls: Vec<u64> = (1..=100).collect();
-        assert_eq!(pct_exact(&walls, 0.50), 50);
-        assert_eq!(pct_exact(&walls, 0.99), 99);
-        assert_eq!(pct_exact(&walls, 1.0), 100);
-        assert_eq!(pct_exact(&[], 0.5), 0);
     }
 }

@@ -38,8 +38,7 @@ fn tiny_table2(test: &str, args: &[&str]) -> PathBuf {
 /// is the pool's telemetry of one invocation (workers, steals, entries run).
 fn sidecars(dir: &Path) -> BTreeMap<String, RunMetricsData> {
     let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("sidecar dir") {
-        let name = entry.unwrap().file_name().into_string().unwrap();
+    for name in listing(dir) {
         assert!(name.ends_with(".json"), "{name}: sidecars are JSON only");
         if name == "study_runner.json" {
             continue;
@@ -56,30 +55,37 @@ fn masked_table2(cwd: &Path) -> String {
     mask_floats(&std::fs::read_to_string(cwd.join("reports/table2.txt")).expect("table2.txt"))
 }
 
-fn bench_obs(cwd: &Path) -> Value {
-    let text = std::fs::read_to_string(cwd.join("BENCH_obs.json")).expect("BENCH_obs.json");
-    json::parse(&text).expect("the fold is valid JSON")
+/// The names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    let mut names: Vec<String> =
+        names.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    names.sort();
+    names
 }
 
-/// `table3` runs no study, so `--metrics` has nothing to write and the
-/// end-of-run fold nothing to read: the report is written and that is all.
+/// `table3` runs no study, so `--metrics` has nothing to write: the
+/// report is written, the sidecar directory is created and stays empty.
 #[test]
-fn a_report_without_a_study_leaves_nothing_to_fold() {
+fn a_report_without_a_study_writes_no_sidecar() {
     let (cwd, out) = repro("table3_metrics", &["table3", "--metrics", "d"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(cwd.join("reports/table3.txt").is_file());
-    assert!(!cwd.join("BENCH_obs.json").exists());
+    assert_eq!(listing(&cwd), ["d", "reports"]);
+    assert_eq!(listing(&cwd.join("d")), Vec::<String>::new());
 }
 
-/// The two subcommands and three flags of the deleted bench gate, and the
-/// deleted resume flag (a `--checkpoint` rerun resumes on its own),
-/// spelled in halves so a grep for the old names finds nothing in this tree;
-/// then the deleted TCP transport at each daemon subcommand.
+/// The subcommands and three flags of the deleted bench gate, the deleted
+/// sidecar fold, and the deleted resume flag (a `--checkpoint` rerun
+/// resumes on its own), spelled in halves so a grep for the old names
+/// finds nothing in this tree; then the deleted TCP transport at each
+/// daemon subcommand.
 #[test]
 fn deleted_subcommands_and_flags_exit_1_as_unknown() {
     let halves = [
         ("bench-", "gate"),
         ("bench-", "pdes"),
+        ("bench-", "summary"),
         ("--toler", "ance"),
         ("--write-", "baseline"),
         ("--pro", "file"),
@@ -124,7 +130,9 @@ fn sim_threads_other_than_one_is_a_usage_error() {
 }
 
 /// The same tiny Table II study writes the same sidecar files and the
-/// same table at `--threads 1` and `4` (host wall clock excepted).
+/// same table at `--threads 1` and `4` (host wall clock excepted), and
+/// leaves nothing else in its cwd: the sidecars and the reports are the
+/// whole record of a run.
 #[test]
 fn sidecars_and_table_agree_across_threads() {
     let t1 = tiny_table2("det_t1", &["--metrics", "d", "--threads", "1", "--sim-threads", "1"]);
@@ -135,7 +143,9 @@ fn sidecars_and_table_agree_across_threads() {
     assert!(reference.len() >= 15, "{:?}", reference.keys());
     assert_eq!(reference, sidecars(&t4.join("d")));
     assert_eq!(masked_table2(&t1), masked_table2(&t4));
-    bench_obs(&t1); // the end-of-run fold parses
+    for cwd in [&t1, &t4] {
+        assert_eq!(listing(cwd), ["d", "reports"]);
+    }
 }
 
 /// `--fail-after` exits 3 leaving a store; rerunning the same command
@@ -202,9 +212,10 @@ fn trace_names(path: &Path, workers: u64) -> BTreeSet<String> {
 }
 
 /// A traced run exports a well-formed timeline with the study phases,
-/// and its fold carries the distribution percentiles.
+/// and each packet-model sidecar carries the simulation histograms with
+/// their percentiles.
 #[test]
-fn traced_run_exports_a_valid_timeline_and_folds_percentiles() {
+fn traced_run_exports_a_valid_timeline_and_sidecar_histograms() {
     let run = tiny_table2("trace_t2", &["--metrics", "m", "--trace", "t", "--threads", "2"]);
 
     let names = trace_names(&run.join("t/trace.json"), 2);
@@ -215,9 +226,19 @@ fn traced_run_exports_a_valid_timeline_and_folds_percentiles() {
         std::fs::read_dir(run.join("t")).unwrap().map(|e| e.unwrap().file_name()).collect();
     assert_eq!(exported, ["trace.json"], "trace.json is the one timeline export");
 
-    let obs = bench_obs(&run).to_json();
-    for key in ["\"dist\"", "\"sim_dt_ps\"", "\"msg_bytes\"", "\"p99\""] {
-        assert!(obs.contains(key), "BENCH_obs.json carries no {key}");
+    let packet: Vec<_> =
+        listing(&run.join("m")).into_iter().filter(|n| n.ends_with("_packet.json")).collect();
+    assert_eq!(packet.len(), 3, "one packet-model sidecar per app: {packet:?}");
+    for name in packet {
+        let text = std::fs::read_to_string(run.join("m").join(&name)).unwrap();
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        for hist in ["sim.engine.dt_ps", "sim.msg.bytes"] {
+            let h = doc.get("hists").and_then(|h| h.get(hist));
+            let count = h.and_then(|h| h.get("count")).and_then(Value::as_u64);
+            assert!(count > Some(0), "{name}: {hist} count {count:?}");
+            let p99 = h.and_then(|h| h.get("p99")).and_then(Value::as_u64);
+            assert!(p99.is_some(), "{name}: {hist} carries no p99");
+        }
     }
 }
 
@@ -227,12 +248,13 @@ fn traced_run_exports_a_valid_timeline_and_folds_percentiles() {
 /// without materializing per-rank event vectors, under a memory budget.
 /// The stream file's bytes pin the generator; the result line's
 /// deterministic part pins the queue's pop order at ~7.8k-entry
-/// buckets. The fold must carry the simulator's own route-arena
-/// accounting and the process's peak RSS, which the two-pass generator
-/// keeps under 256 MiB (holding the decoded trace peaked near 409 MB).
+/// buckets. The result line carries the simulator's own route-arena
+/// accounting, which the `tool=scale` sidecar repeats as its gauge, and
+/// the process's peak RSS, which the two-pass generator keeps under
+/// 256 MiB (holding the decoded trace peaked near 409 MB).
 #[test]
 #[ignore = "64k ranks: run by CI's scale-smoke job"]
-fn scale_64k_streamed_stencil_result_and_fold() {
+fn scale_64k_streamed_stencil_result_and_sidecar() {
     let args = "scale --machine frontier --app CNS --ranks 64000 \
                 --trace-dir traces --mem-budget 8g --metrics metrics";
     let (cwd, out) = repro("scale_64k", &args.split_whitespace().collect::<Vec<_>>());
@@ -247,11 +269,33 @@ fn scale_64k_streamed_stencil_result_and_fold() {
     });
     assert_eq!((stream.len(), fnv1a), (52_185_647, 0x27e2_a26f_1d79_c70d), "{fnv1a:#018x}");
 
-    let obs = bench_obs(&cwd);
-    let get =
-        |path: [&str; 2]| obs.get(path[0]).and_then(|o| o.get(path[1])).and_then(Value::as_u64);
-    let arena = get(["scale", "route_arena_bytes"]);
-    assert!(arena > Some(0), "BENCH_obs.json route_arena_bytes: {arena:?}");
-    let peak = get(["host", "peak_rss_bytes"]);
-    assert!(peak > Some(0) && peak <= Some(256 << 20), "BENCH_obs.json peak_rss_bytes: {peak:?}");
+    let bytes_after = |key: &str| -> Option<u64> {
+        let rest = &stdout[stdout.find(key)? + key.len()..];
+        rest.split(' ').next()?.parse().ok()
+    };
+    let arena = bytes_after("route arena ");
+    assert!(arena > Some(0), "route arena: {stdout}");
+    let peak = bytes_after("peak RSS ");
+    assert!(peak > Some(0) && peak <= Some(256 << 20), "peak RSS: {stdout}");
+
+    let text = std::fs::read_to_string(cwd.join("metrics/scale_scale.json")).expect("sidecar");
+    let sidecar = parse_json(&text).expect("the scale sidecar parses");
+    assert_eq!(sidecar.labels.get("tool").map(String::as_str), Some("scale"));
+    assert_eq!(sidecar.snapshot.gauges.get("sim.route.arena_bytes").copied(), arena);
+    assert_eq!(listing(&cwd), ["metrics", "traces"]);
+}
+
+/// A rank request near `u32::MAX` rounds down to the app's shape (2^31
+/// for CG) and is refused on capacity at once, not left looping.
+#[test]
+fn scale_rank_request_near_u32_max_exits_1_on_capacity() {
+    let (_, out) = repro(
+        "scale_u32_max",
+        &["scale", "--app", "CG", "--ranks", "4294967295", "--trace-dir", "t"],
+    );
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "repro: scale: 2147483648 ranks exceed frontier's capacity of 602112\n"
+    );
 }

@@ -30,8 +30,7 @@ pub use session::{Session, SessionError, SessionOutcome, SessionSpec, StudyKind}
 pub use store::{Key, Record, Sidecar, Store, StoreError, CODE_FINGERPRINT, STORE_FILE};
 pub use study::{
     contained, fraction_within, run_one_observed, ObservedTrace, Study, StudyConfig, ToolFailure,
-    ToolRun, TraceStudy, PARALLEL_BACKLOG_GAUGE, PARALLEL_STEALS_COUNTER, PARALLEL_WALL_SPAN,
-    PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
+    ToolRun, TraceStudy, PARALLEL_WALL_SPAN, PARALLEL_WORKERS_GAUGE, TOOL_WALL_SPAN,
 };
 
 #[cfg(test)]

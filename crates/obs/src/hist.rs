@@ -141,16 +141,6 @@ impl HistData {
         self.max = self.max.max(v);
     }
 
-    /// Bucket-sum merge; sum adds, min/max fold.
-    pub fn merge(&mut self, other: &HistData) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Quantile estimate for `q` in `[0, 1]`: the upper bound of the
     /// bucket holding the nearest-rank observation, clamped to the exact
     /// recorded max. Returns 0 when empty.
@@ -264,23 +254,6 @@ mod tests {
             }
             assert_eq!(d.quantile(1.0), *vals.last().unwrap());
         }
-    }
-
-    #[test]
-    fn merge_is_bucket_sum() {
-        let mut a = HistData::default();
-        let mut b = HistData::default();
-        a.record(3);
-        a.record(100);
-        b.record(3);
-        b.record(7);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 4);
-        assert_eq!(merged.buckets[bucket_of(3)], 2);
-        assert_eq!(merged.sum, 113);
-        assert_eq!(merged.min, 3);
-        assert_eq!(merged.max, 100);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! kernel, and co-tenants), so they must **never** land in the
 //! deterministic per-tool metric sidecars, which `cli.rs`'s
 //! `sidecars_and_table_agree_across_threads` compares
-//! gauge for gauge. They belong in `BENCH_obs.json`-style host reports,
-//! next to wall-clock timings.
+//! gauge for gauge. They belong on a command's own output, as in
+//! `repro scale`'s result line, or in `benchmark/`'s reports.
 
 /// Peak resident set size of this process, in bytes.
 ///

@@ -21,8 +21,8 @@
 //! three `_ns` fields are host wall clock. Histogram `sum`/`min`/`max`
 //! deliberately avoid that suffix and are compared as they are: every
 //! histogram a sidecar carries is simulation-deterministic (message
-//! bytes, simulated-time deltas) — host wall-clock distributions live
-//! only in `BENCH_obs.json`.
+//! bytes, simulated-time deltas). Host wall clock appears only in those
+//! span fields; its distributions are measured by `benchmark/`.
 
 use std::collections::BTreeMap;
 

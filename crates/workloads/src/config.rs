@@ -111,26 +111,28 @@ impl App {
     /// application can run on (power of two, square grid, cube, …).
     /// Returns at least the app's minimum viable size.
     pub fn legal_ranks(self, requested: u32) -> u32 {
+        // The helpers step in `u64`, so a request near `u32::MAX` neither
+        // wraps nor loops; each result is ≤ its `u32` argument.
         fn pow2_below(x: u32) -> u32 {
-            let mut p = 1;
-            while p * 2 <= x {
+            let mut p = 1u64;
+            while p * 2 <= u64::from(x) {
                 p *= 2;
             }
-            p
+            p as u32
         }
         fn square_below(x: u32) -> u32 {
-            let mut s = 1;
-            while (s + 1) * (s + 1) <= x {
+            let mut s = 1u64;
+            while (s + 1) * (s + 1) <= u64::from(x) {
                 s += 1;
             }
-            s * s
+            (s * s) as u32
         }
         fn cube_below(x: u32) -> u32 {
-            let mut c = 1;
-            while (c + 1) * (c + 1) * (c + 1) <= x {
+            let mut c = 1u64;
+            while (c + 1) * (c + 1) * (c + 1) <= u64::from(x) {
                 c += 1;
             }
-            c * c * c
+            (c * c * c) as u32
         }
         let r = requested.max(self.min_ranks());
         match self {

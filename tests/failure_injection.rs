@@ -168,6 +168,39 @@ fn single_rank_trace_works() {
     }
 }
 
+/// A rank request near `u32::MAX` (as `repro scale --ranks` delivers it)
+/// rounds down to the app's own shape: ≤ the request and legal itself.
+/// Stepping in `u32`, the doubling would wrap to 0 at 2^31 and never
+/// end, and the square and cube steps would overflow.
+#[test]
+fn legal_ranks_near_u32_max_keep_the_app_shape() {
+    // (request, power of two, power of four, square, cube)
+    for (requested, pow2, pow4, square, cube) in [
+        (1u32 << 31, 1u32 << 31, 1u32 << 30, 46_340u32 * 46_340, 1_290u32.pow(3)),
+        (u32::MAX, 1 << 31, 1 << 30, 65_535 * 65_535, 1_625u32.pow(3)),
+    ] {
+        for app in App::ALL {
+            let want = match app {
+                App::Cg | App::Ft | App::Is | App::Mg | App::Cr | App::MultiGrid => pow2,
+                App::BigFft => pow4,
+                App::Bt | App::Lu => square,
+                App::Lulesh | App::Cns => cube,
+                App::Dt
+                | App::Ep
+                | App::Amg
+                | App::MiniFe
+                | App::Cmc
+                | App::Nekbone
+                | App::FillBoundary => requested,
+            };
+            let got = app.legal_ranks(requested);
+            assert_eq!(got, want, "{app}({requested})");
+            assert!(got <= requested, "{app}({requested}) = {got}");
+            assert_eq!(app.legal_ranks(got), got, "{app}({requested}) = {got} is not legal");
+        }
+    }
+}
+
 /// Degenerate bandwidth figures are rejected at configuration time with
 /// a typed error, not discovered as an infinite simulation.
 #[test]
