@@ -58,8 +58,9 @@ pub struct SimLimits {
     /// unlimited.
     pub max_work: u64,
     /// Memory budget: estimated resident bytes of the simulation state
-    /// (trace, route arena, link tables, the messages in flight, model
-    /// state), checked before the run and then at the same cadence as
+    /// (the trace's events — for a streamed trace its index and decode
+    /// windows, see `StreamedTrace::resident_bytes` — route arena, link
+    /// tables, the messages in flight, model state), checked before the run and then at the same cadence as
     /// the work budget. It charges what is in flight, not what the run
     /// has sent: a message's slab slot counts from its injection until
     /// both its release and its delivery have been handled. Collective
@@ -507,9 +508,10 @@ fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, 
 /// functions below are one-line wrappers over it, kept for a binding.
 ///
 /// What varies is all in the arguments: `src` is an in-memory
-/// [`Trace`] or an on-disk [`StreamedTrace`] (decoded through per-rank
-/// sliding windows, so the per-rank `Vec<Event>`s are never
-/// materialized; predictions are bit-identical either way), `limits`
+/// [`Trace`] or an on-disk [`StreamedTrace`] (read from its file through
+/// a small window per rank, so neither the per-rank `Vec<Event>`s nor
+/// the encoded bytes are held; predictions are bit-identical either
+/// way), `limits`
 /// is the work and memory budget checked every 1024 events, and `obs`,
 /// when given, receives the `sim.*` and `des.*` telemetry once after
 /// the run — the hot loop itself carries no instrumentation, so
@@ -518,7 +520,8 @@ fn req_done<'a>(eng: &mut Engine<SimState<'a>>, st: &mut SimState<'a>, r: Rank, 
 /// An exhausted budget is the analogue of the paper's tool failures
 /// (SST/Macro's packet and flow models completed 216 and 162 of the 235
 /// traces); it, a deadlock, a clock overflow and every malformed-input
-/// cause come back as a typed [`SimError`], never a panic.
+/// cause (a streamed trace's file changed after it was opened too) come
+/// back as a typed [`SimError`], never a panic.
 pub fn run<'a>(
     src: impl Into<TraceSource<'a>>,
     cfg: &SimConfig,

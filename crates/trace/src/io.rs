@@ -21,11 +21,13 @@
 //! deltas from the previously mentioned request (generators issue them
 //! sequentially, so deltas are tiny); collective roots are plain varints.
 //!
-//! Every buffer is validated once, when it is opened (a decode-and-discard
-//! pass): segments must tile the payload, decode exactly their event
-//! counts, and name only ranks of the trace, so the per-event cursor path
-//! is panic-free without re-checking. The version is checked and a
-//! mismatch is an error; there are no backward-compat shims.
+//! Every buffer or file is validated once, when it is opened (a
+//! decode-and-discard pass: one head parse, then one check per segment,
+//! whichever the bytes come from): segments must tile the
+//! payload, decode exactly their event counts, and name only ranks of the
+//! trace. A file that changes after it was opened is caught where a
+//! cursor reads it ([`crate::TraceError::Unreadable`]). The version is
+//! checked and a mismatch is an error; there are no backward-compat shims.
 
 use crate::event::{CollKind, Event, EventKind};
 use crate::ids::{Rank, ReqId};
@@ -99,27 +101,6 @@ impl std::error::Error for DecodeError {}
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
-}
-
-// Fixed-width reader: callers bounds-check with `buf.len()` first; this
-// panics only on internal logic errors.
-fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    head.try_into().expect("N-byte slice")
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    if buf.len() < 4 {
-        return Err(DecodeError::Truncated { context: "string length" });
-    }
-    let len = u32::from_le_bytes(take(buf)) as usize;
-    if buf.len() < len {
-        return Err(DecodeError::Truncated { context: "string body" });
-    }
-    let (body, rest) = buf.split_at(len);
-    *buf = rest;
-    String::from_utf8(body.to_vec()).map_err(|_| DecodeError::BadUtf8)
 }
 
 #[inline]
@@ -359,103 +340,166 @@ pub(crate) struct Segment {
 }
 
 /// What opening a buffer learns about it: metadata, the segment index and
-/// where the payload starts. Only [`Layout::open`] builds one, so holding
-/// one means its buffer passed validation.
+/// where the payload starts. Only [`Layout::read_head`] builds one, and
+/// both openers ([`Layout::open`], [`crate::StreamedTrace::open`]) run
+/// [`check_segment`] on every segment before they hand it out, so holding
+/// one means its bytes passed validation.
 pub(crate) struct Layout {
     pub(crate) meta: TraceMeta,
     pub(crate) index: Vec<Segment>,
-    payload_at: usize,
+    payload_at: u64,
+}
+
+/// A buffer's head bytes, handed out front to back by `read`, with
+/// `left` bytes of the buffer unread: a field the rest cannot hold is
+/// [`DecodeError::Truncated`] before it is read or allocated for.
+struct HeadReader<F> {
+    read: F,
+    left: u64,
+}
+
+impl<E: From<DecodeError>, F: FnMut(&mut [u8]) -> Result<(), E>> HeadReader<F> {
+    fn fill(&mut self, out: &mut [u8], context: &'static str) -> Result<(), E> {
+        self.left =
+            self.left.checked_sub(out.len() as u64).ok_or(DecodeError::Truncated { context })?;
+        (self.read)(out)
+    }
+
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], E> {
+        let mut out = [0; N];
+        self.fill(&mut out, context)?;
+        Ok(out)
+    }
+
+    fn string(&mut self) -> Result<String, E> {
+        let len = u32::from_le_bytes(self.array("string length")?);
+        if u64::from(len) > self.left {
+            return Err(DecodeError::Truncated { context: "string body" }.into());
+        }
+        let mut body = vec![0; len as usize];
+        self.fill(&mut body, "string body")?;
+        String::from_utf8(body).map_err(|_| DecodeError::BadUtf8.into())
+    }
+}
+
+/// A little-endian `u32` at `at` of a head field.
+fn le_u32(field: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([field[at], field[at + 1], field[at + 2], field[at + 3]])
+}
+
+/// A little-endian `u64` at `at` of a head field.
+fn le_u64(field: &[u8], at: usize) -> u64 {
+    u64::from(le_u32(field, at)) | u64::from(le_u32(field, at + 4)) << 32
 }
 
 impl Layout {
-    /// Parse and fully validate a buffer. Every segment is decoded once
-    /// (and discarded) so later reads of `data` cannot fail.
-    pub(crate) fn open(data: &[u8]) -> Result<Layout, DecodeError> {
-        let mut buf = data;
-        if buf.len() < 8 {
-            return Err(DecodeError::Truncated { context: "header" });
+    /// Parse the header and segment index of a buffer of `total` bytes
+    /// whose bytes `read` fills in front to back. The segments must tile
+    /// exactly the bytes after the index; they are not read here.
+    pub(crate) fn read_head<E: From<DecodeError>>(
+        total: u64,
+        read: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Layout, E> {
+        let mut head = HeadReader { read, left: total };
+        let fixed: [u8; 8] = head.array("header")?;
+        if &fixed[..4] != MAGIC {
+            return Err(DecodeError::BadMagic.into());
         }
-        let (magic, rest) = buf.split_at(4);
-        buf = rest;
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = u32::from_le_bytes(take(&mut buf));
+        let version = le_u32(&fixed, 4);
         if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
+            return Err(DecodeError::BadVersion(version).into());
         }
-        let app = get_string(&mut buf)?;
-        let machine = get_string(&mut buf)?;
-        if buf.len() < 4 * 3 + 8 {
-            return Err(DecodeError::Truncated { context: "meta" });
-        }
-        let ranks = u32::from_le_bytes(take(&mut buf));
-        let ranks_per_node = u32::from_le_bytes(take(&mut buf));
-        let problem_size = u32::from_le_bytes(take(&mut buf));
-        let seed = u64::from_le_bytes(take(&mut buf));
+        let app = head.string()?;
+        let machine = head.string()?;
+        let fields: [u8; 20] = head.array("meta")?;
+        let (ranks, ranks_per_node) = (le_u32(&fields, 0), le_u32(&fields, 4));
+        let (problem_size, seed) = (le_u32(&fields, 8), le_u64(&fields, 12));
         if ranks_per_node == 0 {
-            return Err(DecodeError::OutOfRange { field: "ranks_per_node", value: 0 });
+            return Err(DecodeError::OutOfRange { field: "ranks_per_node", value: 0 }.into());
         }
         let meta = TraceMeta { app, machine, ranks, ranks_per_node, problem_size, seed };
 
         // Allocation guard: the index must physically fit before we size
         // a Vec from an untrusted count.
-        if (ranks as usize).checked_mul(24).is_none_or(|need| need > buf.len()) {
-            return Err(DecodeError::Truncated { context: "segment index" });
+        if u64::from(ranks) * 24 > head.left {
+            return Err(DecodeError::Truncated { context: "segment index" }.into());
         }
         let mut index = Vec::with_capacity(ranks as usize);
         let mut expect_off = 0u64;
         for _ in 0..ranks {
-            let off = u64::from_le_bytes(take(&mut buf));
-            let len = u64::from_le_bytes(take(&mut buf));
-            let count = u64::from_le_bytes(take(&mut buf));
+            let entry: [u8; 24] = head.array("segment index")?;
+            let (off, len, count) = (le_u64(&entry, 0), le_u64(&entry, 8), le_u64(&entry, 16));
             if off != expect_off {
-                return Err(DecodeError::Truncated { context: "segment order" });
+                return Err(DecodeError::Truncated { context: "segment order" }.into());
             }
             expect_off =
                 off.checked_add(len).ok_or(DecodeError::Truncated { context: "segment span" })?;
             index.push(Segment { off, len, count });
         }
-        let payload = buf;
-        let payload_len = payload.len() as u64;
+        let payload_len = head.left;
         if expect_off > payload_len {
-            return Err(DecodeError::Truncated { context: "segment payload" });
+            return Err(DecodeError::Truncated { context: "segment payload" }.into());
         }
         if expect_off < payload_len {
-            return Err(DecodeError::TrailingBytes((payload_len - expect_off) as usize));
+            return Err(DecodeError::TrailingBytes((payload_len - expect_off) as usize).into());
         }
-        let layout = Layout { meta, index, payload_at: data.len() - payload.len() };
+        Ok(Layout { meta, index, payload_at: total - payload_len })
+    }
 
-        // Validation pass: each segment must decode exactly `count`
-        // events from exactly `len` bytes, naming only ranks that exist.
-        for r in 0..ranks {
-            let mut seg_buf = layout.segment(data, Rank(r));
-            let mut prev_req = 0u32;
-            for _ in 0..layout.index[r as usize].count {
-                let (field, Rank(v)) = match decode_event(&mut seg_buf, r, &mut prev_req)?.kind {
-                    EventKind::Send { peer, .. }
-                    | EventKind::Isend { peer, .. }
-                    | EventKind::Recv { peer, .. }
-                    | EventKind::Irecv { peer, .. } => ("peer", peer),
-                    EventKind::Coll { root, .. } => ("root", root),
-                    _ => continue,
-                };
-                if v >= ranks {
-                    return Err(DecodeError::OutOfRange { field, value: v.into() });
-                }
-            }
-            if !seg_buf.is_empty() {
-                return Err(DecodeError::TrailingBytes(seg_buf.len()));
-            }
+    /// Parse and fully validate a buffer: its head, then every segment
+    /// decoded once (and discarded).
+    pub(crate) fn open(data: &[u8]) -> Result<Layout, DecodeError> {
+        let mut rest = data;
+        let layout = Layout::read_head(data.len() as u64, |out: &mut [u8]| {
+            let (head, tail) = rest
+                .split_at_checked(out.len())
+                .ok_or(DecodeError::Truncated { context: "header" })?;
+            out.copy_from_slice(head);
+            rest = tail;
+            Ok(())
+        })?;
+        for r in 0..layout.meta.ranks {
+            layout.check_segment(Rank(r), layout.segment(data, Rank(r)))?;
         }
         Ok(layout)
     }
 
+    /// Check `rank`'s segment `seg`: it must decode exactly its event
+    /// count from exactly its bytes, naming only ranks that exist. The
+    /// one validator of both openers.
+    pub(crate) fn check_segment(&self, rank: Rank, mut seg: &[u8]) -> Result<(), DecodeError> {
+        let ranks = self.meta.ranks;
+        let mut prev_req = 0u32;
+        for _ in 0..self.index[rank.idx()].count {
+            let (field, Rank(v)) = match decode_event(&mut seg, rank.0, &mut prev_req)?.kind {
+                EventKind::Send { peer, .. }
+                | EventKind::Isend { peer, .. }
+                | EventKind::Recv { peer, .. }
+                | EventKind::Irecv { peer, .. } => ("peer", peer),
+                EventKind::Coll { root, .. } => ("root", root),
+                _ => continue,
+            };
+            if v >= ranks {
+                return Err(DecodeError::OutOfRange { field, value: v.into() });
+            }
+        }
+        if !seg.is_empty() {
+            return Err(DecodeError::TrailingBytes(seg.len()));
+        }
+        Ok(())
+    }
+
+    /// Where `rank`'s segment lies in the whole buffer, in bytes.
+    pub(crate) fn span(&self, rank: Rank) -> std::ops::Range<u64> {
+        let seg = self.index[rank.idx()];
+        let at = self.payload_at + seg.off;
+        at..at + seg.len
+    }
+
     /// `rank`'s segment within `data`, the buffer this layout was opened on.
     pub(crate) fn segment<'a>(&self, data: &'a [u8], rank: Rank) -> &'a [u8] {
-        let seg = self.index[rank.idx()];
-        let at = self.payload_at + seg.off as usize;
-        &data[at..at + seg.len as usize]
+        let span = self.span(rank);
+        &data[span.start as usize..span.end as usize]
     }
 }
 
@@ -468,10 +512,10 @@ pub fn decode(buf: &[u8]) -> Result<Trace, DecodeError> {
             let mut seg = layout.segment(buf, Rank(r));
             let mut prev_req = 0u32;
             (0..layout.index[r as usize].count)
-                .map(|_| decode_event(&mut seg, r, &mut prev_req).expect("validated at open"))
+                .map(|_| decode_event(&mut seg, r, &mut prev_req))
                 .collect()
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok(Trace { meta: layout.meta, events })
 }
 

@@ -2,6 +2,7 @@
 
 use crate::event::{CollKind, Event, EventKind};
 use crate::ids::Rank;
+use crate::stream::StreamError;
 use crate::time::Time;
 use crate::walk::{Action, Walker};
 use std::collections::HashMap;
@@ -51,7 +52,8 @@ pub struct Trace {
     pub events: Vec<Vec<Event>>,
 }
 
-/// A structural defect found by [`Trace::validate`].
+/// A structural defect found by [`Trace::validate`] or, in a tool's
+/// replay, by the [`crate::Walker`] it reads the trace through.
 #[derive(Clone, PartialEq, Eq, Debug)]
 #[allow(missing_docs)] // fields carry the defect's coordinates; see Display
 pub enum TraceError {
@@ -75,6 +77,10 @@ pub enum TraceError {
     CollectiveMismatch { rank: Rank, index: usize },
     /// A collective's root is out of range.
     RootOutOfRange { rank: Rank, root: Rank },
+    /// A streamed trace's file could not be read, or no longer decodes,
+    /// at this rank's next event: it was truncated or rewritten after
+    /// [`crate::StreamedTrace::open`] validated it.
+    Unreadable { rank: Rank, cause: Box<StreamError> },
 }
 
 impl fmt::Display for TraceError {
@@ -108,6 +114,9 @@ impl fmt::Display for TraceError {
             }
             TraceError::RootOutOfRange { rank, root } => {
                 write!(f, "rank {rank} names out-of-range collective root {root}")
+            }
+            TraceError::Unreadable { rank, cause } => {
+                write!(f, "rank {rank}'s events changed after the trace was opened: {cause}")
             }
         }
     }

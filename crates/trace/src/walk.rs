@@ -9,7 +9,7 @@
 use crate::event::{CollKind, EventKind};
 use crate::ids::Rank;
 use crate::mailbox::{Requests, TOOL_RECV, TOOL_SEND};
-use crate::stream::{RankReader, TraceSource};
+use crate::stream::{RankReader, TraceSource, Windows};
 use crate::time::Time;
 use crate::trace::TraceError;
 use std::fmt;
@@ -89,6 +89,9 @@ impl fmt::Display for Stall {
 pub struct Walker<'a, S> {
     world: u32,
     ranks: Vec<RankWalk<'a, S>>,
+    /// The streamed ranks' decode windows, in one allocation (empty for
+    /// an in-memory trace).
+    windows: Windows,
 }
 
 /// A point-to-point event of `rank` may name only a peer below `world`.
@@ -107,12 +110,15 @@ impl<'a, S> Walker<'a, S> {
         let world = src.num_ranks();
         let walk =
             |r| RankWalk { events: src.reader(r), stage: Stage::Read, reqs: Requests::new(r) };
-        Walker { world, ranks: (0..world).map(|r| walk(Rank(r))).collect() }
+        let ranks = (0..world).map(|r| walk(Rank(r))).collect();
+        Walker { world, ranks, windows: src.windows() }
     }
 
     /// Rank `r`'s next action: [`Action::Wait`] again while its open wait
     /// has not succeeded. Errors name the event's broken rule: a peer or
-    /// root outside the world, or a request live at the end.
+    /// root outside the world, or a request live at the end; or, for a
+    /// streamed trace, [`TraceError::Unreadable`] if its file changed
+    /// since it was opened.
     // Forced, like `wait` and the reader's calls: MFACT's replay runs
     // them per event, and left as calls they cost its sweep ≈ 20 %.
     #[inline(always)]
@@ -122,7 +128,7 @@ impl<'a, S> Walker<'a, S> {
             debug_assert!(*stage != Stage::Done, "rank {} walked past its end", r.0);
             return Ok(Action::Wait);
         }
-        let Some(ev) = events.next() else {
+        let Some(ev) = events.next(r, &mut self.windows)? else {
             reqs.finish()?;
             *stage = Stage::Done;
             return Ok(Action::Done);
@@ -280,6 +286,15 @@ mod tests {
         assert_eq!(w.wait(r, done, |d| retired.push(d)), Ok(true));
         assert_eq!((retired, w.next(r)), (vec![true], Ok(Action::Done)));
         assert_eq!(w.state_mut(r, 9), None);
+    }
+
+    /// A streamed rank's window lives in the walker's one slab, not in
+    /// its `RankWalk`, so the per-rank walk of either source stays at
+    /// 120 B (64-bit).
+    #[test]
+    fn rank_walk_holds_no_window() {
+        assert!(std::mem::size_of::<RankWalk<'_, bool>>() <= 120);
+        assert!(std::mem::size_of::<RankWalk<'_, u64>>() <= 120);
     }
 
     /// A rank finishes when it yields `Done`; the stall names the rest,

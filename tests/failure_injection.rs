@@ -506,11 +506,25 @@ fn decode_fuzz_survives_byte_corruption() {
 // `masim_trace::io`: header, then one 24-byte (offset, length, count) index
 // entry per rank, then the per-rank segments.
 
-/// Both readers reject `bytes` with the same typed error, which is returned.
+/// A file name of its own for each caller, in the temp dir.
+fn mass_temp_file(stem: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("masim-mass-{}-{stem}-{n}.mass", std::process::id()))
+}
+
+/// Every reader rejects `bytes` with the same typed error, which is
+/// returned: `io::decode`, `StreamedTrace::from_bytes`, and
+/// `StreamedTrace::open` on a file of those bytes.
 fn mass_rejected(bytes: &[u8]) -> DecodeError {
     let err = io::decode(bytes).expect_err("hostile bytes must not decode");
     let opened = StreamedTrace::from_bytes(bytes.to_vec()).map(|_| ());
     assert_eq!(opened, Err(StreamError::Decode(err.clone())));
+    let path = mass_temp_file("rejected");
+    std::fs::write(&path, bytes).expect("write");
+    let opened = StreamedTrace::open(&path).map(|_| ());
+    std::fs::remove_file(&path).ok();
+    assert_eq!(opened, Err(StreamError::Decode(err.clone())), "file opener");
     err
 }
 
@@ -691,6 +705,54 @@ fn mass_u32_fields_wider_than_32_bits_rejected() {
             seg.splice(4.., wide);
         });
         assert_eq!(mass_rejected(&bytes), out(field, 1 << 32));
+    }
+}
+
+/// A streamed trace's file cut short, overwritten or zeroed after `open`
+/// validated it fails every tool's run with a typed
+/// `TraceError::Unreadable` (a failed read, an undecodable event, or
+/// bytes left over after a segment's events), never a panic, and its
+/// failure record is `invalid-config`. A rewrite of the same length that
+/// still decodes to the same byte count is not detectable (DESIGN.md,
+/// "Failure model").
+#[test]
+fn mass_stream_file_changed_after_open_is_a_typed_error() {
+    use std::os::unix::fs::FileExt;
+    let trace = generate(&GenConfig::test_default(App::Cg, 8));
+    let machine = Machine::cielito();
+    let sweep = [ModelConfig::base(machine.net)];
+    let payload_at = (mass_index_at(&trace) + 24 * trace.events.len()) as u64;
+    let payload = io::encode(&trace).len() as u64 - payload_at;
+    for what in ["truncated", "overwritten", "zeroed"] {
+        let path = mass_temp_file(what);
+        masim_trace::write_stream(&trace, &path).expect("write");
+        let stream = StreamedTrace::open(&path).expect("opens while intact");
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        match what {
+            "truncated" => file.set_len(payload_at + 1),
+            "overwritten" => file.write_all_at(&vec![0xff; payload as usize], payload_at),
+            _ => file.write_all_at(&vec![0; payload as usize], payload_at),
+        }
+        .expect("change the file");
+        for model in ModelKind::study_models() {
+            let cfg = SimConfig::new(machine.clone(), model, &trace);
+            let run = contained(|| Ok(masim_sim::run(&stream, &cfg, SimLimits::unlimited(), None)));
+            let err = run.expect("no panic").expect_err("a changed file must not replay");
+            assert!(
+                matches!(err, SimError::Malformed(TraceError::Unreadable { .. })),
+                "{what} {}: {err}",
+                model.name()
+            );
+            assert_eq!(record_of(err).code(), "invalid-config", "{what}");
+        }
+        let replayed = contained(|| Ok(try_replay(&stream, &sweep, None)));
+        let err = replayed.expect("no panic").expect_err("a changed file must not replay");
+        assert!(
+            matches!(err, ReplayError::Malformed(TraceError::Unreadable { .. })),
+            "{what}: {err}"
+        );
+        assert_eq!(record_of(err).code(), "invalid-config", "{what}");
+        std::fs::remove_file(&path).ok();
     }
 }
 

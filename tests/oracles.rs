@@ -511,7 +511,7 @@ fn mfact_total_is_monotone_across_the_standard_sweep() {
 /// one packet serialization; it and packet-flow both land on it to the
 /// picosecond, which is what is asserted. The flow model snaps arrivals
 /// and completions to its 1 µs quantum and misses it by up to 720 ns
-/// (ROADMAP 2(c)), so it is not asserted here.
+/// (ROADMAP item 12), so it is not asserted here.
 #[test]
 fn k_flows_over_one_saturated_link_serialize() {
     let packet_bytes = masim_sim::DEFAULT_PACKET_BYTES;
