@@ -40,7 +40,7 @@ pub const STORE_FILE: &str = "study.ckpt.jsonl";
 /// until it is the FNV-1a of both goldens and the tiny Table II's
 /// records (plus one with budget-failed runs), so changing any
 /// prediction, record field or sidecar metric moves every key.
-pub const CODE_FINGERPRINT: u64 = 0x9b5b_af4d_44e3_8f3b;
+pub const CODE_FINGERPRINT: u64 = 0xa9e9_b379_d1c4_a470;
 
 /// Why the store could not be opened or extended.
 #[derive(Debug)]

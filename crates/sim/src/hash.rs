@@ -1,7 +1,7 @@
 //! Deterministic integer hashing for hot-path maps.
 //!
-//! The sparse route index is keyed by small integers and never iterated,
-//! so the default SipHash — a keyed DoS-resistant hash costing tens of
+//! The route index is keyed by node pairs and never iterated, so the
+//! default SipHash — a keyed DoS-resistant hash costing tens of
 //! nanoseconds per lookup — buys nothing. This multiplicative hasher is a single
 //! `xor`+`mul` per word, and being unseeded it also keeps map-internal
 //! ordering identical from run to run.

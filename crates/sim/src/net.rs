@@ -27,10 +27,11 @@
 //! ## Hot-path data layout
 //!
 //! Per-message state is flat and `Copy` throughout: messages in flight
-//! live in a slot-recycling [`MsgSlab`](crate::msg::MsgSlab), routes are
-//! interned once per rank pair into a [`RouteArena`] and referenced by an
-//! 8-byte [`RouteRef`], and a [`Packet`] is a small plain value — no `Arc`, no
-//! `Drop` glue in the engine's event arena. The packet model injects
+//! live in a slot-recycling [`MsgSlab`](crate::msg::MsgSlab), a route's
+//! fabric hops are interned once per node pair into a [`RouteArena`] and
+//! referenced by a 4-byte [`RouteRef`] (the two ranks' NIC links are added
+//! at use, by [`Route`]), and a [`Packet`] is a small plain value — no
+//! `Arc`, no `Drop` glue in the engine's event arena. The packet model injects
 //! *lazily*: only a message's first packet is scheduled up front; each
 //! packet schedules its successor at its own injection-link departure
 //! (the NIC's FIFO would have serialized them anyway), so peak queue
@@ -55,8 +56,8 @@ use crate::msg::Message;
 use crate::runner::{SimEvent, SimState};
 use masim_des::{Engine, EventId};
 use masim_obs::MetricSet;
-use masim_topo::{LinkId, Machine};
-use masim_trace::{Rank, Time};
+use masim_topo::{LinkId, Machine, Topology};
+use masim_trace::{NodeId, Rank, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -92,139 +93,141 @@ impl ModelKind {
 // Interned routes
 // ---------------------------------------------------------------------
 
-/// Compact handle to an interned route: a route *id* (index into the
-/// [`RouteArena`]'s start table, not a byte offset — total link storage
-/// may exceed the `u32` range at mega scale) plus the hop count. 8 bytes
-/// and `Copy` — this is what every in-flight packet and flow carries
-/// instead of an `Arc<[LinkId]>` clone.
+/// Handle to an interned node-pair route: its index in the
+/// [`RouteArena`] (an id, not a byte offset, so total link storage may
+/// exceed the `u32` range at mega scale). 4 bytes and `Copy`: with the
+/// two ranks of its message it is all an in-flight packet or flow
+/// carries of its route.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RouteRef {
-    off: u32,
-    len: u16,
-}
+pub struct RouteRef(u32);
 
-impl RouteRef {
-    /// Sentinel filling unvisited dense-index cells.
-    const NONE: RouteRef = RouteRef { off: u32::MAX, len: 0 };
-
-    /// Number of links on the route.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-}
-
-/// Ranks up to which the (src, dst) → route index is a dense
-/// `src*ranks+dst` table (8 B/cell ⇒ 32 MiB at the limit); larger
-/// machines fall back to a hash map. Every study machine is far below
-/// the limit, so the hot path is one multiply-add and one load.
-const DENSE_RANK_LIMIT: u32 = 2048;
-
-/// Interned route storage: every distinct (src, dst) route's links live
-/// back-to-back in one flat `Vec<LinkId>`, written once on first use and
-/// addressed by copyable [`RouteRef`] handles thereafter. Replaces the
-/// `HashMap<(u32, u32), Arc<[LinkId]>>` route cache — lookups don't
-/// hash below `DENSE_RANK_LIMIT` ranks, and resolving a route is a
-/// slice borrow, not a refcount round-trip.
+/// Interned routes, one per ordered pair of distinct nodes: the
+/// topology's route without its node-level first and last link. Those
+/// two become each message's own per-rank injection and ejection links
+/// at use ([`RouteArena::route`]), so every rank pair on the same two
+/// nodes shares one entry. The hops of every route live back-to-back in
+/// one flat `Vec<LinkId>`, written once on first use; the one index is an
+/// integer-hashed map from the node pair.
+#[derive(Default)]
 pub struct RouteArena {
     storage: Vec<LinkId>,
-    /// Start offset in `storage` of each interned route, indexed by
-    /// `RouteRef::off`. Indirecting through a `u64` start table is what
-    /// lets total link storage grow past the old `u32`-offset ceiling
-    /// (4 Gi links) without widening the 8-byte `RouteRef`.
-    starts: Vec<u64>,
-    ranks: u32,
-    dense: Vec<RouteRef>,
-    sparse: IntMap<(u32, u32), RouteRef>,
+    /// End offset in `storage` of each interned route, indexed by
+    /// `RouteRef`; route `i` starts where route `i − 1` ends. `u64`
+    /// offsets let the storage outgrow 4 Gi links.
+    ends: Vec<u64>,
+    index: IntMap<(u32, u32), RouteRef>,
+    /// Where a node pair's route is built before it is interned, so a
+    /// cold intern allocates nothing of its own.
+    scratch: Vec<LinkId>,
 }
 
 impl RouteArena {
-    /// Empty arena for a machine hosting `ranks` ranks.
-    pub fn new(ranks: u32) -> RouteArena {
-        let dense = if ranks <= DENSE_RANK_LIMIT {
-            vec![RouteRef::NONE; ranks as usize * ranks as usize]
-        } else {
-            Vec::new()
-        };
-        RouteArena {
-            storage: Vec::new(),
-            starts: Vec::new(),
-            ranks,
-            dense,
-            sparse: IntMap::default(),
-        }
-    }
-
-    /// The interned route for (src, dst), if already seen.
-    #[inline]
-    pub fn get(&self, src: Rank, dst: Rank) -> Option<RouteRef> {
-        if self.dense.is_empty() {
-            self.sparse.get(&(src.0, dst.0)).copied()
-        } else {
-            let r = self.dense[src.0 as usize * self.ranks as usize + dst.0 as usize];
-            if r == RouteRef::NONE {
-                None
-            } else {
-                Some(r)
-            }
-        }
-    }
-
-    /// Intern a freshly built route for (src, dst). The arena's limits
-    /// are structural (u32 route ids, u16 hops); hitting one is a typed
-    /// [`SimError::RouteArenaExhausted`], never a panic — at mega scale
-    /// the old `expect` here was the first thing to blow up. Its
-    /// resident bytes count against the run's memory budget instead.
-    pub fn try_intern(
+    /// The interned route from node `src` to a distinct node `dst`,
+    /// built from `topology` and interned on first use — routes are
+    /// deterministic per pair, so repeated traffic (iterative stencils,
+    /// collective rounds) is one hash lookup with no per-message
+    /// allocation.
+    pub fn intern(
         &mut self,
-        src: Rank,
-        dst: Rank,
-        links: &[LinkId],
+        topology: &dyn Topology,
+        src: NodeId,
+        dst: NodeId,
     ) -> Result<RouteRef, SimError> {
-        let Ok(len) = u16::try_from(links.len()) else {
-            return Err(self.exhausted(format!("route of {} hops exceeds u16", links.len())));
-        };
-        // `u32::MAX` itself is reserved so no live route collides with
-        // the dense table's `NONE` sentinel.
-        if self.starts.len() >= u32::MAX as usize {
+        if let Some(&r) = self.index.get(&(src.0, dst.0)) {
+            return Ok(r);
+        }
+        let mut route = std::mem::take(&mut self.scratch);
+        route.clear();
+        topology.route(src, dst, &mut route);
+        // `Topology::route` between distinct nodes begins with the source
+        // node's injection link and ends with the destination's ejection
+        // link (`check_route_shape`).
+        let r = self.try_intern(src, dst, &route[1..route.len() - 1]);
+        self.scratch = route;
+        r
+    }
+
+    /// Intern the fabric hops of (src, dst). The arena's limits are
+    /// structural (u32 route ids, u16 hops per route including the two
+    /// NIC links); hitting one is a typed
+    /// [`SimError::RouteArenaExhausted`], never a panic. Its resident
+    /// bytes count against the run's memory budget instead.
+    fn try_intern(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        fabric: &[LinkId],
+    ) -> Result<RouteRef, SimError> {
+        let hops = fabric.len() + 2;
+        if u16::try_from(hops).is_err() {
+            return Err(self.exhausted(format!("route of {hops} hops exceeds u16")));
+        }
+        let Ok(id) = u32::try_from(self.ends.len()) else {
             return Err(self.exhausted("route-id space (u32) exhausted".into()));
-        }
-        let off = self.starts.len() as u32;
-        self.starts.push(self.storage.len() as u64);
-        self.storage.extend_from_slice(links);
-        let r = RouteRef { off, len };
-        if self.dense.is_empty() {
-            self.sparse.insert((src.0, dst.0), r);
-        } else {
-            self.dense[src.0 as usize * self.ranks as usize + dst.0 as usize] = r;
-        }
+        };
+        self.storage.extend_from_slice(fabric);
+        self.ends.push(self.storage.len() as u64);
+        let r = RouteRef(id);
+        self.index.insert((src.0, dst.0), r);
         Ok(r)
     }
 
     fn exhausted(&self, limit: String) -> SimError {
-        SimError::RouteArenaExhausted {
-            routes: self.starts.len() as u64,
-            bytes: self.bytes(),
-            limit,
+        SimError::RouteArenaExhausted { routes: self.ends.len() as u64, bytes: self.bytes(), limit }
+    }
+
+    /// The fabric hops of an interned route.
+    #[inline]
+    pub fn fabric(&self, r: RouteRef) -> &[LinkId] {
+        let i = r.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.storage[start..self.ends[i] as usize]
+    }
+
+    /// The route of a message from rank `src` to rank `dst` whose nodes'
+    /// route is `r`.
+    #[inline]
+    pub fn route<'a>(&'a self, links: &LinkTable, r: RouteRef, src: Rank, dst: Rank) -> Route<'a> {
+        Route {
+            injection: links.injection(src),
+            fabric: self.fabric(r),
+            ejection: links.ejection(dst),
         }
     }
 
-    /// The links of an interned route.
-    #[inline]
-    pub fn resolve(&self, r: RouteRef) -> &[LinkId] {
-        let s = self.starts[r.off as usize] as usize;
-        &self.storage[s..s + r.len as usize]
-    }
-
-    /// Resident footprint in bytes (flat storage + index), exported as
-    /// `sim.route.arena_bytes`.
+    /// Resident footprint in bytes (flat storage + end offsets + index),
+    /// exported as `sim.route.arena_bytes`.
     pub fn bytes(&self) -> u64 {
         let storage = self.storage.capacity() * std::mem::size_of::<LinkId>();
-        let starts = self.starts.capacity() * std::mem::size_of::<u64>();
-        let dense = self.dense.capacity() * std::mem::size_of::<RouteRef>();
-        let sparse = self.sparse.capacity()
+        let ends = self.ends.capacity() * std::mem::size_of::<u64>();
+        let index = self.index.capacity()
             * (std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<RouteRef>());
-        (storage + starts + dense + sparse) as u64
+        (storage + ends + index) as u64
+    }
+}
+
+/// A message's route, in the order its bytes cross the links: the
+/// sender's injection link, its node pair's fabric hops, the receiver's
+/// ejection link.
+#[derive(Clone, Copy, Debug)]
+pub struct Route<'a> {
+    injection: LinkId,
+    fabric: &'a [LinkId],
+    ejection: LinkId,
+}
+
+impl<'a> Route<'a> {
+    /// Number of links on the route.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.fabric.len() + 2
+    }
+
+    /// The links, injection first.
+    #[inline]
+    pub fn links(self) -> impl Iterator<Item = LinkId> + 'a {
+        let (first, last) = (self.injection, self.ejection);
+        std::iter::once(first).chain(self.fabric.iter().copied()).chain(std::iter::once(last))
     }
 }
 
@@ -318,43 +321,6 @@ impl LinkTable {
     pub fn ejection(&self, r: Rank) -> LinkId {
         LinkId(self.topo_links + self.ranks + r.0)
     }
-
-    /// Build the simulated route for a message into `route` (cleared
-    /// first): per-rank injection, the topology's fabric hops, per-rank
-    /// ejection. Cold path — called once per rank pair, then interned
-    /// in the [`RouteArena`].
-    pub fn route_into(
-        &self,
-        machine: &Machine,
-        src: Rank,
-        dst: Rank,
-        src_node: masim_trace::NodeId,
-        dst_node: masim_trace::NodeId,
-        route: &mut Vec<LinkId>,
-    ) {
-        route.clear();
-        machine.topology.route(src_node, dst_node, route);
-        debug_assert!(route.len() >= 2);
-        // The topology's node-level injection/ejection links become the
-        // per-rank virtual ones.
-        if let [first, .., last] = route.as_mut_slice() {
-            *first = self.injection(src);
-            *last = self.ejection(dst);
-        }
-    }
-}
-
-/// The interned route for a rank pair on distinct nodes, built through
-/// the state's scratch buffer and interned on first use — routes are
-/// deterministic per pair, so repeated traffic (iterative stencils,
-/// collective rounds) is an index load with no per-message allocation.
-fn route_of(st: &mut SimState, src: Rank, dst: Rank) -> Result<RouteRef, SimError> {
-    if let Some(r) = st.routes.get(src, dst) {
-        return Ok(r);
-    }
-    let (src_node, dst_node) = (st.mapping.node_of(src), st.mapping.node_of(dst));
-    st.links.route_into(&st.machine, src, dst, src_node, dst_node, &mut st.route_scratch);
-    st.routes.try_intern(src, dst, &st.route_scratch)
 }
 
 fn vec_bytes<T>(v: &Vec<T>) -> u64 {
@@ -514,7 +480,7 @@ pub(crate) fn inject(eng: &mut Engine<SimState>, st: &mut SimState, id: u32) {
         }
     }
 
-    let route = match route_of(st, msg.src, msg.dst) {
+    let route = match st.routes.intern(&*st.machine.topology, src_node, dst_node) {
         Ok(r) => r,
         Err(e) => {
             // The sender stays blocked; the latched error outranks the
@@ -523,14 +489,12 @@ pub(crate) fn inject(eng: &mut Engine<SimState>, st: &mut SimState, id: u32) {
             return;
         }
     };
+    // Split borrows: link table and route arena are read-only here.
+    let path = st.routes.route(&st.links, route, msg.src, msg.dst);
     match &mut st.net {
-        NetState::Packet(p) => p.inject(eng, id, msg.bytes, route),
-        NetState::Flow(f) => f.inject(eng, id, msg.bytes, route, &st.routes, st.links.hop_lat()),
-        NetState::PFlow(p) => {
-            // Split borrows: link table and route arena are read-only
-            // during sampling.
-            p.inject(eng, id, msg, st.routes.resolve(route), &st.links)
-        }
+        NetState::Packet(p) => p.inject(eng, id, msg, route),
+        NetState::Flow(f) => f.inject(eng, id, msg, route, path, st.links.hop_lat()),
+        NetState::PFlow(p) => p.inject(eng, id, msg, path, &st.links),
     }
 }
 
@@ -583,11 +547,15 @@ pub struct PacketNet {
 pub struct Packet {
     /// Message slab id.
     msg: u32,
-    /// Interned route.
+    /// Interned route of the message's node pair.
     route: RouteRef,
+    /// Destination rank, which names the ejection link: a packet past
+    /// hop 0 may not read its message (see `packet_hop`).
+    dst: Rank,
     /// Packet ordinal within its message (drives lazy injection).
     seq: u32,
-    /// Current hop index into the route.
+    /// Current hop: 0 is the injection link, then the fabric hops, then
+    /// the ejection link.
     hop: u16,
     /// This packet's payload bytes (≤ packet_bytes ≤ 2^30).
     bytes: u32,
@@ -598,14 +566,15 @@ pub struct Packet {
 impl PacketNet {
     /// The `i`-th packet of message `id`, sized directly from the
     /// message length (no running remainder).
-    fn packet(&self, id: u32, bytes: u64, route: RouteRef, i: u64) -> Packet {
+    fn packet(&self, id: u32, m: Message, route: RouteRef, i: u64) -> Packet {
         Packet {
             msg: id,
             route,
+            dst: m.dst,
             seq: i as u32,
             hop: 0,
-            bytes: packet_size(bytes, self.packet_bytes, i) as u32,
-            is_last: i + 1 == n_packets(bytes, self.packet_bytes),
+            bytes: packet_size(m.bytes, self.packet_bytes, i) as u32,
+            is_last: i + 1 == n_packets(m.bytes, self.packet_bytes),
         }
     }
 
@@ -629,8 +598,8 @@ impl PacketNet {
         (depart, depart + links.hop_lat())
     }
 
-    fn inject(&mut self, eng: &mut Engine<SimState>, id: u32, bytes: u64, route: RouteRef) {
-        let n = n_packets(bytes, self.packet_bytes);
+    fn inject(&mut self, eng: &mut Engine<SimState>, id: u32, m: Message, route: RouteRef) {
+        let n = n_packets(m.bytes, self.packet_bytes);
         // Oversized messages were rejected with a typed error at
         // injection (see `inject`), so the sequence counter fits.
         debug_assert!(n <= u32::MAX as u64);
@@ -640,7 +609,7 @@ impl PacketNet {
         // (see `packet_hop`), which is when the NIC's FIFO would have
         // let it start serializing anyway. Peak queue occupancy is
         // O(in-flight messages).
-        let pkt = self.packet(id, bytes, route, 0);
+        let pkt = self.packet(id, m, route, 0);
         eng.schedule_at(eng.now(), SimEvent::PacketHop(pkt));
     }
 }
@@ -648,22 +617,25 @@ impl PacketNet {
 /// One packet crossing one link: reserve it, then either hop onward or
 /// deliver.
 pub(crate) fn packet_hop(eng: &mut Engine<SimState>, st: &mut SimState, mut pkt: Packet) {
-    let (link, has_next) = {
-        let route = st.routes.resolve(pkt.route);
-        let h = pkt.hop as usize;
-        (route[h], h + 1 < route.len())
+    // The message is read only where it is still in flight: at hop 0
+    // its last packet has not released the sender, and the last packet
+    // delivers it. A middle packet may trail the last one and must not
+    // look, since the retired slot may already hold another message.
+    let head = (pkt.hop == 0).then(|| *st.msgs.get(pkt.msg));
+    let fabric = st.routes.fabric(pkt.route);
+    let h = pkt.hop as usize;
+    let link = match head {
+        Some(m) => st.links.injection(m.src),
+        None if h <= fabric.len() => fabric[h - 1],
+        None => st.links.ejection(pkt.dst),
     };
+    let has_next = h <= fabric.len();
     let NetState::Packet(net) = &mut st.net else {
         unreachable!("packet event in non-packet model")
     };
     let (depart, arrive_next) = net.reserve(&st.links, eng.now(), link, pkt.bytes);
 
-    // The message is read only where it is still in flight: at hop 0
-    // its last packet has not released the sender, and the last packet
-    // delivers it. A middle packet may trail the last one and must not
-    // look, since the retired slot may already hold another message.
-    if pkt.hop == 0 {
-        let m = *st.msgs.get(pkt.msg);
+    if let Some(m) = head {
         if pkt.is_last {
             // Sender may reuse its buffer once the last packet clears
             // the NIC.
@@ -671,7 +643,7 @@ pub(crate) fn packet_hop(eng: &mut Engine<SimState>, st: &mut SimState, mut pkt:
         } else {
             // Chain the successor: it could not have begun serializing
             // before this packet departs the injection link anyway.
-            let next = net.packet(pkt.msg, m.bytes, pkt.route, pkt.seq as u64 + 1);
+            let next = net.packet(pkt.msg, m, pkt.route, pkt.seq as u64 + 1);
             eng.schedule_at(depart, SimEvent::PacketHop(next));
         }
     }
@@ -706,6 +678,8 @@ struct Flow {
     /// Unlike the slab id it is never reused.
     ord: u64,
     route: RouteRef,
+    src: Rank,
+    dst: Rank,
     remaining: f64,
     rate: f64, // bytes/sec
     last_update: Time,
@@ -828,16 +802,16 @@ impl MaxMin {
     /// `route(k)`, over links of capacity `caps[link]` (bytes/second).
     /// A flow with an empty route gets 0.0. Allocation-free once the
     /// scratch has grown to the largest problem seen.
-    fn solve<'r>(
+    fn solve<R: IntoIterator<Item = LinkId>>(
         &mut self,
         n: usize,
-        route: impl Fn(usize) -> &'r [LinkId],
+        route: impl Fn(usize) -> R,
         caps: &[f64],
     ) -> &[f64] {
         debug_assert!(self.touched.is_empty() && self.heap.is_empty());
         // Count flows per link; first sight fixes a link's position.
         for k in 0..n {
-            for l in route(k) {
+            route(k).into_iter().for_each(|l| {
                 let s = &mut self.link[l.idx()];
                 if s.count == 0 {
                     s.pos = self.touched.len() as u32;
@@ -845,7 +819,7 @@ impl MaxMin {
                     self.touched.push(l.0);
                 }
                 s.count += 1;
-            }
+            });
         }
         // CSR fill. Offsets are built one slot to the right so that
         // `start[p + 1]` serves as link p's write cursor and ends up as
@@ -860,11 +834,11 @@ impl MaxMin {
         self.adj.clear();
         self.adj.resize(hops, 0);
         for k in 0..n {
-            for l in route(k) {
+            route(k).into_iter().for_each(|l| {
                 let cursor = &mut self.start[self.link[l.idx()].pos as usize + 1];
                 self.adj[*cursor as usize] = k as u32;
                 *cursor += 1;
-            }
+            });
         }
         // Every entry ever pushed: one per link up front, then at most
         // one per hop of a flow being frozen.
@@ -893,14 +867,14 @@ impl MaxMin {
                 }
                 self.rates[k as usize] = share;
                 n_frozen += 1;
-                for l in route(k as usize) {
+                route(k as usize).into_iter().for_each(|l| {
                     let s = &mut self.link[l.idx()];
                     s.residual = (s.residual - share).max(0.0);
                     s.count -= 1;
                     if s.count > 0 {
                         self.heap.push(s.entry());
                     }
-                }
+                });
             }
         }
         // Every link with flows left has a current heap entry, so both
@@ -917,23 +891,25 @@ impl FlowNet {
         &mut self,
         eng: &mut Engine<SimState>,
         id: u32,
-        bytes: u64,
+        m: Message,
         route: RouteRef,
-        routes: &RouteArena,
+        path: Route<'_>,
         hop_lat: Time,
     ) {
-        for l in routes.resolve(route) {
-            self.link_bytes[l.idx()] += bytes;
+        for l in path.links() {
+            self.link_bytes[l.idx()] += m.bytes;
         }
         let flow = Flow {
             msg: id,
             ord: self.injected,
             route,
-            remaining: bytes as f64,
+            src: m.src,
+            dst: m.dst,
+            remaining: m.bytes as f64,
             rate: 0.0,
             last_update: eng.now(),
             completion: None,
-            tail_latency: hop_lat * route.len() as u64,
+            tail_latency: hop_lat * path.len() as u64,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -1007,8 +983,10 @@ fn flow_resolve(
     order.sort_unstable();
 
     // 2. Max-min allocation over the flows in that order.
-    let route_of =
-        |k: usize| routes.resolve(slots[order[k].1 as usize].as_ref().expect("flow exists").route);
+    let route_of = |k: usize| {
+        let f = slots[order[k].1 as usize].as_ref().expect("flow exists");
+        routes.route(links, f.route, f.src, f.dst).links()
+    };
     let rates = solver.solve(order.len(), route_of, &links.caps);
 
     // The solver proper ends here: settle, water-fill, and rate
@@ -1100,7 +1078,7 @@ impl PFlowNet {
         eng: &mut Engine<SimState>,
         id: u32,
         msg: Message,
-        route: &[LinkId],
+        route: Route<'_>,
         links: &LinkTable,
     ) {
         let n = n_packets(msg.bytes, self.packet_bytes);
@@ -1118,8 +1096,8 @@ impl PFlowNet {
             // packets pipeline instead of re-serializing per hop (the
             // packet model's documented overestimate).
             let mut t = eng.now();
-            for (h, l) in route.iter().enumerate() {
-                let cap = links.cap(*l);
+            for (h, l) in route.links().enumerate() {
+                let cap = links.cap(l);
                 let q = &mut self.queues[l.idx()];
                 let backlog = q.drained(t, cap);
                 let wait = Time::from_secs_f64(backlog / cap);
@@ -1128,7 +1106,7 @@ impl PFlowNet {
                 self.link_bytes[l.idx()] += bytes;
                 t = t + wait + hop_lat;
                 if h == 0 {
-                    t += links.ser(*l, bytes);
+                    t += links.ser(l, bytes);
                     // Injection complete once the packet clears the NIC.
                     release_at = t.saturating_sub(hop_lat);
                 }
@@ -1147,6 +1125,7 @@ impl PFlowNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use masim_topo::Mapping;
 
     /// Pin packet count and sizes for the three interesting shapes. The
     /// replay layer never injects 0 bytes (zero-byte MPI messages carry
@@ -1185,84 +1164,119 @@ mod tests {
 
     #[test]
     fn route_arena_interns_and_resolves() {
-        let mut arena = RouteArena::new(8);
-        assert!(arena.get(Rank(1), Rank(2)).is_none());
-        let links = [LinkId(10), LinkId(3), LinkId(20)];
-        let r = arena.try_intern(Rank(1), Rank(2), &links).unwrap();
-        assert_eq!(arena.get(Rank(1), Rank(2)), Some(r));
-        assert_eq!(arena.resolve(r), &links);
-        assert_eq!(r.len(), 3);
-        assert_eq!(arena.starts.len(), 1);
+        let mut arena = RouteArena::default();
+        assert_eq!(arena.bytes(), 0, "an empty arena holds nothing");
+        let hops = [LinkId(10), LinkId(3), LinkId(20)];
+        let r = arena.try_intern(NodeId(1), NodeId(2), &hops).unwrap();
+        assert_eq!(arena.fabric(r), &hops);
+        assert_eq!(arena.ends.len(), 1);
         assert!(arena.bytes() > 0);
-        // A second pair lands behind the first in the flat storage.
-        let r2 = arena.try_intern(Rank(2), Rank(1), &[LinkId(7), LinkId(8)]).unwrap();
-        assert_eq!(arena.resolve(r2), &[LinkId(7), LinkId(8)]);
-        assert_eq!(arena.resolve(r), &links, "earlier routes undisturbed");
+        // Later pairs land behind the first in the flat storage; two
+        // nodes on one switch have no fabric hop at all.
+        let r2 = arena.try_intern(NodeId(2), NodeId(1), &[LinkId(7), LinkId(8)]).unwrap();
+        let r3 = arena.try_intern(NodeId(0), NodeId(1), &[]).unwrap();
+        assert_eq!(arena.fabric(r2), &[LinkId(7), LinkId(8)]);
+        assert_eq!(arena.fabric(r3), &[]);
+        assert_eq!(arena.fabric(r), &hops, "earlier routes undisturbed");
+        // The view puts the two ranks' NIC links around the fabric hops.
+        let links = LinkTable::new(&Machine::cielito(), 8);
+        let route = arena.route(&links, r2, Rank(3), Rank(5));
+        assert_eq!(route.len(), 4);
+        let want = [links.injection(Rank(3)), LinkId(7), LinkId(8), links.ejection(Rank(5))];
+        assert_eq!(route.links().collect::<Vec<_>>(), want);
+        let bare = arena.route(&links, r3, Rank(0), Rank(1));
+        assert_eq!(
+            bare.links().collect::<Vec<_>>(),
+            [links.injection(Rank(0)), links.ejection(Rank(1))]
+        );
     }
 
-    #[test]
-    fn route_arena_sparse_fallback_above_dense_limit() {
-        let ranks = DENSE_RANK_LIMIT + 1;
-        let mut arena = RouteArena::new(ranks);
-        let src = Rank(ranks - 1);
-        let dst = Rank(0);
-        assert!(arena.get(src, dst).is_none());
-        let r = arena.try_intern(src, dst, &[LinkId(1), LinkId(2)]).unwrap();
-        assert_eq!(arena.get(src, dst), Some(r));
-        assert_eq!(arena.resolve(r), &[LinkId(1), LinkId(2)]);
-        // The dense index was never built: footprint stays tiny.
-        assert!(arena.bytes() < 1 << 16);
+    /// The per-rank route the simulator once interned for every rank
+    /// pair: the topology's route between the two nodes, its node-level
+    /// first and last link replaced by the two ranks' own NIC links.
+    fn route_into(
+        machine: &Machine,
+        links: &LinkTable,
+        src: Rank,
+        dst: Rank,
+        mapping: &Mapping,
+    ) -> Vec<LinkId> {
+        let mut route = machine.topology.route_vec(mapping.node_of(src), mapping.node_of(dst));
+        if let [first, .., last] = route.as_mut_slice() {
+            *first = links.injection(src);
+            *last = links.ejection(dst);
+        }
+        route
     }
 
-    /// The sparse (hash) index above [`DENSE_RANK_LIMIT`] must be
-    /// observationally identical to the dense table: same handles back
-    /// from `get`, same resolved links, same intern counts — only the
-    /// footprint differs. Exercised at the boundary (2 048 ranks dense,
-    /// 2 049 sparse) and well past it (4 096).
+    /// Every off-node rank pair's [`Route`] through the node-pair arena
+    /// is its per-rank route ([`route_into`]), link for link in the same
+    /// order, on a torus, a dragonfly and a fat tree (whose same-leaf
+    /// pairs have no fabric hop). Three ranks share each node, spread
+    /// over the whole machine, so nine rank pairs share each of the
+    /// arena's node-pair routes. CI runs this by name in release.
     #[test]
-    fn route_arena_sparse_matches_dense_at_the_boundary() {
-        // Deterministic synthetic routes over a few hundred pairs.
-        let route_of = |src: u32, dst: u32| -> Vec<LinkId> {
-            let len = 2 + ((src ^ dst) % 5) as usize;
-            (0..len as u32).map(|h| LinkId(src.wrapping_mul(31) ^ dst ^ h)).collect()
-        };
-        for ranks in [DENSE_RANK_LIMIT, DENSE_RANK_LIMIT + 1, 4096] {
-            let mut arena = RouteArena::new(ranks);
-            let pairs: Vec<(Rank, Rank)> = (0..300u32)
-                .map(|i| (Rank(i * 7 % ranks), Rank((i * 13 + 1) % ranks)))
-                .filter(|(s, d)| s != d)
-                .collect();
-            let mut refs = Vec::new();
-            for &(s, d) in &pairs {
-                if arena.get(s, d).is_none() {
-                    let links = route_of(s.0, d.0);
-                    let r = arena.try_intern(s, d, &links).unwrap();
-                    refs.push((s, d, r, links));
+    fn node_pair_routes_equal_per_rank_routes() {
+        use masim_topo::{FatTree, NetworkConfig};
+        let fat_tree = Machine::new(
+            "fattree-small",
+            std::sync::Arc::new(FatTree::try_new(4, 2, 4).expect("valid fat tree shape")),
+            NetworkConfig::new(10.0, 1_000),
+            4,
+        );
+        const PER_NODE: u32 = 3;
+        for machine in [Machine::cielito(), Machine::edison(), fat_tree] {
+            let all = machine.topology.num_nodes();
+            let nodes = all.min(24);
+            // Rank r sits on the (r mod nodes)-th of `nodes` evenly spaced nodes.
+            let mapping = Mapping::from_nodes(
+                (0..nodes * PER_NODE).map(|r| NodeId(r % nodes * all / nodes)).collect(),
+            );
+            let ranks = mapping.ranks();
+            let links = LinkTable::new(&machine, ranks);
+            let mut arena = RouteArena::default();
+            let mut pairs = 0;
+            for (src, dst) in (0..ranks).flat_map(|s| (0..ranks).map(move |d| (Rank(s), Rank(d)))) {
+                let (a, b) = (mapping.node_of(src), mapping.node_of(dst));
+                if a == b {
+                    continue;
                 }
+                let r = arena.intern(&*machine.topology, a, b).expect("route interns");
+                let route = arena.route(&links, r, src, dst);
+                let want = route_into(&machine, &links, src, dst, &mapping);
+                assert_eq!(
+                    route.links().collect::<Vec<_>>(),
+                    want,
+                    "{}: {src} -> {dst}",
+                    machine.name
+                );
+                assert_eq!(route.len(), want.len(), "{}: {src} -> {dst}", machine.name);
+                pairs += 1;
             }
-            for (s, d, r, links) in &refs {
-                assert_eq!(arena.get(*s, *d), Some(*r), "ranks={ranks}");
-                assert_eq!(arena.resolve(*r), links.as_slice(), "ranks={ranks}");
-            }
-            assert_eq!(arena.starts.len(), refs.len(), "ranks={ranks}");
+            let routes = (nodes * (nodes - 1)) as usize;
+            assert_eq!(arena.ends.len(), routes, "{}: one route per node pair", machine.name);
+            assert_eq!(pairs, routes * (PER_NODE * PER_NODE) as usize, "{}", machine.name);
         }
     }
 
-    /// A route longer than the u16 hop field is a typed error carrying
-    /// the arena's state, never the old `expect` panic.
+    /// A route longer than the u16 hop field (its fabric hops plus the
+    /// two NIC links) is a typed error carrying the arena's state, never
+    /// a panic; one hop shorter interns.
     #[test]
     fn route_arena_hop_limit_is_a_typed_error() {
-        let mut arena = RouteArena::new(4);
-        arena.try_intern(Rank(1), Rank(2), &[LinkId(1), LinkId(2)]).unwrap();
-        let long = vec![LinkId(1); u16::MAX as usize + 1];
-        match arena.try_intern(Rank(0), Rank(1), &long) {
+        let mut arena = RouteArena::default();
+        arena.try_intern(NodeId(1), NodeId(2), &[LinkId(1)]).unwrap();
+        let long = vec![LinkId(1); u16::MAX as usize - 1];
+        match arena.try_intern(NodeId(0), NodeId(1), &long) {
             Err(SimError::RouteArenaExhausted { routes, limit, .. }) => {
                 assert_eq!(routes, 1);
                 assert!(limit.contains("hops"), "{limit}")
             }
             other => panic!("wrong result: {other:?}"),
         }
-        assert!(arena.get(Rank(0), Rank(1)).is_none(), "a rejected route is not interned");
+        assert!(!arena.index.contains_key(&(0, 1)), "a rejected route is not interned");
+        let r = arena.try_intern(NodeId(0), NodeId(1), &long[1..]).expect("u16::MAX hops fit");
+        assert_eq!(arena.fabric(r).len() + 2, u16::MAX as usize);
     }
 
     /// Acceptance gate for the scratch-hoisting rework: once the
@@ -1415,7 +1429,7 @@ mod tests {
         let mut cases = 0;
         for_each_max_min_case(|name, routes, caps| {
             let want = max_min_rates_naive(routes, caps);
-            let got = solver.solve(routes.len(), |k| &routes[k], caps);
+            let got = solver.solve(routes.len(), |k| routes[k].iter().copied(), caps);
             assert_eq!(got.len(), want.len(), "{name}");
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "{name}: flow {k}: {g} vs {w}");
@@ -1434,7 +1448,7 @@ mod tests {
         const TOL: f64 = 1e-9;
         let mut solver = MaxMin::new(600);
         for_each_max_min_case(|name, routes, caps| {
-            let rates = solver.solve(routes.len(), |k| &routes[k], caps);
+            let rates = solver.solve(routes.len(), |k| routes[k].iter().copied(), caps);
             let mut load = vec![0.0f64; caps.len()];
             let mut top = vec![0.0f64; caps.len()];
             for (route, &rate) in routes.iter().zip(rates) {

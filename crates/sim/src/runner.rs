@@ -10,7 +10,7 @@ use crate::net::{
 };
 use masim_des::{Engine, Handler};
 use masim_obs::MetricSet;
-use masim_topo::{LinkId, Machine, Mapping};
+use masim_topo::{Machine, Mapping};
 use masim_trace::{
     Action, CollKind, Mailbox, Rank, StreamedTrace, Time, Trace, TraceSource, Walker, TOOL_RECV,
     TOOL_SEND,
@@ -236,12 +236,10 @@ pub struct SimState<'a> {
     pub(crate) mapping: Mapping,
     pub(crate) net: NetState,
     pub(crate) links: LinkTable,
-    /// Interned (src rank, dst rank) → virtual-link routes; in-flight
-    /// packets and flows hold `RouteRef`s into this arena.
+    /// Interned (src node, dst node) → fabric-hop routes; in-flight
+    /// packets and flows hold `RouteRef`s into this arena and their
+    /// ranks' NIC links.
     pub(crate) routes: RouteArena,
-    /// Where a rank pair's route is built before it is interned, so a
-    /// cold intern allocates nothing of its own.
-    pub(crate) route_scratch: Vec<LinkId>,
     /// The messages in flight; event payloads carry `u32` ids into it.
     pub(crate) msgs: MsgSlab,
     /// Size distribution of every message injected (`sim.msg.bytes`).
@@ -280,14 +278,12 @@ impl<'a> SimState<'a> {
         }
         let links = LinkTable::new(&cfg.machine, ranks);
         let net = NetState::new(cfg.model, links.len());
-        let routes = RouteArena::new(ranks);
         Ok(SimState {
             machine: cfg.machine.clone(),
             mapping: cfg.mapping.clone(),
             net,
             links,
-            routes,
-            route_scratch: Vec::new(),
+            routes: RouteArena::default(),
             msgs: MsgSlab::default(),
             msg_sizes: masim_obs::HistData::default(),
             trace_bytes: trace.resident_bytes(),

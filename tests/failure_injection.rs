@@ -259,9 +259,11 @@ fn budget_exhaustion_is_explicit() {
 
 /// Interned routes count against the memory budget, which is their one
 /// bound. Each of 64 ranks, one per node, sends once to every other rank
-/// (4 032 routes), so at most 64 messages are in flight while the route
-/// arena grows past the pre-run footprint by more than 64 KiB; the ring
-/// control sends as many messages over 64 routes and fits.
+/// (4 032 node-pair routes), so at most 64 messages are in flight while
+/// the route arena grows past its pre-run footprint by more than 64 KiB.
+/// Two controls send as many messages and fit the same headroom: the
+/// ring over 64 routes, and the all-pairs trace with the 64 ranks packed
+/// 16 per node, whose rank pairs share 12 node-pair routes.
 #[test]
 fn route_memory_counts_against_the_memory_budget() {
     const RANKS: u32 = 64;
@@ -287,11 +289,16 @@ fn route_memory_counts_against_the_memory_budget() {
         other => panic!("a zero budget must trip before the run: {other:?}"),
     };
 
+    let arena = |t: &Trace, cfg: &SimConfig| {
+        let ms = MetricSet::new();
+        masim_sim::run(t, cfg, SimLimits::unlimited(), Some(&ms)).expect("unbudgeted");
+        ms.snapshot().gauges["sim.route.arena_bytes"]
+    };
+
     let cfg = SimConfig::new(Machine::cielito(), PACKET, &all_pairs);
-    let ms = MetricSet::new();
-    masim_sim::run(&all_pairs, &cfg, SimLimits::unlimited(), Some(&ms)).expect("unbudgeted");
-    // Before the run the arena holds only its dense 64 x 64 index.
-    let grown = ms.snapshot().gauges["sim.route.arena_bytes"] - u64::from(RANKS * RANKS) * 8;
+    // A run that sends nothing leaves the arena as it was before the run.
+    let silent = Trace::empty(meta(RANKS));
+    let grown = arena(&all_pairs, &cfg) - arena(&silent, &cfg);
     assert!(grown > 64 << 10, "route arena grew by {grown} B");
 
     let limit = pre_run(&all_pairs, &cfg) + (64 << 10);
@@ -305,6 +312,12 @@ fn route_memory_counts_against_the_memory_budget() {
     let cfg = SimConfig::new(Machine::cielito(), PACKET, &ring);
     let limit = pre_run(&ring, &cfg) + (64 << 10);
     let r = masim_sim::run(&ring, &cfg, budget(limit), None).expect("ring fits the same headroom");
+    assert_eq!(r.messages, u64::from(RANKS * (RANKS - 1)));
+
+    let packed = SimConfig { mapping: Mapping::block(RANKS, 16), ..cfg };
+    let limit = pre_run(&all_pairs, &packed) + (64 << 10);
+    let r = masim_sim::run(&all_pairs, &packed, budget(limit), None)
+        .expect("12 node-pair routes fit the same headroom");
     assert_eq!(r.messages, u64::from(RANKS * (RANKS - 1)));
 }
 

@@ -556,14 +556,46 @@ fn k_flows_over_one_saturated_link_serialize() {
     }
 }
 
+/// Every message the simulator puts on the wire for `trace`, as
+/// (src, dst, bytes): point-to-point sends as recorded, collectives as
+/// their lowered rounds' sends, each at least the 1-byte header.
+fn wire_messages(trace: &Trace) -> Vec<(Rank, Rank, u64)> {
+    use masim_sim::lower::lower;
+    use masim_trace::EventKind;
+    let p = trace.num_ranks();
+    let mut out = Vec::new();
+    for (r, evs) in (0..p).map(Rank).zip(&trace.events) {
+        for e in evs {
+            match e.kind {
+                EventKind::Send { peer, bytes, .. } | EventKind::Isend { peer, bytes, .. } => {
+                    out.push((r, peer, bytes.max(1)));
+                }
+                EventKind::Coll { kind, bytes, root } => {
+                    let sends = lower(kind, r, p, bytes, root).rounds.into_iter();
+                    out.extend(sends.filter_map(|k| k.send).map(|(to, b)| (r, to, b.max(1))));
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 /// Run-level invariants where no closed form exists: 50 random
-/// `TraceSynth` programs on Cielito, Edison and the fat tree, under every
-/// simulator model.
+/// `TraceSynth` programs on Cielito, Edison and the fat tree, four ranks
+/// per node, under every simulator model.
 /// * No rank finishes before the sum of its own `Compute` durations.
 /// * Every byte a rank's injection link carries is carried by some
 ///   rank's ejection link: the two sums of `link_bytes` agree.
 /// * Link charges depend on routes and message sizes, not on timing, so
 ///   `link_bytes` is identical under packet, flow and packet-flow.
+/// * Exact link bytes (ROADMAP item 4's Σ link bytes = Σ message bytes ×
+///   route length): each rank's injection link carries exactly the bytes
+///   it sent off-node and its ejection link the bytes it received
+///   off-node, and the fabric carries Σ bytes × fabric hops over the
+///   off-node messages, the hops counted from `Topology::route` here.
+///   Ranks sharing a node share its routes, so this also judges that a
+///   route's NIC links are its own ranks'.
 #[test]
 fn run_level_invariants_hold_on_random_programs() {
     let packet_bytes = masim_sim::DEFAULT_PACKET_BYTES;
@@ -581,16 +613,25 @@ fn run_level_invariants_hold_on_random_programs() {
             let compute: Vec<u64> = (trace.events.iter())
                 .map(|evs| evs.iter().filter(|e| e.kind.is_compute()).map(|e| e.dur.as_ps()).sum())
                 .collect();
+            let mapping = Mapping::block(trace.num_ranks(), trace.meta.ranks_per_node);
+            assert!(trace.meta.ranks_per_node >= 2, "rank pairs must share node pairs");
+            let (mut sent, mut received, mut fabric_bytes) = (vec![0; ranks], vec![0; ranks], 0);
+            for (src, dst, bytes) in wire_messages(&trace) {
+                let (a, b) = (mapping.node_of(src), mapping.node_of(dst));
+                if a != b {
+                    sent[src.idx()] += bytes;
+                    received[dst.idx()] += bytes;
+                    let hops = case.machine.topology.route_vec(a, b).len() as u64 - 2;
+                    fabric_bytes += bytes * hops;
+                }
+            }
             let mut reference: Option<Vec<u64>> = None;
             for model in models {
                 let what = format!("{name} seed {seed} {}", model.name());
-                let r = masim_sim::run(
-                    &trace,
-                    &SimConfig::new(case.machine.clone(), model, &trace),
-                    SimLimits::unlimited(),
-                    None,
-                )
-                .expect("simulation completes");
+                let cfg = SimConfig::new(case.machine.clone(), model, &trace);
+                assert_eq!(cfg.mapping, mapping, "{what}: the block mapping");
+                let r = masim_sim::run(&trace, &cfg, SimLimits::unlimited(), None)
+                    .expect("simulation completes");
                 for (rank, (finish, busy)) in r.per_rank.iter().zip(&compute).enumerate() {
                     assert!(finish.as_ps() >= *busy, "{what}: rank {rank} beat its compute");
                 }
@@ -598,6 +639,10 @@ fn run_level_invariants_hold_on_random_programs() {
                 let injected: u64 = r.link_bytes[fabric..fabric + ranks].iter().sum();
                 let ejected: u64 = r.link_bytes[fabric + ranks..].iter().sum();
                 assert_eq!(injected, ejected, "{what}: injected vs ejected bytes");
+                assert_eq!(r.link_bytes[fabric..fabric + ranks], sent, "{what}: injection links");
+                assert_eq!(r.link_bytes[fabric + ranks..], received, "{what}: ejection links");
+                let carried_fabric: u64 = r.link_bytes[..fabric].iter().sum();
+                assert_eq!(carried_fabric, fabric_bytes, "{what}: fabric bytes");
                 carried += usize::from(injected > 0);
                 match &reference {
                     None => reference = Some(r.link_bytes),
